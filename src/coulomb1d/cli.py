@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -25,7 +24,8 @@ from .gridsolver import Grid, solve
 from .potentials import PotentialSpec
 from .quadrature import ConvergenceError
 from .regularized import (GridResolutionError, care_interleaving,
-                          half_line_spectrum, soft_core_ground_scan)
+                          half_line_spectrum, required_points,
+                          soft_core_ground_scan)
 from .spectrum import exact_energy, node_count, normalize, wavefunction
 from .wkb import WKBConfig, action, wkb_energy
 
@@ -139,37 +139,36 @@ def _cmd_wkb(args):
         metadata=_stamp(meta, args))
 
 
-def _auto_points(span, a):
-    # resolve the core: h <= a/5, rounded up to an even count
-    n = math.ceil(5.0 * span / a)
-    return n + (n % 2)
-
-
 def _cmd_scan(args):
     if args.family == "soft-core":
         if not args.a:
             raise ValueError("soft-core scan requires --a")
         radii = [float(s) for s in args.a.split(",")]
         half_width = args.half_width if args.half_width else 30.0
-        points = args.points if args.points else _auto_points(2 * half_width,
-                                                              min(radii))
-        g = Grid(half_width=half_width, points=points)
-        rows = soft_core_ground_scan(radii, g)
+        if args.points:
+            points = [args.points] * len(radii)
+            rows = soft_core_ground_scan(radii, Grid(half_width, args.points))
+        else:
+            # one grid per radius, so a row does not depend on the others
+            points = [required_points(half_width, a) for a in radii]
+            rows = [soft_core_ground_scan([a], Grid(half_width, n))[0]
+                    for a, n in zip(radii, points)]
         meta = _stamp({"family": args.family, "half_width": half_width,
-                       "points": points}, args)
+                       "points": max(points)}, args)
         return OutputRecord(
             schema="scan",
             columns={"a": [r.a for r in rows],
                      "e0": [r.e0 for r in rows],
                      "loudon_estimate": [r.loudon for r in rows],
-                     "ratio": [r.e0 / r.loudon for r in rows]},
+                     "ratio": [r.e0 / r.loudon for r in rows],
+                     "points": points},
             metadata=meta)
     if args.family == "care":
         if not args.a or args.b is None:
             raise ValueError("care scan requires --a and --b")
         a = float(args.a)
         half_width = args.half_width if args.half_width else 54.0
-        points = args.points if args.points else _auto_points(2 * half_width, a)
+        points = args.points if args.points else required_points(half_width, a)
         k_max = args.k_max if args.k_max else 6
         g = Grid(half_width=half_width, points=points)
         res = care_interleaving(a, args.b, g, k_max)

@@ -9,6 +9,25 @@ adds 1/(2h^2) to the boundary diagonal entries.  Without that term the
 effective wall shifts off the box edge and the scheme degrades to
 first order.
 
+Parity sectors.  The full-line staggered mesh is built as the mirror
+image of its positive half, so a potential that is even in x gives a
+persymmetric matrix, and every eigenvector is exactly even or exactly
+odd.  The problem then splits into two half-size tridiagonal problems
+on x > 0.  The coupling between the two centre points x = -h/2 and
+x = +h/2 folds into the first diagonal entry: it lowers it by 1/(2h^2)
+in the even sector and raises it by 1/(2h^2) in the odd one, which is
+the same odd-reflection ghost as a wall at x = 0.  The odd sector is
+therefore the half-line model, and the half-line family is solved as
+that sector alone on [0, L].  The merge needs no sort and no parity
+guess: by the oscillation theorem eigenvector k of a Jacobi matrix has
+k sign changes, so level 2j is even level j and level 2j+1 is odd
+level j.  Parity labels are exact by construction.  Each sector has
+half the points and about half the levels of the full problem.
+
+Plain callables that are not mirror symmetric on the mesh, and
+unstaggered grids, keep the full N-point matrix; their levels carry no
+parity label.
+
 Eigenpairs come from the symmetric tridiagonal bisection/inverse-
 iteration path (LAPACK stebz/stein via scipy), which matches the
 Sturm-sequence approach the problem calls for and stays fast for the
@@ -25,6 +44,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .potentials import PotentialSpec, evaluate, singular_at_origin
 from .quadrature import ConvergenceError
+from .spectrum import sign_changes
 
 __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
 
@@ -81,44 +101,91 @@ class SpectrumResult:
     vectors: np.ndarray
 
 
-def _mesh(spec, g):
-    """Mesh positions and spacing; half-line potentials live on [0, L]."""
-    half_line = isinstance(spec, PotentialSpec) and spec.family == "half-line"
-    if half_line:
+def _half_mesh(points, h):
+    return (np.arange(points) + 0.5) * h
+
+
+def _potential(V, x):
+    v = evaluate(V, x) if isinstance(V, PotentialSpec) else np.asarray(V(x), float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("potential is not finite on the mesh")
+    return v
+
+
+# A Dirichlet wall half a step outside an end point: eliminating the
+# odd-reflected ghost value adds _WALL/h^2 to that end's diagonal entry,
+# which keeps the wall exactly on the box edge.
+_WALL = 0.5
+
+
+def _lowest(v, h, k, first, last):
+    """Lowest k eigenpairs of the 3-point matrix on a mesh of step h.
+
+    The diagonal is 1/h^2 + v with first/h^2 and last/h^2 added to its
+    end entries, the off-diagonal -1/(2h^2).  The vectors have unit
+    2-norm.
+    """
+    if k == 0:
+        return np.empty(0), np.empty((v.size, 0))
+    inv_h2 = 1.0 / (h * h)
+    d = inv_h2 + v
+    d[0] += first * inv_h2
+    d[-1] += last * inv_h2
+    try:
+        return eigh_tridiagonal(d, np.full(v.size - 1, -0.5 * inv_h2),
+                                select="i", select_range=(0, k - 1))
+    except LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
+                               None, math.inf) from exc
+
+
+def _mirrored(v_half, h, k):
+    """Merged sector energies and full-mesh vectors of an even potential."""
+    m = v_half.size
+    # the centre neighbour at x = -h/2 holds +u[0] (even) or -u[0] (odd)
+    w_even, u_even = _lowest(v_half, h, (k + 1) // 2, -_WALL, _WALL)
+    w_odd, u_odd = _lowest(v_half, h, k // 2, _WALL, _WALL)
+    w = np.empty(k)
+    w[0::2], w[1::2] = w_even, w_odd
+    vecs = np.empty((2 * m, k))
+    vecs[m:, 0::2], vecs[m:, 1::2] = u_even, u_odd
+    vecs[m:] /= math.sqrt(2.0 * h)
+    vecs[:m] = vecs[m:][::-1]
+    vecs[:m, 1::2] *= -1.0
+    return w, vecs
+
+
+def _eigenpairs(V, g, k):
+    """Mesh, energies, vectors scaled to h*sum(v^2) = 1, and whether the
+    vectors come from the two parity sectors."""
+    spec = isinstance(V, PotentialSpec)
+    if spec and V.family == "half-line":
+        # the odd sector of -1/|x| on [-L, L], returned on [0, L]
         h = g.half_width / g.points
-        if g.staggered:
-            x = (np.arange(g.points) + 0.5) * h
-        else:
-            x = np.arange(1, g.points) * h
+        x = _half_mesh(g.points, h)
+        w, u = _lowest(_potential(V, x), h, k, _WALL, _WALL)
+        return x, w, u / math.sqrt(h), False
+    h = 2.0 * g.half_width / g.points
+    if not g.staggered:
+        x = -g.half_width + np.arange(1, g.points) * h
+        w, u = _lowest(_potential(V, x), h, k, 0.0, 0.0)
+        return x, w, u / math.sqrt(h), False
+    if g.points % 2:
+        raise ValueError("full-line staggered grids need an even "
+                         "point count to stay mirror-symmetric")
+    m = g.points // 2
+    xp = _half_mesh(m, h)
+    x = np.concatenate((-xp[::-1], xp))
+    if spec:
+        # every family is even in x
+        v_half = _potential(V, xp)
     else:
-        h = 2.0 * g.half_width / g.points
-        if g.staggered:
-            if g.points % 2:
-                raise ValueError("full-line staggered grids need an even "
-                                 "point count to stay mirror-symmetric")
-            x = -g.half_width + (np.arange(g.points) + 0.5) * h
-        else:
-            x = -g.half_width + np.arange(1, g.points) * h
-    return x, h, half_line
-
-
-def _node_count(v):
-    # ignore tail entries too small to carry a reliable sign
-    keep = np.abs(v) > 1e-8 * np.max(np.abs(v))
-    s = np.sign(v[keep])
-    return int(np.count_nonzero(s[1:] * s[:-1] < 0))
-
-
-def _parity_tag(v, symmetric_domain):
-    if not symmetric_domain:
-        return None
-    rev = v[::-1]
-    scale = np.linalg.norm(v)
-    r_even = np.linalg.norm(v - rev)
-    r_odd = np.linalg.norm(v + rev)
-    if min(r_even, r_odd) > 1e-3 * scale:
-        return None
-    return "even" if r_even < r_odd else "odd"
+        v = _potential(V, x)
+        if not np.array_equal(v[:m][::-1], v[m:]):
+            w, u = _lowest(v, h, k, _WALL, _WALL)
+            return x, w, u / math.sqrt(h), False
+        v_half = v[m:]
+    return (x, *_mirrored(v_half, h, k), True)
 
 
 def solve(V, g, k_max):
@@ -136,40 +203,29 @@ def solve(V, g, k_max):
     Returns
     -------
     SpectrumResult
-        Levels carry parity tags (full-line grids only) and eigenvector
-        node counts; energies increase strictly with the index.
+        Levels carry eigenvector node counts and, for a potential that
+        is even on a staggered full-line grid, their exact parity; other
+        levels, the half-line ones included, have parity None.  Energies
+        increase with the index, up to the bisection tolerance of the
+        eigensolver (about eps * ||T||), which a nearly degenerate
+        even/odd pair of a deep double well can undercut.
     """
     if k_max < 1 or k_max > g.points // 4:
         raise ValueError(f"k_max must lie in [1, N/4] = [1, {g.points // 4}]")
     if isinstance(V, PotentialSpec) and singular_at_origin(V) and not g.staggered:
         raise ValueError(f"{V.family} is singular at the origin and needs a "
                          "staggered grid")
-    x, h, half_line = _mesh(V, g)
-    v_x = evaluate(V, x) if isinstance(V, PotentialSpec) else np.asarray(V(x), float)
-    if not np.all(np.isfinite(v_x)):
-        raise ValueError("potential is not finite on the mesh")
-
-    inv_h2 = 1.0 / (h * h)
-    d = inv_h2 + v_x
-    if g.staggered:
-        # odd-reflection ghost: keeps the Dirichlet wall exactly on the edge
-        d[0] += 0.5 * inv_h2
-        d[-1] += 0.5 * inv_h2
-    e = np.full(x.size - 1, -0.5 * inv_h2)
-    try:
-        w, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k_max - 1))
-    except LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
-                               None, math.inf) from exc
-    vecs = vecs / math.sqrt(h)
-
-    symmetric_domain = not half_line and g.staggered
+    x, w, vecs, sectors = _eigenpairs(V, g, k_max)
     levels = []
     for k in range(k_max):
-        vk = vecs[:, k]
-        levels.append(Level(index=k, energy=float(w[k]),
-                            parity=_parity_tag(vk, symmetric_domain),
-                            nodes=_node_count(vk)))
+        if sectors:
+            # count on the positive half; an odd level adds the node at x = 0
+            parity = "odd" if k % 2 else "even"
+            nodes = 2 * sign_changes(vecs[x.size // 2:, k]).size + k % 2
+        else:
+            parity, nodes = None, sign_changes(vecs[:, k]).size
+        levels.append(Level(index=k, energy=float(w[k]), parity=parity,
+                            nodes=nodes))
     return SpectrumResult(levels=levels, grid=g, potential=V,
                           positions=x, vectors=vecs)
 

@@ -18,23 +18,32 @@ import warnings
 from typing import NamedTuple
 
 from .gridsolver import Grid, solve
-from .potentials import (PotentialSpec, evaluate, half_line, loudon_estimate,
-                         repulsive_core, soft_core)
+from .potentials import half_line, loudon_estimate, repulsive_core, soft_core
 
 __all__ = [
     "CareResult",
     "GridResolutionError",
-    "PotentialSpec",
     "ScanRow",
     "care_interleaving",
-    "evaluate",
     "half_line_spectrum",
-    "loudon_estimate",
+    "required_points",
     "soft_core_ground_scan",
 ]
 
 # a mesh step of a/5 or finer resolves a core of radius a
 _CORE_STEPS = 5.0
+
+
+def required_points(half_width, a):
+    """Smallest even point count on [-L, L] whose step resolves core radius a.
+
+    The rule is h = 2L/N <= a/5; the count is rounded up to an even
+    number so the staggered full-line mesh stays mirror-symmetric.
+    """
+    if not a > 0:
+        raise ValueError(f"core radius must be positive, got {a}")
+    n = math.ceil(2.0 * half_width * _CORE_STEPS / a)
+    return n + n % 2
 
 
 class GridResolutionError(Exception):
@@ -62,14 +71,13 @@ class CareResult(NamedTuple):
     interleaved: bool
 
 
-def _require_resolution(g, a, full_line=True):
-    span = 2.0 * g.half_width if full_line else g.half_width
-    h = span / g.points
-    if h > a / _CORE_STEPS:
-        needed = math.ceil(span * _CORE_STEPS / a)
+def _require_resolution(g, a):
+    needed = required_points(g.half_width, a)
+    if g.points < needed:
         raise GridResolutionError(
-            f"mesh step {h:.3g} cannot resolve core radius a={a:g}; "
-            f"need at least N={needed} points at this box size",
+            f"mesh step {2.0 * g.half_width / g.points:.3g} cannot resolve "
+            f"core radius a={a:g}; need at least N={needed} points at this "
+            "box size",
             suggested_points=needed)
 
 

@@ -177,18 +177,24 @@ def node_count(n, window=None, samples=None):
         samples = 1000 * (n + 1)
     ns = max(samples // 2, 8)
     xs = (np.arange(ns) + 0.5) * (half / ns)
-    vals = wavefunction(n, xs)
-    # tiny tail amplitudes carry no sign information
-    keep = np.abs(vals) > 1e-8 * np.max(np.abs(vals))
-    signs = np.sign(vals[keep])
-    pos = xs[keep]
-    flips = signs[1:] * signs[:-1] < 0
-    if np.any(flips & (pos[1:] > 0.95 * half)):
+    flips = sign_changes(wavefunction(n, xs))
+    if np.any(xs[flips] > 0.95 * half):
         raise ValueError(
             f"sign change in the outermost 5% of the window (half width {half}); "
             "enlarge the window")
-    changes = int(np.count_nonzero(flips))
-    return 2 * changes + (1 if n % 2 else 0)
+    return 2 * flips.size + (1 if n % 2 else 0)
+
+
+def sign_changes(values):
+    """Indices i where values[i] has the opposite sign of the sample before it.
+
+    Samples below 1e-8 of the largest magnitude carry no reliable sign
+    (decaying tails, rounding noise) and are skipped, so a flip is
+    counted between the nearest kept neighbours.
+    """
+    keep = np.flatnonzero(np.abs(values) > 1e-8 * np.max(np.abs(values)))
+    signs = np.sign(values[keep])
+    return keep[1:][signs[1:] * signs[:-1] < 0]
 
 
 def ode_residual(n, x):

@@ -195,6 +195,30 @@ class TestScanCommand:
                                 float(r["e0"]) / float(r["loudon_estimate"]),
                                 rel_tol=1e-15)
 
+    def test_soft_core_row_independent_of_other_radii(self, capsys):
+        _, short, _ = run_cli(["scan", "--family", "soft-core",
+                               "--a", "1e-2,1e-3"], capsys)
+        _, long, _ = run_cli(["scan", "--family", "soft-core",
+                              "--a", "1e-2,1e-3,1e-4"], capsys)
+        short_meta, short_rows = parse_csv(short)
+        long_meta, long_rows = parse_csv(long)
+        assert short_rows == long_rows[:2]
+        assert [r["points"] for r in long_rows] == ["30000", "300000", "3000000"]
+        assert long_meta["points"] == "3000000"
+
+    def test_soft_core_explicit_points_shared(self, capsys):
+        code, out, _ = run_cli(["scan", "--family", "soft-core", "--a",
+                                "1e-1,5e-2", "--points", "6000"], capsys)
+        assert code == 0
+        meta, rows = parse_csv(out)
+        assert meta["points"] == "6000"
+        assert [r["points"] for r in rows] == ["6000", "6000"]
+
+    def test_soft_core_non_positive_radius(self, capsys):
+        code, _, err = run_cli(["scan", "--family", "soft-core", "--a", "0"], capsys)
+        assert code == 2
+        assert "error:" in err
+
     def test_care_interleaving_verdict(self, capsys):
         code, out, _ = run_cli(["scan", "--family", "care", "--a", "1e-3",
                                 "--b", "5e-3", "--half-width", "30",

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from coulomb1d import Grid, exact_energy, half_line, pure_coulomb, refine, soft_core, solve
+from coulomb1d import (Grid, evaluate, exact_energy, half_line, pure_coulomb, refine,
+                       repulsive_core, soft_core, solve)
 
 
 def harmonic(x):
@@ -74,6 +75,72 @@ class TestEigenvectors:
     def test_asymmetric_potential_gets_no_parity_tag(self):
         res = solve(lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 3000), 2)
         assert all(lv.parity is None for lv in res.levels)
+
+
+def dense_staggered_levels(V, half_width, points, k):
+    """Lowest k eigenvalues of the full staggered-mesh matrix, and its norm.
+
+    Mesh x_j = -L + (j + 1/2) h with h = 2L/N; the walls half a step
+    outside the end points add 1/(2h^2) to the end diagonal entries.
+    """
+    h = 2.0 * half_width / points
+    x = -half_width + (np.arange(points) + 0.5) * h
+    v = V(x) if callable(V) else evaluate(V, x)
+    d = 1.0 / h ** 2 + v
+    d[0] += 0.5 / h ** 2
+    d[-1] += 0.5 / h ** 2
+    off = np.full(points - 1, -0.5 / h ** 2)
+    mat = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(mat)[:k], np.max(np.abs(d)) + 1.0 / h ** 2
+
+
+SYMMETRIC = [harmonic, pure_coulomb(), soft_core(0.05), repulsive_core(0.05, 0.1)]
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("V", SYMMETRIC, ids=lambda V: getattr(V, "family", "harmonic"))
+    def test_sector_energies_match_dense_full_matrix(self, V):
+        # k = 5 takes three even and two odd sector levels
+        res = solve(V, Grid(half_width=10.0, points=400), 5)
+        ref, norm = dense_staggered_levels(V, 10.0, 400, 5)
+        got = [lv.energy for lv in res.levels]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * norm)
+        assert [lv.parity for lv in res.levels] == ["even", "odd", "even", "odd", "even"]
+        assert [lv.nodes for lv in res.levels] == list(range(5))
+
+    def test_half_line_is_the_odd_sector_of_pure_coulomb(self):
+        half = solve(half_line(), Grid(half_width=60.0, points=4000), 3)
+        full = solve(pure_coulomb(), Grid(half_width=60.0, points=8000), 6)
+        odd = [lv.energy for lv in full.levels if lv.parity == "odd"]
+        assert [lv.energy for lv in half.levels] == odd
+        np.testing.assert_array_equal(half.positions, full.positions[4000:])
+
+    @pytest.mark.parametrize("V", SYMMETRIC, ids=lambda V: getattr(V, "family", "harmonic"))
+    def test_mirrored_vectors_have_exact_parity(self, V):
+        res = solve(V, Grid(half_width=10.0, points=400), 4)
+        np.testing.assert_array_equal(res.positions[::-1], -res.positions)
+        for lv, v in zip(res.levels, res.vectors.T):
+            sign = 1.0 if lv.parity == "even" else -1.0
+            np.testing.assert_array_equal(v[::-1], sign * v)
+
+    def test_single_level(self):
+        g = Grid(half_width=12.0, points=3000)
+        res = solve(harmonic, g, 1)
+        assert res.vectors.shape == (3000, 1)
+        (lv,) = res.levels
+        assert (lv.index, lv.parity, lv.nodes) == (0, "even", 0)
+        assert abs(lv.energy - 0.5) < 1e-4
+        h = 2.0 * g.half_width / g.points
+        assert math.isclose(h * np.sum(res.vectors[:, 0] ** 2), 1.0, rel_tol=1e-12)
+
+    def test_full_matrix_paths_carry_no_parity(self):
+        asym = solve(lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 3000), 3)
+        plain = solve(soft_core(0.5), Grid(20.0, 4000, staggered=False), 3)
+        for res in (asym, plain):
+            assert [lv.parity for lv in res.levels] == [None, None, None]
+            assert [lv.nodes for lv in res.levels] == [0, 1, 2]
+        # the shifted well keeps the harmonic spacing
+        assert abs(asym.levels[1].energy - asym.levels[0].energy - 1.0) < 1e-3
 
 
 class TestVariationalBound:

@@ -9,6 +9,7 @@ from coulomb1d import (Grid, GridResolutionError, PotentialSpec, care_interleavi
                        evaluate, exact_energy, half_line, half_line_spectrum,
                        loudon_estimate, pure_coulomb, repulsive_core, soft_core,
                        soft_core_ground_scan)
+from coulomb1d.regularized import required_points
 
 
 class TestEvaluate:
@@ -99,6 +100,19 @@ class TestSoftCoreScan:
         with pytest.raises(GridResolutionError) as info:
             soft_core_ground_scan([1e-4], Grid(half_width=30.0, points=1000))
         assert info.value.suggested_points >= 3000000
+
+    def test_required_points_rule(self):
+        # h = 2L/N <= a/5, rounded up to an even count
+        assert required_points(30.0, 1e-4) == 3000000
+        assert required_points(1.0, 0.7) == 16
+        g = Grid(half_width=1.0, points=required_points(1.0, 0.07))
+        assert 2.0 * g.half_width / g.points <= 0.07 / 5
+        soft_core_ground_scan([0.07], g)
+        with pytest.raises(GridResolutionError) as info:
+            soft_core_ground_scan([0.07], Grid(half_width=1.0, points=g.points - 2))
+        assert info.value.suggested_points == g.points
+        with pytest.raises(ValueError):
+            required_points(30.0, 0.0)
 
     def test_rejects_out_of_range_radii(self):
         g = Grid(half_width=30.0, points=30000)
