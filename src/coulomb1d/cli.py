@@ -24,8 +24,8 @@ from .gridsolver import Grid, solve
 from .potentials import PotentialSpec
 from .quadrature import ConvergenceError
 from .regularized import (GridResolutionError, care_interleaving,
-                          half_line_spectrum, required_points,
-                          soft_core_ground_scan)
+                          check_soft_core_radius, half_line_spectrum,
+                          required_points, soft_core_ground_scan)
 from .spectrum import exact_energy, node_count, normalize, wavefunction
 from .wkb import WKBConfig, action, wkb_energy
 
@@ -144,6 +144,8 @@ def _cmd_scan(args):
         if not args.a:
             raise ValueError("soft-core scan requires --a")
         radii = [float(s) for s in args.a.split(",")]
+        for a in radii:  # all of them before any solve
+            check_soft_core_radius(a)
         half_width = args.half_width if args.half_width else 30.0
         if args.points:
             points = [args.points] * len(radii)

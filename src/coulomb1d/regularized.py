@@ -25,6 +25,7 @@ __all__ = [
     "GridResolutionError",
     "ScanRow",
     "care_interleaving",
+    "check_soft_core_radius",
     "half_line_spectrum",
     "required_points",
     "soft_core_ground_scan",
@@ -44,6 +45,12 @@ def required_points(half_width, a):
         raise ValueError(f"core radius must be positive, got {a}")
     n = math.ceil(2.0 * half_width * _CORE_STEPS / a)
     return n + n % 2
+
+
+def check_soft_core_radius(a):
+    """Raise ValueError unless a is a soft-core radius the scan covers, (0, 0.5]."""
+    if not 0.0 < a <= 0.5:
+        raise ValueError(f"core radius must lie in (0, 0.5], got {a}")
 
 
 class GridResolutionError(Exception):
@@ -102,8 +109,7 @@ def soft_core_ground_scan(a_values, g):
     if not a_values:
         raise ValueError("no core radii given")
     for a in a_values:
-        if not 0.0 < a <= 0.5:
-            raise ValueError(f"core radius must lie in (0, 0.5], got {a}")
+        check_soft_core_radius(a)
         _require_resolution(g, a)
     rows = []
     for a in a_values:

@@ -1,25 +1,34 @@
 """Tricomi confluent hypergeometric function U(a,b,z) and Whittaker W_{kappa,mu}(z).
 
 Only the real-argument slice needed for the bound states is covered:
-b = 2 (the logarithmic case), a <= 2, z in [0, 200].  For a > 0 the
-function is obtained from the real integral representation
+b = 2 (the logarithmic case), a <= 2, z >= 0.  One batched evaluator,
+``_u_array``, computes U and picks the route per point by argument region
+(Gil, Segura and Temme, *Numerical Methods for Special Functions*, 2007):
 
-    U(a,b,z) = 1/Gamma(a) * int_0^inf exp(-z t) t^(a-1) (1+t)^(b-a-1) dt,
+- non-positive integer a: the polynomial U(-k,b,z) = (-1)^k k! L_k^(b-1)(z);
+- b = 2, z < 2: the logarithmic series DLMF 13.2.9 at a itself, where its
+  own estimate of the cancellation among its terms meets the tolerance
+  (so the crossover moves to smaller z as |a| grows);
+- everything else: quadrature of the integral representation
+  U(a,b,z) = 1/Gamma(a) int_0^inf exp(-z t) t^(a-1) (1+t)^(b-a-1) dt at
+  seeds a0 in (0, 1] and a0 + 1, then the three-term recurrence in a run
+  downward to a, the stable direction for U.
 
-with a power substitution absorbing the t^(a-1) endpoint singularity.
-Non-positive integer a reduces to a generalized Laguerre polynomial.
-Everything else is reached by the three-term recurrence in a, run
-downward, which is the stable direction for our parameters.
+Values come with error estimates, relative to |U| or, near a zero of U,
+to the recurrence scale; a point no route brings within the tolerance
+raises ``ConvergenceError`` instead of returning a loose number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import digamma, rgamma
 
-from .quadrature import ConvergenceError, adaptive
+from .quadrature import ConvergenceError, _rule
 
 __all__ = [
     "WhittakerParams",
@@ -30,6 +39,10 @@ __all__ = [
 ]
 
 _INTEGER_TOL = 1e-12
+_EPS = np.finfo(float).eps
+# the series serves z below this; its terms fall like z^k / k! past k ~ |a|
+_SERIES_Z = 2.0
+_SERIES_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -60,38 +73,28 @@ def laguerre(k, alpha, z):
         Degree, k >= 0.
     alpha : float
         Superscript parameter.
-    z : float
-        Argument.
+    z : float or array_like
+        Argument(s).
 
     Returns
     -------
-    float
+    float or ndarray
+        A float for scalar z, an array of the shape of z otherwise.
     """
     if k < 0 or k != int(k):
         raise ValueError(f"degree must be a non-negative integer, got {k}")
-    if not (math.isfinite(alpha) and math.isfinite(z)):
+    zs = np.asarray(z, dtype=float)
+    if not (math.isfinite(alpha) and np.all(np.isfinite(zs))):
         raise ValueError("non-finite parameter")
-    k = int(k)
-    if k == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - z
-    for j in range(2, k + 1):
-        prev, cur = cur, ((2 * j - 1 + alpha - z) * cur - (j - 1 + alpha) * prev) / j
-    return cur
+    prev, cur = 0.0, np.ones_like(zs)
+    for j in range(1, int(k) + 1):
+        prev, cur = cur, ((2 * j - 1 + alpha - zs) * cur - (j - 1 + alpha) * prev) / j
+    return float(cur) if zs.ndim == 0 else cur
 
 
 def reciprocal_gamma(x):
     """1/Gamma(x), finite for all real x (zero at the poles of Gamma)."""
-    if x > 0:
-        if x > 170:
-            return math.exp(-math.lgamma(x))
-        return 1.0 / math.gamma(x)
-    if abs(x - round(x)) < _INTEGER_TOL:
-        return 0.0  # Gamma pole at 0, -1, -2, ...
-    # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
-    sign = 1.0 if math.sin(math.pi * x) > 0 else -1.0
-    return sign * math.exp(math.lgamma(1.0 - x)
-                           + math.log(abs(math.sin(math.pi * x))) - math.log(math.pi))
+    return float(rgamma(x))
 
 
 def _substitution_power(a):
@@ -107,65 +110,150 @@ def _substitution_power(a):
     return max(1, math.ceil(1.0 / a))
 
 
-def _u_integral(a, b, z, rtol):
-    """U(a,b,z) for a > 0 by quadrature of the integral representation."""
+def _u_integral_array(a, b, z, rtol):
+    """U(a,b,z) for a > 0 over an array of z > 0, with its error estimate.
+
+    The integral representation, with t = v**p absorbing the t^(a-1)
+    endpoint factor, is rescaled to [0, 1] per argument and the whole
+    batch goes through one Gauss-Legendre rule, doubling the order until
+    no point changes by more than rtol of its value.  The error estimate
+    is that last change.
+    """
     p = _substitution_power(a)
     m = p * a - 1.0
     c = b - a - 1.0
-
-    def integrand(v):
-        vp = v ** p
-        core = np.exp(-z * vp) * (1.0 + vp) ** c
-        if m == 0.0:
-            return p * core
-        return p * v ** m * core
-
     # truncate where exp(-z t) has decayed below 1e-22 of everything else
     t_max = 50.0 / z
     if c > 0:
-        t_max = (50.0 + c * math.log(max(t_max, 2.0))) / z
+        t_max = (50.0 + c * np.log(np.maximum(t_max, 2.0))) / z
     v_max = t_max ** (1.0 / p)
-    val, err = adaptive(integrand, 0.0, v_max, rtol=rtol * 0.1)
+
     g = math.gamma(a)
-    return val / g, err / g
+    prev = None
+    for order in (64, 128, 256, 512, 1024, 2048):
+        nodes, weights = _rule(order)
+        v = np.outer(v_max, 0.5 * (nodes + 1.0))
+        vp = v ** p
+        mat = np.exp(-z[:, None] * vp) * (1.0 + vp) ** c
+        if m != 0.0:
+            mat *= v ** m
+        vals = 0.5 * p * v_max * (mat @ weights)
+        if prev is not None:
+            change = np.abs(vals - prev)
+            worst = float(np.max(change / np.maximum(np.abs(vals), 1e-300)))
+            if worst <= rtol:
+                return vals / g, change / g
+        prev = vals
+    raise ConvergenceError(
+        f"U({a},{b},z) by quadrature did not converge by order {order}",
+        prev / g, worst)
 
 
-def _u_laguerre(k, b, z):
-    """Polynomial reduction U(-k,b,z) = (-1)^k k! L_k^(b-1)(z)."""
-    sign = -1.0 if k % 2 else 1.0
-    return sign * math.factorial(k) * laguerre(k, b - 1.0, z)
+def _u_chain(a, b, z, rtol):
+    """U(a,b,z) over an array of z > 0 from quadrature seeds and recurrence.
 
-
-def _u_recur_down(a, b, z, rtol):
-    """Chain U(a,b,z) for a <= 2 from quadrature seeds in (0, 2].
-
-    Seeds U(a0, b, z) and U(a0+1, b, z) with a0 = a + ceil(-a) in (0, 1]
-    (or the pair (1, 2] / (2, 3] shifted accordingly), then
-
-        U(s-1,b,z) = (z + 2s - b) U(s,b,z) - s (1 + s - b) U(s+1,b,z)
-
-    applied downward to a.  Running downward is the stable direction, so
-    the seeds' relative accuracy carries through the chain; the returned
-    error is that relative accuracy times the largest magnitude seen
-    along the chain.  The scale is returned as well so callers can judge
-    convergence near a zero of U, where a purely value-relative
-    criterion is unsatisfiable.
+    Seeds U(a0,b,z) and U(a0+1,b,z), a0 = a + steps in (0, 1], then
+    U(s-1,b,z) = (z + 2s - b) U(s,b,z) - s (1 + s - b) U(s+1,b,z) down to
+    a (a > 0 is integrated directly).  The same recurrence carries the
+    responses to the seed errors, which it amplifies most at small z and
+    large |a|; they and the roundings of the steps make the error
+    estimate, held to 10 rtol of the largest |U| along the chain.
     """
-    steps = 0
-    a0 = a
-    while a0 <= 0.0:
-        a0 += 1.0
-        steps += 1
-    hi, err_hi = _u_integral(a0 + 1.0, b, z, rtol)
-    cur, err_cur = _u_integral(a0, b, z, rtol)
-    scale = max(abs(hi), abs(cur))
-    rel = (err_hi + err_cur) / max(scale, 1e-300)
-    s = a0
+    steps = math.floor(-a) + 1 if a <= 0.0 else 0
+    s = a + steps
+    cur, err = _u_integral_array(s, b, z, rtol)
+    if steps == 0:
+        return cur, err
+    hi, err_hi = _u_integral_array(s + 1.0, b, z, rtol)
+    scale = np.maximum(np.abs(cur), np.abs(hi))
+    # rows: U, and its responses to the errors of U(a0) and U(a0+1), each
+    # widened by the roundings of the steps to come
+    zero = np.zeros_like(z)
+    cur = np.array([cur, err + 4.0 * steps * _EPS * np.abs(cur), zero])
+    hi = np.array([hi, zero, err_hi + 4.0 * steps * _EPS * np.abs(hi)])
+    rounding = 0.0
     for _ in range(steps):
-        cur, hi = (z + 2.0 * s - b) * cur - s * (1.0 + s - b) * hi, cur
-        scale = max(scale, abs(cur))
+        p, q = (z + 2.0 * s - b) * cur, s * (1.0 + s - b) * hi
+        rounding += np.abs(p[0]) + np.abs(q[0])
+        cur, hi = p - q, cur
+        scale = np.maximum(scale, np.abs(cur[0]))
         s -= 1.0
-    return cur, rel * scale, scale
+    err = np.abs(cur[1]) + np.abs(cur[2]) + _EPS * rounding
+    worst = float(np.max(err / scale, initial=0.0))
+    if worst > 10.0 * rtol:
+        raise ConvergenceError(
+            f"U({a},{b},z) by recurrence lost accuracy to {worst:.2e} of its scale",
+            cur[0], worst)
+    return cur[0], err
+
+
+@lru_cache(maxsize=64)
+def _series_coefficients(a):
+    """Coefficients in z of DLMF 13.2.9 at b = 2, for non-integer a.
+
+    U(a,2,z) = 1/(Gamma(a) z) + sum_k c_k z^k (ln z + d_k), with
+    c_k = (a)_k / (Gamma(a-1) k! (k+1)!), d_k = psi(a+k) - psi(k+1) - psi(k+2).
+    Columns: c_k, c_k d_k; the same at a + 1; the magnitudes at a weighted
+    by the roundings behind term k.  Rows end where terms stop mattering.
+    """
+    k = np.arange(_SERIES_TERMS, dtype=float)
+    cols = []
+    for s in (a, a + 1.0):
+        c = rgamma(s - 1.0) * np.cumprod(
+            np.append(1.0, (s + k[1:] - 1.0) / (k[1:] * (k[1:] + 1.0))))
+        cols += [c, c * (digamma(s + k) - digamma(k + 1.0) - digamma(k + 2.0))]
+    cols += [(k + 4.0) * np.abs(cols[0]), (k + 4.0) * np.abs(cols[1])]
+    cols = np.stack(cols, axis=1)
+    size = np.abs(cols).max(axis=1) * _SERIES_Z ** k
+    return cols[:np.flatnonzero(size >= 1e-18 * size.max())[-1] + 1]
+
+
+def _u_series(a, z):
+    """U(a,2,z) by DLMF 13.2.9 over an array of small z > 0: values, their
+    rounding error and the scale max(|U(a)|, |U(a+1)|), never near zero."""
+    c, cd, c1, cd1, mc, mcd = np.polynomial.polynomial.polyval(
+        z, _series_coefficients(a))
+    lz = np.log(z)
+    head = rgamma(a) / z
+    vals = head + lz * c + cd
+    above = rgamma(a + 1.0) / z + lz * c1 + cd1
+    err = _EPS * (4.0 * np.abs(head) + np.abs(lz) * mc + mcd)
+    return vals, err, np.maximum(np.abs(vals), np.abs(above))
+
+
+def _is_nonpositive_integer(a):
+    return a <= 0.5 and abs(a - round(a)) < _INTEGER_TOL
+
+
+def _u_array(a, b, z, rtol=1e-10):
+    """U(a,b,z) and an absolute error estimate over a 1-D array of z > 0.
+
+    Routes per point as the module docstring says; each route's error
+    estimate is held to 10 rtol of its scale, max(|U(a)|, |U(a+1)|) for
+    the series, the largest |U| along the chain for the recurrence.
+
+    Raises
+    ------
+    ConvergenceError
+        If the quadrature or the recurrence cannot meet that bound.
+    """
+    z = np.asarray(z, dtype=float)
+    if _is_nonpositive_integer(a):
+        k = round(-a)
+        fact = math.factorial(k)
+        # the terms of L_k^(b-1)(z) alternate in sign; at -z they add up
+        lag, size = fact * laguerre(k, b - 1.0, np.array([z, -z]))
+        return (-lag if k % 2 else lag), 4.0 * (k + 1) * _EPS * np.abs(size)
+    vals, err = np.empty((2, z.size))
+    rest = np.ones(z.size, dtype=bool)
+    if b == 2.0:
+        near = np.flatnonzero(z < _SERIES_Z)
+        v, e, scale = _u_series(a, z[near])
+        ok = e / scale <= 10.0 * rtol  # the bound the chain is held to
+        vals[near[ok]], err[near[ok]], rest[near[ok]] = v[ok], e[ok], False
+    if rest.any():
+        vals[rest], err[rest] = _u_chain(a, b, z[rest], rtol)
+    return vals, err
 
 
 def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
@@ -183,15 +271,21 @@ def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
         Requested relative accuracy, measured against the recurrence
         scale near zeros of U where relative error loses meaning.
     method : {'auto', 'integral', 'laguerre'}
-        'auto' picks the polynomial reduction for non-positive integer a
-        and quadrature (plus downward recurrence) otherwise.  The
-        explicit choices exist so the two routes can be compared.
+        'auto' routes by region (see the module docstring); 'laguerre'
+        is the polynomial route (non-positive integer a only), 'integral'
+        the non-polynomial one, quadrature plus recurrence for integer a.
+        The explicit choices exist so the routes can be compared.
     full_output : bool
         If true, return ``(value, error_estimate)``.
 
     Returns
     -------
     float or (float, float)
+
+    Raises
+    ------
+    ConvergenceError
+        If the requested accuracy cannot be reached.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
         raise ValueError("non-finite input")
@@ -199,88 +293,13 @@ def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
         raise ValueError(f"argument must be positive, got z={z}")
     if method not in ("auto", "integral", "laguerre"):
         raise ValueError(f"unknown method {method!r}")
-
-    is_nonpos_int = a <= 0.5 and abs(a - round(a)) < _INTEGER_TOL
-    if method == "laguerre" and not is_nonpos_int:
+    polynomial = _is_nonpositive_integer(a)
+    if method == "laguerre" and not polynomial:
         raise ValueError("polynomial reduction requires a non-positive integer a")
 
-    if is_nonpos_int and method != "integral":
-        val = _u_laguerre(int(round(-a)), b, z)
-        return (val, 0.0) if full_output else val
-
-    if a > 0.0 and (method == "auto" or a > 2.0):
-        val, err = _u_integral(a, b, z, rtol)
-        scale = abs(val)
-    else:
-        val, err, scale = _u_recur_down(a, b, z, rtol)
-    # near a zero of U the chain scale, not the cancelled value, sets
-    # the achievable accuracy
-    if err > 10.0 * rtol * max(abs(val), scale, 1e-300):
-        raise ConvergenceError(
-            f"U({a},{b},{z}) reached {err:.2e} absolute, above the requested rtol",
-            val, err)
-    return (val, err) if full_output else val
-
-
-def _u_integral_array(a, b, z, rtol=1e-10, max_order=2048):
-    """Vectorized U(a,b,z) over an array of positive z, a > 0.
-
-    Same integral as ``_u_integral`` but with the substituted integrand
-    rescaled to [0, 1] per argument and the whole batch pushed through
-    one Gauss-Legendre rule, doubling the order until the worst point
-    converges.  Seeds for the even-state chain share their shape across
-    z, so this is much cheaper than a scalar loop.
-    """
-    from .quadrature import _rule
-
-    z = np.asarray(z, dtype=float)
-    p = _substitution_power(a)
-    m = p * a - 1.0
-    c = b - a - 1.0
-    t_max = 50.0 / z
-    if c > 0:
-        t_max = (50.0 + c * np.log(np.maximum(t_max, 2.0))) / z
-    v_max = t_max ** (1.0 / p)
-
-    prev = None
-    order = 64
-    while order <= max_order:
-        nodes, weights = _rule(order)
-        s = 0.5 * (nodes + 1.0)  # [0, 1]
-        v = np.outer(v_max, s)
-        vp = v ** p
-        mat = np.exp(-z[:, None] * vp) * (1.0 + vp) ** c
-        if m != 0.0:
-            mat *= v ** m
-        vals = 0.5 * p * v_max * (mat @ weights)
-        if prev is not None:
-            diff = np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300))
-            if diff <= rtol:
-                return vals / math.gamma(a)
-        prev = vals
-        order *= 2
-    raise ConvergenceError(
-        f"batched U({a},{b},z) did not converge by order {max_order}",
-        prev / math.gamma(a), float(diff))
-
-
-def _u_array(a, b, z, rtol=1e-10):
-    """U(a,b,z) over an array of positive z for any a <= 2 (recurrence chain)."""
-    z = np.asarray(z, dtype=float)
-    if a > 0.0:
-        return _u_integral_array(a, b, z, rtol=rtol)
-    steps = 0
-    a0 = a
-    while a0 <= 0.0:
-        a0 += 1.0
-        steps += 1
-    hi = _u_integral_array(a0 + 1.0, b, z, rtol=rtol)
-    cur = _u_integral_array(a0, b, z, rtol=rtol)
-    s = a0
-    for _ in range(steps):
-        cur, hi = (z + 2.0 * s - b) * cur - s * (1.0 + s - b) * hi, cur
-        s -= 1.0
-    return cur
+    route = _u_chain if polynomial and method == "integral" else _u_array
+    (val,), (err,) = route(a, b, np.array([z], dtype=float), rtol)
+    return (float(val), float(err)) if full_output else float(val)
 
 
 def whittaker_w(p, rtol=1e-10):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import adaptive
-from .specfun import WhittakerParams, _u_array, reciprocal_gamma, whittaker_w
+from .specfun import _u_array, reciprocal_gamma
 
 __all__ = [
     "BoundState",
@@ -57,31 +57,11 @@ def exact_energy(n):
 
 
 def _w_values(n, z, rtol=1e-11):
-    """W_{(n+1)/2,1/2} at an array of z >= 0, dispatching on parity."""
-    kappa = 0.5 * (n + 1)
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    zero = z == 0.0
-    if n % 2:
-        # integer kappa = m: W = (-1)^(m-1) (m-1)! e^(-z/2) z L_{m-1}^{(1)}(z)
-        m = int(kappa)
-        prev = np.ones_like(z)
-        cur = 2.0 - z
-        if m - 1 == 0:
-            poly = prev
-        else:
-            for j in range(2, m):
-                prev, cur = cur, ((2.0 * j - z) * cur - j * prev) / j
-            poly = cur
-        sign = -1.0 if (m - 1) % 2 else 1.0
-        out = sign * math.factorial(m - 1) * np.exp(-0.5 * z) * z * poly
-        out[zero] = 0.0
-        return out
-    out[zero] = reciprocal_gamma(1.0 - kappa)
-    if not zero.all():
-        znz = z[~zero]
-        u = _u_array(1.0 - kappa, 2.0, znz, rtol=rtol)
-        out[~zero] = np.exp(-0.5 * znz) * znz * u
+    """W_{(n+1)/2,1/2}(z) = e^(-z/2) z U(1-kappa, 2, z) at an array of z >= 0."""
+    a = 0.5 * (1 - n)  # 1 - kappa
+    out = np.full(z.shape, reciprocal_gamma(a))  # the limit at z = 0
+    zp = z[z > 0.0]
+    out[z > 0.0] = np.exp(-0.5 * zp) * zp * _u_array(a, 2.0, zp, rtol=rtol)[0]
     return out
 
 
@@ -106,13 +86,10 @@ def wavefunction(n, x, rtol=1e-11):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("non-finite evaluation point")
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    z = 4.0 * np.abs(xs) / (n + 1)
-    vals = _w_values(n, z, rtol=rtol)
+    vals = _w_values(n, 4.0 * np.abs(xs) / (n + 1), rtol=rtol)
     if n % 2:
         vals = np.sign(xs) * vals
-    return float(vals[0]) if scalar else vals
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def normalize(n, rtol=1e-10):

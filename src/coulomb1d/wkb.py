@@ -47,13 +47,13 @@ class WKBConfig:
     root_bracket: tuple | None = None
 
 
-def _half_line_action(E, x_wall, x_turn, vfun, rtol):
-    """Integral of sqrt(2(E - V)) over [x_wall, x_turn] via the sin^2 map."""
-    width = x_turn - x_wall
+def _half_line_action(E, x_in, x_out, vfun, rtol):
+    """Integral of sqrt(2(E - V)) over [x_in, x_out] via the sin^2 map."""
+    width = x_out - x_in
 
     def integrand(theta):
         s = np.sin(theta)
-        x = x_wall + width * s * s
+        x = x_in + width * s * s
         arg = 2.0 * (E - vfun(x))
         return np.sqrt(np.maximum(arg, 0.0)) * 2.0 * width * s * np.cos(theta)
 
@@ -192,14 +192,5 @@ def action_generic(E, V, rtol=1e-9):
     g = lambda x: E - vfun(x)
     x_in = brentq(g, b, x_min, xtol=1e-15, rtol=1e-14)
     x_out = _outer_turning_point(E, vfun, x_min, x_min + 2.0 / abs(E))
-
-    width = x_out - x_in
-
-    def integrand(theta):
-        s = np.sin(theta)
-        x = x_in + width * s * s
-        arg = 2.0 * (E - vfun(x))
-        return np.sqrt(np.maximum(arg, 0.0)) * 2.0 * width * s * np.cos(theta)
-
-    val, _ = gauss_legendre(integrand, 0.0, _HALF_PI, rtol=rtol)
+    val = _half_line_action(E, x_in, x_out, vfun, rtol)
     return ActionResult(E, 2.0 * val, (x_in, x_out))

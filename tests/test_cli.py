@@ -219,6 +219,17 @@ class TestScanCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_soft_core_radius_range_checked_before_any_solve(self, capsys,
+                                                             monkeypatch):
+        solved = []
+        monkeypatch.setattr("coulomb1d.cli.soft_core_ground_scan",
+                            lambda radii, g: solved.append(radii))
+        code, _, err = run_cli(["scan", "--family", "soft-core", "--a", "1e-2,0.7"],
+                               capsys)
+        assert code == 2
+        assert "0.7" in err
+        assert solved == []
+
     def test_care_interleaving_verdict(self, capsys):
         code, out, _ = run_cli(["scan", "--family", "care", "--a", "1e-3",
                                 "--b", "5e-3", "--half-width", "30",

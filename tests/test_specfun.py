@@ -1,13 +1,15 @@
 """Tests for the Tricomi U / Whittaker W evaluation layer."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from coulomb1d import ConvergenceError, WhittakerParams, laguerre, tricomi_u, whittaker_w
-from coulomb1d.specfun import _u_array, reciprocal_gamma
+from coulomb1d.specfun import _SERIES_Z, _u_array, reciprocal_gamma
 
 
 def laguerre_series(k, alpha, z):
@@ -45,6 +47,13 @@ class TestLaguerre:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             laguerre(2, 1, math.nan)
+
+    def test_vectorized(self):
+        zs = np.array([[0.3, 1.7], [4.0, 9.5]])
+        vals = laguerre(5, 1, zs)
+        assert vals.shape == zs.shape
+        for z, v in zip(zs.ravel(), vals.ravel()):
+            assert v == laguerre(5, 1, z)
 
 
 class TestReciprocalGamma:
@@ -112,7 +121,7 @@ class TestTricomiU:
     def test_batched_matches_scalar(self):
         zs = np.array([0.05, 0.7, 3.0, 40.0, 180.0])
         for a in (0.5, -0.5, -4.5):
-            batch = _u_array(a, 2.0, zs)
+            batch, _ = _u_array(a, 2.0, zs)
             for z, vb in zip(zs, batch):
                 assert math.isclose(vb, tricomi_u(a, 2, z), rel_tol=1e-9)
 
@@ -198,3 +207,67 @@ def test_convergence_error_carries_estimate():
         # an absurd tolerance cannot be met; the error reports how far it got
         tricomi_u(0.5, 2, 1.0, rtol=1e-40)
     assert info.value.estimate is not None
+
+
+def _hyperu(a, z):
+    """U(a,2,z): exact rational polynomial for integer a <= 0, else mpmath.
+
+    mpmath's hyperu does not converge at an exact zero of the polynomial
+    case, such as U(-1,2,2) = 0.
+    """
+    if a <= 0 and a == int(a):
+        k, x = int(-a), Fraction(float(z))
+        lag = sum((-1) ** i * math.comb(k + 1, k - i) * x ** i / math.factorial(i)
+                  for i in range(k + 1))
+        return float((-1) ** k * math.factorial(k) * lag)
+    return float(mp.hyperu(a, 2, z))
+
+
+def _u_scale(a, z):
+    """Largest |U(s,2,z)| over s = a, a+1, ... up past 1, by mpmath.
+
+    The downward recurrence links U(a) to these values, so near a zero
+    of U this scale, not |U(a)|, sets the attainable accuracy.
+    """
+    s, scale = a, abs(_hyperu(a, z))
+    while s <= 1.0:
+        s += 1.0
+        scale = max(scale, abs(_hyperu(s, z)))
+    return scale
+
+
+def _assert_matches_hyperu(a, z, got, rtol=1e-10):
+    ref = _hyperu(a, z)
+    if abs(got - ref) <= rtol * abs(ref):
+        return
+    assert abs(got - ref) <= rtol * _u_scale(a, z), (a, z, got, ref)
+
+
+# both sides of the series/quadrature crossover, down to the cusp region
+ORACLE_Z = np.concatenate([np.geomspace(1e-12, 200.0, 25),
+                           [0.999 * _SERIES_Z, np.nextafter(_SERIES_Z, 0.0),
+                            _SERIES_Z, 1.001 * _SERIES_Z]])
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("n", range(41))
+    def test_bound_state_parameters(self, n):
+        """U(1 - (n+1)/2, 2, z) for n = 0..40 against mpmath hyperu."""
+        a = 1.0 - (n + 1) / 2
+        batch, err = _u_array(a, 2.0, ORACLE_Z, rtol=1e-11)
+        assert np.all(err >= 0.0)
+        for z, vb in zip(ORACLE_Z, batch):
+            _assert_matches_hyperu(a, z, vb)
+        for z in ORACLE_Z[::4]:
+            _assert_matches_hyperu(a, z, tricomi_u(a, 2, z))
+
+    def test_error_estimate_covers_series_error(self):
+        zs = np.geomspace(1e-12, 0.999 * _SERIES_Z, 20)
+        for a in (0.5, -5.5, -12.5):
+            vals, err = _u_array(a, 2.0, zs, rtol=1e-11)
+            for z, v, e in zip(zs, vals, err):
+                assert abs(v - _hyperu(a, z)) <= max(e, 1e-15 * abs(v))
+
+    def test_small_z_regression(self):
+        # the scalar quadrature route was off by 3.7e-10 here
+        _assert_matches_hyperu(-5.5, 4e-12, tricomi_u(-5.5, 2, 4e-12))

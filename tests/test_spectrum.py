@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coulomb1d import (BoundState, WhittakerParams, cusp_indicator, exact_energy,
@@ -108,6 +111,53 @@ class TestWavefunction:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             wavefunction(0, math.nan)
+
+
+def _whitw_psi(n, x):
+    """psi_n(x) from mpmath's Whittaker W, with the z = 0 limit."""
+    kappa = mp.mpf(n + 1) / 2
+    if x == 0.0:
+        return 0.0 if n % 2 else float(1 / mp.gamma(1 - kappa))
+    val = float(mp.whitw(kappa, 0.5, 4.0 * abs(x) / (n + 1)))
+    return -val if (n % 2 and x < 0) else val
+
+
+class TestNearOrigin:
+    """Even states at |x| down to 1e-12, where the cusp sits."""
+
+    def test_mixed_array_with_near_origin_point(self):
+        # one point at 1e-11 used to sink the whole 2002-point array
+        xs = np.append(np.linspace(-10.0, 10.0, 2001), 1e-11)
+        vals = wavefunction(0, xs)
+        assert np.all(np.isfinite(vals))
+        for i in list(range(0, 2001, 50)) + [1000, 2001]:
+            ref = _whitw_psi(0, xs[i])
+            assert abs(vals[i] - ref) <= 1e-10 * abs(ref), xs[i]
+
+    def test_tiny_and_unit_argument_n12(self):
+        # silently off by 2.6e-10 before, with rtol 1e-11
+        xs = np.array([1.3e-11, 1.0])
+        for x, v in zip(xs, wavefunction(12, xs)):
+            ref = _whitw_psi(12, x)
+            assert abs(v - ref) <= 1e-10 * abs(ref)
+
+    def test_cusp_quotient_at_tiny_steps(self):
+        quotients = [abs(cusp_indicator(0, h)) for h in (1e-10, 1e-11, 1e-12)]
+        assert all(math.isfinite(q) for q in quotients)
+        assert quotients[0] < quotients[1] < quotients[2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(half_n=st.integers(0, 10), frac=st.floats(0.0, 1.0), negative=st.booleans())
+    def test_even_states_finite_and_mirror_exact(self, half_n, frac, negative):
+        n = 2 * half_n
+        # log-uniform |x| from 1e-13 to 4 (n+1)^2, the default node window
+        top = math.log10(4.0 * (n + 1) ** 2)
+        x = 10.0 ** (-13.0 + frac * (top + 13.0))
+        if negative:
+            x = -x
+        plus, minus = wavefunction(n, x), wavefunction(n, -x)
+        assert math.isfinite(plus)
+        assert plus == minus
 
 
 class TestNormalize:
