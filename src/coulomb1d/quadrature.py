@@ -1,10 +1,10 @@
-"""Gauss-Legendre quadrature helpers shared by the special-function and action integrals.
+"""Gauss-Legendre quadrature shared by the special-function and action integrals.
 
-Two strategies are provided.  ``gauss_legendre`` integrates a smooth
-integrand on a finite interval by doubling the rule order until two
-successive estimates agree.  ``adaptive`` splits the interval instead,
-which is the better tool when the integrand has a localized feature
-whose position is not known in advance.
+``gauss_legendre``, the one order-doubling loop, takes one integrand or a
+batch.  It returns when every row changes by at most rtol of its value,
+and raises when every change is within order * eps of its value (the
+rounding floor of a sum of one sign) or at order 4096.  ``adaptive``
+splits the interval instead, for a feature whose position is unknown.
 """
 
 from __future__ import annotations
@@ -15,15 +15,19 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+_EPS = np.finfo(float).eps
+_MAX_ORDER = 4096  # soft-core actions at a = 1e-8 converge only here
+_MAX_PANELS = 2000
+
 
 class ConvergenceError(Exception):
     """Quadrature failed to reach the requested tolerance.
 
     Attributes
     ----------
-    estimate : float
+    estimate : float or ndarray
         Best value obtained before giving up.
-    error : float
+    error : float or ndarray
         Error estimate attached to that value.
     """
 
@@ -35,55 +39,52 @@ class ConvergenceError(Exception):
 
 @lru_cache(maxsize=64)
 def _rule(order):
-    nodes, weights = leggauss(order)
-    return nodes, weights
+    return leggauss(order)
 
 
 def _panel(f, a, b, order):
     nodes, weights = _rule(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * float(np.dot(weights, f(mid + half * nodes)))
+    vals = f(mid + half * nodes) @ weights
+    return half * (vals if vals.ndim else float(vals))
 
 
-def gauss_legendre(f, a, b, rtol=1e-12, max_order=2048):
-    """Integrate ``f`` over [a, b], doubling the Gauss-Legendre order.
+def _every(test):
+    # a scalar integrand is tested in plain floats, the cheaper for wkb
+    return test if isinstance(test, bool) else test.all()
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand, called with a numpy array of abscissae.
-    a, b : float
-        Integration limits, a < b.
-    rtol : float
-        Relative agreement required between successive orders.
-    max_order : int
-        Order cap; exceeded means ConvergenceError.
 
-    Returns
-    -------
-    (value, error) : tuple of float
-        Integral estimate and the last inter-order difference.
+def gauss_legendre(f, a, b, rtol=1e-12, order=16):
+    """Integrate ``f`` over [a, b], doubling the Gauss-Legendre order from ``order``.
+
+    ``f`` takes a 1-D array of abscissae and returns its values along the
+    last axis, one row per integrand of a batch.  Returns (value, error),
+    floats for one integrand and arrays for a batch, the error being the
+    last change between orders; every row must change by at most ``rtol``
+    of its value.  ``ConvergenceError`` carries both where the module
+    docstring says it is raised.
     """
-    order = 16
     prev = _panel(f, a, b, order)
-    while order <= max_order:
+    while True:
         order *= 2
         cur = _panel(f, a, b, order)
-        err = abs(cur - prev)
-        if err <= rtol * max(abs(cur), 1e-300):
-            return cur, err
+        change, size = abs(cur - prev), abs(cur)
+        if _every(change <= rtol * size):
+            return cur, change
+        if order >= _MAX_ORDER or _every(change <= order * _EPS * size):
+            worst = float(np.max(change / np.maximum(size, 1e-300)))
+            raise ConvergenceError(
+                f"Gauss-Legendre quadrature did not converge: change {worst:.1e} "
+                f"of the value at order {order}", cur, change)
         prev = cur
-    raise ConvergenceError(
-        f"Gauss-Legendre order doubling stalled at order {max_order}",
-        prev, err)
 
 
-def adaptive(f, a, b, rtol=1e-12, atol=0.0, max_panels=2000):
+def adaptive(f, a, b, rtol=1e-12):
     """Adaptive panel-splitting Gauss-Legendre integration on [a, b].
 
     Each panel carries a 15/31-point error estimate; the worst panel is
-    bisected until the summed estimate meets ``rtol``/``atol``.
+    bisected until the summed estimate meets ``rtol``.
     """
     def make(lo, hi):
         coarse = _panel(f, lo, hi, 15)
@@ -95,7 +96,7 @@ def adaptive(f, a, b, rtol=1e-12, atol=0.0, max_panels=2000):
     heap = [first]
     total, toterr = first[3], first[4]
     panels = 1
-    while toterr > max(rtol * abs(total), atol) and panels < max_panels:
+    while toterr > rtol * abs(total) and panels < _MAX_PANELS:
         _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         left, right = make(lo, mid), make(mid, hi)
@@ -104,8 +105,8 @@ def adaptive(f, a, b, rtol=1e-12, atol=0.0, max_panels=2000):
         heapq.heappush(heap, left)
         heapq.heappush(heap, right)
         panels += 2
-    if toterr > max(rtol * abs(total), atol):
+    if toterr > rtol * abs(total):
         raise ConvergenceError(
-            f"adaptive quadrature exceeded {max_panels} panels",
+            f"adaptive quadrature exceeded {_MAX_PANELS} panels",
             total, toterr)
     return total, toterr

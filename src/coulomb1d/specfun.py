@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import digamma, rgamma
 
-from .quadrature import ConvergenceError, _rule
+from .quadrature import ConvergenceError, gauss_legendre
 
 __all__ = [
     "WhittakerParams",
@@ -115,9 +115,10 @@ def _u_integral_array(a, b, z, rtol):
 
     The integral representation, with t = v**p absorbing the t^(a-1)
     endpoint factor, is rescaled to [0, 1] per argument and the whole
-    batch goes through one Gauss-Legendre rule, doubling the order until
-    no point changes by more than rtol of its value.  The error estimate
-    is that last change.
+    batch goes to ``gauss_legendre`` from order 64 as one row per point:
+    converged when no point changes by more than rtol of its value, it
+    raises at the rounding floor or at order 4096.  The error estimate
+    is the last change; both, raised ones too, are in U's units.
     """
     p = _substitution_power(a)
     m = p * a - 1.0
@@ -127,26 +128,23 @@ def _u_integral_array(a, b, z, rtol):
     if c > 0:
         t_max = (50.0 + c * np.log(np.maximum(t_max, 2.0))) / z
     v_max = t_max ** (1.0 / p)
-
     g = math.gamma(a)
-    prev = None
-    for order in (64, 128, 256, 512, 1024, 2048):
-        nodes, weights = _rule(order)
-        v = np.outer(v_max, 0.5 * (nodes + 1.0))
+
+    def integrand(u):
+        v = np.outer(v_max, u)
         vp = v ** p
         mat = np.exp(-z[:, None] * vp) * (1.0 + vp) ** c
         if m != 0.0:
             mat *= v ** m
-        vals = 0.5 * p * v_max * (mat @ weights)
-        if prev is not None:
-            change = np.abs(vals - prev)
-            worst = float(np.max(change / np.maximum(np.abs(vals), 1e-300)))
-            if worst <= rtol:
-                return vals / g, change / g
-        prev = vals
-    raise ConvergenceError(
-        f"U({a},{b},z) by quadrature did not converge by order {order}",
-        prev / g, worst)
+        return mat
+
+    to_u = lambda x: p * v_max * x / g
+    try:
+        vals, change = gauss_legendre(integrand, 0.0, 1.0, rtol, order=64)
+    except ConvergenceError as exc:
+        exc.estimate, exc.error = to_u(exc.estimate), to_u(exc.error)
+        raise
+    return to_u(vals), to_u(change)
 
 
 def _u_chain(a, b, z, rtol):

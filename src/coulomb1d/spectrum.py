@@ -203,7 +203,7 @@ def ode_residual(n, x):
         raise ValueError("step underflow near the cusp")
     pts = np.array([x - h, x - h / 2, x - h / 4, x,
                     x + h / 4, x + h / 2, x + h])
-    f = wavefunction(n, pts, rtol=1e-13)
+    f = wavefunction(n, pts, rtol=1e-12)
     d1 = (f[0] - 2.0 * f[3] + f[6]) / h ** 2
     d2 = (f[1] - 2.0 * f[3] + f[5]) / (h / 2) ** 2
     d3 = (f[2] - 2.0 * f[3] + f[4]) / (h / 4) ** 2

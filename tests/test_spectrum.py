@@ -230,6 +230,12 @@ class TestOdeResidual:
     def test_negative_side(self):
         assert ode_residual(2, -1.3) <= 1e-6
 
+    @pytest.mark.parametrize("n, x", [(28, 3.7004), (38, 3.6504)])
+    def test_large_n_points_within_reach(self, n, x):
+        # at rtol = 1e-13 neither U route reaches these points of large n
+        scale = max(1.0, abs(wavefunction(n, x)))
+        assert ode_residual(n, x) / scale <= 1e-6
+
 
 class TestCuspIndicator:
     def test_ground_quotient_grows(self):
