@@ -148,23 +148,20 @@ def _cmd_scan(args):
             check_soft_core_radius(a)
         half_width = args.half_width if args.half_width else 30.0
         if args.points:
-            points = [args.points] * len(radii)
             rows = soft_core_ground_scan(radii, Grid(half_width, args.points))
         else:
-            # one grid per radius, so a row does not depend on the others
-            points = [required_points(half_width, a) for a in radii]
-            rows = [soft_core_ground_scan([a], Grid(half_width, n))[0]
-                    for a, n in zip(radii, points)]
+            # one graded grid per radius, so a row does not depend on the others
+            rows = [soft_core_ground_scan([a], Grid.graded(half_width, a))[0]
+                    for a in radii]
+        columns = {"a": [r.a for r in rows], "e0": [r.e0 for r in rows]}
+        if rows[0].error is not None:
+            columns["e0_error"] = [r.error for r in rows]
+        columns.update({"loudon_estimate": [r.loudon for r in rows],
+                        "ratio": [r.e0 / r.loudon for r in rows],
+                        "points": [r.points for r in rows]})
         meta = _stamp({"family": args.family, "half_width": half_width,
-                       "points": max(points)}, args)
-        return OutputRecord(
-            schema="scan",
-            columns={"a": [r.a for r in rows],
-                     "e0": [r.e0 for r in rows],
-                     "loudon_estimate": [r.loudon for r in rows],
-                     "ratio": [r.e0 / r.loudon for r in rows],
-                     "points": points},
-            metadata=meta)
+                       "points": max(r.points for r in rows)}, args)
+        return OutputRecord(schema="scan", columns=columns, metadata=meta)
     if args.family == "care":
         if not args.a or args.b is None:
             raise ValueError("care scan requires --a and --b")
@@ -270,7 +267,9 @@ def build_parser():
     sp.add_argument("--a", help="core radius; comma list for soft-core")
     sp.add_argument("--b", type=float, help="repulsive-core offset")
     sp.add_argument("--half-width", type=float, help="box size L")
-    sp.add_argument("--points", type=int, help="mesh points (default: auto)")
+    sp.add_argument("--points", type=int,
+                    help="uniform mesh points (default: a graded mesh per "
+                         "soft-core radius, the core rule h <= a/5 otherwise)")
     sp.add_argument("--k-max", type=int, help="levels to compute")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_scan)

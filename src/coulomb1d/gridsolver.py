@@ -1,43 +1,62 @@
-"""Finite-difference eigensolver: the independent numerical oracle.
+"""Finite-volume eigensolver: the independent numerical oracle.
 
-The Hamiltonian -(1/2) d^2/dx^2 + V is discretized with the standard
-3-point Laplacian on a staggered mesh x_j = (j + 1/2) h that never
-touches x = 0, so singular Coulomb cores need no softening.  Dirichlet
-walls sit exactly at the box edges: the wall lies half a step outside
-the first mesh point, and eliminating the odd-reflected ghost value
-adds 1/(2h^2) to the boundary diagonal entries.  Without that term the
-effective wall shifts off the box edge and the scheme degrades to
-first order.
+The Hamiltonian -(1/2) d^2/dx^2 + V is discretized on a staggered mesh
+that never touches x = 0, so singular Coulomb cores need no softening.
+Every matrix is assembled from the node positions alone, in the
+symmetric finite-volume form H = M^(-1/2) K M^(-1/2):
 
-Parity sectors.  The full-line staggered mesh is built as the mirror
-image of its positive half, so a potential that is even in x gives a
-persymmetric matrix, and every eigenvector is exactly even or exactly
-odd.  The problem then splits into two half-size tridiagonal problems
-on x > 0.  The coupling between the two centre points x = -h/2 and
-x = +h/2 folds into the first diagonal entry: it lowers it by 1/(2h^2)
-in the even sector and raises it by 1/(2h^2) in the odd one, which is
-the same odd-reflection ghost as a wall at x = 0.  The odd sector is
+- M holds the cell widths; a cell runs from the midpoint with its left
+  neighbour to the midpoint with its right one;
+- K holds the links 1/(2 dx) between neighbours, so u.K.u carries the
+  kinetic term sum (u_{j+1} - u_j)^2 / (2 dx), plus v * width on the
+  diagonal;
+- a Dirichlet wall at distance d from an end node adds the link
+  1/(2d) to that end of K.  On a staggered mesh the wall lies exactly
+  on the box edge, half a step outside the end point, and the end cell
+  stops there.
+
+On a uniform staggered mesh this is the standard 3-point Laplacian,
+1/h^2 + v on the diagonal and -1/(2h^2) off it, with 1/(2h^2) added at
+each wall.  H stays symmetric tridiagonal on any mesh.
+
+Graded meshes.  A grid with ``core`` set places its half-line nodes at
+s^(-1)((j + 1/2) D), with s(x) = x/H + beta ln(1 + x/core): the step is
+about D core/beta at the origin and D H far out, the radial mesh of
+atomic-structure codes.  The map does not depend on the point count,
+so doubling ``points`` halves D and `refine` stays second order and
+Richardson-valid.
+
+Parity sectors.  The full-line mesh is built as the mirror image of its
+positive half, so a potential that is even in x gives a persymmetric
+matrix, and every eigenvector is exactly even or exactly odd.  The
+problem then splits into two half-size tridiagonal problems on x > 0.
+The cell of the first point x_0 starts at the centre x = 0.  The even
+sector has no link across the centre; the odd sector vanishes there,
+which is a wall at 0 and adds 1/(2 x_0) to K[0].  The odd sector is
 therefore the half-line model, and the half-line family is solved as
 that sector alone on [0, L].  The merge needs no sort and no parity
 guess: by the oscillation theorem eigenvector k of a Jacobi matrix has
 k sign changes, so level 2j is even level j and level 2j+1 is odd
-level j.  Parity labels are exact by construction.  Each sector has
-half the points and about half the levels of the full problem.
+level j.  Parity labels are exact by construction.
 
 Plain callables that are not mirror symmetric on the mesh, and
 unstaggered grids, keep the full N-point matrix; their levels carry no
-parity label.
+parity label.  An unstaggered grid has its walls on the lattice, one
+step h outside the end points, and end cells of width h.
 
-Eigenpairs come from the symmetric tridiagonal bisection/inverse-
-iteration path (LAPACK stebz/stein via scipy), which matches the
-Sturm-sequence approach the problem calls for and stays fast for the
-million-point grids the core scans need.
+Eigenvectors come from the symmetric tridiagonal bisection/inverse-
+iteration path (LAPACK stebz/stein via scipy).  The energies are the
+Rayleigh quotients of those vectors, computed in the difference form
+above.  A diagonal entry 1/h^2 + v keeps v only to about eps/h^2, so
+bisection alone stops at that floor; the quotient is good to the
+discretization error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -48,10 +67,20 @@ from .spectrum import sign_changes
 
 __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
 
+# The graded map s(x) = x/_FAR_STEP + _CORE_CELLS ln(1 + x/core): about
+# _CORE_CELLS cells per core radius at the origin, steps of _FAR_STEP
+# per unit of s far out.
+_FAR_STEP = 0.05
+_CORE_CELLS = 5.0
+
+
+def _stretch(x, core):
+    return x / _FAR_STEP + _CORE_CELLS * math.log1p(x / core)
+
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1D mesh specification.
+    """1D mesh specification.
 
     Attributes
     ----------
@@ -59,21 +88,39 @@ class Grid:
         Box size L: the wavefunction is pinned at +-L (full line) or at
         0 and L (half-line potentials).
     points : int
-        Number of interior mesh points N; spacing h = 2L/N or L/N.
+        Number of interior mesh points N; on a uniform grid the spacing
+        is h = 2L/N, or L/N on the half line.
     staggered : bool
         Place points at (j + 1/2) h so the mesh avoids x = 0.  Required
         for potentials that are singular at the origin.
+    core : float or None
+        Grade the mesh toward a core of this radius: half-line nodes at
+        s^(-1)((j + 1/2) D), s(x) = x/0.05 + 5 ln(1 + x/core), with
+        D = s(L)/(N/2) on the full line and s(L)/N on the half line.
+        None keeps the uniform mesh.  A graded grid must be staggered.
     """
 
     half_width: float
     points: int
     staggered: bool = True
+    core: float | None = None
 
     def __post_init__(self):
         if self.half_width <= 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
         if self.points < 8:
             raise ValueError(f"need at least 8 mesh points, got {self.points}")
+        if self.core is not None:
+            if not self.core > 0:
+                raise ValueError(f"core must be positive, got {self.core}")
+            if not self.staggered:
+                raise ValueError("a graded grid must be staggered")
+
+    @classmethod
+    def graded(cls, half_width, core):
+        """Coarsest graded full-line grid: N/2 = ceil(2 s(L)), so D <= 1/2."""
+        return cls(half_width, 2 * math.ceil(2.0 * _stretch(half_width, core)),
+                   core=core)
 
 
 @dataclass(frozen=True)
@@ -91,7 +138,8 @@ class SpectrumResult:
     """Eigensolve output: levels plus the mesh and eigenvectors behind them.
 
     ``vectors[:, k]`` is level k on ``positions``, normalized so that
-    h * sum(v^2) = 1.
+    sum(width * v^2) = 1 over the cells (h * sum(v^2) = 1 on a uniform
+    grid).
     """
 
     levels: list
@@ -101,8 +149,22 @@ class SpectrumResult:
     vectors: np.ndarray
 
 
-def _half_mesh(points, h):
-    return (np.arange(points) + 0.5) * h
+def _half_mesh(g, m):
+    """m staggered nodes on (0, L): uniform, or graded by s."""
+    if g.core is None:
+        return (np.arange(m) + 0.5) * (g.half_width / m)
+    c = g.core
+    t = (np.arange(m) + 0.5) * (_stretch(g.half_width, c) / m)
+    # Newton in y = ln(1 + x/c), where s is convex and increasing: from
+    # an upper bound of the root the iterates fall monotonically to it
+    y = np.minimum(t / _CORE_CELLS, np.log1p(_FAR_STEP * t / c))
+    for _ in range(50):
+        step = ((c * np.expm1(y) / _FAR_STEP + _CORE_CELLS * y - t)
+                / (c * np.exp(y) / _FAR_STEP + _CORE_CELLS))
+        y -= step
+        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * y):
+            break
+    return c * np.expm1(y)
 
 
 def _potential(V, x):
@@ -112,69 +174,113 @@ def _potential(V, x):
     return v
 
 
-# A Dirichlet wall half a step outside an end point: eliminating the
-# odd-reflected ghost value adds _WALL/h^2 to that end's diagonal entry,
-# which keeps the wall exactly on the box edge.
-_WALL = 0.5
+# The assembly and the polish work in place where they can: each new
+# temporary is one more pass over memory, and one above the allocator's
+# mmap threshold is also faulted in page by page.
+
+class _Matrix(NamedTuple):
+    """H = M^(-1/2) K M^(-1/2) on a mesh, and what its energy form needs."""
+
+    d: np.ndarray       # diagonal of H
+    e: np.ndarray       # off-diagonal of H
+    link: np.ndarray    # links 1/(2 dx) between neighbours
+    ends: tuple         # wall links of the two end nodes, 0 for none
+    scale: np.ndarray   # square roots of the cell widths
+    v: np.ndarray       # potential at the nodes
 
 
-def _lowest(v, h, k, first, last):
-    """Lowest k eigenpairs of the 3-point matrix on a mesh of step h.
+def _assemble(x, v, faces, walls):
+    """Matrix on the nodes x.  ``faces`` closes the two end cells;
+    ``walls`` holds the Dirichlet walls beyond the end nodes (None: no
+    wall), where a wall at distance d adds the link 1/(2d)."""
+    ends = tuple(0.0 if wall is None else 0.5 / abs(end - wall)
+                 for end, wall in ((x[0], walls[0]), (x[-1], walls[1])))
+    # node gaps, with twice the distance from each end node to its face
+    gap = np.empty(x.size + 1)
+    np.subtract(x[1:], x[:-1], out=gap[1:-1])
+    gap[0], gap[-1] = 2.0 * (x[0] - faces[0]), 2.0 * (faces[1] - x[-1])
+    scale = gap[:-1] + gap[1:]
+    scale *= 0.5
+    link = np.divide(0.5, gap, out=gap)
+    link[0], link[-1] = ends
+    d = link[:-1] + link[1:]
+    d /= scale
+    d += v
+    np.sqrt(scale, out=scale)
+    e = scale[:-1] * scale[1:]
+    np.divide(link[1:-1], e, out=e)
+    np.negative(e, out=e)
+    return _Matrix(d, e, link[1:-1], ends, scale, v)
 
-    The diagonal is 1/h^2 + v with first/h^2 and last/h^2 added to its
-    end entries, the off-diagonal -1/(2h^2).  The vectors have unit
-    2-norm.
-    """
+
+def _wall_at_origin(mat, x):
+    """Add a wall at x = 0 to a matrix with no wall before the node x[0],
+    in place: the odd sector from the even one."""
+    link = 0.5 / x[0]
+    mat.d[0] += link / mat.scale[0] ** 2
+    return mat._replace(ends=(link, mat.ends[1]))
+
+
+def _lowest(mat, k):
+    """Lowest k eigenpairs: Rayleigh-quotient energies in difference form
+    and nodal vectors u scaled so that sum(width * u^2) = 1."""
     if k == 0:
-        return np.empty(0), np.empty((v.size, 0))
-    inv_h2 = 1.0 / (h * h)
-    d = inv_h2 + v
-    d[0] += first * inv_h2
-    d[-1] += last * inv_h2
+        return np.empty(0), np.empty((mat.d.size, 0))
     try:
-        return eigh_tridiagonal(d, np.full(v.size - 1, -0.5 * inv_h2),
-                                select="i", select_range=(0, k - 1))
+        _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1))
     except LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
                                None, math.inf) from exc
+    # y has unit 2-norm, so u = M^(-1/2) y has sum(width * u^2) = 1 and
+    # the quotient u.K.u / u.M.u needs no denominator
+    u = y / mat.scale[:, None]
+    du = np.diff(u, axis=0)
+    du *= du
+    y *= y
+    energy = (mat.link @ du + mat.v @ y
+              + mat.ends[0] * u[0] ** 2 + mat.ends[1] * u[-1] ** 2)
+    return energy, u
 
 
-def _mirrored(v_half, h, k):
+def _mirrored(v_half, xp, k, half_width):
     """Merged sector energies and full-mesh vectors of an even potential."""
-    m = v_half.size
-    # the centre neighbour at x = -h/2 holds +u[0] (even) or -u[0] (odd)
-    w_even, u_even = _lowest(v_half, h, (k + 1) // 2, -_WALL, _WALL)
-    w_odd, u_odd = _lowest(v_half, h, k // 2, _WALL, _WALL)
+    m = xp.size
+    # no link across the centre (even), or a wall at the centre (odd)
+    even = _assemble(xp, v_half, (0.0, half_width), (None, half_width))
+    w_even, u_even = _lowest(even, (k + 1) // 2)
+    # the even matrix is spent, so the odd one may take over its arrays
+    w_odd, u_odd = _lowest(_wall_at_origin(even, xp), k // 2)
     w = np.empty(k)
     w[0::2], w[1::2] = w_even, w_odd
     vecs = np.empty((2 * m, k))
     vecs[m:, 0::2], vecs[m:, 1::2] = u_even, u_odd
-    vecs[m:] /= math.sqrt(2.0 * h)
+    vecs[m:] /= math.sqrt(2.0)
     vecs[:m] = vecs[m:][::-1]
     vecs[:m, 1::2] *= -1.0
     return w, vecs
 
 
 def _eigenpairs(V, g, k):
-    """Mesh, energies, vectors scaled to h*sum(v^2) = 1, and whether the
-    vectors come from the two parity sectors."""
+    """Mesh, energies, vectors scaled to sum(width * v^2) = 1, and whether
+    the vectors come from the two parity sectors."""
     spec = isinstance(V, PotentialSpec)
+    L = g.half_width
     if spec and V.family == "half-line":
-        # the odd sector of -1/|x| on [-L, L], returned on [0, L]
-        h = g.half_width / g.points
-        x = _half_mesh(g.points, h)
-        w, u = _lowest(_potential(V, x), h, k, _WALL, _WALL)
-        return x, w, u / math.sqrt(h), False
-    h = 2.0 * g.half_width / g.points
+        # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
+        x = _half_mesh(g, g.points)
+        mat = _assemble(x, _potential(V, x), (0.0, L), (None, L))
+        return (x, *_lowest(_wall_at_origin(mat, x), k), False)
     if not g.staggered:
-        x = -g.half_width + np.arange(1, g.points) * h
-        w, u = _lowest(_potential(V, x), h, k, 0.0, 0.0)
-        return x, w, u / math.sqrt(h), False
+        # walls on the lattice, one step outside the end points
+        h = 2.0 * L / g.points
+        x = -L + np.arange(1, g.points) * h
+        mat = _assemble(x, _potential(V, x), (-L + 0.5 * h, L - 0.5 * h), (-L, L))
+        return (x, *_lowest(mat, k), False)
     if g.points % 2:
         raise ValueError("full-line staggered grids need an even "
                          "point count to stay mirror-symmetric")
     m = g.points // 2
-    xp = _half_mesh(m, h)
+    xp = _half_mesh(g, m)
     x = np.concatenate((-xp[::-1], xp))
     if spec:
         # every family is even in x
@@ -182,10 +288,10 @@ def _eigenpairs(V, g, k):
     else:
         v = _potential(V, x)
         if not np.array_equal(v[:m][::-1], v[m:]):
-            w, u = _lowest(v, h, k, _WALL, _WALL)
-            return x, w, u / math.sqrt(h), False
+            mat = _assemble(x, v, (-L, L), (-L, L))
+            return (x, *_lowest(mat, k), False)
         v_half = v[m:]
-    return (x, *_mirrored(v_half, h, k), True)
+    return (x, *_mirrored(v_half, xp, k, L), True)
 
 
 def solve(V, g, k_max):
@@ -206,9 +312,8 @@ def solve(V, g, k_max):
         Levels carry eigenvector node counts and, for a potential that
         is even on a staggered full-line grid, their exact parity; other
         levels, the half-line ones included, have parity None.  Energies
-        increase with the index, up to the bisection tolerance of the
-        eigensolver (about eps * ||T||), which a nearly degenerate
-        even/odd pair of a deep double well can undercut.
+        are the Rayleigh quotients of the eigenvectors and increase with
+        the index.
     """
     if k_max < 1 or k_max > g.points // 4:
         raise ValueError(f"k_max must lie in [1, N/4] = [1, {g.points // 4}]")
@@ -232,6 +337,9 @@ def solve(V, g, k_max):
 
 def refine(V, g, level, refinements):
     """Energy of one level at spacings h, h/2, h/4, ...
+
+    On a graded grid each halving halves the step D of the fixed map,
+    so the sequence converges in the same way.
 
     Parameters
     ----------

@@ -7,8 +7,14 @@ repulsive-core family interleaving even and odd levels in its stated
 parameter regime, and the half-line well reproducing the odd-state
 energies.
 
-All scans refuse grids too coarse to resolve the requested core radius
-rather than returning silently unconverged numbers.
+On a graded grid (``Grid.core`` set) the soft-core scan solves three
+levels of the mesh, h, h/2 and h/4 of one fixed map, and returns the
+Richardson value of the two finest with the distance to the coarser
+one as its error estimate.  On an explicit uniform grid it returns the
+plain grid energy with no estimate.  Grids too coarse for the core
+radius are refused rather than solved into silently unconverged
+numbers: a uniform step h > a/5 (GridResolutionError), or a grid graded
+toward a core wider than a (ValueError).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .gridsolver import Grid, solve
+from .gridsolver import Grid, refine, solve
 from .potentials import half_line, loudon_estimate, repulsive_core, soft_core
 
 __all__ = [
@@ -68,9 +74,15 @@ class GridResolutionError(Exception):
 
 
 class ScanRow(NamedTuple):
+    """One soft-core radius: ground energy, Loudon estimate, the point
+    count of the finest grid solved, and the error estimate of e0 (None
+    on a uniform grid, which gives no estimate)."""
+
     a: float
     e0: float
     loudon: float
+    points: int
+    error: float | None
 
 
 class CareResult(NamedTuple):
@@ -79,6 +91,14 @@ class CareResult(NamedTuple):
 
 
 def _require_resolution(g, a):
+    if g.core is not None:
+        # graded toward a wider core, the mesh is too coarse at the origin
+        # and the Richardson estimate can understate the error
+        if g.core > a:
+            raise ValueError(f"grid graded toward core {g.core:g} cannot "
+                             f"resolve core radius a={a:g}; grade it toward "
+                             "a core no wider than a")
+        return
     needed = required_points(g.half_width, a)
     if g.points < needed:
         raise GridResolutionError(
@@ -96,14 +116,20 @@ def soft_core_ground_scan(a_values, g):
     a_values : iterable of float
         Core radii, each in (0, 0.5].
     g : Grid
-        Full-line grid; its step must resolve the smallest radius
-        (h <= a/5) or the scan refuses to run.
+        Full-line grid.  A graded grid is solved at its own point count
+        and two halvings of its step, and must be graded toward a core no
+        wider than the smallest radius; a uniform grid must resolve that
+        radius (h <= a/5) or the scan refuses to run.
 
     Returns
     -------
     list of ScanRow
-        (a, ground energy, Loudon estimate -2 ln^2(1/a)) per radius.
-        The ground energy decreases strictly as a shrinks.
+        Per radius: the ground energy, the Loudon estimate
+        -2 ln^2(1/a), the finest point count and, on a graded grid, the
+        error estimate |R_fine - R_coarse| of the Richardson values
+        R = (4 E(h/2) - E(h))/3 of the two finest and the two coarsest
+        levels (e0 is R_fine).  The ground energy decreases strictly as
+        a shrinks.
     """
     a_values = list(a_values)
     if not a_values:
@@ -113,8 +139,16 @@ def soft_core_ground_scan(a_values, g):
         _require_resolution(g, a)
     rows = []
     for a in a_values:
-        e0 = solve(soft_core(a), g, 1).levels[0].energy
-        rows.append(ScanRow(a=a, e0=e0, loudon=loudon_estimate(a)))
+        if g.core is None:
+            e0 = solve(soft_core(a), g, 1).levels[0].energy
+            points, error = g.points, None
+        else:
+            e_h, e_h2, e_h4 = refine(soft_core(a), g, 0, 2)
+            coarse = (4.0 * e_h2 - e_h) / 3.0
+            e0 = (4.0 * e_h4 - e_h2) / 3.0
+            points, error = 4 * g.points, abs(e0 - coarse)
+        rows.append(ScanRow(a=a, e0=e0, loudon=loudon_estimate(a),
+                            points=points, error=error))
     return rows
 
 
@@ -130,7 +164,8 @@ def care_interleaving(a, b, g, k_max):
     a, b : float
         Core radius and zero-crossing offset.
     g : Grid
-        Full-line grid resolving a.
+        Full-line grid resolving a: a uniform step h <= a/5, or graded
+        toward a core no wider than a.
     k_max : int
         Number of levels to label.
 

@@ -187,7 +187,7 @@ class TestScanCommand:
                                 "--a", "1e-2,1e-3"], capsys)
         assert code == 0
         meta, rows = parse_csv(out)
-        assert meta["points"] == "300000"
+        assert meta["points"] == "10432"
         e0 = [float(r["e0"]) for r in rows]
         assert e0[0] > e0[1]
         for r in rows:
@@ -203,8 +203,32 @@ class TestScanCommand:
         short_meta, short_rows = parse_csv(short)
         long_meta, long_rows = parse_csv(long)
         assert short_rows == long_rows[:2]
-        assert [r["points"] for r in long_rows] == ["30000", "300000", "3000000"]
-        assert long_meta["points"] == "3000000"
+        assert [r["points"] for r in long_rows] == ["10248", "10432", "10616"]
+        assert long_meta["points"] == "10616"
+
+    def test_soft_core_graded_energies_within_their_estimate(self, capsys):
+        # converged E0 from a graded prototype extrapolated far past the scan
+        refs = {1e-2: -10.6134364, 1e-3: -29.7449778, 1e-4: -64.3522272}
+        code, out, _ = run_cli(["scan", "--family", "soft-core",
+                                "--a", "1e-2,1e-3,1e-4"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r["a"]) for r in rows] == list(refs)
+        for r in rows:
+            e0, err = float(r["e0"]), float(r["e0_error"])
+            assert abs(e0 - refs[float(r["a"])]) <= err <= 1e-5 * abs(e0)
+
+    def test_soft_core_graded_json(self, capsys):
+        code, out, _ = run_cli(["scan", "--family", "soft-core", "--a",
+                                "1e-2,1e-3", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["metadata"]["points"] == 10432
+        assert [list(r) for r in doc["rows"]] == [
+            ["a", "e0", "e0_error", "loudon_estimate", "ratio", "points"]] * 2
+        for r in doc["rows"]:
+            assert 0.0 < r["e0_error"] < 1e-5 * abs(r["e0"])
+            assert r["ratio"] == r["e0"] / r["loudon_estimate"]
 
     def test_soft_core_explicit_points_shared(self, capsys):
         code, out, _ = run_cli(["scan", "--family", "soft-core", "--a",
@@ -213,6 +237,7 @@ class TestScanCommand:
         meta, rows = parse_csv(out)
         assert meta["points"] == "6000"
         assert [r["points"] for r in rows] == ["6000", "6000"]
+        assert "e0_error" not in rows[0]
 
     def test_soft_core_non_positive_radius(self, capsys):
         code, _, err = run_cli(["scan", "--family", "soft-core", "--a", "0"], capsys)

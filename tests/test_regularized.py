@@ -79,6 +79,35 @@ class TestSoftCoreScan:
         for r in rows:
             assert math.isclose(r.loudon, loudon_estimate(r.a), rel_tol=1e-14)
 
+    def test_uniform_rows_carry_no_estimate(self):
+        g = Grid(half_width=30.0, points=30000)
+        (row,) = soft_core_ground_scan([1e-2], g)
+        assert (row.points, row.error) == (30000, None)
+
+    def test_graded_row_is_richardson_of_the_two_finest(self):
+        from coulomb1d import refine
+        g = Grid.graded(30.0, 1e-2)
+        (row,) = soft_core_ground_scan([1e-2], g)
+        e = refine(soft_core(1e-2), g, 0, 2)
+        coarse, fine = (4 * e[1] - e[0]) / 3, (4 * e[2] - e[1]) / 3
+        assert (row.e0, row.error, row.points) == (fine, abs(fine - coarse),
+                                                  4 * g.points)
+        # converged reference from a far finer graded ladder
+        assert abs(row.e0 - (-10.6134364)) <= row.error
+
+    def test_graded_grid_skips_the_uniform_rule(self):
+        # 400 points would be refused as a uniform grid at a = 1e-3
+        rows = soft_core_ground_scan([1e-2, 1e-3], Grid(30.0, 400, core=1e-3))
+        assert rows[0].e0 > rows[1].e0
+        assert all(r.error is not None for r in rows)
+
+    def test_refuses_grid_graded_toward_a_wider_core(self):
+        # graded toward 0.1, a = 1e-4 is off by 17 with an estimate of 8
+        with pytest.raises(ValueError, match="graded toward core"):
+            soft_core_ground_scan([1e-2, 1e-4], Grid.graded(30.0, 0.1))
+        with pytest.raises(ValueError, match="graded toward core"):
+            care_interleaving(1e-3, 5e-3, Grid(30.0, 400, core=1e-2), 2)
+
     def test_odd_companion_level(self):
         # odd levels barely feel the core: E1(a=1e-3) stays within 1% of -1/2
         from coulomb1d import solve
