@@ -1,10 +1,10 @@
-"""Gauss-Legendre quadrature shared by the special-function and action integrals.
+"""Gauss-Legendre quadrature for the action and normalization integrals.
 
-``gauss_legendre``, the one order-doubling loop, takes one integrand or a
-batch.  It returns when every row changes by at most rtol of its value,
-and raises when every change is within order * eps of its value (the
-rounding floor of a sum of one sign) or at order 4096.  ``adaptive``
-splits the interval instead, for a feature whose position is unknown.
+``gauss_legendre``, the one order-doubling loop, returns when the value
+changes by at most rtol of itself between orders, and raises when the
+change is within order * eps of the value (the rounding floor of a sum of
+one sign) or at order 4096.  ``adaptive`` splits the interval instead,
+for a feature whose position is unknown.
 """
 
 from __future__ import annotations
@@ -46,37 +46,29 @@ def _panel(f, a, b, order):
     nodes, weights = _rule(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = f(mid + half * nodes) @ weights
-    return half * (vals if vals.ndim else float(vals))
-
-
-def _every(test):
-    # a scalar integrand is tested in plain floats, the cheaper for wkb
-    return test if isinstance(test, bool) else test.all()
+    return half * float(f(mid + half * nodes) @ weights)
 
 
 def gauss_legendre(f, a, b, rtol=1e-12, order=16):
     """Integrate ``f`` over [a, b], doubling the Gauss-Legendre order from ``order``.
 
-    ``f`` takes a 1-D array of abscissae and returns its values along the
-    last axis, one row per integrand of a batch.  Returns (value, error),
-    floats for one integrand and arrays for a batch, the error being the
-    last change between orders; every row must change by at most ``rtol``
-    of its value.  ``ConvergenceError`` carries both where the module
-    docstring says it is raised.
+    ``f`` takes a 1-D array of abscissae and returns its values.  Returns
+    (value, error) as floats, the error being the last change between
+    orders.  ``ConvergenceError`` carries both where the module docstring
+    says it is raised.
     """
     prev = _panel(f, a, b, order)
     while True:
         order *= 2
         cur = _panel(f, a, b, order)
         change, size = abs(cur - prev), abs(cur)
-        if _every(change <= rtol * size):
+        if change <= rtol * size:
             return cur, change
-        if order >= _MAX_ORDER or _every(change <= order * _EPS * size):
-            worst = float(np.max(change / np.maximum(size, 1e-300)))
+        if order >= _MAX_ORDER or change <= order * _EPS * size:
             raise ConvergenceError(
-                f"Gauss-Legendre quadrature did not converge: change {worst:.1e} "
-                f"of the value at order {order}", cur, change)
+                f"Gauss-Legendre quadrature did not converge: change "
+                f"{change / max(size, 1e-300):.1e} of the value at order {order}",
+                cur, change)
         prev = cur
 
 

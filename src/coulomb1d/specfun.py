@@ -1,18 +1,18 @@
 """Tricomi confluent hypergeometric function U(a,b,z) and Whittaker W_{kappa,mu}(z).
 
 Only the real-argument slice needed for the bound states is covered:
-b = 2 (the logarithmic case), a <= 2, z >= 0.  One batched evaluator,
-``_u_array``, computes U and picks the route per point by argument region
-(Gil, Segura and Temme, *Numerical Methods for Special Functions*, 2007):
+b = 2 (the logarithmic case), a <= 3/2 with 2a an integer, z > 0; other
+parameters raise ``ValueError``.  One batched evaluator, ``_u_array``,
+computes U and picks the route per point by argument region (Gil, Segura
+and Temme, *Numerical Methods for Special Functions*, 2007):
 
-- non-positive integer a: the polynomial U(-k,b,z) = (-1)^k k! L_k^(b-1)(z);
-- b = 2, z < 2: the logarithmic series DLMF 13.2.9 at a itself, where its
-  own estimate of the cancellation among its terms meets the tolerance
-  (so the crossover moves to smaller z as |a| grows);
-- everything else: quadrature of the integral representation
-  U(a,b,z) = 1/Gamma(a) int_0^inf exp(-z t) t^(a-1) (1+t)^(b-a-1) dt at
-  seeds a0 in (0, 1] and a0 + 1, then the three-term recurrence in a run
-  downward to a, the stable direction for U.
+- non-positive integer a: the polynomial U(-k,2,z) = (-1)^k k! L_k^(1)(z);
+- z < 2: the logarithmic series DLMF 13.2.9 at a itself, where its own
+  estimate of the cancellation among its terms meets the tolerance (so
+  the crossover moves to smaller z as |a| grows);
+- everything else: closed-form seeds, U(1/2,2,z) and U(3/2,2,z) from the
+  modified Bessel functions K0 and K1, then the three-term recurrence in
+  a run downward to a, the stable direction for U.
 
 Values come with error estimates, relative to |U| or, near a zero of U,
 to the recurrence scale; a point no route brings within the tolerance
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, rgamma
+from scipy.special import digamma, k0e, k1e, rgamma
 
-from .quadrature import ConvergenceError, gauss_legendre
+from .quadrature import ConvergenceError
 
 __all__ = [
     "WhittakerParams",
@@ -40,6 +40,7 @@ __all__ = [
 
 _INTEGER_TOL = 1e-12
 _EPS = np.finfo(float).eps
+_SQRT_PI = math.sqrt(math.pi)
 # the series serves z below this; its terms fall like z^k / k! past k ~ |a|
 _SERIES_Z = 2.0
 _SERIES_TERMS = 200
@@ -97,81 +98,51 @@ def reciprocal_gamma(x):
     return float(rgamma(x))
 
 
-def _substitution_power(a):
-    """Integer p such that t = v**p makes the t^(a-1) factor polynomial-ish.
+def _u_seeds(s, z):
+    """U(s,2,z) and U(s+1,2,z) in closed form for s = 1/2 or 1, each with
+    a rounding estimate: (U(s), error, U(s+1), error) over an array of z > 0.
 
-    If p*a is an integer the transformed integrand carries v**(p*a - 1),
-    which is smooth at v = 0; otherwise fall back to p = ceil(1/a), which
-    at least bounds the integrand there.
+    s = 1/2: DLMF 13.6.10 with the contiguous and derivative relations of
+    13.3 give, with k0e, k1e the scaled modified Bessel functions at z/2,
+    U(1/2,2,z) = (k0e + k1e) / (2 sqrt(pi)), U(3/2,2,z) = (k1e - k0e) / sqrt(pi),
+    both good to a few eps (k0e + k1e) / sqrt(pi).  s = 1: U(1,2,z) = 1/z,
+    and U(2,2,z) comes back as zero, for the recurrence step down from
+    s = 1 weighs it by s (s - 1) = 0.
     """
-    for p in range(1, 9):
-        if abs(p * a - round(p * a)) < _INTEGER_TOL and round(p * a) >= 1:
-            return p
-    return max(1, math.ceil(1.0 / a))
+    if s == 1.0:
+        inv = 1.0 / z
+        zero = np.zeros_like(z)
+        return inv, _EPS * inv, zero, zero
+    k0, k1 = k0e(0.5 * z), k1e(0.5 * z)
+    err = 4.0 * _EPS * (k0 + k1) / _SQRT_PI
+    return (k0 + k1) / (2.0 * _SQRT_PI), err, (k1 - k0) / _SQRT_PI, err
 
 
-def _u_integral_array(a, b, z, rtol):
-    """U(a,b,z) for a > 0 over an array of z > 0, with its error estimate.
+def _u_chain(a, z, rtol):
+    """U(a,2,z) over an array of z > 0 from closed-form seeds and recurrence.
 
-    The integral representation, with t = v**p absorbing the t^(a-1)
-    endpoint factor, is rescaled to [0, 1] per argument and the whole
-    batch goes to ``gauss_legendre`` from order 64 as one row per point:
-    converged when no point changes by more than rtol of its value, it
-    raises at the rounding floor or at order 4096.  The error estimate
-    is the last change; both, raised ones too, are in U's units.
+    Seeds U(s,2,z) and U(s+1,2,z) at s = 1/2 for half-integer a, s = 1
+    for integer a, then U(s-1,2,z) = (z + 2s - 2) U(s,2,z)
+    - s (s - 1) U(s+1,2,z) down to a; a in {1/2, 1, 3/2} is a seed itself.
+    The same recurrence carries the responses to the seed errors, which
+    it amplifies most at small z and large |a|; they and the roundings of
+    the steps make the error estimate, held to 10 rtol of the largest |U|
+    along the chain.
     """
-    p = _substitution_power(a)
-    m = p * a - 1.0
-    c = b - a - 1.0
-    # truncate where exp(-z t) has decayed below 1e-22 of everything else
-    t_max = 50.0 / z
-    if c > 0:
-        t_max = (50.0 + c * np.log(np.maximum(t_max, 2.0))) / z
-    v_max = t_max ** (1.0 / p)
-    g = math.gamma(a)
-
-    def integrand(u):
-        v = np.outer(v_max, u)
-        vp = v ** p
-        mat = np.exp(-z[:, None] * vp) * (1.0 + vp) ** c
-        if m != 0.0:
-            mat *= v ** m
-        return mat
-
-    to_u = lambda x: p * v_max * x / g
-    try:
-        vals, change = gauss_legendre(integrand, 0.0, 1.0, rtol, order=64)
-    except ConvergenceError as exc:
-        exc.estimate, exc.error = to_u(exc.estimate), to_u(exc.error)
-        raise
-    return to_u(vals), to_u(change)
-
-
-def _u_chain(a, b, z, rtol):
-    """U(a,b,z) over an array of z > 0 from quadrature seeds and recurrence.
-
-    Seeds U(a0,b,z) and U(a0+1,b,z), a0 = a + steps in (0, 1], then
-    U(s-1,b,z) = (z + 2s - b) U(s,b,z) - s (1 + s - b) U(s+1,b,z) down to
-    a (a > 0 is integrated directly).  The same recurrence carries the
-    responses to the seed errors, which it amplifies most at small z and
-    large |a|; they and the roundings of the steps make the error
-    estimate, held to 10 rtol of the largest |U| along the chain.
-    """
-    steps = math.floor(-a) + 1 if a <= 0.0 else 0
-    s = a + steps
-    cur, err = _u_integral_array(s, b, z, rtol)
-    if steps == 0:
-        return cur, err
-    hi, err_hi = _u_integral_array(s + 1.0, b, z, rtol)
+    s = 1.0 if a == round(a) else 0.5
+    cur, err, hi, err_hi = _u_seeds(s, z)
+    if a > s:  # a = 3/2, the upper seed
+        cur, err = hi, err_hi
+    steps = max(round(s - a), 0)
     scale = np.maximum(np.abs(cur), np.abs(hi))
-    # rows: U, and its responses to the errors of U(a0) and U(a0+1), each
+    # rows: U, and its responses to the errors of U(s) and U(s+1), each
     # widened by the roundings of the steps to come
     zero = np.zeros_like(z)
     cur = np.array([cur, err + 4.0 * steps * _EPS * np.abs(cur), zero])
     hi = np.array([hi, zero, err_hi + 4.0 * steps * _EPS * np.abs(hi)])
     rounding = 0.0
     for _ in range(steps):
-        p, q = (z + 2.0 * s - b) * cur, s * (1.0 + s - b) * hi
+        p, q = (z + 2.0 * s - 2.0) * cur, s * (s - 1.0) * hi
         rounding += np.abs(p[0]) + np.abs(q[0])
         cur, hi = p - q, cur
         scale = np.maximum(scale, np.abs(cur[0]))
@@ -180,8 +151,8 @@ def _u_chain(a, b, z, rtol):
     worst = float(np.max(err / scale, initial=0.0))
     if worst > 10.0 * rtol:
         raise ConvergenceError(
-            f"U({a},{b},z) by recurrence lost accuracy to {worst:.2e} of its scale",
-            cur[0], worst)
+            f"U({a},2,z) did not converge: error {worst:.2e} of its scale "
+            f"against rtol {rtol:.1e}", cur[0], err)
     return cur[0], err
 
 
@@ -219,8 +190,17 @@ def _u_series(a, z):
     return vals, err, np.maximum(np.abs(vals), np.abs(above))
 
 
+def _on_slice(a, b):
+    """a as an exact half-integer; ValueError unless b = 2, a <= 3/2 and 2a
+    is an integer."""
+    if not (b == 2.0 and a <= 1.5 and abs(2.0 * a - round(2.0 * a)) < _INTEGER_TOL):
+        raise ValueError(
+            f"U(a,b,z) covers b = 2 and half-integer a <= 3/2, got a={a}, b={b}")
+    return 0.5 * round(2.0 * a)
+
+
 def _is_nonpositive_integer(a):
-    return a <= 0.5 and abs(a - round(a)) < _INTEGER_TOL
+    return a <= 0.0 and a == round(a)
 
 
 def _u_array(a, b, z, rtol=1e-10):
@@ -232,25 +212,27 @@ def _u_array(a, b, z, rtol=1e-10):
 
     Raises
     ------
+    ValueError
+        If (a, b) is off the slice of the module docstring.
     ConvergenceError
-        If the quadrature or the recurrence cannot meet that bound.
+        If the recurrence cannot meet that bound.
     """
+    a = _on_slice(a, b)
     z = np.asarray(z, dtype=float)
     if _is_nonpositive_integer(a):
         k = round(-a)
         fact = math.factorial(k)
-        # the terms of L_k^(b-1)(z) alternate in sign; at -z they add up
-        lag, size = fact * laguerre(k, b - 1.0, np.array([z, -z]))
+        # the terms of L_k^(1)(z) alternate in sign; at -z they add up
+        lag, size = fact * laguerre(k, 1.0, np.array([z, -z]))
         return (-lag if k % 2 else lag), 4.0 * (k + 1) * _EPS * np.abs(size)
     vals, err = np.empty((2, z.size))
     rest = np.ones(z.size, dtype=bool)
-    if b == 2.0:
-        near = np.flatnonzero(z < _SERIES_Z)
-        v, e, scale = _u_series(a, z[near])
-        ok = e / scale <= 10.0 * rtol  # the bound the chain is held to
-        vals[near[ok]], err[near[ok]], rest[near[ok]] = v[ok], e[ok], False
+    near = np.flatnonzero(z < _SERIES_Z)
+    v, e, scale = _u_series(a, z[near])
+    ok = e / scale <= 10.0 * rtol  # the bound the chain is held to
+    vals[near[ok]], err[near[ok]], rest[near[ok]] = v[ok], e[ok], False
     if rest.any():
-        vals[rest], err[rest] = _u_chain(a, b, z[rest], rtol)
+        vals[rest], err[rest] = _u_chain(a, z[rest], rtol)
     return vals, err
 
 
@@ -260,9 +242,8 @@ def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
     Parameters
     ----------
     a, b : float
-        Parameters.  The supported domain is a <= 2 with b = 2 at full
-        accuracy; other real values go through the same machinery on a
-        best-effort basis.
+        Parameters: b = 2 and a <= 3/2 with 2a an integer, the slice the
+        bound states use; anything else raises ``ValueError``.
     z : float
         Argument, strictly positive.
     rtol : float
@@ -270,9 +251,10 @@ def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
         scale near zeros of U where relative error loses meaning.
     method : {'auto', 'integral', 'laguerre'}
         'auto' routes by region (see the module docstring); 'laguerre'
-        is the polynomial route (non-positive integer a only), 'integral'
-        the non-polynomial one, quadrature plus recurrence for integer a.
-        The explicit choices exist so the routes can be compared.
+        is the polynomial route (non-positive integer a only); 'integral'
+        is the seed-plus-recurrence route from U(1,2,z) = 1/z for integer
+        a, and routes as 'auto' otherwise.  The explicit choices exist so
+        the routes can be compared.
     full_output : bool
         If true, return ``(value, error_estimate)``.
 
@@ -282,6 +264,8 @@ def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
 
     Raises
     ------
+    ValueError
+        If (a, b) is off the supported slice, or z <= 0.
     ConvergenceError
         If the requested accuracy cannot be reached.
     """
@@ -291,12 +275,14 @@ def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
         raise ValueError(f"argument must be positive, got z={z}")
     if method not in ("auto", "integral", "laguerre"):
         raise ValueError(f"unknown method {method!r}")
+    a = _on_slice(a, b)
     polynomial = _is_nonpositive_integer(a)
     if method == "laguerre" and not polynomial:
         raise ValueError("polynomial reduction requires a non-positive integer a")
 
-    route = _u_chain if polynomial and method == "integral" else _u_array
-    (val,), (err,) = route(a, b, np.array([z], dtype=float), rtol)
+    zs = np.array([z], dtype=float)
+    (val,), (err,) = (_u_chain(a, zs, rtol) if polynomial and method == "integral"
+                      else _u_array(a, b, zs, rtol))
     return (float(val), float(err)) if full_output else float(val)
 
 

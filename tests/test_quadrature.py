@@ -32,15 +32,6 @@ def _doublings(seen, start):
 
 
 class TestConverged:
-    def test_batch_of_closed_forms(self):
-        k = np.geomspace(0.1, 50.0, 25)
-        rtol = 1e-12
-        vals, errs = gauss_legendre(lambda x: np.exp(-np.outer(k, x)), 0.0, 1.0, rtol)
-        exact = -np.expm1(-k) / k
-        assert vals.shape == errs.shape == k.shape
-        assert np.all(np.abs(vals - exact) <= rtol * exact)
-        assert np.all(errs <= rtol * np.abs(vals))
-
     def test_scalar_integrand(self):
         val, err = gauss_legendre(np.sin, 0.0, 1.0)
         assert type(val) is float and type(err) is float
@@ -63,13 +54,6 @@ class TestOutOfReach:
         assert info.value.error <= top * EPS * abs(info.value.estimate)
         assert math.isclose(info.value.estimate, 1.0 - math.cos(1.0), rel_tol=1e-14)
 
-    def test_floor_of_a_batch(self, orders):
-        k = np.array([0.5, 2.0, 8.0])
-        with pytest.raises(ConvergenceError) as info:
-            gauss_legendre(lambda x: np.exp(-np.outer(k, x)), 0.0, 1.0, rtol=1e-40)
-        assert _doublings(orders, 16) and orders[-1] <= 128
-        assert info.value.estimate.shape == info.value.error.shape == k.shape
-
     def test_cap_at_order_4096(self, orders):
         # algebraic convergence: the change at 4096 is still far above the floor
         with pytest.raises(ConvergenceError, match="order 4096"):
@@ -79,7 +63,7 @@ class TestOutOfReach:
     def test_u_estimate_in_u_units(self, orders):
         with pytest.raises(ConvergenceError) as info:
             tricomi_u(0.5, 2, 1.0, rtol=1e-40)
-        assert max(orders) <= 128
+        assert orders == []  # U builds no Gauss-Legendre rule
         (estimate,) = info.value.estimate
         assert abs(estimate - float(mp.hyperu(0.5, 2, 1))) <= 1e-10
 

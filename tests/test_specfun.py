@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from coulomb1d import ConvergenceError, WhittakerParams, laguerre, tricomi_u, whittaker_w
-from coulomb1d.specfun import _SERIES_Z, _u_array, reciprocal_gamma
+from coulomb1d.specfun import _SERIES_Z, _u_array, _u_seeds, reciprocal_gamma
 
 
 def laguerre_series(k, alpha, z):
@@ -142,6 +142,33 @@ class TestTricomiU:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             tricomi_u(0.5, 2, 1.0, method="series")
+
+    @pytest.mark.parametrize("a, b, z", [(1.0, 1.5, 3.02e-4), (0.3, 2.0, 1.0),
+                                         (2.0, 2.0, 1.0), (0.5, 3.0, 1.0)])
+    def test_rejects_parameters_off_the_slice(self, a, b, z):
+        with pytest.raises(ValueError):
+            tricomi_u(a, b, z)
+        with pytest.raises(ValueError):
+            _u_array(a, b, np.array([z]))
+
+
+class TestSeeds:
+    SEED_Z = np.geomspace(1e-12, 700.0, 40)
+
+    def test_bessel_seeds_against_hyperu(self):
+        """U(1/2,2,z) and U(3/2,2,z) from K0, K1 against mpmath hyperu."""
+        lo, err_lo, hi, err_hi = _u_seeds(0.5, self.SEED_Z)
+        with mp.workdps(30):
+            for a, vals, errs in ((0.5, lo, err_lo), (1.5, hi, err_hi)):
+                for z, v, e in zip(self.SEED_Z, vals, errs):
+                    ref = float(mp.hyperu(a, 2, z))
+                    assert abs(v - ref) <= 1e-13 * abs(ref), (a, z)
+                    assert abs(v - ref) <= e, (a, z)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_seed_held_to_the_tolerance(self, a):
+        with pytest.raises(ConvergenceError, match="converge"):
+            tricomi_u(a, 2, 5.0, rtol=1e-40)
 
 
 class TestWhittakerW:
