@@ -45,11 +45,15 @@ parity label.  An unstaggered grid has its walls on the lattice, one
 step h outside the end points, and end cells of width h.
 
 Eigenvectors come from the symmetric tridiagonal bisection/inverse-
-iteration path (LAPACK stebz/stein via scipy).  The energies are the
-Rayleigh quotients of those vectors, computed in the difference form
-above.  A diagonal entry 1/h^2 + v keeps v only to about eps/h^2, so
-bisection alone stops at that floor; the quotient is good to the
-discretization error.
+iteration path (LAPACK stebz/stein via scipy).  Bisection stops at the
+loose tolerance 1e-4, enough to place each level inside its gap; stein
+then converges the vectors, and each vector's residual ||Hy - Ey|| must
+reach the rounding floor of a full-precision solve, 16 eps ||H||, or
+the solve is repeated at LAPACK's default tolerance.  The energies are
+the Rayleigh quotients of the vectors, computed in the difference form
+above, so they are good to the discretization error, not to a
+bisection tolerance.  Each level keeps its residual: H has an
+eigenvalue within it of the level's energy.
 """
 
 from __future__ import annotations
@@ -125,12 +129,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class Level:
-    """One computed level: index, energy, parity tag, node count."""
+    """One computed level: index, energy, parity tag, node count, and the
+    residual ||Hy - Ey|| of its unit vector y in the symmetric matrix H,
+    within which H has an eigenvalue of the energy E."""
 
     index: int
     energy: float
     parity: str | None
     nodes: int
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -221,48 +228,106 @@ def _wall_at_origin(mat, x):
     return mat._replace(ends=(link, mat.ends[1]))
 
 
-def _lowest(mat, k):
-    """Lowest k eigenpairs: Rayleigh-quotient energies in difference form
-    and nodal vectors u scaled so that sum(width * u^2) = 1."""
-    if k == 0:
-        return np.empty(0), np.empty((mat.d.size, 0))
-    try:
-        _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1))
-    except LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
-                               None, math.inf) from exc
+# Bisection only has to place each level well inside its gap for inverse
+# iteration (stein) to converge on its vector: the level gaps of the
+# benchmark spectra are 6e-3 and up, and at ||H|| = 1e6 this stops 19
+# halvings before LAPACK's default eps ||H|| does.  The residual
+# certificate, not the bisection interval, then carries the accuracy.
+_BISECTION_TOL = 1e-4
+# A loose pass stands when every residual is at most this many eps ||H||,
+# the floor a full-precision pass reaches (up to 10 on 2.7e5-point
+# sectors).  By Weyl and Kato-Temple its vectors and quotients are then
+# as good as a full-precision pass's.
+_RESIDUAL_FLOOR = 16.0
+
+
+def _norm(mat):
+    """max|d| + 2 max|e|, a bound on the 1-norm of H that LAPACK scales
+    its default bisection tolerance by."""
+    return (max(mat.d.max(), -mat.d.min())
+            + 2.0 * max(mat.e.max(), -mat.e.min()))
+
+
+def _pairs(mat, k, tol):
+    """One eigensolve at bisection tolerance tol: Rayleigh-quotient
+    energies E in difference form, nodal vectors u scaled so that
+    sum(width * u^2) = 1, and residuals ||Hy - Ey|| of the unit vectors y.
+
+    The potential term and the residuals take one column of y at a time,
+    so that no further temporary has the size of the vectors.
+    """
+    _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1),
+                            tol=tol)
     # y has unit 2-norm, so u = M^(-1/2) y has sum(width * u^2) = 1 and
     # the quotient u.K.u / u.M.u needs no denominator
     u = y / mat.scale[:, None]
     du = np.diff(u, axis=0)
     du *= du
-    y *= y
-    energy = (mat.link @ du + mat.v @ y
-              + mat.ends[0] * u[0] ** 2 + mat.ends[1] * u[-1] ** 2)
-    return energy, u
+    kinetic = mat.link @ du
+    del du
+    wall0, wall1 = mat.ends[0] * u[0] ** 2, mat.ends[1] * u[-1] ** 2
+    energy, r = np.empty(k), np.empty(k)
+    hy, t = np.empty(mat.d.size), np.empty(mat.e.size)
+    for j, c in enumerate(y.T):
+        energy[j] = (kinetic[j] + np.multiply(mat.v, c, out=hy) @ c
+                     + wall0[j] + wall1[j])
+        np.subtract(mat.d, energy[j], out=hy)
+        hy *= c
+        hy[:-1] += np.multiply(mat.e, c[1:], out=t)
+        hy[1:] += np.multiply(mat.e, c[:-1], out=t)
+        r[j] = math.sqrt(hy @ hy)
+    return energy, u, r
+
+
+def _lowest(mat, k):
+    """Lowest k eigenpairs as energies, nodal vectors and residuals.
+
+    A first pass bisects only to _BISECTION_TOL; it stands if every
+    vector's residual is at the rounding floor, and otherwise, or if
+    stein fails to converge, the default full-precision pass replaces it.
+    """
+    if k == 0:
+        return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0)
+    eps_norm = np.finfo(float).eps * _norm(mat)
+    try:
+        pairs = _pairs(mat, k, max(_BISECTION_TOL, eps_norm))
+    except LinAlgError:
+        pairs = None
+    # written so that a NaN residual fails the certificate too
+    if pairs is None or not pairs[2].max() <= _RESIDUAL_FLOOR * eps_norm:
+        pairs = None  # free the loose pass before the full one
+        try:
+            pairs = _pairs(mat, k, 0.0)
+        except LinAlgError as exc:
+            raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
+                                   None, math.inf) from exc
+    return pairs
 
 
 def _mirrored(v_half, xp, k, half_width):
-    """Merged sector energies and full-mesh vectors of an even potential."""
+    """Merged sector energies, full-mesh vectors and residuals of an even
+    potential."""
     m = xp.size
     # no link across the centre (even), or a wall at the centre (odd)
     even = _assemble(xp, v_half, (0.0, half_width), (None, half_width))
-    w_even, u_even = _lowest(even, (k + 1) // 2)
+    w_even, u_even, r_even = _lowest(even, (k + 1) // 2)
     # the even matrix is spent, so the odd one may take over its arrays
-    w_odd, u_odd = _lowest(_wall_at_origin(even, xp), k // 2)
-    w = np.empty(k)
+    w_odd, u_odd, r_odd = _lowest(_wall_at_origin(even, xp), k // 2)
+    w, r = np.empty(k), np.empty(k)
     w[0::2], w[1::2] = w_even, w_odd
+    # a sector residual is the full matrix's residual of the mirrored vector
+    r[0::2], r[1::2] = r_even, r_odd
     vecs = np.empty((2 * m, k))
     vecs[m:, 0::2], vecs[m:, 1::2] = u_even, u_odd
     vecs[m:] /= math.sqrt(2.0)
     vecs[:m] = vecs[m:][::-1]
     vecs[:m, 1::2] *= -1.0
-    return w, vecs
+    return w, vecs, r
 
 
 def _eigenpairs(V, g, k):
-    """Mesh, energies, vectors scaled to sum(width * v^2) = 1, and whether
-    the vectors come from the two parity sectors."""
+    """Mesh, energies, vectors scaled to sum(width * v^2) = 1, residuals,
+    and whether the vectors come from the two parity sectors."""
     spec = isinstance(V, PotentialSpec)
     L = g.half_width
     if spec and V.family == "half-line":
@@ -313,14 +378,15 @@ def solve(V, g, k_max):
         is even on a staggered full-line grid, their exact parity; other
         levels, the half-line ones included, have parity None.  Energies
         are the Rayleigh quotients of the eigenvectors and increase with
-        the index.
+        the index; each level's residual bounds the distance from its
+        energy to an eigenvalue of the discrete H.
     """
     if k_max < 1 or k_max > g.points // 4:
         raise ValueError(f"k_max must lie in [1, N/4] = [1, {g.points // 4}]")
     if isinstance(V, PotentialSpec) and singular_at_origin(V) and not g.staggered:
         raise ValueError(f"{V.family} is singular at the origin and needs a "
                          "staggered grid")
-    x, w, vecs, sectors = _eigenpairs(V, g, k_max)
+    x, w, vecs, res, sectors = _eigenpairs(V, g, k_max)
     levels = []
     for k in range(k_max):
         if sectors:
@@ -330,7 +396,7 @@ def solve(V, g, k_max):
         else:
             parity, nodes = None, sign_changes(vecs[:, k]).size
         levels.append(Level(index=k, energy=float(w[k]), parity=parity,
-                            nodes=nodes))
+                            nodes=nodes, residual=float(res[k])))
     return SpectrumResult(levels=levels, grid=g, potential=V,
                           positions=x, vectors=vecs)
 

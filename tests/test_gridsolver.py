@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from coulomb1d import (Grid, evaluate, exact_energy, half_line, pure_coulomb, refine,
-                       repulsive_core, soft_core, solve)
+from coulomb1d import (ConvergenceError, Grid, evaluate, exact_energy, gridsolver,
+                       half_line, pure_coulomb, refine, repulsive_core, soft_core, solve)
 
 
 def harmonic(x):
@@ -78,7 +79,13 @@ class TestEigenvectors:
 
 
 def dense_staggered_levels(V, half_width, points, k, staggered=True):
-    """Lowest k eigenvalues of the full uniform-mesh matrix, and its norm.
+    """Lowest k eigenvalues of the full uniform-mesh matrix, and its norm."""
+    mat, norm = dense_staggered_matrix(V, half_width, points, staggered)
+    return np.linalg.eigvalsh(mat)[:k], norm
+
+
+def dense_staggered_matrix(V, half_width, points, staggered=True):
+    """The full uniform-mesh matrix, dense, and its norm.
 
     Staggered mesh x_j = -L + (j + 1/2) h with h = 2L/N; the walls half a
     step outside the end points add 1/(2h^2) to the end diagonal entries.
@@ -96,7 +103,7 @@ def dense_staggered_levels(V, half_width, points, k, staggered=True):
         d[-1] += 0.5 / h ** 2
     off = np.full(x.size - 1, -0.5 / h ** 2)
     mat = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
-    return np.linalg.eigvalsh(mat)[:k], np.max(np.abs(d)) + 1.0 / h ** 2
+    return mat, np.max(np.abs(d)) + 1.0 / h ** 2
 
 
 SYMMETRIC = [harmonic, pure_coulomb(), soft_core(0.05), repulsive_core(0.05, 0.1)]
@@ -158,8 +165,9 @@ class TestParitySectors:
 
 class TestRayleighQuotient:
     def test_harmonic_ground_error_is_the_discrete_law(self):
-        # bisection alone stops near eps/h^2 = 5e-8; the quotient reaches
-        # the 3-point scheme's own error -h^2/32
+        # a bisection eigenvalue is good to its tolerance at best, eps/h^2
+        # = 5e-8 here; the quotient reaches the 3-point scheme's own error
+        # -h^2/32
         g = Grid(half_width=10.0, points=300000)
         h = 2.0 * g.half_width / g.points
         err = solve(harmonic, g, 1).levels[0].energy - 0.5
@@ -171,6 +179,76 @@ class TestRayleighQuotient:
         es = [lv.energy for lv in res.levels]
         assert all(a < b for a, b in zip(es, es[1:]))
         assert [lv.parity for lv in res.levels] == ["even", "odd", "even", "odd"]
+
+
+@pytest.fixture
+def eigensolver_calls(monkeypatch):
+    """The tol of every gridsolver.eigh_tridiagonal call, in order; set
+    ``fail`` to a count of leading calls that raise LinAlgError, or
+    ``force_tol`` to override the tol they pass."""
+    real = gridsolver.eigh_tridiagonal
+    calls = []
+
+    def recording(*args, tol, **kwargs):
+        calls.append(tol)
+        if len(calls) <= recording.fail:
+            raise LinAlgError("stein: 1 eigenvectors failed to converge")
+        if recording.force_tol is not None:
+            tol = recording.force_tol
+        return real(*args, tol=tol, **kwargs)
+
+    recording.fail, recording.force_tol, recording.calls = 0, None, calls
+    monkeypatch.setattr(gridsolver, "eigh_tridiagonal", recording)
+    return recording
+
+
+LOOSE = 1e-4
+
+
+class TestLooseBisection:
+    def test_certified_loose_pass_matches_full_precision(self, eigensolver_calls):
+        g = Grid(half_width=60.0, points=40000)
+        loose = solve(pure_coulomb(), g, 4)
+        # one loose call per parity sector, no fallback
+        assert eigensolver_calls.calls == [LOOSE, LOOSE]
+        eigensolver_calls.force_tol = 0.0
+        full = solve(pure_coulomb(), g, 4)
+        np.testing.assert_allclose([lv.energy for lv in loose.levels],
+                                   [lv.energy for lv in full.levels], rtol=1e-13, atol=0)
+        assert [lv.nodes for lv in loose.levels] == list(range(4))
+
+    def test_failed_certificate_falls_back_to_full_precision(self, eigensolver_calls):
+        # the loose pass leaves residuals of several hundred eps ||H|| here
+        res = solve(half_line(), Grid(half_width=60.0, points=800), 4)
+        assert eigensolver_calls.calls == [LOOSE, 0.0]
+        assert [lv.nodes for lv in res.levels] == list(range(4))
+
+    def test_stein_failure_falls_back(self, eigensolver_calls):
+        eigensolver_calls.fail = 1
+        res = solve(harmonic, Grid(half_width=10.0, points=400), 3)
+        # the even sector retries at full precision, the odd one stays loose
+        assert eigensolver_calls.calls == [LOOSE, 0.0, LOOSE]
+        assert [lv.nodes for lv in res.levels] == [0, 1, 2]
+
+    def test_full_precision_failure_raises(self, eigensolver_calls):
+        eigensolver_calls.fail = 2
+        with pytest.raises(ConvergenceError):
+            solve(harmonic, Grid(half_width=10.0, points=400), 3)
+
+    @pytest.mark.parametrize("V, staggered", [(harmonic, True), (soft_core(0.5), False)])
+    def test_residual_is_that_of_the_unit_vector(self, V, staggered):
+        g = Grid(10.0, 400, staggered=staggered)
+        res = solve(V, g, 4)
+        mat, norm = dense_staggered_matrix(V, 10.0, 400, staggered)
+        ref = np.linalg.eigvalsh(mat)[:4]
+        eps = np.finfo(float).eps
+        for lv, u, e in zip(res.levels, res.vectors.T, ref):
+            # the unit vector of the symmetric matrix is sqrt(h) u
+            y = math.sqrt(2.0 * g.half_width / g.points) * u
+            assert abs(lv.residual - np.linalg.norm(mat @ y - lv.energy * y)) <= eps * norm
+            assert 0.0 < lv.residual <= 16.0 * eps * norm
+            # an eigenvalue lies within the residual, up to eigvalsh's rounding
+            assert abs(lv.energy - e) <= lv.residual + 4.0 * eps * norm
 
 
 def graded_fv_levels(V, x_half, half_width, k):
