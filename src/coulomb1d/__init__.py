@@ -15,7 +15,7 @@ from .quadrature import ConvergenceError
 from .regularized import (CareResult, GridResolutionError, ScanRow,
                           care_interleaving, half_line_spectrum,
                           soft_core_ground_scan)
-from .specfun import WhittakerParams, laguerre, tricomi_u, whittaker_w
+from .specfun import laguerre, tricomi_u
 from .spectrum import (BoundState, cusp_indicator, exact_energy, node_count,
                        normalize, ode_residual, wavefunction)
 from .wkb import ActionResult, WKBConfig, action, action_generic, wkb_energy
@@ -33,7 +33,6 @@ __all__ = [
     "ScanRow",
     "SpectrumResult",
     "WKBConfig",
-    "WhittakerParams",
     "action",
     "action_generic",
     "care_interleaving",
@@ -55,6 +54,5 @@ __all__ = [
     "solve",
     "tricomi_u",
     "wavefunction",
-    "whittaker_w",
     "wkb_energy",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -80,14 +81,14 @@ def _emit(record, args):
 def _stamp(meta, args):
     if args.timestamp:
         meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if args.tolerance is not None:
+    if getattr(args, "tolerance", None) is not None:
         meta["tolerance"] = args.tolerance
     return meta
 
 
 def _cmd_spectrum(args):
-    cfg = WKBConfig(quadrature_tolerance=args.tolerance) if args.tolerance \
-        else WKBConfig()
+    cfg = WKBConfig() if args.tolerance is None \
+        else WKBConfig(quadrature_tolerance=args.tolerance)
     ns, exact, semi, parity, nodes = [], [], [], [], []
     for n in range(args.n_max + 1):
         ns.append(n)
@@ -108,7 +109,7 @@ def _cmd_wavefunction(args):
     if args.x_min >= args.x_max:
         raise ValueError("x-min must lie below x-max")
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    rtol = args.tolerance if args.tolerance else 1e-11
+    rtol = 1e-11 if args.tolerance is None else args.tolerance
     psi = wavefunction(args.n, xs, rtol=rtol)
     scale = 1.0
     if args.normalized:
@@ -122,8 +123,8 @@ def _cmd_wavefunction(args):
 
 
 def _cmd_wkb(args):
-    cfg = WKBConfig(quadrature_tolerance=args.tolerance) if args.tolerance \
-        else WKBConfig()
+    cfg = WKBConfig() if args.tolerance is None \
+        else WKBConfig(quadrature_tolerance=args.tolerance)
     if args.n is not None:
         energy = wkb_energy(args.n, cfg)
         meta = {"n": args.n, "maslov_offset": cfg.maslov_offset}
@@ -222,11 +223,21 @@ def _cmd_solve(args):
         metadata=meta)
 
 
+def _tolerance(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _add_tolerance(sp):
+    sp.add_argument("--tolerance", type=_tolerance, default=None,
+                    help="override the default numeric tolerance")
+
+
 def _add_common(sp):
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="override the default numeric tolerance")
     sp.add_argument("--timestamp", action="store_true",
                     help="include a UTC timestamp in the metadata")
 
@@ -240,6 +251,7 @@ def build_parser():
 
     sp = sub.add_parser("spectrum", help="exact and WKB energies side by side")
     sp.add_argument("--n-max", type=int, default=10)
+    _add_tolerance(sp)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_spectrum)
 
@@ -251,6 +263,7 @@ def build_parser():
     sp.add_argument("--normalized", action="store_true",
                     help="scale to unit L2 norm instead of the bare "
                          "Whittaker value")
+    _add_tolerance(sp)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_wavefunction)
 
@@ -258,6 +271,7 @@ def build_parser():
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--energy", type=float, help="evaluate S(E) at this E < 0")
     group.add_argument("--n", type=int, help="solve S(E) = (n+1) pi for E")
+    _add_tolerance(sp)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_wkb)
 

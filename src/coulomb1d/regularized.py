@@ -173,7 +173,8 @@ def care_interleaving(a, b, g, k_max):
     -------
     CareResult
         The lowest k_max levels and whether their parities strictly
-        alternate with increasing energy.
+        alternate.  The parity sectors make them alternate on every
+        staggered grid, so ``interleaved`` equals ``g.staggered``.
     """
     if a <= 0 or b < 0:
         raise ValueError("need a > 0 and b >= 0")

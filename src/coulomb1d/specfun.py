@@ -1,4 +1,4 @@
-"""Tricomi confluent hypergeometric function U(a,b,z) and Whittaker W_{kappa,mu}(z).
+"""Tricomi confluent hypergeometric function U(a,b,z).
 
 Only the real-argument slice needed for the bound states is covered:
 b = 2 (the logarithmic case), a <= 3/2 with 2a an integer, z > 0; other
@@ -22,7 +22,6 @@ raises ``ConvergenceError`` instead of returning a loose number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,13 +29,7 @@ from scipy.special import digamma, k0e, k1e, rgamma
 
 from .quadrature import ConvergenceError
 
-__all__ = [
-    "WhittakerParams",
-    "laguerre",
-    "reciprocal_gamma",
-    "tricomi_u",
-    "whittaker_w",
-]
+__all__ = ["laguerre", "tricomi_u"]
 
 _INTEGER_TOL = 1e-12
 _EPS = np.finfo(float).eps
@@ -44,25 +37,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # the series serves z below this; its terms fall like z^k / k! past k ~ |a|
 _SERIES_Z = 2.0
 _SERIES_TERMS = 200
-
-
-@dataclass(frozen=True)
-class WhittakerParams:
-    """Index pair and argument for W_{kappa,mu}(z).
-
-    Attributes
-    ----------
-    kappa : float
-        First index; the bound states use kappa = (n+1)/2.
-    mu : float
-        Second index; this artifact supports mu = 1/2 only.
-    z : float
-        Argument, z >= 0 (z = 0 is handled as a limit).
-    """
-
-    kappa: float
-    mu: float
-    z: float
 
 
 def laguerre(k, alpha, z):
@@ -91,11 +65,6 @@ def laguerre(k, alpha, z):
     for j in range(1, int(k) + 1):
         prev, cur = cur, ((2 * j - 1 + alpha - zs) * cur - (j - 1 + alpha) * prev) / j
     return float(cur) if zs.ndim == 0 else cur
-
-
-def reciprocal_gamma(x):
-    """1/Gamma(x), finite for all real x (zero at the poles of Gamma)."""
-    return float(rgamma(x))
 
 
 def _u_seeds(s, z):
@@ -199,10 +168,6 @@ def _on_slice(a, b):
     return 0.5 * round(2.0 * a)
 
 
-def _is_nonpositive_integer(a):
-    return a <= 0.0 and a == round(a)
-
-
 def _u_array(a, b, z, rtol=1e-10):
     """U(a,b,z) and an absolute error estimate over a 1-D array of z > 0.
 
@@ -219,7 +184,7 @@ def _u_array(a, b, z, rtol=1e-10):
     """
     a = _on_slice(a, b)
     z = np.asarray(z, dtype=float)
-    if _is_nonpositive_integer(a):
+    if a <= 0.0 and a == round(a):
         k = round(-a)
         fact = math.factorial(k)
         # the terms of L_k^(1)(z) alternate in sign; at -z they add up
@@ -236,7 +201,7 @@ def _u_array(a, b, z, rtol=1e-10):
     return vals, err
 
 
-def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
+def tricomi_u(a, b, z, rtol=1e-10, full_output=False):
     """Tricomi confluent hypergeometric function U(a, b, z), z > 0.
 
     Parameters
@@ -249,12 +214,6 @@ def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
     rtol : float
         Requested relative accuracy, measured against the recurrence
         scale near zeros of U where relative error loses meaning.
-    method : {'auto', 'integral', 'laguerre'}
-        'auto' routes by region (see the module docstring); 'laguerre'
-        is the polynomial route (non-positive integer a only); 'integral'
-        is the seed-plus-recurrence route from U(1,2,z) = 1/z for integer
-        a, and routes as 'auto' otherwise.  The explicit choices exist so
-        the routes can be compared.
     full_output : bool
         If true, return ``(value, error_estimate)``.
 
@@ -273,45 +232,5 @@ def tricomi_u(a, b, z, rtol=1e-10, method="auto", full_output=False):
         raise ValueError("non-finite input")
     if z <= 0.0:
         raise ValueError(f"argument must be positive, got z={z}")
-    if method not in ("auto", "integral", "laguerre"):
-        raise ValueError(f"unknown method {method!r}")
-    a = _on_slice(a, b)
-    polynomial = _is_nonpositive_integer(a)
-    if method == "laguerre" and not polynomial:
-        raise ValueError("polynomial reduction requires a non-positive integer a")
-
-    zs = np.array([z], dtype=float)
-    (val,), (err,) = (_u_chain(a, zs, rtol) if polynomial and method == "integral"
-                      else _u_array(a, b, zs, rtol))
+    (val,), (err,) = _u_array(a, b, np.array([z], dtype=float), rtol)
     return (float(val), float(err)) if full_output else float(val)
-
-
-def whittaker_w(p, rtol=1e-10):
-    """Whittaker function W_{kappa,1/2}(z) of the second kind.
-
-    Uses W_{kappa,1/2}(z) = exp(-z/2) z U(1-kappa, 2, z) for z > 0 and
-    the limit 1/Gamma(1-kappa) at z = 0 (zero when kappa is a positive
-    integer, where W vanishes linearly).
-
-    Parameters
-    ----------
-    p : WhittakerParams
-        Indices and argument; p.mu must equal 1/2 and p.kappa must be a
-        positive half-integer.
-    rtol : float
-        Accuracy passed through to the U evaluation.
-
-    Returns
-    -------
-    float
-    """
-    if p.mu != 0.5:
-        raise ValueError(f"only mu = 1/2 is supported, got mu={p.mu}")
-    two_kappa = 2.0 * p.kappa
-    if p.kappa <= 0 or abs(two_kappa - round(two_kappa)) > _INTEGER_TOL:
-        raise ValueError(f"kappa must be a positive half-integer, got {p.kappa}")
-    if p.z < 0:
-        raise ValueError(f"argument must be non-negative, got z={p.z}")
-    if p.z == 0.0:
-        return reciprocal_gamma(1.0 - p.kappa)
-    return math.exp(-0.5 * p.z) * p.z * tricomi_u(1.0 - p.kappa, 2.0, p.z, rtol=rtol)

@@ -39,12 +39,11 @@ class WKBConfig:
 
     maslov_offset 1 is the physical value for this potential; anything
     else is an off-model experiment (offset 1/2 would put the ground
-    state at -8).  root_bracket overrides the automatic energy bracket.
+    state at -8).
     """
 
     maslov_offset: float = 1.0
     quadrature_tolerance: float = 1e-13
-    root_bracket: tuple | None = None
 
 
 def _half_line_action(E, x_in, x_out, vfun, rtol):
@@ -88,9 +87,9 @@ def action(E, rtol=1e-13):
 def wkb_energy(n, cfg=None):
     """Solve the quantization condition S(E) = (n + maslov_offset) pi.
 
-    Brackets the root around the closed-form guess and refines it by
-    Brent's method; the action is evaluated by quadrature at every
-    iterate, never by its closed form.
+    Brent's method runs on [4g, g/4] around the closed-form root
+    g = -2/(n + maslov_offset)^2, where S is half and twice its target;
+    the action comes from quadrature at every iterate, never its closed form.
 
     Parameters
     ----------
@@ -114,41 +113,19 @@ def wkb_energy(n, cfg=None):
     def objective(E):
         return action(E, rtol=cfg.quadrature_tolerance).action - target
 
-    if cfg.root_bracket is not None:
-        lo, hi = cfg.root_bracket
-    else:
-        guess = -2.0 / (n + cfg.maslov_offset) ** 2
-        lo, hi = 4.0 * guess, 0.25 * guess
-    f_lo, f_hi = objective(lo), objective(hi)
-    for _ in range(60):
-        if f_lo * f_hi < 0:
-            break
-        # S is monotone in |E|, so widening must eventually bracket
-        lo, hi = 4.0 * lo, 0.25 * hi
-        f_lo, f_hi = objective(lo), objective(hi)
-    else:
-        raise RuntimeError(
-            f"failed to bracket the quantization root for n={n}; "
-            "the action may not be monotone over the search range")
-    return brentq(objective, lo, hi, xtol=1e-15, rtol=1e-14)
-
-
-def _outer_turning_point(E, vfun, lo, hi):
-    """Root of E - V(x) on [lo, hi], expanding hi until bracketed."""
-    g = lambda x: E - vfun(x)
-    for _ in range(60):
-        if g(lo) > 0 and g(hi) < 0:
-            return brentq(g, lo, hi, xtol=1e-15, rtol=1e-14)
-        hi *= 2.0
-    raise ValueError("no classical turning point found")
+    guess = -2.0 / (n + cfg.maslov_offset) ** 2
+    return brentq(objective, 4.0 * guess, 0.25 * guess, xtol=1e-15, rtol=1e-14)
 
 
 def action_generic(E, V, rtol=1e-9):
     """Action integral for any potential family at energy E.
 
-    Turning points are located by bracketed root-finding on E - V(x)
-    and the integral runs over the classically allowed region (doubled
-    for the symmetric full-line families).
+    The turning points are closed forms: 1/|E| for the bare and half-line
+    wells, 1/|E| - a with the soft core, and for the repulsive core the
+    roots of x^2 - 2px + a^2 + b/|E|, p = 1/(2|E|) - a, the outer one
+    first and the inner one as the product of the roots over it, free of
+    cancellation.  The integral runs over the classically allowed region,
+    doubled for the symmetric full-line families.
 
     Parameters
     ----------
@@ -169,28 +146,27 @@ def action_generic(E, V, rtol=1e-9):
         raise TypeError("V must be a PotentialSpec")
     if not math.isfinite(E) or E >= 0.0:
         raise ValueError(f"bound-state energy must be negative, got {E}")
+    if V.family == "pure-coulomb":
+        return action(E, rtol=rtol)
     vfun = lambda x: evaluate(V, x)
-    fam = V.family
+    depth = abs(E)
 
-    if fam in ("pure-coulomb", "soft-core", "half-line"):
-        if fam == "soft-core" and E <= -1.0 / V.a:
+    if V.family == "repulsive-core":
+        a, b = V.a, V.b
+        # |E| times the discriminant p^2 - a^2 - b/|E|; zero at the floor
+        gap = 0.25 / depth - (a + b)
+        if gap <= 0.0:
             raise ValueError(
-                f"E={E} is below the soft-core floor {-1.0 / V.a}")
-        x_out = _outer_turning_point(E, vfun, 1e-300 if fam != "soft-core" else 0.0,
-                                     2.0 / abs(E))
-        half = _half_line_action(E, 0.0, x_out, vfun, rtol)
-        if fam == "half-line":
-            return ActionResult(E, half, (0.0, x_out))
-        return ActionResult(E, 2.0 * half, (-x_out, x_out))
+                f"E={E} is below the potential floor {-0.25 / (a + b)}")
+        x_out = 0.5 / depth - a + math.sqrt(gap / depth)
+        x_in = (a * a + b / depth) / x_out
+        val = _half_line_action(E, x_in, x_out, vfun, rtol)
+        return ActionResult(E, 2.0 * val, (x_in, x_out))
 
-    # repulsive core: allowed band (x_in, x_out) on each side of the origin
-    a, b = V.a, V.b
-    x_min = a + 2.0 * b  # V is smallest here
-    floor = -1.0 / (4.0 * (a + b))
-    if E <= floor:
-        raise ValueError(f"E={E} is below the potential floor {floor}")
-    g = lambda x: E - vfun(x)
-    x_in = brentq(g, b, x_min, xtol=1e-15, rtol=1e-14)
-    x_out = _outer_turning_point(E, vfun, x_min, x_min + 2.0 / abs(E))
-    val = _half_line_action(E, x_in, x_out, vfun, rtol)
-    return ActionResult(E, 2.0 * val, (x_in, x_out))
+    x_out = 1.0 / depth - (V.a or 0.0)  # V = -1/(x + a), a = 0 on the half line
+    if x_out <= 0.0:
+        raise ValueError(f"E={E} is below the soft-core floor {-1.0 / V.a}")
+    half = _half_line_action(E, 0.0, x_out, vfun, rtol)
+    if V.family == "half-line":
+        return ActionResult(E, half, (0.0, x_out))
+    return ActionResult(E, 2.0 * half, (-x_out, x_out))

@@ -349,6 +349,37 @@ class TestOutputPlumbing:
         assert code == 3
         assert "converge" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--family", "half-line", "--points", "800"],
+        ["solve", "--family", "half-line", "--half-width", "60",
+         "--points", "800", "--k-max", "1"]])
+    def test_grid_commands_take_no_tolerance(self, argv, capsys):
+        # nothing in a grid solve reads it, so it must not enter the metadata
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--tolerance", "1e-6"])
+        assert info.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "tolerance" not in parse_csv(out)[0]
+
+    @pytest.mark.parametrize("value", ["0", "-1e-3", "nan", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["wkb", "--n", "3", f"--tolerance={value}"])
+        assert info.value.code == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n-max", "1"], ["wkb", "--n", "3"],
+        ["wavefunction", "--n", "2", "--x-min", "0.5", "--x-max", "1.5",
+         "--points", "3"]])
+    def test_recorded_tolerance_is_the_one_used(self, argv, capsys):
+        # an unreachable tolerance reaches the computation, which refuses it
+        code, _, err = run_cli(argv + ["--tolerance", "1e-40"], capsys)
+        assert code == 3
+        assert "converge" in err
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--bogus"])

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coulomb1d import ConvergenceError, WhittakerParams, laguerre, tricomi_u, whittaker_w
-from coulomb1d.specfun import _SERIES_Z, _u_array, _u_seeds, reciprocal_gamma
+from coulomb1d import ConvergenceError, laguerre, tricomi_u, wavefunction
+from coulomb1d.specfun import _SERIES_Z, _u_array, _u_chain, _u_seeds
+from coulomb1d.spectrum import _w_values
 
 
 def laguerre_series(k, alpha, z):
@@ -56,24 +57,25 @@ class TestLaguerre:
             assert v == laguerre(5, 1, z)
 
 
+def _w(kappa, z):
+    """W_{kappa,1/2}(z) from the package's one W evaluator."""
+    return float(_w_values(round(2 * kappa - 1), np.array([z]))[0])
+
+
 class TestReciprocalGamma:
+    """1/Gamma(1 - kappa), the limit of W_{kappa,1/2} at z = 0."""
+
     def test_half(self):
-        assert math.isclose(reciprocal_gamma(0.5), 1.0 / math.sqrt(math.pi),
-                            rel_tol=1e-14)
+        assert math.isclose(_w(0.5, 0.0), 1.0 / math.sqrt(math.pi), rel_tol=1e-14)
 
     def test_negative_half(self):
         # Gamma(-1/2) = -2 sqrt(pi)
-        assert math.isclose(reciprocal_gamma(-0.5), -1.0 / (2 * math.sqrt(math.pi)),
+        assert math.isclose(_w(1.5, 0.0), -1.0 / (2 * math.sqrt(math.pi)),
                             rel_tol=1e-14)
 
     @pytest.mark.parametrize("m", [0, -1, -2, -5])
     def test_poles_give_zero(self, m):
-        assert reciprocal_gamma(float(m)) == 0.0
-
-    def test_matches_gamma_on_positives(self):
-        for x in (0.3, 1.0, 2.5, 7.0, 40.0):
-            assert math.isclose(reciprocal_gamma(x), 1.0 / math.gamma(x),
-                                rel_tol=1e-13)
+        assert _w(1.0 - m, 0.0) == 0.0
 
 
 class TestTricomiU:
@@ -89,19 +91,20 @@ class TestTricomiU:
     def test_a_minus_one_polynomial(self):
         # U(-1,2,z) = z - 2
         assert math.isclose(tricomi_u(-1, 2, 3.0), 1.0, rel_tol=1e-12)
-        # the analytically-continued integral route must agree
-        assert math.isclose(tricomi_u(-1, 2, 3.0, method="integral"), 1.0,
+        # the seed-plus-recurrence route from U(1,2,z) = 1/z must agree
+        assert math.isclose(_u_chain(-1.0, np.array([3.0]), 1e-10)[0][0], 1.0,
                             rel_tol=1e-10)
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("m", range(1, 11))
     def test_reduction_identity(self, m, z):
-        """Transcendental route vs polynomial route at integer kappa."""
-        a = 1.0 - m
-        by_integral = tricomi_u(a, 2, z, method="integral")
-        by_poly = tricomi_u(a, 2, z, method="laguerre")
-        assert by_poly == tricomi_u(a, 2, z)  # default dispatch
-        assert abs(by_integral - by_poly) <= 1e-10 * max(abs(by_poly), 1e-300)
+        """Recurrence route vs polynomial route at integer kappa."""
+        a, k = 1.0 - m, m - 1
+        by_chain = _u_chain(a, np.array([z]), 1e-10)[0][0]
+        by_poly = tricomi_u(a, 2, z)
+        # integer a <= 0 takes the polynomial U(-k,2,z) = (-1)^k k! L_k^(1)(z)
+        assert by_poly == (-1) ** k * (math.factorial(k) * laguerre(k, 1.0, z))
+        assert abs(by_chain - by_poly) <= 1e-10 * max(abs(by_poly), 1e-300)
 
     @pytest.mark.parametrize("a", [0.5, -0.5, -1.5, -3.5, -7.5, -2.0, -6.0])
     @pytest.mark.parametrize("z", [0.3, 1.0, 5.0, 20.0, 100.0])
@@ -135,14 +138,6 @@ class TestTricomiU:
         with pytest.raises(ValueError):
             tricomi_u(math.inf, 2, 1.0)
 
-    def test_rejects_laguerre_method_for_non_integer(self):
-        with pytest.raises(ValueError):
-            tricomi_u(0.5, 2, 1.0, method="laguerre")
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            tricomi_u(0.5, 2, 1.0, method="series")
-
     @pytest.mark.parametrize("a, b, z", [(1.0, 1.5, 3.02e-4), (0.3, 2.0, 1.0),
                                          (2.0, 2.0, 1.0), (0.5, 3.0, 1.0)])
     def test_rejects_parameters_off_the_slice(self, a, b, z):
@@ -174,29 +169,26 @@ class TestSeeds:
 class TestWhittakerW:
     def test_integer_kappa_polynomial_case(self):
         # W_{1,1/2}(z) = z exp(-z/2)
-        val = whittaker_w(WhittakerParams(kappa=1.0, mu=0.5, z=2.0))
-        assert math.isclose(val, 2.0 * math.exp(-1.0), rel_tol=1e-12)
+        assert math.isclose(_w(1.0, 2.0), 2.0 * math.exp(-1.0), rel_tol=1e-12)
 
     def test_ground_limit_at_zero(self):
-        val = whittaker_w(WhittakerParams(kappa=0.5, mu=0.5, z=0.0))
+        val = _w(0.5, 0.0)
         assert math.isclose(val, 1.0 / math.sqrt(math.pi), rel_tol=1e-12)
         assert abs(val - 0.5642) < 1e-4
 
     def test_integer_kappa_vanishes_at_zero(self):
-        assert whittaker_w(WhittakerParams(kappa=1.0, mu=0.5, z=0.0)) == 0.0
+        assert _w(1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("kappa", [0.5, 1.5])
     def test_limit_continuity(self, kappa):
-        near = whittaker_w(WhittakerParams(kappa=kappa, mu=0.5, z=1e-6))
-        limit = whittaker_w(WhittakerParams(kappa=kappa, mu=0.5, z=0.0))
-        assert abs(near - limit) <= 1e-4
+        assert abs(_w(kappa, 1e-6) - _w(kappa, 0.0)) <= 1e-4
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 1.5, 2.0])
     def test_asymptotic_log_form(self, kappa):
         """log W + z/2 - kappa log z decays toward 0 as z grows."""
         resid = []
         for z in (50.0, 100.0, 200.0):
-            w = whittaker_w(WhittakerParams(kappa=kappa, mu=0.5, z=z))
+            w = _w(kappa, z)
             assert w > 0
             resid.append(abs(math.log(w) + 0.5 * z - kappa * math.log(z)))
         # kappa = 1 is exact up to roundoff, so allow a tiny slack
@@ -205,19 +197,14 @@ class TestWhittakerW:
         log_scale = abs(-0.5 * 200.0 + kappa * math.log(200.0))
         assert resid[2] <= 1e-3 * log_scale
 
-    def test_rejects_unsupported_mu(self):
-        with pytest.raises(ValueError):
-            whittaker_w(WhittakerParams(kappa=1.0, mu=0.25, z=1.0))
-
     def test_rejects_bad_kappa(self):
+        # kappa = (n+1)/2 must be a positive half-integer: n = 2 kappa - 1
         with pytest.raises(ValueError):
-            whittaker_w(WhittakerParams(kappa=0.3, mu=0.5, z=1.0))
+            wavefunction(2 * 0.3 - 1, 1.0)  # kappa = 0.3
         with pytest.raises(ValueError):
-            whittaker_w(WhittakerParams(kappa=-0.5, mu=0.5, z=1.0))
-
-    def test_rejects_negative_argument(self):
+            wavefunction(2 * -0.5 - 1, 1.0)  # kappa = -1/2
         with pytest.raises(ValueError):
-            whittaker_w(WhittakerParams(kappa=1.0, mu=0.5, z=-0.1))
+            wavefunction(2 * 1.25 - 1, 1.0)  # kappa = 5/4
 
     def test_accuracy_against_quadrature_oracle(self):
         """Brute-force check of the even-state seed against scipy.quad."""

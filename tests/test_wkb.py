@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -74,9 +75,14 @@ class TestQuantization:
         got = wkb_energy(0, WKBConfig(maslov_offset=0.5))
         assert math.isclose(got, -8.0, rel_tol=1e-10)
 
-    def test_explicit_bracket_honored(self):
-        got = wkb_energy(2, WKBConfig(root_bracket=(-1.0, -0.05)))
-        assert math.isclose(got, exact_energy(2), rel_tol=1e-10)
+    def test_closed_form_bracket_holds_for_any_offset(self):
+        # S(E) = pi sqrt(2/|E|) is half and twice its target at the ends
+        # of [4 g, g/4], so the bracket holds without widening
+        for offset in (0.5, 1.0, 2.0):
+            for n in range(41):
+                target = -2.0 / (n + offset) ** 2
+                got = wkb_energy(n, WKBConfig(maslov_offset=offset))
+                assert abs(got - target) <= 1e-10 * abs(target), (offset, n)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
@@ -126,3 +132,51 @@ class TestActionGeneric:
     def test_rejects_positive_energy(self):
         with pytest.raises(ValueError):
             action_generic(0.5, pure_coulomb())
+
+
+def _mp_turning_points(E, spec):
+    """Roots of E - V(x) on x > 0 by bracketed mpmath root search, 30 digits."""
+    with mp.workdps(30):
+        E = mp.mpf(E)
+        if spec.family == "repulsive-core":
+            a, b = mp.mpf(spec.a), mp.mpf(spec.b)
+            g = lambda x: E + (x - b) / (x + a) ** 2
+            x_min = a + 2 * b  # V is smallest here
+            return (float(mp.findroot(g, (b, x_min), solver="anderson")),
+                    float(mp.findroot(g, (x_min, 4 / abs(E)), solver="anderson")))
+        a = mp.mpf(spec.a or 0)
+        g = lambda x: E + 1 / (x + a)
+        return (float(mp.findroot(g, (mp.mpf("1e-40"), 4 / abs(E)),
+                                  solver="anderson")),)
+
+
+_EPS = np.finfo(float).eps
+_FLOOR = -1.0 / (4 * (1e-2 + 5e-2))  # of repulsive_core(1e-2, 5e-2)
+
+
+class TestTurningPoints:
+    @pytest.mark.parametrize("spec", [soft_core(1e-6), soft_core(1e-2),
+                                      soft_core(0.3), half_line()],
+                             ids=["soft-1e-6", "soft-1e-2", "soft-0.3", "half-line"])
+    @pytest.mark.parametrize("E", [-3.0, -0.5, -0.07])
+    def test_outer_point(self, spec, E):
+        (ref,) = _mp_turning_points(E, spec)
+        res = action_generic(E, spec)
+        x_out = res.turning_points[1]
+        # 1/|E| - a cancels against a, to a few eps of 1/|E|
+        assert abs(x_out - ref) <= 4 * _EPS / abs(E)
+        assert res.turning_points[0] == (0.0 if spec.family == "half-line" else -x_out)
+
+    @pytest.mark.parametrize("a, b, E", [
+        (1e-2, 5e-2, -0.5), (1e-3, 5e-3, -0.3), (1e-3, 5e-3, -10.0),
+        (0.1, 0.0, -0.5),
+        (1e-2, 5e-2, _FLOOR * (1 - 1e-6)), (1e-2, 5e-2, _FLOOR * (1 - 1e-9))])
+    def test_repulsive_core_band(self, a, b, E):
+        spec = repulsive_core(a, b)
+        floor = -1.0 / (4 * (a + b))
+        # the two roots meet at the floor, so their rounding grows like
+        # 1/sqrt of the distance to it
+        rtol = 4 * _EPS + _EPS * math.sqrt(abs(floor) / (E - floor))
+        got = action_generic(E, spec).turning_points
+        for x, ref in zip(got, _mp_turning_points(E, spec)):
+            assert abs(x - ref) <= rtol * ref, (x, ref)
