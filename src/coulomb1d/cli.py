@@ -15,6 +15,7 @@ import argparse
 import datetime
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -242,8 +243,18 @@ def _add_common(sp):
                     help="include a UTC timestamp in the metadata")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e-3 as a number, not a flag: argparse's own negative-number
+    pattern has no exponent form.  Subparsers are built from this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coulomb1d",
         description="Bound states of the 1D Coulomb potential: exact "
                     "spectrum, WKB quantization, and regularized variants.")

@@ -1,15 +1,13 @@
-"""Gauss-Legendre quadrature for the action and normalization integrals.
+"""Gauss-Legendre quadrature for the action integrals.
 
 ``gauss_legendre``, the one order-doubling loop, returns when the value
 changes by at most rtol of itself between orders, and raises when the
 change is within order * eps of the value (the rounding floor of a sum of
-one sign) or at order 4096.  ``adaptive`` splits the interval instead,
-for a feature whose position is unknown.
+one sign) or at order 4096.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +15,6 @@ from numpy.polynomial.legendre import leggauss
 
 _EPS = np.finfo(float).eps
 _MAX_ORDER = 4096  # soft-core actions at a = 1e-8 converge only here
-_MAX_PANELS = 2000
 
 
 class ConvergenceError(Exception):
@@ -71,34 +68,3 @@ def gauss_legendre(f, a, b, rtol=1e-12, order=16):
                 cur, change)
         prev = cur
 
-
-def adaptive(f, a, b, rtol=1e-12):
-    """Adaptive panel-splitting Gauss-Legendre integration on [a, b].
-
-    Each panel carries a 15/31-point error estimate; the worst panel is
-    bisected until the summed estimate meets ``rtol``.
-    """
-    def make(lo, hi):
-        coarse = _panel(f, lo, hi, 15)
-        fine = _panel(f, lo, hi, 31)
-        err = abs(fine - coarse)
-        return (-err, lo, hi, fine, err)
-
-    first = make(a, b)
-    heap = [first]
-    total, toterr = first[3], first[4]
-    panels = 1
-    while toterr > rtol * abs(total) and panels < _MAX_PANELS:
-        _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        left, right = make(lo, mid), make(mid, hi)
-        total += left[3] + right[3] - val
-        toterr += left[4] + right[4] - err
-        heapq.heappush(heap, left)
-        heapq.heappush(heap, right)
-        panels += 2
-    if toterr > rtol * abs(total):
-        raise ConvergenceError(
-            f"adaptive quadrature exceeded {_MAX_PANELS} panels",
-            total, toterr)
-    return total, toterr

@@ -7,6 +7,11 @@ The eigenfunctions are
 unnormalized, with even/odd parity following n.  Odd states reduce to
 polynomial-times-exponential form; even states keep a logarithmic cusp
 at the origin, where psi is finite but psi' diverges.
+
+Norms are closed forms, with nu = (n+1)/2: the integral of psi_n^2 is
+2 nu (nu!)^2 for odd n and (Gamma(nu)/pi)^2 [2 nu^2 + nu + 2 nu^3
+trigamma(1 - nu)] for even n, from a Wronskian identity with DLMF 13.2.9
+and 5.15.5 (see ``normalize``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rgamma
 
-from .quadrature import adaptive
 from .specfun import _u_array
 
 __all__ = [
@@ -94,29 +98,42 @@ def wavefunction(n, x, rtol=1e-11):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def normalize(n, rtol=1e-10):
+def normalize(n):
     """Return the BoundState for level n with its L2 normalization constant.
 
-    The squared wavefunction is integrated over the half line (doubled
-    by parity), truncated where the integrand falls below 1e-16 of its
-    peak.
+    ``norm`` = 1/sqrt(N), N the integral of psi_n^2 over the line, in
+    closed form with nu = (n+1)/2; no wavefunction is evaluated.
+
+    - odd n: N = 2 nu (nu!)^2, an exact integer rounded once;
+    - even n: N = (Gamma(nu)/pi)^2 [2 nu^2 + nu + 2 nu^3 T] with
+      T = trigamma(1 - nu) = pi^2/2 + 4 sum_{j=1}^{n/2} 1/(2j-1)^2, from the
+      Wronskian identity int_0^inf psi_E^2 dx = (psi dpsi'/dE -
+      psi' dpsi/dE)/2 at x = 0+ for psi_E(x) = W_{nu,1/2}(2x/nu),
+      E = -1/(2 nu^2), with the small-z expansion of U (DLMF 13.2.9), whose
+      log terms cancel, and trigamma(x) = trigamma(x+1) + 1/x^2 (DLMF
+      5.15.5).  The norm is pi / (Gamma(nu) sqrt(bracket)): nothing is
+      squared, no term is negative, and it is good to a few eps.
+
+    Raises ``ValueError`` where N leaves the float range (odd n >= 195,
+    even n >= 340) instead of returning a norm of 0.
     """
     n = _check_n(n)
-    kappa = n + 1.0  # 2*kappa in the z variable; psi^2 ~ z^(n+1) e^(-z)
-    z_cut = kappa + 40.0
-    for _ in range(3):
-        z_cut = kappa + 37.0 + kappa * math.log(z_cut / kappa)
-    x_cut = 0.25 * (n + 1) * z_cut
-
-    def integrand(x):
-        v = wavefunction(n, x, rtol=1e-12)
-        return v * v
-
-    val, _ = adaptive(integrand, 0.0, x_cut, rtol=rtol)
-    total = 2.0 * val
+    try:
+        if n % 2:
+            m = (n + 1) // 2
+            norm = 1.0 / math.sqrt(2 * m * math.factorial(m) ** 2)
+        else:
+            nu = 0.5 * (n + 1)
+            t = math.fsum([0.5 * math.pi ** 2]
+                          + [4.0 / (2 * j - 1) ** 2 for j in range(1, n // 2 + 1)])
+            bracket = 2.0 * nu * nu + nu + 2.0 * nu ** 3 * t
+            norm = math.pi / (math.gamma(nu) * math.sqrt(bracket))
+    except OverflowError:  # Gamma(nu), or the odd integer N, past the float range
+        norm = 0.0
+    if norm == 0.0:  # or an even denominator that overflowed to inf
+        raise ValueError(f"the integral of psi_{n}^2 exceeds the float range")
     return BoundState(n=n, energy=exact_energy(n),
-                      parity="odd" if n % 2 else "even",
-                      norm=1.0 / math.sqrt(total))
+                      parity="odd" if n % 2 else "even", norm=norm)
 
 
 def node_count(n, window=None, samples=None):

@@ -33,6 +33,7 @@ def test_traced_operations_reach_every_bound_name(capsys):
     tracer.install()
     try:
         coulomb1d.wavefunction(0, xs)
+        coulomb1d.normalize(2)
         coulomb1d.wkb_energy(3)
         coulomb1d.solve(coulomb1d.pure_coulomb(),
                         coulomb1d.Grid(half_width=60.0, points=800), 2)
@@ -50,3 +51,18 @@ def test_traced_operations_reach_every_bound_name(capsys):
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["cli.scan_points"] == 800
     assert metrics["wkb.actions_per_energy"] > 0
+
+    # the norm is a closed form: no quadrature and no U beneath normalize
+    norms = [i for i, span in enumerate(tracer.spans)
+             if span[0] == "spectrum.normalize"]
+    assert norms
+
+    def under_normalize(span):
+        parent = span[3]
+        while parent >= 0 and parent not in norms:
+            parent = tracer.spans[parent][3]
+        return parent >= 0
+
+    assert not [span[0] for span in tracer.spans if under_normalize(span)
+                and (span[0].startswith("quadrature.")
+                     or span[0] == "specfun._u_array")]

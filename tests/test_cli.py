@@ -13,7 +13,9 @@ import sys
 import numpy as np
 import pytest
 
+from coulomb1d import normalize, wavefunction
 from coulomb1d.cli import main
+from test_spectrum import EPS, exact_norm_integral, integral_error
 
 
 def run_cli(argv, capsys):
@@ -130,6 +132,23 @@ class TestWavefunctionCommand:
         code, _, _ = run_cli(["wavefunction", "--n", "-1"], capsys)
         assert code == 2
 
+    def test_normalized_n40_is_the_closed_form_norm(self, capsys):
+        # the quadrature norm printed here was 7.5e-10 off
+        _, out, _ = run_cli(["wavefunction", "--n", "40", "--normalized"], capsys)
+        _, rows = parse_csv(out)
+        xs = np.array([float(r["x"]) for r in rows])
+        norm = normalize(40).norm
+        assert np.array_equal([float(r["psi"]) for r in rows],
+                              wavefunction(40, xs) * norm)
+        assert integral_error(norm, exact_norm_integral(40)) <= 4 * EPS
+
+    def test_exponent_form_window(self, capsys):
+        code, out, _ = run_cli(["wavefunction", "--n", "0", "--x-min", "-1e1",
+                                "--x-max", "1e1"], capsys)
+        assert code == 0
+        meta, rows = parse_csv(out)
+        assert float(meta["x_min"]) == -10.0 and len(rows) == 2001
+
 
 class TestWkbCommand:
     def test_action_at_ground_energy(self, capsys):
@@ -156,6 +175,14 @@ class TestWkbCommand:
         assert math.isclose(float(rows[0]["energy"]), -0.125, rel_tol=1e-10)
         assert math.isclose(float(rows[0]["action"]), 4.0 * math.pi,
                             rel_tol=1e-10)
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-2.5e+0", "-.5e1"])
+    def test_negative_exponent_form_is_a_value(self, value, capsys):
+        # argparse's own negative-number pattern has no exponent form
+        code, out, _ = run_cli(["wkb", "--energy", value], capsys)
+        assert code == 0
+        assert run_cli(["wkb", f"--energy={value}"], capsys)[1] == out
+        assert float(parse_csv(out)[1][0]["energy"]) == float(value)
 
     def test_scattering_energy_rejected(self, capsys):
         code, _, err = run_cli(["wkb", "--energy", "2"], capsys)

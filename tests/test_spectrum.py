@@ -1,6 +1,7 @@
 """Tests for the exact bound-state construction."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coulomb1d import (BoundState, cusp_indicator, exact_energy, node_count,
-                       normalize, ode_residual, wavefunction)
+                       normalize, ode_residual, spectrum, wavefunction)
+
+EPS = np.finfo(float).eps
 
 
 class TestExactEnergy:
@@ -189,6 +192,154 @@ class TestNormalize:
             val, _ = quad(lambda x: (c * wavefunction(n, x)) ** 2, 0,
                           20.0 * (n + 1) + 40.0, limit=300)
             assert abs(1.0 / math.sqrt(2 * val) - 1.0) < 1e-10
+
+
+# -- exact norm integrals, apart from spectrum.normalize ----------------------
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _gamma_half(k):
+    """Gamma(k/2) for an integer k >= 1 as (r, h): r sqrt(pi)^h, h in {0, 1}."""
+    if k % 2 == 0:
+        return Fraction(math.factorial(k // 2 - 1)), 0
+    m = k // 2  # Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
+    return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)), 1
+
+
+def _bessel_moment(mu, a, b):
+    """int_0^inf t^(mu-1) K_a(t) K_b(t) dt = 2^(mu-3)/Gamma(mu) prod Gamma((mu +- a +- b)/2)
+    (Gradshteyn-Ryzhik 6.576.4 at equal arguments), as (r, j): r pi^(2j)."""
+    r, h = Fraction(2) ** (mu - 3) / math.factorial(mu - 1), 0
+    for k in (mu + a + b, mu + a - b, mu - a + b, mu - a - b):
+        g, half = _gamma_half(k)
+        r, h = r * g, h + half
+    assert h in (0, 4)  # the four arguments share one parity
+    return r, h // 4
+
+
+def exact_norm_integral(n):
+    """N = int psi_n^2 dx over the line for even n, exact to 40 digits.
+
+    sqrt(pi) e^(-z/2) U(s,2,z) = A(z) K0(z/2) + B(z) K1(z/2) with
+    polynomials A, B: the seeds of ``specfun._u_seeds`` at s = 1/2 and 3/2,
+    then U(s-1) = (z + 2s - 2) U(s) - s(s-1) U(s+1) on the coefficients
+    down to s = 1 - nu.  So W = (z/sqrt(pi)) (A K0 + B K1), and with
+    z = 2t every term of int W^2 dz is a Bessel moment: N = R/pi + S pi
+    with R, S rational.
+    """
+    assert n % 2 == 0
+    s, a = Fraction(1, 2), Fraction(1 - n, 2)
+    cur = ([Fraction(1, 2)], [Fraction(1, 2)])
+    hi = ([Fraction(-1)], [Fraction(1)])
+    while s > a:
+        step = [2 * s - 2, Fraction(1)]
+        cur, hi = tuple(
+            [u - s * (s - 1) * (v[i] if i < len(v) else 0)
+             for i, u in enumerate(_poly_mul(step, c))]
+            for c, v in zip(cur, hi)), cur
+        s -= 1
+    A, B = ([c * 2 ** i for i, c in enumerate(p)] for p in cur)  # in t = z/2
+    parts = [Fraction(0), Fraction(0)]  # rational, times pi^2
+    for poly, weight, ka, kb in ((_poly_mul(A, A), 1, 0, 0),
+                                 (_poly_mul(A, B), 2, 0, 1),
+                                 (_poly_mul(B, B), 1, 1, 1)):
+        for i, c in enumerate(poly):
+            r, j = _bessel_moment(i + 3, ka, kb)  # dz z^2 = 8 t^2 dt
+            parts[j] += 8 * weight * c * r
+    nu = Fraction(n + 1, 2)  # N = 2 int_0^inf psi^2 dx = nu int_0^inf W^2 dz
+    with mp.workdps(40):
+        R, S = (mp.mpf(p.numerator) / p.denominator for p in parts)
+        return +(nu.numerator * (R / mp.pi + S * mp.pi) / nu.denominator)
+
+
+def exact_odd_integral(n):
+    """N for odd n as an exact integer, from the Laguerre form of W:
+    W_{m,1/2}(z) = (-1)^(m-1) (m-1)! z e^(-z/2) L_{m-1}^(1)(z), m = (n+1)/2,
+    and int_0^inf z^k e^(-z) dz = k!."""
+    m = (n + 1) // 2
+    lag = [Fraction((-1) ** i * math.comb(m, m - 1 - i), math.factorial(i))
+           for i in range(m)]
+    moment = sum(c * math.factorial(i + 2) for i, c in enumerate(_poly_mul(lag, lag)))
+    total = m * math.factorial(m - 1) ** 2 * moment
+    assert total.denominator == 1
+    return total.numerator
+
+
+def integral_error(norm, exact):
+    """|1/norm^2 - N| / N, with 1/norm^2 formed exactly."""
+    with mp.workdps(40):
+        return float(abs(1 / mp.mpf(norm) ** 2 / exact - 1))
+
+
+class TestClosedFormNorms:
+    def test_bessel_moment_oracle_at_ground(self):
+        # N_0 = 1/pi + pi/8, the two parts of the oracle at n = 0
+        with mp.workdps(40):
+            assert abs(exact_norm_integral(0) - (1 / mp.pi + mp.pi / 8)) < mp.mpf(10) ** -38
+
+    def test_even_against_bessel_moments(self):
+        for n in range(0, 41, 2):
+            assert integral_error(normalize(n).norm, exact_norm_integral(n)) <= 4 * EPS, n
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_against_mpmath_quadrature(self, n):
+        # 30 digits where W^2 lives; the tail past 3 nu + 20 holds under
+        # 4e-6 of the integral, so 15 digits there keep 20 in the sum
+        k = mp.mpf(n + 1) / 2
+        with mp.workdps(30):
+            def w2(z):
+                return mp.whitw(k, 0.5, z) ** 2
+            head, e1 = mp.quad(w2, [0, 1], error=True)  # tanh-sinh: the even cusp
+            body, e2 = mp.quad(w2, [1, 2 * k + 4, 3 * k + 20],
+                               method="gauss-legendre", error=True)
+            with mp.workdps(15):
+                tail, e3 = mp.quad(w2, [3 * k + 20, 2 * k + 60],
+                                   method="gauss-legendre", error=True)
+            half = head + body + tail
+            assert (e1 + e2 + e3) / half < 1e-20
+            assert w2(2 * k + 60) / half < 1e-18
+            exact = (n + 1) * half / 2
+        assert integral_error(normalize(n).norm, exact) <= 4 * EPS
+
+    def test_odd_exactly_the_closed_form(self):
+        for n in range(1, 42, 2):
+            m = (n + 1) // 2
+            assert exact_odd_integral(n) == 2 * m * math.factorial(m) ** 2
+            assert normalize(n).norm == 1.0 / math.sqrt(exact_odd_integral(n)), n
+
+    def test_beyond_the_old_quadrature(self):
+        # quadrature raised ConvergenceError from n = 60
+        assert integral_error(normalize(60).norm, exact_norm_integral(60)) <= 4 * EPS
+        norm = normalize(200).norm
+        assert math.isfinite(norm) and norm > 0
+
+    def test_float_evaluation_over_the_even_range(self):
+        # the closed form at 40 digits, T from mpmath's trigamma, not the sum
+        for n in range(0, 339, 2):
+            with mp.workdps(40):
+                nu = mp.mpf(n + 1) / 2
+                exact = (mp.gamma(nu) / mp.pi) ** 2 * (
+                    2 * nu ** 2 + nu + 2 * nu ** 3 * mp.psi(1, 1 - nu))
+            assert integral_error(normalize(n).norm, exact) <= 6 * EPS, n
+
+    @pytest.mark.parametrize("n", [195, 340, 400])
+    def test_past_the_float_range_raises(self, n):
+        with pytest.raises(ValueError, match="float range"):
+            normalize(n)
+
+    def test_no_wavefunction_evaluated(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("normalize evaluated a wavefunction")
+        monkeypatch.setattr(spectrum, "_w_values", forbidden)
+        monkeypatch.setattr(spectrum, "_u_array", forbidden)
+        for n in range(6):
+            assert normalize(n).norm > 0
 
 
 class TestNodeCount:
