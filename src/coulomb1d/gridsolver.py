@@ -44,26 +44,44 @@ unstaggered grids, keep the full N-point matrix; their levels carry no
 parity label.  An unstaggered grid has its walls on the lattice, one
 step h outside the end points, and end cells of width h.
 
-Eigenvectors come from the symmetric tridiagonal bisection/inverse-
-iteration path (LAPACK stebz/stein via scipy).  Bisection stops at the
-loose tolerance 1e-4, enough to place each level inside its gap; stein
-then converges the vectors, and each vector's residual ||Hy - Ey|| must
-reach the rounding floor of a full-precision solve, 16 eps ||H||, or
-the solve is repeated at LAPACK's default tolerance.  The energies are
-the Rayleigh quotients of the vectors, computed in the difference form
-above, so they are good to the discretization error, not to a
-bisection tolerance.  Each level keeps its residual: H has an
+Eigenvectors.  A grid of at least 16 x 2000 points first solves the
+same problem on the grid with a sixteenth of the points, through this
+same path, so the coarse solve may itself start from a coarser one.
+Each coarse vector is interpolated onto the fine nodes and polished by
+at most five shift-invert Rayleigh-quotient steps, one LAPACK gtsv
+solve each, which converge cubically near an eigenvector (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4).  A polished level j stands only
+with a certificate: its vector's residual ||Hy - Ey|| is at most
+16 eps ||H||, the rounding floor of a full-precision solve, and the
+vector has exactly j sign changes, as eigenvector j of a Jacobi matrix
+(a sector, or the full matrix) must.  If any level of a matrix fails
+it, or a solve breaks down, all its levels are solved again by
+bisection and inverse iteration (LAPACK stebz/stein via scipy), as
+those of smaller grids are at once; a coarse grid that misses a core
+can send a start to the wrong level.  Bisection first stops at the
+loose tolerance 1e-4, enough to place each level inside its gap; if
+stein then leaves a residual above the floor, the solve is repeated at
+LAPACK's default tolerance.  The logger ``coulomb1d.gridsolver``
+records the route of every matrix at DEBUG.  LAPACK's MRRR
+(``eigh_tridiagonal(..., lapack_driver='stemr')``) is no option:
+scipy's wrapper asks for an n x n workspace, 543 GiB at n = 270000.
+
+The energies are the Rayleigh quotients of the vectors, computed in the
+difference form above, so they are good to the discretization error,
+not to a bisection tolerance.  Each level keeps its residual: H has an
 eigenvalue within it of the level's energy.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .potentials import PotentialSpec, evaluate, singular_at_origin
 from .quadrature import ConvergenceError
@@ -239,6 +257,14 @@ _BISECTION_TOL = 1e-4
 # sectors).  By Weyl and Kato-Temple its vectors and quotients are then
 # as good as a full-precision pass's.
 _RESIDUAL_FLOOR = 16.0
+# A grid whose coarse version, points // _COARSEN rounded down to even,
+# has at least _COARSE_MIN points starts from the solution there, and
+# polishes each level with at most _POLISH_STEPS Rayleigh-quotient steps.
+_COARSEN = 16
+_COARSE_MIN = 2000
+_POLISH_STEPS = 5
+
+_log = logging.getLogger(__name__)
 
 
 def _norm(mat):
@@ -248,16 +274,24 @@ def _norm(mat):
             + 2.0 * max(mat.e.max(), -mat.e.min()))
 
 
-def _pairs(mat, k, tol):
-    """One eigensolve at bisection tolerance tol: Rayleigh-quotient
-    energies E in difference form, nodal vectors u scaled so that
-    sum(width * u^2) = 1, and residuals ||Hy - Ey|| of the unit vectors y.
+def _apply(d, e, c, out, t):
+    """out = T c for the tridiagonal T with diagonal d (which may be out)
+    and off-diagonal e; t is scratch of the size of e."""
+    np.multiply(d, c, out=out)
+    out[:-1] += np.multiply(e, c[1:], out=t)
+    out[1:] += np.multiply(e, c[:-1], out=t)
+    return out
+
+
+def _quotients(mat, y):
+    """Rayleigh-quotient energies E in difference form, nodal vectors u
+    scaled so that sum(width * u^2) = 1, and residuals ||Hy - Ey|| of
+    the unit columns y.
 
     The potential term and the residuals take one column of y at a time,
     so that no further temporary has the size of the vectors.
     """
-    _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1),
-                            tol=tol)
+    k = y.shape[1]
     # y has unit 2-norm, so u = M^(-1/2) y has sum(width * u^2) = 1 and
     # the quotient u.K.u / u.M.u needs no denominator
     u = y / mat.scale[:, None]
@@ -271,79 +305,181 @@ def _pairs(mat, k, tol):
     for j, c in enumerate(y.T):
         energy[j] = (kinetic[j] + np.multiply(mat.v, c, out=hy) @ c
                      + wall0[j] + wall1[j])
-        np.subtract(mat.d, energy[j], out=hy)
-        hy *= c
-        hy[:-1] += np.multiply(mat.e, c[1:], out=t)
-        hy[1:] += np.multiply(mat.e, c[:-1], out=t)
+        _apply(np.subtract(mat.d, energy[j], out=hy), mat.e, c, hy, t)
         r[j] = math.sqrt(hy @ hy)
     return energy, u, r
 
 
-def _lowest(mat, k):
-    """Lowest k eigenpairs as energies, nodal vectors and residuals.
+def _polished(mat, k, start, floor):
+    """Levels polished from start vectors, with the Rayleigh-quotient
+    steps each took, or None unless every level is certified.
 
-    A first pass bisects only to _BISECTION_TOL; it stands if every
-    vector's residual is at the rounding floor, and otherwise, or if
-    stein fails to converge, the default full-precision pass replaces it.
+    Each step solves (H - sigma) z = y for the quotient sigma of y, by
+    LU with partial pivoting (LAPACK gtsv), and takes y = z / ||z||; it
+    converges cubically once y is near an eigenvector.  Level j stands
+    if its residual is at most ``floor`` and its vector has j sign
+    changes, the node count of eigenvector j of a Jacobi matrix.  The
+    first level to fail ends the attempt.
+    """
+    n = mat.d.size
+    y = np.empty((n, k), order="F")
+    # right-hand side and solution, the shifted diagonal, the off-diagonals
+    # that gtsv overwrites, and scratch: no step allocates
+    b, dd = np.empty(n), np.empty(n)
+    dl, du, t = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
+    steps = []
+    for j in range(k):
+        c = y[:, j]
+        np.multiply(start(j), mat.scale, out=c)
+        c /= math.sqrt(c @ c)
+        sigma = _apply(mat.d, mat.e, c, b, t) @ c
+        for step in range(_POLISH_STEPS + 1):
+            np.subtract(mat.d, sigma, out=dd)
+            _apply(dd, mat.e, c, b, t)
+            if math.sqrt(b @ b) <= floor:
+                break
+            if step == _POLISH_STEPS:
+                return None
+            b[:], dl[:], du[:] = c, mat.e, mat.e
+            info = dgtsv(dl, dd, du, b, overwrite_dl=1, overwrite_d=1,
+                         overwrite_du=1, overwrite_b=1)[-1]
+            size = math.sqrt(b @ b) if info == 0 else math.nan
+            # written so that a NaN or infinite solution fails too
+            if not 0.0 < size < math.inf:
+                return None
+            # the quotient of z = (H - sigma)^(-1) c is sigma + z.c / z.z
+            sigma += (b @ c) / size / size
+            np.divide(b, size, out=c)
+        if sign_changes(np.divide(c, mat.scale, out=b)).size != j:
+            return None
+        steps.append(step)
+    del b, dd, dl, du, t  # before the quotients allocate u and its differences
+    energy, u, r = _quotients(mat, y)
+    if not r.max() <= floor:
+        return None
+    return (energy, u, r, list(range(k))), steps
+
+
+def _pairs(mat, k, tol):
+    """One bisection/inverse-iteration eigensolve at tolerance tol, as
+    `_quotients` of its vectors."""
+    _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1),
+                            tol=tol)
+    return _quotients(mat, y)
+
+
+def _lowest(mat, k, start):
+    """Lowest k eigenpairs as energies, nodal vectors, residuals and node
+    counts.
+
+    ``start(j)``, if not None, gives a nodal start vector of level j;
+    the levels polished from them stand if every one is certified.
+    Otherwise a first bisection pass stops at _BISECTION_TOL; it stands
+    if every vector's residual is at the rounding floor, and otherwise,
+    or if stein fails to converge, the default full-precision pass
+    replaces it.  Each call logs the route it took at DEBUG.
     """
     if k == 0:
-        return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0)
+        return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0), []
     eps_norm = np.finfo(float).eps * _norm(mat)
+    floor = _RESIDUAL_FLOOR * eps_norm
+    tried = ""
+    if start is not None:
+        polished = _polished(mat, k, start, floor)
+        if polished is not None:
+            _log.debug("%d-point matrix, %d levels: polished in %s steps",
+                       mat.d.size, k, polished[1])
+            return polished[0]
+        tried = " after a failed polish"
     try:
         pairs = _pairs(mat, k, max(_BISECTION_TOL, eps_norm))
     except LinAlgError:
         pairs = None
     # written so that a NaN residual fails the certificate too
-    if pairs is None or not pairs[2].max() <= _RESIDUAL_FLOOR * eps_norm:
+    if pairs is not None and pairs[2].max() <= floor:
+        route = "loose bisection"
+    else:
         pairs = None  # free the loose pass before the full one
         try:
             pairs = _pairs(mat, k, 0.0)
         except LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
                                    None, math.inf) from exc
-    return pairs
+        route = "full bisection"
+    _log.debug("%d-point matrix, %d levels: %s%s", mat.d.size, k, route, tried)
+    energy, u, r = pairs
+    return energy, u, r, [sign_changes(c).size for c in u.T]
 
 
-def _mirrored(v_half, xp, k, half_width):
-    """Merged sector energies, full-mesh vectors and residuals of an even
-    potential."""
+def _coarse(V, g, k):
+    """Mesh and vectors of the same problem on the grid with
+    points // _COARSEN, rounded down to even so that a full-line grid
+    stays mirror symmetric; None if that grid is too small."""
+    points = 2 * (g.points // (2 * _COARSEN))
+    if points < _COARSE_MIN or k > points // 4:
+        return None
+    x, _, vecs, *_ = _eigenpairs(V, replace(g, points=points), k)
+    return x, vecs
+
+
+def _starts(coarse, x, levels):
+    """start(j) for `_lowest`: coarse level levels[j] interpolated onto
+    the nodes x, built only when it is asked for."""
+    if coarse is None:
+        return None
+    xc, vc = coarse
+    return lambda j: np.interp(x, xc, vc[:, levels[j]])
+
+
+def _mirrored(v_half, xp, k, half_width, coarse):
+    """Merged sector energies, full-mesh vectors, residuals and node
+    counts of an even potential."""
     m = xp.size
     # no link across the centre (even), or a wall at the centre (odd)
     even = _assemble(xp, v_half, (0.0, half_width), (None, half_width))
-    w_even, u_even, r_even = _lowest(even, (k + 1) // 2)
+    w_even, u_even, r_even, n_even = _lowest(
+        even, (k + 1) // 2, _starts(coarse, xp, range(0, k, 2)))
     # the even matrix is spent, so the odd one may take over its arrays
-    w_odd, u_odd, r_odd = _lowest(_wall_at_origin(even, xp), k // 2)
-    w, r = np.empty(k), np.empty(k)
+    w_odd, u_odd, r_odd, n_odd = _lowest(
+        _wall_at_origin(even, xp), k // 2, _starts(coarse, xp, range(1, k, 2)))
+    w, r, nodes = np.empty(k), np.empty(k), [0] * k
     w[0::2], w[1::2] = w_even, w_odd
     # a sector residual is the full matrix's residual of the mirrored vector
     r[0::2], r[1::2] = r_even, r_odd
+    # the mirror image doubles the nodes; an odd level adds the one at x = 0
+    nodes[0::2] = [2 * n for n in n_even]
+    nodes[1::2] = [2 * n + 1 for n in n_odd]
     vecs = np.empty((2 * m, k))
     vecs[m:, 0::2], vecs[m:, 1::2] = u_even, u_odd
     vecs[m:] /= math.sqrt(2.0)
     vecs[:m] = vecs[m:][::-1]
     vecs[:m, 1::2] *= -1.0
-    return w, vecs, r
+    return w, vecs, r, nodes
 
 
 def _eigenpairs(V, g, k):
     """Mesh, energies, vectors scaled to sum(width * v^2) = 1, residuals,
-    and whether the vectors come from the two parity sectors."""
+    node counts, and whether the vectors come from the two parity
+    sectors."""
     spec = isinstance(V, PotentialSpec)
     L = g.half_width
+    full_line = g.staggered and not (spec and V.family == "half-line")
+    if full_line and g.points % 2:
+        raise ValueError("full-line staggered grids need an even "
+                         "point count to stay mirror-symmetric")
+    coarse = _coarse(V, g, k)
     if spec and V.family == "half-line":
         # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
         x = _half_mesh(g, g.points)
         mat = _assemble(x, _potential(V, x), (0.0, L), (None, L))
-        return (x, *_lowest(_wall_at_origin(mat, x), k), False)
+        return (x, *_lowest(_wall_at_origin(mat, x), k,
+                            _starts(coarse, x, range(k))), False)
     if not g.staggered:
         # walls on the lattice, one step outside the end points
         h = 2.0 * L / g.points
         x = -L + np.arange(1, g.points) * h
         mat = _assemble(x, _potential(V, x), (-L + 0.5 * h, L - 0.5 * h), (-L, L))
-        return (x, *_lowest(mat, k), False)
-    if g.points % 2:
-        raise ValueError("full-line staggered grids need an even "
-                         "point count to stay mirror-symmetric")
+        return (x, *_lowest(mat, k, _starts(coarse, x, range(k))), False)
     m = g.points // 2
     xp = _half_mesh(g, m)
     x = np.concatenate((-xp[::-1], xp))
@@ -354,9 +490,9 @@ def _eigenpairs(V, g, k):
         v = _potential(V, x)
         if not np.array_equal(v[:m][::-1], v[m:]):
             mat = _assemble(x, v, (-L, L), (-L, L))
-            return (x, *_lowest(mat, k), False)
+            return (x, *_lowest(mat, k, _starts(coarse, x, range(k))), False)
         v_half = v[m:]
-    return (x, *_mirrored(v_half, xp, k, L), True)
+    return (x, *_mirrored(v_half, xp, k, L, coarse), True)
 
 
 def solve(V, g, k_max):
@@ -386,17 +522,11 @@ def solve(V, g, k_max):
     if isinstance(V, PotentialSpec) and singular_at_origin(V) and not g.staggered:
         raise ValueError(f"{V.family} is singular at the origin and needs a "
                          "staggered grid")
-    x, w, vecs, res, sectors = _eigenpairs(V, g, k_max)
-    levels = []
-    for k in range(k_max):
-        if sectors:
-            # count on the positive half; an odd level adds the node at x = 0
-            parity = "odd" if k % 2 else "even"
-            nodes = 2 * sign_changes(vecs[x.size // 2:, k]).size + k % 2
-        else:
-            parity, nodes = None, sign_changes(vecs[:, k]).size
-        levels.append(Level(index=k, energy=float(w[k]), parity=parity,
-                            nodes=nodes, residual=float(res[k])))
+    x, w, vecs, res, nodes, sectors = _eigenpairs(V, g, k_max)
+    levels = [Level(index=k, energy=float(w[k]),
+                    parity=("odd" if k % 2 else "even") if sectors else None,
+                    nodes=nodes[k], residual=float(res[k]))
+              for k in range(k_max)]
     return SpectrumResult(levels=levels, grid=g, potential=V,
                           positions=x, vectors=vecs)
 

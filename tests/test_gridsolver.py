@@ -1,12 +1,13 @@
 """Tests for the finite-difference eigensolver."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from coulomb1d import (ConvergenceError, Grid, evaluate, exact_energy, gridsolver,
+from coulomb1d import (ConvergenceError, Grid, cli, evaluate, exact_energy, gridsolver,
                        half_line, pure_coulomb, refine, repulsive_core, soft_core, solve)
 
 
@@ -207,7 +208,9 @@ LOOSE = 1e-4
 
 class TestLooseBisection:
     def test_certified_loose_pass_matches_full_precision(self, eigensolver_calls):
-        g = Grid(half_width=60.0, points=40000)
+        # too small for a coarse start, so both sectors bisect
+        g = Grid(half_width=60.0, points=20000)
+        assert g.points // gridsolver._COARSEN < gridsolver._COARSE_MIN
         loose = solve(pure_coulomb(), g, 4)
         # one loose call per parity sector, no fallback
         assert eigensolver_calls.calls == [LOOSE, LOOSE]
@@ -249,6 +252,146 @@ class TestLooseBisection:
             assert 0.0 < lv.residual <= 16.0 * eps * norm
             # an eigenvalue lies within the residual, up to eigvalsh's rounding
             assert abs(lv.energy - e) <= lv.residual + 4.0 * eps * norm
+
+
+@pytest.fixture
+def routes(caplog):
+    """The route record of every matrix solved, as (points, message)."""
+    caplog.set_level(logging.DEBUG, logger="coulomb1d.gridsolver")
+
+    def records():
+        return [(int(r.getMessage().split("-")[0]), r.getMessage())
+                for r in caplog.records if r.name == "coulomb1d.gridsolver"]
+    return records
+
+
+@pytest.fixture
+def bisection_only(monkeypatch):
+    """solve with the coarse start switched off, so that every matrix is
+    bisected as on grids below the threshold."""
+    def solve_bisecting(V, g, k):
+        with monkeypatch.context() as m:
+            m.setattr(gridsolver, "_COARSE_MIN", math.inf)
+            return solve(V, g, k)
+    return solve_bisecting
+
+
+@pytest.fixture
+def sector_norms(monkeypatch):
+    """max|d| + 2 max|e| of every matrix that _lowest solves, by size."""
+    real, norms = gridsolver._lowest, {}
+
+    def recording(mat, k, start):
+        norms[mat.d.size] = np.abs(mat.d).max() + 2.0 * np.abs(mat.e).max()
+        return real(mat, k, start)
+    monkeypatch.setattr(gridsolver, "_lowest", recording)
+    return norms
+
+
+# above the threshold: each grid's coarse version has at least 2000 points
+POLISHED = [
+    ("pure-coulomb", pure_coulomb(), Grid(60.0, 40000), 4),
+    ("harmonic", harmonic, Grid(10.0, 40000), 4),
+    ("graded-soft-core", soft_core(1e-3), Grid(30.0, 40000, core=1e-3), 4),
+    ("half-line", half_line(), Grid(60.0, 40000), 4),
+    ("repulsive-core", repulsive_core(1e-2, 3e-2), Grid(40.0, 40000), 4),
+]
+
+
+class TestCoarseStart:
+    @pytest.mark.parametrize("V, g, k", [case[1:] for case in POLISHED],
+                             ids=[case[0] for case in POLISHED])
+    def test_polished_levels_match_bisection(self, V, g, k, routes, bisection_only,
+                                             sector_norms):
+        polished = solve(V, g, k)
+        # the half line is one matrix, the others two parity sectors
+        sectors = 1 if getattr(V, "family", None) == "half-line" else 2
+        fine = g.points // sectors
+        assert [size for size, msg in routes() if "polished" in msg].count(fine) \
+            == sectors
+        eps = np.finfo(float).eps
+        for lv in polished.levels:
+            assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[fine]
+        full = bisection_only(V, g, k)
+        np.testing.assert_allclose([lv.energy for lv in polished.levels],
+                                   [lv.energy for lv in full.levels], rtol=1e-12, atol=0)
+        assert [lv.nodes for lv in polished.levels] == list(range(k))
+        assert [lv.nodes for lv in full.levels] == list(range(k))
+        assert [lv.parity for lv in polished.levels] == [lv.parity for lv in full.levels]
+
+    def test_wrong_index_start_falls_back(self, routes, bisection_only):
+        # the coarse grid, h = 0.024, misses the core of radius 1e-3: its
+        # even ground level lies at +6.4, and its quotient steps converge,
+        # well within the step cap, on a fine even vector with 34 sign changes
+        V, g = repulsive_core(1e-3, 5e-3), Grid(30.0, 40000)
+        res = solve(V, g, 4)
+        fine = [msg for size, msg in routes() if size == g.points // 2]
+        assert fine[0].endswith("loose bisection after a failed polish")
+        assert "polished" in fine[1]
+        assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
+        # the even sector is exactly the bisection solve
+        full = bisection_only(V, g, 4)
+        for got, want in zip(res.levels[0::2], full.levels[0::2]):
+            assert got == want
+
+    @pytest.mark.parametrize("fault", ["info", "nan"])
+    def test_failed_tridiagonal_solve_falls_back(self, fault, monkeypatch, routes,
+                                                 bisection_only, sector_norms):
+        real = gridsolver.dgtsv
+
+        def failing(*args, **kwargs):
+            *out, info = real(*args, **kwargs)
+            if fault == "nan":
+                out[3][:] = np.nan
+                return (*out, info)
+            return (*out, 3)
+        monkeypatch.setattr(gridsolver, "dgtsv", failing)
+        g = Grid(60.0, 40000)
+        res = solve(pure_coulomb(), g, 4)
+        assert [msg.split(": ")[1] for size, msg in routes() if size == 20000] == \
+            ["loose bisection after a failed polish"] * 2
+        eps = np.finfo(float).eps
+        assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
+        for lv in res.levels:
+            assert math.isfinite(lv.energy)
+            assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[20000]
+        assert res.levels == bisection_only(pure_coulomb(), g, 4).levels
+
+    def test_repeated_solves_are_bit_identical(self):
+        for V, g, k in ((pure_coulomb(), Grid(60.0, 40000), 4),
+                        (repulsive_core(1e-3, 5e-3), Grid(30.0, 40000), 4)):
+            first, second = solve(V, g, k), solve(V, g, k)
+            assert first.levels == second.levels
+            np.testing.assert_array_equal(first.vectors, second.vectors)
+
+
+class TestRouteLog:
+    def test_one_record_per_sector(self, routes):
+        solve(harmonic, Grid(10.0, 40000), 4)
+        solve(half_line(), Grid(60.0, 800), 4)
+        sizes = [size for size, _ in routes()]
+        # coarse sectors, fine sectors, then the one half-line matrix
+        assert sizes == [1250, 1250, 20000, 20000, 800]
+        messages = [msg.split(": ")[1] for _, msg in routes()]
+        assert all(msg.startswith("polished in [") and msg.endswith("] steps")
+                   for msg in messages[2:4])
+        assert messages[4] == "full bisection"
+        assert all(msg in ("loose bisection", "full bisection") for msg in messages[:2])
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--family", "pure-coulomb", "--half-width", "60", "--points",
+         "40000", "--k-max", "4"],
+        ["scan", "--family", "half-line"],
+        ["scan", "--family", "soft-core", "--a", "1e-2"],
+    ])
+    def test_output_does_not_depend_on_the_log_level(self, argv, capsys, caplog):
+        assert cli.main(argv) == 0
+        quiet = capsys.readouterr()
+        with caplog.at_level(logging.DEBUG, logger="coulomb1d.gridsolver"):
+            assert cli.main(argv) == 0
+        loud = capsys.readouterr()
+        assert caplog.records
+        assert (loud.out, loud.err) == (quiet.out, quiet.err)
 
 
 def graded_fv_levels(V, x_half, half_width, k):
