@@ -148,8 +148,8 @@ def _cmd_scan(args):
         radii = [float(s) for s in args.a.split(",")]
         for a in radii:  # all of them before any solve
             check_soft_core_radius(a)
-        half_width = args.half_width if args.half_width else 30.0
-        if args.points:
+        half_width = 30.0 if args.half_width is None else args.half_width
+        if args.points is not None:
             rows = soft_core_ground_scan(radii, Grid(half_width, args.points))
         else:
             # one graded grid per radius, so a row does not depend on the others
@@ -168,9 +168,10 @@ def _cmd_scan(args):
         if not args.a or args.b is None:
             raise ValueError("care scan requires --a and --b")
         a = float(args.a)
-        half_width = args.half_width if args.half_width else 54.0
-        points = args.points if args.points else required_points(half_width, a)
-        k_max = args.k_max if args.k_max else 6
+        half_width = 54.0 if args.half_width is None else args.half_width
+        points = (required_points(half_width, a) if args.points is None
+                  else args.points)
+        k_max = 6 if args.k_max is None else args.k_max
         g = Grid(half_width=half_width, points=points)
         res = care_interleaving(a, args.b, g, k_max)
         meta = _stamp({"family": args.family, "a": a, "b": args.b,
@@ -184,9 +185,9 @@ def _cmd_scan(args):
                      "nodes": [lv.nodes for lv in res.levels]},
             metadata=meta)
     if args.family == "half-line":
-        half_width = args.half_width if args.half_width else 60.0
-        points = args.points if args.points else 12000
-        k_max = args.k_max if args.k_max else 3
+        half_width = 60.0 if args.half_width is None else args.half_width
+        points = 12000 if args.points is None else args.points
+        k_max = 3 if args.k_max is None else args.k_max
         g = Grid(half_width=half_width, points=points)
         energies = half_line_spectrum(g, k_max)
         ks = list(range(1, k_max + 1))

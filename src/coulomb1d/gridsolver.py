@@ -44,27 +44,29 @@ unstaggered grids, keep the full N-point matrix; their levels carry no
 parity label.  An unstaggered grid has its walls on the lattice, one
 step h outside the end points, and end cells of width h.
 
-Eigenvectors.  A grid of at least 16 x 2000 points first solves the
-same problem on the grid with a sixteenth of the points, through this
-same path, so the coarse solve may itself start from a coarser one.
-Each coarse vector is interpolated onto the fine nodes and polished by
-at most five shift-invert Rayleigh-quotient steps, one LAPACK gtsv
-solve each, which converge cubically near an eigenvector (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4).  A polished level j stands only
-with a certificate: its vector's residual ||Hy - Ey|| is at most
-16 eps ||H||, the rounding floor of a full-precision solve, and the
-vector has exactly j sign changes, as eigenvector j of a Jacobi matrix
-(a sector, or the full matrix) must.  If any level of a matrix fails
-it, or a solve breaks down, all its levels are solved again by
-bisection and inverse iteration (LAPACK stebz/stein via scipy), as
-those of smaller grids are at once; a coarse grid that misses a core
-can send a start to the wrong level.  Bisection first stops at the
-loose tolerance 1e-4, enough to place each level inside its gap; if
-stein then leaves a residual above the floor, the solve is repeated at
-LAPACK's default tolerance.  The logger ``coulomb1d.gridsolver``
-records the route of every matrix at DEBUG.  LAPACK's MRRR
-(``eigh_tridiagonal(..., lapack_driver='stemr')``) is no option:
-scipy's wrapper asks for an n x n workspace, 543 GiB at n = 270000.
+Eigenvectors.  A grid first solves the same problem on
+``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
+a graded grid c is its own ``core``, so both grids share the map; on a
+uniform grid of step h, c is 5h, and the coarse step at the origin,
+about D c/5 = D h with D <= 1/2, is finer than h.  Either way the coarse
+grid resolves every core that the fine grid resolves.  It serves only a
+grid with at least four times its points; it is its own coarse grid, so
+its solve starts from nothing.  Each coarse vector is interpolated onto
+the fine nodes and polished by at most five shift-invert
+Rayleigh-quotient steps, one LAPACK gtsv solve each, which converge
+cubically near an eigenvector (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4).  A polished level j stands only with a certificate:
+its vector's residual ||Hy - Ey|| is at most 16 eps ||H||, the rounding
+floor of a full-precision solve, and the vector has exactly j sign
+changes, as eigenvector j of a Jacobi matrix (a sector, or the full
+matrix) must.  If any level of a matrix fails it, or a solve breaks
+down, all its levels are solved once by bisection and inverse iteration
+(LAPACK stebz/stein via scipy) at LAPACK's default tolerance, as those
+of grids with no coarse start are at once.  The logger
+``coulomb1d.gridsolver`` records the route of every matrix at DEBUG.
+LAPACK's MRRR (``eigh_tridiagonal(..., lapack_driver='stemr')``) is no
+option: scipy's wrapper asks for an n x n workspace, 543 GiB at
+n = 270000.
 
 The energies are the Rayleigh quotients of the vectors, computed in the
 difference form above, so they are good to the discretization error,
@@ -100,6 +102,11 @@ def _stretch(x, core):
     return x / _FAR_STEP + _CORE_CELLS * math.log1p(x / core)
 
 
+def _require_positive(name, value):
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """1D mesh specification.
@@ -128,19 +135,19 @@ class Grid:
     core: float | None = None
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        _require_positive("half_width", self.half_width)
         if self.points < 8:
             raise ValueError(f"need at least 8 mesh points, got {self.points}")
         if self.core is not None:
-            if not self.core > 0:
-                raise ValueError(f"core must be positive, got {self.core}")
+            _require_positive("core", self.core)
             if not self.staggered:
                 raise ValueError("a graded grid must be staggered")
 
     @classmethod
     def graded(cls, half_width, core):
         """Coarsest graded full-line grid: N/2 = ceil(2 s(L)), so D <= 1/2."""
+        _require_positive("half_width", half_width)
+        _require_positive("core", core)
         return cls(half_width, 2 * math.ceil(2.0 * _stretch(half_width, core)),
                    core=core)
 
@@ -246,22 +253,11 @@ def _wall_at_origin(mat, x):
     return mat._replace(ends=(link, mat.ends[1]))
 
 
-# Bisection only has to place each level well inside its gap for inverse
-# iteration (stein) to converge on its vector: the level gaps of the
-# benchmark spectra are 6e-3 and up, and at ||H|| = 1e6 this stops 19
-# halvings before LAPACK's default eps ||H|| does.  The residual
-# certificate, not the bisection interval, then carries the accuracy.
-_BISECTION_TOL = 1e-4
-# A loose pass stands when every residual is at most this many eps ||H||,
-# the floor a full-precision pass reaches (up to 10 on 2.7e5-point
-# sectors).  By Weyl and Kato-Temple its vectors and quotients are then
-# as good as a full-precision pass's.
+# A polished level stands when its residual is at most this many
+# eps ||H||, the floor a full-precision bisection reaches (up to 10 on
+# 2.7e5-point sectors), after at most _POLISH_STEPS Rayleigh-quotient
+# steps.
 _RESIDUAL_FLOOR = 16.0
-# A grid whose coarse version, points // _COARSEN rounded down to even,
-# has at least _COARSE_MIN points starts from the solution there, and
-# polishes each level with at most _POLISH_STEPS Rayleigh-quotient steps.
-_COARSEN = 16
-_COARSE_MIN = 2000
 _POLISH_STEPS = 5
 
 _log = logging.getLogger(__name__)
@@ -360,65 +356,55 @@ def _polished(mat, k, start, floor):
     return (energy, u, r, list(range(k))), steps
 
 
-def _pairs(mat, k, tol):
-    """One bisection/inverse-iteration eigensolve at tolerance tol, as
-    `_quotients` of its vectors."""
-    _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1),
-                            tol=tol)
-    return _quotients(mat, y)
-
-
 def _lowest(mat, k, start):
     """Lowest k eigenpairs as energies, nodal vectors, residuals and node
     counts.
 
     ``start(j)``, if not None, gives a nodal start vector of level j;
     the levels polished from them stand if every one is certified.
-    Otherwise a first bisection pass stops at _BISECTION_TOL; it stands
-    if every vector's residual is at the rounding floor, and otherwise,
-    or if stein fails to converge, the default full-precision pass
-    replaces it.  Each call logs the route it took at DEBUG.
+    Otherwise one bisection and inverse-iteration solve at LAPACK's
+    default tolerance gives them all.  Each call logs its route at DEBUG.
     """
     if k == 0:
         return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0), []
-    eps_norm = np.finfo(float).eps * _norm(mat)
-    floor = _RESIDUAL_FLOOR * eps_norm
-    tried = ""
+    route = "bisection"
     if start is not None:
+        floor = _RESIDUAL_FLOOR * np.finfo(float).eps * _norm(mat)
         polished = _polished(mat, k, start, floor)
         if polished is not None:
             _log.debug("%d-point matrix, %d levels: polished in %s steps",
                        mat.d.size, k, polished[1])
             return polished[0]
-        tried = " after a failed polish"
+        route = "bisection after a failed polish"
     try:
-        pairs = _pairs(mat, k, max(_BISECTION_TOL, eps_norm))
-    except LinAlgError:
-        pairs = None
-    # written so that a NaN residual fails the certificate too
-    if pairs is not None and pairs[2].max() <= floor:
-        route = "loose bisection"
-    else:
-        pairs = None  # free the loose pass before the full one
-        try:
-            pairs = _pairs(mat, k, 0.0)
-        except LinAlgError as exc:
-            raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
-                                   None, math.inf) from exc
-        route = "full bisection"
-    _log.debug("%d-point matrix, %d levels: %s%s", mat.d.size, k, route, tried)
-    energy, u, r = pairs
+        _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1))
+    except LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
+                               None, math.inf) from exc
+    _log.debug("%d-point matrix, %d levels: %s", mat.d.size, k, route)
+    energy, u, r = _quotients(mat, y)
     return energy, u, r, [sign_changes(c).size for c in u.T]
 
 
-def _coarse(V, g, k):
-    """Mesh and vectors of the same problem on the grid with
-    points // _COARSEN, rounded down to even so that a full-line grid
-    stays mirror symmetric; None if that grid is too small."""
-    points = 2 * (g.points // (2 * _COARSEN))
-    if points < _COARSE_MIN or k > points // 4:
+def _coarse(V, g, k, half_line):
+    """Mesh and vectors of the same problem on ``Grid.graded(L, c)``;
+    None unless that grid has at most a quarter of the points of g and
+    k <= its points/4.
+
+    c is ``g.core``, the map of a graded g, or _CORE_CELLS steps h of a
+    uniform g (2L/N, or L/N on the half line), which puts the coarse step
+    at the origin at h/2 or less.  The coarse grid is its own coarse
+    grid, so its solve starts from nothing.
+    """
+    if g.core is None:
+        h = (1.0 if half_line else 2.0) * g.half_width / g.points
+        core = _CORE_CELLS * h
+    else:
+        core = g.core
+    coarse = Grid.graded(g.half_width, core)
+    if 4 * coarse.points > g.points or k > coarse.points // 4:
         return None
-    x, _, vecs, *_ = _eigenpairs(V, replace(g, points=points), k)
+    x, _, vecs, *_ = _eigenpairs(V, coarse, k)
     return x, vecs
 
 
@@ -463,12 +449,12 @@ def _eigenpairs(V, g, k):
     sectors."""
     spec = isinstance(V, PotentialSpec)
     L = g.half_width
-    full_line = g.staggered and not (spec and V.family == "half-line")
-    if full_line and g.points % 2:
+    half_line = spec and V.family == "half-line"
+    if g.staggered and not half_line and g.points % 2:
         raise ValueError("full-line staggered grids need an even "
                          "point count to stay mirror-symmetric")
-    coarse = _coarse(V, g, k)
-    if spec and V.family == "half-line":
+    coarse = _coarse(V, g, k, half_line)
+    if half_line:
         # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
         x = _half_mesh(g, g.points)
         mat = _assemble(x, _potential(V, x), (0.0, L), (None, L))

@@ -301,6 +301,31 @@ class TestScanCommand:
         code, _, _ = run_cli(["scan", "--family", "soft-core"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("family, flags, message", [
+        ("half-line", ["--half-width", "0", "--points", "0", "--k-max", "0"],
+         "half_width must be positive, got 0.0"),
+        ("half-line", ["--points", "0"], "need at least 8 mesh points, got 0"),
+        ("half-line", ["--k-max", "0"], "k_max must lie in [1, N/4]"),
+        ("care", ["--a", "1e-3", "--b", "5e-3", "--half-width", "0"],
+         "half_width must be positive, got 0.0"),
+        ("care", ["--a", "1e-3", "--b", "5e-3", "--points", "0"],
+         "need at least 8 mesh points, got 0"),
+        ("care", ["--a", "1e-3", "--b", "5e-3", "--k-max", "0"],
+         "k_max must lie in [1, N/4]"),
+        ("soft-core", ["--a", "1e-2", "--half-width", "0"],
+         "half_width must be positive, got 0.0"),
+        ("soft-core", ["--a", "1e-2", "--half-width", "-5"],
+         "half_width must be positive, got -5.0"),
+        ("soft-core", ["--a", "1e-2", "--points", "0"],
+         "need at least 8 mesh points, got 0"),
+    ])
+    def test_zero_and_negative_flags_are_not_defaults(self, family, flags, message,
+                                                      capsys):
+        code, out, err = run_cli(["scan", "--family", family, *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
 
 class TestSolveCommand:
     def test_half_line_levels(self, capsys):

@@ -184,57 +184,32 @@ class TestRayleighQuotient:
 
 @pytest.fixture
 def eigensolver_calls(monkeypatch):
-    """The tol of every gridsolver.eigh_tridiagonal call, in order; set
-    ``fail`` to a count of leading calls that raise LinAlgError, or
-    ``force_tol`` to override the tol they pass."""
+    """The tol of every gridsolver.eigh_tridiagonal call, in order, 0.0
+    for LAPACK's default; set ``fail`` to a count of leading calls that
+    raise LinAlgError."""
     real = gridsolver.eigh_tridiagonal
     calls = []
 
-    def recording(*args, tol, **kwargs):
-        calls.append(tol)
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("tol", 0.0))
         if len(calls) <= recording.fail:
             raise LinAlgError("stein: 1 eigenvectors failed to converge")
-        if recording.force_tol is not None:
-            tol = recording.force_tol
-        return real(*args, tol=tol, **kwargs)
+        return real(*args, **kwargs)
 
-    recording.fail, recording.force_tol, recording.calls = 0, None, calls
+    recording.fail, recording.calls = 0, calls
     monkeypatch.setattr(gridsolver, "eigh_tridiagonal", recording)
     return recording
 
 
-LOOSE = 1e-4
-
-
 class TestLooseBisection:
-    def test_certified_loose_pass_matches_full_precision(self, eigensolver_calls):
-        # too small for a coarse start, so both sectors bisect
-        g = Grid(half_width=60.0, points=20000)
-        assert g.points // gridsolver._COARSEN < gridsolver._COARSE_MIN
-        loose = solve(pure_coulomb(), g, 4)
-        # one loose call per parity sector, no fallback
-        assert eigensolver_calls.calls == [LOOSE, LOOSE]
-        eigensolver_calls.force_tol = 0.0
-        full = solve(pure_coulomb(), g, 4)
-        np.testing.assert_allclose([lv.energy for lv in loose.levels],
-                                   [lv.energy for lv in full.levels], rtol=1e-13, atol=0)
-        assert [lv.nodes for lv in loose.levels] == list(range(4))
-
-    def test_failed_certificate_falls_back_to_full_precision(self, eigensolver_calls):
-        # the loose pass leaves residuals of several hundred eps ||H|| here
+    def test_small_matrix_is_bisected_once(self, eigensolver_calls):
+        # too small for a coarse start: one call at the default tolerance
         res = solve(half_line(), Grid(half_width=60.0, points=800), 4)
-        assert eigensolver_calls.calls == [LOOSE, 0.0]
+        assert eigensolver_calls.calls == [0.0]
         assert [lv.nodes for lv in res.levels] == list(range(4))
 
-    def test_stein_failure_falls_back(self, eigensolver_calls):
-        eigensolver_calls.fail = 1
-        res = solve(harmonic, Grid(half_width=10.0, points=400), 3)
-        # the even sector retries at full precision, the odd one stays loose
-        assert eigensolver_calls.calls == [LOOSE, 0.0, LOOSE]
-        assert [lv.nodes for lv in res.levels] == [0, 1, 2]
-
     def test_full_precision_failure_raises(self, eigensolver_calls):
-        eigensolver_calls.fail = 2
+        eigensolver_calls.fail = 1
         with pytest.raises(ConvergenceError):
             solve(harmonic, Grid(half_width=10.0, points=400), 3)
 
@@ -266,13 +241,20 @@ def routes(caplog):
 
 
 @pytest.fixture
-def bisection_only(monkeypatch):
+def bisection_only(monkeypatch, caplog):
     """solve with the coarse start switched off, so that every matrix is
-    bisected as on grids below the threshold."""
+    bisected, as on grids with no coarse grid."""
     def solve_bisecting(V, g, k):
+        caplog.set_level(logging.DEBUG, logger="coulomb1d.gridsolver")
+        first = len(caplog.records)
         with monkeypatch.context() as m:
-            m.setattr(gridsolver, "_COARSE_MIN", math.inf)
-            return solve(V, g, k)
+            m.setattr(gridsolver, "_coarse", lambda *args: None)
+            res = solve(V, g, k)
+        messages = [r.getMessage() for r in caplog.records[first:]
+                    if r.name == "coulomb1d.gridsolver"]
+        assert messages
+        assert not any("polished" in msg for msg in messages)
+        return res
     return solve_bisecting
 
 
@@ -288,7 +270,7 @@ def sector_norms(monkeypatch):
     return norms
 
 
-# above the threshold: each grid's coarse version has at least 2000 points
+# each grid has at least four times the points of its coarse graded grid
 POLISHED = [
     ("pure-coulomb", pure_coulomb(), Grid(60.0, 40000), 4),
     ("harmonic", harmonic, Grid(10.0, 40000), 4),
@@ -319,14 +301,32 @@ class TestCoarseStart:
         assert [lv.nodes for lv in full.levels] == list(range(k))
         assert [lv.parity for lv in polished.levels] == [lv.parity for lv in full.levels]
 
-    def test_wrong_index_start_falls_back(self, routes, bisection_only):
-        # the coarse grid, h = 0.024, misses the core of radius 1e-3: its
-        # even ground level lies at +6.4, and its quotient steps converge,
-        # well within the step cap, on a fine even vector with 34 sign changes
+    def test_care_scan_grid_polishes_both_sectors(self, routes, bisection_only):
+        # the default care scan: the coarse graded grid resolves the core
+        V, g = repulsive_core(1e-3, 5e-3), Grid(54.0, 540000)
+        polished = solve(V, g, 6)
+        assert [size for size, msg in routes() if "polished" in msg] == [270000] * 2
+        full = bisection_only(V, g, 6)
+        np.testing.assert_allclose([lv.energy for lv in polished.levels],
+                                   [lv.energy for lv in full.levels], rtol=1e-12, atol=0)
+        assert [lv.nodes for lv in polished.levels] == list(range(6))
+        assert [lv.parity for lv in polished.levels] == [lv.parity for lv in full.levels]
+
+    def test_wrong_index_start_falls_back(self, monkeypatch, routes, bisection_only):
+        # the even sector's level j starts from its level j + 1, so the
+        # polish of its ground level converges on a vector with a node
+        real = gridsolver._starts
+
+        def shifted(coarse, x, levels):
+            start = real(coarse, x, levels)
+            if start is None or levels[0] != 0:
+                return start
+            return lambda j: start((j + 1) % len(levels))
+        monkeypatch.setattr(gridsolver, "_starts", shifted)
         V, g = repulsive_core(1e-3, 5e-3), Grid(30.0, 40000)
         res = solve(V, g, 4)
         fine = [msg for size, msg in routes() if size == g.points // 2]
-        assert fine[0].endswith("loose bisection after a failed polish")
+        assert fine[0].endswith(": bisection after a failed polish")
         assert "polished" in fine[1]
         assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
         # the even sector is exactly the bisection solve
@@ -349,7 +349,7 @@ class TestCoarseStart:
         g = Grid(60.0, 40000)
         res = solve(pure_coulomb(), g, 4)
         assert [msg.split(": ")[1] for size, msg in routes() if size == 20000] == \
-            ["loose bisection after a failed polish"] * 2
+            ["bisection after a failed polish"] * 2
         eps = np.finfo(float).eps
         assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
         for lv in res.levels:
@@ -371,12 +371,11 @@ class TestRouteLog:
         solve(half_line(), Grid(60.0, 800), 4)
         sizes = [size for size, _ in routes()]
         # coarse sectors, fine sectors, then the one half-line matrix
-        assert sizes == [1250, 1250, 20000, 20000, 800]
+        assert sizes == [483, 483, 20000, 20000, 800]
         messages = [msg.split(": ")[1] for _, msg in routes()]
         assert all(msg.startswith("polished in [") and msg.endswith("] steps")
                    for msg in messages[2:4])
-        assert messages[4] == "full bisection"
-        assert all(msg in ("loose bisection", "full bisection") for msg in messages[:2])
+        assert [messages[j] for j in (0, 1, 4)] == ["bisection"] * 3
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--family", "pure-coulomb", "--half-width", "60", "--points",
@@ -471,6 +470,19 @@ class TestGradedMesh:
         for core in (0.0, -1e-3):
             with pytest.raises(ValueError):
                 Grid(half_width=10.0, points=400, core=core)
+
+    @pytest.mark.parametrize("half_width, core, message", [
+        (30.0, 0.0, "core must be positive, got 0.0"),
+        (30.0, -1e-3, "core must be positive, got -0.001"),
+        (0.0, 1e-3, "half_width must be positive, got 0.0"),
+        (-5.0, 1e-2, "half_width must be positive, got -5.0"),
+    ])
+    def test_graded_validation(self, half_width, core, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Grid.graded(half_width, core)
+        # the messages of Grid itself
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Grid(half_width, 400, core=core)
 
 
 class TestVariationalBound:
