@@ -49,13 +49,16 @@ Eigenvectors.  A grid first solves the same problem on
 a graded grid c is its own ``core``, so both grids share the map; on a
 uniform grid of step h, c is 5h, and the coarse step at the origin,
 about D c/5 = D h with D <= 1/2, is finer than h.  Either way the coarse
-grid resolves every core that the fine grid resolves.  It serves only a
+grid resolves every core that the fine grid resolves.  On the half line,
+whose points all lie on [0, L], the coarse grid takes half of
+``Grid.graded``'s points, which keeps its map step.  It serves only a
 grid with at least four times its points; it is its own coarse grid, so
-its solve starts from nothing.  Each coarse vector is interpolated onto
-the fine nodes and polished by at most five shift-invert
-Rayleigh-quotient steps, one LAPACK gtsv solve each, which converge
-cubically near an eigenvector (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4).  A polished level j stands only with a certificate:
+its solve starts from nothing.  `refine` starts each grid after its
+first from the vectors of the grid before.  Each coarse vector is
+interpolated onto the fine nodes and polished by at most five
+shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve each, which
+converge cubically near an eigenvector (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4).  A polished level j stands only with a certificate:
 its vector's residual ||Hy - Ey|| is at most 16 eps ||H||, the rounding
 floor of a full-precision solve, and the vector has exactly j sign
 changes, as eigenvector j of a Jacobi matrix (a sector, or the full
@@ -102,9 +105,16 @@ def _stretch(x, core):
     return x / _FAR_STEP + _CORE_CELLS * math.log1p(x / core)
 
 
+def _graded_points(half_width, core):
+    """Point count of ``Grid.graded``: N/2 = ceil(2 s(L)), so D <= 1/2."""
+    return 2 * math.ceil(2.0 * _stretch(half_width, core))
+
+
 def _require_positive(name, value):
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +158,7 @@ class Grid:
         """Coarsest graded full-line grid: N/2 = ceil(2 s(L)), so D <= 1/2."""
         _require_positive("half_width", half_width)
         _require_positive("core", core)
-        return cls(half_width, 2 * math.ceil(2.0 * _stretch(half_width, core)),
-                   core=core)
+        return cls(half_width, _graded_points(half_width, core), core=core)
 
 
 @dataclass(frozen=True)
@@ -388,23 +397,24 @@ def _lowest(mat, k, start):
 
 def _coarse(V, g, k, half_line):
     """Mesh and vectors of the same problem on ``Grid.graded(L, c)``;
-    None unless that grid has at most a quarter of the points of g and
-    k <= its points/4.
+    None unless that grid has at least 8 points, at most a quarter of the
+    points of g, and k <= its points/4.
 
     c is ``g.core``, the map of a graded g, or _CORE_CELLS steps h of a
     uniform g (2L/N, or L/N on the half line), which puts the coarse step
-    at the origin at h/2 or less.  The coarse grid is its own coarse
-    grid, so its solve starts from nothing.
+    at the origin at h/2 or less.  On the half line all points lie on
+    [0, L], so half of ``Grid.graded``'s points keep its map step.  The
+    coarse grid is its own coarse grid, so its solve starts from nothing.
     """
     if g.core is None:
         h = (1.0 if half_line else 2.0) * g.half_width / g.points
         core = _CORE_CELLS * h
     else:
         core = g.core
-    coarse = Grid.graded(g.half_width, core)
-    if 4 * coarse.points > g.points or k > coarse.points // 4:
+    points = _graded_points(g.half_width, core) // (2 if half_line else 1)
+    if points < 8 or 4 * points > g.points or k > points // 4:
         return None
-    x, _, vecs, *_ = _eigenpairs(V, coarse, k)
+    x, _, vecs, *_ = _eigenpairs(V, Grid(g.half_width, points, core=core), k)
     return x, vecs
 
 
@@ -443,17 +453,19 @@ def _mirrored(v_half, xp, k, half_width, coarse):
     return w, vecs, r, nodes
 
 
-def _eigenpairs(V, g, k):
+def _eigenpairs(V, g, k, coarse=None):
     """Mesh, energies, vectors scaled to sum(width * v^2) = 1, residuals,
     node counts, and whether the vectors come from the two parity
-    sectors."""
+    sectors.  ``coarse``, the mesh and vectors of a coarser solve, is the
+    start of the polish; by default it comes from `_coarse`."""
     spec = isinstance(V, PotentialSpec)
     L = g.half_width
     half_line = spec and V.family == "half-line"
     if g.staggered and not half_line and g.points % 2:
         raise ValueError("full-line staggered grids need an even "
                          "point count to stay mirror-symmetric")
-    coarse = _coarse(V, g, k, half_line)
+    if coarse is None:
+        coarse = _coarse(V, g, k, half_line)
     if half_line:
         # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
         x = _half_mesh(g, g.points)
@@ -481,6 +493,14 @@ def _eigenpairs(V, g, k):
     return (x, *_mirrored(v_half, xp, k, L, coarse), True)
 
 
+def _check(V, g, k_max):
+    if k_max < 1 or k_max > g.points // 4:
+        raise ValueError(f"k_max must lie in [1, N/4] = [1, {g.points // 4}]")
+    if isinstance(V, PotentialSpec) and singular_at_origin(V) and not g.staggered:
+        raise ValueError(f"{V.family} is singular at the origin and needs a "
+                         "staggered grid")
+
+
 def solve(V, g, k_max):
     """Lowest k_max eigenpairs of -(1/2) d^2/dx^2 + V on the grid.
 
@@ -503,11 +523,7 @@ def solve(V, g, k_max):
         the index; each level's residual bounds the distance from its
         energy to an eigenvalue of the discrete H.
     """
-    if k_max < 1 or k_max > g.points // 4:
-        raise ValueError(f"k_max must lie in [1, N/4] = [1, {g.points // 4}]")
-    if isinstance(V, PotentialSpec) and singular_at_origin(V) and not g.staggered:
-        raise ValueError(f"{V.family} is singular at the origin and needs a "
-                         "staggered grid")
+    _check(V, g, k_max)
     x, w, vecs, res, nodes, sectors = _eigenpairs(V, g, k_max)
     levels = [Level(index=k, energy=float(w[k]),
                     parity=("odd" if k % 2 else "even") if sectors else None,
@@ -521,7 +537,8 @@ def refine(V, g, level, refinements):
     """Energy of one level at spacings h, h/2, h/4, ...
 
     On a graded grid each halving halves the step D of the fixed map,
-    so the sequence converges in the same way.
+    so the sequence converges in the same way.  Each grid after the
+    first starts its polish from the vectors of the one before.
 
     Parameters
     ----------
@@ -541,8 +558,11 @@ def refine(V, g, level, refinements):
     """
     if refinements < 1 or refinements > 4:
         raise ValueError(f"refinements must lie in [1, 4], got {refinements}")
-    energies = []
+    energies, coarse = [], None
     for j in range(refinements + 1):
         gj = replace(g, points=g.points * 2 ** j)
-        energies.append(solve(V, gj, level + 1).levels[level].energy)
+        _check(V, gj, level + 1)
+        x, w, vecs, *_ = _eigenpairs(V, gj, level + 1, coarse)
+        energies.append(float(w[level]))
+        coarse = x, vecs
     return energies

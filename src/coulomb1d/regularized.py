@@ -23,7 +23,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .gridsolver import Grid, refine, solve
+from .gridsolver import Grid, _require_positive, refine, solve
 from .potentials import half_line, loudon_estimate, repulsive_core, soft_core
 
 __all__ = [
@@ -47,8 +47,8 @@ def required_points(half_width, a):
     The rule is h = 2L/N <= a/5; the count is rounded up to an even
     number so the staggered full-line mesh stays mirror-symmetric.
     """
-    if not a > 0:
-        raise ValueError(f"core radius must be positive, got {a}")
+    _require_positive("half_width", half_width)
+    _require_positive("core radius", a)
     n = math.ceil(2.0 * half_width * _CORE_STEPS / a)
     return n + n % 2
 

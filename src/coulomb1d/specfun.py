@@ -117,6 +117,10 @@ def _u_chain(a, z, rtol):
         scale = np.maximum(scale, np.abs(cur[0]))
         s -= 1.0
     err = np.abs(cur[1]) + np.abs(cur[2]) + _EPS * rounding
+    # an overflowed step makes err infinite, and its NaN ratio would
+    # hide the other points from the bound below
+    if not np.all(np.isfinite(err)):
+        raise ValueError(f"U({a},2,z) leaves the float range")
     worst = float(np.max(err / scale, initial=0.0))
     if worst > 10.0 * rtol:
         raise ConvergenceError(
@@ -178,7 +182,8 @@ def _u_array(a, b, z, rtol=1e-10):
     Raises
     ------
     ValueError
-        If (a, b) is off the slice of the module docstring.
+        If (a, b) is off the slice of the module docstring, or the
+        recurrence leaves the float range.
     ConvergenceError
         If the recurrence cannot meet that bound.
     """
@@ -186,7 +191,10 @@ def _u_array(a, b, z, rtol=1e-10):
     z = np.asarray(z, dtype=float)
     if a <= 0.0 and a == round(a):
         k = round(-a)
-        fact = math.factorial(k)
+        try:
+            fact = float(math.factorial(k))
+        except OverflowError:  # k > 170
+            raise ValueError(f"U({a},2,z) leaves the float range") from None
         # the terms of L_k^(1)(z) alternate in sign; at -z they add up
         lag, size = fact * laguerre(k, 1.0, np.array([z, -z]))
         return (-lag if k % 2 else lag), 4.0 * (k + 1) * _EPS * np.abs(size)
@@ -224,7 +232,8 @@ def tricomi_u(a, b, z, rtol=1e-10, full_output=False):
     Raises
     ------
     ValueError
-        If (a, b) is off the supported slice, or z <= 0.
+        If (a, b) is off the supported slice, z <= 0, or U leaves the
+        float range.
     ConvergenceError
         If the requested accuracy cannot be reached.
     """

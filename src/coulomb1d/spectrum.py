@@ -87,12 +87,23 @@ def wavefunction(n, x, rtol=1e-11):
     Returns
     -------
     float or ndarray
+
+    Raises
+    ------
+    ValueError
+        Where the evaluation leaves the float range though psi may be
+        finite: U far out at large n (x = 221^2 for n = 220), at
+        subnormal x, and at every x from odd n = 343 on, where k! of
+        the polynomial U(-k,2,z) does.
     """
     n = _check_n(n)
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("non-finite evaluation point")
-    vals = _w_values(n, 4.0 * np.abs(xs) / (n + 1), rtol=rtol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _w_values(n, 4.0 * np.abs(xs) / (n + 1), rtol=rtol)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"psi_{n} leaves the float range")
     if n % 2:
         vals = np.sign(xs) * vals
     return float(vals) if vals.ndim == 0 else vals
@@ -136,49 +147,31 @@ def normalize(n):
                       parity="odd" if n % 2 else "even", norm=norm)
 
 
-def node_count(n, window=None, samples=None):
-    """Count strict sign changes of psi_n inside a symmetric window.
+def node_count(n):
+    """Count the nodes of psi_n from its sign changes in t = sqrt(|x|).
 
-    Parameters
-    ----------
-    n : int
-        Quantum number.
-    window : (float, float), optional
-        Symmetric interval; defaults to +-4(n+1)^2, four times the
-        classical turning point.
-    samples : int, optional
-        Total sample count across the window, default 1000*(n+1).
-        Points sit at half-step offsets so x = 0 is never sampled; the
-        origin node of odd states is added by parity.
+    No node lies beyond the classical turning point x_t = (n+1)^2/2: there
+    V - E > 0, so (psi psi')' = psi'^2 + 2 (V - E) psi^2 > 0, and with
+    psi psi' -> 0 at infinity psi psi' < 0, so psi cannot vanish.  The
+    samples cover (0, 2 x_t] at t_j = (j + 1/2)/10, j < 10(n+1).  In t the
+    local wavenumber of psi is 2 sqrt(2 (1 + E t^2)) <= 2 sqrt(2), so its
+    nodes lie at least pi/(2 sqrt(2)) ~ 1.11 apart in t, more than 11
+    samples; the first sample, x = 0.0025, lies before the first node.
+    x = 0 is never sampled: the origin node of odd states is added by
+    parity, and the mirror image doubles the rest.
 
-    Returns
-    -------
-    int
-
-    Raises
-    ------
-    ValueError
-        If a sign change lands in the outermost 5% of the window,
-        indicating the window cannot be trusted to contain all nodes.
+    Raises ``ValueError`` on a sign change sampled past x_t, which only
+    a wrong evaluation of psi gives, and from n = 216 on, where
+    ``wavefunction`` leaves the float range.
     """
     n = _check_n(n)
-    if window is None:
-        half = 4.0 * (n + 1) ** 2
-    else:
-        lo, hi = window
-        if not math.isclose(-lo, hi) or hi <= 0:
-            raise ValueError("window must be symmetric about 0")
-        half = float(hi)
-    if samples is None:
-        samples = 1000 * (n + 1)
-    ns = max(samples // 2, 8)
-    xs = (np.arange(ns) + 0.5) * (half / ns)
+    t = (np.arange(10 * (n + 1)) + 0.5) / 10.0
+    xs = t * t
     flips = sign_changes(wavefunction(n, xs))
-    if np.any(xs[flips] > 0.95 * half):
-        raise ValueError(
-            f"sign change in the outermost 5% of the window (half width {half}); "
-            "enlarge the window")
-    return 2 * flips.size + (1 if n % 2 else 0)
+    if np.any(xs[flips] > 0.5 * (n + 1) ** 2):
+        raise ValueError(f"psi_{n} changes sign past its turning point "
+                         f"x = {0.5 * (n + 1) ** 2:g}, where it has no node")
+    return 2 * flips.size + n % 2
 
 
 def sign_changes(values):

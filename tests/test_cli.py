@@ -326,6 +326,18 @@ class TestScanCommand:
         assert out == ""
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("family, flags", [
+        ("soft-core", ["--a", "1e-2"]),
+        ("care", ["--a", "1e-3", "--b", "5e-3"]),
+        ("half-line", []),
+    ])
+    def test_infinite_half_width_is_a_flag_error(self, family, flags, capsys):
+        code, out, err = run_cli(["scan", "--family", family, *flags,
+                                  "--half-width", "inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: half_width must be positive and finite, got inf\n"
+
 
 class TestSolveCommand:
     def test_half_line_levels(self, capsys):

@@ -377,6 +377,33 @@ class TestRouteLog:
                    for msg in messages[2:4])
         assert [messages[j] for j in (0, 1, 4)] == ["bisection"] * 3
 
+    def test_half_line_scan_grid_polishes(self, routes):
+        # the default half-line scan: the coarse grid has half of
+        # Grid.graded(60, 5h)'s 4956 points, all on [0, L]
+        solve(half_line(), Grid(60.0, 12000), 3)
+        assert [size for size, _ in routes()] == [2478, 12000]
+        messages = [msg.split(": ")[1] for _, msg in routes()]
+        assert messages[0] == "bisection"
+        assert messages[1].startswith("polished in [")
+
+    @pytest.mark.parametrize("V, g", [(soft_core(0.5), Grid(0.05, 400, core=10.0)),
+                                      (half_line(), Grid(0.1, 400, core=10.0))])
+    def test_box_too_small_for_a_coarse_grid(self, V, g, routes):
+        # the graded grid of this box has fewer than 8 points: no coarse start
+        res = solve(V, g, 1)
+        assert [msg.split(": ")[1] for _, msg in routes()] == ["bisection"]
+        assert res.levels[0].nodes == 0
+
+    def test_refine_starts_each_rung_from_the_one_before(self, routes):
+        # the default soft-core scan of one radius; one level, so only the
+        # even sector of each rung is solved
+        g = Grid.graded(30.0, 1e-2)
+        refine(soft_core(1e-2), g, 0, 2)
+        assert [size for size, _ in routes()] == [g.points // 2, g.points, 2 * g.points]
+        messages = [msg.split(": ")[1] for _, msg in routes()]
+        assert messages[0] == "bisection"
+        assert all(msg.startswith("polished in [") for msg in messages[1:])
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--family", "pure-coulomb", "--half-width", "60", "--points",
          "40000", "--k-max", "4"],
@@ -476,6 +503,8 @@ class TestGradedMesh:
         (30.0, -1e-3, "core must be positive, got -0.001"),
         (0.0, 1e-3, "half_width must be positive, got 0.0"),
         (-5.0, 1e-2, "half_width must be positive, got -5.0"),
+        (math.inf, 1e-2, "half_width must be positive and finite, got inf"),
+        (30.0, math.inf, "core must be positive and finite, got inf"),
     ])
     def test_graded_validation(self, half_width, core, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

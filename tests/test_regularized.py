@@ -148,6 +148,12 @@ class TestSoftCoreScan:
         with pytest.raises(ValueError):
             required_points(30.0, 0.0)
 
+    @pytest.mark.parametrize("half_width, a, name", [
+        (math.inf, 1e-3, "half_width"), (30.0, math.inf, "core radius")])
+    def test_required_points_rejects_infinite_arguments(self, half_width, a, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            required_points(half_width, a)
+
     def test_rejects_out_of_range_radii(self):
         g = Grid(half_width=30.0, points=30000)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for the exact bound-state construction."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -114,6 +115,17 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             wavefunction(0, math.nan)
 
+    # U overflows far out at large n, and 1/(Gamma(a) z) at subnormal z,
+    # though psi is finite at each point; k! of the odd polynomial
+    # U(-k,2,z) does from k = 171 (n = 343) on
+    @pytest.mark.parametrize("n, x", [(300, [22650.0]), (220, [221.0 ** 2]),
+                                      (0, 1e-310), (301, [302.0 ** 2]), (401, 10.0)])
+    def test_overflow_raises_without_warnings(self, n, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                wavefunction(n, x)
+
 
 def _whitw_psi(n, x):
     """psi_n(x) from mpmath's Whittaker W, with the z = 0 limit."""
@@ -152,7 +164,7 @@ class TestNearOrigin:
     @given(half_n=st.integers(0, 10), frac=st.floats(0.0, 1.0), negative=st.booleans())
     def test_even_states_finite_and_mirror_exact(self, half_n, frac, negative):
         n = 2 * half_n
-        # log-uniform |x| from 1e-13 to 4 (n+1)^2, the default node window
+        # log-uniform |x| from 1e-13 to 4 (n+1)^2, eight turning points
         top = math.log10(4.0 * (n + 1) ** 2)
         x = 10.0 ** (-13.0 + frac * (top + 13.0))
         if negative:
@@ -347,18 +359,38 @@ class TestNodeCount:
     def test_lowest_state_counts(self, n, expected):
         assert node_count(n) == expected
 
-    @pytest.mark.parametrize("n", range(11))
+    # 150-178 even lost their first node with a sample at x = 4(n+1)/1000,
+    # and 180-199 overflowed U in a window of +-4(n+1)^2
+    @pytest.mark.parametrize("n", [*range(11), 20, 75, 150, 151, 178, 199, 210])
     def test_node_theorem(self, n):
         assert node_count(n) == n
 
-    def test_window_too_small_detected(self):
-        # the outermost node of psi_4 sits at x ~ 4.15
-        with pytest.raises(ValueError, match="window"):
-            node_count(4, window=(-4.3, 4.3))
+    @pytest.mark.parametrize("n", [0, 3, 20, 210])
+    def test_samples_cover_twice_the_turning_point(self, n, monkeypatch):
+        real, sizes = spectrum.wavefunction, []
 
-    def test_asymmetric_window_rejected(self):
-        with pytest.raises(ValueError):
-            node_count(2, window=(-1.0, 2.0))
+        def recording(n, x):
+            sizes.append(x.size)
+            assert 0.0 < x.min() and x.max() <= (n + 1) ** 2
+            assert x.max() > 0.9 * (n + 1) ** 2
+            return real(n, x)
+        monkeypatch.setattr(spectrum, "wavefunction", recording)
+        node_count(n)
+        assert sizes == [10 * (n + 1)]
+
+    def test_sign_change_past_turning_point_raises(self, monkeypatch):
+        real = spectrum.wavefunction
+
+        def flipped(n, x):
+            vals = real(n, x)
+            return np.where(x > 0.75 * (n + 1) ** 2, -vals, vals)
+        monkeypatch.setattr(spectrum, "wavefunction", flipped)
+        with pytest.raises(ValueError, match="past its turning point"):
+            node_count(4)
+
+    def test_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="float range"):
+            node_count(230)
 
 
 class TestOdeResidual:
