@@ -58,15 +58,21 @@ first from the vectors of the grid before.  Each coarse vector is
 interpolated onto the fine nodes and polished by at most five
 shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve each, which
 converge cubically near an eigenvector (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4).  A polished level j stands only with a certificate:
-its vector's residual ||Hy - Ey|| is at most 16 eps ||H||, the rounding
-floor of a full-precision solve, and the vector has exactly j sign
-changes, as eigenvector j of a Jacobi matrix (a sector, or the full
-matrix) must.  If any level of a matrix fails it, or a solve breaks
-down, all its levels are solved once by bisection and inverse iteration
-(LAPACK stebz/stein via scipy) at LAPACK's default tolerance, as those
-of grids with no coarse start are at once.  The logger
-``coulomb1d.gridsolver`` records the route of every matrix at DEBUG.
+Eigenvalue Problem, ch. 4).  The steps of a level stop on the residual
+that the solve itself yields: after (H - sigma) z = y with ||y|| = 1,
+the vector z/||z|| has the quotient sigma + delta, delta = z.y/z.z, and
+the residual sqrt(1/z.z - delta^2), so a step needs no product with H.
+The certificate is explicit and taken once, after the last step: a
+polished level j stands only if its vector's residual ||Hy - Ey||,
+recomputed from H, is at most 16 eps ||H||, the rounding floor of a
+full-precision solve, and the vector has exactly j sign changes, as
+eigenvector j of a Jacobi matrix (a sector, or the full matrix) must.
+If any level of a matrix fails it, or a solve breaks down, all its
+levels are solved once by bisection and inverse iteration (LAPACK
+stebz/stein via scipy) at LAPACK's default tolerance, as those of grids
+with no coarse start are at once.  The logger
+``coulomb1d.gridsolver`` records the route of every matrix at DEBUG,
+with the largest polished residual as a fraction of the floor.
 LAPACK's MRRR (``eigh_tridiagonal(..., lapack_driver='stemr')``) is no
 option: scipy's wrapper asks for an n x n workspace, 543 GiB at
 n = 270000.
@@ -293,8 +299,9 @@ def _quotients(mat, y):
     scaled so that sum(width * u^2) = 1, and residuals ||Hy - Ey|| of
     the unit columns y.
 
-    The potential term and the residuals take one column of y at a time,
-    so that no further temporary has the size of the vectors.
+    u and its squared differences have the size of y; the potential term
+    and the residuals take one column of y at a time, so that they add
+    only temporaries of the size of one column.
     """
     k = y.shape[1]
     # y has unit 2-norm, so u = M^(-1/2) y has sum(width * u^2) = 1 and
@@ -315,50 +322,73 @@ def _quotients(mat, y):
     return energy, u, r
 
 
+def _step(d, e, sigma, c, work):
+    """One shift-invert Rayleigh-quotient step on the unit vector c, in
+    place: solve (H - sigma) z = c by LU with partial pivoting (LAPACK
+    gtsv) for the tridiagonal H with diagonal d and off-diagonal e, and
+    take c = z / ||z||.
+
+    Returns the new quotient sigma + delta, delta = z.c / z.z, and the
+    residual sqrt(1/z.z - delta^2) of the new c, or None if the solve
+    breaks down.  That residual needs no product with H: (H - sigma) z
+    = c gives ||(H - sigma - delta) z|| / ||z|| = sqrt(1/z.z - delta^2)
+    in exact arithmetic.  ``work`` holds the right-hand side and
+    solution, the shifted diagonal and the off-diagonals that gtsv
+    overwrites, so that a step allocates nothing.
+    """
+    b, dd, dl, du = work
+    b[:], dl[:], du[:] = c, e, e
+    np.subtract(d, sigma, out=dd)
+    info = dgtsv(dl, dd, du, b, overwrite_dl=1, overwrite_d=1,
+                 overwrite_du=1, overwrite_b=1)[-1]
+    size = math.sqrt(b @ b) if info == 0 else math.nan
+    # written so that a NaN or infinite solution fails too
+    if not 0.0 < size < math.inf:
+        return None
+    delta = (b @ c) / size / size
+    np.divide(b, size, out=c)
+    return sigma + delta, math.sqrt(max(1.0 / size / size - delta * delta, 0.0))
+
+
 def _polished(mat, k, start, floor):
     """Levels polished from start vectors, with the Rayleigh-quotient
     steps each took, or None unless every level is certified.
 
-    Each step solves (H - sigma) z = y for the quotient sigma of y, by
-    LU with partial pivoting (LAPACK gtsv), and takes y = z / ||z||; it
-    converges cubically once y is near an eigenvector.  Level j stands
-    if its residual is at most ``floor`` and its vector has j sign
-    changes, the node count of eigenvector j of a Jacobi matrix.  The
-    first level to fail ends the attempt.
+    The steps of a level stop once the residual that `_step` reports is
+    at most ``floor``.  The certificate is then taken once, explicitly:
+    level j stands if its vector has j sign changes, the node count of
+    eigenvector j of a Jacobi matrix, and if the residuals that
+    `_quotients` recomputes are at most ``floor``.  The first level to
+    fail ends the attempt.
     """
     n = mat.d.size
     y = np.empty((n, k), order="F")
-    # right-hand side and solution, the shifted diagonal, the off-diagonals
-    # that gtsv overwrites, and scratch: no step allocates
-    b, dd = np.empty(n), np.empty(n)
-    dl, du, t = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
+    # the buffers of `_step`, so that no step allocates; its dl is
+    # scratch for the product with H until a step overwrites it
+    work = np.empty(n), np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    b, dd, t = work[:3]
     steps = []
     for j in range(k):
         c = y[:, j]
         np.multiply(start(j), mat.scale, out=c)
         c /= math.sqrt(c @ c)
+        # the one product with H of a level: its start's quotient and residual
         sigma = _apply(mat.d, mat.e, c, b, t) @ c
+        b -= np.multiply(c, sigma, out=dd)
+        residual = math.sqrt(b @ b)
         for step in range(_POLISH_STEPS + 1):
-            np.subtract(mat.d, sigma, out=dd)
-            _apply(dd, mat.e, c, b, t)
-            if math.sqrt(b @ b) <= floor:
+            if residual <= floor:
                 break
             if step == _POLISH_STEPS:
                 return None
-            b[:], dl[:], du[:] = c, mat.e, mat.e
-            info = dgtsv(dl, dd, du, b, overwrite_dl=1, overwrite_d=1,
-                         overwrite_du=1, overwrite_b=1)[-1]
-            size = math.sqrt(b @ b) if info == 0 else math.nan
-            # written so that a NaN or infinite solution fails too
-            if not 0.0 < size < math.inf:
+            stepped = _step(mat.d, mat.e, sigma, c, work)
+            if stepped is None:
                 return None
-            # the quotient of z = (H - sigma)^(-1) c is sigma + z.c / z.z
-            sigma += (b @ c) / size / size
-            np.divide(b, size, out=c)
+            sigma, residual = stepped
         if sign_changes(np.divide(c, mat.scale, out=b)).size != j:
             return None
         steps.append(step)
-    del b, dd, dl, du, t  # before the quotients allocate u and its differences
+    del work, b, dd, t  # before the quotients allocate u and its differences
     energy, u, r = _quotients(mat, y)
     if not r.max() <= floor:
         return None
@@ -372,7 +402,9 @@ def _lowest(mat, k, start):
     ``start(j)``, if not None, gives a nodal start vector of level j;
     the levels polished from them stand if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
-    default tolerance gives them all.  Each call logs its route at DEBUG.
+    default tolerance gives them all.  Each call logs its route at DEBUG,
+    a polish with the steps of each level and its largest residual as a
+    fraction of the certificate's floor.
     """
     if k == 0:
         return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0), []
@@ -381,9 +413,11 @@ def _lowest(mat, k, start):
         floor = _RESIDUAL_FLOOR * np.finfo(float).eps * _norm(mat)
         polished = _polished(mat, k, start, floor)
         if polished is not None:
-            _log.debug("%d-point matrix, %d levels: polished in %s steps",
-                       mat.d.size, k, polished[1])
-            return polished[0]
+            levels, steps = polished
+            _log.debug("%d-point matrix, %d levels: polished in %s steps, "
+                       "max residual %.3g of the floor", mat.d.size, k, steps,
+                       levels[2].max() / floor)
+            return levels
         route = "bisection after a failed polish"
     try:
         _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1))
@@ -445,11 +479,16 @@ def _mirrored(v_half, xp, k, half_width, coarse):
     # the mirror image doubles the nodes; an odd level adds the one at x = 0
     nodes[0::2] = [2 * n for n in n_even]
     nodes[1::2] = [2 * n + 1 for n in n_odd]
-    vecs = np.empty((2 * m, k))
-    vecs[m:, 0::2], vecs[m:, 1::2] = u_even, u_odd
-    vecs[m:] /= math.sqrt(2.0)
-    vecs[:m] = vecs[m:][::-1]
-    vecs[:m, 1::2] *= -1.0
+    # column by column, so that every write is contiguous
+    vecs = np.empty((2 * m, k), order="F")
+    root2 = math.sqrt(2.0)
+    for j in range(k):
+        half = vecs[m:, j]
+        np.divide((u_odd if j % 2 else u_even)[:, j // 2], root2, out=half)
+        if j % 2:
+            np.negative(half[::-1], out=vecs[:m, j])
+        else:
+            vecs[:m, j] = half[::-1]
     return w, vecs, r, nodes
 
 

@@ -181,9 +181,10 @@ def sign_changes(values):
     (decaying tails, rounding noise) and are skipped, so a flip is
     counted between the nearest kept neighbours.
     """
-    keep = np.flatnonzero(np.abs(values) > 1e-8 * np.max(np.abs(values)))
-    signs = np.sign(values[keep])
-    return keep[1:][signs[1:] * signs[:-1] < 0]
+    magnitude = np.abs(values)
+    keep = np.flatnonzero(magnitude > 1e-8 * magnitude.max())
+    negative = np.signbit(values[keep])
+    return keep[1:][negative[1:] != negative[:-1]]
 
 
 def ode_residual(n, x):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,13 @@ def dense_staggered_matrix(V, half_width, points, staggered=True):
     return mat, np.max(np.abs(d)) + 1.0 / h ** 2
 
 
+def cell_widths(x, half_width, left=None):
+    """Finite-volume cell widths of staggered nodes x: midpoint to
+    midpoint, the end cells closed by the walls at -L (or ``left``) and L."""
+    left = -half_width if left is None else left
+    return np.diff(np.concatenate(([left], 0.5 * (x[1:] + x[:-1]), [half_width])))
+
+
 SYMMETRIC = [harmonic, pure_coulomb(), soft_core(0.05), repulsive_core(0.05, 0.1)]
 
 
@@ -130,11 +138,37 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("V", SYMMETRIC, ids=lambda V: getattr(V, "family", "harmonic"))
     def test_mirrored_vectors_have_exact_parity(self, V):
-        res = solve(V, Grid(half_width=10.0, points=400), 4)
-        np.testing.assert_array_equal(res.positions[::-1], -res.positions)
-        for lv, v in zip(res.levels, res.vectors.T):
-            sign = 1.0 if lv.parity == "even" else -1.0
-            np.testing.assert_array_equal(v[::-1], sign * v)
+        # bisected and polished sectors, on a uniform and on a graded mesh
+        for g in (Grid(10.0, 400), Grid(10.0, 8000), Grid(10.0, 400, core=0.05)):
+            res = solve(V, g, 4)
+            x, m = res.positions, g.points // 2
+            np.testing.assert_array_equal(x[::-1], -x)
+            widths = cell_widths(x, g.half_width)
+            for lv, v in zip(res.levels, res.vectors.T):
+                sign = 1.0 if lv.parity == "even" else -1.0
+                np.testing.assert_array_equal(v[::-1], sign * v)
+                np.testing.assert_array_equal(v[:m], sign * v[m:][::-1])
+                assert math.isclose(widths @ v ** 2, 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("V, g", [
+        (lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 3000)),
+        (half_line(), Grid(60.0, 4000)),
+        (half_line(), Grid(60.0, 40000)),
+    ], ids=["asymmetric", "half-line", "half-line-polished"])
+    def test_one_matrix_paths_return_their_vectors_as_solved(self, V, g, monkeypatch):
+        real, solved = gridsolver._lowest, []
+
+        def recording(mat, k, start):
+            solved.append(real(mat, k, start))
+            return solved[-1]
+        monkeypatch.setattr(gridsolver, "_lowest", recording)
+        res = solve(V, g, 3)
+        # no mirror, no copy: the array the one matrix's solve returned
+        assert res.vectors is solved[-1][1]
+        half = getattr(V, "family", None) == "half-line"
+        widths = cell_widths(res.positions, g.half_width, 0.0 if half else None)
+        for v in res.vectors.T:
+            assert math.isclose(widths @ v ** 2, 1.0, rel_tol=1e-12)
 
     def test_single_level(self):
         g = Grid(half_width=12.0, points=3000)
@@ -229,6 +263,10 @@ class TestLooseBisection:
             assert abs(lv.energy - e) <= lv.residual + 4.0 * eps * norm
 
 
+POLISHED_RECORD = re.compile(r"polished in \[([0-9, ]+)\] steps, "
+                             r"max residual (\S+) of the floor")
+
+
 @pytest.fixture
 def routes(caplog):
     """The route record of every matrix solved, as (points, message)."""
@@ -270,6 +308,36 @@ def sector_norms(monkeypatch):
     return norms
 
 
+class TestPolishStep:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("noise", [1e-1, 1e-3, 1e-5])
+    def test_reported_residual_is_the_explicit_one(self, seed, noise):
+        # a random symmetric tridiagonal and a start near its eigenvector 3;
+        # the steps go on past convergence, into the rounding floor
+        rng = np.random.default_rng(seed)
+        n = 300
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        norm = np.abs(d).max() + 2.0 * np.abs(e).max()
+        c = np.linalg.eigh(T)[1][:, 3] + noise * rng.normal(size=n)
+        c /= np.linalg.norm(c)
+        sigma = c @ T @ c
+        work = np.empty(n), np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        eps = np.finfo(float).eps
+        for _ in range(3):
+            sigma, residual = gridsolver._step(d, e, sigma, c, work)
+            assert math.isclose(np.linalg.norm(c), 1.0, rel_tol=4.0 * eps * math.sqrt(n))
+            # sigma is the quotient of the new vector and residual its residual
+            assert abs(sigma - c @ T @ c) <= 4.0 * eps * norm
+            assert abs(residual - np.linalg.norm(T @ c - sigma * c)) <= 4.0 * eps * norm
+
+    def test_singular_shift_breaks_down(self):
+        # sigma on an eigenvalue of the 2x2 block [[1, 1], [1, 1]]: a zero pivot
+        d, e, c = np.ones(2), np.ones(1), np.array([1.0, 0.0])
+        work = np.empty(2), np.empty(2), np.empty(1), np.empty(1)
+        assert gridsolver._step(d, e, 0.0, c, work) is None
+
+
 # each grid has at least four times the points of its coarse graded grid
 POLISHED = [
     ("pure-coulomb", pure_coulomb(), Grid(60.0, 40000), 4),
@@ -301,16 +369,32 @@ class TestCoarseStart:
         assert [lv.nodes for lv in full.levels] == list(range(k))
         assert [lv.parity for lv in polished.levels] == [lv.parity for lv in full.levels]
 
-    def test_care_scan_grid_polishes_both_sectors(self, routes, bisection_only):
-        # the default care scan: the coarse graded grid resolves the core
-        V, g = repulsive_core(1e-3, 5e-3), Grid(54.0, 540000)
-        polished = solve(V, g, 6)
-        assert [size for size, msg in routes() if "polished" in msg] == [270000] * 2
-        full = bisection_only(V, g, 6)
+    @staticmethod
+    def check_both_sectors_polish(V, g, k, routes, bisection_only, sector_norms):
+        polished = solve(V, g, k)
+        records = routes()
+        assert not any("failed polish" in msg for _, msg in records)
+        assert [size for size, msg in records if "polished" in msg] == [g.points // 2] * 2
+        eps = np.finfo(float).eps
+        for lv in polished.levels:
+            assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[g.points // 2]
+        full = bisection_only(V, g, k)
         np.testing.assert_allclose([lv.energy for lv in polished.levels],
                                    [lv.energy for lv in full.levels], rtol=1e-12, atol=0)
-        assert [lv.nodes for lv in polished.levels] == list(range(6))
+        assert [lv.nodes for lv in polished.levels] == list(range(k))
         assert [lv.parity for lv in polished.levels] == [lv.parity for lv in full.levels]
+
+    def test_care_scan_grid_polishes_both_sectors(self, routes, bisection_only,
+                                                  sector_norms):
+        # the default care scan: the coarse graded grid resolves the core
+        self.check_both_sectors_polish(repulsive_core(1e-3, 5e-3), Grid(54.0, 540000), 6,
+                                       routes, bisection_only, sector_norms)
+
+    def test_largest_grid_core_solve_polishes_both_sectors(self, routes, bisection_only,
+                                                           sector_norms):
+        # the largest solve of the grid-core benchmark workload
+        self.check_both_sectors_polish(pure_coulomb(), Grid(60.0, 540000), 6,
+                                       routes, bisection_only, sector_norms)
 
     def test_wrong_index_start_falls_back(self, monkeypatch, routes, bisection_only):
         # the even sector's level j starts from its level j + 1, so the
@@ -373,9 +457,23 @@ class TestRouteLog:
         # coarse sectors, fine sectors, then the one half-line matrix
         assert sizes == [483, 483, 20000, 20000, 800]
         messages = [msg.split(": ")[1] for _, msg in routes()]
-        assert all(msg.startswith("polished in [") and msg.endswith("] steps")
-                   for msg in messages[2:4])
+        assert all(POLISHED_RECORD.fullmatch(msg) for msg in messages[2:4])
         assert [messages[j] for j in (0, 1, 4)] == ["bisection"] * 3
+
+    def test_polished_record_carries_the_certificate_margin(self, routes, monkeypatch):
+        # the largest explicit residual of a sector over its floor, at most 1
+        real, margins = gridsolver._polished, []
+
+        def recording(mat, k, start, floor):
+            polished = real(mat, k, start, floor)
+            margins.append(f"{polished[0][2].max() / floor:.3g}")
+            return polished
+        monkeypatch.setattr(gridsolver, "_polished", recording)
+        solve(pure_coulomb(), Grid(60.0, 40000), 4)
+        records = [POLISHED_RECORD.fullmatch(msg.split(": ")[1]) for _, msg in routes()]
+        logged = [match.group(2) for match in records if match]
+        assert logged == margins and len(logged) == 2
+        assert all(0.0 < float(margin) <= 1.0 for margin in logged)
 
     def test_half_line_scan_grid_polishes(self, routes):
         # the default half-line scan: the coarse grid has half of

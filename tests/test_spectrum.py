@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -365,6 +365,9 @@ class TestNodeCount:
     def test_node_theorem(self, n):
         assert node_count(n) == n
 
+    def test_node_theorem_through_the_float_range(self):
+        assert [node_count(n) for n in range(216)] == list(range(216))
+
     @pytest.mark.parametrize("n", [0, 3, 20, 210])
     def test_samples_cover_twice_the_turning_point(self, n, monkeypatch):
         real, sizes = spectrum.wavefunction, []
@@ -391,6 +394,47 @@ class TestNodeCount:
     def test_past_the_float_range_raises(self):
         with pytest.raises(ValueError, match="float range"):
             node_count(230)
+
+
+def sign_product_changes(values):
+    """The former `spectrum.sign_changes`, from products of np.sign."""
+    keep = np.flatnonzero(np.abs(values) > 1e-8 * np.max(np.abs(values)))
+    signs = np.sign(values[keep])
+    return keep[1:][signs[1:] * signs[:-1] < 0]
+
+
+# magnitudes from 1 down past the 1e-8 cut, the cut itself, exact zeros
+# of both signs, and any double at all
+SAMPLES = st.one_of(
+    st.builds(lambda sign, power: sign * 10.0 ** power,
+              st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 0.0)),
+    st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0]),
+    st.floats(width=64),
+)
+
+
+class TestSignChanges:
+    @given(st.lists(SAMPLES, min_size=1, max_size=80),
+           st.sampled_from([None, math.nan, math.inf, -math.inf]), st.integers(0, 79))
+    @example([0.0] * 6, None, 0)
+    @example([1.0, -1e-9, 0.0, -1.0, 2e-8, 1.0], None, 0)
+    @example([1.0, -1.0, 1.0], math.nan, 1)
+    @example([1.0, -1.0, 1.0], -math.inf, 2)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_sign_products(self, values, special, at):
+        x = np.array(values)
+        if special is not None:
+            x[at % x.size] = special
+        got, want = spectrum.sign_changes(x), sign_product_changes(x)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_skipped_samples_and_non_finite_arrays(self):
+        x = np.array([1.0, 1e-9, -0.5, 0.0, -1e-12, 2.0, -3.0])
+        np.testing.assert_array_equal(spectrum.sign_changes(x), [2, 5, 6])
+        for bad in (np.zeros(5), np.array([1.0, math.nan, -1.0]),
+                    np.array([1.0, -math.inf, -1.0])):
+            assert spectrum.sign_changes(bad).size == 0
 
 
 class TestOdeResidual:
