@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .gridsolver import Grid, solve
+from .gridsolver import _CORE_CELLS, Grid, solve
 from .potentials import PotentialSpec
 from .quadrature import ConvergenceError
 from .regularized import (GridResolutionError, care_interleaving,
@@ -295,7 +295,8 @@ def build_parser():
     sp.add_argument("--half-width", type=float, help="box size L")
     sp.add_argument("--points", type=int,
                     help="uniform mesh points (default: a graded mesh per "
-                         "soft-core radius, the core rule h <= a/5 otherwise)")
+                         "soft-core radius, the core rule "
+                         f"h <= a/{_CORE_CELLS:g} otherwise)")
     sp.add_argument("--k-max", type=int, help="levels to compute")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_scan)

@@ -37,7 +37,11 @@ therefore the half-line model, and the half-line family is solved as
 that sector alone on [0, L].  The merge needs no sort and no parity
 guess: by the oscillation theorem eigenvector k of a Jacobi matrix has
 k sign changes, so level 2j is even level j and level 2j+1 is odd
-level j.  Parity labels are exact by construction.
+level j.  Parity labels are exact by construction.  The solve keeps the
+vectors in that form, each sector's on the positive half mesh; the
+whole-mesh ``positions`` and ``vectors`` of a `SpectrumResult` are its
+mirror image, built on first access and then kept (30 MB at N = 540000,
+k = 6, which no command reads).
 
 Plain callables that are not mirror symmetric on the mesh, and
 unstaggered grids, keep the full N-point matrix; their levels carry no
@@ -55,7 +59,8 @@ whose points all lie on [0, L], the coarse grid takes half of
 grid with at least four times its points; it is its own coarse grid, so
 its solve starts from nothing.  `refine` starts each grid after its
 first from the vectors of the grid before.  Each coarse vector is
-interpolated onto the fine nodes and polished by at most five
+interpolated onto the fine nodes, a sector vector straight onto the
+fine half mesh, and polished by at most five
 shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve each, which
 converge cubically near an eigenvector (Parlett, The Symmetric
 Eigenvalue Problem, ch. 4).  The steps of a level stop on the residual
@@ -70,9 +75,14 @@ eigenvector j of a Jacobi matrix (a sector, or the full matrix) must.
 If any level of a matrix fails it, or a solve breaks down, all its
 levels are solved once by bisection and inverse iteration (LAPACK
 stebz/stein via scipy) at LAPACK's default tolerance, as those of grids
-with no coarse start are at once.  The logger
-``coulomb1d.gridsolver`` records the route of every matrix at DEBUG,
-with the largest polished residual as a fraction of the floor.
+with no coarse start are at once.  On either route a level whose floor
+is over 4 |E| raises ConvergenceError: there LAPACK's bisection
+tolerance eps ||H|| is over |E|/4, and the soft-core ground levels that
+bisection returned from 4.4 |E| on were wrong, some even in sign.  The
+logger ``coulomb1d.gridsolver`` records every matrix at DEBUG: its
+floor, the largest floor/|E| of its levels, which the guard reads, and
+its route, with the largest polished residual as a fraction of the
+floor.
 LAPACK's MRRR (``eigh_tridiagonal(..., lapack_driver='stemr')``) is no
 option: scipy's wrapper asks for an n x n workspace, 543 GiB at
 n = 270000.
@@ -87,7 +97,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -102,7 +113,9 @@ __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
 
 # The graded map s(x) = x/_FAR_STEP + _CORE_CELLS ln(1 + x/core): about
 # _CORE_CELLS cells per core radius at the origin, steps of _FAR_STEP
-# per unit of s far out.
+# per unit of s far out.  _CORE_CELLS is also the one core-resolution
+# rule of uniform grids, h <= a/_CORE_CELLS, which `_coarse`,
+# `regularized.required_points` and the CLI help read.
 _FAR_STEP = 0.05
 _CORE_CELLS = 5.0
 
@@ -180,20 +193,74 @@ class Level:
     residual: float
 
 
+class _Solution(NamedTuple):
+    """Nodes and nodal vectors of a solve, in one of two forms.
+
+    With ``odd`` None, column k of ``vectors`` is level k on the nodes x.
+    Otherwise x is the positive half of a mirrored mesh, and column j of
+    ``vectors`` and of ``odd`` is level j of the even and of the odd
+    sector, level 2j and 2j + 1 of the whole mesh, scaled so that
+    sum(width * u^2) = 1 over the half mesh.
+    """
+
+    x: np.ndarray
+    vectors: np.ndarray
+    odd: np.ndarray | None = None
+
+
+def _positions(sol):
+    """The whole mesh of a solution."""
+    if sol.odd is None:
+        return sol.x
+    return np.concatenate((-sol.x[::-1], sol.x))
+
+
+def _vectors(sol):
+    """The vectors of a solution on its whole mesh, level k in column k.
+
+    A sector column is divided by sqrt(2), which keeps sum(width * v^2)
+    = 1 on the whole mesh, and mirrored onto x < 0, negated if odd.
+    """
+    if sol.odd is None:
+        return sol.vectors
+    m = sol.x.size
+    k = sol.vectors.shape[1] + sol.odd.shape[1]
+    vecs = np.empty((2 * m, k), order="F")
+    root2 = math.sqrt(2.0)
+    # column by column, so that every write is contiguous
+    for j in range(k):
+        half = vecs[m:, j]
+        np.divide((sol.odd if j % 2 else sol.vectors)[:, j // 2], root2, out=half)
+        if j % 2:
+            np.negative(half[::-1], out=vecs[:m, j])
+        else:
+            vecs[:m, j] = half[::-1]
+    return vecs
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """Eigensolve output: levels plus the mesh and eigenvectors behind them.
 
     ``vectors[:, k]`` is level k on ``positions``, normalized so that
     sum(width * v^2) = 1 over the cells (h * sum(v^2) = 1 on a uniform
-    grid).
+    grid).  A symmetric solve keeps its vectors as the two parity
+    sectors on the positive half mesh; ``positions`` and ``vectors``
+    build the whole-mesh arrays on first access and keep them.
     """
 
     levels: list
     grid: Grid
     potential: object
-    positions: np.ndarray
-    vectors: np.ndarray
+    _solution: _Solution = field(repr=False, compare=False)
+
+    @cached_property
+    def positions(self):
+        return _positions(self._solution)
+
+    @cached_property
+    def vectors(self):
+        return _vectors(self._solution)
 
 
 def _half_mesh(g, m):
@@ -274,6 +341,14 @@ def _wall_at_origin(mat, x):
 # steps.
 _RESIDUAL_FLOOR = 16.0
 _POLISH_STEPS = 5
+# A level stands only if that floor is at most this many times its |E|,
+# that is, if LAPACK's bisection tolerance eps ||H|| is at most |E|/4.
+# On the graded grids of soft-core scans with a from 2e-7 down to 2e-8
+# (L = 20, 30 and 45) the bisection after a failed polish returned wrong
+# ground levels from 4.4 |E| on, and none below (the scan at a = 1e-8
+# printed E0 = +599.7 for -385.7); the finest grid at a = 1e-7 reaches
+# 3.85 |E|.
+_FLOOR_RATIO = 4.0
 
 _log = logging.getLogger(__name__)
 
@@ -402,37 +477,49 @@ def _lowest(mat, k, start):
     ``start(j)``, if not None, gives a nodal start vector of level j;
     the levels polished from them stand if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
-    default tolerance gives them all.  Each call logs its route at DEBUG,
-    a polish with the steps of each level and its largest residual as a
-    fraction of the certificate's floor.
+    default tolerance gives them all.  Either way a level whose
+    certificate floor exceeds _FLOOR_RATIO times its |E| raises
+    ConvergenceError.  Each call logs at DEBUG the floor, its ratio to
+    the smallest |E| and the route, a polish with the steps of each
+    level and its largest residual as a fraction of the floor.
     """
     if k == 0:
         return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0), []
-    route = "bisection"
+    floor = _RESIDUAL_FLOOR * np.finfo(float).eps * _norm(mat)
+    route, levels = "bisection", None
     if start is not None:
-        floor = _RESIDUAL_FLOOR * np.finfo(float).eps * _norm(mat)
         polished = _polished(mat, k, start, floor)
-        if polished is not None:
+        if polished is None:
+            route = "bisection after a failed polish"
+        else:
             levels, steps = polished
-            _log.debug("%d-point matrix, %d levels: polished in %s steps, "
-                       "max residual %.3g of the floor", mat.d.size, k, steps,
-                       levels[2].max() / floor)
-            return levels
-        route = "bisection after a failed polish"
-    try:
-        _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1))
-    except LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
-                               None, math.inf) from exc
-    _log.debug("%d-point matrix, %d levels: %s", mat.d.size, k, route)
-    energy, u, r = _quotients(mat, y)
-    return energy, u, r, [sign_changes(c).size for c in u.T]
+            route = (f"polished in {steps} steps, max residual "
+                     f"{levels[2].max() / floor:.3g} of the floor")
+    if levels is None:
+        try:
+            _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1))
+        except LinAlgError as exc:
+            raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
+                                   None, math.inf) from exc
+        energy, u, r = _quotients(mat, y)
+        levels = energy, u, r, [sign_changes(c).size for c in u.T]
+    weakest = levels[0][np.argmin(np.abs(levels[0]))]
+    ratio = floor / abs(weakest) if weakest != 0.0 else math.inf
+    _log.debug("%d-point matrix, %d levels, floor %.3g, %.3g of the smallest "
+               "|E|: %s", mat.d.size, k, floor, ratio, route)
+    # written so that a NaN energy fails too
+    if not ratio <= _FLOOR_RATIO:
+        raise ConvergenceError(
+            f"the rounding floor {floor:.3g} of a {mat.d.size}-point matrix is "
+            f"{ratio:.3g} |E| of its level E = {weakest:.6g}, over "
+            f"{_FLOOR_RATIO:g} |E|: the level carries no digits", levels[0], floor)
+    return levels
 
 
 def _coarse(V, g, k, half_line):
-    """Mesh and vectors of the same problem on ``Grid.graded(L, c)``;
-    None unless that grid has at least 8 points, at most a quarter of the
-    points of g, and k <= its points/4.
+    """Solution of the same problem on ``Grid.graded(L, c)``; None unless
+    that grid has at least 8 points, at most a quarter of the points of
+    g, and k <= its points/4.
 
     c is ``g.core``, the map of a graded g, or _CORE_CELLS steps h of a
     uniform g (2L/N, or L/N on the half line), which puts the coarse step
@@ -448,23 +535,50 @@ def _coarse(V, g, k, half_line):
     points = _graded_points(g.half_width, core) // (2 if half_line else 1)
     if points < 8 or 4 * points > g.points or k > points // 4:
         return None
-    x, _, vecs, *_ = _eigenpairs(V, Grid(g.half_width, points, core=core), k)
-    return x, vecs
+    return _eigenpairs(V, Grid(g.half_width, points, core=core), k)[-1]
 
 
 def _starts(coarse, x, levels):
     """start(j) for `_lowest`: coarse level levels[j] interpolated onto
-    the nodes x, built only when it is asked for."""
+    the nodes x, built only when it is asked for.
+
+    A coarse solution in sector form serves the positive half mesh x of
+    a fine one.  Its column is divided by sqrt(2) and extended by the
+    mirror image of its first node, flat if even and through zero if
+    odd, so that it interpolates exactly as the whole-mesh vector does:
+    the same values, bit for bit, also below the first coarse node,
+    where a graded fine mesh puts its first nodes.
+    """
     if coarse is None:
         return None
-    xc, vc = coarse
-    return lambda j: np.interp(x, xc, vc[:, levels[j]])
+    if coarse.odd is None:
+        return lambda j: np.interp(x, coarse.x, coarse.vectors[:, levels[j]])
+    xc = np.concatenate((-coarse.x[:1], coarse.x))
+    root2 = math.sqrt(2.0)
+
+    def start(j):
+        col, odd = divmod(levels[j], 2)
+        vc = np.empty(xc.size)
+        np.divide((coarse.odd if odd else coarse.vectors)[:, col], root2,
+                  out=vc[1:])
+        vc[0] = -vc[1] if odd else vc[1]
+        return np.interp(x, xc, vc)
+    return start
+
+
+def _one_matrix(mat, x, k, coarse):
+    """Energies, residuals, node counts and solution of one matrix on the
+    nodes x.  A coarse solution in sector form starts it from its
+    whole-mesh vectors."""
+    if coarse is not None:
+        coarse = _Solution(_positions(coarse), _vectors(coarse))
+    w, u, r, nodes = _lowest(mat, k, _starts(coarse, x, range(k)))
+    return w, r, nodes, _Solution(x, u)
 
 
 def _mirrored(v_half, xp, k, half_width, coarse):
-    """Merged sector energies, full-mesh vectors, residuals and node
-    counts of an even potential."""
-    m = xp.size
+    """Merged sector energies, residuals and node counts of an even
+    potential, and its solution in sector form on the half mesh xp."""
     # no link across the centre (even), or a wall at the centre (odd)
     even = _assemble(xp, v_half, (0.0, half_width), (None, half_width))
     w_even, u_even, r_even, n_even = _lowest(
@@ -479,24 +593,15 @@ def _mirrored(v_half, xp, k, half_width, coarse):
     # the mirror image doubles the nodes; an odd level adds the one at x = 0
     nodes[0::2] = [2 * n for n in n_even]
     nodes[1::2] = [2 * n + 1 for n in n_odd]
-    # column by column, so that every write is contiguous
-    vecs = np.empty((2 * m, k), order="F")
-    root2 = math.sqrt(2.0)
-    for j in range(k):
-        half = vecs[m:, j]
-        np.divide((u_odd if j % 2 else u_even)[:, j // 2], root2, out=half)
-        if j % 2:
-            np.negative(half[::-1], out=vecs[:m, j])
-        else:
-            vecs[:m, j] = half[::-1]
-    return w, vecs, r, nodes
+    return w, r, nodes, _Solution(xp, u_even, u_odd)
 
 
 def _eigenpairs(V, g, k, coarse=None):
-    """Mesh, energies, vectors scaled to sum(width * v^2) = 1, residuals,
-    node counts, and whether the vectors come from the two parity
-    sectors.  ``coarse``, the mesh and vectors of a coarser solve, is the
-    start of the polish; by default it comes from `_coarse`."""
+    """Energies, residuals, node counts and the `_Solution` of a grid,
+    in sector form if its two parity sectors were solved, with vectors
+    scaled to sum(width * v^2) = 1.  ``coarse``, the solution of a
+    coarser grid, is the start of the polish; by default it comes from
+    `_coarse`."""
     spec = isinstance(V, PotentialSpec)
     L = g.half_width
     half_line = spec and V.family == "half-line"
@@ -509,27 +614,25 @@ def _eigenpairs(V, g, k, coarse=None):
         # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
         x = _half_mesh(g, g.points)
         mat = _assemble(x, _potential(V, x), (0.0, L), (None, L))
-        return (x, *_lowest(_wall_at_origin(mat, x), k,
-                            _starts(coarse, x, range(k))), False)
+        return _one_matrix(_wall_at_origin(mat, x), x, k, coarse)
     if not g.staggered:
         # walls on the lattice, one step outside the end points
         h = 2.0 * L / g.points
         x = -L + np.arange(1, g.points) * h
         mat = _assemble(x, _potential(V, x), (-L + 0.5 * h, L - 0.5 * h), (-L, L))
-        return (x, *_lowest(mat, k, _starts(coarse, x, range(k))), False)
+        return _one_matrix(mat, x, k, coarse)
     m = g.points // 2
     xp = _half_mesh(g, m)
-    x = np.concatenate((-xp[::-1], xp))
     if spec:
         # every family is even in x
         v_half = _potential(V, xp)
     else:
+        x = np.concatenate((-xp[::-1], xp))
         v = _potential(V, x)
         if not np.array_equal(v[:m][::-1], v[m:]):
-            mat = _assemble(x, v, (-L, L), (-L, L))
-            return (x, *_lowest(mat, k, _starts(coarse, x, range(k))), False)
+            return _one_matrix(_assemble(x, v, (-L, L), (-L, L)), x, k, coarse)
         v_half = v[m:]
-    return (x, *_mirrored(v_half, xp, k, L, coarse), True)
+    return _mirrored(v_half, xp, k, L, coarse)
 
 
 def _check(V, g, k_max):
@@ -563,13 +666,13 @@ def solve(V, g, k_max):
         energy to an eigenvalue of the discrete H.
     """
     _check(V, g, k_max)
-    x, w, vecs, res, nodes, sectors = _eigenpairs(V, g, k_max)
+    w, res, nodes, solution = _eigenpairs(V, g, k_max)
+    sectors = solution.odd is not None
     levels = [Level(index=k, energy=float(w[k]),
                     parity=("odd" if k % 2 else "even") if sectors else None,
                     nodes=nodes[k], residual=float(res[k]))
               for k in range(k_max)]
-    return SpectrumResult(levels=levels, grid=g, potential=V,
-                          positions=x, vectors=vecs)
+    return SpectrumResult(levels=levels, grid=g, potential=V, _solution=solution)
 
 
 def refine(V, g, level, refinements):
@@ -601,7 +704,6 @@ def refine(V, g, level, refinements):
     for j in range(refinements + 1):
         gj = replace(g, points=g.points * 2 ** j)
         _check(V, gj, level + 1)
-        x, w, vecs, *_ = _eigenpairs(V, gj, level + 1, coarse)
+        w, _, _, coarse = _eigenpairs(V, gj, level + 1, coarse)
         energies.append(float(w[level]))
-        coarse = x, vecs
     return energies

@@ -23,7 +23,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .gridsolver import Grid, _require_positive, refine, solve
+from .gridsolver import _CORE_CELLS, Grid, _require_positive, refine, solve
 from .potentials import half_line, loudon_estimate, repulsive_core, soft_core
 
 __all__ = [
@@ -37,19 +37,17 @@ __all__ = [
     "soft_core_ground_scan",
 ]
 
-# a mesh step of a/5 or finer resolves a core of radius a
-_CORE_STEPS = 5.0
-
-
 def required_points(half_width, a):
     """Smallest even point count on [-L, L] whose step resolves core radius a.
 
-    The rule is h = 2L/N <= a/5; the count is rounded up to an even
-    number so the staggered full-line mesh stays mirror-symmetric.
+    The rule is h = 2L/N <= a/5 (gridsolver's _CORE_CELLS, the cells per
+    core radius of its graded map and coarse grids); the count is rounded
+    up to an even number so the staggered full-line mesh stays
+    mirror-symmetric.
     """
     _require_positive("half_width", half_width)
     _require_positive("core radius", a)
-    n = math.ceil(2.0 * half_width * _CORE_STEPS / a)
+    n = math.ceil(2.0 * half_width * _CORE_CELLS / a)
     return n + n % 2
 
 
@@ -130,6 +128,10 @@ def soft_core_ground_scan(a_values, g):
         R = (4 E(h/2) - E(h))/3 of the two finest and the two coarsest
         levels (e0 is R_fine).  The ground energy decreases strictly as
         a shrinks.
+
+    Raises ConvergenceError where a grid's rounding floor outgrows the
+    ground level, on the default graded grids at L = 30 from a = 9.8e-8
+    down.
     """
     a_values = list(a_values)
     if not a_values:

@@ -257,6 +257,23 @@ class TestScanCommand:
             assert 0.0 < r["e0_error"] < 1e-5 * abs(r["e0"])
             assert r["ratio"] == r["e0"] / r["loudon_estimate"]
 
+    @pytest.mark.parametrize("a", ["2e-8", "1e-8"])
+    def test_soft_core_under_the_rounding_floor_exits_three(self, a, capsys):
+        # these radii once printed E0 = +143.7 and +599.7 with exit 0
+        code, out, err = run_cli(["scan", "--family", "soft-core", "--a", a], capsys)
+        assert code == 3
+        assert out == ""
+        assert "the level carries no digits" in err
+
+    def test_soft_core_smallest_guarded_radius_converges(self, capsys):
+        # exact E0 from the Whittaker condition W'_{kappa,1/2}(2a/kappa) = 0,
+        # E = -1/(2 kappa^2), with mpmath at 30 digits
+        code, out, _ = run_cli(["scan", "--family", "soft-core", "--a", "1e-7"], capsys)
+        assert code == 0
+        (row,) = parse_csv(out)[1]
+        e0, err = float(row["e0"]), float(row["e0_error"])
+        assert abs(e0 - -276.685993088164) <= err <= 1e-3
+
     def test_soft_core_explicit_points_shared(self, capsys):
         code, out, _ = run_cli(["scan", "--family", "soft-core", "--a",
                                 "1e-1,5e-2", "--points", "6000"], capsys)

@@ -3,6 +3,8 @@
 import logging
 import math
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +198,75 @@ class TestParitySectors:
             assert [lv.nodes for lv in res.levels] == [0, 1, 2]
         # the shifted well keeps the harmonic spacing
         assert abs(asym.levels[1].energy - asym.levels[0].energy - 1.0) < 1e-3
+
+
+@pytest.fixture
+def sector_vectors(monkeypatch):
+    """The nodal vectors of every matrix that _lowest solves, in order."""
+    real, solved = gridsolver._lowest, []
+
+    def recording(mat, k, start):
+        levels = real(mat, k, start)
+        solved.append(levels[1])
+        return levels
+    monkeypatch.setattr(gridsolver, "_lowest", recording)
+    return solved
+
+
+class TestSectorForm:
+    @pytest.mark.parametrize("V, g, k", [
+        (harmonic, Grid(10.0, 400), 3),
+        (harmonic, Grid(10.0, 400), 1),
+        (pure_coulomb(), Grid(60.0, 40000), 4),
+        (soft_core(1e-2), Grid(30.0, 4000, core=1e-2), 5),
+    ], ids=["bisected", "one-level", "polished", "graded"])
+    def test_whole_mesh_arrays_mirror_the_sectors(self, V, g, k, sector_vectors):
+        res = solve(V, g, k)
+        # the last two matrices solved are the even and odd fine sectors
+        u_even, u_odd = sector_vectors[-2:]
+        m = g.points // 2
+        assert u_even.shape == (m, (k + 1) // 2) and u_odd.shape == (m, k // 2)
+        # neither whole-mesh array exists before it is asked for
+        assert "positions" not in vars(res) and "vectors" not in vars(res)
+        xp = gridsolver._half_mesh(g, m)
+        np.testing.assert_array_equal(res.positions, np.concatenate((-xp[::-1], xp)))
+        want = np.empty((g.points, k))
+        for j in range(k):
+            u = (u_odd if j % 2 else u_even)[:, j // 2] / math.sqrt(2.0)
+            want[:, j] = np.concatenate(((-u if j % 2 else u)[::-1], u))
+        vectors = res.vectors
+        np.testing.assert_array_equal(vectors, want)
+        assert vectors.flags.f_contiguous
+        widths = cell_widths(res.positions, g.half_width)
+        for v in vectors.T:
+            assert math.isclose(widths @ v ** 2, 1.0, rel_tol=1e-12)
+        # built once, then kept
+        assert res.vectors is vectors
+        assert res.positions is res.positions
+
+    def test_sector_start_is_the_whole_mesh_interpolation(self):
+        # a graded fine mesh puts its first nodes below the coarse one's,
+        # where the whole-mesh vector runs flat (even) or through 0 (odd)
+        coarse = gridsolver._eigenpairs(pure_coulomb(), Grid(60.0, 2000, core=1e-2), 4)[-1]
+        xp = gridsolver._half_mesh(Grid(60.0, 8000, core=1e-2), 4000)
+        assert xp[0] < coarse.x[0]
+        x, vecs = gridsolver._positions(coarse), gridsolver._vectors(coarse)
+        for levels in (range(0, 4, 2), range(1, 4, 2)):
+            start = gridsolver._starts(coarse, xp, levels)
+            for j, level in enumerate(levels):
+                np.testing.assert_array_equal(start(j), np.interp(xp, x, vecs[:, level]))
+
+    def test_largest_grid_core_solve_peak_memory(self):
+        # the largest solve of the grid-core benchmark workload: whole-mesh
+        # vectors and positions, 30 MB, are no longer built for it
+        solve(pure_coulomb(), Grid(60.0, 8000), 2)
+        tracemalloc.start()
+        try:
+            solve(pure_coulomb(), Grid(60.0, 540000), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 42 * 2 ** 20
 
 
 class TestRayleighQuotient:
@@ -518,6 +589,54 @@ class TestRouteLog:
         assert (loud.out, loud.err) == (quiet.out, quiet.err)
 
 
+class TestFloorGuard:
+    def test_record_carries_the_floor_and_its_ratio(self, routes, monkeypatch):
+        real, norms = gridsolver._lowest, []
+
+        def recording(mat, k, start):
+            norms.append(np.abs(mat.d).max() + 2.0 * np.abs(mat.e).max())
+            return real(mat, k, start)
+        monkeypatch.setattr(gridsolver, "_lowest", recording)
+        res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
+        records = routes()
+        assert len(records) == len(norms) == 4
+        eps = np.finfo(float).eps
+        # the fine even and odd sectors, solved last
+        for (_, msg), norm, levels in zip(records[2:], norms[2:],
+                                          (res.levels[0::2], res.levels[1::2])):
+            floor = 16.0 * eps * norm
+            ratio = floor / min(abs(lv.energy) for lv in levels)
+            head = f"20000-point matrix, 2 levels, floor {floor:.3g}, " \
+                   f"{ratio:.3g} of the smallest |E|: "
+            assert msg.startswith(head)
+            assert POLISHED_RECORD.fullmatch(msg[len(head):])
+
+    def test_bisected_level_over_the_floor_raises(self, routes):
+        # the graded grid of a = 1e-8 is its own coarse grid, so it is bisected;
+        # its floor is 14 |E0|, and a = 1e-8 once printed E0 = +599.7
+        g = Grid.graded(30.0, 1e-8)
+        with pytest.raises(ConvergenceError, match="the level carries no digits"):
+            solve(soft_core(1e-8), g, 1)
+        (size, msg), = routes()
+        assert size == g.points // 2 and msg.endswith(": bisection")
+
+    def test_polished_level_over_the_floor_raises(self, routes):
+        # the third rung of the scan at a = 8e-8 polishes its ground level
+        # in no step, at a floor of 5.8 |E0|
+        with pytest.raises(ConvergenceError, match="the level carries no digits"):
+            refine(soft_core(8e-8), Grid.graded(30.0, 8e-8), 0, 2)
+        assert "polished in [0] steps" in routes()[-1][1]
+
+    def test_guard_reads_the_logged_ratio(self, routes, monkeypatch):
+        # two bisected sectors; the guard reads the larger of their ratios
+        solve(harmonic, Grid(10.0, 400), 3)
+        ratio = max(float(msg.split(", ")[3].split()[0]) for _, msg in routes())
+        monkeypatch.setattr(gridsolver, "_FLOOR_RATIO", 1.01 * ratio)
+        solve(harmonic, Grid(10.0, 400), 3)
+        monkeypatch.setattr(gridsolver, "_FLOOR_RATIO", 0.99 * ratio)
+        with pytest.raises(ConvergenceError, match="the level carries no digits"):
+            solve(harmonic, Grid(10.0, 400), 3)
+
 def graded_fv_levels(V, x_half, half_width, k):
     """Lowest k eigenvalues of the full finite-volume matrix on the mirrored
     nodes, and its norm: cells from midpoint to midpoint, end cells closed
@@ -645,6 +764,34 @@ class TestRefine:
         seq = refine(box, Grid(half_width=1.0, points=2000), 0, 1)
         extrapolated = (4.0 * seq[1] - seq[0]) / 3.0
         assert abs(extrapolated - math.pi ** 2 / 8) < 1e-6
+
+    @pytest.mark.parametrize("V, g, level", [
+        (pure_coulomb(), Grid(60.0, 2000, core=1e-2), 3),
+        (pure_coulomb(), Grid(60.0, 2000, core=1e-2), 2),
+        (soft_core(1e-3), Grid.graded(30.0, 1e-3), 0),
+        (harmonic, Grid(10.0, 4000), 1),
+    ], ids=["graded-odd", "graded-even", "soft-core-scan", "uniform"])
+    def test_chain_matches_independent_solves(self, V, g, level, monkeypatch):
+        # each rung starts from the sector vectors of the rung before, an
+        # independent solve from its own coarse grid; both are Rayleigh
+        # quotients near one eigenvalue, so they differ by at most the sum
+        # of their residuals
+        real, residuals = gridsolver._lowest, []
+
+        def recording(mat, k, start):
+            levels = real(mat, k, start)
+            residuals.append((mat.d.size, levels[2]))
+            return levels
+        monkeypatch.setattr(gridsolver, "_lowest", recording)
+        seq = refine(V, g, level, 3)
+        chain = residuals[:]
+        for j, energy in enumerate(seq):
+            gj = replace(g, points=g.points * 2 ** j)
+            # the even sector of a rung is solved before its odd one
+            sectors = [r for size, r in chain if size == gj.points // 2]
+            r_chain = sectors[level % 2][level // 2]
+            lv = solve(V, gj, level + 1).levels[level]
+            assert abs(energy - lv.energy) <= r_chain + lv.residual
 
     def test_refinement_budget_enforced(self):
         with pytest.raises(ValueError):
