@@ -58,12 +58,12 @@ whose points all lie on [0, L], the coarse grid takes half of
 ``Grid.graded``'s points, which keeps its map step.  It serves only a
 grid with at least four times its points; it is its own coarse grid, so
 its solve starts from nothing.  `refine` starts each grid after its
-first from the vectors of the grid before.  Each coarse vector is
-interpolated onto the fine nodes, a sector vector straight onto the
-fine half mesh, and polished by at most five
-shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve each, which
-converge cubically near an eigenvector (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4).  The steps of a level stop on the residual
+first from the vectors of the grid before.  Each coarse vector, on
+the coarse grid's whole mesh, is interpolated onto the fine nodes and
+polished by at most five shift-invert Rayleigh-quotient steps, one
+LAPACK gtsv solve each, which converge cubically near an eigenvector
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The steps of a
+level stop on the residual
 that the solve itself yields: after (H - sigma) z = y with ||y|| = 1,
 the vector z/||z|| has the quotient sigma + delta, delta = z.y/z.z, and
 the residual sqrt(1/z.z - delta^2), so a step needs no product with H.
@@ -75,14 +75,20 @@ eigenvector j of a Jacobi matrix (a sector, or the full matrix) must.
 If any level of a matrix fails it, or a solve breaks down, all its
 levels are solved once by bisection and inverse iteration (LAPACK
 stebz/stein via scipy) at LAPACK's default tolerance, as those of grids
-with no coarse start are at once.  On either route a level whose floor
-is over 4 |E| raises ConvergenceError: there LAPACK's bisection
-tolerance eps ||H|| is over |E|/4, and the soft-core ground levels that
-bisection returned from 4.4 |E| on were wrong, some even in sign.  The
-logger ``coulomb1d.gridsolver`` records every matrix at DEBUG: its
-floor, the largest floor/|E| of its levels, which the guard reads, and
-its route, with the largest polished residual as a fraction of the
-floor.
+with no coarse start are at once.  On either route a returned level
+whose floor is over 4 times its scale raises ConvergenceError: there
+LAPACK's bisection tolerance eps ||H|| is over a quarter of the scale,
+and the soft-core ground levels that bisection returned from 4.4 |E| on
+were wrong, some even in sign.  The scale of a level is its distance to
+the nearest other level of its matrix, which does not move with the
+zero of energy; a matrix asked for one level has no such distance, and
+its level is measured against |E|.  Close levels of the two sectors, a
+tunnelling doublet, are no fault: each is the quotient of its own
+matrix.  The solves of coarse grids, which only start a polish, are not
+guarded.  The logger ``coulomb1d.gridsolver`` records every matrix at
+DEBUG: its floor, the largest ratio of the floor to a level's scale,
+which the guard reads, and its route, with the largest polished residual
+as a fraction of the floor.
 LAPACK's MRRR (``eigh_tridiagonal(..., lapack_driver='stemr')``) is no
 option: scipy's wrapper asks for an n x n workspace, 543 GiB at
 n = 270000.
@@ -341,13 +347,14 @@ def _wall_at_origin(mat, x):
 # steps.
 _RESIDUAL_FLOOR = 16.0
 _POLISH_STEPS = 5
-# A level stands only if that floor is at most this many times its |E|,
-# that is, if LAPACK's bisection tolerance eps ||H|| is at most |E|/4.
-# On the graded grids of soft-core scans with a from 2e-7 down to 2e-8
-# (L = 20, 30 and 45) the bisection after a failed polish returned wrong
-# ground levels from 4.4 |E| on, and none below (the scan at a = 1e-8
-# printed E0 = +599.7 for -385.7); the finest grid at a = 1e-7 reaches
-# 3.85 |E|.
+# A returned level stands only if that floor is at most this many times
+# its scale (`_floor_ratios`), that is, if LAPACK's bisection tolerance
+# eps ||H|| is at most a quarter of it.  On the graded grids of
+# soft-core scans with a from 2e-7 down to 2e-8 (L = 20, 30 and 45; one
+# level, so the scale is |E|) the bisection after a failed polish
+# returned wrong ground levels from 4.4 |E| on, and none below (the scan
+# at a = 1e-8 printed E0 = +599.7 for -385.7); the finest grid at
+# a = 1e-7 reaches 3.85 |E|.
 _FLOOR_RATIO = 4.0
 
 _log = logging.getLogger(__name__)
@@ -470,21 +477,31 @@ def _polished(mat, k, start, floor):
     return (energy, u, r, list(range(k))), steps
 
 
+def _floor_ratios(energy, floor):
+    """The floor over the scale of each level: its distance to the
+    nearest other level of the matrix, or |E| if the matrix has one."""
+    if energy.size == 1:
+        scale = np.abs(energy)
+    else:
+        gap = np.abs(np.diff(energy))
+        scale = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
+    with np.errstate(divide="ignore"):
+        return floor / scale
+
+
 def _lowest(mat, k, start):
-    """Lowest k eigenpairs as energies, nodal vectors, residuals and node
-    counts.
+    """Lowest k eigenpairs as energies, nodal vectors, residuals, node
+    counts and the `_floor_ratios` that the floor guard reads.
 
     ``start(j)``, if not None, gives a nodal start vector of level j;
     the levels polished from them stand if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
-    default tolerance gives them all.  Either way a level whose
-    certificate floor exceeds _FLOOR_RATIO times its |E| raises
-    ConvergenceError.  Each call logs at DEBUG the floor, its ratio to
-    the smallest |E| and the route, a polish with the steps of each
-    level and its largest residual as a fraction of the floor.
+    default tolerance gives them all.  Each call logs at DEBUG the floor,
+    the largest of its ratios and the route, a polish with the steps of
+    each level and its largest residual as a fraction of the floor.
     """
     if k == 0:
-        return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0), []
+        return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0), [], np.empty(0)
     floor = _RESIDUAL_FLOOR * np.finfo(float).eps * _norm(mat)
     route, levels = "bisection", None
     if start is not None:
@@ -503,17 +520,23 @@ def _lowest(mat, k, start):
                                    None, math.inf) from exc
         energy, u, r = _quotients(mat, y)
         levels = energy, u, r, [sign_changes(c).size for c in u.T]
-    weakest = levels[0][np.argmin(np.abs(levels[0]))]
-    ratio = floor / abs(weakest) if weakest != 0.0 else math.inf
-    _log.debug("%d-point matrix, %d levels, floor %.3g, %.3g of the smallest "
-               "|E|: %s", mat.d.size, k, floor, ratio, route)
-    # written so that a NaN energy fails too
-    if not ratio <= _FLOOR_RATIO:
-        raise ConvergenceError(
-            f"the rounding floor {floor:.3g} of a {mat.d.size}-point matrix is "
-            f"{ratio:.3g} |E| of its level E = {weakest:.6g}, over "
-            f"{_FLOOR_RATIO:g} |E|: the level carries no digits", levels[0], floor)
-    return levels
+    ratio = _floor_ratios(levels[0], floor)
+    _log.debug("%d-point matrix, %d levels, floor %.3g, at most %.3g of a "
+               "level's scale: %s", mat.d.size, k, floor, ratio.max(), route)
+    return (*levels, ratio)
+
+
+def _guard(w, ratio, levels):
+    """Raise ConvergenceError unless the floor of each of the levels is at
+    most _FLOOR_RATIO times its scale."""
+    for j in levels:
+        # written so that a NaN energy fails too
+        if not ratio[j] <= _FLOOR_RATIO:
+            raise ConvergenceError(
+                f"the rounding floor of level {j}, E = {w[j]:.6g}, is "
+                f"{ratio[j]:.3g} times its scale (its gap to the nearest level "
+                "of its matrix, or |E| if it is alone there), over "
+                f"{_FLOOR_RATIO:g}: the level carries no digits", float(w[j]), math.inf)
 
 
 def _coarse(V, g, k, half_line):
@@ -540,68 +563,49 @@ def _coarse(V, g, k, half_line):
 
 def _starts(coarse, x, levels):
     """start(j) for `_lowest`: coarse level levels[j] interpolated onto
-    the nodes x, built only when it is asked for.
-
-    A coarse solution in sector form serves the positive half mesh x of
-    a fine one.  Its column is divided by sqrt(2) and extended by the
-    mirror image of its first node, flat if even and through zero if
-    odd, so that it interpolates exactly as the whole-mesh vector does:
-    the same values, bit for bit, also below the first coarse node,
-    where a graded fine mesh puts its first nodes.
-    """
+    the nodes x, built only when it is asked for.  ``coarse`` is the
+    whole mesh and vectors of the coarse solution."""
     if coarse is None:
         return None
-    if coarse.odd is None:
-        return lambda j: np.interp(x, coarse.x, coarse.vectors[:, levels[j]])
-    xc = np.concatenate((-coarse.x[:1], coarse.x))
-    root2 = math.sqrt(2.0)
-
-    def start(j):
-        col, odd = divmod(levels[j], 2)
-        vc = np.empty(xc.size)
-        np.divide((coarse.odd if odd else coarse.vectors)[:, col], root2,
-                  out=vc[1:])
-        vc[0] = -vc[1] if odd else vc[1]
-        return np.interp(x, xc, vc)
-    return start
+    xc, vc = coarse
+    return lambda j: np.interp(x, xc, vc[:, levels[j]])
 
 
 def _one_matrix(mat, x, k, coarse):
-    """Energies, residuals, node counts and solution of one matrix on the
-    nodes x.  A coarse solution in sector form starts it from its
-    whole-mesh vectors."""
-    if coarse is not None:
-        coarse = _Solution(_positions(coarse), _vectors(coarse))
-    w, u, r, nodes = _lowest(mat, k, _starts(coarse, x, range(k)))
-    return w, r, nodes, _Solution(x, u)
+    """Energies, residuals, node counts, floor ratios and solution of one
+    matrix on the nodes x."""
+    w, u, r, nodes, ratio = _lowest(mat, k, _starts(coarse, x, range(k)))
+    return w, r, nodes, ratio, _Solution(x, u)
 
 
 def _mirrored(v_half, xp, k, half_width, coarse):
-    """Merged sector energies, residuals and node counts of an even
-    potential, and its solution in sector form on the half mesh xp."""
+    """Merged sector energies, residuals, node counts and floor ratios of
+    an even potential, and its solution in sector form on the half mesh
+    xp."""
     # no link across the centre (even), or a wall at the centre (odd)
     even = _assemble(xp, v_half, (0.0, half_width), (None, half_width))
-    w_even, u_even, r_even, n_even = _lowest(
+    w_even, u_even, r_even, n_even, f_even = _lowest(
         even, (k + 1) // 2, _starts(coarse, xp, range(0, k, 2)))
     # the even matrix is spent, so the odd one may take over its arrays
-    w_odd, u_odd, r_odd, n_odd = _lowest(
+    w_odd, u_odd, r_odd, n_odd, f_odd = _lowest(
         _wall_at_origin(even, xp), k // 2, _starts(coarse, xp, range(1, k, 2)))
-    w, r, nodes = np.empty(k), np.empty(k), [0] * k
+    w, r, ratio, nodes = np.empty(k), np.empty(k), np.empty(k), [0] * k
     w[0::2], w[1::2] = w_even, w_odd
+    ratio[0::2], ratio[1::2] = f_even, f_odd
     # a sector residual is the full matrix's residual of the mirrored vector
     r[0::2], r[1::2] = r_even, r_odd
     # the mirror image doubles the nodes; an odd level adds the one at x = 0
     nodes[0::2] = [2 * n for n in n_even]
     nodes[1::2] = [2 * n + 1 for n in n_odd]
-    return w, r, nodes, _Solution(xp, u_even, u_odd)
+    return w, r, nodes, ratio, _Solution(xp, u_even, u_odd)
 
 
 def _eigenpairs(V, g, k, coarse=None):
-    """Energies, residuals, node counts and the `_Solution` of a grid,
-    in sector form if its two parity sectors were solved, with vectors
-    scaled to sum(width * v^2) = 1.  ``coarse``, the solution of a
-    coarser grid, is the start of the polish; by default it comes from
-    `_coarse`."""
+    """Energies, residuals, node counts, `_floor_ratios` and the
+    `_Solution` of a grid, in sector form if its two parity sectors were
+    solved, with vectors scaled to sum(width * v^2) = 1.  ``coarse``, the
+    solution of a coarser grid, is the start of the polish; by default it
+    comes from `_coarse`."""
     spec = isinstance(V, PotentialSpec)
     L = g.half_width
     half_line = spec and V.family == "half-line"
@@ -610,6 +614,9 @@ def _eigenpairs(V, g, k, coarse=None):
                          "point count to stay mirror-symmetric")
     if coarse is None:
         coarse = _coarse(V, g, k, half_line)
+    if coarse is not None:
+        # the starts interpolate the whole-mesh vectors
+        coarse = _positions(coarse), _vectors(coarse)
     if half_line:
         # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
         x = _half_mesh(g, g.points)
@@ -664,9 +671,22 @@ def solve(V, g, k_max):
         are the Rayleigh quotients of the eigenvectors and increase with
         the index; each level's residual bounds the distance from its
         energy to an eigenvalue of the discrete H.
+
+    Raises
+    ------
+    ConvergenceError
+        If the eigensolve breaks down, or if the rounding floor
+        16 eps ||H|| of a level's matrix is over 4 times the level's
+        scale: its distance to the nearest other level of that matrix
+        (the same parity sector, or the one full matrix).  A matrix
+        asked for one level, as each sector is at k_max <= 2, has no
+        such distance, and its level is measured against |E|; there a
+        level within a few floors of E = 0 raises, wherever the zero of
+        the potential sits.
     """
     _check(V, g, k_max)
-    w, res, nodes, solution = _eigenpairs(V, g, k_max)
+    w, res, nodes, ratio, solution = _eigenpairs(V, g, k_max)
+    _guard(w, ratio, range(k_max))
     sectors = solution.odd is not None
     levels = [Level(index=k, energy=float(w[k]),
                     parity=("odd" if k % 2 else "even") if sectors else None,
@@ -697,6 +717,11 @@ def refine(V, g, level, refinements):
     list of float
         refinements + 1 energies, coarsest first.  Successive
         differences shrink about 4x per halving for smooth potentials.
+
+    Raises
+    ------
+    ConvergenceError
+        As `solve`, for the tracked level of any grid.
     """
     if refinements < 1 or refinements > 4:
         raise ValueError(f"refinements must lie in [1, 4], got {refinements}")
@@ -704,6 +729,7 @@ def refine(V, g, level, refinements):
     for j in range(refinements + 1):
         gj = replace(g, points=g.points * 2 ** j)
         _check(V, gj, level + 1)
-        w, _, _, coarse = _eigenpairs(V, gj, level + 1, coarse)
+        w, _, _, ratio, coarse = _eigenpairs(V, gj, level + 1, coarse)
+        _guard(w, ratio, [level])
         energies.append(float(w[level]))
     return energies

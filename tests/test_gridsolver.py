@@ -244,18 +244,6 @@ class TestSectorForm:
         assert res.vectors is vectors
         assert res.positions is res.positions
 
-    def test_sector_start_is_the_whole_mesh_interpolation(self):
-        # a graded fine mesh puts its first nodes below the coarse one's,
-        # where the whole-mesh vector runs flat (even) or through 0 (odd)
-        coarse = gridsolver._eigenpairs(pure_coulomb(), Grid(60.0, 2000, core=1e-2), 4)[-1]
-        xp = gridsolver._half_mesh(Grid(60.0, 8000, core=1e-2), 4000)
-        assert xp[0] < coarse.x[0]
-        x, vecs = gridsolver._positions(coarse), gridsolver._vectors(coarse)
-        for levels in (range(0, 4, 2), range(1, 4, 2)):
-            start = gridsolver._starts(coarse, xp, levels)
-            for j, level in enumerate(levels):
-                np.testing.assert_array_equal(start(j), np.interp(xp, x, vecs[:, level]))
-
     def test_largest_grid_core_solve_peak_memory(self):
         # the largest solve of the grid-core benchmark workload: whole-mesh
         # vectors and positions, 30 MB, are no longer built for it
@@ -601,13 +589,14 @@ class TestFloorGuard:
         records = routes()
         assert len(records) == len(norms) == 4
         eps = np.finfo(float).eps
-        # the fine even and odd sectors, solved last
+        # the fine even and odd sectors, solved last; the scale of both
+        # levels of a sector is the gap between them
         for (_, msg), norm, levels in zip(records[2:], norms[2:],
                                           (res.levels[0::2], res.levels[1::2])):
             floor = 16.0 * eps * norm
-            ratio = floor / min(abs(lv.energy) for lv in levels)
+            ratio = floor / (levels[1].energy - levels[0].energy)
             head = f"20000-point matrix, 2 levels, floor {floor:.3g}, " \
-                   f"{ratio:.3g} of the smallest |E|: "
+                   f"at most {ratio:.3g} of a level's scale: "
             assert msg.startswith(head)
             assert POLISHED_RECORD.fullmatch(msg[len(head):])
 
@@ -630,12 +619,54 @@ class TestFloorGuard:
     def test_guard_reads_the_logged_ratio(self, routes, monkeypatch):
         # two bisected sectors; the guard reads the larger of their ratios
         solve(harmonic, Grid(10.0, 400), 3)
-        ratio = max(float(msg.split(", ")[3].split()[0]) for _, msg in routes())
+        ratio = max(float(msg.split(", ")[3].split()[2]) for _, msg in routes())
         monkeypatch.setattr(gridsolver, "_FLOOR_RATIO", 1.01 * ratio)
         solve(harmonic, Grid(10.0, 400), 3)
         monkeypatch.setattr(gridsolver, "_FLOOR_RATIO", 0.99 * ratio)
         with pytest.raises(ConvergenceError, match="the level carries no digits"):
             solve(harmonic, Grid(10.0, 400), 3)
+
+    def test_level_at_zero_energy_solves_with_a_sector_neighbour(self, routes):
+        # E0 = 2e-44 on a floor of 3.6e-10: at k = 3 the even sector also
+        # holds E2, and E0 is measured against the gap E2 - E0 = 2
+        def shifted(x):
+            return 0.5 * x * x - (0.5 - 7.812512208271727e-07)
+        res = solve(shifted, Grid(10.0, 4000), 3)
+        assert abs(res.levels[0].energy) < 1e-12
+        assert [round(lv.energy - res.levels[0].energy, 3) for lv in res.levels] \
+            == [0.0, 1.0, 2.0]
+        # alone in its matrix, the level has only |E| to be measured against
+        with pytest.raises(ConvergenceError, match="level 0, E = "):
+            solve(shifted, Grid(10.0, 4000), 1)
+
+    def test_coarse_level_at_zero_energy_is_not_guarded(self, routes):
+        # the well shifted by its coarse-grid ground level: the coarse
+        # level sits at E = 0 to rounding, far over its floor, but it only
+        # starts the polish of the fine level, 2.5e-5 up
+        g = Grid(10.0, 4000)
+        coarse = Grid(10.0, 920, core=5.0 * 2.0 * g.half_width / g.points)
+        e_coarse = gridsolver._eigenpairs(harmonic, coarse, 1)[0][0]
+
+        def shifted(x):
+            return harmonic(x) - e_coarse
+        res = solve(shifted, g, 1)
+        (size, coarse_msg), (_, fine_msg) = routes()[-2:]
+        assert size == coarse.points // 2
+        assert float(coarse_msg.split(", ")[3].split()[2]) > 1e6
+        assert fine_msg.split(": ")[1].startswith("polished in [")
+        assert 1e-5 < res.levels[0].energy < 1e-4
+
+    def test_doublet_under_the_floor_is_no_fault(self):
+        # the tunnelling doublet of a deep double well is 1e-13 apart, under
+        # the floor 3.6e-10, but its levels come from two sector matrices,
+        # in each of which the next level is about 1.9 up
+        def double_well(x):
+            return 0.02 * (x * x - 25.0) ** 2
+        res = solve(double_well, Grid(10.0, 4000), 4)
+        e = [lv.energy for lv in res.levels]
+        assert abs(e[1] - e[0]) < 1e-10 and abs(e[3] - e[2]) < 1e-9
+        assert e[2] - e[0] > 1.0
+        assert [lv.parity for lv in res.levels] == ["even", "odd", "even", "odd"]
 
 def graded_fv_levels(V, x_half, half_width, k):
     """Lowest k eigenvalues of the full finite-volume matrix on the mirrored
