@@ -56,39 +56,50 @@ about D c/5 = D h with D <= 1/2, is finer than h.  Either way the coarse
 grid resolves every core that the fine grid resolves.  On the half line,
 whose points all lie on [0, L], the coarse grid takes half of
 ``Grid.graded``'s points, which keeps its map step.  It serves only a
-grid with at least four times its points; it is its own coarse grid, so
-its solve starts from nothing.  `refine` starts each grid after its
-first from the vectors of the grid before.  Each coarse vector, on
-the coarse grid's whole mesh, is interpolated onto the fine nodes and
-polished by at most five shift-invert Rayleigh-quotient steps, one
-LAPACK gtsv solve each, which converge cubically near an eigenvector
-(Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The steps of a
-level stop on the residual
-that the solve itself yields: after (H - sigma) z = y with ||y|| = 1,
-the vector z/||z|| has the quotient sigma + delta, delta = z.y/z.z, and
-the residual sqrt(1/z.z - delta^2), so a step needs no product with H.
-The certificate is explicit and taken once, after the last step: a
-polished level j stands only if its vector's residual ||Hy - Ey||,
-recomputed from H, is at most 16 eps ||H||, the rounding floor of a
-full-precision solve, and the vector has exactly j sign changes, as
-eigenvector j of a Jacobi matrix (a sector, or the full matrix) must.
-If any level of a matrix fails it, or a solve breaks down, all its
-levels are solved once by bisection and inverse iteration (LAPACK
-stebz/stein via scipy) at LAPACK's default tolerance, as those of grids
-with no coarse start are at once.  On either route a returned level
-whose floor is over 4 times its scale raises ConvergenceError: there
-LAPACK's bisection tolerance eps ||H|| is over a quarter of the scale,
-and the soft-core ground levels that bisection returned from 4.4 |E| on
-were wrong, some even in sign.  The scale of a level is its distance to
-the nearest other level of its matrix, which does not move with the
-zero of energy; a matrix asked for one level has no such distance, and
-its level is measured against |E|.  Close levels of the two sectors, a
-tunnelling doublet, are no fault: each is the quotient of its own
-matrix.  The solves of coarse grids, which only start a polish, are not
-guarded.  The logger ``coulomb1d.gridsolver`` records every matrix at
-DEBUG: its floor, the largest ratio of the floor to a level's scale,
-which the guard reads, and its route, with the largest polished residual
-as a fraction of the floor.
+grid with at least four times its points.  The starts nest: a grid at
+the ``Grid.graded`` count of its map (the coarse grid of another, or the
+first rung of a default soft-core scan) starts from the same map at a
+quarter of its points, rounded down to an even count, and only that
+quarter grid, a few hundred points a sector on the benchmark's boxes,
+is solved from nothing.  `refine` starts each grid after its first from
+the vectors of the grid before.  Each coarse vector, on the coarse
+grid's whole mesh, is interpolated onto the fine nodes and polished by
+at most five shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve
+each, which converge cubically near an eigenvector (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4).  The steps of a level stop on the
+residual that the solve itself yields: after (H - sigma) z = y with
+||y|| = 1, the vector z/||z|| has the quotient sigma + delta,
+delta = z.y/z.z, and the residual sqrt(1/z.z - delta^2), so a step needs
+no product with H.  The polish takes its vector, the gtsv arrays and
+the residual's work vectors from one scratch block per thread, 5n - 2
+floats for the largest matrix of n points that the thread has polished
+or bisected: it grows to that size and is kept, 10.8 MB once a
+540000-point grid has been solved, so that the large solves do not fault
+their temporaries in again each time.  No result points into it.
+The certificate is explicit and taken for each level straight after its
+last step: a polished level j stands only if its vector's residual
+||Hy - Ey||, recomputed from H, is at most 16 eps ||H||, the rounding floor
+of a full-precision solve, and the vector has exactly j sign changes,
+as eigenvector j of a Jacobi matrix (a sector, or the full matrix)
+must.  The first level that fails it, or a solve that breaks down, ends
+the polish: all levels of the matrix are then solved once by bisection
+and inverse iteration (LAPACK stebz/stein via scipy) at LAPACK's
+default tolerance, as those of grids with no coarse start are at once.
+Both routes take the energy and residual of each column from one
+routine.  On either route a returned level whose floor is over 4 times
+its scale raises ConvergenceError: there LAPACK's bisection tolerance
+eps ||H|| is over a quarter of the scale, and the soft-core ground
+levels that bisection returned from 4.4 |E| on were wrong, some even in
+sign.  The scale of a level is its distance to the nearest other level
+of its matrix, which does not move with the zero of energy; a matrix
+asked for one level has no such distance, and its level is measured
+against |E|.  Close levels of the two sectors, a tunnelling doublet,
+are no fault: each is the quotient of its own matrix.  The solves of
+coarse grids, which only start a polish, are not guarded.  The logger
+``coulomb1d.gridsolver`` records every matrix at DEBUG: its floor, the
+largest ratio of the floor to a level's scale, which the guard reads,
+and its route, with the largest polished residual as a fraction of the
+floor.
 LAPACK's MRRR (``eigh_tridiagonal(..., lapack_driver='stemr')``) is no
 option: scipy's wrapper asks for an n x n workspace, 543 GiB at
 n = 270000.
@@ -103,6 +114,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -358,6 +370,7 @@ _POLISH_STEPS = 5
 _FLOOR_RATIO = 4.0
 
 _log = logging.getLogger(__name__)
+_scratch = threading.local()
 
 
 def _norm(mat):
@@ -376,32 +389,37 @@ def _apply(d, e, c, out, t):
     return out
 
 
-def _quotients(mat, y):
-    """Rayleigh-quotient energies E in difference form, nodal vectors u
-    scaled so that sum(width * u^2) = 1, and residuals ||Hy - Ey|| of
-    the unit columns y.
+def _work(n):
+    """The vectors c, b, dd (size n) and dl, du (size n - 1) of this
+    thread's scratch block, grown to hold them if it is smaller.
 
-    u and its squared differences have the size of y; the potential term
-    and the residuals take one column of y at a time, so that they add
-    only temporaries of the size of one column.
+    c holds the unit vector of a level, and b, dd, dl, du are the
+    right-hand side, shifted diagonal and off-diagonals of `_step`,
+    which `_certify` then reuses.  The block is kept between solves, so
+    the large sectors do not fault their scratch in again every time;
+    nothing a solve returns points into it.
     """
-    k = y.shape[1]
-    # y has unit 2-norm, so u = M^(-1/2) y has sum(width * u^2) = 1 and
+    block = getattr(_scratch, "block", None)
+    if block is None or block.size < 5 * n - 2:
+        block = _scratch.block = np.empty(5 * n - 2)
+    return (block[:n], block[n:2 * n], block[2 * n:3 * n],
+            block[3 * n:4 * n - 1], block[4 * n - 1:5 * n - 2])
+
+
+def _certify(mat, c, u, hy, t):
+    """Rayleigh-quotient energy E in difference form and residual
+    ||Hc - Ec|| of the unit column c, whose nodal vector c/scale, with
+    sum(width * u^2) = 1, is written to u.  hy and t are scratch of the
+    sizes of d and e."""
+    # c has unit 2-norm, so u = M^(-1/2) c has sum(width * u^2) = 1 and
     # the quotient u.K.u / u.M.u needs no denominator
-    u = y / mat.scale[:, None]
-    du = np.diff(u, axis=0)
-    du *= du
-    kinetic = mat.link @ du
-    del du
-    wall0, wall1 = mat.ends[0] * u[0] ** 2, mat.ends[1] * u[-1] ** 2
-    energy, r = np.empty(k), np.empty(k)
-    hy, t = np.empty(mat.d.size), np.empty(mat.e.size)
-    for j, c in enumerate(y.T):
-        energy[j] = (kinetic[j] + np.multiply(mat.v, c, out=hy) @ c
-                     + wall0[j] + wall1[j])
-        _apply(np.subtract(mat.d, energy[j], out=hy), mat.e, c, hy, t)
-        r[j] = math.sqrt(hy @ hy)
-    return energy, u, r
+    np.divide(c, mat.scale, out=u)
+    np.subtract(u[1:], u[:-1], out=t)
+    t *= t
+    energy = (mat.link @ t + np.multiply(mat.v, c, out=hy) @ c
+              + mat.ends[0] * u[0] ** 2 + mat.ends[1] * u[-1] ** 2)
+    _apply(np.subtract(mat.d, energy, out=hy), mat.e, c, hy, t)
+    return energy, math.sqrt(hy @ hy)
 
 
 def _step(d, e, sigma, c, work):
@@ -437,25 +455,21 @@ def _polished(mat, k, start, floor):
     steps each took, or None unless every level is certified.
 
     The steps of a level stop once the residual that `_step` reports is
-    at most ``floor``.  The certificate is then taken once, explicitly:
-    level j stands if its vector has j sign changes, the node count of
-    eigenvector j of a Jacobi matrix, and if the residuals that
-    `_quotients` recomputes are at most ``floor``.  The first level to
-    fail ends the attempt.
+    at most ``floor``.  The level is then certified at once, explicitly:
+    it stands if the residual that `_certify` recomputes is at most
+    ``floor`` and if level j has j sign changes, the node count of
+    eigenvector j of a Jacobi matrix.  The first level to fail ends the
+    attempt.
     """
     n = mat.d.size
-    y = np.empty((n, k), order="F")
-    # the buffers of `_step`, so that no step allocates; its dl is
-    # scratch for the product with H until a step overwrites it
-    work = np.empty(n), np.empty(n), np.empty(n - 1), np.empty(n - 1)
-    b, dd, t = work[:3]
-    steps = []
+    c, b, dd, dl, du = _work(n)
+    u = np.empty((n, k), order="F")
+    energy, r, steps = np.empty(k), np.empty(k), []
     for j in range(k):
-        c = y[:, j]
         np.multiply(start(j), mat.scale, out=c)
         c /= math.sqrt(c @ c)
         # the one product with H of a level: its start's quotient and residual
-        sigma = _apply(mat.d, mat.e, c, b, t) @ c
+        sigma = _apply(mat.d, mat.e, c, b, dl) @ c
         b -= np.multiply(c, sigma, out=dd)
         residual = math.sqrt(b @ b)
         for step in range(_POLISH_STEPS + 1):
@@ -463,17 +477,14 @@ def _polished(mat, k, start, floor):
                 break
             if step == _POLISH_STEPS:
                 return None
-            stepped = _step(mat.d, mat.e, sigma, c, work)
+            stepped = _step(mat.d, mat.e, sigma, c, (b, dd, dl, du))
             if stepped is None:
                 return None
             sigma, residual = stepped
-        if sign_changes(np.divide(c, mat.scale, out=b)).size != j:
+        energy[j], r[j] = _certify(mat, c, u[:, j], b, dl)
+        if not r[j] <= floor or sign_changes(u[:, j]).size != j:
             return None
         steps.append(step)
-    del work, b, dd, t  # before the quotients allocate u and its differences
-    energy, u, r = _quotients(mat, y)
-    if not r.max() <= floor:
-        return None
     return (energy, u, r, list(range(k))), steps
 
 
@@ -518,8 +529,13 @@ def _lowest(mat, k, start):
         except LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
                                    None, math.inf) from exc
-        energy, u, r = _quotients(mat, y)
-        levels = energy, u, r, [sign_changes(c).size for c in u.T]
+        # each column is certified from a copy, and y takes its nodal vector
+        c, b, _, dl, _ = _work(mat.d.size)
+        energy, r = np.empty(k), np.empty(k)
+        for j, u in enumerate(y.T):
+            c[:] = u
+            energy[j], r[j] = _certify(mat, c, u, b, dl)
+        levels = energy, y, r, [sign_changes(u).size for u in y.T]
     ratio = _floor_ratios(levels[0], floor)
     _log.debug("%d-point matrix, %d levels, floor %.3g, at most %.3g of a "
                "level's scale: %s", mat.d.size, k, floor, ratio.max(), route)
@@ -540,15 +556,17 @@ def _guard(w, ratio, levels):
 
 
 def _coarse(V, g, k, half_line):
-    """Solution of the same problem on ``Grid.graded(L, c)``; None unless
-    that grid has at least 8 points, at most a quarter of the points of
-    g, and k <= its points/4.
+    """Solution of the same problem on ``Grid.graded(L, c)``, or on a
+    quarter of its points if g is that grid; None unless the coarse grid
+    has at least 8 points, at most a quarter of the points of g, and
+    k <= its points/4.
 
     c is ``g.core``, the map of a graded g, or _CORE_CELLS steps h of a
     uniform g (2L/N, or L/N on the half line), which puts the coarse step
     at the origin at h/2 or less.  On the half line all points lie on
     [0, L], so half of ``Grid.graded``'s points keep its map step.  The
-    coarse grid is its own coarse grid, so its solve starts from nothing.
+    quarter grid, rounded down to an even count, is its own coarse grid,
+    so its solve starts from nothing.
     """
     if g.core is None:
         h = (1.0 if half_line else 2.0) * g.half_width / g.points
@@ -556,6 +574,8 @@ def _coarse(V, g, k, half_line):
     else:
         core = g.core
     points = _graded_points(g.half_width, core) // (2 if half_line else 1)
+    if g.core == core and points == g.points:
+        points = g.points // 8 * 2
     if points < 8 or 4 * points > g.points or k > points // 4:
         return None
     return _eigenpairs(V, Grid(g.half_width, points, core=core), k)[-1]

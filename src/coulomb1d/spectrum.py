@@ -182,8 +182,12 @@ def sign_changes(values):
     counted between the nearest kept neighbours.
     """
     magnitude = np.abs(values)
-    keep = np.flatnonzero(magnitude > 1e-8 * magnitude.max())
-    negative = np.signbit(values[keep])
+    kept = magnitude > 1e-8 * magnitude.max()
+    # freed before the index array, and signs taken as booleans, so that
+    # no two temporaries of the size of values are alive at once
+    del magnitude
+    keep = np.flatnonzero(kept)
+    negative = np.signbit(values)[kept]
     return keep[1:][negative[1:] != negative[:-1]]
 
 

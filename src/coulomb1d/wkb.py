@@ -87,9 +87,12 @@ def action(E, rtol=1e-13):
 def wkb_energy(n, cfg=None):
     """Solve the quantization condition S(E) = (n + maslov_offset) pi.
 
-    Brent's method runs on [4g, g/4] around the closed-form root
-    g = -2/(n + maslov_offset)^2, where S is half and twice its target;
-    the action comes from quadrature at every iterate, never its closed form.
+    Brent's method runs in t = 1/sqrt(|E|), in which S = pi sqrt(2) t is
+    linear, so that the interpolation lands on the root in about one
+    step: three actions per energy.  Its bracket [t_g/2, 2 t_g] around
+    the closed-form root t_g of g = -2/(n + maslov_offset)^2 is [4g, g/4]
+    in E, where S is half and twice its target; the action comes from
+    quadrature at every iterate, never its closed form.
 
     Parameters
     ----------
@@ -110,11 +113,13 @@ def wkb_energy(n, cfg=None):
     if target <= 0:
         raise ValueError(f"quantization target must be positive, got {target}")
 
-    def objective(E):
-        return action(E, rtol=cfg.quadrature_tolerance).action - target
+    def objective(t):
+        return action(-1.0 / (t * t), rtol=cfg.quadrature_tolerance).action - target
 
-    guess = -2.0 / (n + cfg.maslov_offset) ** 2
-    return brentq(objective, 4.0 * guess, 0.25 * guess, xtol=1e-15, rtol=1e-14)
+    # t_g = 1/sqrt(|g|)
+    guess = (n + cfg.maslov_offset) / math.sqrt(2.0)
+    t = brentq(objective, 0.5 * guess, 2.0 * guess, xtol=1e-15, rtol=1e-14)
+    return -1.0 / (t * t)
 
 
 def action_generic(E, V, rtol=1e-9):

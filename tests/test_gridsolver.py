@@ -3,6 +3,8 @@
 import logging
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -246,15 +248,85 @@ class TestSectorForm:
 
     def test_largest_grid_core_solve_peak_memory(self):
         # the largest solve of the grid-core benchmark workload: whole-mesh
-        # vectors and positions, 30 MB, are no longer built for it
-        solve(pure_coulomb(), Grid(60.0, 8000), 2)
-        tracemalloc.start()
+        # vectors and positions, 30 MB, are no longer built for it.  A
+        # new thread starts with no scratch block, so the first solve
+        # there grows it and the second reuses it
+        peaks = []
+
+        def solves():
+            solve(pure_coulomb(), Grid(60.0, 8000), 2)
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    solve(pure_coulomb(), Grid(60.0, 540000), 6)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        in_new_thread(solves)
+        assert peaks[0] <= 42 * 2 ** 20
+        assert peaks[1] <= 30 * 2 ** 20
+
+
+def in_new_thread(target):
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=120.0)
+    assert not thread.is_alive()
+
+
+def sector_copy(res):
+    sol = res._solution
+    return sol.x.copy(), sol.vectors.copy(), None if sol.odd is None else sol.odd.copy()
+
+
+class TestScratchBlock:
+    CASES = [(pure_coulomb(), Grid(60.0, 40000), 4),
+             (repulsive_core(1e-3, 5e-3), Grid(30.0, 40000), 4),
+             (half_line(), Grid(60.0, 12000), 3)]
+
+    def test_results_survive_later_solves(self):
+        # solves on larger and smaller grids grow and reuse the block
+        results = [solve(V, g, k) for V, g, k in self.CASES]
+        block = gridsolver._scratch.block
+        assert not any(np.shares_memory(array, block)
+                       for res in results for array in res._solution)
+        levels = [list(res.levels) for res in results]
+        sectors = [sector_copy(res) for res in results]
+        vectors = results[0].vectors.copy()
+        twin = solve(*self.CASES[0])
+        solve(pure_coulomb(), Grid(60.0, 200000), 6)
+        solve(harmonic, Grid(10.0, 400), 3)
+        solve(soft_core(1e-2), Grid(30.0, 4000, core=1e-2), 5)
+        for res, lv, arrays in zip(results, levels, sectors):
+            assert res.levels == lv
+            for got, want in zip(sector_copy(res), arrays):
+                np.testing.assert_array_equal(got, want)
+        # whole-mesh vectors built before and after the later solves
+        np.testing.assert_array_equal(results[0].vectors, vectors)
+        np.testing.assert_array_equal(twin.vectors, vectors)
+
+    def test_concurrent_solves_match_sequential_ones(self):
+        # more threads than cores, switching often, each with its own block
+        cases = self.CASES * 2
+        want = [solve(V, g, k) for V, g, k in cases]
+        got = [None] * len(cases)
+
+        def worker(i):
+            got[i] = solve(*cases[i])
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            solve(pure_coulomb(), Grid(60.0, 540000), 6)
-            peak = tracemalloc.get_traced_memory()[1]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
         finally:
-            tracemalloc.stop()
-        assert peak <= 42 * 2 ** 20
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for a, b in zip(got, want):
+            assert a.levels == b.levels
+            np.testing.assert_array_equal(a.vectors, b.vectors)
 
 
 class TestRayleighQuotient:
@@ -433,7 +505,13 @@ class TestCoarseStart:
         polished = solve(V, g, k)
         records = routes()
         assert not any("failed polish" in msg for _, msg in records)
-        assert [size for size, msg in records if "polished" in msg] == [g.points // 2] * 2
+        # the coarse graded grid of 5h is polished from its quarter grid,
+        # which alone is bisected
+        coarse = Grid.graded(g.half_width, 5.0 * (2.0 * g.half_width / g.points)).points // 2
+        assert [size for size, msg in records if "polished" in msg] == \
+            [coarse] * 2 + [g.points // 2] * 2
+        assert [(size, msg.split(": ")[1]) for size, msg in records
+                if "polished" not in msg] == [(coarse // 4, "bisection")] * 2
         eps = np.finfo(float).eps
         for lv in polished.levels:
             assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[g.points // 2]
@@ -477,6 +555,47 @@ class TestCoarseStart:
         for got, want in zip(res.levels[0::2], full.levels[0::2]):
             assert got == want
 
+    def test_failed_coarse_polish_bisects(self, monkeypatch, routes, sector_norms):
+        # every gtsv solve of the coarse grid's sectors breaks down: the
+        # coarse grid is bisected, and the fine grid still polishes from it
+        real = gridsolver.dgtsv
+        g = Grid(60.0, 40000)
+        coarse = Grid.graded(60.0, 5.0 * (2.0 * g.half_width / g.points)).points // 2
+
+        def failing(dl, d, du, b, **kwargs):
+            *out, info = real(dl, d, du, b, **kwargs)
+            return (*out, 3 if d.size == coarse else info)
+        want = solve(pure_coulomb(), g, 4)
+        monkeypatch.setattr(gridsolver, "dgtsv", failing)
+        res = solve(pure_coulomb(), g, 4)
+        records = [(size, msg.split(": ")[1]) for size, msg in routes()]
+        assert [msg for size, msg in records[-4:-2]] == \
+            ["bisection after a failed polish"] * 2
+        assert [size for size, _ in records[-4:]] == [coarse] * 2 + [20000] * 2
+        assert all(POLISHED_RECORD.fullmatch(msg) for _, msg in records[-2:])
+        eps = np.finfo(float).eps
+        assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
+        for got, lv in zip(res.levels, want.levels):
+            assert 0.0 < got.residual <= 16.0 * eps * sector_norms[20000]
+            assert abs(got.energy - lv.energy) <= got.residual + lv.residual
+
+    def test_step_that_stops_too_soon_fails_the_certificate(self, monkeypatch, routes,
+                                                            sector_norms):
+        # every step reports a zero residual, so each level stops after one
+        # step; the levels that need more fail the explicit residual check
+        real = gridsolver._step
+
+        def stopping(*args):
+            stepped = real(*args)
+            return None if stepped is None else (stepped[0], 0.0)
+        monkeypatch.setattr(gridsolver, "_step", stopping)
+        res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
+        assert any(msg.endswith(": bisection after a failed polish")
+                   for size, msg in routes() if size == 20000)
+        eps = np.finfo(float).eps
+        for lv in res.levels:
+            assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[20000]
+
     @pytest.mark.parametrize("fault", ["info", "nan"])
     def test_failed_tridiagonal_solve_falls_back(self, fault, monkeypatch, routes,
                                                  bisection_only, sector_norms):
@@ -513,11 +632,12 @@ class TestRouteLog:
         solve(harmonic, Grid(10.0, 40000), 4)
         solve(half_line(), Grid(60.0, 800), 4)
         sizes = [size for size, _ in routes()]
-        # coarse sectors, fine sectors, then the one half-line matrix
-        assert sizes == [483, 483, 20000, 20000, 800]
+        # the sectors of the coarse grid's quarter grid, of the coarse grid
+        # and of the fine grid, then the one half-line matrix
+        assert sizes == [120, 120, 483, 483, 20000, 20000, 800]
         messages = [msg.split(": ")[1] for _, msg in routes()]
-        assert all(POLISHED_RECORD.fullmatch(msg) for msg in messages[2:4])
-        assert [messages[j] for j in (0, 1, 4)] == ["bisection"] * 3
+        assert all(POLISHED_RECORD.fullmatch(msg) for msg in messages[2:6])
+        assert [messages[j] for j in (0, 1, 6)] == ["bisection"] * 3
 
     def test_polished_record_carries_the_certificate_margin(self, routes, monkeypatch):
         # the largest explicit residual of a sector over its floor, at most 1
@@ -531,17 +651,19 @@ class TestRouteLog:
         solve(pure_coulomb(), Grid(60.0, 40000), 4)
         records = [POLISHED_RECORD.fullmatch(msg.split(": ")[1]) for _, msg in routes()]
         logged = [match.group(2) for match in records if match]
-        assert logged == margins and len(logged) == 2
+        # the coarse sectors and the fine sectors
+        assert logged == margins and len(logged) == 4
         assert all(0.0 < float(margin) <= 1.0 for margin in logged)
 
     def test_half_line_scan_grid_polishes(self, routes):
         # the default half-line scan: the coarse grid has half of
-        # Grid.graded(60, 5h)'s 4956 points, all on [0, L]
+        # Grid.graded(60, 5h)'s 4956 points, all on [0, L], and starts
+        # from its quarter grid, rounded down to an even count
         solve(half_line(), Grid(60.0, 12000), 3)
-        assert [size for size, _ in routes()] == [2478, 12000]
+        assert [size for size, _ in routes()] == [618, 2478, 12000]
         messages = [msg.split(": ")[1] for _, msg in routes()]
         assert messages[0] == "bisection"
-        assert messages[1].startswith("polished in [")
+        assert all(msg.startswith("polished in [") for msg in messages[1:])
 
     @pytest.mark.parametrize("V, g", [(soft_core(0.5), Grid(0.05, 400, core=10.0)),
                                       (half_line(), Grid(0.1, 400, core=10.0))])
@@ -553,10 +675,12 @@ class TestRouteLog:
 
     def test_refine_starts_each_rung_from_the_one_before(self, routes):
         # the default soft-core scan of one radius; one level, so only the
-        # even sector of each rung is solved
+        # even sector of each rung is solved.  The first rung, the graded
+        # grid itself, starts from its quarter grid
         g = Grid.graded(30.0, 1e-2)
         refine(soft_core(1e-2), g, 0, 2)
-        assert [size for size, _ in routes()] == [g.points // 2, g.points, 2 * g.points]
+        assert [size for size, _ in routes()] == \
+            [g.points // 8, g.points // 2, g.points, 2 * g.points]
         messages = [msg.split(": ")[1] for _, msg in routes()]
         assert messages[0] == "bisection"
         assert all(msg.startswith("polished in [") for msg in messages[1:])
@@ -587,11 +711,12 @@ class TestFloorGuard:
         monkeypatch.setattr(gridsolver, "_lowest", recording)
         res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
         records = routes()
-        assert len(records) == len(norms) == 4
+        # the quarter, coarse and fine grids, two sectors each
+        assert len(records) == len(norms) == 6
         eps = np.finfo(float).eps
         # the fine even and odd sectors, solved last; the scale of both
         # levels of a sector is the gap between them
-        for (_, msg), norm, levels in zip(records[2:], norms[2:],
+        for (_, msg), norm, levels in zip(records[4:], norms[4:],
                                           (res.levels[0::2], res.levels[1::2])):
             floor = 16.0 * eps * norm
             ratio = floor / (levels[1].energy - levels[0].energy)
@@ -600,14 +725,24 @@ class TestFloorGuard:
             assert msg.startswith(head)
             assert POLISHED_RECORD.fullmatch(msg[len(head):])
 
-    def test_bisected_level_over_the_floor_raises(self, routes):
-        # the graded grid of a = 1e-8 is its own coarse grid, so it is bisected;
-        # its floor is 14 |E0|, and a = 1e-8 once printed E0 = +599.7
+    def test_bisected_level_over_the_floor_raises(self, routes, monkeypatch):
+        # the floor of the graded grid of a = 1e-8 is 14 |E0|, and a = 1e-8
+        # once printed E0 = +599.7.  With no coarse start it is bisected
         g = Grid.graded(30.0, 1e-8)
-        with pytest.raises(ConvergenceError, match="the level carries no digits"):
-            solve(soft_core(1e-8), g, 1)
+        with monkeypatch.context() as m:
+            m.setattr(gridsolver, "_coarse", lambda *args: None)
+            with pytest.raises(ConvergenceError, match="the level carries no digits"):
+                solve(soft_core(1e-8), g, 1)
         (size, msg), = routes()
         assert size == g.points // 2 and msg.endswith(": bisection")
+        # by default it is polished from its quarter grid, which is bisected
+        # and not guarded, and it raises all the same
+        with pytest.raises(ConvergenceError, match="the level carries no digits"):
+            solve(soft_core(1e-8), g, 1)
+        (quarter, first), (fine, last) = routes()[1:]
+        assert (quarter, fine) == (g.points // 8, g.points // 2)
+        assert first.endswith(": bisection")
+        assert "polished in [" in last
 
     def test_polished_level_over_the_floor_raises(self, routes):
         # the third rung of the scan at a = 8e-8 polishes its ground level

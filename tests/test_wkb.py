@@ -84,6 +84,23 @@ class TestQuantization:
                 got = wkb_energy(n, WKBConfig(maslov_offset=offset))
                 assert abs(got - target) <= 1e-10 * abs(target), (offset, n)
 
+    def test_root_in_t_takes_few_actions(self, monkeypatch):
+        # S is linear in t = 1/sqrt(|E|), so Brent's interpolation lands on
+        # the root at once: the two ends of the bracket and one or two
+        # iterates, and the energy to rounding
+        from coulomb1d import wkb
+        real, calls = wkb.action, []
+
+        def counting(E, rtol=1e-13):
+            calls.append(E)
+            return real(E, rtol=rtol)
+        monkeypatch.setattr(wkb, "action", counting)
+        for n in range(201):
+            calls.clear()
+            e = exact_energy(n)
+            assert abs(wkb_energy(n) - e) <= 4e-15 * abs(e), n
+            assert len(calls) <= 4, n
+
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             wkb_energy(-1)
