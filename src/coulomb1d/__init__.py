@@ -15,10 +15,10 @@ from .quadrature import ConvergenceError
 from .regularized import (CareResult, GridResolutionError, ScanRow,
                           care_interleaving, half_line_spectrum,
                           soft_core_ground_scan)
-from .specfun import laguerre, tricomi_u
-from .spectrum import (BoundState, cusp_indicator, exact_energy, node_count,
-                       normalize, ode_residual, wavefunction)
-from .wkb import ActionResult, WKBConfig, action, action_generic, wkb_energy
+from .specfun import tricomi_u
+from .spectrum import (BoundState, exact_energy, node_count, normalize,
+                       ode_residual, wavefunction)
+from .wkb import ActionResult, WKBConfig, action, wkb_energy
 
 __all__ = [
     "ActionResult",
@@ -34,14 +34,11 @@ __all__ = [
     "SpectrumResult",
     "WKBConfig",
     "action",
-    "action_generic",
     "care_interleaving",
-    "cusp_indicator",
     "evaluate",
     "exact_energy",
     "half_line",
     "half_line_spectrum",
-    "laguerre",
     "loudon_estimate",
     "node_count",
     "normalize",

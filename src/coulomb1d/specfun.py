@@ -29,7 +29,7 @@ from scipy.special import digamma, k0e, k1e, rgamma
 
 from .quadrature import ConvergenceError
 
-__all__ = ["laguerre", "tricomi_u"]
+__all__ = ["tricomi_u"]
 
 _INTEGER_TOL = 1e-12
 _EPS = np.finfo(float).eps
@@ -39,7 +39,7 @@ _SERIES_Z = 2.0
 _SERIES_TERMS = 200
 
 
-def laguerre(k, alpha, z):
+def _laguerre(k, alpha, z):
     """Generalized Laguerre polynomial L_k^(alpha)(z) by three-term recurrence.
 
     Parameters
@@ -137,7 +137,11 @@ def _series_coefficients(a):
     c_k = (a)_k / (Gamma(a-1) k! (k+1)!), d_k = psi(a+k) - psi(k+1) - psi(k+2).
     Columns: c_k, c_k d_k; the same at a + 1; the magnitudes at a weighted
     by the roundings behind term k.  Rows end where terms stop mattering.
+    Raises ``ValueError`` where 1/Gamma(a-1), a factor of every c_k,
+    leaves the float range (a <= -341/2).
     """
+    if not math.isfinite(rgamma(a - 1.0)):
+        raise ValueError(f"U({a},2,z) leaves the float range")
     k = np.arange(_SERIES_TERMS, dtype=float)
     cols = []
     for s in (a, a + 1.0):
@@ -196,14 +200,15 @@ def _u_array(a, b, z, rtol=1e-10):
         except OverflowError:  # k > 170
             raise ValueError(f"U({a},2,z) leaves the float range") from None
         # the terms of L_k^(1)(z) alternate in sign; at -z they add up
-        lag, size = fact * laguerre(k, 1.0, np.array([z, -z]))
+        lag, size = fact * _laguerre(k, 1.0, np.array([z, -z]))
         return (-lag if k % 2 else lag), 4.0 * (k + 1) * _EPS * np.abs(size)
     vals, err = np.empty((2, z.size))
     rest = np.ones(z.size, dtype=bool)
     near = np.flatnonzero(z < _SERIES_Z)
-    v, e, scale = _u_series(a, z[near])
-    ok = e / scale <= 10.0 * rtol  # the bound the chain is held to
-    vals[near[ok]], err[near[ok]], rest[near[ok]] = v[ok], e[ok], False
+    if near.size:
+        v, e, scale = _u_series(a, z[near])
+        ok = e / scale <= 10.0 * rtol  # the bound the chain is held to
+        vals[near[ok]], err[near[ok]], rest[near[ok]] = v[ok], e[ok], False
     if rest.any():
         vals[rest], err[rest] = _u_chain(a, z[rest], rtol)
     return vals, err

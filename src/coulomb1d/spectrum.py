@@ -26,7 +26,6 @@ from .specfun import _u_array
 
 __all__ = [
     "BoundState",
-    "cusp_indicator",
     "exact_energy",
     "node_count",
     "normalize",
@@ -94,7 +93,11 @@ def wavefunction(n, x, rtol=1e-11):
         Where the evaluation leaves the float range though psi may be
         finite: U far out at large n (x = 221^2 for n = 220), at
         subnormal x, and at every x from odd n = 343 on, where k! of
-        the polynomial U(-k,2,z) does.
+        the polynomial U(-k,2,z) does.  From even n = 342 on, every x
+        with 4|x|/(n+1) < 2 raises, since 1/Gamma(a-1), a factor of each
+        term of the small-z series, overflows; past that the recurrence
+        overflows at nearly every x (at n = 342 a few x with 2 <= z < 5.7
+        remain, from n = 344 none with |x| <= 2000).
     """
     n = _check_n(n)
     xs = np.asarray(x, dtype=float)
@@ -227,19 +230,3 @@ def ode_residual(n, x):
     second = (64.0 * d3 - 20.0 * d2 + d1) / 45.0
     psi = f[3]
     return abs(-0.5 * second - psi / abs(x) - exact_energy(n) * psi)
-
-
-def cusp_indicator(n, h):
-    """One-sided difference quotient [psi_n(h) - psi_n(0)]/h for even n.
-
-    For the even states the derivative at the origin is logarithmically
-    infinite, so the magnitude of this quotient grows without bound as
-    h shrinks.  Odd states vanish linearly at 0 and are rejected.
-    """
-    n = _check_n(n)
-    if n % 2:
-        raise ValueError("cusp indicator applies to even states only")
-    if not 0.0 < h <= 0.1:
-        raise ValueError(f"step must lie in (0, 0.1], got {h}")
-    vals = wavefunction(n, np.array([0.0, h]), rtol=1e-12)
-    return (vals[1] - vals[0]) / h

@@ -6,6 +6,9 @@ divergence at the origin and a square-root zero at the turning points
 smooth integrand on [0, pi/2] that Gauss-Legendre quadrature handles at
 machine accuracy.  Quantization S(E_n) = (n + 1) pi, with Maslov offset
 1, then reproduces E_n = -2/(n+1)^2.
+
+scipy.optimize is imported on the first ``wkb_energy`` solve, not with the
+package, so commands that never quantize do not load it.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .potentials import PotentialSpec, evaluate
 from .quadrature import gauss_legendre
 
-__all__ = ["ActionResult", "WKBConfig", "action", "action_generic", "wkb_energy"]
+__all__ = ["ActionResult", "WKBConfig", "action", "wkb_energy"]
 
 _HALF_PI = 0.5 * math.pi
 
@@ -46,20 +47,6 @@ class WKBConfig:
     quadrature_tolerance: float = 1e-13
 
 
-def _half_line_action(E, x_in, x_out, vfun, rtol):
-    """Integral of sqrt(2(E - V)) over [x_in, x_out] via the sin^2 map."""
-    width = x_out - x_in
-
-    def integrand(theta):
-        s = np.sin(theta)
-        x = x_in + width * s * s
-        arg = 2.0 * (E - vfun(x))
-        return np.sqrt(np.maximum(arg, 0.0)) * 2.0 * width * s * np.cos(theta)
-
-    val, _ = gauss_legendre(integrand, 0.0, _HALF_PI, rtol=rtol)
-    return val
-
-
 def action(E, rtol=1e-13):
     """Action integral of sqrt(2(E + 1/|x|)) between the turning points.
 
@@ -80,8 +67,20 @@ def action(E, rtol=1e-13):
     if not math.isfinite(E) or E >= 0.0:
         raise ValueError(f"bound-state energy must be negative, got {E}")
     x_t = 1.0 / abs(E)
-    half = _half_line_action(E, 0.0, x_t, lambda x: -1.0 / x, rtol)
+
+    def integrand(theta):
+        s = np.sin(theta)
+        arg = 2.0 * (E + 1.0 / (x_t * s * s))
+        return np.sqrt(np.maximum(arg, 0.0)) * 2.0 * x_t * s * np.cos(theta)
+
+    half, _ = gauss_legendre(integrand, 0.0, _HALF_PI, rtol=rtol)
     return ActionResult(energy=E, action=2.0 * half, turning_points=(-x_t, x_t))
+
+
+def brentq(f, a, b, **kwargs):
+    """scipy.optimize.brentq, imported on its first call."""
+    from scipy.optimize import brentq as solver
+    return solver(f, a, b, **kwargs)
 
 
 def wkb_energy(n, cfg=None):
@@ -92,7 +91,8 @@ def wkb_energy(n, cfg=None):
     step: three actions per energy.  Its bracket [t_g/2, 2 t_g] around
     the closed-form root t_g of g = -2/(n + maslov_offset)^2 is [4g, g/4]
     in E, where S is half and twice its target; the action comes from
-    quadrature at every iterate, never its closed form.
+    quadrature at every iterate, never its closed form.  The first call
+    imports scipy.optimize.
 
     Parameters
     ----------
@@ -120,58 +120,3 @@ def wkb_energy(n, cfg=None):
     guess = (n + cfg.maslov_offset) / math.sqrt(2.0)
     t = brentq(objective, 0.5 * guess, 2.0 * guess, xtol=1e-15, rtol=1e-14)
     return -1.0 / (t * t)
-
-
-def action_generic(E, V, rtol=1e-9):
-    """Action integral for any potential family at energy E.
-
-    The turning points are closed forms: 1/|E| for the bare and half-line
-    wells, 1/|E| - a with the soft core, and for the repulsive core the
-    roots of x^2 - 2px + a^2 + b/|E|, p = 1/(2|E|) - a, the outer one
-    first and the inner one as the product of the roots over it, free of
-    cancellation.  The integral runs over the classically allowed region,
-    doubled for the symmetric full-line families.
-
-    Parameters
-    ----------
-    E : float
-        Energy, negative and above the potential floor.
-    V : PotentialSpec
-    rtol : float
-        Quadrature tolerance.
-
-    Returns
-    -------
-    ActionResult
-        turning_points is (-x_t, x_t) for symmetric families, (0, x_t)
-        for the half line, and the positive-side pair (x_in, x_out) for
-        the repulsive core.
-    """
-    if not isinstance(V, PotentialSpec):
-        raise TypeError("V must be a PotentialSpec")
-    if not math.isfinite(E) or E >= 0.0:
-        raise ValueError(f"bound-state energy must be negative, got {E}")
-    if V.family == "pure-coulomb":
-        return action(E, rtol=rtol)
-    vfun = lambda x: evaluate(V, x)
-    depth = abs(E)
-
-    if V.family == "repulsive-core":
-        a, b = V.a, V.b
-        # |E| times the discriminant p^2 - a^2 - b/|E|; zero at the floor
-        gap = 0.25 / depth - (a + b)
-        if gap <= 0.0:
-            raise ValueError(
-                f"E={E} is below the potential floor {-0.25 / (a + b)}")
-        x_out = 0.5 / depth - a + math.sqrt(gap / depth)
-        x_in = (a * a + b / depth) / x_out
-        val = _half_line_action(E, x_in, x_out, vfun, rtol)
-        return ActionResult(E, 2.0 * val, (x_in, x_out))
-
-    x_out = 1.0 / depth - (V.a or 0.0)  # V = -1/(x + a), a = 0 on the half line
-    if x_out <= 0.0:
-        raise ValueError(f"E={E} is below the soft-core floor {-1.0 / V.a}")
-    half = _half_line_action(E, 0.0, x_out, vfun, rtol)
-    if V.family == "half-line":
-        return ActionResult(E, half, (0.0, x_out))
-    return ActionResult(E, 2.0 * half, (-x_out, x_out))

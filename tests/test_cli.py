@@ -132,6 +132,13 @@ class TestWavefunctionCommand:
         code, _, _ = run_cli(["wavefunction", "--n", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["342", "343"])
+    def test_level_past_the_float_range_exits_two(self, n, capsys):
+        code, out, err = run_cli(["wavefunction", "--n", n], capsys)
+        assert code == 2
+        assert out == "" and "leaves the float range" in err
+        assert "Traceback" not in err
+
     def test_normalized_n40_is_the_closed_form_norm(self, capsys):
         # the quadrature norm printed here was 7.5e-10 off
         _, out, _ = run_cli(["wavefunction", "--n", "40", "--normalized"], capsys)

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from coulomb1d import ConvergenceError, action_generic, soft_core, tricomi_u
+from coulomb1d import ConvergenceError, tricomi_u
 from coulomb1d import quadrature
 from coulomb1d.quadrature import gauss_legendre
 
@@ -54,11 +54,14 @@ class TestOutOfReach:
         assert info.value.error <= top * EPS * abs(info.value.estimate)
         assert math.isclose(info.value.estimate, 1.0 - math.cos(1.0), rel_tol=1e-14)
 
-    def test_cap_at_order_4096(self, orders):
-        # algebraic convergence: the change at 4096 is still far above the floor
-        with pytest.raises(ConvergenceError, match="order 4096"):
-            gauss_legendre(np.sqrt, 0.0, 1.0, rtol=1e-14)
-        assert _doublings(orders, 16) and orders[-1] == 4096
+    def test_cap_at_order_256(self, orders):
+        # a kink converges algebraically: the change at 256 is still far
+        # above the floor, so only the cap stops the ladder
+        with pytest.raises(ConvergenceError, match="order 256") as info:
+            gauss_legendre(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, rtol=1e-14)
+        assert _doublings(orders, 16) and orders[-1] == 256
+        assert info.value.error > 256 * EPS * abs(info.value.estimate)
+        assert math.isclose(info.value.estimate, 5.0 / 18.0, rel_tol=1e-4)
 
     def test_u_estimate_in_u_units(self, orders):
         with pytest.raises(ConvergenceError) as info:
@@ -66,14 +69,3 @@ class TestOutOfReach:
         assert orders == []  # U builds no Gauss-Legendre rule
         (estimate,) = info.value.estimate
         assert abs(estimate - float(mp.hyperu(0.5, 2, 1))) <= 1e-10
-
-
-@pytest.mark.parametrize("E, a, top", [(-0.05, 1e-6, 1024), (-0.01, 1e-8, 4096)])
-def test_soft_core_action_converges(orders, E, a, top):
-    # the second point converges only at the last rung, so it pins the cap
-    got = action_generic(E, soft_core(a), 1e-9).action
-    assert max(orders) == top
-    # closed form: 2 sqrt(2/|E|) (pi/2 - th - sin th cos th), sin^2 th = a|E|
-    th = math.asin(math.sqrt(a * abs(E)))
-    exact = 2.0 * math.sqrt(2.0 / abs(E)) * (0.5 * math.pi - th - math.sin(th) * math.cos(th))
-    assert math.isclose(got, exact, rel_tol=1e-9)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coulomb1d import ConvergenceError, laguerre, tricomi_u, wavefunction
-from coulomb1d.specfun import _SERIES_Z, _u_array, _u_chain, _u_seeds
+from coulomb1d import ConvergenceError, tricomi_u, wavefunction
+from coulomb1d.specfun import _SERIES_Z, _laguerre, _u_array, _u_chain, _u_seeds
 from coulomb1d.spectrum import _w_values
 
 
@@ -23,38 +23,38 @@ def laguerre_series(k, alpha, z):
 
 class TestLaguerre:
     def test_degree_zero(self):
-        assert laguerre(0, 1, 7.3) == 1.0
+        assert _laguerre(0, 1, 7.3) == 1.0
 
     def test_degree_one(self):
         # L_1^(1)(z) = 2 - z
-        assert laguerre(1, 1, 3.0) == -1.0
+        assert _laguerre(1, 1, 3.0) == -1.0
 
     def test_degree_two(self):
         # closed form L_2^(1)(z) = z^2/2 - 3z + 3 gives 0.5 at z = 1
-        val = laguerre(2, 1, 1.0)
+        val = _laguerre(2, 1, 1.0)
         assert math.isclose(val, 0.5, rel_tol=1e-14)
         assert math.isclose(val, laguerre_series(2, 1, 1.0), rel_tol=1e-14)
 
     @pytest.mark.parametrize("k", range(8))
     def test_against_series(self, k):
         for z in (0.3, 1.7, 4.0, 9.5):
-            assert math.isclose(laguerre(k, 1, z), laguerre_series(k, 1, z),
+            assert math.isclose(_laguerre(k, 1, z), laguerre_series(k, 1, z),
                                 rel_tol=1e-11, abs_tol=1e-11)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            laguerre(-1, 1, 1.0)
+            _laguerre(-1, 1, 1.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            laguerre(2, 1, math.nan)
+            _laguerre(2, 1, math.nan)
 
     def test_vectorized(self):
         zs = np.array([[0.3, 1.7], [4.0, 9.5]])
-        vals = laguerre(5, 1, zs)
+        vals = _laguerre(5, 1, zs)
         assert vals.shape == zs.shape
         for z, v in zip(zs.ravel(), vals.ravel()):
-            assert v == laguerre(5, 1, z)
+            assert v == _laguerre(5, 1, z)
 
 
 def _w(kappa, z):
@@ -103,7 +103,7 @@ class TestTricomiU:
         by_chain = _u_chain(a, np.array([z]), 1e-10)[0][0]
         by_poly = tricomi_u(a, 2, z)
         # integer a <= 0 takes the polynomial U(-k,2,z) = (-1)^k k! L_k^(1)(z)
-        assert by_poly == (-1) ** k * (math.factorial(k) * laguerre(k, 1.0, z))
+        assert by_poly == (-1) ** k * (math.factorial(k) * _laguerre(k, 1.0, z))
         assert abs(by_chain - by_poly) <= 1e-10 * max(abs(by_poly), 1e-300)
 
     @pytest.mark.parametrize("a", [0.5, -0.5, -1.5, -3.5, -7.5, -2.0, -6.0])
@@ -164,6 +164,19 @@ class TestSeeds:
     def test_seed_held_to_the_tolerance(self, a):
         with pytest.raises(ConvergenceError, match="converge"):
             tricomi_u(a, 2, 5.0, rtol=1e-40)
+
+    def test_series_past_the_float_range_raises(self):
+        # 1/Gamma(a - 1) of every series coefficient overflows from
+        # a = -341/2 on; U(-170.5,2,1) is -3.07e308 by mpmath
+        with pytest.raises(ValueError, match="float range"):
+            tricomi_u(-170.5, 2, 1.0)
+
+    def test_no_point_below_the_series_crossover_skips_the_series(self):
+        # z = 2 takes the recurrence, and the series table is not built
+        (val,), _ = _u_array(-170.5, 2.0, np.array([_SERIES_Z]))
+        with mp.workdps(40):
+            ref = float(mp.hyperu(-170.5, 2, 2))
+        assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
 class TestWhittakerW:

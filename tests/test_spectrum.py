@@ -11,10 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from coulomb1d import (BoundState, cusp_indicator, exact_energy, node_count,
-                       normalize, ode_residual, spectrum, wavefunction)
+from coulomb1d import (BoundState, exact_energy, node_count, normalize,
+                       ode_residual, spectrum, wavefunction)
 
 EPS = np.finfo(float).eps
+
+
+def cusp_quotient(n, h):
+    """One-sided difference quotient [psi_n(h) - psi_n(0)]/h; for even n
+    psi' is logarithmically infinite at the origin, so |quotient| grows
+    without bound as h shrinks."""
+    vals = wavefunction(n, np.array([0.0, h]), rtol=1e-12)
+    return (vals[1] - vals[0]) / h
 
 
 class TestExactEnergy:
@@ -117,9 +125,11 @@ class TestWavefunction:
 
     # U overflows far out at large n, and 1/(Gamma(a) z) at subnormal z,
     # though psi is finite at each point; k! of the odd polynomial
-    # U(-k,2,z) does from k = 171 (n = 343) on
+    # U(-k,2,z) does from k = 171 (n = 343) on, and the even series'
+    # 1/Gamma(a - 1) from n = 342 on; at x = 1e4 no point takes the series
     @pytest.mark.parametrize("n, x", [(300, [22650.0]), (220, [221.0 ** 2]),
-                                      (0, 1e-310), (301, [302.0 ** 2]), (401, 10.0)])
+                                      (0, 1e-310), (301, [302.0 ** 2]), (401, 10.0),
+                                      (342, 1.0), (342, 1e4), (344, [0.0, 2.0])])
     def test_overflow_raises_without_warnings(self, n, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -156,7 +166,7 @@ class TestNearOrigin:
             assert abs(v - ref) <= 1e-10 * abs(ref)
 
     def test_cusp_quotient_at_tiny_steps(self):
-        quotients = [abs(cusp_indicator(0, h)) for h in (1e-10, 1e-11, 1e-12)]
+        quotients = [abs(cusp_quotient(0, h)) for h in (1e-10, 1e-11, 1e-12)]
         assert all(math.isfinite(q) for q in quotients)
         assert quotients[0] < quotients[1] < quotients[2]
 
@@ -395,6 +405,11 @@ class TestNodeCount:
         with pytest.raises(ValueError, match="float range"):
             node_count(230)
 
+    def test_even_series_past_the_float_range_raises(self):
+        # an IndexError from the series table before
+        with pytest.raises(ValueError, match="float range"):
+            node_count(342)
+
 
 def sign_product_changes(values):
     """The former `spectrum.sign_changes`, from products of np.sign."""
@@ -465,21 +480,11 @@ class TestOdeResidual:
 
 class TestCuspIndicator:
     def test_ground_quotient_grows(self):
-        q2 = abs(cusp_indicator(0, 1e-2))
-        q3 = abs(cusp_indicator(0, 1e-3))
-        q4 = abs(cusp_indicator(0, 1e-4))
+        q2 = abs(cusp_quotient(0, 1e-2))
+        q3 = abs(cusp_quotient(0, 1e-3))
+        q4 = abs(cusp_quotient(0, 1e-4))
         assert q3 > q2
         assert q4 > q3
 
     def test_second_even_state(self):
-        assert abs(cusp_indicator(2, 1e-3)) > abs(cusp_indicator(2, 1e-2))
-
-    def test_rejects_odd_states(self):
-        with pytest.raises(ValueError):
-            cusp_indicator(1, 1e-2)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            cusp_indicator(0, 0.5)
-        with pytest.raises(ValueError):
-            cusp_indicator(0, 0.0)
+        assert abs(cusp_quotient(2, 1e-3)) > abs(cusp_quotient(2, 1e-2))

@@ -2,12 +2,10 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
-from coulomb1d import (WKBConfig, action, action_generic, exact_energy, half_line,
-                       pure_coulomb, repulsive_core, soft_core, wkb_energy)
+from coulomb1d import WKBConfig, action, exact_energy, wkb_energy
 
 
 def brute_action(E, samples=1_000_000):
@@ -104,96 +102,3 @@ class TestQuantization:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             wkb_energy(-1)
-
-
-class TestActionGeneric:
-    def test_pure_family_consistency(self):
-        direct = action(-2.0)
-        general = action_generic(-2.0, pure_coulomb())
-        assert math.isclose(general.action, direct.action, rel_tol=1e-10)
-        assert math.isclose(general.turning_points[1], direct.turning_points[1],
-                            rel_tol=1e-12)
-
-    def test_soft_core_continuity(self):
-        # a -> 0 restores the bare integral; at a = 1e-6 the core removes
-        # about 4 sqrt(2a) of action
-        bare = action(-0.5).action
-        soft = action_generic(-0.5, soft_core(1e-6)).action
-        assert abs(soft - bare) / bare <= 1e-3
-        assert math.isclose(bare - soft, 4.0 * math.sqrt(2e-6), rel_tol=1e-2)
-
-    def test_half_line_is_half_the_symmetric_value(self):
-        res = action_generic(-0.5, half_line())
-        assert math.isclose(res.action, math.pi, rel_tol=1e-9)
-        assert res.turning_points[0] == 0.0
-        assert math.isclose(res.turning_points[1], 2.0, rel_tol=1e-12)
-
-    def test_repulsive_core_band(self):
-        spec = repulsive_core(1e-2, 5e-2)
-        res = action_generic(-0.5, spec)
-        x_in, x_out = res.turning_points
-        assert 0 < x_in < x_out
-        assert x_in > spec.b  # allowed region starts beyond the zero crossing
-        assert res.action > 0
-
-    def test_repulsive_core_floor_rejected(self):
-        spec = repulsive_core(1e-2, 5e-2)
-        floor = -1.0 / (4 * (spec.a + spec.b))
-        with pytest.raises(ValueError):
-            action_generic(floor * 1.01, spec)
-
-    def test_soft_core_floor_rejected(self):
-        with pytest.raises(ValueError):
-            action_generic(-200.0, soft_core(1e-2))
-
-    def test_rejects_positive_energy(self):
-        with pytest.raises(ValueError):
-            action_generic(0.5, pure_coulomb())
-
-
-def _mp_turning_points(E, spec):
-    """Roots of E - V(x) on x > 0 by bracketed mpmath root search, 30 digits."""
-    with mp.workdps(30):
-        E = mp.mpf(E)
-        if spec.family == "repulsive-core":
-            a, b = mp.mpf(spec.a), mp.mpf(spec.b)
-            g = lambda x: E + (x - b) / (x + a) ** 2
-            x_min = a + 2 * b  # V is smallest here
-            return (float(mp.findroot(g, (b, x_min), solver="anderson")),
-                    float(mp.findroot(g, (x_min, 4 / abs(E)), solver="anderson")))
-        a = mp.mpf(spec.a or 0)
-        g = lambda x: E + 1 / (x + a)
-        return (float(mp.findroot(g, (mp.mpf("1e-40"), 4 / abs(E)),
-                                  solver="anderson")),)
-
-
-_EPS = np.finfo(float).eps
-_FLOOR = -1.0 / (4 * (1e-2 + 5e-2))  # of repulsive_core(1e-2, 5e-2)
-
-
-class TestTurningPoints:
-    @pytest.mark.parametrize("spec", [soft_core(1e-6), soft_core(1e-2),
-                                      soft_core(0.3), half_line()],
-                             ids=["soft-1e-6", "soft-1e-2", "soft-0.3", "half-line"])
-    @pytest.mark.parametrize("E", [-3.0, -0.5, -0.07])
-    def test_outer_point(self, spec, E):
-        (ref,) = _mp_turning_points(E, spec)
-        res = action_generic(E, spec)
-        x_out = res.turning_points[1]
-        # 1/|E| - a cancels against a, to a few eps of 1/|E|
-        assert abs(x_out - ref) <= 4 * _EPS / abs(E)
-        assert res.turning_points[0] == (0.0 if spec.family == "half-line" else -x_out)
-
-    @pytest.mark.parametrize("a, b, E", [
-        (1e-2, 5e-2, -0.5), (1e-3, 5e-3, -0.3), (1e-3, 5e-3, -10.0),
-        (0.1, 0.0, -0.5),
-        (1e-2, 5e-2, _FLOOR * (1 - 1e-6)), (1e-2, 5e-2, _FLOOR * (1 - 1e-9))])
-    def test_repulsive_core_band(self, a, b, E):
-        spec = repulsive_core(a, b)
-        floor = -1.0 / (4 * (a + b))
-        # the two roots meet at the floor, so their rounding grows like
-        # 1/sqrt of the distance to it
-        rtol = 4 * _EPS + _EPS * math.sqrt(abs(floor) / (E - floor))
-        got = action_generic(E, spec).turning_points
-        for x, ref in zip(got, _mp_turning_points(E, spec)):
-            assert abs(x - ref) <= rtol * ref, (x, ref)
