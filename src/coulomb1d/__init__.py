@@ -18,7 +18,8 @@ from .regularized import (CareResult, GridResolutionError, ScanRow,
 from .specfun import tricomi_u
 from .spectrum import (BoundState, exact_energy, node_count, normalize,
                        ode_residual, wavefunction)
-from .wkb import ActionResult, WKBConfig, action, wkb_energy
+from .wkb import (ActionResult, WKBConfig, action, turning_points,
+                  wkb_energy)
 
 __all__ = [
     "ActionResult",
@@ -50,6 +51,7 @@ __all__ = [
     "soft_core_ground_scan",
     "solve",
     "tricomi_u",
+    "turning_points",
     "wavefunction",
     "wkb_energy",
 ]

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .potentials import PotentialSpec
 from .quadrature import gauss_legendre
 
-__all__ = ["ActionResult", "WKBConfig", "action", "wkb_energy"]
+__all__ = ["ActionResult", "WKBConfig", "action", "turning_points", "wkb_energy"]
 
 _HALF_PI = 0.5 * math.pi
 
@@ -120,3 +121,46 @@ def wkb_energy(n, cfg=None):
     guess = (n + cfg.maslov_offset) / math.sqrt(2.0)
     t = brentq(objective, 0.5 * guess, 2.0 * guess, xtol=1e-15, rtol=1e-14)
     return -1.0 / (t * t)
+
+
+def turning_points(E, V):
+    """Classical turning points of any potential family at energy E.
+
+    The points are closed forms: 1/|E| for the bare and half-line wells,
+    1/|E| - a with the soft core, and for the repulsive core the roots of
+    x^2 - 2px + a^2 + b/|E|, p = 1/(2|E|) - a, the outer one first and
+    the inner one as the product of the roots over it, free of
+    cancellation.
+
+    Parameters
+    ----------
+    E : float
+        Energy, negative and above the potential floor.
+    V : PotentialSpec
+
+    Returns
+    -------
+    tuple
+        (-x_t, x_t) for symmetric families, (0, x_t) for the half line,
+        and the positive-side pair (x_in, x_out) for the repulsive core.
+    """
+    if not isinstance(V, PotentialSpec):
+        raise TypeError("V must be a PotentialSpec")
+    if not math.isfinite(E) or E >= 0.0:
+        raise ValueError(f"bound-state energy must be negative, got {E}")
+    depth = abs(E)
+
+    if V.family == "repulsive-core":
+        a, b = V.a, V.b
+        # |E| times the discriminant p^2 - a^2 - b/|E|; zero at the floor
+        gap = 0.25 / depth - (a + b)
+        if gap <= 0.0:
+            raise ValueError(
+                f"E={E} is below the potential floor {-0.25 / (a + b)}")
+        x_out = 0.5 / depth - a + math.sqrt(gap / depth)
+        return ((a * a + b / depth) / x_out, x_out)
+
+    x_out = 1.0 / depth - (V.a or 0.0)  # V = -1/(x + a), a = 0 on the half line
+    if x_out <= 0.0:
+        raise ValueError(f"E={E} is below the soft-core floor {-1.0 / V.a}")
+    return (0.0 if V.family == "half-line" else -x_out, x_out)
