@@ -12,9 +12,8 @@ from .potentials import (FAMILIES, PotentialSpec, evaluate, half_line,
                          loudon_estimate, pure_coulomb, repulsive_core,
                          soft_core)
 from .quadrature import ConvergenceError
-from .regularized import (CareResult, GridResolutionError, ScanRow,
-                          care_interleaving, half_line_spectrum,
-                          soft_core_ground_scan)
+from .regularized import (CareResult, ScanRow, care_interleaving,
+                          half_line_spectrum, soft_core_ground_scan)
 from .specfun import tricomi_u
 from .spectrum import (BoundState, exact_energy, node_count, normalize,
                        ode_residual, wavefunction)
@@ -28,7 +27,6 @@ __all__ = [
     "ConvergenceError",
     "FAMILIES",
     "Grid",
-    "GridResolutionError",
     "Level",
     "PotentialSpec",
     "ScanRow",

@@ -5,8 +5,9 @@ parameter set that produced them, so any table can be regenerated from
 its own metadata.  Floats are printed with 17 significant digits and
 round-trip exactly.
 
-Exit codes: 0 success, 2 bad flags or domain errors, 3 quadrature or
-eigensolver non-convergence, 4 grid-resolution refusal.
+Exit codes: 0 success, 2 bad flags or domain errors (a grid too coarse
+for its core radius among them), 3 quadrature or eigensolver
+non-convergence.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from . import __version__
 from .gridsolver import _CORE_CELLS, Grid, solve
 from .potentials import PotentialSpec
 from .quadrature import ConvergenceError
-from .regularized import (GridResolutionError, care_interleaving,
-                          check_soft_core_radius, half_line_spectrum,
+from .regularized import (care_interleaving, half_line_spectrum,
                           required_points, soft_core_ground_scan)
 from .spectrum import exact_energy, node_count, normalize, wavefunction
 from .wkb import WKBConfig, action, wkb_energy
@@ -145,25 +145,19 @@ def _cmd_scan(args):
     if args.family == "soft-core":
         if not args.a:
             raise ValueError("soft-core scan requires --a")
-        radii = [float(s) for s in args.a.split(",")]
-        for a in radii:  # all of them before any solve
-            check_soft_core_radius(a)
         half_width = 30.0 if args.half_width is None else args.half_width
-        if args.points is not None:
-            rows = soft_core_ground_scan(radii, Grid(half_width, args.points))
-        else:
-            # one graded grid per radius, so a row does not depend on the others
-            rows = [soft_core_ground_scan([a], Grid.graded(half_width, a))[0]
-                    for a in radii]
-        columns = {"a": [r.a for r in rows], "e0": [r.e0 for r in rows]}
-        if rows[0].error is not None:
-            columns["e0_error"] = [r.error for r in rows]
-        columns.update({"loudon_estimate": [r.loudon for r in rows],
-                        "ratio": [r.e0 / r.loudon for r in rows],
-                        "points": [r.points for r in rows]})
+        radii = [float(s) for s in args.a.split(",")]
+        rows = soft_core_ground_scan(radii, half_width, args.points)
         meta = _stamp({"family": args.family, "half_width": half_width,
                        "points": max(r.points for r in rows)}, args)
-        return OutputRecord(schema="scan", columns=columns, metadata=meta)
+        return OutputRecord(
+            schema="scan",
+            columns={"a": [r.a for r in rows], "e0": [r.e0 for r in rows],
+                     "e0_error": [r.error for r in rows],
+                     "loudon_estimate": [r.loudon for r in rows],
+                     "ratio": [r.e0 / r.loudon for r in rows],
+                     "points": [r.points for r in rows]},
+            metadata=meta)
     if args.family == "care":
         if not args.a or args.b is None:
             raise ValueError("care scan requires --a and --b")
@@ -294,9 +288,11 @@ def build_parser():
     sp.add_argument("--b", type=float, help="repulsive-core offset")
     sp.add_argument("--half-width", type=float, help="box size L")
     sp.add_argument("--points", type=int,
-                    help="uniform mesh points (default: a graded mesh per "
-                         "soft-core radius, the core rule "
-                         f"h <= a/{_CORE_CELLS:g} otherwise)")
+                    help="soft-core: points of the coarsest of the three "
+                         "grids graded toward each radius (default: "
+                         "Grid.graded's count); care and half-line: uniform "
+                         "mesh points (default for care: the core rule "
+                         f"h <= a/{_CORE_CELLS:g})")
     sp.add_argument("--k-max", type=int, help="levels to compute")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_scan)
@@ -323,9 +319,6 @@ def main(argv=None):
     try:
         record = args.handler(args)
         _emit(record, args)
-    except GridResolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

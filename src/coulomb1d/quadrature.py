@@ -15,6 +15,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 _EPS = np.finfo(float).eps
+_START_ORDER = 16
 _MAX_ORDER = 256
 
 
@@ -47,14 +48,15 @@ def _panel(f, a, b, order):
     return half * float(f(mid + half * nodes) @ weights)
 
 
-def gauss_legendre(f, a, b, rtol=1e-12, order=16):
-    """Integrate ``f`` over [a, b], doubling the Gauss-Legendre order from ``order``.
+def gauss_legendre(f, a, b, rtol=1e-12):
+    """Integrate ``f`` over [a, b], doubling the Gauss-Legendre order from 16.
 
     ``f`` takes a 1-D array of abscissae and returns its values.  Returns
     (value, error) as floats, the error being the last change between
     orders.  ``ConvergenceError`` carries both where the module docstring
     says it is raised.
     """
+    order = _START_ORDER
     prev = _panel(f, a, b, order)
     while True:
         order *= 2

@@ -7,14 +7,13 @@ repulsive-core family interleaving even and odd levels in its stated
 parameter regime, and the half-line well reproducing the odd-state
 energies.
 
-On a graded grid (``Grid.core`` set) the soft-core scan solves three
-levels of the mesh, h, h/2 and h/4 of one fixed map, and returns the
-Richardson value of the two finest with the distance to the coarser
-one as its error estimate.  On an explicit uniform grid it returns the
-plain grid energy with no estimate.  Grids too coarse for the core
-radius are refused rather than solved into silently unconverged
-numbers: a uniform step h > a/5 (GridResolutionError), or a grid graded
-toward a core wider than a (ValueError).
+The soft-core scan solves each radius on its own grid graded toward
+that radius, at three levels of the mesh, h, h/2 and h/4 of one fixed
+map, and returns the Richardson value of the two finest with the
+distance to the coarser one as its error estimate.  The repulsive-core
+study refuses a grid too coarse for its core radius, a uniform step
+h > a/5 or a grid graded toward a core wider than a (ValueError),
+rather than solve it into silently unconverged numbers.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from .potentials import half_line, loudon_estimate, repulsive_core, soft_core
 
 __all__ = [
     "CareResult",
-    "GridResolutionError",
     "ScanRow",
     "care_interleaving",
-    "check_soft_core_radius",
     "half_line_spectrum",
     "required_points",
     "soft_core_ground_scan",
@@ -51,36 +48,15 @@ def required_points(half_width, a):
     return n + n % 2
 
 
-def check_soft_core_radius(a):
-    """Raise ValueError unless a is a soft-core radius the scan covers, (0, 0.5]."""
-    if not 0.0 < a <= 0.5:
-        raise ValueError(f"core radius must lie in (0, 0.5], got {a}")
-
-
-class GridResolutionError(Exception):
-    """Grid too coarse for the requested core radius.
-
-    Attributes
-    ----------
-    suggested_points : int
-        Smallest point count that would satisfy the resolution rule.
-    """
-
-    def __init__(self, message, suggested_points):
-        super().__init__(message)
-        self.suggested_points = suggested_points
-
-
 class ScanRow(NamedTuple):
     """One soft-core radius: ground energy, Loudon estimate, the point
-    count of the finest grid solved, and the error estimate of e0 (None
-    on a uniform grid, which gives no estimate)."""
+    count of the finest grid solved, and the error estimate of e0."""
 
     a: float
     e0: float
     loudon: float
     points: int
-    error: float | None
+    error: float
 
 
 class CareResult(NamedTuple):
@@ -88,46 +64,34 @@ class CareResult(NamedTuple):
     interleaved: bool
 
 
-def _require_resolution(g, a):
-    if g.core is not None:
-        # graded toward a wider core, the mesh is too coarse at the origin
-        # and the Richardson estimate can understate the error
-        if g.core > a:
-            raise ValueError(f"grid graded toward core {g.core:g} cannot "
-                             f"resolve core radius a={a:g}; grade it toward "
-                             "a core no wider than a")
-        return
-    needed = required_points(g.half_width, a)
-    if g.points < needed:
-        raise GridResolutionError(
-            f"mesh step {2.0 * g.half_width / g.points:.3g} cannot resolve "
-            f"core radius a={a:g}; need at least N={needed} points at this "
-            "box size",
-            suggested_points=needed)
-
-
-def soft_core_ground_scan(a_values, g):
+def soft_core_ground_scan(a_values, half_width, points=None):
     """Ground energy of the soft-core well for each core radius.
+
+    Each radius a is solved on its own full-line grid graded toward a,
+    so a row does not depend on the other radii, at the grid's point
+    count and two halvings of its step.
 
     Parameters
     ----------
     a_values : iterable of float
-        Core radii, each in (0, 0.5].
-    g : Grid
-        Full-line grid.  A graded grid is solved at its own point count
-        and two halvings of its step, and must be graded toward a core no
-        wider than the smallest radius; a uniform grid must resolve that
-        radius (h <= a/5) or the scan refuses to run.
+        Core radii, each in (0, 0.5]; all are checked before any is
+        solved.
+    half_width : float
+        Box size L.
+    points : int or None
+        Point count of the coarsest grid of each radius,
+        ``Grid(half_width, points, core=a)``; None takes
+        ``Grid.graded(half_width, a)``.
 
     Returns
     -------
     list of ScanRow
         Per radius: the ground energy, the Loudon estimate
-        -2 ln^2(1/a), the finest point count and, on a graded grid, the
-        error estimate |R_fine - R_coarse| of the Richardson values
-        R = (4 E(h/2) - E(h))/3 of the two finest and the two coarsest
-        levels (e0 is R_fine).  The ground energy decreases strictly as
-        a shrinks.
+        -2 ln^2(1/a), the finest point count (four times the coarsest)
+        and the error estimate |R_fine - R_coarse| of the Richardson
+        values R = (4 E(h/2) - E(h))/3 of the two finest and the two
+        coarsest levels (e0 is R_fine).  The ground energy decreases
+        strictly as a shrinks.
 
     Raises ConvergenceError where a grid's rounding floor outgrows the
     ground level, on the default graded grids at L = 30 from a = 9.8e-8
@@ -137,20 +101,17 @@ def soft_core_ground_scan(a_values, g):
     if not a_values:
         raise ValueError("no core radii given")
     for a in a_values:
-        check_soft_core_radius(a)
-        _require_resolution(g, a)
+        if not 0.0 < a <= 0.5:
+            raise ValueError(f"core radius must lie in (0, 0.5], got {a}")
     rows = []
     for a in a_values:
-        if g.core is None:
-            e0 = solve(soft_core(a), g, 1).levels[0].energy
-            points, error = g.points, None
-        else:
-            e_h, e_h2, e_h4 = refine(soft_core(a), g, 0, 2)
-            coarse = (4.0 * e_h2 - e_h) / 3.0
-            e0 = (4.0 * e_h4 - e_h2) / 3.0
-            points, error = 4 * g.points, abs(e0 - coarse)
+        g = (Grid.graded(half_width, a) if points is None
+             else Grid(half_width, points, core=a))
+        e_h, e_h2, e_h4 = refine(soft_core(a), g, 0, 2)
+        coarse = (4.0 * e_h2 - e_h) / 3.0
+        e0 = (4.0 * e_h4 - e_h2) / 3.0
         rows.append(ScanRow(a=a, e0=e0, loudon=loudon_estimate(a),
-                            points=points, error=error))
+                            points=4 * g.points, error=abs(e0 - coarse)))
     return rows
 
 
@@ -167,7 +128,8 @@ def care_interleaving(a, b, g, k_max):
         Core radius and zero-crossing offset.
     g : Grid
         Full-line grid resolving a: a uniform step h <= a/5, or graded
-        toward a core no wider than a.
+        toward a core no wider than a; a coarser grid raises
+        ValueError, which names the point count a uniform grid needs.
     k_max : int
         Number of levels to label.
 
@@ -186,7 +148,18 @@ def care_interleaving(a, b, g, k_max):
             f"(a={a:g}, b={b:g}) lies outside the interleaving regime "
             f"1 < b/a < ln(1/a) = {math.log(1.0 / a):.3g}; computing anyway",
             stacklevel=2)
-    _require_resolution(g, a)
+    if g.core is None:
+        needed = required_points(g.half_width, a)
+        if g.points < needed:
+            raise ValueError(
+                f"mesh step {2.0 * g.half_width / g.points:.3g} cannot "
+                f"resolve core radius a={a:g}; need at least N={needed} "
+                "points at this box size")
+    elif g.core > a:
+        # graded toward a wider core, the mesh is too coarse at the origin
+        raise ValueError(f"grid graded toward core {g.core:g} cannot "
+                         f"resolve core radius a={a:g}; grade it toward "
+                         "a core no wider than a")
     levels = solve(repulsive_core(a, b), g, k_max).levels
     parities = [lv.parity for lv in levels]
     interleaved = (None not in parities and

@@ -246,5 +246,8 @@ def tricomi_u(a, b, z, rtol=1e-10, full_output=False):
         raise ValueError("non-finite input")
     if z <= 0.0:
         raise ValueError(f"argument must be positive, got z={z}")
-    (val,), (err,) = _u_array(a, b, np.array([z], dtype=float), rtol)
+    # near the float range the series table and the recurrence overflow
+    # where _u_array tolerates it; it raises if U itself leaves the range
+    with np.errstate(over="ignore", invalid="ignore"):
+        (val,), (err,) = _u_array(a, b, np.array([z], dtype=float), rtol)
     return (float(val), float(err)) if full_output else float(val)

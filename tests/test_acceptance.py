@@ -102,12 +102,7 @@ def test_criterion_5_half_line_oracle():
 
 def test_criterion_6_soft_core_divergence_and_estimate_band():
     start = time.time()
-    rows = []
-    for a in (1e-2, 1e-3, 1e-4):
-        points = math.ceil(60.0 * 5.0 / a)
-        points += points % 2
-        g = Grid(half_width=30.0, points=points)
-        rows.extend(soft_core_ground_scan([a], g))
+    rows = soft_core_ground_scan((1e-2, 1e-3, 1e-4), 30.0)
     e0 = [r.e0 for r in rows]
     ratios = [r.e0 / r.loudon for r in rows]
     monotone = e0[0] > e0[1] > e0[2]

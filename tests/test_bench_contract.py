@@ -38,6 +38,7 @@ def test_traced_operations_reach_every_bound_name(capsys):
         coulomb1d.solve(coulomb1d.pure_coulomb(),
                         coulomb1d.Grid(half_width=60.0, points=800), 2)
         assert cli.main(["scan", "--family", "half-line", "--points", "800"]) == 0
+        assert cli.main(["scan", "--family", "soft-core", "--a", "1e-2"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -46,10 +47,11 @@ def test_traced_operations_reach_every_bound_name(capsys):
     missing = [span for _, _, span in tracing.EXTRA if span not in names]
     assert not missing
     assert {"spectrum.wavefunction_even", "wkb.wkb_energy", "wkb.action",
-            "gridsolver.solve"} <= names
+            "gridsolver.solve", "regularized.soft_core_ground_scan"} <= names
     assert tracer.counts["specfun.u_batch_points"] == np.count_nonzero(xs)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
-    assert metrics["cli.scan_points"] == 800
+    # the half-line grid, and the finest of the three graded soft-core grids
+    assert metrics["cli.scan_points"] == 800 + 10248
     assert metrics["wkb.actions_per_energy"] > 0
 
     # the norm is a closed form: no quadrature and no U beneath normalize

@@ -281,30 +281,20 @@ class TestScanCommand:
         e0, err = float(row["e0"]), float(row["e0_error"])
         assert abs(e0 - -276.685993088164) <= err <= 1e-3
 
-    def test_soft_core_explicit_points_shared(self, capsys):
-        code, out, _ = run_cli(["scan", "--family", "soft-core", "--a",
-                                "1e-1,5e-2", "--points", "6000"], capsys)
+    def test_soft_core_points_start_each_graded_grid(self, capsys):
+        # --points is the coarsest of the three graded grids, the column
+        # the finest; converged E0 as in the estimate test above
+        code, out, _ = run_cli(["scan", "--family", "soft-core", "--a", "1e-2",
+                                "--points", "5124"], capsys)
         assert code == 0
-        meta, rows = parse_csv(out)
-        assert meta["points"] == "6000"
-        assert [r["points"] for r in rows] == ["6000", "6000"]
-        assert "e0_error" not in rows[0]
+        meta, (row,) = parse_csv(out)
+        assert meta["points"] == row["points"] == "20496"
+        assert abs(float(row["e0"]) - -10.6134364) <= float(row["e0_error"])
 
     def test_soft_core_non_positive_radius(self, capsys):
         code, _, err = run_cli(["scan", "--family", "soft-core", "--a", "0"], capsys)
         assert code == 2
         assert "error:" in err
-
-    def test_soft_core_radius_range_checked_before_any_solve(self, capsys,
-                                                             monkeypatch):
-        solved = []
-        monkeypatch.setattr("coulomb1d.cli.soft_core_ground_scan",
-                            lambda radii, g: solved.append(radii))
-        code, _, err = run_cli(["scan", "--family", "soft-core", "--a", "1e-2,0.7"],
-                               capsys)
-        assert code == 2
-        assert "0.7" in err
-        assert solved == []
 
     def test_care_interleaving_verdict(self, capsys):
         code, out, _ = run_cli(["scan", "--family", "care", "--a", "1e-3",
@@ -316,10 +306,10 @@ class TestScanCommand:
         assert [r["parity"] for r in rows] == ["even", "odd", "even", "odd"]
 
     def test_unresolved_grid_refusal(self, capsys):
-        code, _, err = run_cli(["scan", "--family", "soft-core", "--a", "1e-4",
-                                "--points", "1000"], capsys)
-        assert code == 4
-        assert "3000000" in err
+        code, _, err = run_cli(["scan", "--family", "care", "--a", "1e-4",
+                                "--b", "5e-4", "--points", "1000"], capsys)
+        assert code == 2
+        assert "5400000" in err
 
     def test_soft_core_requires_radii(self, capsys):
         code, _, _ = run_cli(["scan", "--family", "soft-core"], capsys)

@@ -38,10 +38,6 @@ class TestConverged:
         assert math.isclose(val, 1.0 - math.cos(1.0), rel_tol=1e-14)
         assert err <= 1e-12 * val
 
-    def test_start_order(self, orders):
-        gauss_legendre(np.exp, 0.0, 1.0, order=64)
-        assert orders[0] == 64 and _doublings(orders, 64)
-
 
 class TestOutOfReach:
     def test_rounding_floor_stops_the_ladder(self, orders):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from coulomb1d import (Grid, GridResolutionError, PotentialSpec, care_interleaving,
-                       evaluate, exact_energy, half_line, half_line_spectrum,
+from coulomb1d import (Grid, PotentialSpec, care_interleaving, evaluate,
+                       exact_energy, half_line, half_line_spectrum,
                        loudon_estimate, pure_coulomb, repulsive_core, soft_core,
                        soft_core_ground_scan)
 from coulomb1d.regularized import required_points
@@ -76,23 +76,17 @@ class TestLoudonEstimate:
 class TestSoftCoreScan:
     def test_rows_and_monotonicity(self):
         radii = [1e-1, 3e-2, 1e-2]
-        g = Grid(half_width=30.0, points=30000)
-        rows = soft_core_ground_scan(radii, g)
+        rows = soft_core_ground_scan(radii, 30.0)
         assert [r.a for r in rows] == radii
         es = [r.e0 for r in rows]
         assert es[0] > es[1] > es[2]
         for r in rows:
             assert math.isclose(r.loudon, loudon_estimate(r.a), rel_tol=1e-14)
 
-    def test_uniform_rows_carry_no_estimate(self):
-        g = Grid(half_width=30.0, points=30000)
-        (row,) = soft_core_ground_scan([1e-2], g)
-        assert (row.points, row.error) == (30000, None)
-
     def test_graded_row_is_richardson_of_the_two_finest(self):
         from coulomb1d import refine
         g = Grid.graded(30.0, 1e-2)
-        (row,) = soft_core_ground_scan([1e-2], g)
+        (row,) = soft_core_ground_scan([1e-2], 30.0)
         e = refine(soft_core(1e-2), g, 0, 2)
         coarse, fine = (4 * e[1] - e[0]) / 3, (4 * e[2] - e[1]) / 3
         assert (row.e0, row.error, row.points) == (fine, abs(fine - coarse),
@@ -101,15 +95,19 @@ class TestSoftCoreScan:
         assert abs(row.e0 - (-10.6134364)) <= row.error
 
     def test_graded_grid_skips_the_uniform_rule(self):
-        # 400 points would be refused as a uniform grid at a = 1e-3
-        rows = soft_core_ground_scan([1e-2, 1e-3], Grid(30.0, 400, core=1e-3))
+        # 400 points would be refused as a uniform grid at a = 1e-3; given
+        # points start a grid graded toward each radius
+        from coulomb1d import refine
+        rows = soft_core_ground_scan([1e-2, 1e-3], 30.0, points=400)
         assert rows[0].e0 > rows[1].e0
-        assert all(r.error is not None for r in rows)
+        assert [r.points for r in rows] == [1600, 1600]
+        assert all(r.error > 0.0 for r in rows)
+        e = refine(soft_core(1e-3), Grid(30.0, 400, core=1e-3), 0, 2)
+        assert rows[1].e0 == (4 * e[2] - e[1]) / 3
 
     def test_refuses_grid_graded_toward_a_wider_core(self):
-        # graded toward 0.1, a = 1e-4 is off by 17 with an estimate of 8
-        with pytest.raises(ValueError, match="graded toward core"):
-            soft_core_ground_scan([1e-2, 1e-4], Grid.graded(30.0, 0.1))
+        # the soft-core scan grades each grid toward its own radius; the
+        # repulsive-core study takes a grid and refuses a wider core
         with pytest.raises(ValueError, match="graded toward core"):
             care_interleaving(1e-3, 5e-3, Grid(30.0, 400, core=1e-2), 2)
 
@@ -130,21 +128,15 @@ class TestSoftCoreScan:
         assert errs1[0] > errs1[1] > errs1[2]
         assert errs3[0] > errs3[1] > errs3[2]
 
-    def test_refuses_unresolved_grid(self):
-        with pytest.raises(GridResolutionError) as info:
-            soft_core_ground_scan([1e-4], Grid(half_width=30.0, points=1000))
-        assert info.value.suggested_points >= 3000000
-
     def test_required_points_rule(self):
         # h = 2L/N <= a/5, rounded up to an even count
         assert required_points(30.0, 1e-4) == 3000000
         assert required_points(1.0, 0.7) == 16
         g = Grid(half_width=1.0, points=required_points(1.0, 0.07))
         assert 2.0 * g.half_width / g.points <= 0.07 / 5
-        soft_core_ground_scan([0.07], g)
-        with pytest.raises(GridResolutionError) as info:
-            soft_core_ground_scan([0.07], Grid(half_width=1.0, points=g.points - 2))
-        assert info.value.suggested_points == g.points
+        care_interleaving(0.07, 0.1, g, 2)
+        with pytest.raises(ValueError, match=f"need at least N={g.points} points"):
+            care_interleaving(0.07, 0.1, Grid(half_width=1.0, points=g.points - 2), 2)
         with pytest.raises(ValueError):
             required_points(30.0, 0.0)
 
@@ -155,11 +147,18 @@ class TestSoftCoreScan:
             required_points(half_width, a)
 
     def test_rejects_out_of_range_radii(self):
-        g = Grid(half_width=30.0, points=30000)
         with pytest.raises(ValueError):
-            soft_core_ground_scan([0.7], g)
+            soft_core_ground_scan([0.7], 30.0)
         with pytest.raises(ValueError):
-            soft_core_ground_scan([], g)
+            soft_core_ground_scan([], 30.0)
+
+    def test_radius_range_checked_before_any_solve(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr("coulomb1d.regularized.refine",
+                            lambda *args: solved.append(args))
+        with pytest.raises(ValueError, match="0.7"):
+            soft_core_ground_scan([1e-2, 0.7], 30.0)
+        assert solved == []
 
 
 class TestCareInterleaving:
@@ -188,7 +187,7 @@ class TestCareInterleaving:
         assert res.interleaved == alternates
 
     def test_refuses_unresolved_grid(self):
-        with pytest.raises(GridResolutionError):
+        with pytest.raises(ValueError, match="need at least N=300000 points"):
             care_interleaving(1e-3, 5e-3, Grid(half_width=30.0, points=1000), 4)
 
 

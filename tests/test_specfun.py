@@ -1,6 +1,7 @@
 """Tests for the Tricomi U / Whittaker W evaluation layer."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -170,6 +171,20 @@ class TestSeeds:
         # a = -341/2 on; U(-170.5,2,1) is -3.07e308 by mpmath
         with pytest.raises(ValueError, match="float range"):
             tricomi_u(-170.5, 2, 1.0)
+
+    @pytest.mark.parametrize("z", [0.5, 1.0, 3.0])
+    def test_last_half_integer_in_the_float_range(self, z):
+        # the series table and the recurrence overflow on the way, and
+        # must neither warn nor spoil U(-169.5,2,z), about 1e306
+        with mp.workdps(30):
+            ref = float(mp.hyperu(-169.5, 2, z))
+        assert abs(tricomi_u(-169.5, 2, z) - ref) <= 1e-9 * abs(ref)
+
+    def test_recurrence_past_the_float_range_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                tricomi_u(-170.5, 2, 3.0)
 
     def test_no_point_below_the_series_crossover_skips_the_series(self):
         # z = 2 takes the recurrence, and the series table is not built
