@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .gridsolver import _CORE_CELLS, Grid, solve
+from .gridsolver import Grid, solve
 from .potentials import PotentialSpec
 from .quadrature import ConvergenceError
 from .regularized import (care_interleaving, half_line_spectrum,
-                          required_points, soft_core_ground_scan)
+                          soft_core_ground_scan)
 from .spectrum import exact_energy, node_count, normalize, wavefunction
 from .wkb import WKBConfig, action, wkb_energy
 
@@ -141,7 +141,15 @@ def _cmd_wkb(args):
         metadata=_stamp(meta, args))
 
 
+# the scan flags that a family does not read, refused rather than dropped
+_UNREAD = {"soft-core": ("b", "k_max"), "care": (), "half-line": ("a", "b")}
+
+
 def _cmd_scan(args):
+    for name in _UNREAD.get(args.family, ()):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by "
+                             f"scan --family {args.family}")
     if args.family == "soft-core":
         if not args.a:
             raise ValueError("soft-core scan requires --a")
@@ -163,13 +171,12 @@ def _cmd_scan(args):
             raise ValueError("care scan requires --a and --b")
         a = float(args.a)
         half_width = 54.0 if args.half_width is None else args.half_width
-        points = (required_points(half_width, a) if args.points is None
-                  else args.points)
+        g = (Grid.uniform(half_width, a) if args.points is None
+             else Grid(half_width=half_width, points=args.points))
         k_max = 6 if args.k_max is None else args.k_max
-        g = Grid(half_width=half_width, points=points)
         res = care_interleaving(a, args.b, g, k_max)
         meta = _stamp({"family": args.family, "a": a, "b": args.b,
-                       "half_width": half_width, "points": points,
+                       "half_width": half_width, "points": g.points,
                        "interleaved": res.interleaved}, args)
         return OutputRecord(
             schema="scan",
@@ -204,12 +211,10 @@ def _cmd_solve(args):
     if args.b is not None:
         kwargs["b"] = args.b
     spec = PotentialSpec(args.family, **kwargs)
-    g = Grid(half_width=args.half_width, points=args.points,
-             staggered=not args.no_stagger)
+    g = Grid(half_width=args.half_width, points=args.points)
     res = solve(spec, g, args.k_max)
     meta = _stamp({"family": args.family, "half_width": args.half_width,
-                   "points": args.points, "staggered": not args.no_stagger,
-                   **kwargs}, args)
+                   "points": args.points, **kwargs}, args)
     return OutputRecord(
         schema="spectrum",
         columns={"k": [lv.index for lv in res.levels],
@@ -281,7 +286,11 @@ def build_parser():
     _add_common(sp)
     sp.set_defaults(handler=_cmd_wkb)
 
-    sp = sub.add_parser("scan", help="regularized-potential studies")
+    sp = sub.add_parser(
+        "scan", help="regularized-potential studies",
+        description="Regularized-potential studies.  A flag that the "
+                    "family does not read is refused (exit 2): --b and "
+                    "--k-max for soft-core, --a and --b for half-line.")
     sp.add_argument("--family", choices=("soft-core", "care", "half-line"),
                     required=True)
     sp.add_argument("--a", help="core radius; comma list for soft-core")
@@ -291,8 +300,8 @@ def build_parser():
                     help="soft-core: points of the coarsest of the three "
                          "grids graded toward each radius (default: "
                          "Grid.graded's count); care and half-line: uniform "
-                         "mesh points (default for care: the core rule "
-                         f"h <= a/{_CORE_CELLS:g})")
+                         "mesh points (default for care: Grid.uniform(L, a), "
+                         "the fewest with h <= a/5)")
     sp.add_argument("--k-max", type=int, help="levels to compute")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_scan)
@@ -306,8 +315,6 @@ def build_parser():
     sp.add_argument("--half-width", type=float, required=True)
     sp.add_argument("--points", type=int, required=True)
     sp.add_argument("--k-max", type=int, default=4)
-    sp.add_argument("--no-stagger", action="store_true",
-                    help="place mesh points on, not between, lattice lines")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_solve)
     return parser

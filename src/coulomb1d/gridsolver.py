@@ -1,7 +1,8 @@
 """Finite-volume eigensolver: the independent numerical oracle.
 
-The Hamiltonian -(1/2) d^2/dx^2 + V is discretized on a staggered mesh
-that never touches x = 0, so singular Coulomb cores need no softening.
+The Hamiltonian -(1/2) d^2/dx^2 + V is discretized on one mesh layout,
+staggered so that it never touches x = 0: singular Coulomb cores need
+no softening.
 Every matrix is assembled from the node positions alone, in the
 symmetric finite-volume form H = M^(-1/2) K M^(-1/2):
 
@@ -11,11 +12,10 @@ symmetric finite-volume form H = M^(-1/2) K M^(-1/2):
   kinetic term sum (u_{j+1} - u_j)^2 / (2 dx), plus v * width on the
   diagonal;
 - a Dirichlet wall at distance d from an end node adds the link
-  1/(2d) to that end of K.  On a staggered mesh the wall lies exactly
-  on the box edge, half a step outside the end point, and the end cell
-  stops there.
+  1/(2d) to that end of K.  The wall lies exactly on the box edge,
+  half a step outside the end point, and the end cell stops there.
 
-On a uniform staggered mesh this is the standard 3-point Laplacian,
+On a uniform mesh this is the standard 3-point Laplacian,
 1/h^2 + v on the diagonal and -1/(2h^2) off it, with 1/(2h^2) added at
 each wall.  H stays symmetric tridiagonal on any mesh.
 
@@ -43,10 +43,9 @@ whole-mesh ``positions`` and ``vectors`` of a `SpectrumResult` are its
 mirror image, built on first access and then kept (30 MB at N = 540000,
 k = 6, which no command reads).
 
-Plain callables that are not mirror symmetric on the mesh, and
-unstaggered grids, keep the full N-point matrix; their levels carry no
-parity label.  An unstaggered grid has its walls on the lattice, one
-step h outside the end points, and end cells of width h.
+Plain callables that are not mirror symmetric on the mesh keep the
+full N-point matrix.  They and the half line, one matrix on [0, L], are
+the only solves whose levels carry no parity label.
 
 Eigenvectors.  A grid first solves the same problem on
 ``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
@@ -123,7 +122,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
-from .potentials import PotentialSpec, evaluate, singular_at_origin
+from .potentials import PotentialSpec, evaluate
 from .quadrature import ConvergenceError
 from .spectrum import sign_changes
 
@@ -132,8 +131,8 @@ __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
 # The graded map s(x) = x/_FAR_STEP + _CORE_CELLS ln(1 + x/core): about
 # _CORE_CELLS cells per core radius at the origin, steps of _FAR_STEP
 # per unit of s far out.  _CORE_CELLS is also the one core-resolution
-# rule of uniform grids, h <= a/_CORE_CELLS, which `_coarse`,
-# `regularized.required_points` and the CLI help read.
+# rule of uniform grids, h <= a/_CORE_CELLS, which `_coarse` and
+# `Grid.uniform` read.
 _FAR_STEP = 0.05
 _CORE_CELLS = 5.0
 
@@ -164,22 +163,23 @@ class Grid:
         Box size L: the wavefunction is pinned at +-L (full line) or at
         0 and L (half-line potentials).
     points : int
-        Number of interior mesh points N; on a uniform grid the spacing
-        is h = 2L/N, or L/N on the half line.
-    staggered : bool
-        Place points at (j + 1/2) h so the mesh avoids x = 0.  Required
-        for potentials that are singular at the origin.
+        Number of interior mesh points N, at (j + 1/2) h on a uniform
+        grid, so the mesh never touches x = 0: h = 2L/N, or L/N on the
+        half line.  A full-line grid needs an even N, so that its mesh
+        is the mirror image of its positive half.
     core : float or None
         Grade the mesh toward a core of this radius: half-line nodes at
         s^(-1)((j + 1/2) D), s(x) = x/0.05 + 5 ln(1 + x/core), with
         D = s(L)/(N/2) on the full line and s(L)/N on the half line.
-        None keeps the uniform mesh.  A graded grid must be staggered.
+        None keeps the uniform mesh.
     """
 
     half_width: float
     points: int
-    staggered: bool = True
     core: float | None = None
+    # every mesh is staggered about x = 0: a class constant, not a field,
+    # kept for readers of ``g.staggered`` such as perfbench/tracing.py
+    staggered = True
 
     def __post_init__(self):
         _require_positive("half_width", self.half_width)
@@ -187,8 +187,6 @@ class Grid:
             raise ValueError(f"need at least 8 mesh points, got {self.points}")
         if self.core is not None:
             _require_positive("core", self.core)
-            if not self.staggered:
-                raise ValueError("a graded grid must be staggered")
 
     @classmethod
     def graded(cls, half_width, core):
@@ -196,6 +194,15 @@ class Grid:
         _require_positive("half_width", half_width)
         _require_positive("core", core)
         return cls(half_width, _graded_points(half_width, core), core=core)
+
+    @classmethod
+    def uniform(cls, half_width, core):
+        """Coarsest uniform full-line grid that resolves a core radius:
+        the smallest even N, and at least 8, with h = 2L/N <= core/5."""
+        _require_positive("half_width", half_width)
+        _require_positive("core", core)
+        n = math.ceil(2.0 * half_width * _CORE_CELLS / core)
+        return cls(half_width, max(n + n % 2, 8))
 
 
 @dataclass(frozen=True)
@@ -321,12 +328,13 @@ class _Matrix(NamedTuple):
     v: np.ndarray       # potential at the nodes
 
 
-def _assemble(x, v, faces, walls):
-    """Matrix on the nodes x.  ``faces`` closes the two end cells;
-    ``walls`` holds the Dirichlet walls beyond the end nodes (None: no
-    wall), where a wall at distance d adds the link 1/(2d)."""
-    ends = tuple(0.0 if wall is None else 0.5 / abs(end - wall)
-                 for end, wall in ((x[0], walls[0]), (x[-1], walls[1])))
+def _assemble(x, v, faces, left_wall):
+    """Matrix on the nodes x, its two end cells closed at ``faces``.  A
+    Dirichlet wall stands on the right face, and on the left one if
+    ``left_wall``; a wall at distance d from its end node adds the link
+    1/(2d)."""
+    ends = (0.5 / (x[0] - faces[0]) if left_wall else 0.0,
+            0.5 / (faces[1] - x[-1]))
     # node gaps, with twice the distance from each end node to its face
     gap = np.empty(x.size + 1)
     np.subtract(x[1:], x[:-1], out=gap[1:-1])
@@ -603,7 +611,7 @@ def _mirrored(v_half, xp, k, half_width, coarse):
     an even potential, and its solution in sector form on the half mesh
     xp."""
     # no link across the centre (even), or a wall at the centre (odd)
-    even = _assemble(xp, v_half, (0.0, half_width), (None, half_width))
+    even = _assemble(xp, v_half, (0.0, half_width), False)
     w_even, u_even, r_even, n_even, f_even = _lowest(
         even, (k + 1) // 2, _starts(coarse, xp, range(0, k, 2)))
     # the even matrix is spent, so the odd one may take over its arrays
@@ -629,9 +637,9 @@ def _eigenpairs(V, g, k, coarse=None):
     spec = isinstance(V, PotentialSpec)
     L = g.half_width
     half_line = spec and V.family == "half-line"
-    if g.staggered and not half_line and g.points % 2:
-        raise ValueError("full-line staggered grids need an even "
-                         "point count to stay mirror-symmetric")
+    if not half_line and g.points % 2:
+        raise ValueError("full-line grids need an even point count to "
+                         "stay mirror-symmetric")
     if coarse is None:
         coarse = _coarse(V, g, k, half_line)
     if coarse is not None:
@@ -640,14 +648,8 @@ def _eigenpairs(V, g, k, coarse=None):
     if half_line:
         # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
         x = _half_mesh(g, g.points)
-        mat = _assemble(x, _potential(V, x), (0.0, L), (None, L))
+        mat = _assemble(x, _potential(V, x), (0.0, L), False)
         return _one_matrix(_wall_at_origin(mat, x), x, k, coarse)
-    if not g.staggered:
-        # walls on the lattice, one step outside the end points
-        h = 2.0 * L / g.points
-        x = -L + np.arange(1, g.points) * h
-        mat = _assemble(x, _potential(V, x), (-L + 0.5 * h, L - 0.5 * h), (-L, L))
-        return _one_matrix(mat, x, k, coarse)
     m = g.points // 2
     xp = _half_mesh(g, m)
     if spec:
@@ -657,7 +659,7 @@ def _eigenpairs(V, g, k, coarse=None):
         x = np.concatenate((-xp[::-1], xp))
         v = _potential(V, x)
         if not np.array_equal(v[:m][::-1], v[m:]):
-            return _one_matrix(_assemble(x, v, (-L, L), (-L, L)), x, k, coarse)
+            return _one_matrix(_assemble(x, v, (-L, L), True), x, k, coarse)
         v_half = v[m:]
     return _mirrored(v_half, xp, k, L, coarse)
 
@@ -665,9 +667,6 @@ def _eigenpairs(V, g, k, coarse=None):
 def _check(V, g, k_max):
     if k_max < 1 or k_max > g.points // 4:
         raise ValueError(f"k_max must lie in [1, N/4] = [1, {g.points // 4}]")
-    if isinstance(V, PotentialSpec) and singular_at_origin(V) and not g.staggered:
-        raise ValueError(f"{V.family} is singular at the origin and needs a "
-                         "staggered grid")
 
 
 def solve(V, g, k_max):
@@ -686,7 +685,7 @@ def solve(V, g, k_max):
     -------
     SpectrumResult
         Levels carry eigenvector node counts and, for a potential that
-        is even on a staggered full-line grid, their exact parity; other
+        is even on the full-line mesh, their exact parity; other
         levels, the half-line ones included, have parity None.  Energies
         are the Rayleigh quotients of the eigenvectors and increase with
         the index; each level's residual bounds the distance from its

@@ -81,11 +81,6 @@ def half_line():
     return PotentialSpec("half-line")
 
 
-def singular_at_origin(spec):
-    """True when V diverges approaching x = 0 (grid must avoid the origin)."""
-    return spec.family in ("pure-coulomb", "half-line")
-
-
 def evaluate(spec, x):
     """Evaluate the potential at x (scalar or array).
 

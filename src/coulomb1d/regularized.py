@@ -22,7 +22,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .gridsolver import _CORE_CELLS, Grid, _require_positive, refine, solve
+from .gridsolver import Grid, refine, solve
 from .potentials import half_line, loudon_estimate, repulsive_core, soft_core
 
 __all__ = [
@@ -30,22 +30,8 @@ __all__ = [
     "ScanRow",
     "care_interleaving",
     "half_line_spectrum",
-    "required_points",
     "soft_core_ground_scan",
 ]
-
-def required_points(half_width, a):
-    """Smallest even point count on [-L, L] whose step resolves core radius a.
-
-    The rule is h = 2L/N <= a/5 (gridsolver's _CORE_CELLS, the cells per
-    core radius of its graded map and coarse grids); the count is rounded
-    up to an even number so the staggered full-line mesh stays
-    mirror-symmetric.
-    """
-    _require_positive("half_width", half_width)
-    _require_positive("core radius", a)
-    n = math.ceil(2.0 * half_width * _CORE_CELLS / a)
-    return n + n % 2
 
 
 class ScanRow(NamedTuple):
@@ -127,9 +113,10 @@ def care_interleaving(a, b, g, k_max):
     a, b : float
         Core radius and zero-crossing offset.
     g : Grid
-        Full-line grid resolving a: a uniform step h <= a/5, or graded
-        toward a core no wider than a; a coarser grid raises
-        ValueError, which names the point count a uniform grid needs.
+        Full-line grid resolving a: at least the points of
+        ``Grid.uniform(L, a)``, whose step is h <= a/5, or graded toward
+        a core no wider than a; a coarser grid raises ValueError, which
+        names the point count a uniform grid needs.
     k_max : int
         Number of levels to label.
 
@@ -138,7 +125,8 @@ def care_interleaving(a, b, g, k_max):
     CareResult
         The lowest k_max levels and whether their parities strictly
         alternate.  The parity sectors make them alternate on every
-        staggered grid, so ``interleaved`` equals ``g.staggered``.
+        grid, so ``interleaved`` is true on every grid accepted here;
+        it cannot tell the regime apart, which only the energies can.
     """
     if a <= 0 or b < 0:
         raise ValueError("need a > 0 and b >= 0")
@@ -149,7 +137,7 @@ def care_interleaving(a, b, g, k_max):
             f"1 < b/a < ln(1/a) = {math.log(1.0 / a):.3g}; computing anyway",
             stacklevel=2)
     if g.core is None:
-        needed = required_points(g.half_width, a)
+        needed = Grid.uniform(g.half_width, a).points
         if g.points < needed:
             raise ValueError(
                 f"mesh step {2.0 * g.half_width / g.points:.3g} cannot "

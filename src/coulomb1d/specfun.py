@@ -111,7 +111,9 @@ def _u_chain(a, z, rtol):
     hi = np.array([hi, zero, err_hi + 4.0 * steps * _EPS * np.abs(hi)])
     rounding = 0.0
     for _ in range(steps):
-        p, q = (z + 2.0 * s - 2.0) * cur, s * (s - 1.0) * hi
+        # 2s - 2 is exact, while (z + 2s) - 2 would lose the low digits
+        # of a tiny z
+        p, q = (z + (2.0 * s - 2.0)) * cur, s * (s - 1.0) * hi
         rounding += np.abs(p[0]) + np.abs(q[0])
         cur, hi = p - q, cur
         scale = np.maximum(scale, np.abs(cur[0]))

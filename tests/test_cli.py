@@ -6,9 +6,12 @@ smoke test goes through the installed console script.
 
 import json
 import math
+import os
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ import pytest
 from coulomb1d import normalize, wavefunction
 from coulomb1d.cli import main
 from test_spectrum import EPS, exact_norm_integral, integral_error
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, capsys):
@@ -311,6 +316,21 @@ class TestScanCommand:
         assert code == 2
         assert "5400000" in err
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--b", "7"], "--b"), (["--k-max", "3"], "--k-max")])
+    def test_soft_core_refuses_unread_flags(self, flags, flag, capsys):
+        code, out, err = run_cli(["scan", "--family", "soft-core", "--a", "1e-2",
+                                  *flags], capsys)
+        assert (code, out) == (2, "")
+        assert f"{flag} is not read by scan --family soft-core" in err
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--a", "0.5", "--points", "800"], "--a"), (["--b", "0.5"], "--b")])
+    def test_half_line_refuses_unread_flags(self, flags, flag, capsys):
+        code, out, err = run_cli(["scan", "--family", "half-line", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert f"{flag} is not read by scan --family half-line" in err
+
     def test_soft_core_requires_radii(self, capsys):
         code, _, _ = run_cli(["scan", "--family", "soft-core"], capsys)
         assert code == 2
@@ -365,21 +385,18 @@ class TestSolveCommand:
         for r, target in zip(rows, (-0.5, -0.125)):
             assert abs(float(r["energy"]) - target) < 0.005 * abs(target)
 
-    def test_plain_grid_on_regular_potential(self, capsys):
-        code, out, _ = run_cli(["solve", "--family", "soft-core", "--a", "0.5",
-                                "--half-width", "20", "--points", "4000",
-                                "--k-max", "1", "--no-stagger"], capsys)
+    def test_one_mesh_layout(self, capsys):
+        argv = ["solve", "--family", "soft-core", "--a", "0.5",
+                "--half-width", "20", "--points", "4000", "--k-max", "1"]
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
         meta, rows = parse_csv(out)
-        assert meta["staggered"] == "false"
-        assert float(rows[0]["energy"]) < 0
-
-    def test_singular_family_needs_stagger(self, capsys):
-        code, _, err = run_cli(["solve", "--family", "pure-coulomb",
-                                "--half-width", "10", "--points", "1000",
-                                "--k-max", "1", "--no-stagger"], capsys)
-        assert code == 2
-        assert "staggered" in err
+        assert "staggered" not in meta
+        assert rows[0]["parity"] == "even"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-stagger"])
+        assert exc.value.code == 2
+        assert "--no-stagger" in capsys.readouterr().err
 
 
 class TestOutputPlumbing:
@@ -467,8 +484,34 @@ class TestOutputPlumbing:
     def test_console_script(self):
         exe = shutil.which("coulomb1d")
         cmd = [exe] if exe else [sys.executable, "-m", "coulomb1d"]
+        # the fallback imports the package from the source tree
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(cmd + ["spectrum", "--n-max", "1"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         _, rows = parse_csv(proc.stdout)
         assert [r["n"] for r in rows] == ["0", "1"]
+
+
+def readme_examples():
+    """The ``coulomb1d ...`` lines of README's "Command line" code block,
+    continuation lines joined, as argv lists."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("coulomb1d ")]
+
+
+class TestReadmeExamples:
+    def test_every_example_runs(self, tmp_path, monkeypatch, capsys):
+        examples = readme_examples()
+        # every subcommand is shown
+        assert {argv[0] for argv in examples} == {
+            "spectrum", "wavefunction", "wkb", "scan", "solve"}
+        monkeypatch.chdir(tmp_path)
+        for argv in examples:
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, (argv, err)
+        assert (tmp_path / "psi0.csv").is_file()

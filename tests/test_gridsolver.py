@@ -41,10 +41,6 @@ class TestBenchmarkSpectra:
         assert abs(res.levels[0].energy - math.pi ** 2 / 8) < 1e-3
         assert abs(res.levels[1].energy - math.pi ** 2 / 2) < 1e-3
 
-    def test_box_non_staggered(self):
-        res = solve(box, Grid(half_width=1.0, points=2000, staggered=False), 2)
-        assert abs(res.levels[0].energy - math.pi ** 2 / 8) < 1e-3
-
     def test_half_line_coulomb(self):
         res = solve(half_line(), Grid(half_width=60.0, points=12000), 2)
         assert abs(res.levels[0].energy + 0.5) < 0.005 * 0.5
@@ -84,29 +80,24 @@ class TestEigenvectors:
         assert all(lv.parity is None for lv in res.levels)
 
 
-def dense_staggered_levels(V, half_width, points, k, staggered=True):
+def dense_staggered_levels(V, half_width, points, k):
     """Lowest k eigenvalues of the full uniform-mesh matrix, and its norm."""
-    mat, norm = dense_staggered_matrix(V, half_width, points, staggered)
+    mat, norm = dense_staggered_matrix(V, half_width, points)
     return np.linalg.eigvalsh(mat)[:k], norm
 
 
-def dense_staggered_matrix(V, half_width, points, staggered=True):
+def dense_staggered_matrix(V, half_width, points):
     """The full uniform-mesh matrix, dense, and its norm.
 
     Staggered mesh x_j = -L + (j + 1/2) h with h = 2L/N; the walls half a
     step outside the end points add 1/(2h^2) to the end diagonal entries.
-    Unstaggered mesh x_j = -L + j h, j = 1 .. N-1, walls on the lattice.
     """
     h = 2.0 * half_width / points
-    if staggered:
-        x = -half_width + (np.arange(points) + 0.5) * h
-    else:
-        x = -half_width + np.arange(1, points) * h
+    x = -half_width + (np.arange(points) + 0.5) * h
     v = V(x) if callable(V) else evaluate(V, x)
     d = 1.0 / h ** 2 + v
-    if staggered:
-        d[0] += 0.5 / h ** 2
-        d[-1] += 0.5 / h ** 2
+    d[0] += 0.5 / h ** 2
+    d[-1] += 0.5 / h ** 2
     off = np.full(x.size - 1, -0.5 / h ** 2)
     mat = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
     return mat, np.max(np.abs(d)) + 1.0 / h ** 2
@@ -186,16 +177,16 @@ class TestParitySectors:
 
     def test_full_matrix_paths_match_dense_matrix(self):
         shifted = lambda x: 0.5 * (x - 1.0) ** 2  # noqa: E731
-        for V, staggered in ((shifted, True), (soft_core(0.5), False)):
-            res = solve(V, Grid(10.0, 400, staggered=staggered), 4)
-            ref, norm = dense_staggered_levels(V, 10.0, 400, 4, staggered)
-            np.testing.assert_allclose([lv.energy for lv in res.levels], ref,
-                                       rtol=0, atol=1e-12 * norm)
+        res = solve(shifted, Grid(10.0, 400), 4)
+        ref, norm = dense_staggered_levels(shifted, 10.0, 400, 4)
+        np.testing.assert_allclose([lv.energy for lv in res.levels], ref,
+                                   rtol=0, atol=1e-12 * norm)
 
     def test_full_matrix_paths_carry_no_parity(self):
+        # an asymmetric callable and the half line are the one-matrix solves
         asym = solve(lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 3000), 3)
-        plain = solve(soft_core(0.5), Grid(20.0, 4000, staggered=False), 3)
-        for res in (asym, plain):
+        half = solve(half_line(), Grid(60.0, 4000), 3)
+        for res in (asym, half):
             assert [lv.parity for lv in res.levels] == [None, None, None]
             assert [lv.nodes for lv in res.levels] == [0, 1, 2]
         # the shifted well keeps the harmonic spacing
@@ -378,11 +369,10 @@ class TestLooseBisection:
         with pytest.raises(ConvergenceError):
             solve(harmonic, Grid(half_width=10.0, points=400), 3)
 
-    @pytest.mark.parametrize("V, staggered", [(harmonic, True), (soft_core(0.5), False)])
-    def test_residual_is_that_of_the_unit_vector(self, V, staggered):
-        g = Grid(10.0, 400, staggered=staggered)
+    def test_residual_is_that_of_the_unit_vector(self):
+        V, g = harmonic, Grid(10.0, 400)
         res = solve(V, g, 4)
-        mat, norm = dense_staggered_matrix(V, 10.0, 400, staggered)
+        mat, norm = dense_staggered_matrix(V, 10.0, 400)
         ref = np.linalg.eigvalsh(mat)[:4]
         eps = np.finfo(float).eps
         for lv, u, e in zip(res.levels, res.vectors.T, ref):
@@ -875,8 +865,6 @@ class TestGradedMesh:
             assert math.isclose(np.diff(faces) @ v ** 2, 1.0, rel_tol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Grid(half_width=10.0, points=400, staggered=False, core=0.1)
         for core in (0.0, -1e-3):
             with pytest.raises(ValueError):
                 Grid(half_width=10.0, points=400, core=core)
@@ -969,10 +957,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve(harmonic, Grid(half_width=10.0, points=100), 26)
 
-    def test_singular_potential_requires_staggering(self):
-        with pytest.raises(ValueError):
-            solve(pure_coulomb(), Grid(half_width=20.0, points=1000,
-                                       staggered=False), 2)
+    def test_one_mesh_layout(self):
+        # staggered is a class constant, not an option
+        with pytest.raises(TypeError):
+            Grid(10.0, 400, staggered=False)
+        assert Grid(10.0, 400).staggered is True
+        assert Grid.graded(30.0, 1e-3).staggered is True
 
     def test_full_line_staggered_needs_even_points(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from coulomb1d import (Grid, PotentialSpec, care_interleaving, evaluate,
                        exact_energy, half_line, half_line_spectrum,
                        loudon_estimate, pure_coulomb, repulsive_core, soft_core,
                        soft_core_ground_scan)
-from coulomb1d.regularized import required_points
 
 
 def _graded_x4(a):
@@ -128,23 +127,25 @@ class TestSoftCoreScan:
         assert errs1[0] > errs1[1] > errs1[2]
         assert errs3[0] > errs3[1] > errs3[2]
 
-    def test_required_points_rule(self):
-        # h = 2L/N <= a/5, rounded up to an even count
-        assert required_points(30.0, 1e-4) == 3000000
-        assert required_points(1.0, 0.7) == 16
-        g = Grid(half_width=1.0, points=required_points(1.0, 0.07))
+    def test_uniform_grid_rule(self):
+        # h = 2L/N <= a/5, rounded up to an even count of at least 8
+        assert Grid.uniform(30.0, 1e-4) == Grid(30.0, 3000000)
+        assert Grid.uniform(1.0, 0.7).points == 16
+        assert Grid.uniform(1.0, 10.0).points == 8
+        g = Grid.uniform(1.0, 0.07)
+        assert g.core is None
         assert 2.0 * g.half_width / g.points <= 0.07 / 5
         care_interleaving(0.07, 0.1, g, 2)
         with pytest.raises(ValueError, match=f"need at least N={g.points} points"):
             care_interleaving(0.07, 0.1, Grid(half_width=1.0, points=g.points - 2), 2)
         with pytest.raises(ValueError):
-            required_points(30.0, 0.0)
+            Grid.uniform(30.0, 0.0)
 
     @pytest.mark.parametrize("half_width, a, name", [
-        (math.inf, 1e-3, "half_width"), (30.0, math.inf, "core radius")])
-    def test_required_points_rejects_infinite_arguments(self, half_width, a, name):
+        (math.inf, 1e-3, "half_width"), (30.0, math.inf, "core")])
+    def test_uniform_grid_rejects_infinite_arguments(self, half_width, a, name):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-            required_points(half_width, a)
+            Grid.uniform(half_width, a)
 
     def test_rejects_out_of_range_radii(self):
         with pytest.raises(ValueError):

@@ -96,7 +96,9 @@ class TestTricomiU:
         assert math.isclose(_u_chain(-1.0, np.array([3.0]), 1e-10)[0][0], 1.0,
                             rel_tol=1e-10)
 
-    @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 5.0, 10.0])
+    # at z = 1e-12 and 1e-6 the coefficient z + 2s - 2 must keep the
+    # digits of z at the seed s = 1
+    @pytest.mark.parametrize("z", [1e-12, 1e-6, 0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("m", range(1, 11))
     def test_reduction_identity(self, m, z):
         """Recurrence route vs polynomial route at integer kappa."""
