@@ -44,7 +44,11 @@ def test_traced_operations_reach_every_bound_name(capsys):
     capsys.readouterr()
 
     names = {span[0] for span in tracer.spans}
-    missing = [span for _, _, span in tracing.EXTRA if span not in names]
+    # wkb.brentq is bound by the tracer but no longer called
+    assert callable(coulomb1d.wkb.brentq)
+    assert "wkb.brentq" not in names
+    missing = [span for _, _, span in tracing.EXTRA
+               if span not in names and span != "wkb.brentq"]
     assert not missing
     assert {"spectrum.wavefunction_even", "wkb.wkb_energy", "wkb.action",
             "gridsolver.solve", "regularized.soft_core_ground_scan"} <= names
@@ -52,7 +56,7 @@ def test_traced_operations_reach_every_bound_name(capsys):
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
     # the half-line grid, and the finest of the three graded soft-core grids
     assert metrics["cli.scan_points"] == 800 + 10248
-    assert metrics["wkb.actions_per_energy"] > 0
+    assert metrics["wkb.actions_per_energy"] == 1
 
     # the norm is a closed form: no quadrature and no U beneath normalize
     norms = [i for i, span in enumerate(tracer.spans)
@@ -68,3 +72,22 @@ def test_traced_operations_reach_every_bound_name(capsys):
     assert not [span[0] for span in tracer.spans if under_normalize(span)
                 and (span[0].startswith("quadrature.")
                      or span[0] == "specfun._u_array")]
+
+
+def test_one_action_span_under_each_wkb_energy():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for n in range(201):
+            coulomb1d.wkb_energy(n)
+    finally:
+        tracer.uninstall()
+
+    outer = [i for i, span in enumerate(tracer.spans) if span[0] == "wkb.wkb_energy"]
+    assert len(outer) == 201
+    children = {i: 0 for i in outer}
+    for span in tracer.spans:
+        if span[0] == "wkb.action":
+            children[span[3]] += 1
+    assert set(children.values()) == {1}

@@ -1,7 +1,7 @@
 """What importing the package loads, each test in a fresh interpreter.
 
-``wkb.brentq`` imports scipy.optimize on its first call, so the grid and
-exact-state commands never load it; only a WKB solve does.
+No command loads scipy.optimize: ``wkb_energy`` solves the quantization
+condition from one action, with no root-finder.
 """
 
 import json
@@ -25,7 +25,7 @@ def run_fresh(code):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_commands_without_wkb_never_import_scipy_optimize():
+def test_no_command_imports_scipy_optimize():
     loaded = run_fresh("""
 import contextlib, io, json, sys
 import coulomb1d, coulomb1d.cli as cli
@@ -33,39 +33,44 @@ seen = ["scipy.optimize" in sys.modules]
 for argv in (["scan", "--family", "half-line", "--points", "800"],
              ["solve", "--family", "half-line", "--half-width", "60",
               "--points", "2000", "--k-max", "2"],
-             ["wavefunction", "--n", "3", "--points", "101"]):
+             ["wavefunction", "--n", "3", "--points", "101"],
+             ["spectrum", "--n-max", "10"],
+             ["wkb", "--n", "3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     seen.append("scipy.optimize" in sys.modules)
 print(json.dumps(seen))
 """)
-    assert loaded == [False, False, False, False]
+    assert loaded == [False] * 6
 
 
 # sha256 of the 201 energies wkb_energy(0..200) as little-endian float64,
-# from the module-level import of brentq that the lazy one replaced
-WKB_DIGEST = "da8771a338cb3ee214627ea3907e25a3cd4e50afc45e13cdd7bb9d5c74245323"
+# from the linear law E = -(S_1/((n + 1) pi))^2
+WKB_DIGEST = "e0781dc4d6b3a3d2f8e1359c4234c02e2ec65b47f0a689a5f1a21ee3d83b073d"
 
 
-def test_wkb_energies_keep_their_bits_and_load_the_solver_on_first_use():
+def test_wkb_energies_keep_their_bits_without_scipy_optimize():
     out = run_fresh("""
 import hashlib, json, struct, sys
 from coulomb1d import wkb_energy
-before = "scipy.optimize" in sys.modules
 vals = [wkb_energy(n) for n in range(201)]
-print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
+print(json.dumps({"loaded": "scipy.optimize" in sys.modules,
                   "digest": hashlib.sha256(struct.pack("<201d", *vals)).hexdigest(),
-                  "hex": {n: vals[n].hex() for n in (0, 1, 4, 50, 200)}}))
+                  "hex": {n: vals[n].hex() for n in (0, 1, 4, 50, 200)},
+                  "rel_err": max(abs(v + 2 / (n + 1) ** 2) * (n + 1) ** 2 / 2
+                                 for n, v in enumerate(vals))}))
 """)
-    assert not out["before"] and out["after"]
+    assert not out["loaded"]
     assert out["digest"] == WKB_DIGEST
-    assert out["hex"] == {"0": "-0x1.ffffffffffffcp+0", "1": "-0x1.ffffffffffffcp-2",
-                          "4": "-0x1.47ae147ae1479p-4",
-                          "50": "-0x1.9324b647d96adp-11",
-                          "200": "-0x1.9f4470b69787ep-15"}
+    assert out["hex"] == {"0": "-0x1.0000000000001p+1", "1": "-0x1.0000000000001p-1",
+                          "4": "-0x1.47ae147ae147bp-4",
+                          "50": "-0x1.9324b647d96b0p-11",
+                          "200": "-0x1.9f4470b69787dp-15"}
+    # Brent's method reached 1.1e-15 against -2/(n + 1)^2
+    assert out["rel_err"] <= 4 * sys.float_info.epsilon
 
 
-def test_tracer_installed_before_any_solve_records_brentq():
+def test_tracer_installed_before_any_solve_records_no_brentq():
     out = run_fresh(f"""
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location(
@@ -74,15 +79,15 @@ tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install()
-before = "scipy.optimize" in sys.modules
 try:
     from coulomb1d import wkb_energy
     energy = wkb_energy(3)
 finally:
     tracer.uninstall()
-print(json.dumps({{"before": before, "energy": energy,
+print(json.dumps({{"loaded": "scipy.optimize" in sys.modules, "energy": energy,
                   "names": sorted({{span[0] for span in tracer.spans}})}}))
 """)
-    assert not out["before"]
+    assert not out["loaded"]
     assert abs(out["energy"] + 0.125) <= 1e-15
-    assert {"wkb.brentq", "wkb.wkb_energy", "wkb.action"} <= set(out["names"])
+    assert {"wkb.action", "wkb.wkb_energy"} <= set(out["names"])
+    assert "wkb.brentq" not in out["names"]

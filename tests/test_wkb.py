@@ -1,13 +1,18 @@
 """Tests for the action integral and Bohr quantization."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coulomb1d import (WKBConfig, action, exact_energy, half_line, repulsive_core,
                        soft_core, turning_points, wkb_energy)
+
+_EPS = np.finfo(float).eps
 
 
 def brute_action(E, samples=1_000_000):
@@ -75,19 +80,28 @@ class TestQuantization:
         got = wkb_energy(0, WKBConfig(maslov_offset=0.5))
         assert math.isclose(got, -8.0, rel_tol=1e-10)
 
-    def test_closed_form_bracket_holds_for_any_offset(self):
-        # S(E) = pi sqrt(2/|E|) is half and twice its target at the ends
-        # of [4 g, g/4], so the bracket holds without widening
-        for offset in (0.5, 1.0, 2.0):
-            for n in range(41):
-                target = -2.0 / (n + offset) ** 2
-                got = wkb_energy(n, WKBConfig(maslov_offset=offset))
-                assert abs(got - target) <= 1e-10 * abs(target), (offset, n)
+    @given(n=st.integers(0, 10**6),
+           offset=st.floats(0.0, 10.0, exclude_min=True))
+    @example(n=0, offset=0.5)
+    @example(n=40, offset=2.0)
+    @example(n=10**6, offset=10.0)
+    @example(n=0, offset=5e-324)
+    @settings(max_examples=300, deadline=None)
+    def test_linear_law_for_any_n_and_offset(self, n, offset):
+        # S(E) = S_1/sqrt(|E|) holds exactly, so the only error is the
+        # rounding of S_1 and of the four operations that follow
+        with mp.workdps(30):
+            exact = -2 / mp.mpf(n + offset) ** 2
+        try:
+            got = wkb_energy(n, WKBConfig(maslov_offset=offset))
+        except ValueError:
+            # only where -2/(n + offset)^2 is at or past the float range
+            assert -exact >= (1 - 4 * _EPS) * sys.float_info.max, (n, offset)
+            return
+        assert abs(got - exact) <= 4 * _EPS * abs(exact), (n, offset)
 
-    def test_root_in_t_takes_few_actions(self, monkeypatch):
-        # S is linear in t = 1/sqrt(|E|), so Brent's interpolation lands on
-        # the root at once: the two ends of the bracket and one or two
-        # iterates, and the energy to rounding
+    def test_one_action_per_energy(self, monkeypatch):
+        # one quadrature of S(-1) per energy, and the energy to rounding
         from coulomb1d import wkb
         real, calls = wkb.action, []
 
@@ -98,12 +112,24 @@ class TestQuantization:
         for n in range(201):
             calls.clear()
             e = exact_energy(n)
-            assert abs(wkb_energy(n) - e) <= 4e-15 * abs(e), n
-            assert len(calls) <= 4, n
+            assert abs(wkb_energy(n) - e) <= 4 * _EPS * abs(e), n
+            assert calls == [-1.0], n
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, 1e300, 1e-300, 0.0, -1.0])
+    def test_rejects_offsets_without_a_finite_bound_state(self, offset):
+        # nan and inf give no finite target; 1e300 underflows the energy
+        # to -0.0 and 1e-300 overflows it
+        with pytest.raises(ValueError):
+            wkb_energy(0, WKBConfig(maslov_offset=offset))
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             wkb_energy(-1)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, 10**400])
+    def test_rejects_n_that_is_no_float_integer(self, n):
+        with pytest.raises(ValueError):
+            wkb_energy(n)
 
 
 def _mp_turning_points(E, spec):
@@ -122,7 +148,6 @@ def _mp_turning_points(E, spec):
                                   solver="anderson")),)
 
 
-_EPS = np.finfo(float).eps
 _FLOOR = -1.0 / (4 * (1e-2 + 5e-2))  # of repulsive_core(1e-2, 5e-2)
 
 
