@@ -119,14 +119,28 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
 from .potentials import PotentialSpec, evaluate
 from .quadrature import ConvergenceError
 from .spectrum import sign_changes
 
 __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
+
+
+# LAPACK comes through scipy.linalg, which takes about 0.4 s to import;
+# the two wrappers load it on their first call, so that only grid solves
+# pay for it.
+def eigh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on its first call."""
+    from scipy.linalg import eigh_tridiagonal as solver
+    return solver(d, e, **kwargs)
+
+
+def dgtsv(dl, d, du, b, **kwargs):
+    """scipy.linalg.lapack.dgtsv, imported on its first call."""
+    from scipy.linalg.lapack import dgtsv as solver
+    return solver(dl, d, du, b, **kwargs)
+
 
 # The graded map s(x) = x/_FAR_STEP + _CORE_CELLS ln(1 + x/core): about
 # _CORE_CELLS cells per core radius at the origin, steps of _FAR_STEP
@@ -534,7 +548,7 @@ def _lowest(mat, k, start):
     if levels is None:
         try:
             _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1))
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
                                    None, math.inf) from exc
         # each column is certified from a copy, and y takes its nodal vector

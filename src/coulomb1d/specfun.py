@@ -17,6 +17,11 @@ and Temme, *Numerical Methods for Special Functions*, 2007):
 Values come with error estimates, relative to |U| or, near a zero of U,
 to the recurrence scale; a point no route brings within the tolerance
 raises ``ConvergenceError`` instead of returning a loose number.
+
+The module needs numpy and the standard library only.  Its own
+evaluators serve the routes: the scaled K0 and K1 (`_k_scaled`), 1/Gamma
+at integers and half-integers (`_rgamma`) and psi on the integer and
+half-integer grids of the series (`_digamma`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, k0e, k1e, rgamma
 
 from .quadrature import ConvergenceError
 
@@ -37,6 +41,158 @@ _SQRT_PI = math.sqrt(math.pi)
 # the series serves z below this; its terms fall like z^k / k! past k ~ |a|
 _SERIES_Z = 2.0
 _SERIES_TERMS = 200
+
+# psi(1) = -gamma and psi(1/2) = -gamma - 2 ln 2 (DLMF 5.4.12, 5.4.13),
+# correctly rounded
+_PSI_ONE = -0.5772156649015329
+_PSI_HALF = -1.9635100260214235
+
+
+def _rgamma(x):
+    """1/Gamma(x) for x an integer or a half-integer.
+
+    Exactly 0 at the poles x = 0, -1, -2, ...; 1/math.gamma(x) for x > 0;
+    below, the reflection 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi
+    (DLMF 5.5.3) with sin(pi x) = +-1, which is +-inf once Gamma(1 - x)
+    leaves the float range (x <= -343/2).
+    """
+    if x > 0.0:
+        return 1.0 / math.gamma(x)
+    if x == round(x):
+        return 0.0
+    sign = -1.0 if round(x - 0.5) % 2 else 1.0
+    try:
+        return sign * math.gamma(1.0 - x) / math.pi
+    except OverflowError:
+        return sign * math.inf
+
+
+def _digamma(x0, count):
+    """psi(x0 + k) for k = 0 .. count - 1, where 2 x0 is an integer and no
+    x0 + k is a pole (an integer <= 0).
+
+    A negative half-integer x takes psi(x) = psi(1 - x), the reflection
+    DLMF 5.5.4 with cot(pi x) = 0.  Positive arguments come from psi(1)
+    or psi(1/2) by psi(x + 1) = psi(x) + 1/x (DLMF 5.5.2), the sums of
+    1/x compensated, so each value is within a few eps of max(1, |psi|).
+    """
+    x = x0 + np.arange(count, dtype=float)
+    x = np.where(x > 0.0, x, 1.0 - x)
+    start, psi = (1.0, _PSI_ONE) if x0 == round(x0) else (0.5, _PSI_HALF)
+    # Neumaier's compensated running sum of 1/(start + j)
+    sums, total, carry = [0.0], 0.0, 0.0
+    for j in range(round(x.max() - start)):
+        term = 1.0 / (start + j)
+        new = total + term
+        carry += (total - new) + term if abs(total) >= term else (term - new) + total
+        total = new
+        sums.append(total + carry)
+    return psi + np.array(sums)[np.rint(x - start).astype(int)]
+
+
+def _powers(z, count):
+    """z^0 .. z^(count-1) as the columns of a (z.size, count) array."""
+    p = np.empty((z.size, count))
+    p[:, 0] = 1.0
+    np.cumprod(np.broadcast_to(z[:, None], (z.size, count - 1)), axis=1,
+               out=p[:, 1:])
+    return p
+
+
+def _chebyshev_t(t, count):
+    """T_0(t) .. T_(count-1)(t) as the rows of a (count, t.size) array,
+    by doubling with T_(n+i) = 2 T_n T_i - T_(n-i)."""
+    out = np.empty((count, t.size))
+    out[0], out[1] = 1.0, t
+    n = 1
+    while n < count - 1:
+        top = min(2 * n, count - 1)
+        rows = slice(n + 1, top + 1)
+        np.multiply(2.0 * out[n], out[1:top - n + 1], out=out[rows])
+        out[rows] -= out[2 * n - top:n][::-1]
+        n = top
+    return out
+
+
+# Chebyshev coefficients of sqrt(x) e^x K_nu(x), columns nu = 0 and 1, in
+# t = 2/x - 1 over x >= 1; from mpmath 1.3 (besselk at 40 digits on 140
+# Chebyshev nodes).  The first row left out is below 2e-17.
+_K_CHEB = np.array([
+    (1.1944330762167386, 1.4532756675938414),
+    (-0.053855323307629495, 0.19051350202061165),
+    (0.004362000068251702, -0.008406706460495654),
+    (-0.0005521270349863234, 0.0008815363164514389),
+    (8.959565555755952e-05, -0.000129995769583983),
+    (-1.7138726856421186e-05, 2.3441638979785087e-05),
+    (3.695146089045472e-06, -4.853489413610226e-06),
+    (-8.737284518980525e-07, 1.1139969511197356e-06),
+    (2.225046272255236e-07, -2.772707643805077e-07),
+    (-6.025216756376064e-08, 7.37247184977708e-08),
+    (1.7186668629418083e-08, -2.0717892129028323e-08),
+    (-5.1272057810909205e-09, 6.103966549420336e-09),
+    (1.5907351467912106e-09, -1.873778917957349e-09),
+    (-5.10958325791419e-10, 5.963886884453419e-10),
+    (1.6929517419961088e-10, -1.96028004074301e-10),
+    (-5.7683063818637606e-11, 6.632273899864202e-11),
+    (2.0159542597761383e-11, -2.3034250700407756e-11),
+    (-7.210940065346495e-12, 8.193082518369976e-12),
+    (2.6349075982806445e-12, -2.9786645069974164e-12),
+    (-9.819576891759296e-13, 1.1049772078983365e-12),
+    (3.72695818784577e-13, -4.1763277431648047e-13),
+    (-1.4388149744180521e-13, 1.6061141914625803e-13),
+    (5.6436532735816866e-14, -6.277632672531289e-14),
+    (-2.2469288334596896e-14, 2.4911830875182032e-14),
+    (9.072046991627365e-15, -1.002779686252293e-14),
+    (-3.711589997838162e-15, 4.091059996919741e-15),
+    (1.537582290719742e-15, -1.690331071434488e-15),
+    (-6.445464362724762e-16, 7.068360792264328e-16),
+    (2.7324144482527955e-16, -2.9895680121763374e-16),
+    (-1.1707837700385628e-16, 1.2781913900252084e-16),
+    (5.067869397943657e-17, -5.521491188037584e-17),
+    (-2.215087912714289e-17, 2.4087033253210474e-17),
+])
+
+
+def _k_series_table(count):
+    """Columns in t^k, t = x^2/4, of DLMF 10.31.1 for K0 and K1:
+    1/k!^2, psi(k+1)/k!^2, 1/(k!(k+1)!) and the mean of psi(k+1) and
+    psi(k+2) over k!(k+1)!."""
+    psi = _digamma(1.0, count + 1)
+    inv = np.array([1.0 / math.factorial(k) for k in range(count + 1)])
+    w0, w1 = inv[:-1] * inv[:-1], inv[:-1] * inv[1:]
+    return np.stack([w0, w0 * psi[:-1], w1, w1 * 0.5 * (psi[:-1] + psi[1:])],
+                    axis=1)
+
+
+# below x = 1, term k = 11 is under 1e-21 of the sum
+_K_SERIES = _k_series_table(12)
+
+
+def _k_scaled(x):
+    """e^x K0(x) and e^x K1(x), the rows of a (2, x.size) array, over an
+    array of x > 0, within 6 eps (measured against mpmath: 4.3 eps below
+    x = 1, 1.7 eps from the table).
+
+    Below x = 1 the power series DLMF 10.31.1,
+    K0 = -ln(x/2) I0(x) + sum psi(k+1) t^k / k!^2 and
+    K1 = 1/x + ln(x/2) I1(x) - (x/4) sum (psi(k+1) + psi(k+2)) t^k / (k!(k+1)!)
+    with t = x^2/4; from x = 1 on the Chebyshev table `_K_CHEB`.  Higher
+    up the series cancels: K0(2) = 0.114 against terms up to 0.58.
+    """
+    out = np.empty((2, x.size))
+    near = x < 1.0
+    if near.any():
+        xn = x[near]
+        i0, s0, j1, s1 = (_powers(0.25 * xn * xn, len(_K_SERIES)) @ _K_SERIES).T
+        lx = np.log(0.5 * xn)
+        out[:, near] = np.exp(xn) * np.array(
+            [s0 - lx * i0, 1.0 / xn + 0.5 * xn * (lx * j1 - s1)])
+    if not near.all():
+        xf = x[~near]
+        cheb = _chebyshev_t(2.0 / xf - 1.0, len(_K_CHEB))
+        # the leading term is added last, after the small ones
+        out[:, ~near] = (_K_CHEB[0][:, None] + _K_CHEB[1:].T @ cheb[1:]) / np.sqrt(xf)
+    return out
 
 
 def _laguerre(k, alpha, z):
@@ -72,7 +228,8 @@ def _u_seeds(s, z):
     a rounding estimate: (U(s), error, U(s+1), error) over an array of z > 0.
 
     s = 1/2: DLMF 13.6.10 with the contiguous and derivative relations of
-    13.3 give, with k0e, k1e the scaled modified Bessel functions at z/2,
+    13.3 give, with k0e, k1e the scaled modified Bessel functions e^x K(x)
+    at x = z/2 from `_k_scaled`,
     U(1/2,2,z) = (k0e + k1e) / (2 sqrt(pi)), U(3/2,2,z) = (k1e - k0e) / sqrt(pi),
     both good to a few eps (k0e + k1e) / sqrt(pi).  s = 1: U(1,2,z) = 1/z,
     and U(2,2,z) comes back as zero, for the recurrence step down from
@@ -82,7 +239,7 @@ def _u_seeds(s, z):
         inv = 1.0 / z
         zero = np.zeros_like(z)
         return inv, _EPS * inv, zero, zero
-    k0, k1 = k0e(0.5 * z), k1e(0.5 * z)
+    k0, k1 = _k_scaled(0.5 * z)
     err = 4.0 * _EPS * (k0 + k1) / _SQRT_PI
     return (k0 + k1) / (2.0 * _SQRT_PI), err, (k1 - k0) / _SQRT_PI, err
 
@@ -142,14 +299,16 @@ def _series_coefficients(a):
     Raises ``ValueError`` where 1/Gamma(a-1), a factor of every c_k,
     leaves the float range (a <= -341/2).
     """
-    if not math.isfinite(rgamma(a - 1.0)):
+    if not math.isfinite(_rgamma(a - 1.0)):
         raise ValueError(f"U({a},2,z) leaves the float range")
     k = np.arange(_SERIES_TERMS, dtype=float)
+    # psi(a + k) and psi(k + 1) for k = 0 .. _SERIES_TERMS
+    psi_a, psi_1 = _digamma(a, _SERIES_TERMS + 1), _digamma(1.0, _SERIES_TERMS + 1)
     cols = []
-    for s in (a, a + 1.0):
-        c = rgamma(s - 1.0) * np.cumprod(
+    for s, psi_s in ((a, psi_a[:-1]), (a + 1.0, psi_a[1:])):
+        c = _rgamma(s - 1.0) * np.cumprod(
             np.append(1.0, (s + k[1:] - 1.0) / (k[1:] * (k[1:] + 1.0))))
-        cols += [c, c * (digamma(s + k) - digamma(k + 1.0) - digamma(k + 2.0))]
+        cols += [c, c * (psi_s - psi_1[:-1] - psi_1[1:])]
     cols += [(k + 4.0) * np.abs(cols[0]), (k + 4.0) * np.abs(cols[1])]
     cols = np.stack(cols, axis=1)
     size = np.abs(cols).max(axis=1) * _SERIES_Z ** k
@@ -158,13 +317,15 @@ def _series_coefficients(a):
 
 def _u_series(a, z):
     """U(a,2,z) by DLMF 13.2.9 over an array of small z > 0: values, their
-    rounding error and the scale max(|U(a)|, |U(a+1)|), never near zero."""
-    c, cd, c1, cd1, mc, mcd = np.polynomial.polynomial.polyval(
-        z, _series_coefficients(a))
+    rounding error and the scale max(|U(a)|, |U(a+1)|), never near zero.
+
+    The sums over k are one product of the powers z^k with the table."""
+    table = _series_coefficients(a)
+    c, cd, c1, cd1, mc, mcd = (_powers(z, len(table)) @ table).T
     lz = np.log(z)
-    head = rgamma(a) / z
+    head = _rgamma(a) / z
     vals = head + lz * c + cd
-    above = rgamma(a + 1.0) / z + lz * c1 + cd1
+    above = _rgamma(a + 1.0) / z + lz * c1 + cd1
     err = _EPS * (4.0 * np.abs(head) + np.abs(lz) * mc + mcd)
     return vals, err, np.maximum(np.abs(vals), np.abs(above))
 

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
-from .specfun import _u_array
+from .specfun import _rgamma, _u_array
 
 __all__ = [
     "BoundState",
@@ -64,7 +63,7 @@ def _w_values(n, z, rtol=1e-11):
     """W_{(n+1)/2,1/2}(z) = e^(-z/2) z U(1-kappa, 2, z) at an array of z >= 0,
     with the limit 1/Gamma(1-kappa) at z = 0: the package's one W evaluator."""
     a = 0.5 * (1 - n)  # 1 - kappa
-    out = np.full(z.shape, rgamma(a))
+    out = np.full(z.shape, _rgamma(a))
     zp = z[z > 0.0]
     out[z > 0.0] = np.exp(-0.5 * zp) * zp * _u_array(a, 2.0, zp, rtol=rtol)[0]
     return out

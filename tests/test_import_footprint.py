@@ -1,7 +1,9 @@
 """What importing the package loads, each test in a fresh interpreter.
 
-No command loads scipy.optimize: ``wkb_energy`` solves the quantization
-condition from one action, with no root-finder.
+The exact states load no scipy at all: specfun evaluates K0, K1, 1/Gamma
+and psi itself, and the grid solver imports scipy.linalg on its first
+LAPACK call.  No command loads scipy.optimize: ``wkb_energy`` solves the
+quantization condition from one action, with no root-finder.
 """
 
 import json
@@ -42,6 +44,40 @@ for argv in (["scan", "--family", "half-line", "--points", "800"],
 print(json.dumps(seen))
 """)
     assert loaded == [False] * 6
+
+
+def test_exact_states_load_no_scipy_until_a_grid_solve():
+    out = run_fresh("""
+import contextlib, io, json, sys
+import numpy as np
+import coulomb1d, coulomb1d.cli as cli
+from coulomb1d import Grid, node_count, normalize, solve, wavefunction, wkb_energy
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+x = np.linspace(-10.0, 10.0, 201)
+psi = [wavefunction(n, x) for n in (2, 3)]
+norms = [normalize(n).norm for n in (2, 3)]
+nodes = node_count(4)
+energy = wkb_energy(3)
+for argv in (["spectrum", "--n-max", "10"], ["wavefunction", "--n", "3"],
+             ["wkb", "--n", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+before = scipy_modules()
+res = solve(lambda x: 0.5 * x * x, Grid(half_width=12.0, points=4000), 2)
+print(json.dumps({"before": before, "after": "scipy.linalg" in sys.modules,
+                  "finite": bool(all(np.isfinite(p).all() for p in psi)),
+                  "norms": norms, "nodes": nodes, "energy": energy,
+                  "levels": [lv.energy for lv in res.levels]}))
+""")
+    assert out["before"] == []
+    assert out["after"]
+    assert out["finite"] and all(v > 0.0 for v in out["norms"])
+    assert out["nodes"] == 4
+    assert abs(out["energy"] + 0.125) <= 1e-15
+    assert abs(out["levels"][0] - 0.5) < 1e-4 and abs(out["levels"][1] - 1.5) < 1e-4
 
 
 # sha256 of the 201 energies wkb_energy(0..200) as little-endian float64,

@@ -1,6 +1,7 @@
 """Tests for the Tricomi U / Whittaker W evaluation layer."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ import pytest
 from scipy.integrate import quad
 
 from coulomb1d import ConvergenceError, tricomi_u, wavefunction
-from coulomb1d.specfun import _SERIES_Z, _laguerre, _u_array, _u_chain, _u_seeds
+from coulomb1d.specfun import (_K_CHEB, _SERIES_TERMS, _SERIES_Z, _digamma,
+                                _k_scaled, _laguerre, _rgamma, _u_array,
+                                _u_chain, _u_seeds, _u_series)
 from coulomb1d.spectrum import _w_values
 
 
@@ -77,6 +80,81 @@ class TestReciprocalGamma:
     @pytest.mark.parametrize("m", [0, -1, -2, -5])
     def test_poles_give_zero(self, m):
         assert _w(1.0 - m, 0.0) == 0.0
+
+
+EPS = np.finfo(float).eps
+
+
+class TestOwnEvaluators:
+    """K0, K1, 1/Gamma and psi, which the U routes take from specfun itself,
+    against mpmath."""
+
+    # a log sweep, and both sides of the series/table crossover at x = 1
+    K_X = np.concatenate([np.geomspace(1e-8, 1e5, 131), np.linspace(0.5, 2.5, 41),
+                          [0.999, np.nextafter(1.0, 0.0), 1.0,
+                           np.nextafter(1.0, 2.0), 1.001]])
+
+    def test_scaled_bessel_k(self):
+        # measured: at most 4.3 eps below x = 1, where K0 = S - ln(x/2) I0
+        # cancels, and 1.7 eps from the table
+        vals = _k_scaled(self.K_X)
+        with mp.workdps(40):
+            for nu in (0, 1):
+                for x, v in zip(self.K_X, vals[nu]):
+                    ref = mp.besselk(nu, x) * mp.exp(x)
+                    assert abs(v - ref) <= 6 * EPS * ref, (nu, x)
+
+    def test_chebyshev_table_regenerates(self):
+        """_K_CHEB is the expansion of sqrt(x) e^x K_nu(x) in t = 2/x - 1 on
+        140 Chebyshev nodes at 40 digits; the first coefficient it leaves
+        out is below 2e-17."""
+        nodes, count = 140, len(_K_CHEB) + 1
+        with mp.workdps(40):
+            theta = [mp.pi * (i + mp.mpf(1) / 2) / nodes for i in range(nodes)]
+            x = [2 / (mp.cos(th) + 1) for th in theta]
+            for nu in (0, 1):
+                f = [mp.sqrt(v) * mp.exp(v) * mp.besselk(nu, v) for v in x]
+                coef = [2 * mp.fsum(fi * mp.cos(j * th) for fi, th in zip(f, theta)) / nodes
+                        for j in range(count)]
+                coef[0] /= 2
+                got = [float(c) for c in coef]
+                assert np.allclose(_K_CHEB[:, nu], got[:-1], rtol=2 * EPS, atol=0.0)
+                assert abs(got[-1]) < 2e-17
+
+    def test_reciprocal_gamma(self):
+        """1/Gamma at every integer and half-integer from -343/2 to 5/2,
+        the arguments of the series and of W at z = 0."""
+        for twice in range(-343, 6):
+            x = twice / 2
+            ref = mp.rgamma(x)
+            if ref == 0:
+                assert _rgamma(x) == 0.0, x
+            elif abs(ref) > sys.float_info.max:
+                # x = -343/2 overflows, with the sign of 1/Gamma
+                assert _rgamma(x) == math.copysign(math.inf, ref), x
+            else:
+                assert abs(_rgamma(x) - ref) <= 4 * EPS * abs(ref), x
+
+    @pytest.mark.parametrize("x0", [1.0, 1.5, 0.5, -0.5, -9.5, -99.5, -169.5])
+    def test_digamma_grids(self, x0):
+        """psi(x0 + k), k = 0 .. _SERIES_TERMS: the integer grid from 1 and
+        the half-integer grids from a of the series."""
+        vals = _digamma(x0, _SERIES_TERMS + 1)
+        for k, v in enumerate(vals):
+            ref = mp.digamma(x0 + k)
+            assert abs(v - ref) <= 2 * EPS * max(1.0, abs(ref)), (x0, k)
+
+    @pytest.mark.parametrize("a", [-40.5, -100.5, -150.5])
+    def test_series_error_estimate_far_down(self, a):
+        # the powers z^k and the product with the table round like the
+        # terms (k + 4) eps |c_k| z^k of the estimate allow
+        zs = np.geomspace(1e-6, 0.999 * _SERIES_Z, 12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, err, scale = _u_series(a, zs)
+        accepted = err / scale <= 1e-9
+        assert accepted.any()
+        for z, v, e in zip(zs[accepted], vals[accepted], err[accepted]):
+            assert abs(v - _hyperu(a, z)) <= e, (a, z)
 
 
 class TestTricomiU:
