@@ -89,8 +89,9 @@ class TestOwnEvaluators:
     """K0, K1, 1/Gamma and psi, which the U routes take from specfun itself,
     against mpmath."""
 
-    # a log sweep, and both sides of the series/table crossover at x = 1
-    K_X = np.concatenate([np.geomspace(1e-8, 1e5, 131), np.linspace(0.5, 2.5, 41),
+    # a log sweep; [0.5, 2.5] densely, where the series would cancel past
+    # x = 1 (7.9 eps at x = 1.985); both sides of the crossover at x = 1
+    K_X = np.concatenate([np.geomspace(1e-8, 1e5, 131), np.linspace(0.5, 2.5, 401),
                           [0.999, np.nextafter(1.0, 0.0), 1.0,
                            np.nextafter(1.0, 2.0), 1.001]])
 
@@ -98,7 +99,7 @@ class TestOwnEvaluators:
         # measured: at most 4.3 eps below x = 1, where K0 = S - ln(x/2) I0
         # cancels, and 1.7 eps from the table
         vals = _k_scaled(self.K_X)
-        with mp.workdps(40):
+        with mp.workdps(30):
             for nu in (0, 1):
                 for x, v in zip(self.K_X, vals[nu]):
                     ref = mp.besselk(nu, x) * mp.exp(x)
@@ -153,8 +154,9 @@ class TestOwnEvaluators:
             vals, err, scale = _u_series(a, zs)
         accepted = err / scale <= 1e-9
         assert accepted.any()
-        for z, v, e in zip(zs[accepted], vals[accepted], err[accepted]):
-            assert abs(v - _hyperu(a, z)) <= e, (a, z)
+        with mp.workdps(30):
+            for z, v, e in zip(zs[accepted], vals[accepted], err[accepted]):
+                assert abs(v - _hyperu(a, z)) <= e, (a, z)
 
 
 class TestTricomiU:
