@@ -41,6 +41,8 @@ _SQRT_PI = math.sqrt(math.pi)
 # the series serves z below this; its terms fall like z^k / k! past k ~ |a|
 _SERIES_Z = 2.0
 _SERIES_TERMS = 200
+# below this many points `_powers` accumulates instead of doubling
+_FEW_POINTS = 128
 
 # psi(1) = -gamma and psi(1/2) = -gamma - 2 ln 2 (DLMF 5.4.12, 5.4.13),
 # correctly rounded
@@ -91,11 +93,27 @@ def _digamma(x0, count):
 
 
 def _powers(z, count):
-    """z^0 .. z^(count-1) as the columns of a (z.size, count) array."""
-    p = np.empty((z.size, count))
-    p[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(z[:, None], (z.size, count - 1)), axis=1,
-               out=p[:, 1:])
+    """z^0 .. z^(count-1) as the rows of a (count, z.size) array.
+
+    Each z^k carries at most k - 1 roundings, as in the sequential
+    product z^k = z^(k-1) z.  A batch of a few points takes that product
+    as one accumulate down the rows, which costs one call but runs a
+    strided loop per point.  Larger batches double the table instead:
+    once rows 0 .. n-1 are filled, row n is z^(n-1) z and rows
+    n+1 .. 2n-1 are rows 1 .. n-1 times z^n, two whole-row products per
+    doubling rather than one per power.
+    """
+    p = np.empty((count, z.size))
+    p[0] = 1.0
+    if z.size < _FEW_POINTS:
+        p[1:] = z
+        return np.multiply.accumulate(p, axis=0, out=p)
+    n = 1
+    while n < count:
+        np.multiply(p[n - 1], z, out=p[n])
+        top = min(2 * n, count)
+        np.multiply(p[1:top - n], p[n], out=p[n + 1:top])
+        n = top
     return p
 
 
@@ -177,22 +195,29 @@ def _k_scaled(x):
     K0 = -ln(x/2) I0(x) + sum psi(k+1) t^k / k!^2 and
     K1 = 1/x + ln(x/2) I1(x) - (x/4) sum (psi(k+1) + psi(k+2)) t^k / (k!(k+1)!)
     with t = x^2/4; from x = 1 on the Chebyshev table `_K_CHEB`.  Higher
-    up the series cancels: K0(2) = 0.114 against terms up to 0.58.
+    up the series cancels: K0(2) = 0.114 against terms up to 0.58.  An x
+    that underflowed to 0 gives inf or NaN, which the caller rejects.
     """
-    out = np.empty((2, x.size))
     near = x < 1.0
-    if near.any():
-        xn = x[near]
-        i0, s0, j1, s1 = (_powers(0.25 * xn * xn, len(_K_SERIES)) @ _K_SERIES).T
+    if not near.any():  # as inside the recurrence, where x = z/2 and z >= 2
+        return _k_table(x)
+    out = np.empty((2, x.size))
+    xn = x[near]
+    i0, s0, j1, s1 = _K_SERIES.T @ _powers(0.25 * xn * xn, len(_K_SERIES))
+    with np.errstate(divide="ignore", invalid="ignore"):
         lx = np.log(0.5 * xn)
         out[:, near] = np.exp(xn) * np.array(
             [s0 - lx * i0, 1.0 / xn + 0.5 * xn * (lx * j1 - s1)])
     if not near.all():
-        xf = x[~near]
-        cheb = _chebyshev_t(2.0 / xf - 1.0, len(_K_CHEB))
-        # the leading term is added last, after the small ones
-        out[:, ~near] = (_K_CHEB[0][:, None] + _K_CHEB[1:].T @ cheb[1:]) / np.sqrt(xf)
+        out[:, ~near] = _k_table(x[~near])
     return out
+
+
+def _k_table(x):
+    """e^x K0(x) and e^x K1(x) from `_K_CHEB` over an array of x >= 1."""
+    cheb = _chebyshev_t(2.0 / x - 1.0, len(_K_CHEB))
+    # the leading term is added last, after the small ones
+    return (_K_CHEB[0][:, None] + _K_CHEB[1:].T @ cheb[1:]) / np.sqrt(x)
 
 
 def _laguerre(k, alpha, z):
@@ -215,12 +240,21 @@ def _laguerre(k, alpha, z):
     if k < 0 or k != int(k):
         raise ValueError(f"degree must be a non-negative integer, got {k}")
     zs = np.asarray(z, dtype=float)
-    if not (math.isfinite(alpha) and np.all(np.isfinite(zs))):
+    if not (math.isfinite(alpha) and np.isfinite(zs).all()):
         raise ValueError("non-finite parameter")
-    prev, cur = 0.0, np.ones_like(zs)
+    # L_j = ((2j - 1 + alpha - z) L_(j-1) - (j - 1 + alpha) L_(j-2)) / j,
+    # each step into the buffer of L_(j-2)
+    prev, cur, nxt = np.empty((3, zs.size))
+    prev[:], cur[:] = 0.0, 1.0
+    flat = zs.ravel()
     for j in range(1, int(k) + 1):
-        prev, cur = cur, ((2 * j - 1 + alpha - zs) * cur - (j - 1 + alpha) * prev) / j
-    return float(cur) if zs.ndim == 0 else cur
+        np.subtract(2 * j - 1 + alpha, flat, out=nxt)
+        nxt *= cur
+        prev *= j - 1 + alpha
+        nxt -= prev
+        nxt /= j
+        prev, cur, nxt = cur, nxt, prev
+    return float(cur[0]) if zs.ndim == 0 else cur.reshape(zs.shape)
 
 
 def _u_seeds(s, z):
@@ -240,8 +274,9 @@ def _u_seeds(s, z):
         zero = np.zeros_like(z)
         return inv, _EPS * inv, zero, zero
     k0, k1 = _k_scaled(0.5 * z)
-    err = 4.0 * _EPS * (k0 + k1) / _SQRT_PI
-    return (k0 + k1) / (2.0 * _SQRT_PI), err, (k1 - k0) / _SQRT_PI, err
+    total = k0 + k1
+    err = 4.0 * _EPS * total / _SQRT_PI
+    return total / (2.0 * _SQRT_PI), err, (k1 - k0) / _SQRT_PI, err
 
 
 def _u_chain(a, z, rtol):
@@ -256,36 +291,45 @@ def _u_chain(a, z, rtol):
     along the chain.
     """
     s = 1.0 if a == round(a) else 0.5
-    cur, err, hi, err_hi = _u_seeds(s, z)
+    u, err, hi, err_hi = _u_seeds(s, z)
     if a > s:  # a = 3/2, the upper seed
-        cur, err = hi, err_hi
+        u, err = hi, err_hi
     steps = max(round(s - a), 0)
-    scale = np.maximum(np.abs(cur), np.abs(hi))
-    # rows: U, and its responses to the errors of U(s) and U(s+1), each
-    # widened by the roundings of the steps to come
-    zero = np.zeros_like(z)
-    cur = np.array([cur, err + 4.0 * steps * _EPS * np.abs(cur), zero])
-    hi = np.array([hi, zero, err_hi + 4.0 * steps * _EPS * np.abs(hi)])
-    rounding = 0.0
-    for _ in range(steps):
-        # 2s - 2 is exact, while (z + 2s) - 2 would lose the low digits
-        # of a tiny z
-        p, q = (z + (2.0 * s - 2.0)) * cur, s * (s - 1.0) * hi
-        rounding += np.abs(p[0]) + np.abs(q[0])
-        cur, hi = p - q, cur
-        scale = np.maximum(scale, np.abs(cur[0]))
-        s -= 1.0
-    err = np.abs(cur[1]) + np.abs(cur[2]) + _EPS * rounding
+    scale = np.maximum(np.abs(u), np.abs(hi))
+    if steps:
+        # rows: U, and its responses to the errors of U(s) and U(s+1),
+        # each widened by the roundings of the steps to come
+        cur, nxt = rows = np.empty((2, 3, z.size))
+        cur[0], nxt[0] = u, hi
+        mags = np.abs(rows[:, 0])
+        mags *= 4.0 * steps * _EPS
+        np.add(err, mags[0], out=cur[1])
+        np.add(err_hi, mags[1], out=nxt[2])
+        cur[2] = nxt[1] = 0.0
+        pq, coef, rounding = np.empty_like(rows), np.empty_like(z), np.zeros_like(z)
+        for _ in range(steps):
+            # 2s - 2 is exact, while (z + 2s) - 2 would lose the low
+            # digits of a tiny z
+            np.add(z, 2.0 * s - 2.0, out=coef)
+            np.multiply(coef, cur, out=pq[0])
+            np.multiply(nxt, s * (s - 1.0), out=pq[1])
+            np.abs(pq[:, 0], out=mags)
+            rounding += np.add(mags[0], mags[1], out=mags[0])
+            # p - q goes to the rows of U(s+1), which q has used
+            cur, nxt = np.subtract(pq[0], pq[1], out=nxt), cur
+            np.maximum(scale, np.abs(cur[0], out=mags[0]), out=scale)
+            s -= 1.0
+        u, err = cur[0], np.abs(cur[1]) + np.abs(cur[2]) + _EPS * rounding
     # an overflowed step makes err infinite, and its NaN ratio would
     # hide the other points from the bound below
-    if not np.all(np.isfinite(err)):
+    if not np.isfinite(err).all():
         raise ValueError(f"U({a},2,z) leaves the float range")
-    worst = float(np.max(err / scale, initial=0.0))
+    worst = float((err / scale).max(initial=0.0))
     if worst > 10.0 * rtol:
         raise ConvergenceError(
             f"U({a},2,z) did not converge: error {worst:.2e} of its scale "
-            f"against rtol {rtol:.1e}", cur[0], err)
-    return cur[0], err
+            f"against rtol {rtol:.1e}", u, err)
+    return u, err
 
 
 @lru_cache(maxsize=64)
@@ -296,8 +340,10 @@ def _series_coefficients(a):
     c_k = (a)_k / (Gamma(a-1) k! (k+1)!), d_k = psi(a+k) - psi(k+1) - psi(k+2).
     Columns: c_k, c_k d_k; the same at a + 1; the magnitudes at a weighted
     by the roundings behind term k.  Rows end where terms stop mattering.
-    Raises ``ValueError`` where 1/Gamma(a-1), a factor of every c_k,
-    leaves the float range (a <= -341/2).
+    None where the terms or their sizes at z = 2 overflow (a = -329/2 to
+    -339/2), so the series cannot serve a; raises ``ValueError`` where
+    1/Gamma(a-1), a factor of every c_k, leaves the float range
+    (a <= -341/2).
     """
     if not math.isfinite(_rgamma(a - 1.0)):
         raise ValueError(f"U({a},2,z) leaves the float range")
@@ -312,6 +358,9 @@ def _series_coefficients(a):
     cols += [(k + 4.0) * np.abs(cols[0]), (k + 4.0) * np.abs(cols[1])]
     cols = np.stack(cols, axis=1)
     size = np.abs(cols).max(axis=1) * _SERIES_Z ** k
+    # an infinite size would also cut the rows short
+    if not np.isfinite(size).all():
+        return None
     return cols[:np.flatnonzero(size >= 1e-18 * size.max())[-1] + 1]
 
 
@@ -319,9 +368,10 @@ def _u_series(a, z):
     """U(a,2,z) by DLMF 13.2.9 over an array of small z > 0: values, their
     rounding error and the scale max(|U(a)|, |U(a+1)|), never near zero.
 
-    The sums over k are one product of the powers z^k with the table."""
+    The sums over k are one product of the table with the powers z^k,
+    which gives each sum as a row.  a must have a series table."""
     table = _series_coefficients(a)
-    c, cd, c1, cd1, mc, mcd = (_powers(z, len(table)) @ table).T
+    c, cd, c1, cd1, mc, mcd = table.T @ _powers(z, len(table))
     lz = np.log(z)
     head = _rgamma(a) / z
     vals = head + lz * c + cd
@@ -363,17 +413,24 @@ def _u_array(a, b, z, rtol=1e-10):
         except OverflowError:  # k > 170
             raise ValueError(f"U({a},2,z) leaves the float range") from None
         # the terms of L_k^(1)(z) alternate in sign; at -z they add up
-        lag, size = fact * _laguerre(k, 1.0, np.array([z, -z]))
-        return (-lag if k % 2 else lag), 4.0 * (k + 1) * _EPS * np.abs(size)
+        lag, size = (-fact if k % 2 else fact) * _laguerre(k, 1.0, np.array([z, -z]))
+        return lag, 4.0 * (k + 1) * _EPS * np.abs(size)
+    near = z < _SERIES_Z
+    count = np.count_nonzero(near)
+    # the table is built only for a batch that reaches below the crossover
+    if not count or _series_coefficients(a) is None:
+        return _u_chain(a, z, rtol)
+    whole = count == z.size
+    v, e, scale = _u_series(a, z if whole else z[near])
+    ok = e / scale <= 10.0 * rtol  # the bound the chain is held to
+    rest = ~near
+    if not ok.all():
+        rest[near] = ~ok
+    elif whole:
+        return v, e
     vals, err = np.empty((2, z.size))
-    rest = np.ones(z.size, dtype=bool)
-    near = np.flatnonzero(z < _SERIES_Z)
-    if near.size:
-        v, e, scale = _u_series(a, z[near])
-        ok = e / scale <= 10.0 * rtol  # the bound the chain is held to
-        vals[near[ok]], err[near[ok]], rest[near[ok]] = v[ok], e[ok], False
-    if rest.any():
-        vals[rest], err[rest] = _u_chain(a, z[rest], rtol)
+    vals[near], err[near] = v, e
+    vals[rest], err[rest] = _u_chain(a, z[rest], rtol)
     return vals, err
 
 

@@ -63,9 +63,13 @@ def _w_values(n, z, rtol=1e-11):
     """W_{(n+1)/2,1/2}(z) = e^(-z/2) z U(1-kappa, 2, z) at an array of z >= 0,
     with the limit 1/Gamma(1-kappa) at z = 0: the package's one W evaluator."""
     a = 0.5 * (1 - n)  # 1 - kappa
+    pos = z > 0.0
+    if pos.all():
+        u = _u_array(a, 2.0, z.ravel(), rtol=rtol)[0].reshape(z.shape)
+        return np.exp(-0.5 * z) * z * u
     out = np.full(z.shape, _rgamma(a))
-    zp = z[z > 0.0]
-    out[z > 0.0] = np.exp(-0.5 * zp) * zp * _u_array(a, 2.0, zp, rtol=rtol)[0]
+    zp = z[pos]
+    out[pos] = np.exp(-0.5 * zp) * zp * _u_array(a, 2.0, zp, rtol=rtol)[0]
     return out
 
 
@@ -100,11 +104,11 @@ def wavefunction(n, x, rtol=1e-11):
     """
     n = _check_n(n)
     xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("non-finite evaluation point")
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _w_values(n, 4.0 * np.abs(xs) / (n + 1), rtol=rtol)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError(f"psi_{n} leaves the float range")
     if n % 2:
         vals = np.sign(xs) * vals

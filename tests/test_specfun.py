@@ -8,9 +8,11 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from coulomb1d import ConvergenceError, tricomi_u, wavefunction
+from coulomb1d import ConvergenceError, specfun, tricomi_u, wavefunction
 from coulomb1d.specfun import (_K_CHEB, _SERIES_TERMS, _SERIES_Z, _digamma,
                                 _k_scaled, _laguerre, _rgamma, _u_array,
                                 _u_chain, _u_seeds, _u_series)
@@ -145,7 +147,7 @@ class TestOwnEvaluators:
             ref = mp.digamma(x0 + k)
             assert abs(v - ref) <= 2 * EPS * max(1.0, abs(ref)), (x0, k)
 
-    @pytest.mark.parametrize("a", [-40.5, -100.5, -150.5])
+    @pytest.mark.parametrize("a", [-40.5, -100.5, -150.5, -155.5, -161.5, -163.5])
     def test_series_error_estimate_far_down(self, a):
         # the powers z^k and the product with the table round like the
         # terms (k + 4) eps |c_k| z^k of the estimate allow
@@ -211,6 +213,35 @@ class TestTricomiU:
             for z, vb in zip(zs, batch):
                 assert math.isclose(vb, tricomi_u(a, 2, z), rel_tol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(twice_a=st.integers(-121, 3),
+           near=st.lists(st.floats(1e-6, np.nextafter(_SERIES_Z, 0.0)), min_size=1, max_size=6),
+           far=st.lists(st.floats(_SERIES_Z, 60.0), min_size=1, max_size=6))
+    def test_value_independent_of_the_batch(self, twice_a, near, far):
+        """A point alone, in a batch of its own side of the series
+        crossover and in a batch of both sides: the values agree to their
+        error estimates.  Their bits may differ, since the matrix products
+        of the series and of the K0/K1 table sum in an order that depends
+        on the batch size.  The recurrence's estimate can fall short of its
+        true error by up to 2.3-fold (U(-57.5,2,1.922931521938662) alone,
+        against mpmath), so each side is allowed twice its estimate."""
+        a = twice_a / 2
+        mixed = np.array(near + far)
+        sides = [_u_array(a, 2.0, np.array(side)) for side in (near, far)]
+        batches = [_u_array(a, 2.0, mixed),
+                   tuple(np.concatenate(rows) for rows in zip(*sides))]
+        for i, z in enumerate(mixed):
+            (alone,), (alone_err,) = _u_array(a, 2.0, mixed[i:i + 1])
+            for vals, errs in batches:
+                if a == round(a):  # the polynomial runs point by point
+                    assert vals[i] == alone
+                assert abs(vals[i] - alone) <= 2.0 * (errs[i] + alone_err), (a, z)
+
+    @pytest.mark.parametrize("a", [0.5, -2.5, -3.0])
+    def test_empty_batch(self, a):
+        vals, err = _u_array(a, 2.0, np.array([]))
+        assert vals.shape == err.shape == (0,)
+
     def test_rejects_nonpositive_z(self):
         with pytest.raises(ValueError):
             tricomi_u(0.5, 2, 0.0)
@@ -267,6 +298,32 @@ class TestSeeds:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="leaves the float range"):
                 tricomi_u(-170.5, 2, 3.0)
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-323])
+    def test_subnormal_argument_raises_without_warning(self, z):
+        # z/2 and z/4 underflow to 0 in the K0/K1 series of the seeds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                tricomi_u(0.5, 2, z)
+
+    @pytest.mark.parametrize("a", [-164.5, -165.5, -166.5, -167.5, -169.5])
+    def test_overflowed_series_table_is_not_evaluated(self, a, monkeypatch):
+        # from a = -333/2 on terms of the series overflow, and every
+        # series value would be NaN; at -329/2 and -331/2 their sizes
+        # at z = 2 do, which cut the table short: the series gave
+        # 1.78e302 for U(-164.5,2,1.4023846153846156) = 2.13e294 and
+        # held it to its estimate.  The recurrence serves these points.
+        def no_series(*args):
+            raise AssertionError("series evaluated")
+        monkeypatch.setattr(specfun, "_u_series", no_series)
+        zs = np.array([0.05, 0.7, 1.4023846153846156, 1.95])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, _ = _u_array(a, 2.0, zs)
+        with mp.workdps(30):
+            for z, v in zip(zs, vals):
+                ref = float(mp.hyperu(a, 2, z))
+                assert abs(v - ref) <= 1e-9 * abs(ref), (a, z)
 
     def test_no_point_below_the_series_crossover_skips_the_series(self):
         # z = 2 takes the recurrence, and the series table is not built

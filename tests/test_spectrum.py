@@ -123,13 +123,28 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             wavefunction(0, math.nan)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_edge_shapes(self, n):
+        """Empty, 0-d and 2-D x, and x = 0 alone and among other points."""
+        assert wavefunction(n, np.array([])).shape == (0,)
+        assert isinstance(wavefunction(n, 0.7), float)
+        grid = np.array([[0.5, 3.0, 9.0], [-0.5, 0.0, 2.0]])
+        vals = wavefunction(n, grid)
+        assert vals.shape == grid.shape
+        assert np.array_equal(vals.ravel(), wavefunction(n, grid.ravel()))
+        # the limit 1/Gamma(1 - kappa), which vanishes for odd n
+        origin = 0.0 if n % 2 else float(mp.rgamma((1 - n) / 2))
+        assert wavefunction(n, 0.0) == origin
+        assert np.all(wavefunction(n, np.array([0.0, 1.0, -0.0]))[[0, 2]] == origin)
+
     # U overflows far out at large n, and 1/(Gamma(a) z) at subnormal z,
     # though psi is finite at each point; k! of the odd polynomial
     # U(-k,2,z) does from k = 171 (n = 343) on, and the even series'
     # 1/Gamma(a - 1) from n = 342 on; at x = 1e4 no point takes the series
     @pytest.mark.parametrize("n, x", [(300, [22650.0]), (220, [221.0 ** 2]),
                                       (0, 1e-310), (301, [302.0 ** 2]), (401, 10.0),
-                                      (342, 1.0), (342, 1e4), (344, [0.0, 2.0])])
+                                      (342, 1.0), (342, 1e4), (344, [0.0, 2.0]),
+                                      (4, 5e-324)])
     def test_overflow_raises_without_warnings(self, n, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
