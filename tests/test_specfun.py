@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coulomb1d import ConvergenceError, specfun, tricomi_u, wavefunction
-from coulomb1d.specfun import (_K_CHEB, _SERIES_TERMS, _SERIES_Z, _digamma,
-                                _k_scaled, _laguerre, _rgamma, _u_array,
-                                _u_chain, _u_seeds, _u_series)
+from coulomb1d.specfun import (_FEW_POINTS, _K_CHEB, _SERIES_TERMS, _SERIES_Z,
+                                _digamma, _k_scaled, _laguerre, _powers,
+                                _rgamma, _u_array, _u_chain, _u_seeds,
+                                _u_series)
 from coulomb1d.spectrum import _w_values
 
 
@@ -146,6 +147,21 @@ class TestOwnEvaluators:
         for k, v in enumerate(vals):
             ref = mp.digamma(x0 + k)
             assert abs(v - ref) <= 2 * EPS * max(1.0, abs(ref)), (x0, k)
+
+    @pytest.mark.parametrize("size", [3, 300])
+    def test_powers_round_like_the_sequential_product(self, size):
+        """A few points accumulate z^k = z^(k-1) z, bit for bit; more
+        points double the table, and z^k still carries at most k - 1
+        roundings (long double as the reference)."""
+        z = np.random.default_rng(1).uniform(0.05, 2.0, size)
+        table = _powers(z, 45)
+        seq, exact = np.ones(size), np.ones(size, dtype=np.longdouble)
+        for k, row in enumerate(table):
+            if size < _FEW_POINTS:
+                assert np.array_equal(row, seq), k
+            rel = np.abs((row - exact) / exact).max()
+            assert rel <= max(k - 1, 0) * 0.5 * EPS * 1.01, k
+            seq, exact = seq * z, exact * z
 
     @pytest.mark.parametrize("a", [-40.5, -100.5, -150.5, -155.5, -161.5, -163.5])
     def test_series_error_estimate_far_down(self, a):
