@@ -125,13 +125,15 @@ class TestWavefunction:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_edge_shapes(self, n):
-        """Empty, 0-d and 2-D x, and x = 0 alone and among other points."""
+        """Empty, 0-d and 2-D x, with and without x = 0, and x = 0 alone
+        and among other points."""
         assert wavefunction(n, np.array([])).shape == (0,)
         assert isinstance(wavefunction(n, 0.7), float)
-        grid = np.array([[0.5, 3.0, 9.0], [-0.5, 0.0, 2.0]])
-        vals = wavefunction(n, grid)
-        assert vals.shape == grid.shape
-        assert np.array_equal(vals.ravel(), wavefunction(n, grid.ravel()))
+        for origin_row in ([-0.5, 1.0, 2.0], [-0.5, 0.0, 2.0]):
+            grid = np.array([[0.5, 3.0, 9.0], origin_row])
+            vals = wavefunction(n, grid)
+            assert vals.shape == grid.shape
+            assert np.array_equal(vals.ravel(), wavefunction(n, grid.ravel()))
         # the limit 1/Gamma(1 - kappa), which vanishes for odd n
         origin = 0.0 if n % 2 else float(mp.rgamma((1 - n) / 2))
         assert wavefunction(n, 0.0) == origin
