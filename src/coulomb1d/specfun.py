@@ -10,12 +10,13 @@ and Temme, *Numerical Methods for Special Functions*, 2007):
 - z < 2: the logarithmic series DLMF 13.2.9 at a itself, where its own
   estimate of the cancellation among its terms meets the tolerance (so
   the crossover moves to smaller z as |a| grows);
-- everything else: closed-form seeds, U(1/2,2,z) and U(3/2,2,z) from the
-  modified Bessel functions K0 and K1, then the three-term recurrence in
-  a run downward to a, the stable direction for U.
+- everything else: seeds U(1/2,2,z) and U(3/2,2,z), from the same series
+  below z = 2 and from the modified Bessel functions K0 and K1 above,
+  then the three-term recurrence in a run downward to a, the stable
+  direction for U.
 
 Values come with error estimates, relative to |U| or, near a zero of U,
-to the recurrence scale; a point no route brings within the tolerance
+to the scale of the route; a point no route brings within the tolerance
 raises ``ConvergenceError`` instead of returning a loose number.
 
 Each route works on whole arrays: the series and the K0/K1 table sum
@@ -25,9 +26,9 @@ A point's value can differ in its last bits with the batch around it,
 since the matrix products sum in an order set by the batch size.
 
 The module needs numpy and the standard library only.  Its own
-evaluators serve the routes: the scaled K0 and K1 (`_k_scaled`), 1/Gamma
-at integers and half-integers (`_rgamma`) and psi on the integer and
-half-integer grids of the series (`_digamma`).
+evaluators serve the routes: the scaled K0 and K1 from x = 1 on
+(`_k_scaled`), 1/Gamma at integers and half-integers (`_rgamma`) and psi
+on the integer and half-integer grids of the series (`_digamma`).
 """
 
 from __future__ import annotations
@@ -179,50 +180,10 @@ _K_CHEB = np.array([
 ])
 
 
-def _k_series_table(count):
-    """Columns in t^k, t = x^2/4, of DLMF 10.31.1 for K0 and K1:
-    1/k!^2, psi(k+1)/k!^2, 1/(k!(k+1)!) and the mean of psi(k+1) and
-    psi(k+2) over k!(k+1)!."""
-    psi = _digamma(1.0, count + 1)
-    inv = np.array([1.0 / math.factorial(k) for k in range(count + 1)])
-    w0, w1 = inv[:-1] * inv[:-1], inv[:-1] * inv[1:]
-    return np.stack([w0, w0 * psi[:-1], w1, w1 * 0.5 * (psi[:-1] + psi[1:])],
-                    axis=1)
-
-
-# below x = 1, term k = 11 is under 1e-21 of the sum
-_K_SERIES = _k_series_table(12)
-
-
 def _k_scaled(x):
-    """e^x K0(x) and e^x K1(x), the rows of a (2, x.size) array, over an
-    array of x > 0, within 6 eps (measured against mpmath: 4.3 eps below
-    x = 1, 1.7 eps from the table).
-
-    Below x = 1 the power series DLMF 10.31.1,
-    K0 = -ln(x/2) I0(x) + sum psi(k+1) t^k / k!^2 and
-    K1 = 1/x + ln(x/2) I1(x) - (x/4) sum (psi(k+1) + psi(k+2)) t^k / (k!(k+1)!)
-    with t = x^2/4; from x = 1 on the Chebyshev table `_K_CHEB`.  Higher
-    up the series cancels: K0(2) = 0.114 against terms up to 0.58.  An x
-    that underflowed to 0 gives inf or NaN, which the caller rejects.
-    """
-    near = x < 1.0
-    if not near.any():  # as for the seeds of every z >= 2, at x = z/2
-        return _k_table(x)
-    out = np.empty((2, x.size))
-    xn = x[near]
-    i0, s0, j1, s1 = _K_SERIES.T @ _powers(0.25 * xn * xn, len(_K_SERIES))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lx = np.log(0.5 * xn)
-        out[:, near] = np.exp(xn) * np.array(
-            [s0 - lx * i0, 1.0 / xn + 0.5 * xn * (lx * j1 - s1)])
-    if not near.all():
-        out[:, ~near] = _k_table(x[~near])
-    return out
-
-
-def _k_table(x):
-    """e^x K0(x) and e^x K1(x) from `_K_CHEB` over an array of x >= 1."""
+    """e^x K0(x) and e^x K1(x), the rows of a (2, x.size) array, from the
+    Chebyshev table `_K_CHEB` over an array of x >= 1 (measured against
+    mpmath: within 1.7 eps)."""
     cheb = _chebyshev_t(2.0 / x - 1.0, len(_K_CHEB))
     # the leading term is added last, after the small ones
     return (_K_CHEB[0][:, None] + _K_CHEB[1:].T @ cheb[1:]) / np.sqrt(x)
@@ -266,12 +227,14 @@ def _laguerre(k, alpha, z):
 
 
 def _u_seeds(s, z):
-    """U(s,2,z) and U(s+1,2,z) in closed form for s = 1/2 or 1, each with
-    a rounding estimate: (U(s), error, U(s+1), error) over an array of z > 0.
+    """U(s,2,z) and U(s+1,2,z) for s = 1/2 or 1, each with a rounding
+    estimate: (U(s), error, U(s+1), error) over an array of z > 0.
 
-    s = 1/2: DLMF 13.6.10 with the contiguous and derivative relations of
-    13.3 give, with k0e, k1e the scaled modified Bessel functions e^x K(x)
-    at x = z/2 from `_k_scaled`,
+    s = 1/2: below z = `_SERIES_Z` the series `_u_series` at a = 1/2 and
+    a = 3/2, with its own estimates.  From there on DLMF 13.6.10 with the
+    contiguous and derivative relations of 13.3 give, with k0e, k1e the
+    scaled modified Bessel functions e^x K(x) at x = z/2 >= 1 from
+    `_k_scaled`,
     U(1/2,2,z) = (k0e + k1e) / (2 sqrt(pi)), U(3/2,2,z) = (k1e - k0e) / sqrt(pi),
     both good to a few eps (k0e + k1e) / sqrt(pi).  s = 1: U(1,2,z) = 1/z,
     and U(2,2,z) comes back as zero, for the recurrence step down from
@@ -281,14 +244,22 @@ def _u_seeds(s, z):
         inv = 1.0 / z
         zero = np.zeros_like(z)
         return inv, _EPS * inv, zero, zero
-    k0, k1 = _k_scaled(0.5 * z)
-    total = k0 + k1
-    err = 4.0 * _EPS * total / _SQRT_PI
-    return total / (2.0 * _SQRT_PI), err, (k1 - k0) / _SQRT_PI, err
+    near = z < _SERIES_Z
+    if not near.any():  # as for every recurrence batch of points z >= 2
+        k0, k1 = _k_scaled(0.5 * z)
+        total = k0 + k1
+        err = 4.0 * _EPS * total / _SQRT_PI
+        return total / (2.0 * _SQRT_PI), err, (k1 - k0) / _SQRT_PI, err
+    seeds, zn = np.empty((4, z.size)), z[near]
+    seeds[:2, near] = _u_series(0.5, zn)[:2]
+    seeds[2:, near] = _u_series(1.5, zn)[:2]
+    if not near.all():
+        seeds[:, ~near] = _u_seeds(s, z[~near])
+    return seeds
 
 
 def _u_chain(a, z, rtol):
-    """U(a,2,z) over an array of z > 0 from closed-form seeds and recurrence.
+    """U(a,2,z) over an array of z > 0 from the seeds and the recurrence.
 
     Seeds U(s,2,z) and U(s+1,2,z) at s = 1/2 for half-integer a, s = 1
     for integer a, then U(s-1,2,z) = (z + 2s - 2) U(s,2,z)
@@ -333,7 +304,12 @@ def _u_chain(a, z, rtol):
     # hide the other points from the bound below
     if not np.isfinite(err).all():
         raise ValueError(f"U({a},2,z) leaves the float range")
-    worst = float((err / scale).max(initial=0.0))
+    return _held(a, u, err, float((err / scale).max(initial=0.0)), rtol)
+
+
+def _held(a, u, err, worst, rtol):
+    """(u, err) if worst, the largest error estimate as a fraction of its
+    scale, is within 10 rtol; ``ConvergenceError`` otherwise."""
     if worst > 10.0 * rtol:
         raise ConvergenceError(
             f"U({a},2,z) did not converge: error {worst:.2e} of its scale "
@@ -402,8 +378,9 @@ def _u_array(a, b, z, rtol=1e-10):
     """U(a,b,z) and an absolute error estimate over a 1-D array of z > 0.
 
     Routes per point as the module docstring says; each route's error
-    estimate is held to 10 rtol of its scale, max(|U(a)|, |U(a+1)|) for
-    the series, the largest |U| along the chain for the recurrence.
+    estimate is held to 10 rtol of its scale: k! |L_k^(1)(-z)|, the sum of
+    the magnitudes of its terms, for the polynomial, max(|U(a)|, |U(a+1)|)
+    for the series, the largest |U| along the chain for the recurrence.
 
     Raises
     ------
@@ -411,7 +388,7 @@ def _u_array(a, b, z, rtol=1e-10):
         If (a, b) is off the slice of the module docstring, or the
         recurrence leaves the float range.
     ConvergenceError
-        If the recurrence cannot meet that bound.
+        If the polynomial or the recurrence cannot meet that bound.
     """
     a = _on_slice(a, b)
     z = np.asarray(z, dtype=float)
@@ -423,7 +400,9 @@ def _u_array(a, b, z, rtol=1e-10):
             raise ValueError(f"U({a},2,z) leaves the float range") from None
         # the terms of L_k^(1)(z) alternate in sign; at -z they add up
         lag, size = (-fact if k % 2 else fact) * _laguerre(k, 1.0, np.array([z, -z]))
-        return lag, 4.0 * (k + 1) * _EPS * np.abs(size)
+        # the estimate is the same fraction of that sum at every z
+        worst = 4.0 * (k + 1) * _EPS
+        return _held(a, lag, worst * np.abs(size), worst, rtol)
     near = z < _SERIES_Z
     count = np.count_nonzero(near)
     # the table is built only for a batch that reaches below the crossover

@@ -468,6 +468,8 @@ class TestOutputPlumbing:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--n-max", "1"], ["wkb", "--n", "3"],
         ["wavefunction", "--n", "2", "--x-min", "0.5", "--x-max", "1.5",
+         "--points", "3"],
+        ["wavefunction", "--n", "1", "--x-min", "0.5", "--x-max", "1.5",
          "--points", "3"]])
     def test_recorded_tolerance_is_the_one_used(self, argv, capsys):
         # an unreachable tolerance reaches the computation, which refuses it

@@ -92,15 +92,13 @@ class TestOwnEvaluators:
     """K0, K1, 1/Gamma and psi, which the U routes take from specfun itself,
     against mpmath."""
 
-    # a log sweep; [0.5, 2.5] densely, where the series would cancel past
-    # x = 1 (7.9 eps at x = 1.985); both sides of the crossover at x = 1
-    K_X = np.concatenate([np.geomspace(1e-8, 1e5, 131), np.linspace(0.5, 2.5, 401),
-                          [0.999, np.nextafter(1.0, 0.0), 1.0,
-                           np.nextafter(1.0, 2.0), 1.001]])
+    # a log sweep over the table's range x >= 1, which the seeds of z >= 2
+    # reach at x = z/2; [1, 2.5] densely, and the table's lower end
+    K_X = np.concatenate([np.geomspace(1.0, 1e5, 51), np.linspace(1.0, 2.5, 301),
+                          [np.nextafter(1.0, 2.0), 1.001]])
 
     def test_scaled_bessel_k(self):
-        # measured: at most 4.3 eps below x = 1, where K0 = S - ln(x/2) I0
-        # cancels, and 1.7 eps from the table
+        # measured: at most 1.7 eps from the table
         vals = _k_scaled(self.K_X)
         with mp.workdps(30):
             for nu in (0, 1):
@@ -281,7 +279,8 @@ class TestSeeds:
     SEED_Z = np.geomspace(1e-12, 700.0, 40)
 
     def test_bessel_seeds_against_hyperu(self):
-        """U(1/2,2,z) and U(3/2,2,z) from K0, K1 against mpmath hyperu."""
+        """U(1/2,2,z) and U(3/2,2,z), from the series below z = 2 and from
+        K0, K1 above, against mpmath hyperu."""
         lo, err_lo, hi, err_hi = _u_seeds(0.5, self.SEED_Z)
         with mp.workdps(30):
             for a, vals, errs in ((0.5, lo, err_lo), (1.5, hi, err_hi)):
@@ -290,8 +289,9 @@ class TestSeeds:
                     assert abs(v - ref) <= 1e-13 * abs(ref), (a, z)
                     assert abs(v - ref) <= e, (a, z)
 
-    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 0.0, -2.0])
     def test_seed_held_to_the_tolerance(self, a):
+        # integer a <= 0 take the polynomial, held to the same bound
         with pytest.raises(ConvergenceError, match="converge"):
             tricomi_u(a, 2, 5.0, rtol=1e-40)
 
@@ -317,7 +317,7 @@ class TestSeeds:
 
     @pytest.mark.parametrize("z", [5e-324, 1e-323])
     def test_subnormal_argument_raises_without_warning(self, z):
-        # z/2 and z/4 underflow to 0 in the K0/K1 series of the seeds
+        # 1/(Gamma(a) z), the leading term of the series, overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="leaves the float range"):
@@ -329,10 +329,15 @@ class TestSeeds:
         # series value would be NaN; at -329/2 and -331/2 their sizes
         # at z = 2 do, which cut the table short: the series gave
         # 1.78e302 for U(-164.5,2,1.4023846153846156) = 2.13e294 and
-        # held it to its estimate.  The recurrence serves these points.
-        def no_series(*args):
-            raise AssertionError("series evaluated")
-        monkeypatch.setattr(specfun, "_u_series", no_series)
+        # held it to its estimate.  The recurrence serves these points,
+        # from seeds that the series gives at 1/2 and 3/2.
+        series = specfun._u_series
+
+        def seeds_only(s, z):
+            if s == a:
+                raise AssertionError("series evaluated")
+            return series(s, z)
+        monkeypatch.setattr(specfun, "_u_series", seeds_only)
         zs = np.array([0.05, 0.7, 1.4023846153846156, 1.95])
         with np.errstate(over="ignore", invalid="ignore"):
             vals, _ = _u_array(a, 2.0, zs)
@@ -447,9 +452,18 @@ ORACLE_Z = np.concatenate([np.geomspace(1e-12, 200.0, 25),
 
 
 class TestMpmathOracle:
-    @pytest.mark.parametrize("n", range(41))
-    def test_bound_state_parameters(self, n):
-        """U(1 - (n+1)/2, 2, z) for n = 0..40 against mpmath hyperu."""
+    @pytest.mark.parametrize("n", [*range(41), 60, 100, 160, 240, 300])
+    def test_bound_state_parameters(self, n, monkeypatch):
+        """U(1 - (n+1)/2, 2, z) for n = 0..40 and up to 300 against mpmath
+        hyperu.  From n = 60 on the series rejects a few z below 2, and
+        the recurrence serves them from series seeds: the K0/K1 table
+        sees only x = z/2 >= 1."""
+        k_scaled, seen = specfun._k_scaled, []
+
+        def recorder(x):
+            seen.append(x.min())
+            return k_scaled(x)
+        monkeypatch.setattr(specfun, "_k_scaled", recorder)
         a = 1.0 - (n + 1) / 2
         batch, err = _u_array(a, 2.0, ORACLE_Z, rtol=1e-11)
         assert np.all(err >= 0.0)
@@ -457,6 +471,7 @@ class TestMpmathOracle:
             _assert_matches_hyperu(a, z, vb)
         for z in ORACLE_Z[::4]:
             _assert_matches_hyperu(a, z, tricomi_u(a, 2, z))
+        assert all(x >= 1.0 for x in seen)
 
     def test_error_estimate_covers_series_error(self):
         zs = np.geomspace(1e-12, 0.999 * _SERIES_Z, 20)

@@ -266,8 +266,9 @@ def exact_norm_integral(n):
     """N = int psi_n^2 dx over the line for even n, exact to 40 digits.
 
     sqrt(pi) e^(-z/2) U(s,2,z) = A(z) K0(z/2) + B(z) K1(z/2) with
-    polynomials A, B: the seeds of ``specfun._u_seeds`` at s = 1/2 and 3/2,
-    then U(s-1) = (z + 2s - 2) U(s) - s(s-1) U(s+1) on the coefficients
+    polynomials A, B: the closed forms at s = 1/2 and 3/2 that
+    ``specfun._u_seeds`` takes from z = 2 on, then
+    U(s-1) = (z + 2s - 2) U(s) - s(s-1) U(s+1) on the coefficients
     down to s = 1 - nu.  So W = (z/sqrt(pi)) (A K0 + B K1), and with
     z = 2t every term of int W^2 dz is a Bessel moment: N = R/pi + S pi
     with R, S rational.
