@@ -103,11 +103,11 @@ def wavefunction(n, x, rtol=1e-11):
         remain, from n = 344 none with |x| <= 2000).
     ConvergenceError
         Where U cannot be brought within rtol.  At the default rtol every
-        even n from 128 to 338 raises over x in [-10, 10] (2001 points):
-        the series rejects a narrow band of z, [0.2850, 0.2881] at
-        n = 128, and there the recurrence's estimate exceeds 10 rtol of its
-        scale (1.06e-10 at n = 128, 2.85e-10 at n = 200, 2.32e-9 at
-        n = 338).
+        even n from 144 to 338 raises over x in [-10, 10] (2001 points):
+        the series rejects a narrow band of z, [0.2535, 0.2563] at
+        n = 144, and there the recurrence's estimate exceeds 10 rtol of its
+        scale (1.02e-10 at n = 144, 1.35e-10 at n = 200, 2.08e-10 at
+        n = 338), though its values there are within 4e-11 of the scale.
     """
     n = _check_n(n)
     xs = np.asarray(x, dtype=float)
