@@ -5,9 +5,9 @@ parameter set that produced them, so any table can be regenerated from
 its own metadata.  Floats are printed with 17 significant digits and
 round-trip exactly.
 
-Exit codes: 0 success, 2 bad flags or domain errors (a grid too coarse
-for its core radius among them), 3 quadrature or eigensolver
-non-convergence.
+Exit codes: 0 success, 2 bad flags, domain errors (a grid too coarse
+for its core radius among them) or an output file that cannot be
+written, 3 quadrature or eigensolver non-convergence.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ def _stamp(meta, args):
 
 
 def _cmd_spectrum(args):
+    if args.n_max < 0:
+        raise ValueError(f"n-max must be non-negative, got {args.n_max}")
     cfg = WKBConfig() if args.tolerance is None \
         else WKBConfig(quadrature_tolerance=args.tolerance)
     ns, exact, semi, parity, nodes = [], [], [], [], []
@@ -185,23 +187,22 @@ def _cmd_scan(args):
                      "parity": [lv.parity for lv in res.levels],
                      "nodes": [lv.nodes for lv in res.levels]},
             metadata=meta)
-    if args.family == "half-line":
-        half_width = 60.0 if args.half_width is None else args.half_width
-        points = 12000 if args.points is None else args.points
-        k_max = 3 if args.k_max is None else args.k_max
-        g = Grid(half_width=half_width, points=points)
-        energies = half_line_spectrum(g, k_max)
-        ks = list(range(1, k_max + 1))
-        exact = [-0.5 / (k * k) for k in ks]
-        meta = _stamp({"family": args.family, "half_width": half_width,
-                       "points": points}, args)
-        return OutputRecord(
-            schema="scan",
-            columns={"k": ks, "energy": energies, "exact_energy": exact,
-                     "relative_error": [abs(e - t) / abs(t)
-                                        for e, t in zip(energies, exact)]},
-            metadata=meta)
-    raise ValueError(f"unknown scan family {args.family!r}")
+    # half-line, the last of the family choices argparse accepts
+    half_width = 60.0 if args.half_width is None else args.half_width
+    points = 12000 if args.points is None else args.points
+    k_max = 3 if args.k_max is None else args.k_max
+    g = Grid(half_width=half_width, points=points)
+    energies = half_line_spectrum(g, k_max)
+    ks = list(range(1, k_max + 1))
+    exact = [-0.5 / (k * k) for k in ks]
+    meta = _stamp({"family": args.family, "half_width": half_width,
+                   "points": points}, args)
+    return OutputRecord(
+        schema="scan",
+        columns={"k": ks, "energy": energies, "exact_energy": exact,
+                 "relative_error": [abs(e - t) / abs(t)
+                                    for e, t in zip(energies, exact)]},
+        metadata=meta)
 
 
 def _cmd_solve(args):
@@ -329,7 +330,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

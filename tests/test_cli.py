@@ -75,6 +75,12 @@ class TestSpectrumCommand:
         assert row["exact_energy"] == -2.0
         assert row["nodes"] == 0
 
+    def test_negative_n_max_rejected(self, capsys):
+        # an empty table with exit 0 before
+        code, out, err = run_cli(["spectrum", "--n-max", "-1"], capsys)
+        assert code == 2
+        assert out == "" and "n-max" in err
+
 
 class TestWavefunctionCommand:
     def test_ground_state_peaks_at_origin(self, capsys):
@@ -209,6 +215,13 @@ class TestWkbCommand:
 
 
 class TestScanCommand:
+    def test_unknown_family_exits_two(self, capsys):
+        # argparse's choices refuse it before any family is dispatched
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--family", "bogus"])
+        assert info.value.code == 2
+        assert "--family" in capsys.readouterr().err
+
     def test_half_line_levels(self, capsys):
         code, out, _ = run_cli(["scan", "--family", "half-line"], capsys)
         assert code == 0
@@ -436,6 +449,14 @@ class TestOutputPlumbing:
         assert out == ""
         _, direct, _ = run_cli(["spectrum", "--n-max", "1"], capsys)
         assert path.read_text() == direct
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(["spectrum", "--n-max", "1", "--out", str(path)],
+                                 capsys)
+        assert code == 2
+        assert out == "" and "error:" in err and str(path) in err
+        assert not path.exists()
 
     def test_impossible_tolerance_exits_three(self, capsys):
         code, _, err = run_cli(["wavefunction", "--n", "2", "--x-min", "0.5",

@@ -14,9 +14,8 @@ from scipy.integrate import quad
 
 from coulomb1d import ConvergenceError, specfun, tricomi_u, wavefunction
 from coulomb1d.specfun import (_FEW_POINTS, _K_CHEB, _SERIES_TERMS, _SERIES_Z,
-                                _digamma, _k_scaled, _laguerre, _powers,
-                                _rgamma, _u_array, _u_chain, _u_seeds,
-                                _u_series)
+                                _digamma, _k_scaled, _powers, _rgamma,
+                                _u_array, _u_chain, _u_seeds, _u_series)
 from coulomb1d.spectrum import _w_values
 
 
@@ -29,39 +28,35 @@ def laguerre_series(k, alpha, z):
 
 
 class TestLaguerre:
+    """U(-k,2,z) = (-1)^k k! L_k^(1)(z), the polynomial route, against the
+    closed forms and the series definition of L_k^(1)."""
+
     def test_degree_zero(self):
-        assert _laguerre(0, 1, 7.3) == 1.0
+        assert tricomi_u(0, 2, 7.3) == 1.0
 
     def test_degree_one(self):
         # L_1^(1)(z) = 2 - z
-        assert _laguerre(1, 1, 3.0) == -1.0
+        assert tricomi_u(-1, 2, 3.0) == 1.0
 
     def test_degree_two(self):
         # closed form L_2^(1)(z) = z^2/2 - 3z + 3 gives 0.5 at z = 1
-        val = _laguerre(2, 1, 1.0)
+        val = tricomi_u(-2, 2, 1.0) / 2
         assert math.isclose(val, 0.5, rel_tol=1e-14)
         assert math.isclose(val, laguerre_series(2, 1, 1.0), rel_tol=1e-14)
 
     @pytest.mark.parametrize("k", range(8))
     def test_against_series(self, k):
         for z in (0.3, 1.7, 4.0, 9.5):
-            assert math.isclose(_laguerre(k, 1, z), laguerre_series(k, 1, z),
+            val = tricomi_u(-k, 2, z) / ((-1) ** k * math.factorial(k))
+            assert math.isclose(val, laguerre_series(k, 1, z),
                                 rel_tol=1e-11, abs_tol=1e-11)
 
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            _laguerre(-1, 1, 1.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            _laguerre(2, 1, math.nan)
-
     def test_vectorized(self):
-        zs = np.array([[0.3, 1.7], [4.0, 9.5]])
-        vals = _laguerre(5, 1, zs)
+        zs = np.array([0.3, 1.7, 4.0, 9.5])
+        vals, _ = _u_array(-5.0, 2.0, zs)
         assert vals.shape == zs.shape
-        for z, v in zip(zs.ravel(), vals.ravel()):
-            assert v == _laguerre(5, 1, z)
+        for z, v in zip(zs, vals):
+            assert v == tricomi_u(-5, 2, z)
 
 
 def _w(kappa, z):
@@ -188,22 +183,26 @@ class TestTricomiU:
     def test_a_minus_one_polynomial(self):
         # U(-1,2,z) = z - 2
         assert math.isclose(tricomi_u(-1, 2, 3.0), 1.0, rel_tol=1e-12)
-        # the seed-plus-recurrence route from U(1,2,z) = 1/z must agree
-        assert math.isclose(_u_chain(-1.0, np.array([3.0]), 1e-10)[0][0], 1.0,
-                            rel_tol=1e-10)
 
-    # at z = 1e-12 and 1e-6 the coefficient z + 2s - 2 must keep the
-    # digits of z at the seed s = 1
     @pytest.mark.parametrize("z", [1e-12, 1e-6, 0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("m", range(1, 11))
     def test_reduction_identity(self, m, z):
-        """Recurrence route vs polynomial route at integer kappa."""
-        a, k = 1.0 - m, m - 1
-        by_chain = _u_chain(a, np.array([z]), 1e-10)[0][0]
-        by_poly = tricomi_u(a, 2, z)
-        # integer a <= 0 takes the polynomial U(-k,2,z) = (-1)^k k! L_k^(1)(z)
-        assert by_poly == (-1) ** k * (math.factorial(k) * _laguerre(k, 1.0, z))
-        assert abs(by_chain - by_poly) <= 1e-10 * max(abs(by_poly), 1e-300)
+        """Polynomial route vs the polynomial summed in exact rational
+        arithmetic, at integer kappa."""
+        a = 1.0 - m
+        exact = _hyperu(a, z)
+        assert abs(tricomi_u(a, 2, z) - exact) <= 1e-10 * max(abs(exact), 1e-300)
+
+    @pytest.mark.parametrize("z", [1e-12, 1e-6])
+    def test_chain_keeps_the_digits_of_a_tiny_z(self, z):
+        """The recurrence's coefficient 2t - 2 + z at t = 1/2, -1/2, ...
+        against mpmath, where (z + 2t) - 2 would lose the low digits of z."""
+        for twice_a in range(-1, -21, -2):
+            a = twice_a / 2
+            (val,), _ = _u_chain(a, np.array([z]), 1e-10)
+            with mp.workdps(30):
+                ref = float(mp.hyperu(a, 2, z))
+            assert abs(val - ref) <= 1e-13 * abs(ref), a
 
     @pytest.mark.parametrize("a", [0.5, -0.5, -1.5, -3.5, -7.5, -2.0, -6.0])
     @pytest.mark.parametrize("z", [0.3, 1.0, 5.0, 20.0, 100.0])
@@ -279,7 +278,7 @@ class TestSeeds:
     def test_bessel_seeds_against_hyperu(self):
         """U(1/2,2,z) and U(3/2,2,z), from the series below z = 2 and from
         K0, K1 above, against mpmath hyperu."""
-        lo, err_lo, hi, err_hi = _u_seeds(0.5, self.SEED_Z)
+        lo, err_lo, hi, err_hi = _u_seeds(self.SEED_Z)
         with mp.workdps(30):
             for a, vals, errs in ((0.5, lo, err_lo), (1.5, hi, err_hi)):
                 for z, v, e in zip(self.SEED_Z, vals, errs):
@@ -292,6 +291,15 @@ class TestSeeds:
         # integer a <= 0 take the polynomial, held to the same bound
         with pytest.raises(ConvergenceError, match="converge"):
             tricomi_u(a, 2, 5.0, rtol=1e-40)
+
+    @pytest.mark.parametrize("a, z", [(-170, 1000.0), (-100, 2000.0)])
+    def test_polynomial_past_the_float_range_raises(self, a, z):
+        # U(-170,2,1000) = 1.74e494 and U(-100,2,2000) = 6.17e327; the
+        # recurrence overflows to inf, which was returned as a value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                tricomi_u(a, 2, z)
 
     def test_series_past_the_float_range_raises(self):
         # 1/Gamma(a - 1) of every series coefficient overflows from
@@ -409,6 +417,15 @@ def test_convergence_error_carries_estimate():
     assert info.value.estimate is not None
 
 
+def _exact_polynomial(a, z):
+    """U(a,2,z) = (-1)^k k! L_k^(1)(z) for a = -k <= 0, as an exact
+    rational at the float z."""
+    k, x = int(-a), Fraction(float(z))
+    lag = sum((-1) ** i * math.comb(k + 1, k - i) * x ** i / math.factorial(i)
+              for i in range(k + 1))
+    return (-1) ** k * math.factorial(k) * lag
+
+
 def _hyperu(a, z):
     """U(a,2,z): exact rational polynomial for integer a <= 0, else mpmath.
 
@@ -416,10 +433,7 @@ def _hyperu(a, z):
     case, such as U(-1,2,2) = 0.
     """
     if a <= 0 and a == int(a):
-        k, x = int(-a), Fraction(float(z))
-        lag = sum((-1) ** i * math.comb(k + 1, k - i) * x ** i / math.factorial(i)
-                  for i in range(k + 1))
-        return float((-1) ** k * math.factorial(k) * lag)
+        return float(_exact_polynomial(a, z))
     return float(mp.hyperu(a, 2, z))
 
 
@@ -488,6 +502,15 @@ class TestMpmathOracle:
         # (a = -92.5); the series rejects the points below z = 2
         val, err = tricomi_u(a, 2, z, full_output=True)
         assert abs(val - _hyperu(a, z)) <= err
+
+    @pytest.mark.parametrize("a, z", [(-166, 5e-6), (-166, 5.5e-6),
+                                      (-121, 1e-4), (-60, 1e-4)])
+    def test_error_estimate_covers_polynomial_error(self, a, z):
+        # near z = 0 the Laguerre recurrence's roundings add up like k^2:
+        # 4 (k + 1) eps of the scale fell short here by 2.31, 3.52, 1.61
+        # and 1.34 times
+        val, err = tricomi_u(a, 2, z, full_output=True)
+        assert abs(Fraction(val) - _exact_polynomial(a, z)) <= err
 
     def test_small_z_regression(self):
         # the scalar quadrature route was off by 3.7e-10 here
