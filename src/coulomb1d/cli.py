@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .gridsolver import Grid, solve
-from .potentials import PotentialSpec
+from .potentials import FAMILIES, PotentialSpec
 from .quadrature import ConvergenceError
 from .regularized import (care_interleaving, half_line_spectrum,
                           soft_core_ground_scan)
@@ -87,11 +87,24 @@ def _stamp(meta, args):
     return meta
 
 
+def _given_tolerance(args, keyword):
+    """``{keyword: --tolerance}`` if the flag is given, else no keyword,
+    so that the library's own default holds."""
+    return {} if args.tolerance is None else {keyword: args.tolerance}
+
+
+def _level_columns(levels):
+    """The k, energy, parity and nodes columns of grid levels."""
+    return {"k": [lv.index for lv in levels],
+            "energy": [lv.energy for lv in levels],
+            "parity": [str(lv.parity) for lv in levels],
+            "nodes": [lv.nodes for lv in levels]}
+
+
 def _cmd_spectrum(args):
     if args.n_max < 0:
         raise ValueError(f"n-max must be non-negative, got {args.n_max}")
-    cfg = WKBConfig() if args.tolerance is None \
-        else WKBConfig(quadrature_tolerance=args.tolerance)
+    cfg = WKBConfig(**_given_tolerance(args, "quadrature_tolerance"))
     ns, exact, semi, parity, nodes = [], [], [], [], []
     for n in range(args.n_max + 1):
         ns.append(n)
@@ -112,8 +125,7 @@ def _cmd_wavefunction(args):
     if args.x_min >= args.x_max:
         raise ValueError("x-min must lie below x-max")
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    rtol = 1e-11 if args.tolerance is None else args.tolerance
-    psi = wavefunction(args.n, xs, rtol=rtol)
+    psi = wavefunction(args.n, xs, **_given_tolerance(args, "rtol"))
     scale = 1.0
     if args.normalized:
         scale = normalize(args.n).norm
@@ -126,8 +138,7 @@ def _cmd_wavefunction(args):
 
 
 def _cmd_wkb(args):
-    cfg = WKBConfig() if args.tolerance is None \
-        else WKBConfig(quadrature_tolerance=args.tolerance)
+    cfg = WKBConfig(**_given_tolerance(args, "quadrature_tolerance"))
     if args.n is not None:
         energy = wkb_energy(args.n, cfg)
         meta = {"n": args.n, "maslov_offset": cfg.maslov_offset}
@@ -143,12 +154,13 @@ def _cmd_wkb(args):
         metadata=_stamp(meta, args))
 
 
-# the scan flags that a family does not read, refused rather than dropped
+# the scan families, each with the flags that it does not read, refused
+# rather than dropped
 _UNREAD = {"soft-core": ("b", "k_max"), "care": (), "half-line": ("a", "b")}
 
 
 def _cmd_scan(args):
-    for name in _UNREAD.get(args.family, ()):
+    for name in _UNREAD[args.family]:
         if getattr(args, name) is not None:
             raise ValueError(f"--{name.replace('_', '-')} is not read by "
                              f"scan --family {args.family}")
@@ -180,13 +192,8 @@ def _cmd_scan(args):
         meta = _stamp({"family": args.family, "a": a, "b": args.b,
                        "half_width": half_width, "points": g.points,
                        "interleaved": res.interleaved}, args)
-        return OutputRecord(
-            schema="scan",
-            columns={"k": [lv.index for lv in res.levels],
-                     "energy": [lv.energy for lv in res.levels],
-                     "parity": [lv.parity for lv in res.levels],
-                     "nodes": [lv.nodes for lv in res.levels]},
-            metadata=meta)
+        return OutputRecord(schema="scan", columns=_level_columns(res.levels),
+                            metadata=meta)
     # half-line, the last of the family choices argparse accepts
     half_width = 60.0 if args.half_width is None else args.half_width
     points = 12000 if args.points is None else args.points
@@ -194,7 +201,7 @@ def _cmd_scan(args):
     g = Grid(half_width=half_width, points=points)
     energies = half_line_spectrum(g, k_max)
     ks = list(range(1, k_max + 1))
-    exact = [-0.5 / (k * k) for k in ks]
+    exact = [exact_energy(2 * k - 1) for k in ks]  # odd state n = 2k - 1
     meta = _stamp({"family": args.family, "half_width": half_width,
                    "points": points}, args)
     return OutputRecord(
@@ -216,13 +223,8 @@ def _cmd_solve(args):
     res = solve(spec, g, args.k_max)
     meta = _stamp({"family": args.family, "half_width": args.half_width,
                    "points": args.points, **kwargs}, args)
-    return OutputRecord(
-        schema="spectrum",
-        columns={"k": [lv.index for lv in res.levels],
-                 "energy": [lv.energy for lv in res.levels],
-                 "parity": [str(lv.parity) for lv in res.levels],
-                 "nodes": [lv.nodes for lv in res.levels]},
-        metadata=meta)
+    return OutputRecord(schema="spectrum", columns=_level_columns(res.levels),
+                        metadata=meta)
 
 
 def _tolerance(text):
@@ -292,8 +294,7 @@ def build_parser():
         description="Regularized-potential studies.  A flag that the "
                     "family does not read is refused (exit 2): --b and "
                     "--k-max for soft-core, --a and --b for half-line.")
-    sp.add_argument("--family", choices=("soft-core", "care", "half-line"),
-                    required=True)
+    sp.add_argument("--family", choices=list(_UNREAD), required=True)
     sp.add_argument("--a", help="core radius; comma list for soft-core")
     sp.add_argument("--b", type=float, help="repulsive-core offset")
     sp.add_argument("--half-width", type=float, help="box size L")
@@ -308,9 +309,7 @@ def build_parser():
     sp.set_defaults(handler=_cmd_scan)
 
     sp = sub.add_parser("solve", help="raw grid eigensolve of one potential")
-    sp.add_argument("--family", choices=("pure-coulomb", "soft-core",
-                                         "repulsive-core", "half-line"),
-                    required=True)
+    sp.add_argument("--family", choices=FAMILIES, required=True)
     sp.add_argument("--a", type=float)
     sp.add_argument("--b", type=float)
     sp.add_argument("--half-width", type=float, required=True)

@@ -113,6 +113,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -197,6 +198,8 @@ class Grid:
 
     def __post_init__(self):
         _require_positive("half_width", self.half_width)
+        if not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"point count must be an integer, got {self.points!r}")
         if self.points < 8:
             raise ValueError(f"need at least 8 mesh points, got {self.points}")
         if self.core is not None:
@@ -411,6 +414,13 @@ def _apply(d, e, c, out, t):
     return out
 
 
+def _dot(a, b):
+    """a.b of two vectors, summed in this thread alone: numpy's @ hands
+    long vectors to BLAS ddot, which splits the sum across its threads,
+    and the energies' last bits would follow the BLAS thread count."""
+    return np.einsum("i,i->", a, b)
+
+
 def _work(n):
     """The vectors c, b, dd (size n) and dl, du (size n - 1) of this
     thread's scratch block, grown to hold them if it is smaller.
@@ -438,10 +448,10 @@ def _certify(mat, c, u, hy, t):
     np.divide(c, mat.scale, out=u)
     np.subtract(u[1:], u[:-1], out=t)
     t *= t
-    energy = (mat.link @ t + np.multiply(mat.v, c, out=hy) @ c
+    energy = (_dot(mat.link, t) + _dot(np.multiply(mat.v, c, out=hy), c)
               + mat.ends[0] * u[0] ** 2 + mat.ends[1] * u[-1] ** 2)
     _apply(np.subtract(mat.d, energy, out=hy), mat.e, c, hy, t)
-    return energy, math.sqrt(hy @ hy)
+    return energy, math.sqrt(_dot(hy, hy))
 
 
 def _step(d, e, sigma, c, work):
@@ -463,11 +473,11 @@ def _step(d, e, sigma, c, work):
     np.subtract(d, sigma, out=dd)
     info = dgtsv(dl, dd, du, b, overwrite_dl=1, overwrite_d=1,
                  overwrite_du=1, overwrite_b=1)[-1]
-    size = math.sqrt(b @ b) if info == 0 else math.nan
+    size = math.sqrt(_dot(b, b)) if info == 0 else math.nan
     # written so that a NaN or infinite solution fails too
     if not 0.0 < size < math.inf:
         return None
-    delta = (b @ c) / size / size
+    delta = _dot(b, c) / size / size
     np.divide(b, size, out=c)
     return sigma + delta, math.sqrt(max(1.0 / size / size - delta * delta, 0.0))
 
@@ -489,11 +499,11 @@ def _polished(mat, k, start, floor):
     energy, r, steps = np.empty(k), np.empty(k), []
     for j in range(k):
         np.multiply(start(j), mat.scale, out=c)
-        c /= math.sqrt(c @ c)
+        c /= math.sqrt(_dot(c, c))
         # the one product with H of a level: its start's quotient and residual
-        sigma = _apply(mat.d, mat.e, c, b, dl) @ c
+        sigma = _dot(_apply(mat.d, mat.e, c, b, dl), c)
         b -= np.multiply(c, sigma, out=dd)
-        residual = math.sqrt(b @ b)
+        residual = math.sqrt(_dot(b, b))
         for step in range(_POLISH_STEPS + 1):
             if residual <= floor:
                 break

@@ -128,8 +128,7 @@ def care_interleaving(a, b, g, k_max):
         grid, so ``interleaved`` is true on every grid accepted here;
         it cannot tell the regime apart, which only the energies can.
     """
-    if a <= 0 or b < 0:
-        raise ValueError("need a > 0 and b >= 0")
+    V = repulsive_core(a, b)  # refuses a <= 0 and b < 0
     ratio = b / a
     if not (1.0 < ratio < math.log(1.0 / a)):
         warnings.warn(
@@ -148,7 +147,7 @@ def care_interleaving(a, b, g, k_max):
         raise ValueError(f"grid graded toward core {g.core:g} cannot "
                          f"resolve core radius a={a:g}; grade it toward "
                          "a core no wider than a")
-    levels = solve(repulsive_core(a, b), g, k_max).levels
+    levels = solve(V, g, k_max).levels
     parities = [lv.parity for lv in levels]
     interleaved = (None not in parities and
                    all(p != q for p, q in zip(parities, parities[1:])))

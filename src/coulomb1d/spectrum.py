@@ -17,6 +17,7 @@ and 5.15.5 (see ``normalize``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,26 @@ class BoundState:
 
 
 def _check_n(n):
-    if n < 0 or n != int(n):
+    """n as an int; ``ValueError`` unless it is a non-negative integer in
+    the float range.  The one check of a quantum number, wkb's too."""
+    # the bound also refuses inf, nan and integers past the float range
+    if not 0 <= n <= sys.float_info.max or n != int(n):
         raise ValueError(f"quantum number must be a non-negative integer, got {n}")
     return int(n)
 
 
 def exact_energy(n):
-    """Bound-state energy E_n = -2/(n+1)^2 in Hartree."""
+    """Bound-state energy E_n = -2/(n+1)^2 in Hartree.
+
+    Raises ``ValueError`` unless n is a non-negative integer, and where
+    E_n underflows to zero (n + 1 past about 9e161).
+    """
     n = _check_n(n)
-    return -2.0 / (n + 1) ** 2
+    # int / int rounds once, also where (n + 1)^2 is past the float range
+    energy = -2 / (n + 1) ** 2
+    if energy == 0.0:
+        raise ValueError(f"E_n = -2/(n+1)^2 underflows to zero at n = {n:.3g}")
+    return energy
 
 
 def _w_values(n, z, rtol=1e-11):
@@ -148,10 +160,12 @@ def normalize(n):
             norm = 1.0 / math.sqrt(2 * m * math.factorial(m) ** 2)
         else:
             nu = 0.5 * (n + 1)
+            # Gamma first: past n = 342 it overflows before a sum of n/2 terms
+            gamma = math.gamma(nu)
             t = math.fsum([0.5 * math.pi ** 2]
                           + [4.0 / (2 * j - 1) ** 2 for j in range(1, n // 2 + 1)])
             bracket = 2.0 * nu * nu + nu + 2.0 * nu ** 3 * t
-            norm = math.pi / (math.gamma(nu) * math.sqrt(bracket))
+            norm = math.pi / (gamma * math.sqrt(bracket))
     except OverflowError:  # Gamma(nu), or the odd integer N, past the float range
         norm = 0.0
     if norm == 0.0:  # or an even denominator that overflowed to inf

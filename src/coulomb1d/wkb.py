@@ -4,21 +4,23 @@ The classical momentum sqrt(2(E + 1/|x|)) has an inverse-square-root
 divergence at the origin and a square-root zero at the turning points
 +-1/|E|.  The substitution x = x_t sin^2(theta) absorbs both, leaving a
 smooth integrand on [0, pi/2] that Gauss-Legendre quadrature handles at
-machine accuracy.  The potential is homogeneous, so S(E) = S(-1)/sqrt(|E|)
-and quantization S(E_n) = (n + 1) pi, with Maslov offset 1, takes one
-action and no root-finder; it reproduces E_n = -2/(n+1)^2.
+machine accuracy.  The potential is homogeneous, so S(E) = S(-1)/sqrt(|E|).
+``action`` applies that law exactly, with a power of four, so that no
+E whose turning point is in the float range overflows the integrand;
+quantization S(E_n) = (n + 1) pi, with Maslov offset 1, takes one
+action and no root-finder and reproduces E_n = -2/(n+1)^2.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .potentials import PotentialSpec
 from .quadrature import gauss_legendre
+from .spectrum import _check_n
 
 __all__ = ["ActionResult", "WKBConfig", "action", "turning_points", "wkb_energy"]
 
@@ -47,13 +49,14 @@ class WKBConfig:
     quadrature_tolerance: float = 1e-13
 
 
-def action(E, rtol=1e-13):
+def action(E, rtol=WKBConfig.quadrature_tolerance):
     """Action integral of sqrt(2(E + 1/|x|)) between the turning points.
 
     Parameters
     ----------
     E : float
-        Energy, strictly negative.
+        Energy, strictly negative, with its turning point 1/|E| in the
+        float range (|E| not subnormal).
     rtol : float
         Relative quadrature tolerance.
 
@@ -62,19 +65,30 @@ def action(E, rtol=1e-13):
     ActionResult
         Turning points are -1/|E| and +1/|E|; the action equals
         pi*sqrt(2/|E|) analytically, but the value returned here comes
-        from quadrature of the substituted integrand.
+        from quadrature of the substituted integrand at E/4^k, scaled by
+        2^(-k).
     """
     if not math.isfinite(E) or E >= 0.0:
         raise ValueError(f"bound-state energy must be negative, got {E}")
     x_t = 1.0 / abs(E)
+    if x_t == math.inf:
+        raise ValueError(f"turning point 1/|E| of E={E} leaves the float range")
+    # S(E) = S(E/4^k)/2^k, with |E|/4^k in [1/2, 2): a power of two scales
+    # each float operation of the integrand exactly, so this is the
+    # quadrature at E itself wherever that stays in the float range
+    mantissa, exponent = math.frexp(-E)
+    k = exponent // 2
+    e = -math.ldexp(mantissa, exponent - 2 * k)
+    x = 1.0 / -e
 
     def integrand(theta):
         s = np.sin(theta)
-        arg = 2.0 * (E + 1.0 / (x_t * s * s))
-        return np.sqrt(np.maximum(arg, 0.0)) * 2.0 * x_t * s * np.cos(theta)
+        arg = 2.0 * (e + 1.0 / (x * s * s))
+        return np.sqrt(np.maximum(arg, 0.0)) * 2.0 * x * s * np.cos(theta)
 
     half, _ = gauss_legendre(integrand, 0.0, _HALF_PI, rtol=rtol)
-    return ActionResult(energy=E, action=2.0 * half, turning_points=(-x_t, x_t))
+    return ActionResult(energy=E, action=math.ldexp(2.0 * half, -k),
+                        turning_points=(-x_t, x_t))
 
 
 def brentq(f, a, b, **kwargs):
@@ -116,9 +130,7 @@ def wkb_energy(n, cfg=None):
         or the energy is not finite and strictly negative (an offset so
         large or so small that the result leaves the float range).
     """
-    # the bound also refuses inf, nan and integers past the float range
-    if not 0 <= n <= sys.float_info.max or n != int(n):
-        raise ValueError(f"quantum number must be a non-negative integer, got {n}")
+    n = _check_n(n)
     cfg = cfg or WKBConfig()
     target = (n + cfg.maslov_offset) * math.pi
     if not (math.isfinite(target) and target > 0):

@@ -150,6 +150,12 @@ class TestWavefunctionCommand:
         assert out == "" and "leaves the float range" in err
         assert "Traceback" not in err
 
+    def test_level_past_the_float_range_of_n_exits_two(self, capsys):
+        # a 401-digit n raised OverflowError, exit 1 with a traceback
+        code, out, err = run_cli(["wavefunction", "--n", "1" + "0" * 400], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: quantum number must be a non-negative integer")
+
     def test_normalized_n40_is_the_closed_form_norm(self, capsys):
         # the quadrature norm printed here was 7.5e-10 off
         _, out, _ = run_cli(["wavefunction", "--n", "40", "--normalized"], capsys)
@@ -207,6 +213,19 @@ class TestWkbCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_deep_energy_has_a_finite_action(self, capsys):
+        # the integrand at E itself overflowed to action = inf here
+        code, out, _ = run_cli(["wkb", "--energy=-1e303"], capsys)
+        assert code == 0
+        action = float(parse_csv(out)[1][0]["action"])
+        assert math.isclose(action, math.pi * math.sqrt(2e-303), rel_tol=4 * EPS)
+
+    @pytest.mark.parametrize("energy", ["-1e-310", "-5e-324"])
+    def test_subnormal_energy_exits_two(self, energy, capsys):
+        code, out, err = run_cli(["wkb", f"--energy={energy}"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: turning point 1/|E|")
+
     def test_selector_is_required(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["wkb"])
@@ -215,6 +234,27 @@ class TestWkbCommand:
 
 
 class TestScanCommand:
+    def test_care_needs_b(self, capsys):
+        code, out, err = run_cli(["scan", "--family", "care", "--a", "1e-3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: care scan requires --a and --b\n"
+
+    def test_half_line_digits_do_not_follow_blas_threads(self):
+        # numpy's @ on long vectors summed in as many parts as BLAS has
+        # threads, which moved the energies' last digits
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        outputs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "coulomb1d", "scan", "--family", "half-line"],
+                capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_unknown_family_exits_two(self, capsys):
         # argparse's choices refuse it before any family is dispatched
         with pytest.raises(SystemExit) as info:
@@ -387,6 +427,15 @@ class TestScanCommand:
 
 
 class TestSolveCommand:
+    def test_repulsive_core_records_its_parameters(self, capsys):
+        code, out, _ = run_cli(["solve", "--family", "repulsive-core", "--a", "1e-2",
+                                "--b", "0.1", "--half-width", "20", "--points",
+                                "4000", "--k-max", "2"], capsys)
+        assert code == 0
+        meta, rows = parse_csv(out)
+        assert (float(meta["a"]), float(meta["b"])) == (1e-2, 0.1)
+        assert [r["parity"] for r in rows] == ["even", "odd"]
+
     def test_half_line_levels(self, capsys):
         code, out, _ = run_cli(["solve", "--family", "half-line",
                                 "--half-width", "60", "--points", "12000",

@@ -974,6 +974,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Grid(half_width=1.0, points=4)
 
+    @pytest.mark.parametrize("points", [10.5, 1000.0, "1000"])
+    def test_point_count_must_be_an_integer(self, points):
+        with pytest.raises(ValueError, match="point count must be an integer"):
+            Grid(10.0, points)
+
+    def test_numpy_integer_point_count(self):
+        assert Grid(10.0, np.int64(1000)).points == 1000
+
     def test_non_finite_potential_rejected(self):
         with pytest.raises(ValueError):
             solve(lambda x: np.full_like(x, np.nan), Grid(1.0, 500), 1)

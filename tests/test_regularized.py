@@ -57,6 +57,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             PotentialSpec("pure-coulomb", a=0.1)
 
+    def test_core_families_refuse_missing_or_extra_parameters(self):
+        with pytest.raises(ValueError, match="soft-core takes no offset b"):
+            PotentialSpec("soft-core", a=0.1, b=0.1)
+        with pytest.raises(ValueError, match="core radius a > 0"):
+            PotentialSpec("repulsive-core", b=0.1)
+
+    def test_refuses_nan_point(self):
+        with pytest.raises(ValueError, match="non-finite evaluation point"):
+            evaluate(soft_core(0.1), np.array([1.0, math.nan]))
+
 
 class TestLoudonEstimate:
     def test_hand_value(self):
@@ -186,6 +196,13 @@ class TestCareInterleaving:
         parities = [lv.parity for lv in res.levels]
         alternates = all(p != q for p, q in zip(parities, parities[1:]))
         assert res.interleaved == alternates
+
+    @pytest.mark.parametrize("a, b, message", [(0.0, 5e-3, "a > 0"),
+                                                (1e-3, -1.0, "b >= 0")])
+    def test_refuses_parameters_through_the_spec(self, a, b, message):
+        # the repulsive-core spec is the one check, made before b / a
+        with pytest.raises(ValueError, match=message):
+            care_interleaving(a, b, Grid(half_width=30.0, points=1000), 2)
 
     def test_refuses_unresolved_grid(self):
         with pytest.raises(ValueError, match="need at least N=300000 points"):

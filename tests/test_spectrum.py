@@ -44,6 +44,31 @@ class TestExactEnergy:
         with pytest.raises(ValueError):
             exact_energy(-1)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, 10**400])
+    def test_rejects_n_that_is_no_float_integer(self, n):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            exact_energy(n)
+
+    @pytest.mark.parametrize("n", [1e300, 10**200, 9e161])
+    def test_rejects_n_whose_energy_underflows(self, n):
+        # (n + 1)^2 past the float range raised OverflowError
+        with pytest.raises(ValueError, match="underflows"):
+            exact_energy(n)
+
+    def test_strictly_negative_up_to_the_underflow(self):
+        for n in (10**8, 10**154):
+            assert math.isclose(exact_energy(n), -2.0 / float(n + 1) ** 2,
+                                rel_tol=1e-15)
+        # subnormal, and (n + 1)^2 is past the float range
+        assert exact_energy(8.9e161) == -5e-324
+
+    @pytest.mark.parametrize("function", [normalize, node_count,
+                                          lambda n: wavefunction(n, 1.0)],
+                             ids=["normalize", "node_count", "wavefunction"])
+    def test_state_functions_refuse_infinite_n(self, function):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            function(math.inf)
+
 
 class TestWavefunction:
     def test_ground_origin_value(self):
@@ -152,6 +177,11 @@ class TestWavefunction:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float range"):
                 wavefunction(n, x)
+
+    def test_origin_limit_past_the_float_range(self):
+        # 1/Gamma(1 - kappa), the limit at x = 0, overflows on its own
+        with pytest.raises(ValueError, match="psi_344 leaves the float range"):
+            wavefunction(344, 0.0)
 
 
 def _whitw_psi(n, x):

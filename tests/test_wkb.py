@@ -63,6 +63,24 @@ class TestAction:
         with pytest.raises(ValueError):
             action(1.0)
 
+    @pytest.mark.parametrize("E", [-1e303, -1e305, -sys.float_info.max, -1e-300,
+                                   -sys.float_info.min])
+    def test_extreme_energies_keep_the_closed_form(self, E):
+        # the integrand at E itself overflowed from about -1e303 down
+        closed = math.pi * math.sqrt(2.0) / math.sqrt(abs(E))
+        assert abs(action(E).action - closed) <= 4 * _EPS * closed
+
+    @pytest.mark.parametrize("E", [-1e-310, -5e-324])
+    def test_rejects_energy_whose_turning_point_overflows(self, E):
+        with pytest.raises(ValueError, match="turning point"):
+            action(E)
+
+    @pytest.mark.parametrize("E", [-1.0, -0.3, -1.7])
+    @pytest.mark.parametrize("j", [-300, -5, -1, 1, 7, 250])
+    def test_power_of_four_scales_exactly(self, E, j):
+        # S(4^j E) = S(E)/2^j, with no rounding of its own
+        assert action(math.ldexp(E, 2 * j)).action == math.ldexp(action(E).action, -j)
+
 
 class TestQuantization:
     def test_ground(self):
@@ -152,6 +170,10 @@ _FLOOR = -1.0 / (4 * (1e-2 + 5e-2))  # of repulsive_core(1e-2, 5e-2)
 
 
 class TestTurningPoints:
+    def test_refuses_a_callable_potential(self):
+        with pytest.raises(TypeError, match="PotentialSpec"):
+            turning_points(-1.0, lambda x: x)
+
     @pytest.mark.parametrize("spec", [soft_core(1e-6), soft_core(1e-2),
                                       soft_core(0.3), half_line()],
                              ids=["soft-1e-6", "soft-1e-2", "soft-0.3", "half-line"])
