@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__
 from .gridsolver import Grid, solve
 from .potentials import FAMILIES, PotentialSpec
-from .quadrature import ConvergenceError
+from .quadrature import ConvergenceError, _check_tolerance
 from .regularized import (care_interleaving, half_line_spectrum,
                           soft_core_ground_scan)
 from .spectrum import exact_energy, node_count, normalize, wavefunction
@@ -229,9 +228,11 @@ def _cmd_solve(args):
 
 def _tolerance(text):
     value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+    try:
+        return _check_tolerance(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}") from None
 
 
 def _add_tolerance(sp):

@@ -39,9 +39,10 @@ class PotentialSpec:
     family : str
         One of ``FAMILIES``.
     a : float or None
-        Core radius for soft-core and repulsive-core.
+        Core radius for soft-core and repulsive-core, positive and finite.
     b : float or None
-        Offset of the repulsive-core zero crossing.
+        Offset of the repulsive-core zero crossing, non-negative and
+        finite.
     """
 
     family: str
@@ -51,15 +52,16 @@ class PotentialSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown potential family {self.family!r}")
+        # the chained bounds refuse NaN and +-inf too
         if self.family == "soft-core":
-            if self.a is None or self.a <= 0:
+            if self.a is None or not 0 < self.a < math.inf:
                 raise ValueError("soft-core requires a core radius a > 0")
             if self.b is not None:
                 raise ValueError("soft-core takes no offset b")
         elif self.family == "repulsive-core":
-            if self.a is None or self.a <= 0:
+            if self.a is None or not 0 < self.a < math.inf:
                 raise ValueError("repulsive-core requires a core radius a > 0")
-            if self.b is None or self.b < 0:
+            if self.b is None or not 0 <= self.b < math.inf:
                 raise ValueError("repulsive-core requires an offset b >= 0")
         elif self.a is not None or self.b is not None:
             raise ValueError(f"{self.family} takes no parameters")
@@ -115,6 +117,6 @@ def loudon_estimate(a):
     Reliable only to logarithmic accuracy; used as a divergence-rate
     yardstick, not as a converged value.
     """
-    if a <= 0 or a >= 1:
+    if not 0 < a < 1:  # NaN too
         raise ValueError(f"core radius must lie in (0, 1), got {a}")
     return -2.0 * math.log(1.0 / a) ** 2

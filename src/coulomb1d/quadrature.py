@@ -9,6 +9,7 @@ action reaches (32, over n <= 200 and E in [-100, -1e-6]).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +37,14 @@ class ConvergenceError(Exception):
         self.error = error
 
 
+def _check_tolerance(rtol):
+    """rtol itself; ``ValueError`` unless it is positive and finite.  The
+    one check of a relative tolerance, U's and the command line's too."""
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {rtol}")
+    return rtol
+
+
 @lru_cache(maxsize=64)
 def _rule(order):
     return leggauss(order)
@@ -54,8 +63,10 @@ def gauss_legendre(f, a, b, rtol=1e-12):
     ``f`` takes a 1-D array of abscissae and returns its values.  Returns
     (value, error) as floats, the error being the last change between
     orders.  ``ConvergenceError`` carries both where the module docstring
-    says it is raised.
+    says it is raised; ``ValueError`` refuses an rtol that is not positive
+    and finite.
     """
+    _check_tolerance(rtol)
     order = _START_ORDER
     prev = _panel(f, a, b, order)
     while True:

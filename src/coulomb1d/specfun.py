@@ -1,10 +1,12 @@
 """Tricomi confluent hypergeometric function U(a,b,z).
 
 Only the real-argument slice needed for the bound states is covered:
-b = 2 (the logarithmic case), a <= 3/2 with 2a an integer, z > 0; other
-parameters raise ``ValueError``.  One batched evaluator, ``_u_array``,
-computes U and picks the route per point by argument region (Gil, Segura
-and Temme, *Numerical Methods for Special Functions*, 2007):
+b = 2 (the logarithmic case), a an exact integer or half-integer from
+-341/2 to 3/2, z > 0.  Other parameters raise ``ValueError`` at the door,
+``_on_slice``, before any route runs; below -341/2 the routes' factors
+k! and 1/Gamma(a-1) leave the float range.  One batched evaluator,
+``_u_array``, computes U and picks the route per point by argument region
+(Gil, Segura and Temme, *Numerical Methods for Special Functions*, 2007):
 
 - integer a: the closed forms, U(1,2,z) = 1/z and the polynomial
   U(-k,2,z) = (-1)^k k! L_k^(1)(z) for a = -k <= 0;
@@ -39,11 +41,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import ConvergenceError
+from .quadrature import ConvergenceError, _check_tolerance
 
 __all__ = ["tricomi_u"]
 
-_INTEGER_TOL = 1e-12
 _EPS = np.finfo(float).eps
 _SQRT_PI = math.sqrt(math.pi)
 # the series serves z below this; its terms fall like z^k / k! past k ~ |a|
@@ -306,19 +307,16 @@ def _u_polynomial(a, z, rtol):
     rational sums at 7,044 points with k <= 170: at most 0.57 of the
     estimate, where 4 (k + 1) eps fell short up to 3.5-fold).
 
-    Raises ``ValueError`` where a value leaves the float range, or k!
-    does (k > 170); a finite value whose estimate overflows keeps an
-    infinite estimate.
+    k <= 170 on the slice, so k! is a float.  Raises ``ValueError`` where
+    a value leaves the float range; a finite value whose estimate
+    overflows keeps an infinite estimate.
     """
     if a == 1.0:
         vals = size = 1.0 / z
         worst = _EPS
     else:
         k = round(-a)
-        try:
-            fact = float(math.factorial(k))
-        except OverflowError:  # k > 170
-            raise ValueError(f"U({a},2,z) leaves the float range") from None
+        fact = float(math.factorial(k))
         # the terms of L_k^(1)(z) alternate in sign; at -z they add up.
         # Each step goes into the buffer of L_(j-2).
         zs = np.array([z, -z])
@@ -347,12 +345,9 @@ def _series_coefficients(a):
     Columns: c_k, c_k d_k; the same at a + 1; the magnitudes at a weighted
     by the roundings behind term k.  Rows end where terms stop mattering.
     None where the terms or their sizes at z = 2 overflow (a = -329/2 to
-    -339/2), so the series cannot serve a; raises ``ValueError`` where
-    1/Gamma(a-1), a factor of every c_k, leaves the float range
-    (a <= -341/2).
+    -341/2; at -341/2 1/Gamma(a-1), a factor of every c_k, does), so the
+    series cannot serve a.
     """
-    if not math.isfinite(_rgamma(a - 1.0)):
-        raise ValueError(f"U({a},2,z) leaves the float range")
     k = np.arange(_SERIES_TERMS, dtype=float)
     # psi(a + k) and psi(k + 1) for k = 0 .. _SERIES_TERMS
     psi_a, psi_1 = _digamma(a, _SERIES_TERMS + 1), _digamma(1.0, _SERIES_TERMS + 1)
@@ -387,12 +382,20 @@ def _u_series(a, z):
 
 
 def _on_slice(a, b):
-    """a as an exact half-integer; ValueError unless b = 2, a <= 3/2 and 2a
-    is an integer."""
-    if not (b == 2.0 and a <= 1.5 and abs(2.0 * a - round(2.0 * a)) < _INTEGER_TOL):
+    """a as a float; ValueError unless b = 2, -341/2 <= a <= 3/2 and 2a is
+    exactly an integer: the one statement of the slice.
+
+    Below -341/2 the routes' factors leave the float range: k! of the
+    polynomial from a = -171 on, 1/Gamma(a-1) of the series from -341/2
+    on, and the recurrence's values at nearly every z (none finite over
+    7,001 z from 1e-6 to 1e6 at a = -171.5).  The bounds come first,
+    so NaN and +-inf never reach ``round``.
+    """
+    if not (b == 2.0 and -170.5 <= a <= 1.5 and 2.0 * a == round(2.0 * a)):
         raise ValueError(
-            f"U(a,b,z) covers b = 2 and half-integer a <= 3/2, got a={a}, b={b}")
-    return 0.5 * round(2.0 * a)
+            f"U(a,b,z) covers b = 2 and half-integer a from -341/2 to 3/2; "
+            f"below, it leaves the float range; got a={a}, b={b}")
+    return float(a)
 
 
 def _u_array(a, b, z, rtol=1e-10):
@@ -407,12 +410,14 @@ def _u_array(a, b, z, rtol=1e-10):
     Raises
     ------
     ValueError
-        If (a, b) is off the slice of the module docstring, or the
-        polynomial or the recurrence leaves the float range.
+        If (a, b) is off the slice of the module docstring, rtol is not
+        positive and finite, or the polynomial or the recurrence leaves
+        the float range.
     ConvergenceError
         If the closed forms or the recurrence cannot meet that bound.
     """
     a = _on_slice(a, b)
+    _check_tolerance(rtol)
     z = np.asarray(z, dtype=float)
     if a == round(a):
         return _u_polynomial(a, z, rtol)
@@ -441,15 +446,16 @@ def tricomi_u(a, b, z, rtol=1e-10, full_output=False):
     Parameters
     ----------
     a, b : float
-        Parameters: b = 2 and a <= 3/2 with 2a an integer, the slice the
-        bound states use; anything else raises ``ValueError``.
+        Parameters: b = 2 and a from -341/2 to 3/2 with 2a exactly an
+        integer, the slice the bound states use; anything else, NaN and
+        +-inf too, raises ``ValueError``.
     z : float
-        Argument, strictly positive.
+        Argument, strictly positive and finite.
     rtol : float
-        Requested relative accuracy, measured near zeros of U, where
-        relative error loses meaning, against the scale of the route:
-        the sum of the magnitudes of the polynomial's terms at integer
-        a, the largest |U| of the series or the recurrence at
+        Requested relative accuracy, positive and finite, measured near
+        zeros of U, where relative error loses meaning, against the scale
+        of the route: the sum of the magnitudes of the polynomial's terms
+        at integer a, the largest |U| of the series or the recurrence at
         half-integer a.
     full_output : bool
         If true, return ``(value, error_estimate)``.
@@ -461,15 +467,13 @@ def tricomi_u(a, b, z, rtol=1e-10, full_output=False):
     Raises
     ------
     ValueError
-        If (a, b) is off the supported slice, z <= 0, or U leaves the
-        float range.
+        If (a, b) is off the supported slice, z or rtol is not positive
+        and finite, or U leaves the float range.
     ConvergenceError
         If the requested accuracy cannot be reached.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
-        raise ValueError("non-finite input")
-    if z <= 0.0:
-        raise ValueError(f"argument must be positive, got z={z}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"argument must be positive and finite, got z={z}")
     # near the float range the series table, the recurrence and the
     # polynomial's sum of magnitudes overflow where _u_array tolerates
     # it; it raises if U itself leaves the range

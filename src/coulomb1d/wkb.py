@@ -2,9 +2,9 @@
 
 The classical momentum sqrt(2(E + 1/|x|)) has an inverse-square-root
 divergence at the origin and a square-root zero at the turning points
-+-1/|E|.  The substitution x = x_t sin^2(theta) absorbs both, leaving a
-smooth integrand on [0, pi/2] that Gauss-Legendre quadrature handles at
-machine accuracy.  The potential is homogeneous, so S(E) = S(-1)/sqrt(|E|).
++-1/|E|, from ``turning_points``.  The substitution x = x_t sin^2(theta)
+absorbs both, leaving a smooth integrand on [0, pi/2] that
+Gauss-Legendre quadrature handles at machine accuracy.  The potential is homogeneous, so S(E) = S(-1)/sqrt(|E|).
 ``action`` applies that law exactly, with a power of four, so that no
 E whose turning point is in the float range overflows the integrand;
 quantization S(E_n) = (n + 1) pi, with Maslov offset 1, takes one
@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, pure_coulomb
 from .quadrature import gauss_legendre
 from .spectrum import _check_n
 
 __all__ = ["ActionResult", "WKBConfig", "action", "turning_points", "wkb_energy"]
 
 _HALF_PI = 0.5 * math.pi
+_COULOMB = pure_coulomb()
 
 
 @dataclass(frozen=True)
@@ -56,23 +57,19 @@ def action(E, rtol=WKBConfig.quadrature_tolerance):
     ----------
     E : float
         Energy, strictly negative, with its turning point 1/|E| in the
-        float range (|E| not subnormal).
+        float range (|E| not subnormal); ``turning_points`` checks both.
     rtol : float
         Relative quadrature tolerance.
 
     Returns
     -------
     ActionResult
-        Turning points are -1/|E| and +1/|E|; the action equals
-        pi*sqrt(2/|E|) analytically, but the value returned here comes
-        from quadrature of the substituted integrand at E/4^k, scaled by
-        2^(-k).
+        Turning points are -1/|E| and +1/|E|, from ``turning_points``; the
+        action equals pi*sqrt(2/|E|) analytically, but the value returned
+        here comes from quadrature of the substituted integrand at E/4^k,
+        scaled by 2^(-k).
     """
-    if not math.isfinite(E) or E >= 0.0:
-        raise ValueError(f"bound-state energy must be negative, got {E}")
-    x_t = 1.0 / abs(E)
-    if x_t == math.inf:
-        raise ValueError(f"turning point 1/|E| of E={E} leaves the float range")
+    points = turning_points(E, _COULOMB)
     # S(E) = S(E/4^k)/2^k, with |E|/4^k in [1/2, 2): a power of two scales
     # each float operation of the integrand exactly, so this is the
     # quadrature at E itself wherever that stays in the float range
@@ -88,7 +85,7 @@ def action(E, rtol=WKBConfig.quadrature_tolerance):
 
     half, _ = gauss_legendre(integrand, 0.0, _HALF_PI, rtol=rtol)
     return ActionResult(energy=E, action=math.ldexp(2.0 * half, -k),
-                        turning_points=(-x_t, x_t))
+                        turning_points=points)
 
 
 def brentq(f, a, b, **kwargs):
@@ -152,12 +149,14 @@ def turning_points(E, V):
     1/|E| - a with the soft core, and for the repulsive core the roots of
     x^2 - 2px + a^2 + b/|E|, p = 1/(2|E|) - a, the outer one first and
     the inner one as the product of the roots over it, free of
-    cancellation.
+    cancellation.  The one evaluator of the turning points, ``action``'s
+    too.
 
     Parameters
     ----------
     E : float
-        Energy, negative and above the potential floor.
+        Energy, negative and above the potential floor, with 1/|E| in the
+        float range (|E| not subnormal).
     V : PotentialSpec
 
     Returns
@@ -165,12 +164,20 @@ def turning_points(E, V):
     tuple
         (-x_t, x_t) for symmetric families, (0, x_t) for the half line,
         and the positive-side pair (x_in, x_out) for the repulsive core.
+
+    Raises
+    ------
+    ValueError
+        If E is not finite and negative, lies below the family's floor,
+        or 1/|E| leaves the float range, for every family alike.
     """
     if not isinstance(V, PotentialSpec):
         raise TypeError("V must be a PotentialSpec")
     if not math.isfinite(E) or E >= 0.0:
         raise ValueError(f"bound-state energy must be negative, got {E}")
     depth = abs(E)
+    if 1.0 / depth == math.inf:
+        raise ValueError(f"turning point 1/|E| of E={E} leaves the float range")
 
     if V.family == "repulsive-core":
         a, b = V.a, V.b
@@ -179,8 +186,10 @@ def turning_points(E, V):
         if gap <= 0.0:
             raise ValueError(
                 f"E={E} is below the potential floor {-0.25 / (a + b)}")
-        x_out = 0.5 / depth - a + math.sqrt(gap / depth)
-        return ((a * a + b / depth) / x_out, x_out)
+        # square roots apart, and the product of the roots over |E| times
+        # x_out, so that nothing overflows where 1/|E| does not
+        x_out = 0.5 / depth - a + math.sqrt(gap) / math.sqrt(depth)
+        return ((a * a * depth + b) / (depth * x_out), x_out)
 
     x_out = 1.0 / depth - (V.a or 0.0)  # V = -1/(x + a), a = 0 on the half line
     if x_out <= 0.0:

@@ -514,6 +514,13 @@ class TestOutputPlumbing:
         assert code == 3
         assert "converge" in err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_tolerance_outside_its_domain_exits_two(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["wkb", "--n", "3", "--tolerance", value])
+        assert info.value.code == 2
+        assert f"must be positive and finite, got {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--family", "half-line", "--points", "800"],
         ["solve", "--family", "half-line", "--half-width", "60",

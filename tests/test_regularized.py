@@ -63,6 +63,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="core radius a > 0"):
             PotentialSpec("repulsive-core", b=0.1)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: soft_core(v), "a > 0"),
+        (lambda v: repulsive_core(v, 0.1), "a > 0"),
+        (lambda v: repulsive_core(0.1, v), "b >= 0")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_core_parameters_must_be_finite(self, build, message, value):
+        # NaN and inf passed the bare comparisons a <= 0 and b < 0
+        with pytest.raises(ValueError, match=message):
+            build(value)
+
     def test_refuses_nan_point(self):
         with pytest.raises(ValueError, match="non-finite evaluation point"):
             evaluate(soft_core(0.1), np.array([1.0, math.nan]))
@@ -80,6 +90,8 @@ class TestLoudonEstimate:
             loudon_estimate(0.0)
         with pytest.raises(ValueError):
             loudon_estimate(1.5)
+        with pytest.raises(ValueError):  # returned nan
+            loudon_estimate(math.nan)
 
 
 class TestSoftCoreScan:
