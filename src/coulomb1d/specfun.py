@@ -10,13 +10,14 @@ k! and 1/Gamma(a-1) leave the float range.  One batched evaluator,
 
 - integer a: the closed forms, U(1,2,z) = 1/z and the polynomial
   U(-k,2,z) = (-1)^k k! L_k^(1)(z) for a = -k <= 0;
-- half-integer a, z < 2: the logarithmic series DLMF 13.2.9 at a itself,
+- half-integer a, z < 4: the logarithmic series DLMF 13.2.9 at a itself,
   where its own estimate of the cancellation among its terms meets the
   tolerance (so the crossover moves to smaller z as |a| grows);
 - every other half-integer point: seeds U(1/2,2,z) and U(3/2,2,z), from
   the same series below z = 2 and from the modified Bessel functions K0
   and K1 above, then the three-term recurrence in a run downward to a,
-  the stable direction for U.
+  the stable direction for U.  The seeds keep the lower crossover, where
+  K0 and K1 are the more accurate.
 
 Values come with error estimates, relative to |U| or, near a zero of U,
 to the scale of the route; a point no route brings within the tolerance
@@ -46,9 +47,15 @@ from .quadrature import ConvergenceError, _check_tolerance
 __all__ = ["tricomi_u"]
 
 _EPS = np.finfo(float).eps
+_FLOAT_MAX = np.finfo(float).max
 _SQRT_PI = math.sqrt(math.pi)
-# the series serves z below this; its terms fall like z^k / k! past k ~ |a|
-_SERIES_Z = 2.0
+# the series is tried for values below this; its terms fall like z^k / k!
+# past k ~ |a|
+_SERIES_Z = 4.0
+# the recurrence's seeds come from the series below this and from K0/K1
+# above: over z in [2, 4) the series' U(1/2) and U(3/2) are within 14 and
+# 721 eps of |U|, K0/K1's within 2 and 8 (against mpmath, 200 points)
+_SEED_Z = 2.0
 _SERIES_TERMS = 200
 # below this many points `_powers` accumulates instead of doubling; for
 # 21 powers the two cost the same between 150 and 200 points, and at 2
@@ -195,28 +202,30 @@ def _u_seeds(z):
     """U(1/2,2,z) and U(3/2,2,z), each with a rounding estimate:
     (U(1/2), error, U(3/2), error) over an array of z > 0.
 
-    Below z = `_SERIES_Z` the series `_u_series` at a = 1/2 and a = 3/2,
-    with its own estimates.  From there on DLMF 13.6.10 with the
-    contiguous and derivative relations of 13.3 give, with k0e, k1e the
-    scaled modified Bessel functions e^x K(x) at x = z/2 >= 1 from
+    Below z = `_SEED_Z` one sum of the series `_u_series` at a = 1/2,
+    which gives both with their own estimates.  From there on DLMF 13.6.10
+    with the contiguous and derivative relations of 13.3 give, with k0e,
+    k1e the scaled modified Bessel functions e^x K(x) at x = z/2 >= 1 from
     `_k_scaled`,
     U(1/2,2,z) = (k0e + k1e) / (2 sqrt(pi)), U(3/2,2,z) = (k1e - k0e) / sqrt(pi),
     both good to a few eps (k0e + k1e) / sqrt(pi).
     """
-    near = z < _SERIES_Z
+    near = z < _SEED_Z
     if not near.any():  # as for every recurrence batch of points z >= 2
         k0, k1 = _k_scaled(0.5 * z)
         total = k0 + k1
         err = 4.0 * _EPS * total / _SQRT_PI
         return total / (2.0 * _SQRT_PI), err, (k1 - k0) / _SQRT_PI, err
-    seeds, zn = np.empty((4, z.size)), z[near]
-    seeds[:2, near] = _u_series(0.5, zn)[:2]
-    seeds[2:, near] = _u_series(1.5, zn)[:2]
+    seeds = np.empty((4, z.size))
+    seeds[:, near] = _u_series(0.5, z[near])
     if not near.all():
         seeds[:, ~near] = _u_seeds(z[~near])
     return seeds
 
 
+# a step past the float range leaves an infinite or NaN estimate, which
+# raises ValueError below, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _u_chain(a, z, rtol):
     """U(a,2,z) for half-integer a over an array of z > 0 from the seeds
     and the recurrence.
@@ -342,43 +351,57 @@ def _series_coefficients(a):
 
     U(a,2,z) = 1/(Gamma(a) z) + sum_k c_k z^k (ln z + d_k), with
     c_k = (a)_k / (Gamma(a-1) k! (k+1)!), d_k = psi(a+k) - psi(k+1) - psi(k+2).
-    Columns: c_k, c_k d_k; the same at a + 1; the magnitudes at a weighted
-    by the roundings behind term k.  Rows end where terms stop mattering.
-    None where the terms or their sizes at z = 2 overflow (a = -329/2 to
-    -341/2; at -341/2 1/Gamma(a-1), a factor of every c_k, does), so the
-    series cannot serve a.
+    Returns (heads, table): heads the column 1/Gamma(a), 1/Gamma(a+1) of
+    the 1/z terms; table the columns c_k, c_k d_k and their magnitudes
+    weighted by the roundings behind term k, each at a then at a + 1.  Rows
+    end where the terms at z = `_SERIES_Z` fall below 1e-18 of the
+    largest, compared in logs, for their sizes there overflow at a = -323/2
+    to -327/2, which the series serves.  None where the terms or their
+    sizes at z = 2 would overflow (a = -329/2 to -339/2; at -341/2
+    1/Gamma(a-1), a factor of every c_k, does), so the series cannot serve
+    a; that is decided before any product leaves the float range.
     """
     k = np.arange(_SERIES_TERMS, dtype=float)
+    s = np.array([[a], [a + 1.0]])
     # psi(a + k) and psi(k + 1) for k = 0 .. _SERIES_TERMS
     psi_a, psi_1 = _digamma(a, _SERIES_TERMS + 1), _digamma(1.0, _SERIES_TERMS + 1)
-    cols = []
-    for s, psi_s in ((a, psi_a[:-1]), (a + 1.0, psi_a[1:])):
-        c = _rgamma(s - 1.0) * np.cumprod(
-            np.append(1.0, (s + k[1:] - 1.0) / (k[1:] * (k[1:] + 1.0))))
-        cols += [c, c * (psi_s - psi_1[:-1] - psi_1[1:])]
-    cols += [(k + 4.0) * np.abs(cols[0]), (k + 4.0) * np.abs(cols[1])]
-    cols = np.stack(cols, axis=1)
-    size = np.abs(cols).max(axis=1) * _SERIES_Z ** k
-    # an infinite size would also cut the rows short
-    if not np.isfinite(size).all():
+    d = np.array([psi_a[:-1], psi_a[1:]]) - psi_1[:-1] - psi_1[1:]
+    # c_k = g scaled_k, with g = 1/Gamma(s-1) and
+    # scaled_k = (s)_k / (k! (k+1)!), at s = a and a + 1
+    g = np.array([[_rgamma(a - 1.0)], [_rgamma(a)]])
+    steps = np.ones((2, _SERIES_TERMS))
+    steps[:, 1:] = (s + k[1:] - 1.0) / (k[1:] * (k[1:] + 1.0))
+    scaled = np.cumprod(steps, axis=1)
+    # the largest magnitude column of each row at z = 2, over |g|; at
+    # least 4, from k = 0
+    unit = (k + 4.0) * np.abs(scaled) * np.maximum(1.0, np.abs(d)) * 2.0 ** k
+    if not (np.abs(g[:, 0]) <= _FLOAT_MAX / unit.max(axis=1)).all():
         return None
-    return cols[:np.flatnonzero(size >= 1e-18 * size.max())[-1] + 1]
+    c = g * scaled
+    cd = c * d
+    cols = np.concatenate([c, cd, (k + 4.0) * np.abs(c), (k + 4.0) * np.abs(cd)]).T
+    # a size that underflows to 0 has log -inf, and is cut
+    with np.errstate(divide="ignore"):
+        log_size = (np.log((np.abs(g) * unit).max(axis=0))
+                    + k * math.log(_SERIES_Z / 2.0))
+    rows = np.flatnonzero(log_size >= log_size.max() + math.log(1e-18))[-1] + 1
+    return np.array([[_rgamma(a)], [_rgamma(a + 1.0)]]), cols[:rows]
 
 
 def _u_series(a, z):
-    """U(a,2,z) by DLMF 13.2.9 over an array of small z > 0: values, their
-    rounding error and the scale max(|U(a)|, |U(a+1)|), never near zero.
+    """U(a,2,z) and U(a+1,2,z) by DLMF 13.2.9 over an array of small z > 0,
+    each with its rounding error: (U(a), error, U(a+1), error).
 
     The sums over k are one product of the table with the powers z^k,
     which gives each sum as a row.  a must have a series table."""
-    table = _series_coefficients(a)
-    c, cd, c1, cd1, mc, mcd = table.T @ _powers(z, len(table))
+    heads, table = _series_coefficients(a)
+    # c, c d and their magnitudes, each a pair of rows at a and a + 1
+    c, cd, mc, mcd = (table.T @ _powers(z, len(table))).reshape(4, 2, z.size)
     lz = np.log(z)
-    head = _rgamma(a) / z
+    head = heads / z
     vals = head + lz * c + cd
-    above = _rgamma(a + 1.0) / z + lz * c1 + cd1
     err = _EPS * (4.0 * np.abs(head) + np.abs(lz) * mc + mcd)
-    return vals, err, np.maximum(np.abs(vals), np.abs(above))
+    return vals[0], err[0], vals[1], err[1]
 
 
 def _on_slice(a, b):
@@ -427,8 +450,10 @@ def _u_array(a, b, z, rtol=1e-10):
     if not count or _series_coefficients(a) is None:
         return _u_chain(a, z, rtol)
     whole = count == z.size
-    v, e, scale = _u_series(a, z if whole else z[near])
-    ok = e / scale <= 10.0 * rtol  # the bound the chain is held to
+    v, e, above, _ = _u_series(a, z if whole else z[near])
+    # the chain's bound, against the series' scale max(|U(a)|, |U(a+1)|),
+    # which is never near zero
+    ok = e / np.maximum(np.abs(v), np.abs(above)) <= 10.0 * rtol
     rest = ~near  # the points left to the recurrence
     if not ok.all():
         rest[near] = ~ok
@@ -474,7 +499,7 @@ def tricomi_u(a, b, z, rtol=1e-10, full_output=False):
     """
     if not 0.0 < z < math.inf:
         raise ValueError(f"argument must be positive and finite, got z={z}")
-    # near the float range the series table, the recurrence and the
+    # near the float range the series' sums towards z = 4 and the
     # polynomial's sum of magnitudes overflow where _u_array tolerates
     # it; it raises if U itself leaves the range
     with np.errstate(over="ignore", invalid="ignore"):

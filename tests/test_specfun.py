@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coulomb1d import ConvergenceError, specfun, tricomi_u, wavefunction
-from coulomb1d.specfun import (_FEW_POINTS, _K_CHEB, _SERIES_TERMS, _SERIES_Z,
-                                _digamma, _k_scaled, _powers, _rgamma,
-                                _u_array, _u_chain, _u_seeds, _u_series)
+from coulomb1d.specfun import (_FEW_POINTS, _K_CHEB, _SEED_Z, _SERIES_TERMS,
+                                _SERIES_Z, _digamma, _k_scaled, _powers,
+                                _rgamma, _series_coefficients, _u_array,
+                                _u_chain, _u_seeds, _u_series)
 from coulomb1d.spectrum import _w_values
 
 
@@ -162,8 +163,8 @@ class TestOwnEvaluators:
         # terms (k + 4) eps |c_k| z^k of the estimate allow
         zs = np.geomspace(1e-6, 0.999 * _SERIES_Z, 12)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals, err, scale = _u_series(a, zs)
-        accepted = err / scale <= 1e-9
+            vals, err, above, _ = _u_series(a, zs)
+            accepted = err / np.maximum(np.abs(vals), np.abs(above)) <= 1e-9
         assert accepted.any()
         with mp.workdps(30):
             for z, v, e in zip(zs[accepted], vals[accepted], err[accepted]):
@@ -352,12 +353,59 @@ class TestSeeds:
                 ref = float(mp.hyperu(a, 2, z))
                 assert abs(v - ref) <= 1e-9 * abs(ref), (a, z)
 
-    def test_no_point_below_the_series_crossover_skips_the_series(self):
-        # z = 2 takes the recurrence, and the series table is not built
-        (val,), _ = _u_array(-170.5, 2.0, np.array([_SERIES_Z]))
+    def test_no_point_below_the_series_crossover_skips_the_series(self, monkeypatch):
+        # z = 4 takes the recurrence, and the series table is not built;
+        # U(-100.5,2,4) = 8.15e158 lies well inside the float range
+        def unbuilt(a):
+            raise AssertionError("series table built")
+        monkeypatch.setattr(specfun, "_series_coefficients", unbuilt)
+        (val,), _ = _u_array(-100.5, 2.0, np.array([_SERIES_Z]))
         with mp.workdps(40):
-            ref = float(mp.hyperu(-170.5, 2, 2))
+            ref = float(mp.hyperu(-100.5, 2, _SERIES_Z))
         assert abs(val - ref) <= 1e-12 * abs(ref)
+
+    def test_series_table_refused_exactly_from_minus_329_over_2(self):
+        # the terms or their sizes at z = 2 would overflow from a = -329/2
+        # on, 1/Gamma(a - 1) itself at -341/2; that is decided before any
+        # product leaves the float range (uncached, so every a is built)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refused = [twice / 2 for twice in range(3, -342, -2)
+                       if _series_coefficients.__wrapped__(twice / 2) is None]
+        assert refused == [twice / 2 for twice in range(-329, -342, -2)]
+
+    def test_refused_series_table_raises_without_warning(self):
+        # at a = -341/2 the table builder multiplied by 1/Gamma(-171.5) =
+        # inf before it returned None, and a step of the recurrence
+        # overflowed; U(-170.5,2,1) = -3.07e308 and its estimate overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                _u_array(-170.5, 2.0, np.array([1.0]))
+
+
+class TestSeriesBand:
+    """z in [2, 4), where the series serves values and the recurrence's
+    seeds still come from K0 and K1."""
+
+    BAND_Z = np.append(np.linspace(_SEED_Z, _SERIES_Z, 20, endpoint=False),
+                       np.nextafter(_SERIES_Z, 0.0))
+
+    @pytest.mark.parametrize("twice_a", range(3, -82, -2))
+    def test_within_the_estimate_against_mpmath(self, twice_a):
+        a = twice_a / 2
+        vals, err = _u_array(a, 2.0, self.BAND_Z, rtol=1e-11)
+        with mp.workdps(30):
+            for z, v, e in zip(self.BAND_Z, vals, err):
+                assert abs(mp.mpf(v) - mp.hyperu(a, 2, z)) <= e, (a, z)
+
+    def test_even_window_takes_the_series_alone(self, monkeypatch):
+        # psi_10 over x in [-10, 10] reaches z = 40/11 < 4
+        def forbidden(*args):
+            raise AssertionError("recurrence route taken")
+        monkeypatch.setattr(specfun, "_u_chain", forbidden)
+        monkeypatch.setattr(specfun, "_k_scaled", forbidden)
+        assert np.isfinite(wavefunction(10, np.linspace(-10.0, 10.0, 2001))).all()
 
 
 class TestWhittakerW:
@@ -467,9 +515,9 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("n", [*range(41), 60, 100, 160, 240, 300])
     def test_bound_state_parameters(self, n, monkeypatch):
         """U(1 - (n+1)/2, 2, z) for n = 0..40 and up to 300 against mpmath
-        hyperu.  From n = 60 on the series rejects a few z below 2, and
-        the recurrence serves them from series seeds: the K0/K1 table
-        sees only x = z/2 >= 1."""
+        hyperu.  From n = 60 on the series rejects some z below 4, and the
+        recurrence serves them from series seeds below z = 2 and K0/K1
+        seeds above: the K0/K1 table sees only x = z/2 >= 1."""
         k_scaled, seen = specfun._k_scaled, []
 
         def recorder(x):
@@ -499,7 +547,7 @@ class TestMpmathOracle:
         # long chains where a rounding made at a small intermediate U
         # reaches U(a) amplified: an estimate that carried every step's
         # rounding as a seed error fell short here, by up to 13 times
-        # (a = -92.5); the series rejects the points below z = 2
+        # (a = -92.5); the series rejects the points below z = 4
         val, err = tricomi_u(a, 2, z, full_output=True)
         assert abs(val - _hyperu(a, z)) <= err
 
