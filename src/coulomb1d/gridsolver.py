@@ -49,23 +49,27 @@ the only solves whose levels carry no parity label.
 
 Eigenvectors.  A grid first solves the same problem on
 ``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
-a graded grid c is its own ``core``, so both grids share the map; on a
-uniform grid of step h, c is 5h, and the coarse step at the origin,
-about D c/5 = D h with D <= 1/2, is finer than h.  Either way the coarse
-grid resolves every core that the fine grid resolves.  On the half line,
-whose points all lie on [0, L], the coarse grid takes half of
-``Grid.graded``'s points, which keeps its map step.  It serves only a
-grid with at least four times its points.  The starts nest: a grid at
-the ``Grid.graded`` count of its map (the coarse grid of another, or the
-first rung of a default soft-core scan) starts from the same map at a
-quarter of its points, rounded down to an even count, and only that
-quarter grid, a few hundred points a sector on the benchmark's boxes,
-is solved from nothing.  `refine` starts each grid after its first from
-the vectors of the grid before.  Each coarse vector, on the coarse
-grid's whole mesh, is interpolated onto the fine nodes and polished by
-at most five shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve
-each, which converge cubically near an eigenvector (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4).  The steps of a level stop on the
+a graded grid c is its own ``core``, so both grids share the map.  On a
+uniform grid of step h, c puts the coarse grid's first node on the fine
+grid's, at h/2: s(h/2) = D/2 with D = 1/2 gives
+c = h / (2 expm1(D/10 - 2h)), about 10h.  The even levels of a Coulomb
+core are set by the innermost cell (the ground level of -1/|x| on a mesh
+deepens like -ln^2 h; Loudon 1959), so a start whose innermost cell
+differs costs the polish a step.  Either way the coarse grid resolves
+every core that the fine grid resolves.  On the half line, whose points
+all lie on [0, L], the coarse grid takes half of ``Grid.graded``'s
+points, which keeps its map step.  It serves only a grid with at least
+four times its points.  The starts nest: a grid at the ``Grid.graded``
+count of its map (the coarse grid of another, or the first rung of a
+default soft-core scan) starts from the same map at an eighth of its
+points, rounded down to an even count, and only that eighth grid, 57 to
+312 points a sector on the benchmark's boxes, is solved from nothing.
+`refine` starts each grid after its first from the vectors of the grid
+before.  Each coarse vector, on the coarse grid's whole mesh, is
+interpolated onto the fine nodes and polished by at most five
+shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve each, which
+converge cubically near an eigenvector (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4).  The steps of a level stop on the
 residual that the solve itself yields: after (H - sigma) z = y with
 ||y|| = 1, the vector z/||z|| has the quotient sigma + delta,
 delta = z.y/z.z, and the residual sqrt(1/z.z - delta^2), so a step needs
@@ -146,8 +150,8 @@ def dgtsv(dl, d, du, b, **kwargs):
 # The graded map s(x) = x/_FAR_STEP + _CORE_CELLS ln(1 + x/core): about
 # _CORE_CELLS cells per core radius at the origin, steps of _FAR_STEP
 # per unit of s far out.  _CORE_CELLS is also the one core-resolution
-# rule of uniform grids, h <= a/_CORE_CELLS, which `_coarse` and
-# `Grid.uniform` read.
+# rule of uniform grids, h <= a/_CORE_CELLS, which `Grid.uniform` reads;
+# `_coarse` solves the map for the core of a uniform grid's start.
 _FAR_STEP = 0.05
 _CORE_CELLS = 5.0
 
@@ -588,26 +592,33 @@ def _guard(w, ratio, levels):
 
 
 def _coarse(V, g, k, half_line):
-    """Solution of the same problem on ``Grid.graded(L, c)``, or on a
-    quarter of its points if g is that grid; None unless the coarse grid
+    """Solution of the same problem on ``Grid.graded(L, c)``, or on an
+    eighth of its points if g is that grid; None unless the coarse grid
     has at least 8 points, at most a quarter of the points of g, and
     k <= its points/4.
 
-    c is ``g.core``, the map of a graded g, or _CORE_CELLS steps h of a
-    uniform g (2L/N, or L/N on the half line), which puts the coarse step
-    at the origin at h/2 or less.  On the half line all points lie on
-    [0, L], so half of ``Grid.graded``'s points keep its map step.  The
-    quarter grid, rounded down to an even count, is its own coarse grid,
-    so its solve starts from nothing.
+    c is ``g.core``, the map of a graded g.  On a uniform g of step h
+    (2L/N, or L/N on the half line) c is the core whose graded grid puts
+    its first node on the fine grid's, s(h/2) = D/2 with D = 1/2:
+    c = h / (2 expm1(D/10 - 2h)), about 10h.  The even ground level of a
+    Coulomb core is set by its innermost cell, so the two grids then
+    agree there.  No c does it from h = D/20 on, where the coarse grid
+    would hold more points than g anyway.  On the half line all points
+    lie on [0, L], so half of ``Grid.graded``'s points keep its map step.
+    The eighth grid, rounded down to an even count, is its own coarse
+    grid, so its solve starts from nothing.
     """
     if g.core is None:
         h = (1.0 if half_line else 2.0) * g.half_width / g.points
-        core = _CORE_CELLS * h
+        gap = math.expm1((0.5 - h / _FAR_STEP) / (2.0 * _CORE_CELLS))
+        if not gap > 0.0:
+            return None
+        core = h / (2.0 * gap)
     else:
         core = g.core
     points = _graded_points(g.half_width, core) // (2 if half_line else 1)
     if g.core == core and points == g.points:
-        points = g.points // 8 * 2
+        points = g.points // 16 * 2
     if points < 8 or 4 * points > g.points or k > points // 4:
         return None
     return _eigenpairs(V, Grid(g.half_width, points, core=core), k)[-1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _on_slice, _rgamma, _u_array
+from .specfun import _FLOAT_MAX, _on_slice, _rgamma, _u_array
 
 __all__ = [
     "BoundState",
@@ -134,8 +134,14 @@ def wavefunction(n, x, rtol=1e-11):
     xs = np.asarray(x, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("non-finite evaluation point")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _w_values(n, 4.0 * np.abs(xs) / (n + 1), rtol=rtol)
+    z = np.abs(xs)
+    # past this 4|x| overflows, and W is not finite at z = inf; below it,
+    # _u_array's one errstate covers the overflows that its routes tolerate
+    if z.max(initial=0.0) > _FLOAT_MAX / 4.0:
+        raise ValueError(f"psi_{n} leaves the float range")
+    # 4|x|/(n + 1) rounded once, as (n + 1)/4 is exact
+    z /= (n + 1) / 4.0
+    vals = _w_values(n, z, rtol=rtol)
     if not np.isfinite(vals).all():
         raise ValueError(f"psi_{n} leaves the float range")
     if n % 2:

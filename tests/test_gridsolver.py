@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
+from scipy.optimize import brentq
 
 from coulomb1d import (ConvergenceError, Grid, cli, evaluate, exact_energy, gridsolver,
                        half_line, pure_coulomb, refine, repulsive_core, soft_core, solve)
@@ -469,6 +470,24 @@ POLISHED = [
 ]
 
 
+def aligned_coarse(g, half_line=False):
+    """The coarse grid that starts the polish of the uniform grid g:
+    ``Grid.graded(L, c)`` for the core c whose first node falls on g's
+    first node h/2, s(h/2) = D/2 with D = 1/2, found here by root-finding
+    on the map; on the half line it keeps half of those points."""
+    h = (1.0 if half_line else 2.0) * g.half_width / g.points
+    core = brentq(lambda c: gridsolver._stretch(0.5 * h, c) - 0.25,
+                  1e-3 * h, 1e3 * h, xtol=1e-300, rtol=1e-15)
+    graded = Grid.graded(g.half_width, core)
+    return replace(graded, points=graded.points // 2) if half_line else graded
+
+
+def eighth(points):
+    """The point count of the grid that starts a grid at the
+    ``Grid.graded`` count of its map: an eighth, rounded down to even."""
+    return points // 16 * 2
+
+
 class TestCoarseStart:
     @pytest.mark.parametrize("V, g, k", [case[1:] for case in POLISHED],
                              ids=[case[0] for case in POLISHED])
@@ -495,13 +514,13 @@ class TestCoarseStart:
         polished = solve(V, g, k)
         records = routes()
         assert not any("failed polish" in msg for _, msg in records)
-        # the coarse graded grid of 5h is polished from its quarter grid,
-        # which alone is bisected
-        coarse = Grid.graded(g.half_width, 5.0 * (2.0 * g.half_width / g.points)).points // 2
+        # the aligned coarse grid is polished from its eighth grid, which
+        # alone is bisected
+        coarse = aligned_coarse(g).points
         assert [size for size, msg in records if "polished" in msg] == \
-            [coarse] * 2 + [g.points // 2] * 2
+            [coarse // 2] * 2 + [g.points // 2] * 2
         assert [(size, msg.split(": ")[1]) for size, msg in records
-                if "polished" not in msg] == [(coarse // 4, "bisection")] * 2
+                if "polished" not in msg] == [(eighth(coarse) // 2, "bisection")] * 2
         eps = np.finfo(float).eps
         for lv in polished.levels:
             assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[g.points // 2]
@@ -550,7 +569,7 @@ class TestCoarseStart:
         # coarse grid is bisected, and the fine grid still polishes from it
         real = gridsolver.dgtsv
         g = Grid(60.0, 40000)
-        coarse = Grid.graded(60.0, 5.0 * (2.0 * g.half_width / g.points)).points // 2
+        coarse = aligned_coarse(g).points // 2
 
         def failing(dl, d, du, b, **kwargs):
             *out, info = real(dl, d, du, b, **kwargs)
@@ -619,12 +638,14 @@ class TestCoarseStart:
 
 class TestRouteLog:
     def test_one_record_per_sector(self, routes):
-        solve(harmonic, Grid(10.0, 40000), 4)
+        g = Grid(10.0, 40000)
+        solve(harmonic, g, 4)
         solve(half_line(), Grid(60.0, 800), 4)
         sizes = [size for size, _ in routes()]
-        # the sectors of the coarse grid's quarter grid, of the coarse grid
+        # the sectors of the coarse grid's eighth grid, of the coarse grid
         # and of the fine grid, then the one half-line matrix
-        assert sizes == [120, 120, 483, 483, 20000, 20000, 800]
+        coarse = aligned_coarse(g).points
+        assert sizes == [eighth(coarse) // 2] * 2 + [coarse // 2] * 2 + [20000] * 2 + [800]
         messages = [msg.split(": ")[1] for _, msg in routes()]
         assert all(POLISHED_RECORD.fullmatch(msg) for msg in messages[2:6])
         assert [messages[j] for j in (0, 1, 6)] == ["bisection"] * 3
@@ -646,11 +667,13 @@ class TestRouteLog:
         assert all(0.0 < float(margin) <= 1.0 for margin in logged)
 
     def test_half_line_scan_grid_polishes(self, routes):
-        # the default half-line scan: the coarse grid has half of
-        # Grid.graded(60, 5h)'s 4956 points, all on [0, L], and starts
-        # from its quarter grid, rounded down to an even count
-        solve(half_line(), Grid(60.0, 12000), 3)
-        assert [size for size, _ in routes()] == [618, 2478, 12000]
+        # the default half-line scan: the coarse grid has half of its
+        # Grid.graded's points, all on [0, L], and starts from its eighth
+        # grid, rounded down to an even count
+        g = Grid(60.0, 12000)
+        solve(half_line(), g, 3)
+        coarse = aligned_coarse(g, half_line=True).points
+        assert [size for size, _ in routes()] == [eighth(coarse), coarse, 12000]
         messages = [msg.split(": ")[1] for _, msg in routes()]
         assert messages[0] == "bisection"
         assert all(msg.startswith("polished in [") for msg in messages[1:])
@@ -666,11 +689,11 @@ class TestRouteLog:
     def test_refine_starts_each_rung_from_the_one_before(self, routes):
         # the default soft-core scan of one radius; one level, so only the
         # even sector of each rung is solved.  The first rung, the graded
-        # grid itself, starts from its quarter grid
+        # grid itself, starts from its eighth grid
         g = Grid.graded(30.0, 1e-2)
         refine(soft_core(1e-2), g, 0, 2)
         assert [size for size, _ in routes()] == \
-            [g.points // 8, g.points // 2, g.points, 2 * g.points]
+            [eighth(g.points) // 2, g.points // 2, g.points, 2 * g.points]
         messages = [msg.split(": ")[1] for _, msg in routes()]
         assert messages[0] == "bisection"
         assert all(msg.startswith("polished in [") for msg in messages[1:])
@@ -689,6 +712,52 @@ class TestRouteLog:
         loud = capsys.readouterr()
         assert caplog.records
         assert (loud.out, loud.err) == (quiet.out, quiet.err)
+
+
+# the grid-core benchmark's families on its boxes, and a plain callable
+ALIGNED_SWEEP = [
+    ("pure-coulomb", pure_coulomb(), 60.0),
+    ("soft-core", soft_core(1e-2), 30.0),
+    ("repulsive-core", repulsive_core(1e-2, 3e-2), 40.0),
+    ("half-line", half_line(), 60.0),
+    ("harmonic", harmonic, 10.0),
+]
+
+
+class TestAlignedStart:
+    @pytest.mark.parametrize("V, half_width", [case[1:] for case in ALIGNED_SWEEP],
+                             ids=[case[0] for case in ALIGNED_SWEEP])
+    def test_coarse_first_node_meets_the_fine_one_and_polishes(self, V, half_width,
+                                                               routes, monkeypatch):
+        # the first node of every mesh built, in the order built: the
+        # eighth grid's, the coarse grid's, then the fine grid's own
+        real, first = gridsolver._half_mesh, []
+
+        def recording(g, m):
+            x = real(g, m)
+            first.append(x[0])
+            return x
+        monkeypatch.setattr(gridsolver, "_half_mesh", recording)
+        half = getattr(V, "family", None) == "half-line"
+        for points in (800, 1600, 10_000, 40_000, 100_000):
+            for k in (1, 2, 4):
+                first.clear()
+                solve(V, Grid(half_width, points), k)
+                h = (1.0 if half else 2.0) * half_width / points
+                assert first[-1] == 0.5 * h
+                # the boxes start a grid from a coarse one from N = 4e4 on
+                assert len(first) == 3 or (len(first) == 1 and points < 40_000)
+                if len(first) == 3:
+                    assert abs(first[1] - 0.5 * h) <= 0.05 * 0.5 * h
+        assert not any("failed polish" in msg for _, msg in routes())
+
+    def test_pure_coulomb_even_sector_polishes_in_two_steps(self, routes):
+        # the even ground level is set by the innermost cell, which the
+        # coarse grid now shares with the fine one
+        solve(pure_coulomb(), Grid(60.0, 100_000), 2)
+        (_, even), (_, odd) = [(size, msg) for size, msg in routes() if size == 50_000]
+        assert even.split(": ")[1].startswith("polished in [2] steps")
+        assert odd.split(": ")[1].startswith("polished in [1] steps")
 
 
 class TestFloorGuard:
@@ -725,12 +794,12 @@ class TestFloorGuard:
                 solve(soft_core(1e-8), g, 1)
         (size, msg), = routes()
         assert size == g.points // 2 and msg.endswith(": bisection")
-        # by default it is polished from its quarter grid, which is bisected
+        # by default it is polished from its eighth grid, which is bisected
         # and not guarded, and it raises all the same
         with pytest.raises(ConvergenceError, match="the level carries no digits"):
             solve(soft_core(1e-8), g, 1)
-        (quarter, first), (fine, last) = routes()[1:]
-        assert (quarter, fine) == (g.points // 8, g.points // 2)
+        (start, first), (fine, last) = routes()[1:]
+        assert (start, fine) == (eighth(g.points) // 2, g.points // 2)
         assert first.endswith(": bisection")
         assert "polished in [" in last
 
@@ -766,10 +835,12 @@ class TestFloorGuard:
 
     def test_coarse_level_at_zero_energy_is_not_guarded(self, routes):
         # the well shifted by its coarse-grid ground level: the coarse
-        # level sits at E = 0 to rounding, far over its floor, but it only
-        # starts the polish of the fine level, 2.5e-5 up
+        # level sits at E = 0 to rounding, a floor of 2.5e-10 over an |E|
+        # of one or two ulps of 0.5, about 1e6 times its scale and far over
+        # _FLOOR_RATIO; but it only starts the polish of the fine level,
+        # 2.5e-5 up
         g = Grid(10.0, 4000)
-        coarse = Grid(10.0, 920, core=5.0 * 2.0 * g.half_width / g.points)
+        coarse = aligned_coarse(g)
         e_coarse = gridsolver._eigenpairs(harmonic, coarse, 1)[0][0]
 
         def shifted(x):
@@ -777,7 +848,7 @@ class TestFloorGuard:
         res = solve(shifted, g, 1)
         (size, coarse_msg), (_, fine_msg) = routes()[-2:]
         assert size == coarse.points // 2
-        assert float(coarse_msg.split(", ")[3].split()[2]) > 1e6
+        assert float(coarse_msg.split(", ")[3].split()[2]) > 1e5
         assert fine_msg.split(": ")[1].startswith("polished in [")
         assert 1e-5 < res.levels[0].energy < 1e-4
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coulomb1d import ConvergenceError, specfun, tricomi_u, wavefunction
-from coulomb1d.specfun import (_FEW_POINTS, _K_CHEB, _SEED_Z, _SERIES_TERMS,
+from coulomb1d.specfun import (_FEW_POINTS, _K_POWERS, _SEED_Z, _SERIES_TERMS,
                                 _SERIES_Z, _digamma, _k_scaled, _powers,
                                 _rgamma, _series_coefficients, _u_array,
                                 _u_chain, _u_seeds, _u_series)
@@ -94,7 +94,7 @@ class TestOwnEvaluators:
                           [np.nextafter(1.0, 2.0), 1.001]])
 
     def test_scaled_bessel_k(self):
-        # measured: at most 1.7 eps from the table
+        # measured: at most 1.9 eps from the table
         vals = _k_scaled(self.K_X)
         with mp.workdps(30):
             for nu in (0, 1):
@@ -103,21 +103,33 @@ class TestOwnEvaluators:
                     assert abs(v - ref) <= 6 * EPS * ref, (nu, x)
 
     def test_chebyshev_table_regenerates(self):
-        """_K_CHEB is the expansion of sqrt(x) e^x K_nu(x) in t = 2/x - 1 on
-        140 Chebyshev nodes at 40 digits; the first coefficient it leaves
-        out is below 2e-17."""
-        nodes, count = 140, len(_K_CHEB) + 1
+        """_K_POWERS is the expansion of sqrt(x) e^x K_nu(x) in t = 2/x - 1
+        on 140 Chebyshev nodes at 40 digits, to T_31, with each T_j
+        expanded in powers of t exactly; the first Chebyshev coefficient it
+        leaves out is below 2e-17."""
+        nodes, count = 140, len(_K_POWERS)
+        # integer coefficients of T_j in powers of t: T_(j+1) = 2t T_j - T_(j-1)
+        powers = [[1], [0, 1]]
+        while len(powers) < count:
+            nxt = [0] + [2 * c for c in powers[-1]]
+            for i, c in enumerate(powers[-2]):
+                nxt[i] -= c
+            powers.append(nxt)
         with mp.workdps(40):
             theta = [mp.pi * (i + mp.mpf(1) / 2) / nodes for i in range(nodes)]
             x = [2 / (mp.cos(th) + 1) for th in theta]
             for nu in (0, 1):
                 f = [mp.sqrt(v) * mp.exp(v) * mp.besselk(nu, v) for v in x]
-                coef = [2 * mp.fsum(fi * mp.cos(j * th) for fi, th in zip(f, theta)) / nodes
-                        for j in range(count)]
-                coef[0] /= 2
-                got = [float(c) for c in coef]
-                assert np.allclose(_K_CHEB[:, nu], got[:-1], rtol=2 * EPS, atol=0.0)
-                assert abs(got[-1]) < 2e-17
+                cheb = [2 * mp.fsum(fi * mp.cos(j * th) for fi, th in zip(f, theta)) / nodes
+                        for j in range(count + 1)]
+                cheb[0] /= 2
+                assert abs(cheb[-1]) < 2e-17
+                got = [float(mp.fsum(cheb[j] * powers[j][k] for j in range(k, count)))
+                       for k in range(count)]
+                assert np.allclose(_K_POWERS[:, nu], got, rtol=2 * EPS, atol=0.0)
+                # the monomial form is well conditioned: the sum of the
+                # coefficients' magnitudes is that of the values
+                assert np.abs(_K_POWERS[:, nu]).sum() < 1.7
 
     def test_reciprocal_gamma(self):
         """1/Gamma at every integer and half-integer from -343/2 to 5/2,
@@ -346,8 +358,7 @@ class TestSeeds:
             return series(s, z)
         monkeypatch.setattr(specfun, "_u_series", seeds_only)
         zs = np.array([0.05, 0.7, 1.4023846153846156, 1.95])
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals, _ = _u_array(a, 2.0, zs)
+        vals, _ = _u_array(a, 2.0, zs)
         with mp.workdps(30):
             for z, v in zip(zs, vals):
                 ref = float(mp.hyperu(a, 2, z))
@@ -382,6 +393,20 @@ class TestSeeds:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="leaves the float range"):
                 _u_array(-170.5, 2.0, np.array([1.0]))
+
+    def test_no_a_of_the_slice_warns(self):
+        # direct calls warned at a = -161.5 to -163.5 (the series' product
+        # with its table) and at integer a = -162 to -170 (the polynomial's
+        # sum of magnitudes); each a either returns or raises
+        zs = np.linspace(0.04, 0.99 * _SERIES_Z, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for twice in range(3, -342, -1):
+                try:
+                    vals, err = _u_array(twice / 2, 2.0, zs)
+                except (ConvergenceError, ValueError):
+                    continue
+                assert np.isfinite(vals).all() and (err >= 0.0).all()
 
 
 class TestSeriesBand:

@@ -174,11 +174,12 @@ class TestWavefunction:
     # U overflows far out at large n, and 1/(Gamma(a) z) at subnormal z,
     # though psi is finite at each point; k! of the odd polynomial
     # U(-k,2,z) does from k = 171 (n = 343) on, and the even series'
-    # 1/Gamma(a - 1) from n = 342 on; at x = 1e4 no point takes the series
+    # 1/Gamma(a - 1) from n = 342 on; at x = 1e4 no point takes the series.
+    # Past |x| = 4.5e307, 4|x| itself does
     @pytest.mark.parametrize("n, x", [(300, [22650.0]), (220, [221.0 ** 2]),
                                       (0, 1e-310), (301, [302.0 ** 2]), (401, 10.0),
                                       (342, 1.0), (342, 1e4), (344, [0.0, 2.0]),
-                                      (4, 5e-324)])
+                                      (4, 5e-324), (0, 5e307), (3, [1.0, -1.7e308])])
     def test_overflow_raises_without_warnings(self, n, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
