@@ -28,7 +28,7 @@ from .quadrature import ConvergenceError, _check_tolerance
 from .regularized import (care_interleaving, half_line_spectrum,
                           soft_core_ground_scan)
 from .spectrum import exact_energy, node_count, normalize, wavefunction
-from .wkb import WKBConfig, action, wkb_energy
+from .wkb import MASLOV_OFFSET, action, wkb_energy
 
 SCHEMA_VERSION = 1
 
@@ -86,10 +86,10 @@ def _stamp(meta, args):
     return meta
 
 
-def _given_tolerance(args, keyword):
-    """``{keyword: --tolerance}`` if the flag is given, else no keyword,
+def _given_tolerance(args):
+    """``{"rtol": --tolerance}`` if the flag is given, else no keyword,
     so that the library's own default holds."""
-    return {} if args.tolerance is None else {keyword: args.tolerance}
+    return {} if args.tolerance is None else {"rtol": args.tolerance}
 
 
 def _level_columns(levels):
@@ -103,12 +103,12 @@ def _level_columns(levels):
 def _cmd_spectrum(args):
     if args.n_max < 0:
         raise ValueError(f"n-max must be non-negative, got {args.n_max}")
-    cfg = WKBConfig(**_given_tolerance(args, "quadrature_tolerance"))
+    tol = _given_tolerance(args)
     ns, exact, semi, parity, nodes = [], [], [], [], []
     for n in range(args.n_max + 1):
         ns.append(n)
         exact.append(exact_energy(n))
-        semi.append(wkb_energy(n, cfg))
+        semi.append(wkb_energy(n, **tol))
         parity.append("odd" if n % 2 else "even")
         nodes.append(node_count(n))
     return OutputRecord(
@@ -124,7 +124,7 @@ def _cmd_wavefunction(args):
     if args.x_min >= args.x_max:
         raise ValueError("x-min must lie below x-max")
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    psi = wavefunction(args.n, xs, **_given_tolerance(args, "rtol"))
+    psi = wavefunction(args.n, xs, **_given_tolerance(args))
     scale = 1.0
     if args.normalized:
         scale = normalize(args.n).norm
@@ -137,14 +137,11 @@ def _cmd_wavefunction(args):
 
 
 def _cmd_wkb(args):
-    cfg = WKBConfig(**_given_tolerance(args, "quadrature_tolerance"))
-    if args.n is not None:
-        energy = wkb_energy(args.n, cfg)
-        meta = {"n": args.n, "maslov_offset": cfg.maslov_offset}
-    else:
-        energy = args.energy
-        meta = {"maslov_offset": cfg.maslov_offset}
-    res = action(energy, rtol=cfg.quadrature_tolerance)
+    tol = _given_tolerance(args)
+    energy = args.energy if args.n is None else wkb_energy(args.n, **tol)
+    meta = {} if args.n is None else {"n": args.n}
+    meta["maslov_offset"] = MASLOV_OFFSET
+    res = action(energy, **tol)
     return OutputRecord(
         schema="action",
         columns={"energy": [energy], "action": [res.action],

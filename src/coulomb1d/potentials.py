@@ -1,7 +1,7 @@
 """Potential families: the bare 1D Coulomb well and its regularized variants.
 
-The four families share one tagged spec type so the eigensolver, the
-action integral, and the parameter scans can dispatch on them:
+The four families share one tagged spec type so the eigensolver and the
+parameter scans can dispatch on them:
 
     pure-coulomb     V(x) = -1/|x|
     soft-core        V(x) = -1/(|x|+a),           a > 0

@@ -1,10 +1,11 @@
-"""Gauss-Legendre quadrature for the action integrals.
+"""Gauss-Legendre quadrature for the Coulomb action integral.
 
-``gauss_legendre``, the one order-doubling loop, returns when the value
-changes by at most rtol of itself between orders, and raises when the
-change is within order * eps of the value (the rounding floor of a sum of
-one sign) or at order 256, eight times the highest order the Coulomb
-action reaches (32, over n <= 200 and E in [-100, -1e-6]).
+``gauss_legendre`` compares the rules of orders 16 and 32 once: it
+returns the order-32 value when the two differ by at most rtol of it, and
+raises otherwise.  The action's substituted integrand, scaled to
+|E| in [1/2, 2), changes by under 3 eps between them (2.54 eps at most
+over 200,000 sampled |E|), below the rounding floor 32 eps of a 32-term
+sum of one sign, so no higher order could do better.
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-_EPS = np.finfo(float).eps
-_START_ORDER = 16
-_MAX_ORDER = 256
 
 
 class ConvergenceError(Exception):
@@ -45,7 +41,7 @@ def _check_tolerance(rtol):
     return rtol
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def _rule(order):
     return leggauss(order)
 
@@ -57,28 +53,23 @@ def _panel(f, a, b, order):
     return half * float(f(mid + half * nodes) @ weights)
 
 
-def gauss_legendre(f, a, b, rtol=1e-12):
-    """Integrate ``f`` over [a, b], doubling the Gauss-Legendre order from 16.
+def gauss_legendre(f, a, b, rtol):
+    """Integrate ``f`` over [a, b] by the Gauss-Legendre rules of orders 16
+    and 32.
 
     ``f`` takes a 1-D array of abscissae and returns its values.  Returns
-    (value, error) as floats, the error being the last change between
-    orders.  ``ConvergenceError`` carries both where the module docstring
-    says it is raised; ``ValueError`` refuses an rtol that is not positive
-    and finite.
+    (value, error) as floats: the order-32 value and its change from order
+    16.  ``ConvergenceError`` carries both where that change exceeds rtol
+    of the value; ``ValueError`` refuses an rtol that is not positive and
+    finite.
     """
     _check_tolerance(rtol)
-    order = _START_ORDER
-    prev = _panel(f, a, b, order)
-    while True:
-        order *= 2
-        cur = _panel(f, a, b, order)
-        change, size = abs(cur - prev), abs(cur)
-        if change <= rtol * size:
-            return cur, change
-        if order >= _MAX_ORDER or change <= order * _EPS * size:
-            raise ConvergenceError(
-                f"Gauss-Legendre quadrature did not converge: change "
-                f"{change / max(size, 1e-300):.1e} of the value at order {order}",
-                cur, change)
-        prev = cur
-
+    low = _panel(f, a, b, 16)
+    cur = _panel(f, a, b, 32)
+    change, size = abs(cur - low), abs(cur)
+    if change <= rtol * size:
+        return cur, change
+    raise ConvergenceError(
+        f"Gauss-Legendre quadrature did not converge: change "
+        f"{change / max(size, 1e-300):.1e} of the value at order 32",
+        cur, change)

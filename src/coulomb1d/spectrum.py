@@ -83,7 +83,7 @@ def exact_energy(n):
     return energy
 
 
-def _w_values(n, z, rtol=1e-11):
+def _w_values(n, z, rtol):
     """W_{(n+1)/2,1/2}(z) = e^(-z/2) z U(1-kappa, 2, z) at an array of z >= 0,
     with the limit 1/Gamma(1-kappa) at z = 0: the package's one W evaluator."""
     a = 0.5 * (1 - n)  # 1 - kappa

@@ -21,6 +21,7 @@ from coulomb1d.cli import main
 from test_spectrum import EPS, exact_norm_integral, integral_error
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(argv, capsys):
@@ -231,6 +232,24 @@ class TestWkbCommand:
             main(["wkb"])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+class TestExactStateBytes:
+    """The whole stdout of the exact-state commands, pinned byte for byte
+    in tests/golden: the WKB energies, actions and turning points to all
+    17 digits, and the maslov_offset metadata line."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, name", [
+        (["wkb", "--n", "3"], "wkb_n_3"),
+        (["wkb", "--energy", "-2"], "wkb_energy_-2"),
+        (["spectrum", "--n-max", "10"], "spectrum_n_max_10")],
+        ids=["wkb-n", "wkb-energy", "spectrum"])
+    def test_stdout(self, argv, name, fmt, capsys):
+        argv = argv + (["--format", "json"] if fmt == "json" else [])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 class TestScanCommand:

@@ -1,7 +1,7 @@
 """Each domain is refused once, where its value enters, before any work.
 
 U's slice is refused by ``specfun._on_slice``, the turning point by
-``wkb.turning_points`` and a tolerance by ``quadrature._check_tolerance``.
+``wkb.action`` and a tolerance by ``quadrature._check_tolerance``.
 The ``bounded`` fixture turns the late discoveries those doors replace
 into immediate failures: k! past 170, an ``np.arange`` of more than 10^6
 elements, and more than 5 s of wall time all raise ``AssertionError``.
@@ -15,13 +15,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from coulomb1d import (action, half_line, node_count, normalize, pure_coulomb,
-                       repulsive_core, soft_core, specfun, tricomi_u,
-                       turning_points, wavefunction)
+from coulomb1d import (action, node_count, normalize, specfun, tricomi_u,
+                       wavefunction, wkb)
 from coulomb1d.quadrature import gauss_legendre
 from coulomb1d.specfun import _u_array
-
-_FAMILIES = [pure_coulomb(), soft_core(0.1), repulsive_core(0.1, 0.1), half_line()]
 
 
 @pytest.fixture
@@ -115,27 +112,30 @@ class TestSpectrumRefusesFirst:
             normalize(2000001)
 
 
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the action's quadrature ran")
+    monkeypatch.setattr(wkb, "gauss_legendre", forbidden)
+
+
 class TestTurningPointDoor:
-    @pytest.mark.parametrize("spec", _FAMILIES, ids=lambda s: s.family)
     @pytest.mark.parametrize("E", [-1e-310, -5e-324])
-    def test_subnormal_energy_refused_for_every_family(self, E, spec):
+    def test_subnormal_energy_refused(self, E, no_quadrature):
         with pytest.raises(ValueError, match=r"turning point 1/\|E\| of E="):
-            turning_points(E, spec)
+            action(E)
 
-    @pytest.mark.parametrize("a, b, E", [(0.1, 0.1, -1e-160), (0.1, 2.0, -6e-309)])
-    def test_repulsive_core_finite_where_one_over_e_is(self, a, b, E):
-        # the discriminant over |E| overflowed to an outer point of inf
-        x_in, x_out = turning_points(E, repulsive_core(a, b))
-        with mp.workdps(40):
-            p = 1 / (2 * abs(mp.mpf(E))) - a
-            root = mp.sqrt(p * p - a * a - b / abs(mp.mpf(E)))
-            ref_out, ref_in = p + root, (a * a + b / abs(mp.mpf(E))) / (p + root)
-        assert abs(x_out - ref_out) <= 4 * np.finfo(float).eps * ref_out
-        assert abs(x_in - ref_in) <= 4 * np.finfo(float).eps * ref_in
+    @pytest.mark.parametrize("E", [0.0, -0.0, 1.0, math.inf, -math.inf, math.nan])
+    def test_non_negative_or_non_finite_energy_refused(self, E, no_quadrature):
+        with pytest.raises(ValueError, match="bound-state energy must be negative"):
+            action(E)
 
-    def test_action_takes_its_points_from_turning_points(self):
-        for E in (-2.0, -0.37, -1e-300):
-            assert action(E).turning_points == turning_points(E, pure_coulomb())
+    def test_action_points_are_exactly_one_over_e(self):
+        # 1/|E| rounded once, from a 53-bit mpmath quotient
+        for E in (-2.0, -0.37, -1e-300, -3e-308):
+            with mp.workprec(53):
+                x_t = float(1 / abs(mp.mpf(E)))
+            assert action(E).turning_points == (-x_t, x_t), E
 
 
 class TestToleranceDoor:

@@ -61,8 +61,9 @@ class TestLaguerre:
 
 
 def _w(kappa, z):
-    """W_{kappa,1/2}(z) from the package's one W evaluator."""
-    return float(_w_values(round(2 * kappa - 1), np.array([z]))[0])
+    """W_{kappa,1/2}(z) from the package's one W evaluator, at
+    ``wavefunction``'s default tolerance."""
+    return float(_w_values(round(2 * kappa - 1), np.array([z]), rtol=1e-11)[0])
 
 
 class TestReciprocalGamma:
