@@ -66,19 +66,22 @@ points, rounded down to an even count, and only that eighth grid, 57 to
 312 points a sector on the benchmark's boxes, is solved from nothing.
 `refine` starts each grid after its first from the vectors of the grid
 before.  Each coarse vector, on the coarse grid's whole mesh, is
-interpolated onto the fine nodes and polished by at most five
+interpolated onto the fine nodes and polished by one to five
 shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve each, which
 converge cubically near an eigenvector (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4).  The steps of a level stop on the
-residual that the solve itself yields: after (H - sigma) z = y with
-||y|| = 1, the vector z/||z|| has the quotient sigma + delta,
-delta = z.y/z.z, and the residual sqrt(1/z.z - delta^2), so a step needs
-no product with H.  The polish takes its vector, the gtsv arrays and
-the residual's work vectors from one scratch block per thread, 5n - 2
-floats for the largest matrix of n points that the thread has polished
-or bisected: it grows to that size and is kept, 10.8 MB once a
-540000-point grid has been solved, so that the large solves do not fault
-their temporaries in again each time.  No result points into it.
+Eigenvalue Problem, ch. 4).  The first step is shifted by the start's
+quotient u.K.u / u.M.u, taken in difference form from the interpolated
+nodal vector u, so it needs no product with H.  The steps of a level
+stop on the residual that the solve itself yields: after
+(H - sigma) z = y with ||y|| = 1, the vector z/||z|| has the quotient
+sigma + delta, delta = z.y/z.z, and the residual
+sqrt(1/z.z - delta^2), so a step needs none either.  A polished level's
+one product with H is its certificate's.  The polish takes its vector,
+the gtsv arrays and the residual's work vectors from one scratch block
+per thread, 5n - 2 floats for the largest matrix of n points that the
+thread has polished or bisected: it grows to that size and is kept,
+10.8 MB once a 540000-point grid has been solved, so that the large
+solves do not fault their temporaries in again each time.  No result points into it.
 The certificate is explicit and taken for each level straight after its
 last step: a polished level j stands only if its vector's residual
 ||Hy - Ey||, recomputed from H, is at most 16 eps ||H||, the rounding floor
@@ -108,7 +111,7 @@ option: scipy's wrapper asks for an n x n workspace, 543 GiB at
 n = 270000.
 
 The energies are the Rayleigh quotients of the vectors, computed in the
-difference form above, so they are good to the discretization error,
+same difference form, so they are good to the discretization error,
 not to a bisection tolerance.  Each level keeps its residual: H has an
 eigenvalue within it of the level's energy.
 """
@@ -384,7 +387,7 @@ def _wall_at_origin(mat, x):
 
 # A polished level stands when its residual is at most this many
 # eps ||H||, the floor a full-precision bisection reaches (up to 10 on
-# 2.7e5-point sectors), after at most _POLISH_STEPS Rayleigh-quotient
+# 2.7e5-point sectors), after one to _POLISH_STEPS Rayleigh-quotient
 # steps.
 _RESIDUAL_FLOOR = 16.0
 _POLISH_STEPS = 5
@@ -442,6 +445,17 @@ def _work(n):
             block[3 * n:4 * n - 1], block[4 * n - 1:5 * n - 2])
 
 
+def _energy(mat, u, c, hy, t):
+    """u.K.u in difference form, for the nodal vector u and c = u * scale:
+    sum(link * (u_{j+1} - u_j)^2) + sum(v * c^2) + the wall terms.  Over
+    u.M.u = c.c it is the Rayleigh quotient of c in H.  hy and t are
+    scratch of the sizes of d and e."""
+    np.subtract(u[1:], u[:-1], out=t)
+    t *= t
+    return (_dot(mat.link, t) + _dot(np.multiply(mat.v, c, out=hy), c)
+            + mat.ends[0] * u[0] ** 2 + mat.ends[1] * u[-1] ** 2)
+
+
 def _certify(mat, c, u, hy, t):
     """Rayleigh-quotient energy E in difference form and residual
     ||Hc - Ec|| of the unit column c, whose nodal vector c/scale, with
@@ -450,10 +464,7 @@ def _certify(mat, c, u, hy, t):
     # c has unit 2-norm, so u = M^(-1/2) c has sum(width * u^2) = 1 and
     # the quotient u.K.u / u.M.u needs no denominator
     np.divide(c, mat.scale, out=u)
-    np.subtract(u[1:], u[:-1], out=t)
-    t *= t
-    energy = (_dot(mat.link, t) + _dot(np.multiply(mat.v, c, out=hy), c)
-              + mat.ends[0] * u[0] ** 2 + mat.ends[1] * u[-1] ** 2)
+    energy = _energy(mat, u, c, hy, t)
     _apply(np.subtract(mat.d, energy, out=hy), mat.e, c, hy, t)
     return energy, math.sqrt(_dot(hy, hy))
 
@@ -490,33 +501,38 @@ def _polished(mat, k, start, floor):
     """Levels polished from start vectors, with the Rayleigh-quotient
     steps each took, or None unless every level is certified.
 
-    The steps of a level stop once the residual that `_step` reports is
-    at most ``floor``.  The level is then certified at once, explicitly:
-    it stands if the residual that `_certify` recomputes is at most
-    ``floor`` and if level j has j sign changes, the node count of
-    eigenvector j of a Jacobi matrix.  The first level to fail ends the
-    attempt.
+    Each level takes one to five steps.  The first is shifted by the
+    start's quotient, which `_energy` takes in difference form from the
+    nodal start, so that a level's one product with H is its
+    certificate's.  The steps stop once the residual that `_step`
+    reports is at most ``floor``.  The level is then certified at once,
+    explicitly: it stands if the residual that `_certify` recomputes is
+    at most ``floor`` and if level j has j sign changes, the node count
+    of eigenvector j of a Jacobi matrix.  The first level to fail ends
+    the attempt.
     """
     n = mat.d.size
     c, b, dd, dl, du = _work(n)
     u = np.empty((n, k), order="F")
     energy, r, steps = np.empty(k), np.empty(k), []
     for j in range(k):
-        np.multiply(start(j), mat.scale, out=c)
-        c /= math.sqrt(_dot(c, c))
-        # the one product with H of a level: its start's quotient and residual
-        sigma = _dot(_apply(mat.d, mat.e, c, b, dl), c)
-        b -= np.multiply(c, sigma, out=dd)
-        residual = math.sqrt(_dot(b, b))
-        for step in range(_POLISH_STEPS + 1):
-            if residual <= floor:
-                break
-            if step == _POLISH_STEPS:
-                return None
+        s = start(j)
+        np.multiply(s, mat.scale, out=c)
+        norm2 = _dot(c, c)
+        sigma = _energy(mat, s, c, b, dl) / norm2
+        # freed before the steps: kept, it would add n floats to the peak
+        del s
+        c /= math.sqrt(norm2)
+        for step in range(1, _POLISH_STEPS + 1):
             stepped = _step(mat.d, mat.e, sigma, c, (b, dd, dl, du))
             if stepped is None:
                 return None
             sigma, residual = stepped
+            if residual <= floor:
+                break
+        else:
+            return None
+        # the one product with H of a level
         energy[j], r[j] = _certify(mat, c, u[:, j], b, dl)
         if not r[j] <= floor or sign_changes(u[:, j]).size != j:
             return None

@@ -338,6 +338,35 @@ class TestRayleighQuotient:
         assert all(a < b for a, b in zip(es, es[1:]))
         assert [lv.parity for lv in res.levels] == ["even", "odd", "even", "odd"]
 
+    @pytest.mark.parametrize("case", ["uniform", "graded", "wall", "full"])
+    def test_difference_form_is_the_quotient(self, case):
+        # the form that a polished start and the certificate share, over
+        # c.c, against c.Hc / c.c from the assembled d and e; the vectors
+        # are smooth, as interpolated starts are, one of them with noise
+        if case == "full":
+            g, V = Grid(12.0, 3000), (lambda x: 0.5 * (x - 1.0) ** 2)
+            xp = gridsolver._half_mesh(g, g.points // 2)
+            x = np.concatenate((-xp[::-1], xp))
+            mat = gridsolver._assemble(x, V(x), (-12.0, 12.0), True)
+        else:
+            V, g = ((soft_core(1e-3), Grid.graded(30.0, 1e-3)) if case == "graded"
+                    else (pure_coulomb(), Grid(20.0, 4000)))
+            x = gridsolver._half_mesh(g, g.points // 2)
+            mat = gridsolver._assemble(x, evaluate(V, x), (0.0, g.half_width), False)
+            if case == "wall":
+                mat = gridsolver._wall_at_origin(mat, x)
+        n, eps = x.size, np.finfo(float).eps
+        bound = 8.0 * eps * gridsolver._norm(mat)
+        noise = np.random.default_rng(0).normal(size=n)
+        for u in (np.exp(-np.abs(x)) * (1.0 + x), np.cos(3.0 * x) * np.exp(-x * x / 20.0),
+                  np.exp(-np.abs(x)) * (1.0 + 1e-3 * noise)):
+            c = u * mat.scale
+            hc = mat.d * c
+            hc[:-1] += mat.e * c[1:]
+            hc[1:] += mat.e * c[:-1]
+            form = gridsolver._energy(mat, u, c, np.empty(n), np.empty(n - 1))
+            assert abs(form / (c @ c) - (c @ hc) / (c @ c)) <= bound
+
 
 @pytest.fixture
 def eigensolver_calls(monkeypatch):
@@ -760,6 +789,43 @@ class TestAlignedStart:
         assert odd.split(": ")[1].startswith("polished in [1] steps")
 
 
+class TestOneProductPerLevel:
+    # each with the size of its fine matrix: a parity sector, or one matrix
+    @pytest.mark.parametrize("V, g, k, fine", [
+        (pure_coulomb(), Grid(60.0, 40000), 4, 20000),
+        (half_line(), Grid(60.0, 12000), 3, 12000),
+        (lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 40000), 4, 40000),
+    ], ids=["mirrored", "half-line", "asymmetric"])
+    def test_each_level_multiplies_by_h_once(self, V, g, k, fine, routes, monkeypatch):
+        # the certificate's product: a polished start takes its quotient in
+        # difference form, and a bisected level is only certified
+        real, products = gridsolver._apply, []
+
+        def counting(d, e, c, out, t):
+            products.append(c.size)
+            return real(d, e, c, out, t)
+        monkeypatch.setattr(gridsolver, "_apply", counting)
+        solve(V, g, k)
+        records = [(size, int(msg.split(", ")[1].split()[0]), msg.split(": ")[1])
+                   for size, msg in routes()]
+        # the matrices in the order solved, one product per level of each
+        assert products == [size for size, levels, _ in records for _ in range(levels)]
+        assert [size for size, _, msg in records if msg.startswith("polished in [")][-1] \
+            == fine
+        assert not any("failed polish" in msg for _, _, msg in records)
+
+    @pytest.mark.parametrize("V, half_width", [(pure_coulomb(), 60.0),
+                                               (repulsive_core(1e-3, 5e-3), 54.0)],
+                             ids=["pure-coulomb", "care"])
+    def test_largest_solves_keep_their_steps(self, V, half_width, routes):
+        # the two N = 540000, k = 6 solves of the grid-core benchmark: every
+        # level takes at least one step, and only the even ground level two
+        solve(V, Grid(half_width, 540000), 6)
+        (_, even), (_, odd) = [(size, msg) for size, msg in routes() if size == 270000]
+        assert even.split(": ")[1].startswith("polished in [2, 1, 1] steps")
+        assert odd.split(": ")[1].startswith("polished in [1, 1, 1] steps")
+
+
 class TestFloorGuard:
     def test_record_carries_the_floor_and_its_ratio(self, routes, monkeypatch):
         real, norms = gridsolver._lowest, []
@@ -804,11 +870,12 @@ class TestFloorGuard:
         assert "polished in [" in last
 
     def test_polished_level_over_the_floor_raises(self, routes):
-        # the third rung of the scan at a = 8e-8 polishes its ground level
-        # in no step, at a floor of 5.8 |E0|
+        # the third rung of the scan at a = 8e-8 polishes its ground level,
+        # whose start from the rung before is already within the floor, in
+        # the one step that every level takes, at a floor of 5.8 |E0|
         with pytest.raises(ConvergenceError, match="the level carries no digits"):
             refine(soft_core(8e-8), Grid.graded(30.0, 8e-8), 0, 2)
-        assert "polished in [0] steps" in routes()[-1][1]
+        assert "polished in [1] steps" in routes()[-1][1]
 
     def test_guard_reads_the_logged_ratio(self, routes, monkeypatch):
         # two bisected sectors; the guard reads the larger of their ratios
