@@ -89,7 +89,7 @@ of a full-precision solve, and the vector has exactly j sign changes,
 as eigenvector j of a Jacobi matrix (a sector, or the full matrix)
 must.  The first level that fails it, or a solve that breaks down, ends
 the polish: all levels of the matrix are then solved once by bisection
-and inverse iteration (LAPACK stebz/stein via scipy) at LAPACK's
+and inverse iteration (LAPACK stebz/stein, scipy's wrappers) at LAPACK's
 default tolerance, as those of grids with no coarse start are at once.
 Both routes take the energy and residual of each column from one
 routine.  On either route a returned level whose floor is over 4 times
@@ -118,12 +118,16 @@ eigenvalue within it of the level's energy.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
 import numbers
+import os
+import sys
 import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -135,19 +139,84 @@ from .spectrum import sign_changes
 __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
 
 
-# LAPACK comes through scipy.linalg, which takes about 0.4 s to import;
-# the two wrappers load it on their first call, so that only grid solves
-# pay for it.
-def eigh_tridiagonal(d, e, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on its first call."""
-    from scipy.linalg import eigh_tridiagonal as solver
-    return solver(d, e, **kwargs)
+# LAPACK comes from scipy's compiled wrapper module scipy.linalg._flapack
+# alone, loaded from its file on the first LAPACK call, so that only grid
+# solves pay for it (about 2 ms).  Importing anything under scipy.linalg
+# would run that package's __init__, about 0.1 s, most of it array-API
+# and f2py modules that no solve uses.  The module is registered under
+# its own name, so scipy.linalg, imported before or after, shares it and
+# its routines are scipy.linalg.lapack's own objects.
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
+
+
+def _lapack_folder():
+    """scipy's linalg folder, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("grid solves need scipy's LAPACK wrappers, and scipy "
+                          "is not installed")
+    return os.path.join(spec.submodule_search_locations[0], "linalg")
+
+
+@cache
+def _flapack():
+    """scipy.linalg._flapack, loaded from its file on the first call; the
+    lock keeps threads that call it at once from loading it twice."""
+    with _flapack_lock:
+        module = sys.modules.get(_FLAPACK)
+        if module is not None:
+            return module
+        folder = _lapack_folder()
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_FLAPACK] = module
+                return module
+    raise ImportError(f"grid solves need scipy's LAPACK wrappers, and {folder} "
+                      "holds no _flapack module")
+
+
+def _check_info(info, routine, failure):
+    """scipy's check of a LAPACK return code: ValueError for an illegal
+    argument, LinAlgError with the message ``failure`` for a failure."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} {failure}")
+
+
+def eigh_tridiagonal(d, e, select_range):
+    """Levels i0 to i1 (``select_range``), ascending, of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e, and their unit
+    vectors as columns.
+
+    This is scipy.linalg.eigh_tridiagonal(d, e, select="i",
+    select_range=(i0, i1)) written out: bisection (LAPACK stebz) at
+    LAPACK's default tolerance, in block order, then inverse iteration
+    (stein) and a sort of the levels, with the same routines and
+    arguments.
+    """
+    lapack = _flapack()
+    i0, i1 = select_range
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, i0 + 1, i1 + 1,
+                                               0.0, "B")
+    _check_info(info, "stebz (eigh_tridiagonal)",
+                f"did not converge (LAPACK info={info})")
+    w = w[:m]
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    _check_info(info, "stein (eigh_tridiagonal)",
+                f"{info} eigenvectors failed to converge")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def dgtsv(dl, d, du, b, **kwargs):
-    """scipy.linalg.lapack.dgtsv, imported on its first call."""
-    from scipy.linalg.lapack import dgtsv as solver
-    return solver(dl, d, du, b, **kwargs)
+    """LAPACK dgtsv of scipy.linalg._flapack, loaded on the first call."""
+    return _flapack().dgtsv(dl, d, du, b, **kwargs)
 
 
 # The graded map s(x) = x/_FAR_STEP + _CORE_CELLS ln(1 + x/core): about
@@ -350,39 +419,59 @@ class _Matrix(NamedTuple):
     ends: tuple         # wall links of the two end nodes, 0 for none
     scale: np.ndarray   # square roots of the cell widths
     v: np.ndarray       # potential at the nodes
+    norm: float = math.nan  # `_norm`, once `_finite` has taken it
 
+
+# A mesh too fine for float64 overflows the matrix (its entries grow like
+# 1/h^2 in the step h), and a wall at a subnormal distance divides by
+# zero: the assembly runs without floating-point warnings, and `_finite`
+# refuses such a matrix before any solve.
 
 def _assemble(x, v, faces, left_wall):
     """Matrix on the nodes x, its two end cells closed at ``faces``.  A
     Dirichlet wall stands on the right face, and on the left one if
     ``left_wall``; a wall at distance d from its end node adds the link
     1/(2d)."""
-    ends = (0.5 / (x[0] - faces[0]) if left_wall else 0.0,
-            0.5 / (faces[1] - x[-1]))
-    # node gaps, with twice the distance from each end node to its face
-    gap = np.empty(x.size + 1)
-    np.subtract(x[1:], x[:-1], out=gap[1:-1])
-    gap[0], gap[-1] = 2.0 * (x[0] - faces[0]), 2.0 * (faces[1] - x[-1])
-    scale = gap[:-1] + gap[1:]
-    scale *= 0.5
-    link = np.divide(0.5, gap, out=gap)
-    link[0], link[-1] = ends
-    d = link[:-1] + link[1:]
-    d /= scale
-    d += v
-    np.sqrt(scale, out=scale)
-    e = scale[:-1] * scale[1:]
-    np.divide(link[1:-1], e, out=e)
-    np.negative(e, out=e)
+    with np.errstate(all="ignore"):
+        ends = (0.5 / (x[0] - faces[0]) if left_wall else 0.0,
+                0.5 / (faces[1] - x[-1]))
+        # node gaps, with twice the distance from each end node to its face
+        gap = np.empty(x.size + 1)
+        np.subtract(x[1:], x[:-1], out=gap[1:-1])
+        gap[0], gap[-1] = 2.0 * (x[0] - faces[0]), 2.0 * (faces[1] - x[-1])
+        scale = gap[:-1] + gap[1:]
+        scale *= 0.5
+        link = np.divide(0.5, gap, out=gap)
+        link[0], link[-1] = ends
+        d = link[:-1] + link[1:]
+        d /= scale
+        d += v
+        np.sqrt(scale, out=scale)
+        e = scale[:-1] * scale[1:]
+        np.divide(link[1:-1], e, out=e)
+        np.negative(e, out=e)
     return _Matrix(d, e, link[1:-1], ends, scale, v)
 
 
 def _wall_at_origin(mat, x):
     """Add a wall at x = 0 to a matrix with no wall before the node x[0],
     in place: the odd sector from the even one."""
-    link = 0.5 / x[0]
-    mat.d[0] += link / mat.scale[0] ** 2
+    with np.errstate(all="ignore"):
+        link = 0.5 / x[0]
+        mat.d[0] += link / mat.scale[0] ** 2
     return mat._replace(ends=(link, mat.ends[1]))
+
+
+def _finite(mat, g):
+    """The matrix with its `_norm` set, or ValueError naming the grid g if
+    that bound overflows: then d or e is not finite, or the rounding
+    floor of its levels would not be."""
+    with np.errstate(all="ignore"):
+        norm = _norm(mat)
+    if not math.isfinite(norm):
+        raise ValueError(f"the matrix of {g} leaves the float range: its "
+                         "entries grow like 1/h^2 in the mesh step h")
+    return mat._replace(norm=norm)
 
 
 # A polished level stands when its residual is at most this many
@@ -565,7 +654,7 @@ def _lowest(mat, k, start):
     """
     if k == 0:
         return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0), [], np.empty(0)
-    floor = _RESIDUAL_FLOOR * np.finfo(float).eps * _norm(mat)
+    floor = _RESIDUAL_FLOOR * np.finfo(float).eps * mat.norm
     route, levels = "bisection", None
     if start is not None:
         polished = _polished(mat, k, start, floor)
@@ -577,7 +666,7 @@ def _lowest(mat, k, start):
                      f"{levels[2].max() / floor:.3g} of the floor")
     if levels is None:
         try:
-            _, y = eigh_tridiagonal(mat.d, mat.e, select="i", select_range=(0, k - 1))
+            _, y = eigh_tridiagonal(mat.d, mat.e, select_range=(0, k - 1))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
                                    None, math.inf) from exc
@@ -650,24 +739,18 @@ def _starts(coarse, x, levels):
     return lambda j: np.interp(x, xc, vc[:, levels[j]])
 
 
-def _one_matrix(mat, x, k, coarse):
-    """Energies, residuals, node counts, floor ratios and solution of one
-    matrix on the nodes x."""
-    w, u, r, nodes, ratio = _lowest(mat, k, _starts(coarse, x, range(k)))
-    return w, r, nodes, ratio, _Solution(x, u)
-
-
-def _mirrored(v_half, xp, k, half_width, coarse):
+def _mirrored(even, xp, k, g, coarse):
     """Merged sector energies, residuals, node counts and floor ratios of
     an even potential, and its solution in sector form on the half mesh
-    xp."""
-    # no link across the centre (even), or a wall at the centre (odd)
-    even = _assemble(xp, v_half, (0.0, half_width), False)
+    xp, from the matrix of the even sector, which has no link across the
+    centre."""
     w_even, u_even, r_even, n_even, f_even = _lowest(
         even, (k + 1) // 2, _starts(coarse, xp, range(0, k, 2)))
-    # the even matrix is spent, so the odd one may take over its arrays
+    # the even matrix is spent, so the odd one, a wall at the centre, may
+    # take over its arrays
+    odd = _finite(_wall_at_origin(even, xp), g)
     w_odd, u_odd, r_odd, n_odd, f_odd = _lowest(
-        _wall_at_origin(even, xp), k // 2, _starts(coarse, xp, range(1, k, 2)))
+        odd, k // 2, _starts(coarse, xp, range(1, k, 2)))
     w, r, ratio, nodes = np.empty(k), np.empty(k), np.empty(k), [0] * k
     w[0::2], w[1::2] = w_even, w_odd
     ratio[0::2], ratio[1::2] = f_even, f_odd
@@ -684,35 +767,45 @@ def _eigenpairs(V, g, k, coarse=None):
     `_Solution` of a grid, in sector form if its two parity sectors were
     solved, with vectors scaled to sum(width * v^2) = 1.  ``coarse``, the
     solution of a coarser grid, is the start of the polish; by default it
-    comes from `_coarse`."""
+    comes from `_coarse`, which is solved only once the grid's first
+    matrix has been built and found finite."""
     spec = isinstance(V, PotentialSpec)
     L = g.half_width
     half_line = spec and V.family == "half-line"
     if not half_line and g.points % 2:
         raise ValueError("full-line grids need an even point count to "
                          "stay mirror-symmetric")
+    mirrored = not half_line
+    if half_line:
+        # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
+        x = _half_mesh(g, g.points)
+        mat = _wall_at_origin(_assemble(x, _potential(V, x), (0.0, L), False), x)
+    else:
+        m = g.points // 2
+        x = xp = _half_mesh(g, m)
+        if spec:
+            # every family is even in x
+            v = _potential(V, xp)
+        else:
+            x = np.concatenate((-xp[::-1], xp))
+            v = _potential(V, x)
+            mirrored = np.array_equal(v[:m][::-1], v[m:])
+            if mirrored:
+                x, v = xp, v[m:]
+        # the even sector has no link across the centre; the whole mesh
+        # has a wall at each end
+        mat = (_assemble(x, v, (0.0, L), False) if mirrored
+               else _assemble(x, v, (-L, L), True))
+    mat = _finite(mat, g)
     if coarse is None:
         coarse = _coarse(V, g, k, half_line)
     if coarse is not None:
         # the starts interpolate the whole-mesh vectors
         coarse = _positions(coarse), _vectors(coarse)
-    if half_line:
-        # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
-        x = _half_mesh(g, g.points)
-        mat = _assemble(x, _potential(V, x), (0.0, L), False)
-        return _one_matrix(_wall_at_origin(mat, x), x, k, coarse)
-    m = g.points // 2
-    xp = _half_mesh(g, m)
-    if spec:
-        # every family is even in x
-        v_half = _potential(V, xp)
-    else:
-        x = np.concatenate((-xp[::-1], xp))
-        v = _potential(V, x)
-        if not np.array_equal(v[:m][::-1], v[m:]):
-            return _one_matrix(_assemble(x, v, (-L, L), True), x, k, coarse)
-        v_half = v[m:]
-    return _mirrored(v_half, xp, k, L, coarse)
+    if mirrored:
+        return _mirrored(mat, x, k, g, coarse)
+    w, u, r, nodes, ratio = _lowest(mat, k, _starts(coarse, x, range(k)))
+    return w, r, nodes, ratio, _Solution(x, u)
 
 
 def _check(V, g, k_max):

@@ -758,8 +758,9 @@ class TestAlignedStart:
                              ids=[case[0] for case in ALIGNED_SWEEP])
     def test_coarse_first_node_meets_the_fine_one_and_polishes(self, V, half_width,
                                                                routes, monkeypatch):
-        # the first node of every mesh built, in the order built: the
-        # eighth grid's, the coarse grid's, then the fine grid's own
+        # the first node of every mesh built, in the order built: the fine
+        # grid's own, which is checked before any solve, the coarse grid's,
+        # then the eighth grid's
         real, first = gridsolver._half_mesh, []
 
         def recording(g, m):
@@ -773,7 +774,7 @@ class TestAlignedStart:
                 first.clear()
                 solve(V, Grid(half_width, points), k)
                 h = (1.0 if half else 2.0) * half_width / points
-                assert first[-1] == 0.5 * h
+                assert first[0] == 0.5 * h
                 # the boxes start a grid from a coarse one from N = 4e4 on
                 assert len(first) == 3 or (len(first) == 1 and points < 40_000)
                 if len(first) == 3:
@@ -1123,3 +1124,149 @@ class TestValidation:
     def test_non_finite_potential_rejected(self):
         with pytest.raises(ValueError):
             solve(lambda x: np.full_like(x, np.nan), Grid(1.0, 500), 1)
+
+
+def no_lapack(monkeypatch):
+    """Make every LAPACK call of the solver fail the test."""
+    def called(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+    monkeypatch.setattr(gridsolver, "eigh_tridiagonal", called)
+    monkeypatch.setattr(gridsolver, "dgtsv", called)
+
+
+class TestFiniteMatrix:
+    # the mesh step h of these boxes makes 1/h^2 overflow; the suite turns
+    # every floating-point warning into an error
+    @pytest.mark.parametrize("half_width", [1e-160, 1e-200])
+    @pytest.mark.parametrize("V", [pure_coulomb(), lambda x: -1.0 / np.abs(x),
+                                   lambda x: -1.0 / np.abs(x - 0.1), half_line()],
+                             ids=["pure-coulomb", "callable", "asymmetric", "half-line"])
+    def test_overflowing_matrix_refused_before_any_solve(self, V, half_width, monkeypatch):
+        no_lapack(monkeypatch)
+        g = Grid(half_width, 800)
+        with pytest.raises(ValueError, match=re.escape(f"the matrix of {g} leaves "
+                                                       "the float range")):
+            solve(V, g, 2)
+
+    @pytest.mark.parametrize("V", [pure_coulomb(), lambda x: -1.0 / np.abs(x)],
+                             ids=["pure-coulomb", "callable"])
+    def test_finite_tiny_box_still_fails_in_bisection(self, V):
+        with pytest.raises(ConvergenceError, match="stebz"):
+            solve(V, Grid(1e-150, 800), 2)
+
+    def test_refine_refuses_its_first_grid(self, monkeypatch):
+        no_lapack(monkeypatch)
+        g = Grid.graded(1e-160, 1e-162)
+        with pytest.raises(ValueError, match=re.escape(f"the matrix of {g}")):
+            refine(soft_core(1e-162), g, 0, 1)
+
+
+def split_matrix(n):
+    """Two uniform blocks, split by an exactly zero off-diagonal, whose
+    levels interleave: bisection returns them block by block."""
+    d = np.full(n, 2.0)
+    d[n // 3:] += 1.0 / n ** 2
+    e = np.full(n - 1, -1.0)
+    e[n // 3 - 1] = 0.0
+    return d, e
+
+
+def sector_matrix(kind, n):
+    """Diagonal and off-diagonal of a solver matrix with n points."""
+    if kind == "split":
+        return split_matrix(n)
+    if kind == "uniform":
+        g, V = Grid(20.0, 2 * n), pure_coulomb()
+    elif kind == "graded":
+        g, V = Grid(30.0, 2 * n, core=1e-3), soft_core(1e-3)
+    else:
+        g, V = Grid(60.0, n), half_line()
+    x = gridsolver._half_mesh(g, n)
+    mat = gridsolver._assemble(x, evaluate(V, x), (0.0, g.half_width), False)
+    if kind == "half-line":
+        mat = gridsolver._wall_at_origin(mat, x)
+    return mat.d, mat.e
+
+
+class TestLapackRoute:
+    @pytest.mark.parametrize("kind, n, k", [
+        ("uniform", 8, 1), ("uniform", 400, 2), ("uniform", 5000, 6),
+        ("graded", 120, 3), ("graded", 2000, 6), ("graded", 5000, 1),
+        ("half-line", 60, 4), ("half-line", 5000, 5),
+        ("split", 30, 6), ("split", 3000, 4),
+    ])
+    def test_matches_scipy_bit_for_bit(self, kind, n, k):
+        from scipy.linalg import eigh_tridiagonal
+        d, e = sector_matrix(kind, n)
+        want_w, want_v = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        w, v = gridsolver.eigh_tridiagonal(d, e, select_range=(0, k - 1))
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(v, want_v)
+        assert v.shape == (n, k)
+
+    def test_split_matrix_takes_the_reorder(self):
+        # bisection returns the split matrix's levels block by block, out
+        # of order; the sort puts them back in order
+        d, e = split_matrix(30)
+        m, w, iblock, _, _ = gridsolver._flapack().dstebz(d, e, 2, 0.0, 1.0, 1, 6,
+                                                          0.0, "B")
+        assert list(iblock[:m]) == [1, 1, 2, 2, 2, 2]
+        assert not np.all(np.diff(w[:m]) > 0.0)
+        w, _ = gridsolver.eigh_tridiagonal(d, e, select_range=(0, 5))
+        assert np.all(np.diff(w) > 0.0)
+
+    @pytest.mark.parametrize("scipy_first", [False, True], ids=["solver-first",
+                                                                "scipy-first"])
+    def test_routines_are_scipy_lapack_objects(self, scipy_first):
+        from test_import_footprint import run_fresh
+        first, then = ("import scipy.linalg.lapack as lapack",
+                       "solve(pure_coulomb(), Grid(20.0, 800), 2)")
+        out = run_fresh(f"""
+import json
+from coulomb1d import Grid, gridsolver, pure_coulomb, solve
+{first if scipy_first else then}
+{then if scipy_first else first}
+flapack = gridsolver._flapack()
+print(json.dumps([getattr(flapack, name) is getattr(lapack, name)
+                  for name in ("dgtsv", "dstebz", "dstein")]
+                 + [flapack is lapack._flapack]))
+""")
+        assert out == [True] * 4
+
+    def test_threads_load_the_wrappers_once(self):
+        from test_import_footprint import run_fresh
+        out = run_fresh("""
+import json, sys, threading
+from coulomb1d import gridsolver
+barrier, loaded = threading.Barrier(8), []
+
+def load():
+    barrier.wait(timeout=60.0)
+    loaded.append(gridsolver._flapack())
+threads = [threading.Thread(target=load) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60.0)
+print(json.dumps({"alive": any(t.is_alive() for t in threads), "count": len(loaded),
+                  "same": all(m is sys.modules["scipy.linalg._flapack"] for m in loaded)}))
+""")
+        assert out == {"alive": False, "count": 8, "same": True}
+
+    def test_missing_wrappers_raise_at_the_first_solve(self, tmp_path):
+        from test_import_footprint import run_fresh
+        out = run_fresh(f"""
+import json, sys
+import coulomb1d
+from coulomb1d import Grid, gridsolver, pure_coulomb, solve
+gridsolver._lapack_folder = lambda: {str(tmp_path)!r}
+try:
+    solve(pure_coulomb(), Grid(20.0, 800), 2)
+except ImportError as exc:
+    message = str(exc)
+print(json.dumps({{"message": message,
+                  "scipy": [m for m in sys.modules if m.startswith("scipy")]}}))
+""")
+        assert str(tmp_path) in out["message"]
+        assert "_flapack" in out["message"]
+        assert out["scipy"] == []

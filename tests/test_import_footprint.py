@@ -1,9 +1,12 @@
 """What importing the package loads, each test in a fresh interpreter.
 
 The exact states load no scipy at all: specfun evaluates K0, K1, 1/Gamma
-and psi itself, and the grid solver imports scipy.linalg on its first
-LAPACK call.  No command loads scipy.optimize: ``wkb_energy`` solves the
-quantization condition from one action, with no root-finder.
+and psi itself.  The grid solver loads one scipy module, the compiled
+LAPACK wrappers scipy.linalg._flapack, from its file on its first LAPACK
+call, and never the scipy.linalg package, whose __init__ brings in
+scipy._lib and numpy.f2py.  No command loads scipy.optimize:
+``wkb_energy`` solves the quantization condition from one action, with
+no root-finder.
 """
 
 import json
@@ -67,17 +70,36 @@ for argv in (["spectrum", "--n-max", "10"], ["wavefunction", "--n", "3"],
         assert cli.main(argv) == 0, argv
 before = scipy_modules()
 res = solve(lambda x: 0.5 * x * x, Grid(half_width=12.0, points=4000), 2)
-print(json.dumps({"before": before, "after": "scipy.linalg" in sys.modules,
+print(json.dumps({"before": before, "after": scipy_modules(),
+                  "f2py": "numpy.f2py" in sys.modules,
                   "finite": bool(all(np.isfinite(p).all() for p in psi)),
                   "norms": norms, "nodes": nodes, "energy": energy,
                   "levels": [lv.energy for lv in res.levels]}))
 """)
     assert out["before"] == []
-    assert out["after"]
+    assert out["after"] == ["scipy.linalg._flapack"]
+    assert not out["f2py"]
     assert out["finite"] and all(v > 0.0 for v in out["norms"])
     assert out["nodes"] == 4
     assert abs(out["energy"] + 0.125) <= 1e-15
     assert abs(out["levels"][0] - 0.5) < 1e-4 and abs(out["levels"][1] - 1.5) < 1e-4
+
+
+def test_grid_commands_load_no_scipy_linalg_package():
+    out = run_fresh("""
+import contextlib, io, json, sys
+import coulomb1d.cli as cli
+loaded = []
+for argv in (["solve", "--family", "pure-coulomb", "--half-width", "20",
+              "--points", "4000", "--k-max", "4"],
+             ["scan", "--family", "half-line"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded.append(sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py")))
+print(json.dumps(loaded))
+""")
+    assert out == [["scipy.linalg._flapack"]] * 2
 
 
 # sha256 of the 201 energies wkb_energy(0..200) as little-endian float64,
