@@ -65,32 +65,46 @@ default soft-core scan) starts from the same map at an eighth of its
 points, rounded down to an even count, and only that eighth grid, 57 to
 312 points a sector on the benchmark's boxes, is solved from nothing.
 `refine` starts each grid after its first from the vectors of the grid
-before.  Each coarse vector, on the coarse grid's whole mesh, is
-interpolated onto the fine nodes and polished by one to five
-shift-invert Rayleigh-quotient steps, one LAPACK gtsv solve each, which
-converge cubically near an eigenvector (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4).  The first step is shifted by the start's
-quotient u.K.u / u.M.u, taken in difference form from the interpolated
-nodal vector u, so it needs no product with H.  The steps of a level
-stop on the residual that the solve itself yields: after
-(H - sigma) z = y with ||y|| = 1, the vector z/||z|| has the quotient
-sigma + delta, delta = z.y/z.z, and the residual
-sqrt(1/z.z - delta^2), so a step needs none either.  A polished level's
-one product with H is its certificate's.  The polish takes its vector,
-the gtsv arrays and the residual's work vectors from one scratch block
-per thread, 5n - 2 floats for the largest matrix of n points that the
-thread has polished or bisected: it grows to that size and is kept,
-10.8 MB once a 540000-point grid has been solved, so that the large
-solves do not fault their temporaries in again each time.  No result points into it.
+before.  Each coarse vector, on the coarse grid's whole mesh, is cut
+where it falls below eps of its largest magnitude: its support is the
+fine nodes before the coarse node that follows its last one above that.
+It is interpolated onto those nodes alone and polished on the leading
+block of H over them, and the fine vector is exactly 0 past them.  A
+bound state decays like exp(-sqrt(2|E|) x) toward the box edge, so the
+deep levels are polished on a small part of a box sized for the
+shallowest: the even ground level of pure Coulomb at N = 540000 on
+12,279 of its sector's 270,000 nodes.  Only the right end, toward
+x = L, is cut; a callable that is not mirror symmetric keeps its left
+tail.  The polish is one to five shift-invert Rayleigh-quotient steps,
+one LAPACK gtsv solve each, which converge cubically near an eigenvector
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The first step is
+shifted by the start's quotient u.K.u / u.M.u, taken in difference form
+from the interpolated nodal vector u, so it needs no product with H.  The
+steps of a level stop on the residual that the solve itself yields:
+after (H - sigma) z = y with ||y|| = 1, the vector z/||z|| has the
+quotient sigma + delta, delta = z.y/z.z, and the residual
+sqrt(1/z.z - delta^2), so a step needs none either.  A polished level's one product
+with H is its certificate's.  The polish takes its vector, the gtsv
+arrays and the residual's work vectors from one scratch block per
+thread, 5n - 2 floats for the largest support of n points that the
+thread has polished, or matrix that it has bisected: it grows to that
+size and is kept, 10.8 MB once a 540000-point grid has been solved, so
+that the large solves do not fault their temporaries in again each
+time.  No result points into it.
 The certificate is explicit and taken for each level straight after its
-last step: a polished level j stands only if its vector's residual
-||Hy - Ey||, recomputed from H, is at most 16 eps ||H||, the rounding floor
-of a full-precision solve, and the vector has exactly j sign changes,
-as eigenvector j of a Jacobi matrix (a sector, or the full matrix)
-must.  The first level that fails it, or a solve that breaks down, ends
-the polish: all levels of the matrix are then solved once by bisection
-and inverse iteration (LAPACK stebz/stein, scipy's wrappers) at LAPACK's
-default tolerance, as those of grids with no coarse start are at once.
+last step, and against the whole matrix: a polished level j stands only
+if the residual ||Hy - Ey|| of its vector padded with zeros, recomputed
+from H, is at most 16 eps ||H||, the rounding floor of a full-precision
+solve, and the vector has exactly j sign changes, as eigenvector j of a
+Jacobi matrix (a sector, or the full matrix) must.  The padded vector's
+energy is the block's, with the link to the first dropped node as its
+wall, and its residual is that of the block and the one term that the
+first dropped row sees, so a support cut too short fails the
+certificate.  The first level that fails it, or a solve that breaks down,
+ends the polish: all levels of the matrix are then solved once by
+bisection and inverse iteration (LAPACK stebz/stein, scipy's wrappers)
+at LAPACK's default tolerance, as those of grids with no coarse start
+are at once.
 Both routes take the energy and residual of each column from one
 routine.  On either route a returned level whose floor is over 4 times
 its scale raises ConvergenceError: there LAPACK's bisection tolerance
@@ -104,8 +118,8 @@ are no fault: each is the quotient of its own matrix.  The solves of
 coarse grids, which only start a polish, are not guarded.  The logger
 ``coulomb1d.gridsolver`` records every matrix at DEBUG: its floor, the
 largest ratio of the floor to a level's scale, which the guard reads,
-and its route, with the largest polished residual as a fraction of the
-floor.
+and its route, with the steps and support of each polished level and
+the largest polished residual as a fraction of the floor.
 LAPACK's MRRR (``eigh_tridiagonal(..., lapack_driver='stemr')``) is no
 option: scipy's wrapper asks for an n x n workspace, 543 GiB at
 n = 270000.
@@ -400,7 +414,10 @@ def _half_mesh(g, m):
 
 
 def _potential(V, x):
-    v = evaluate(V, x) if isinstance(V, PotentialSpec) else np.asarray(V(x), float)
+    # a mesh in the subnormal range overflows 1/|x|: refused below, with
+    # no floating-point warning
+    with np.errstate(all="ignore"):
+        v = evaluate(V, x) if isinstance(V, PotentialSpec) else np.asarray(V(x), float)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential is not finite on the mesh")
     return v
@@ -586,34 +603,60 @@ def _step(d, e, sigma, c, work):
     return sigma + delta, math.sqrt(max(1.0 / size / size - delta * delta, 0.0))
 
 
+def _block(mat, m):
+    """The leading m x m block of H, as views of its arrays, with the
+    link from node m - 1 to node m as its right wall.
+
+    Padded with zeros to all n nodes, a block vector has the whole
+    matrix's energy: the link's term of the whole form,
+    link[m - 1] (0 - u[m - 1])^2, is the block's wall term.
+    """
+    if m == mat.d.size:
+        return mat
+    return mat._replace(d=mat.d[:m], e=mat.e[:m - 1], link=mat.link[:m - 1],
+                        ends=(mat.ends[0], mat.link[m - 1]), scale=mat.scale[:m],
+                        v=mat.v[:m])
+
+
 def _polished(mat, k, start, floor):
     """Levels polished from start vectors, with the Rayleigh-quotient
-    steps each took, or None unless every level is certified.
+    steps each took and its support, or None unless every level is
+    certified.
 
+    The start of level j covers the leading m_j nodes, its support (see
+    `_starts`), and the level is polished on the leading m_j x m_j block
+    of H alone (`_block`); its vector is exactly 0 past the support.
     Each level takes one to five steps.  The first is shifted by the
     start's quotient, which `_energy` takes in difference form from the
     nodal start, so that a level's one product with H is its
     certificate's.  The steps stop once the residual that `_step`
     reports is at most ``floor``.  The level is then certified at once,
-    explicitly: it stands if the residual that `_certify` recomputes is
-    at most ``floor`` and if level j has j sign changes, the node count
-    of eigenvector j of a Jacobi matrix.  The first level to fail ends
-    the attempt.
+    explicitly and against the whole matrix: its energy is the block's
+    quotient, which is the padded vector's, and its residual that of the
+    padded vector, whose only row past the block is
+    e[m_j - 1] c[m_j - 1], so ||Hy - Ey|| = hypot(block residual, that
+    term).  It stands if that residual is at most ``floor`` and if level
+    j has j sign changes, the node count of eigenvector j of a Jacobi
+    matrix.  A support cut too short fails it.  The first level to fail
+    ends the attempt.
     """
     n = mat.d.size
-    c, b, dd, dl, du = _work(n)
-    u = np.empty((n, k), order="F")
-    energy, r, steps = np.empty(k), np.empty(k), []
+    # zeros, so that the pages past every support are never touched
+    u = np.zeros((n, k), order="F")
+    energy, r, steps, support = np.empty(k), np.empty(k), [], []
     for j in range(k):
         s = start(j)
-        np.multiply(s, mat.scale, out=c)
+        m = s.size
+        block = _block(mat, m)
+        c, b, dd, dl, du = _work(m)
+        np.multiply(s, block.scale, out=c)
         norm2 = _dot(c, c)
-        sigma = _energy(mat, s, c, b, dl) / norm2
-        # freed before the steps: kept, it would add n floats to the peak
+        sigma = _energy(block, s, c, b, dl) / norm2
+        # freed before the steps: kept, it would add m floats to the peak
         del s
         c /= math.sqrt(norm2)
         for step in range(1, _POLISH_STEPS + 1):
-            stepped = _step(mat.d, mat.e, sigma, c, (b, dd, dl, du))
+            stepped = _step(block.d, block.e, sigma, c, (b, dd, dl, du))
             if stepped is None:
                 return None
             sigma, residual = stepped
@@ -622,11 +665,15 @@ def _polished(mat, k, start, floor):
         else:
             return None
         # the one product with H of a level
-        energy[j], r[j] = _certify(mat, c, u[:, j], b, dl)
-        if not r[j] <= floor or sign_changes(u[:, j]).size != j:
+        energy[j], r[j] = _certify(block, c, u[:m, j], b, dl)
+        # the first dropped row's one term of the padded vector's residual
+        if m < n:
+            r[j] = math.hypot(r[j], mat.e[m - 1] * c[m - 1])
+        if not r[j] <= floor or sign_changes(u[:m, j]).size != j:
             return None
         steps.append(step)
-    return (energy, u, r, list(range(k))), steps
+        support.append(m)
+    return (energy, u, r, list(range(k))), steps, support
 
 
 def _floor_ratios(energy, floor):
@@ -661,8 +708,8 @@ def _lowest(mat, k, start):
         if polished is None:
             route = "bisection after a failed polish"
         else:
-            levels, steps = polished
-            route = (f"polished in {steps} steps, max residual "
+            levels, steps, support = polished
+            route = (f"polished in {steps} steps on {support} nodes, max residual "
                      f"{levels[2].max() / floor:.3g} of the floor")
     if levels is None:
         try:
@@ -729,14 +776,34 @@ def _coarse(V, g, k, half_line):
     return _eigenpairs(V, Grid(g.half_width, points, core=core), k)[-1]
 
 
+def _support(x, xc, column):
+    """The support of a coarse vector on the nodes x: the number of them
+    before its cut, the coarse node after the last one where its
+    magnitude is over eps times its largest, or all of them if that is
+    the coarse mesh's last node.  Only the right end, the one toward
+    x = L, is cut: every level decays there."""
+    magnitude = np.abs(column)
+    last = np.flatnonzero(magnitude > np.finfo(float).eps * magnitude.max())[-1]
+    if last + 1 == xc.size:
+        return x.size
+    # a cut at or before the first node keeps it, and the start fails
+    # its certificate
+    return max(int(np.searchsorted(x, xc[last + 1])), 1)
+
+
 def _starts(coarse, x, levels):
     """start(j) for `_lowest`: coarse level levels[j] interpolated onto
-    the nodes x, built only when it is asked for.  ``coarse`` is the
-    whole mesh and vectors of the coarse solution."""
+    the nodes of x before its cut (`_support`), built only when it is
+    asked for.  ``coarse`` is the whole mesh and vectors of the coarse
+    solution."""
     if coarse is None:
         return None
     xc, vc = coarse
-    return lambda j: np.interp(x, xc, vc[:, levels[j]])
+
+    def start(j):
+        column = vc[:, levels[j]]
+        return np.interp(x[:_support(x, xc, column)], xc, column)
+    return start
 
 
 def _mirrored(even, xp, k, g, coarse):
@@ -830,7 +897,10 @@ def solve(V, g, k_max):
     SpectrumResult
         Levels carry eigenvector node counts and, for a potential that
         is even on the full-line mesh, their exact parity; other
-        levels, the half-line ones included, have parity None.  Energies
+        levels, the half-line ones included, have parity None.  A
+        polished level's vector is exactly 0 on the nodes toward x = L
+        past its support, where its coarse start fell below eps of its
+        peak; the residual is that of the whole vector.  Energies
         are the Rayleigh quotients of the eigenvectors and increase with
         the index; each level's residual bounds the distance from its
         energy to an eigenvalue of the discrete H.

@@ -414,8 +414,13 @@ class TestLooseBisection:
             assert abs(lv.energy - e) <= lv.residual + 4.0 * eps * norm
 
 
-POLISHED_RECORD = re.compile(r"polished in \[([0-9, ]+)\] steps, "
-                             r"max residual (\S+) of the floor")
+POLISHED_RECORD = re.compile(r"polished in \[([0-9, ]+)\] steps on \[([0-9, ]+)\] "
+                             r"nodes, max residual (\S+) of the floor")
+
+
+def supports(message):
+    """The support of each level of a polished route record."""
+    return [int(m) for m in POLISHED_RECORD.search(message).group(2).split(", ")]
 
 
 @pytest.fixture
@@ -594,23 +599,37 @@ class TestCoarseStart:
             assert got == want
 
     def test_failed_coarse_polish_bisects(self, monkeypatch, routes, sector_norms):
-        # every gtsv solve of the coarse grid's sectors breaks down: the
-        # coarse grid is bisected, and the fine grid still polishes from it
-        real = gridsolver.dgtsv
+        # every gtsv solve made while the coarse grid is solved breaks
+        # down: the coarse grid is bisected, and the fine grid still
+        # polishes from it.  The coarse solve is told by when it runs, not
+        # by the size of its matrix: the fine even ground level's support
+        # is smaller than the coarse sectors
+        real_gtsv, real_coarse = gridsolver.dgtsv, gridsolver._coarse
         g = Grid(60.0, 40000)
         coarse = aligned_coarse(g).points // 2
+        solving = []
 
         def failing(dl, d, du, b, **kwargs):
-            *out, info = real(dl, d, du, b, **kwargs)
-            return (*out, 3 if d.size == coarse else info)
+            *out, info = real_gtsv(dl, d, du, b, **kwargs)
+            assert d.size <= coarse or not solving
+            return (*out, 3 if solving else info)
+
+        def marking(*args):
+            solving.append(True)
+            try:
+                return real_coarse(*args)
+            finally:
+                solving.pop()
         want = solve(pure_coulomb(), g, 4)
         monkeypatch.setattr(gridsolver, "dgtsv", failing)
+        monkeypatch.setattr(gridsolver, "_coarse", marking)
         res = solve(pure_coulomb(), g, 4)
         records = [(size, msg.split(": ")[1]) for size, msg in routes()]
         assert [msg for size, msg in records[-4:-2]] == \
             ["bisection after a failed polish"] * 2
         assert [size for size, _ in records[-4:]] == [coarse] * 2 + [20000] * 2
         assert all(POLISHED_RECORD.fullmatch(msg) for _, msg in records[-2:])
+        assert min(supports(records[-2][1])) < coarse
         eps = np.finfo(float).eps
         assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
         for got, lv in zip(res.levels, want.levels):
@@ -690,7 +709,7 @@ class TestRouteLog:
         monkeypatch.setattr(gridsolver, "_polished", recording)
         solve(pure_coulomb(), Grid(60.0, 40000), 4)
         records = [POLISHED_RECORD.fullmatch(msg.split(": ")[1]) for _, msg in routes()]
-        logged = [match.group(2) for match in records if match]
+        logged = [match.group(3) for match in records if match]
         # the coarse sectors and the fine sectors
         assert logged == margins and len(logged) == 4
         assert all(0.0 < float(margin) <= 1.0 for margin in logged)
@@ -799,7 +818,9 @@ class TestOneProductPerLevel:
     ], ids=["mirrored", "half-line", "asymmetric"])
     def test_each_level_multiplies_by_h_once(self, V, g, k, fine, routes, monkeypatch):
         # the certificate's product: a polished start takes its quotient in
-        # difference form, and a bisected level is only certified
+        # difference form, and a bisected level is only certified.  A
+        # polished level's product is on its support, a bisected one's on
+        # the whole matrix
         real, products = gridsolver._apply, []
 
         def counting(d, e, c, out, t):
@@ -810,7 +831,9 @@ class TestOneProductPerLevel:
         records = [(size, int(msg.split(", ")[1].split()[0]), msg.split(": ")[1])
                    for size, msg in routes()]
         # the matrices in the order solved, one product per level of each
-        assert products == [size for size, levels, _ in records for _ in range(levels)]
+        assert products == [m for size, levels, msg in records
+                            for m in (supports(msg) if msg.startswith("polished in [")
+                                      else [size] * levels)]
         assert [size for size, _, msg in records if msg.startswith("polished in [")][-1] \
             == fine
         assert not any("failed polish" in msg for _, _, msg in records)
@@ -825,6 +848,113 @@ class TestOneProductPerLevel:
         (_, even), (_, odd) = [(size, msg) for size, msg in routes() if size == 270000]
         assert even.split(": ")[1].startswith("polished in [2, 1, 1] steps")
         assert odd.split(": ")[1].startswith("polished in [1, 1, 1] steps")
+
+
+# the grids whose cut levels are checked against the whole matrix
+CUT = [
+    ("pure-coulomb", pure_coulomb(), Grid(60.0, 40000), 4),
+    ("care", repulsive_core(1e-3, 5e-3), Grid(54.0, 540000), 6),
+    ("half-line", half_line(), Grid(60.0, 80000), 6),
+]
+
+
+@pytest.fixture
+def fine_levels(monkeypatch, routes):
+    """solve(V, g, k), and for each level of its fine matrices, in index
+    order: the whole d, e and scale of its matrix, copied when it was
+    solved, its nodal vector, its Level and its logged support."""
+    real, mats = gridsolver._lowest, []
+
+    def recording(mat, k, start):
+        mats.append((mat.d.copy(), mat.e.copy(), mat.scale.copy()))
+        return real(mat, k, start)
+    monkeypatch.setattr(gridsolver, "_lowest", recording)
+
+    def run(V, g, k):
+        first = len(routes())
+        res = solve(V, g, k)
+        records = routes()[first:]
+        sol = res._solution
+        sectors = [sol.vectors] if sol.odd is None else [sol.vectors, sol.odd]
+        out = []
+        for level in res.levels:
+            s = level.index % len(sectors)
+            (_, msg), mat = records[s - len(sectors)], mats[s - len(sectors)]
+            j = level.index // len(sectors)
+            out.append((*mat, sectors[s][:, j], level, supports(msg)[j]))
+        return out
+    return run
+
+
+def padded_residual(d, e, y, energy):
+    """||Hy - Ey|| and y.Hy of a unit vector y, from the whole d and e."""
+    hy = d * y
+    hy[:-1] += e * y[1:]
+    hy[1:] += e * y[:-1]
+    return np.linalg.norm(hy - energy * y), y @ hy
+
+
+class TestSupportCut:
+    @pytest.mark.parametrize("case", ["even", "wall"])
+    def test_block_energy_is_the_padded_energy(self, case):
+        # a vector cut where it is far from negligible: the block's form,
+        # with the link to the first dropped node as its wall, is the
+        # whole form of the vector padded with zeros
+        g = Grid(20.0, 4000)
+        x = gridsolver._half_mesh(g, g.points // 2)
+        mat = gridsolver._assemble(x, evaluate(pure_coulomb(), x), (0.0, 20.0), False)
+        if case == "wall":
+            mat = gridsolver._wall_at_origin(mat, x)
+        n, m = x.size, 700
+        u = np.zeros(n)
+        u[:m] = np.exp(-x[:m]) * (1.0 + x[:m])
+        assert u[m - 1] > 1e-3 * u.max()
+        block = gridsolver._block(mat, m)
+        assert block.d.base is mat.d and block.e.base is mat.e
+        whole = gridsolver._energy(mat, u, u * mat.scale, np.empty(n), np.empty(n - 1))
+        cut = gridsolver._energy(block, u[:m], u[:m] * block.scale, np.empty(m),
+                                 np.empty(m - 1))
+        eps = np.finfo(float).eps
+        assert abs(cut - whole) <= 8.0 * eps * abs(whole)
+
+    @pytest.mark.parametrize("V, g, k", [case[1:] for case in CUT],
+                             ids=[case[0] for case in CUT])
+    def test_certificate_is_the_padded_vector(self, V, g, k, fine_levels):
+        eps, cut = np.finfo(float).eps, 0
+        for d, e, scale, u, level, m in fine_levels(V, g, k):
+            norm = np.abs(d).max() + 2.0 * np.abs(e).max()
+            # the whole nodal vector, zeros past the support included
+            residual, quotient = padded_residual(d, e, u * scale, level.energy)
+            assert abs(level.residual - residual) <= eps * norm
+            assert abs(level.energy - quotient) <= 8.0 * eps * norm
+            cut += m < d.size
+        assert cut
+
+    @pytest.mark.parametrize("V, g, k", [case[1:] for case in CUT],
+                             ids=[case[0] for case in CUT])
+    def test_vector_is_zero_past_its_support(self, V, g, k, fine_levels, monkeypatch):
+        cut = fine_levels(V, g, k)
+        monkeypatch.setattr(gridsolver, "_support", lambda x, xc, column: x.size)
+        uncut = fine_levels(V, g, k)
+        eps = np.finfo(float).eps
+        for (_, _, _, u, _, m), (_, _, _, whole, _, n) in zip(cut, uncut):
+            assert n == whole.size
+            assert not u[m:].any()
+            # what the cut drops is below the rounding of the uncut vector
+            assert np.abs(whole[m:]).max(initial=0.0) <= 16.0 * eps * np.abs(whole).max()
+
+    def test_cut_inside_the_support_fails_the_certificate(self, monkeypatch, routes,
+                                                           bisection_only):
+        # every start stops at half of its support: the padded vector's
+        # residual is far over the floor, and each matrix is bisected
+        real = gridsolver._support
+        monkeypatch.setattr(gridsolver, "_support",
+                            lambda x, xc, column: real(x, xc, column) // 2)
+        V, g = pure_coulomb(), Grid(60.0, 40000)
+        res = solve(V, g, 4)
+        fine = [msg.split(": ")[1] for size, msg in routes() if size == g.points // 2]
+        assert fine == ["bisection after a failed polish"] * 2
+        assert res.levels == bisection_only(V, g, 4).levels
 
 
 class TestFloorGuard:
@@ -1153,6 +1283,18 @@ class TestFiniteMatrix:
     def test_finite_tiny_box_still_fails_in_bisection(self, V):
         with pytest.raises(ConvergenceError, match="stebz"):
             solve(V, Grid(1e-150, 800), 2)
+
+    @pytest.mark.parametrize("V, half_width", [
+        (pure_coulomb(), 1e-310), (pure_coulomb(), 1e-320), (half_line(), 1e-320),
+        (repulsive_core(1e-300, 1e-300), 1e-300), (lambda x: -1.0 / np.abs(x), 1e-320),
+    ], ids=["pure-coulomb-1e-310", "pure-coulomb-1e-320", "half-line",
+            "repulsive-core", "callable"])
+    def test_subnormal_mesh_refused_without_a_warning(self, V, half_width, monkeypatch):
+        # 1/|x| overflows on these meshes: the potential is refused, and no
+        # floating-point warning escapes first
+        no_lapack(monkeypatch)
+        with pytest.raises(ValueError, match="potential is not finite on the mesh"):
+            solve(V, Grid(half_width, 800), 2)
 
     def test_refine_refuses_its_first_grid(self, monkeypatch):
         no_lapack(monkeypatch)
