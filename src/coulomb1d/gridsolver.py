@@ -27,9 +27,12 @@ so doubling ``points`` halves D and `refine` stays second order and
 Richardson-valid.
 
 Parity sectors.  The full-line mesh is built as the mirror image of its
-positive half, so a potential that is even in x gives a persymmetric
-matrix, and every eigenvector is exactly even or exactly odd.  The
-problem then splits into two half-size tridiagonal problems on x > 0.
+positive half.  Every family is even in x, and a callable V must be even
+on the mesh, V(-x) == V(x) bit for bit at every node of the positive
+half, or the solve raises ValueError.  The matrix is then persymmetric,
+and every eigenvector is exactly even or exactly odd.  The problem
+splits into two half-size tridiagonal problems on x > 0, and only they
+are ever assembled.
 The cell of the first point x_0 starts at the centre x = 0.  The even
 sector has no link across the centre; the odd sector vanishes there,
 which is a wall at 0 and adds 1/(2 x_0) to K[0].  The odd sector is
@@ -41,11 +44,8 @@ level j.  Parity labels are exact by construction.  The solve keeps the
 vectors in that form, each sector's on the positive half mesh; the
 whole-mesh ``positions`` and ``vectors`` of a `SpectrumResult` are its
 mirror image, built on first access and then kept (30 MB at N = 540000,
-k = 6, which no command reads).
-
-Plain callables that are not mirror symmetric on the mesh keep the
-full N-point matrix.  They and the half line, one matrix on [0, L], are
-the only solves whose levels carry no parity label.
+k = 6, which no command reads).  The half line, one matrix on [0, L], is
+the only solve whose levels carry no parity label.
 
 Eigenvectors.  A grid first solves the same problem on
 ``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
@@ -65,17 +65,19 @@ default soft-core scan) starts from the same map at an eighth of its
 points, rounded down to an even count, and only that eighth grid, 57 to
 312 points a sector on the benchmark's boxes, is solved from nothing.
 `refine` starts each grid after its first from the vectors of the grid
-before.  Each coarse vector, on the coarse grid's whole mesh, is cut
-where it falls below eps of its largest magnitude: its support is the
-fine nodes before the coarse node that follows its last one above that.
-It is interpolated onto those nodes alone and polished on the leading
-block of H over them, and the fine vector is exactly 0 past them.  A
-bound state decays like exp(-sqrt(2|E|) x) toward the box edge, so the
-deep levels are polished on a small part of a box sized for the
-shallowest: the even ground level of pure Coulomb at N = 540000 on
-12,279 of its sector's 270,000 nodes.  Only the right end, toward
-x = L, is cut; a callable that is not mirror symmetric keeps its left
-tail.  The polish is one to five shift-invert Rayleigh-quotient steps,
+before.  A sector starts from the same sector of the coarse solution, on
+the coarse half mesh.  Each coarse vector is cut where it falls below
+eps of its largest magnitude: its support is the fine nodes before the
+coarse node that follows its last one above that.  It is interpolated
+onto those nodes alone and polished on the leading block of H over them,
+and the fine vector is exactly 0 past them.  Below the first coarse node
+an even sector's vector stays flat, as its mirror image would have it;
+that of a matrix with a wall at the centre, an odd sector or the half
+line, falls linearly to 0 there.  A bound state decays like
+exp(-sqrt(2|E|) x) toward the box edge, so the deep levels are polished
+on a small part of a box sized for the shallowest: the even ground level
+of pure Coulomb at N = 540000 on 12,279 of its sector's 270,000 nodes.
+The polish is one to five shift-invert Rayleigh-quotient steps,
 one LAPACK gtsv solve each, which converge cubically near an eigenvector
 (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The first step is
 shifted by the start's quotient u.K.u / u.M.u, taken in difference form
@@ -96,7 +98,7 @@ last step, and against the whole matrix: a polished level j stands only
 if the residual ||Hy - Ey|| of its vector padded with zeros, recomputed
 from H, is at most 16 eps ||H||, the rounding floor of a full-precision
 solve, and the vector has exactly j sign changes, as eigenvector j of a
-Jacobi matrix (a sector, or the full matrix) must.  The padded vector's
+Jacobi matrix (a sector, or the half line's matrix) must.  The padded vector's
 energy is the block's, with the link to the first dropped node as its
 wall, and its residual is that of the block and the one term that the
 first dropped row sees, so a support cut too short fails the
@@ -251,6 +253,12 @@ def _graded_points(half_width, core):
     return 2 * math.ceil(2.0 * _stretch(half_width, core))
 
 
+def _require_integer(name, value):
+    # bool is an Integral, and no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_positive(name, value):
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
@@ -288,8 +296,7 @@ class Grid:
 
     def __post_init__(self):
         _require_positive("half_width", self.half_width)
-        if not isinstance(self.points, numbers.Integral):
-            raise ValueError(f"point count must be an integer, got {self.points!r}")
+        _require_integer("point count", self.points)
         if self.points < 8:
             raise ValueError(f"need at least 8 mesh points, got {self.points}")
         if self.core is not None:
@@ -328,11 +335,11 @@ class Level:
 class _Solution(NamedTuple):
     """Nodes and nodal vectors of a solve, in one of two forms.
 
-    With ``odd`` None, column k of ``vectors`` is level k on the nodes x.
-    Otherwise x is the positive half of a mirrored mesh, and column j of
-    ``vectors`` and of ``odd`` is level j of the even and of the odd
-    sector, level 2j and 2j + 1 of the whole mesh, scaled so that
-    sum(width * u^2) = 1 over the half mesh.
+    With ``odd`` None, the half line's form, column k of ``vectors`` is
+    level k on the nodes x.  Otherwise x is the positive half of a
+    mirrored mesh, and column j of ``vectors`` and of ``odd`` is level j
+    of the even and of the odd sector, level 2j and 2j + 1 of the whole
+    mesh, scaled so that sum(width * u^2) = 1 over the half mesh.
     """
 
     x: np.ndarray
@@ -414,12 +421,22 @@ def _half_mesh(g, m):
 
 
 def _potential(V, x):
+    """V on the half-mesh nodes x.  A callable must give one finite value
+    per node, the same at -x bit for bit; every family is even in x."""
     # a mesh in the subnormal range overflows 1/|x|: refused below, with
     # no floating-point warning
     with np.errstate(all="ignore"):
-        v = evaluate(V, x) if isinstance(V, PotentialSpec) else np.asarray(V(x), float)
+        spec = isinstance(V, PotentialSpec)
+        v = evaluate(V, x) if spec else np.asarray(V(x), float)
+        even = spec or np.array_equal(v, np.asarray(V(-x), float))
+    if v.shape != x.shape:
+        raise ValueError("a potential callable must return one value per node, "
+                         f"got an array of shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("potential is not finite on the mesh")
+    if not even:
+        raise ValueError("a potential callable must be even on the mesh: "
+                         "V(-x) == V(x) at every node")
     return v
 
 
@@ -444,18 +461,16 @@ class _Matrix(NamedTuple):
 # zero: the assembly runs without floating-point warnings, and `_finite`
 # refuses such a matrix before any solve.
 
-def _assemble(x, v, faces, left_wall):
-    """Matrix on the nodes x, its two end cells closed at ``faces``.  A
-    Dirichlet wall stands on the right face, and on the left one if
-    ``left_wall``; a wall at distance d from its end node adds the link
-    1/(2d)."""
+def _assemble(x, v, L):
+    """Matrix on the half-mesh nodes x: the first cell starts at the
+    centre, with no link across it, and the last ends at a Dirichlet wall
+    at L, which adds the link 1/(2d) at distance d from the last node."""
     with np.errstate(all="ignore"):
-        ends = (0.5 / (x[0] - faces[0]) if left_wall else 0.0,
-                0.5 / (faces[1] - x[-1]))
+        ends = (0.0, 0.5 / (L - x[-1]))
         # node gaps, with twice the distance from each end node to its face
         gap = np.empty(x.size + 1)
         np.subtract(x[1:], x[:-1], out=gap[1:-1])
-        gap[0], gap[-1] = 2.0 * (x[0] - faces[0]), 2.0 * (faces[1] - x[-1])
+        gap[0], gap[-1] = 2.0 * x[0], 2.0 * (L - x[-1])
         scale = gap[:-1] + gap[1:]
         scale *= 0.5
         link = np.divide(0.5, gap, out=gap)
@@ -791,17 +806,24 @@ def _support(x, xc, column):
     return max(int(np.searchsorted(x, xc[last + 1])), 1)
 
 
-def _starts(coarse, x, levels):
-    """start(j) for `_lowest`: coarse level levels[j] interpolated onto
-    the nodes of x before its cut (`_support`), built only when it is
-    asked for.  ``coarse`` is the whole mesh and vectors of the coarse
-    solution."""
-    if coarse is None:
+def _starts(mat, x, xc, columns):
+    """start(j) for `_lowest` on the matrix mat over the nodes x: column j
+    of ``columns``, the same sector of a coarse solution on its half mesh
+    xc, interpolated onto the nodes of x before its cut (`_support`),
+    built only when it is asked for; None if xc is None.
+
+    Below xc[0] the start stays flat, as the mirror image of an even
+    level would have it, unless mat has a wall at the centre: then it
+    falls linearly to 0 there, as an odd level does.
+    """
+    if xc is None:
         return None
-    xc, vc = coarse
+    if mat.ends[0] > 0.0:
+        xc = np.append(0.0, xc)
+        columns = np.concatenate((np.zeros((1, columns.shape[1])), columns))
 
     def start(j):
-        column = vc[:, levels[j]]
+        column = columns[:, j]
         return np.interp(x[:_support(x, xc, column)], xc, column)
     return start
 
@@ -810,14 +832,15 @@ def _mirrored(even, xp, k, g, coarse):
     """Merged sector energies, residuals, node counts and floor ratios of
     an even potential, and its solution in sector form on the half mesh
     xp, from the matrix of the even sector, which has no link across the
-    centre."""
+    centre.  ``coarse`` is a coarser solution in sector form, or None."""
+    xc, c_even, c_odd = coarse or (None,) * 3
     w_even, u_even, r_even, n_even, f_even = _lowest(
-        even, (k + 1) // 2, _starts(coarse, xp, range(0, k, 2)))
+        even, (k + 1) // 2, _starts(even, xp, xc, c_even))
     # the even matrix is spent, so the odd one, a wall at the centre, may
     # take over its arrays
     odd = _finite(_wall_at_origin(even, xp), g)
     w_odd, u_odd, r_odd, n_odd, f_odd = _lowest(
-        odd, k // 2, _starts(coarse, xp, range(1, k, 2)))
+        odd, k // 2, _starts(odd, xp, xc, c_odd))
     w, r, ratio, nodes = np.empty(k), np.empty(k), np.empty(k), [0] * k
     w[0::2], w[1::2] = w_even, w_odd
     ratio[0::2], ratio[1::2] = f_even, f_odd
@@ -831,51 +854,33 @@ def _mirrored(even, xp, k, g, coarse):
 
 def _eigenpairs(V, g, k, coarse=None):
     """Energies, residuals, node counts, `_floor_ratios` and the
-    `_Solution` of a grid, in sector form if its two parity sectors were
-    solved, with vectors scaled to sum(width * v^2) = 1.  ``coarse``, the
+    `_Solution` of a grid, in sector form unless it is the half line, with
+    vectors scaled to sum(width * v^2) = 1.  ``coarse``, the
     solution of a coarser grid, is the start of the polish; by default it
     comes from `_coarse`, which is solved only once the grid's first
     matrix has been built and found finite."""
-    spec = isinstance(V, PotentialSpec)
-    L = g.half_width
-    half_line = spec and V.family == "half-line"
+    half_line = isinstance(V, PotentialSpec) and V.family == "half-line"
     if not half_line and g.points % 2:
         raise ValueError("full-line grids need an even point count to "
                          "stay mirror-symmetric")
-    mirrored = not half_line
+    x = _half_mesh(g, g.points if half_line else g.points // 2)
+    # the even sector, with no link across the centre
+    mat = _assemble(x, _potential(V, x), g.half_width)
     if half_line:
         # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
-        x = _half_mesh(g, g.points)
-        mat = _wall_at_origin(_assemble(x, _potential(V, x), (0.0, L), False), x)
-    else:
-        m = g.points // 2
-        x = xp = _half_mesh(g, m)
-        if spec:
-            # every family is even in x
-            v = _potential(V, xp)
-        else:
-            x = np.concatenate((-xp[::-1], xp))
-            v = _potential(V, x)
-            mirrored = np.array_equal(v[:m][::-1], v[m:])
-            if mirrored:
-                x, v = xp, v[m:]
-        # the even sector has no link across the centre; the whole mesh
-        # has a wall at each end
-        mat = (_assemble(x, v, (0.0, L), False) if mirrored
-               else _assemble(x, v, (-L, L), True))
+        mat = _wall_at_origin(mat, x)
     mat = _finite(mat, g)
     if coarse is None:
         coarse = _coarse(V, g, k, half_line)
-    if coarse is not None:
-        # the starts interpolate the whole-mesh vectors
-        coarse = _positions(coarse), _vectors(coarse)
-    if mirrored:
+    if not half_line:
         return _mirrored(mat, x, k, g, coarse)
-    w, u, r, nodes, ratio = _lowest(mat, k, _starts(coarse, x, range(k)))
+    xc, columns, _ = coarse or (None,) * 3
+    w, u, r, nodes, ratio = _lowest(mat, k, _starts(mat, x, xc, columns))
     return w, r, nodes, ratio, _Solution(x, u)
 
 
-def _check(V, g, k_max):
+def _check(g, k_max):
+    _require_integer("k_max", k_max)
     if k_max < 1 or k_max > g.points // 4:
         raise ValueError(f"k_max must lie in [1, N/4] = [1, {g.points // 4}]")
 
@@ -887,7 +892,9 @@ def solve(V, g, k_max):
     ----------
     V : PotentialSpec or callable
         Potential family, or a plain vectorized function V(x) for
-        benchmark potentials (harmonic, box, ...).
+        benchmark potentials (harmonic, box, ...).  A callable must
+        return one value per node and be even on the mesh, V(-x) == V(x)
+        bit for bit at every node, as every family is.
     g : Grid
     k_max : int
         Number of levels, 1 <= k_max <= N/4.
@@ -895,9 +902,9 @@ def solve(V, g, k_max):
     Returns
     -------
     SpectrumResult
-        Levels carry eigenvector node counts and, for a potential that
-        is even on the full-line mesh, their exact parity; other
-        levels, the half-line ones included, have parity None.  A
+        Levels carry eigenvector node counts and, on the full line, their
+        exact parity; the half line is the only solve whose levels have
+        parity None.  A
         polished level's vector is exactly 0 on the nodes toward x = L
         past its support, where its coarse start fell below eps of its
         peak; the residual is that of the whole vector.  Energies
@@ -907,17 +914,20 @@ def solve(V, g, k_max):
 
     Raises
     ------
+    ValueError
+        If k_max is not an integer in [1, N/4], or if V is a callable
+        that is not even on the mesh.
     ConvergenceError
         If the eigensolve breaks down, or if the rounding floor
         16 eps ||H|| of a level's matrix is over 4 times the level's
         scale: its distance to the nearest other level of that matrix
-        (the same parity sector, or the one full matrix).  A matrix
+        (the same parity sector, or the half line's one matrix).  A matrix
         asked for one level, as each sector is at k_max <= 2, has no
         such distance, and its level is measured against |E|; there a
         level within a few floors of E = 0 raises, wherever the zero of
         the potential sits.
     """
-    _check(V, g, k_max)
+    _check(g, k_max)
     w, res, nodes, ratio, solution = _eigenpairs(V, g, k_max)
     _guard(w, ratio, range(k_max))
     sectors = solution.odd is not None
@@ -953,15 +963,20 @@ def refine(V, g, level, refinements):
 
     Raises
     ------
+    ValueError
+        If level or refinements is not an integer in its range, or as
+        `solve` for V.
     ConvergenceError
         As `solve`, for the tracked level of any grid.
     """
+    _require_integer("level", level)
+    _require_integer("refinements", refinements)
     if refinements < 1 or refinements > 4:
         raise ValueError(f"refinements must lie in [1, 4], got {refinements}")
     energies, coarse = [], None
     for j in range(refinements + 1):
         gj = replace(g, points=g.points * 2 ** j)
-        _check(V, gj, level + 1)
+        _check(gj, level + 1)
         w, _, _, ratio, coarse = _eigenpairs(V, gj, level + 1, coarse)
         _guard(w, ratio, [level])
         energies.append(float(w[level]))

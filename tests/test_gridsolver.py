@@ -8,13 +8,15 @@ import threading
 import tracemalloc
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 
 from coulomb1d import (ConvergenceError, Grid, cli, evaluate, exact_energy, gridsolver,
-                       half_line, pure_coulomb, refine, repulsive_core, soft_core, solve)
+                       half_line, normalize, pure_coulomb, refine, repulsive_core,
+                       soft_core, solve, wavefunction)
 
 
 def harmonic(x):
@@ -75,10 +77,6 @@ class TestEigenvectors:
         for k in range(3):
             assert math.isclose(h * np.sum(res.vectors[:, k] ** 2), 1.0,
                                 rel_tol=1e-10)
-
-    def test_asymmetric_potential_gets_no_parity_tag(self):
-        res = solve(lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 3000), 2)
-        assert all(lv.parity is None for lv in res.levels)
 
 
 def dense_staggered_levels(V, half_width, points, k):
@@ -147,10 +145,9 @@ class TestParitySectors:
                 assert math.isclose(widths @ v ** 2, 1.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize("V, g", [
-        (lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 3000)),
         (half_line(), Grid(60.0, 4000)),
         (half_line(), Grid(60.0, 40000)),
-    ], ids=["asymmetric", "half-line", "half-line-polished"])
+    ], ids=["half-line", "half-line-polished"])
     def test_one_matrix_paths_return_their_vectors_as_solved(self, V, g, monkeypatch):
         real, solved = gridsolver._lowest, []
 
@@ -161,8 +158,7 @@ class TestParitySectors:
         res = solve(V, g, 3)
         # no mirror, no copy: the array the one matrix's solve returned
         assert res.vectors is solved[-1][1]
-        half = getattr(V, "family", None) == "half-line"
-        widths = cell_widths(res.positions, g.half_width, 0.0 if half else None)
+        widths = cell_widths(res.positions, g.half_width, 0.0)
         for v in res.vectors.T:
             assert math.isclose(widths @ v ** 2, 1.0, rel_tol=1e-12)
 
@@ -176,22 +172,12 @@ class TestParitySectors:
         h = 2.0 * g.half_width / g.points
         assert math.isclose(h * np.sum(res.vectors[:, 0] ** 2), 1.0, rel_tol=1e-12)
 
-    def test_full_matrix_paths_match_dense_matrix(self):
-        shifted = lambda x: 0.5 * (x - 1.0) ** 2  # noqa: E731
-        res = solve(shifted, Grid(10.0, 400), 4)
-        ref, norm = dense_staggered_levels(shifted, 10.0, 400, 4)
-        np.testing.assert_allclose([lv.energy for lv in res.levels], ref,
-                                   rtol=0, atol=1e-12 * norm)
-
     def test_full_matrix_paths_carry_no_parity(self):
-        # an asymmetric callable and the half line are the one-matrix solves
-        asym = solve(lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 3000), 3)
+        # the half line, one matrix on [0, L], is the only solve with no
+        # parity sectors
         half = solve(half_line(), Grid(60.0, 4000), 3)
-        for res in (asym, half):
-            assert [lv.parity for lv in res.levels] == [None, None, None]
-            assert [lv.nodes for lv in res.levels] == [0, 1, 2]
-        # the shifted well keeps the harmonic spacing
-        assert abs(asym.levels[1].energy - asym.levels[0].energy - 1.0) < 1e-3
+        assert [lv.parity for lv in half.levels] == [None, None, None]
+        assert [lv.nodes for lv in half.levels] == [0, 1, 2]
 
 
 @pytest.fixture
@@ -338,23 +324,17 @@ class TestRayleighQuotient:
         assert all(a < b for a, b in zip(es, es[1:]))
         assert [lv.parity for lv in res.levels] == ["even", "odd", "even", "odd"]
 
-    @pytest.mark.parametrize("case", ["uniform", "graded", "wall", "full"])
+    @pytest.mark.parametrize("case", ["uniform", "graded", "wall"])
     def test_difference_form_is_the_quotient(self, case):
         # the form that a polished start and the certificate share, over
         # c.c, against c.Hc / c.c from the assembled d and e; the vectors
         # are smooth, as interpolated starts are, one of them with noise
-        if case == "full":
-            g, V = Grid(12.0, 3000), (lambda x: 0.5 * (x - 1.0) ** 2)
-            xp = gridsolver._half_mesh(g, g.points // 2)
-            x = np.concatenate((-xp[::-1], xp))
-            mat = gridsolver._assemble(x, V(x), (-12.0, 12.0), True)
-        else:
-            V, g = ((soft_core(1e-3), Grid.graded(30.0, 1e-3)) if case == "graded"
-                    else (pure_coulomb(), Grid(20.0, 4000)))
-            x = gridsolver._half_mesh(g, g.points // 2)
-            mat = gridsolver._assemble(x, evaluate(V, x), (0.0, g.half_width), False)
-            if case == "wall":
-                mat = gridsolver._wall_at_origin(mat, x)
+        V, g = ((soft_core(1e-3), Grid.graded(30.0, 1e-3)) if case == "graded"
+                else (pure_coulomb(), Grid(20.0, 4000)))
+        x = gridsolver._half_mesh(g, g.points // 2)
+        mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
+        if case == "wall":
+            mat = gridsolver._wall_at_origin(mat, x)
         n, eps = x.size, np.finfo(float).eps
         bound = 8.0 * eps * gridsolver._norm(mat)
         noise = np.random.default_rng(0).normal(size=n)
@@ -581,11 +561,12 @@ class TestCoarseStart:
         # polish of its ground level converges on a vector with a node
         real = gridsolver._starts
 
-        def shifted(coarse, x, levels):
-            start = real(coarse, x, levels)
-            if start is None or levels[0] != 0:
+        def shifted(mat, x, xc, columns):
+            start = real(mat, x, xc, columns)
+            # the odd sector, with a wall at the centre, keeps its starts
+            if start is None or mat.ends[0] > 0.0:
                 return start
-            return lambda j: start((j + 1) % len(levels))
+            return lambda j: start((j + 1) % columns.shape[1])
         monkeypatch.setattr(gridsolver, "_starts", shifted)
         V, g = repulsive_core(1e-3, 5e-3), Grid(30.0, 40000)
         res = solve(V, g, 4)
@@ -814,8 +795,7 @@ class TestOneProductPerLevel:
     @pytest.mark.parametrize("V, g, k, fine", [
         (pure_coulomb(), Grid(60.0, 40000), 4, 20000),
         (half_line(), Grid(60.0, 12000), 3, 12000),
-        (lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 40000), 4, 40000),
-    ], ids=["mirrored", "half-line", "asymmetric"])
+    ], ids=["mirrored", "half-line"])
     def test_each_level_multiplies_by_h_once(self, V, g, k, fine, routes, monkeypatch):
         # the certificate's product: a polished start takes its quotient in
         # difference form, and a bisected level is only certified.  A
@@ -902,7 +882,7 @@ class TestSupportCut:
         # whole form of the vector padded with zeros
         g = Grid(20.0, 4000)
         x = gridsolver._half_mesh(g, g.points // 2)
-        mat = gridsolver._assemble(x, evaluate(pure_coulomb(), x), (0.0, 20.0), False)
+        mat = gridsolver._assemble(x, evaluate(pure_coulomb(), x), 20.0)
         if case == "wall":
             mat = gridsolver._wall_at_origin(mat, x)
         n, m = x.size, 700
@@ -1172,6 +1152,54 @@ class TestOracleAgreement:
         assert abs(res.levels[3].energy - exact_energy(3)) < 0.01 * abs(exact_energy(3))
 
 
+def even_lambda(kappa):
+    """The even-sector boundary parameter of the level E = -1/(2 kappa^2):
+    psi ~ c0 (1 - 2|x| ln|x|) + C|x| near x = 0, lambda = C/c0."""
+    kappa = mp.mpf(kappa)
+    return (2 - 2 * mp.log(2 / kappa) - 2 * mp.digamma(1 - kappa) - 1 / kappa
+            - 4 * mp.euler)
+
+
+def even_level(lam, j):
+    """The even level with boundary parameter lam whose kappa lies in
+    (j, j + 1), where lambda(kappa) runs from -inf to +inf: bisection."""
+    lo, hi = mp.mpf(j) + mp.mpf("1e-12"), mp.mpf(j + 1) - mp.mpf("1e-12")
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if even_lambda(mid) < lam:
+            lo = mid
+        else:
+            hi = mid
+    return float(-1 / (2 * ((lo + hi) / 2) ** 2))
+
+
+class TestExactStates:
+    def test_even_levels_follow_one_lambda(self):
+        # the lambda that the grid's own E0 fixes predicts E2 and E4 to
+        # within a few times the error of the odd level E1 = -1/2, and the
+        # gap closes near second order in h
+        gaps = []
+        for points in (40000, 100000):
+            e = [lv.energy for lv in solve(pure_coulomb(), Grid(60.0, points), 5).levels]
+            lam = even_lambda(1 / mp.sqrt(-2 * mp.mpf(e[0])))
+            odd = abs(e[1] + 0.5) / 0.5
+            gaps.append([abs(e[2 * j] / even_level(lam, j) - 1.0) for j in (1, 2)])
+            assert max(gaps[-1]) <= 4.0 * odd
+        assert all(coarse >= 4.0 * fine for coarse, fine in zip(*gaps))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_odd_vectors_match_exact_states(self, n):
+        # the mirrored whole-mesh vector against the normalized psi_n, up
+        # to its sign: second order, (100000 / 40000)^2 = 6.25
+        diffs = []
+        for points in (40000, 100000):
+            res = solve(pure_coulomb(), Grid(60.0, points), n + 1)
+            v, exact = res.vectors[:, n], normalize(n).norm * wavefunction(n, res.positions)
+            diffs.append(np.abs(math.copysign(1.0, v @ exact) * v - exact).max())
+        assert diffs[1] <= 1e-6
+        assert 5.6 <= diffs[0] / diffs[1] <= 6.9
+
+
 class TestRefine:
     def test_harmonic_ground_ratio(self):
         seq = refine(harmonic, Grid(half_width=8.0, points=500), 0, 2)
@@ -1233,6 +1261,42 @@ class TestValidation:
         assert Grid(10.0, 400).staggered is True
         assert Grid.graded(30.0, 1e-3).staggered is True
 
+    @pytest.mark.parametrize("call", [lambda V, g: solve(V, g, 2),
+                                      lambda V, g: refine(V, g, 0, 1)],
+                             ids=["solve", "refine"])
+    def test_callable_that_is_not_even_is_refused(self, call, monkeypatch):
+        # only the half mesh is ever solved, so V must be mirror symmetric
+        no_lapack(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape("must be even on the mesh: "
+                                                       "V(-x) == V(x)")):
+            call(lambda x: 0.5 * (x - 1.0) ** 2, Grid(12.0, 3000))
+
+    @pytest.mark.parametrize("V", [lambda x: 1.0, lambda x: np.ones(3),
+                                   lambda x: np.ones((x.size, 1))],
+                             ids=["scalar", "three", "column"])
+    def test_callable_must_give_one_value_per_node(self, V, monkeypatch):
+        no_lapack(monkeypatch)
+        with pytest.raises(ValueError, match="must return one value per node"):
+            solve(V, Grid(20.0, 800), 2)
+
+    @pytest.mark.parametrize("name, value", [
+        ("k_max", 2.5), ("k_max", 2.0), ("k_max", True), ("k_max", "2"),
+        ("level", 0.5), ("level", False), ("refinements", 1.0), ("refinements", True),
+    ])
+    def test_counts_must_be_integers(self, name, value, monkeypatch):
+        no_lapack(monkeypatch)
+        g, message = Grid(20.0, 800), f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if name == "k_max":
+                solve(pure_coulomb(), g, value)
+            else:
+                refine(pure_coulomb(), g, **{"level": 0, "refinements": 1, name: value})
+
+    def test_numpy_integer_counts(self):
+        V, g = pure_coulomb(), Grid(20.0, 800)
+        assert solve(V, g, np.int64(2)).levels == solve(V, g, 2).levels
+        assert refine(harmonic, g, np.int64(0), np.int64(1)) == refine(harmonic, g, 0, 1)
+
     def test_full_line_staggered_needs_even_points(self):
         with pytest.raises(ValueError):
             solve(harmonic, Grid(half_width=10.0, points=1001), 2)
@@ -1243,7 +1307,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             Grid(half_width=1.0, points=4)
 
-    @pytest.mark.parametrize("points", [10.5, 1000.0, "1000"])
+    @pytest.mark.parametrize("points", [10.5, 1000.0, "1000", True])
     def test_point_count_must_be_an_integer(self, points):
         with pytest.raises(ValueError, match="point count must be an integer"):
             Grid(10.0, points)
@@ -1269,8 +1333,8 @@ class TestFiniteMatrix:
     # every floating-point warning into an error
     @pytest.mark.parametrize("half_width", [1e-160, 1e-200])
     @pytest.mark.parametrize("V", [pure_coulomb(), lambda x: -1.0 / np.abs(x),
-                                   lambda x: -1.0 / np.abs(x - 0.1), half_line()],
-                             ids=["pure-coulomb", "callable", "asymmetric", "half-line"])
+                                   half_line()],
+                             ids=["pure-coulomb", "callable", "half-line"])
     def test_overflowing_matrix_refused_before_any_solve(self, V, half_width, monkeypatch):
         no_lapack(monkeypatch)
         g = Grid(half_width, 800)
@@ -1324,7 +1388,7 @@ def sector_matrix(kind, n):
     else:
         g, V = Grid(60.0, n), half_line()
     x = gridsolver._half_mesh(g, n)
-    mat = gridsolver._assemble(x, evaluate(V, x), (0.0, g.half_width), False)
+    mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
     if kind == "half-line":
         mat = gridsolver._wall_at_origin(mat, x)
     return mat.d, mat.e
