@@ -31,21 +31,23 @@ positive half.  Every family is even in x, and a callable V must be even
 on the mesh, V(-x) == V(x) bit for bit at every node of the positive
 half, or the solve raises ValueError.  The matrix is then persymmetric,
 and every eigenvector is exactly even or exactly odd.  The problem
-splits into two half-size tridiagonal problems on x > 0, and only they
-are ever assembled.
-The cell of the first point x_0 starts at the centre x = 0.  The even
-sector has no link across the centre; the odd sector vanishes there,
-which is a wall at 0 and adds 1/(2 x_0) to K[0].  The odd sector is
-therefore the half-line model, and the half-line family is solved as
-that sector alone on [0, L].  The merge needs no sort and no parity
-guess: by the oscillation theorem eigenvector k of a Jacobi matrix has
-k sign changes, so level 2j is even level j and level 2j+1 is odd
-level j.  Parity labels are exact by construction.  The solve keeps the
-vectors in that form, each sector's on the positive half mesh; the
-whole-mesh ``positions`` and ``vectors`` of a `SpectrumResult` are its
-mirror image, built on first access and then kept (30 MB at N = 540000,
-k = 6, which no command reads).  The half line, one matrix on [0, L], is
-the only solve whose levels carry no parity label.
+splits into two half-size tridiagonal problems on x > 0, the parity
+sectors, and only they are ever assembled, one after the other in one
+loop.  The cell of the first point x_0 starts at the centre x = 0.  The
+even sector has no link across the centre; the odd sector vanishes
+there, which is a wall at 0 and adds 1/(2 x_0) to K[0].  The half-line
+model, -1/x with a wall at 0, is therefore the odd sector of -1/|x|
+alone (Loudon 1959), solved on [0, L] with all N points.  The merge
+needs no sort and no parity guess: by the oscillation theorem
+eigenvector j of a Jacobi matrix has j sign changes, so with S sectors
+(two, or the half line's one) level j of sector s is level s + jS of
+the grid, with S m + s nodes if its sector vector has m.  Parity
+labels are exact by construction; the half line's levels carry none.
+The solve keeps the vectors in that form, each sector's on the positive
+half mesh; the whole-mesh ``positions`` and ``vectors`` of a
+`SpectrumResult` are their mirror image, built on first access and then
+kept (30 MB at N = 540000, k = 6, which no command reads), and on the
+half line the one sector itself.
 
 Eigenvectors.  A grid first solves the same problem on
 ``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
@@ -72,8 +74,8 @@ coarse node that follows its last one above that.  It is interpolated
 onto those nodes alone and polished on the leading block of H over them,
 and the fine vector is exactly 0 past them.  Below the first coarse node
 an even sector's vector stays flat, as its mirror image would have it;
-that of a matrix with a wall at the centre, an odd sector or the half
-line, falls linearly to 0 there.  A bound state decays like
+that of the odd sector, whose matrix has a wall at the centre, falls
+linearly to 0 there.  A bound state decays like
 exp(-sqrt(2|E|) x) toward the box edge, so the deep levels are polished
 on a small part of a box sized for the shallowest: the even ground level
 of pure Coulomb at N = 540000 on 12,279 of its sector's 270,000 nodes.
@@ -98,7 +100,7 @@ last step, and against the whole matrix: a polished level j stands only
 if the residual ||Hy - Ey|| of its vector padded with zeros, recomputed
 from H, is at most 16 eps ||H||, the rounding floor of a full-precision
 solve, and the vector has exactly j sign changes, as eigenvector j of a
-Jacobi matrix (a sector, or the half line's matrix) must.  The padded vector's
+sector, a Jacobi matrix, must.  The padded vector's
 energy is the block's, with the link to the first dropped node as its
 wall, and its residual is that of the block and the one term that the
 first dropped row sees, so a support cut too short fails the
@@ -333,23 +335,21 @@ class Level:
 
 
 class _Solution(NamedTuple):
-    """Nodes and nodal vectors of a solve, in one of two forms.
+    """The half mesh x of a solve and the nodal vectors of its parity
+    sectors on it, scaled so that sum(width * u^2) = 1 over x.
 
-    With ``odd`` None, the half line's form, column k of ``vectors`` is
-    level k on the nodes x.  Otherwise x is the positive half of a
-    mirrored mesh, and column j of ``vectors`` and of ``odd`` is level j
-    of the even and of the odd sector, level 2j and 2j + 1 of the whole
-    mesh, scaled so that sum(width * u^2) = 1 over the half mesh.
+    ``sectors`` holds one array per sector: the even and the odd one of
+    a full-line grid, or the half line's odd sector alone.  Column j of
+    sector s is level s + j * len(sectors) of the grid.
     """
 
     x: np.ndarray
-    vectors: np.ndarray
-    odd: np.ndarray | None = None
+    sectors: tuple
 
 
 def _positions(sol):
     """The whole mesh of a solution."""
-    if sol.odd is None:
+    if len(sol.sectors) == 1:
         return sol.x
     return np.concatenate((-sol.x[::-1], sol.x))
 
@@ -357,19 +357,20 @@ def _positions(sol):
 def _vectors(sol):
     """The vectors of a solution on its whole mesh, level k in column k.
 
-    A sector column is divided by sqrt(2), which keeps sum(width * v^2)
-    = 1 on the whole mesh, and mirrored onto x < 0, negated if odd.
+    On the full line a sector column is divided by sqrt(2), which keeps
+    sum(width * v^2) = 1 on the whole mesh, and mirrored onto x < 0,
+    negated if odd.
     """
-    if sol.odd is None:
-        return sol.vectors
+    if len(sol.sectors) == 1:
+        return sol.sectors[0]
     m = sol.x.size
-    k = sol.vectors.shape[1] + sol.odd.shape[1]
+    k = sum(u.shape[1] for u in sol.sectors)
     vecs = np.empty((2 * m, k), order="F")
     root2 = math.sqrt(2.0)
     # column by column, so that every write is contiguous
     for j in range(k):
         half = vecs[m:, j]
-        np.divide((sol.odd if j % 2 else sol.vectors)[:, j // 2], root2, out=half)
+        np.divide(sol.sectors[j % 2][:, j // 2], root2, out=half)
         if j % 2:
             np.negative(half[::-1], out=vecs[:m, j])
         else:
@@ -383,8 +384,8 @@ class SpectrumResult:
 
     ``vectors[:, k]`` is level k on ``positions``, normalized so that
     sum(width * v^2) = 1 over the cells (h * sum(v^2) = 1 on a uniform
-    grid).  A symmetric solve keeps its vectors as the two parity
-    sectors on the positive half mesh; ``positions`` and ``vectors``
+    grid).  A solve keeps its vectors as its parity sectors on the
+    positive half mesh; on the full line ``positions`` and ``vectors``
     build the whole-mesh arrays on first access and keep them.
     """
 
@@ -810,14 +811,12 @@ def _starts(mat, x, xc, columns):
     """start(j) for `_lowest` on the matrix mat over the nodes x: column j
     of ``columns``, the same sector of a coarse solution on its half mesh
     xc, interpolated onto the nodes of x before its cut (`_support`),
-    built only when it is asked for; None if xc is None.
+    built only when it is asked for.
 
     Below xc[0] the start stays flat, as the mirror image of an even
     level would have it, unless mat has a wall at the centre: then it
     falls linearly to 0 there, as an odd level does.
     """
-    if xc is None:
-        return None
     if mat.ends[0] > 0.0:
         xc = np.append(0.0, xc)
         columns = np.concatenate((np.zeros((1, columns.shape[1])), columns))
@@ -828,55 +827,45 @@ def _starts(mat, x, xc, columns):
     return start
 
 
-def _mirrored(even, xp, k, g, coarse):
-    """Merged sector energies, residuals, node counts and floor ratios of
-    an even potential, and its solution in sector form on the half mesh
-    xp, from the matrix of the even sector, which has no link across the
-    centre.  ``coarse`` is a coarser solution in sector form, or None."""
-    xc, c_even, c_odd = coarse or (None,) * 3
-    w_even, u_even, r_even, n_even, f_even = _lowest(
-        even, (k + 1) // 2, _starts(even, xp, xc, c_even))
-    # the even matrix is spent, so the odd one, a wall at the centre, may
-    # take over its arrays
-    odd = _finite(_wall_at_origin(even, xp), g)
-    w_odd, u_odd, r_odd, n_odd, f_odd = _lowest(
-        odd, k // 2, _starts(odd, xp, xc, c_odd))
-    w, r, ratio, nodes = np.empty(k), np.empty(k), np.empty(k), [0] * k
-    w[0::2], w[1::2] = w_even, w_odd
-    ratio[0::2], ratio[1::2] = f_even, f_odd
-    # a sector residual is the full matrix's residual of the mirrored vector
-    r[0::2], r[1::2] = r_even, r_odd
-    # the mirror image doubles the nodes; an odd level adds the one at x = 0
-    nodes[0::2] = [2 * n for n in n_even]
-    nodes[1::2] = [2 * n + 1 for n in n_odd]
-    return w, r, nodes, ratio, _Solution(xp, u_even, u_odd)
-
-
 def _eigenpairs(V, g, k, coarse=None):
     """Energies, residuals, node counts, `_floor_ratios` and the
-    `_Solution` of a grid, in sector form unless it is the half line, with
-    vectors scaled to sum(width * v^2) = 1.  ``coarse``, the
-    solution of a coarser grid, is the start of the polish; by default it
-    comes from `_coarse`, which is solved only once the grid's first
-    matrix has been built and found finite."""
+    `_Solution` of a grid, with vectors scaled to sum(width * v^2) = 1.
+
+    The sectors are solved in turn on one half mesh, from the matrix of
+    the even sector, which has no link across the centre: the odd
+    sector puts a wall there.  The half line is the odd sector alone.
+    Level j of sector s is level s + j n of the grid, n the number of
+    sectors (two, or the half line's one).  It keeps the sector level's
+    energy and residual, which are those of its mirror image on the whole
+    mesh, and has n m + s nodes if the sector vector has m.
+    ``coarse``, the solution of a coarser grid, is the start of the
+    polish; by default it comes from `_coarse`, which is solved only
+    once the grid's first matrix has been built and found finite."""
     half_line = isinstance(V, PotentialSpec) and V.family == "half-line"
     if not half_line and g.points % 2:
         raise ValueError("full-line grids need an even point count to "
                          "stay mirror-symmetric")
-    x = _half_mesh(g, g.points if half_line else g.points // 2)
-    # the even sector, with no link across the centre
+    # whether each sector has a wall at the centre
+    walls = (True,) if half_line else (False, True)
+    n = len(walls)
+    x = _half_mesh(g, g.points // n)
     mat = _assemble(x, _potential(V, x), g.half_width)
-    if half_line:
-        # the odd sector of -1/|x| on [-L, L], built the same way, on [0, L]
-        mat = _wall_at_origin(mat, x)
-    mat = _finite(mat, g)
-    if coarse is None:
-        coarse = _coarse(V, g, k, half_line)
-    if not half_line:
-        return _mirrored(mat, x, k, g, coarse)
-    xc, columns, _ = coarse or (None,) * 3
-    w, u, r, nodes, ratio = _lowest(mat, k, _starts(mat, x, xc, columns))
-    return w, r, nodes, ratio, _Solution(x, u)
+    w, r, ratio, nodes, sectors = np.empty(k), np.empty(k), np.empty(k), [0] * k, []
+    for s, wall in enumerate(walls):
+        if wall:
+            # the sector before, if any, is spent, so this one may take
+            # over its arrays
+            mat = _wall_at_origin(mat, x)
+        mat = _finite(mat, g)
+        if s == 0 and coarse is None:
+            coarse = _coarse(V, g, k, half_line)
+        start = None if coarse is None else _starts(mat, x, coarse.x, coarse.sectors[s])
+        levels = slice(s, k, n)
+        w[levels], u, r[levels], counts, ratio[levels] = _lowest(
+            mat, len(range(s, k, n)), start)
+        nodes[levels] = [n * m + s for m in counts]
+        sectors.append(u)
+    return w, r, nodes, ratio, _Solution(x, tuple(sectors))
 
 
 def _check(g, k_max):
@@ -903,8 +892,8 @@ def solve(V, g, k_max):
     -------
     SpectrumResult
         Levels carry eigenvector node counts and, on the full line, their
-        exact parity; the half line is the only solve whose levels have
-        parity None.  A
+        exact parity; the half line, the odd sector alone, is the only
+        solve whose levels have parity None.  A
         polished level's vector is exactly 0 on the nodes toward x = L
         past its support, where its coarse start fell below eps of its
         peak; the residual is that of the whole vector.  Energies
@@ -920,8 +909,8 @@ def solve(V, g, k_max):
     ConvergenceError
         If the eigensolve breaks down, or if the rounding floor
         16 eps ||H|| of a level's matrix is over 4 times the level's
-        scale: its distance to the nearest other level of that matrix
-        (the same parity sector, or the half line's one matrix).  A matrix
+        scale: its distance to the nearest other level of that matrix,
+        the same parity sector.  A matrix
         asked for one level, as each sector is at k_max <= 2, has no
         such distance, and its level is measured against |E|; there a
         level within a few floors of E = 0 raises, wherever the zero of
@@ -930,9 +919,9 @@ def solve(V, g, k_max):
     _check(g, k_max)
     w, res, nodes, ratio, solution = _eigenpairs(V, g, k_max)
     _guard(w, ratio, range(k_max))
-    sectors = solution.odd is not None
-    levels = [Level(index=k, energy=float(w[k]),
-                    parity=("odd" if k % 2 else "even") if sectors else None,
+    # the half line, the odd sector alone, carries no parity label
+    parities = ("even", "odd") if len(solution.sectors) == 2 else (None,)
+    levels = [Level(index=k, energy=float(w[k]), parity=parities[k % len(parities)],
                     nodes=nodes[k], residual=float(res[k]))
               for k in range(k_max)]
     return SpectrumResult(levels=levels, grid=g, potential=V, _solution=solution)
@@ -951,7 +940,7 @@ def refine(V, g, level, refinements):
     g : Grid
         Starting grid.
     level : int
-        Level index to track.
+        Level index to track, 0 <= level < N/4 of the starting grid.
     refinements : int
         Number of halvings, 1 <= refinements <= 4 (memory bound).
 
@@ -973,10 +962,13 @@ def refine(V, g, level, refinements):
     _require_integer("refinements", refinements)
     if refinements < 1 or refinements > 4:
         raise ValueError(f"refinements must lie in [1, 4], got {refinements}")
+    # later grids only have more points
+    if level < 0 or level >= g.points // 4:
+        raise ValueError(f"level must lie in [0, N/4 - 1] = [0, {g.points // 4 - 1}], "
+                         f"got {level}")
     energies, coarse = [], None
     for j in range(refinements + 1):
         gj = replace(g, points=g.points * 2 ** j)
-        _check(gj, level + 1)
         w, _, _, ratio, coarse = _eigenpairs(V, gj, level + 1, coarse)
         _guard(w, ratio, [level])
         energies.append(float(w[level]))

@@ -126,9 +126,7 @@ class TestParitySectors:
     def test_half_line_is_the_odd_sector_of_pure_coulomb(self):
         half = solve(half_line(), Grid(half_width=60.0, points=4000), 3)
         full = solve(pure_coulomb(), Grid(half_width=60.0, points=8000), 6)
-        odd = [lv.energy for lv in full.levels if lv.parity == "odd"]
-        assert [lv.energy for lv in half.levels] == odd
-        np.testing.assert_array_equal(half.positions, full.positions[4000:])
+        assert_odd_sector(half, full)
 
     @pytest.mark.parametrize("V", SYMMETRIC, ids=lambda V: getattr(V, "family", "harmonic"))
     def test_mirrored_vectors_have_exact_parity(self, V):
@@ -178,6 +176,16 @@ class TestParitySectors:
         half = solve(half_line(), Grid(60.0, 4000), 3)
         assert [lv.parity for lv in half.levels] == [None, None, None]
         assert [lv.nodes for lv in half.levels] == [0, 1, 2]
+
+
+def assert_odd_sector(half, full):
+    """The half-line solve is the odd sector of the full-line one, bit for
+    bit: the same energies, residuals, mesh and nodal vectors."""
+    odd = [lv for lv in full.levels if lv.parity == "odd"]
+    assert [lv.energy for lv in half.levels] == [lv.energy for lv in odd]
+    assert [lv.residual for lv in half.levels] == [lv.residual for lv in odd]
+    np.testing.assert_array_equal(half.positions, full._solution.x)
+    np.testing.assert_array_equal(half.vectors, full._solution.sectors[1])
 
 
 @pytest.fixture
@@ -254,7 +262,7 @@ def in_new_thread(target):
 
 def sector_copy(res):
     sol = res._solution
-    return sol.x.copy(), sol.vectors.copy(), None if sol.odd is None else sol.odd.copy()
+    return sol.x.copy(), *(u.copy() for u in sol.sectors)
 
 
 class TestScratchBlock:
@@ -266,8 +274,8 @@ class TestScratchBlock:
         # solves on larger and smaller grids grow and reuse the block
         results = [solve(V, g, k) for V, g, k in self.CASES]
         block = gridsolver._scratch.block
-        assert not any(np.shares_memory(array, block)
-                       for res in results for array in res._solution)
+        assert not any(np.shares_memory(array, block) for res in results
+                       for array in (res._solution.x, *res._solution.sectors))
         levels = [list(res.levels) for res in results]
         sectors = [sector_copy(res) for res in results]
         vectors = results[0].vectors.copy()
@@ -854,8 +862,7 @@ def fine_levels(monkeypatch, routes):
         first = len(routes())
         res = solve(V, g, k)
         records = routes()[first:]
-        sol = res._solution
-        sectors = [sol.vectors] if sol.odd is None else [sol.vectors, sol.odd]
+        sectors = res._solution.sectors
         out = []
         for level in res.levels:
             s = level.index % len(sectors)
@@ -1093,9 +1100,7 @@ class TestGradedMesh:
     def test_half_line_is_the_odd_sector_of_pure_coulomb(self):
         half = solve(half_line(), Grid(60.0, 1500, core=1e-2), 3)
         full = solve(pure_coulomb(), Grid(60.0, 3000, core=1e-2), 6)
-        odd = [lv.energy for lv in full.levels if lv.parity == "odd"]
-        assert [lv.energy for lv in half.levels] == odd
-        np.testing.assert_array_equal(half.positions, full.positions[1500:])
+        assert_odd_sector(half, full)
 
     def test_soft_core_matches_dense_finite_volume_matrix(self):
         V = soft_core(1e-2)
@@ -1187,6 +1192,19 @@ class TestExactStates:
             assert max(gaps[-1]) <= 4.0 * odd
         assert all(coarse >= 4.0 * fine for coarse, fine in zip(*gaps))
 
+    def test_lambda_law_holds_on_other_boxes(self):
+        # the lambda of the grid's E0 is 2 ln h + c, with c near -1.92702
+        # whatever the box, and closer to it the smaller h; the two L = 60
+        # grids above are the coarsest
+        limit, offsets = -1.92702, []
+        for L, N in [(60.0, 40000), (60.0, 100000), (20.0, 100000),
+                     (30.0, 200000), (40.0, 800000)]:
+            e0 = solve(pure_coulomb(), Grid(L, N), 1).levels[0].energy
+            c = even_lambda(1 / mp.sqrt(-2 * mp.mpf(e0))) - 2 * mp.log(2 * L / N)
+            offsets.append(abs(float(c) - limit))
+        assert max(offsets[2:]) <= 1e-4
+        assert offsets == sorted(offsets, reverse=True)
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_odd_vectors_match_exact_states(self, n):
         # the mirrored whole-mesh vector against the normalized psi_n, up
@@ -1247,6 +1265,13 @@ class TestRefine:
     def test_refinement_budget_enforced(self):
         with pytest.raises(ValueError):
             refine(box, Grid(1.0, 500), 0, 5)
+
+    @pytest.mark.parametrize("level", [200, -1])
+    def test_level_checked_against_the_first_grid(self, level, monkeypatch):
+        no_lapack(monkeypatch)
+        message = f"level must lie in [0, N/4 - 1] = [0, 199], got {level}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            refine(pure_coulomb(), Grid(20.0, 800), level, 1)
 
 
 class TestValidation:

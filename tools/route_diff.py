@@ -13,6 +13,8 @@ same operations in the same order.  The report names:
   largest |E_B - E_A| / (r_A + r_B), the move over the sum of the two
   residuals, within which each energy has an eigenvalue of its matrix.
 
+It exits 1 if the files list different operations, or differ in any of
+the first two respects, and 0 otherwise: moved levels are only reported.
 Only the standard library is used.
 """
 
@@ -112,7 +114,7 @@ def main(argv=None):
         res = max(moved, key=lambda m: m[1])
         print(f"  largest relative |dE|: {rel[0]:.3g} ({rel[2]})")
         print(f"  largest |dE| / (r_A + r_B): {res[1]:.3g} ({res[2]})")
-    return 0
+    return int(ops_a.keys() != ops_b.keys() or bool(routes) or tags > 0)
 
 
 if __name__ == "__main__":
