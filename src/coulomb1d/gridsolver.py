@@ -17,7 +17,10 @@ symmetric finite-volume form H = M^(-1/2) K M^(-1/2):
 
 On a uniform mesh this is the standard 3-point Laplacian,
 1/h^2 + v on the diagonal and -1/(2h^2) off it, with 1/(2h^2) added at
-each wall.  H stays symmetric tridiagonal on any mesh.
+each wall.  H stays symmetric tridiagonal on any mesh.  A matrix of n
+nodes keeps all n + 1 links of K in one array, its walls among them:
+link[0] to a wall at the centre, 0 for none, link[n] to the wall at L,
+and the links between neighbours in between.
 
 Graded meshes.  A grid with ``core`` set places its half-line nodes at
 s^(-1)((j + 1/2) D), with s(x) = x/H + beta ln(1 + x/core): the step is
@@ -450,8 +453,10 @@ class _Matrix(NamedTuple):
 
     d: np.ndarray       # diagonal of H
     e: np.ndarray       # off-diagonal of H
-    link: np.ndarray    # links 1/(2 dx) between neighbours
-    ends: tuple         # wall links of the two end nodes, 0 for none
+    # the n + 1 links of the n nodes: link[0] to a wall at the centre (0
+    # for none), link[n] to the wall past the last node, and 1/(2 dx)
+    # between neighbours in between
+    link: np.ndarray
     scale: np.ndarray   # square roots of the cell widths
     v: np.ndarray       # potential at the nodes
     norm: float = math.nan  # `_norm`, once `_finite` has taken it
@@ -467,7 +472,6 @@ def _assemble(x, v, L):
     centre, with no link across it, and the last ends at a Dirichlet wall
     at L, which adds the link 1/(2d) at distance d from the last node."""
     with np.errstate(all="ignore"):
-        ends = (0.0, 0.5 / (L - x[-1]))
         # node gaps, with twice the distance from each end node to its face
         gap = np.empty(x.size + 1)
         np.subtract(x[1:], x[:-1], out=gap[1:-1])
@@ -475,7 +479,7 @@ def _assemble(x, v, L):
         scale = gap[:-1] + gap[1:]
         scale *= 0.5
         link = np.divide(0.5, gap, out=gap)
-        link[0], link[-1] = ends
+        link[0], link[-1] = 0.0, 0.5 / (L - x[-1])
         d = link[:-1] + link[1:]
         d /= scale
         d += v
@@ -483,16 +487,16 @@ def _assemble(x, v, L):
         e = scale[:-1] * scale[1:]
         np.divide(link[1:-1], e, out=e)
         np.negative(e, out=e)
-    return _Matrix(d, e, link[1:-1], ends, scale, v)
+    return _Matrix(d, e, link, scale, v)
 
 
 def _wall_at_origin(mat, x):
-    """Add a wall at x = 0 to a matrix with no wall before the node x[0],
-    in place: the odd sector from the even one."""
+    """Add a wall at x = 0, the link 1/(2 x[0]) in link[0], to a matrix
+    with none before the node x[0], in place: the odd sector from the
+    even one."""
     with np.errstate(all="ignore"):
-        link = 0.5 / x[0]
-        mat.d[0] += link / mat.scale[0] ** 2
-    return mat._replace(ends=(link, mat.ends[1]))
+        mat.link[0] = 0.5 / x[0]
+        mat.d[0] += mat.link[0] / mat.scale[0] ** 2
 
 
 def _finite(mat, g):
@@ -569,13 +573,14 @@ def _work(n):
 
 def _energy(mat, u, c, hy, t):
     """u.K.u in difference form, for the nodal vector u and c = u * scale:
-    sum(link * (u_{j+1} - u_j)^2) + sum(v * c^2) + the wall terms.  Over
-    u.M.u = c.c it is the Rayleigh quotient of c in H.  hy and t are
-    scratch of the sizes of d and e."""
+    sum(link[1:-1] * (u_{j+1} - u_j)^2) + sum(v * c^2) + the wall terms
+    link[0] u_0^2 and link[-1] u_{n-1}^2.  Over u.M.u = c.c it is the
+    Rayleigh quotient of c in H.  hy and t are scratch of the sizes of d
+    and e."""
     np.subtract(u[1:], u[:-1], out=t)
     t *= t
-    return (_dot(mat.link, t) + _dot(np.multiply(mat.v, c, out=hy), c)
-            + mat.ends[0] * u[0] ** 2 + mat.ends[1] * u[-1] ** 2)
+    return (_dot(mat.link[1:-1], t) + _dot(np.multiply(mat.v, c, out=hy), c)
+            + mat.link[0] * u[0] ** 2 + mat.link[-1] * u[-1] ** 2)
 
 
 def _certify(mat, c, u, hy, t):
@@ -620,18 +625,16 @@ def _step(d, e, sigma, c, work):
 
 
 def _block(mat, m):
-    """The leading m x m block of H, as views of its arrays, with the
-    link from node m - 1 to node m as its right wall.
+    """The leading m x m block of H, as views of its arrays: its links
+    are the first m + 1, so link[m], from node m - 1 to node m, is its
+    right wall, and at m = n the block is the whole matrix.
 
     Padded with zeros to all n nodes, a block vector has the whole
     matrix's energy: the link's term of the whole form,
-    link[m - 1] (0 - u[m - 1])^2, is the block's wall term.
+    link[m] (0 - u[m - 1])^2, is the block's wall term.
     """
-    if m == mat.d.size:
-        return mat
-    return mat._replace(d=mat.d[:m], e=mat.e[:m - 1], link=mat.link[:m - 1],
-                        ends=(mat.ends[0], mat.link[m - 1]), scale=mat.scale[:m],
-                        v=mat.v[:m])
+    return mat._replace(d=mat.d[:m], e=mat.e[:m - 1], link=mat.link[:m + 1],
+                        scale=mat.scale[:m], v=mat.v[:m])
 
 
 def _polished(mat, k, start, floor):
@@ -817,7 +820,7 @@ def _starts(mat, x, xc, columns):
     level would have it, unless mat has a wall at the centre: then it
     falls linearly to 0 there, as an odd level does.
     """
-    if mat.ends[0] > 0.0:
+    if mat.link[0] > 0.0:
         xc = np.append(0.0, xc)
         columns = np.concatenate((np.zeros((1, columns.shape[1])), columns))
 
@@ -855,7 +858,7 @@ def _eigenpairs(V, g, k, coarse=None):
         if wall:
             # the sector before, if any, is spent, so this one may take
             # over its arrays
-            mat = _wall_at_origin(mat, x)
+            _wall_at_origin(mat, x)
         mat = _finite(mat, g)
         if s == 0 and coarse is None:
             coarse = _coarse(V, g, k, half_line)

@@ -50,9 +50,12 @@ class BoundState:
 
 def _check_n(n):
     """n as an int; ``ValueError`` unless it is a non-negative integer in
-    the float range.  The one check of a quantum number, wkb's too."""
-    # the bound also refuses inf, nan and integers past the float range
-    if not 0 <= n <= sys.float_info.max or n != int(n):
+    the float range, and no bool.  The one check of a quantum number,
+    wkb's too."""
+    # the bound also refuses inf, nan and integers past the float range;
+    # a bool compares as 0 or 1, and is no quantum number
+    if (isinstance(n, (bool, np.bool_)) or not 0 <= n <= sys.float_info.max
+            or n != int(n)):
         raise ValueError(f"quantum number must be a non-negative integer, got {n}")
     return int(n)
 

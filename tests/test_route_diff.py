@@ -1,12 +1,18 @@
 """tools/route_diff.py exits 1 on a route, support, step, level-count,
 parity or node change, or a different operation list, and 0 when only
-energies moved.  It runs on small written files, with no solve."""
+energies moved.  It runs on small written files, with no solve.  Its
+parser also reads the DEBUG records of two real solves, so that the
+record's wording and the tool's patterns cannot drift apart."""
 
+import importlib.util
+import logging
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from coulomb1d import Grid, pure_coulomb, solve
 
 ROUTE_DIFF = Path(__file__).resolve().parent.parent / "tools" / "route_diff.py"
 
@@ -65,3 +71,47 @@ def test_route_or_level_change_exits_1(tmp_path, old, new):
     assert BASE.count(old) == 1
     code, _ = run(tmp_path, BASE, BASE.replace(old, new))
     assert code == 1
+
+
+def _load_route_diff():
+    spec = importlib.util.spec_from_file_location("route_diff", ROUTE_DIFF)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def harmonic(x):
+    return 0.5 * x * x
+
+
+def test_parse_reads_the_solver_records(tmp_path, caplog):
+    # the coarse grids of the first solve are bisected, then polished,
+    # and its 20000-point sectors polished; the harmonic grid has no
+    # coarse start, so its 200-point sectors are bisected
+    solves = {"pure-coulomb": (pure_coulomb(), Grid(60.0, 40000), 4),
+              "harmonic": (harmonic, Grid(10.0, 400), 3)}
+    lines = []
+    caplog.set_level(logging.DEBUG, logger="coulomb1d.gridsolver")
+    for label, call in solves.items():
+        caplog.clear()
+        solve(*call)
+        lines.append(f"## {label}")
+        lines += [record.getMessage() for record in caplog.records
+                  if record.name == "coulomb1d.gridsolver"]
+    path = tmp_path / "routes.txt"
+    path.write_text("\n".join(lines) + "\n")
+    # an unrecognized line raises ValueError
+    ops = _load_route_diff().parse(path)
+    assert list(ops) == list(solves)
+    assert sum(len(matrices) for matrices, _ in ops.values()) == len(lines) - 2
+    assert ops["pure-coulomb"][0][0][2] == "bisection"
+    sectors = [m for m in ops["pure-coulomb"][0] if m[0] == 20000]
+    assert len(sectors) == 2
+    for points, count, route, steps, supports in sectors:
+        assert route == "polished" and count == 2
+        assert all(isinstance(v, int) and 1 <= v <= 5 for v in steps)
+        assert all(isinstance(v, int) and 1 <= v <= points for v in supports)
+        assert len(steps) == len(supports) == count
+    harmonic_sectors = ops["harmonic"][0]
+    assert [(m[0], m[1], m[2]) for m in harmonic_sectors] == [
+        (200, 2, "bisection"), (200, 1, "bisection")]

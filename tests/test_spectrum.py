@@ -44,7 +44,7 @@ class TestExactEnergy:
         with pytest.raises(ValueError):
             exact_energy(-1)
 
-    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, 10**400])
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, 10**400, True, False])
     def test_rejects_n_that_is_no_float_integer(self, n):
         with pytest.raises(ValueError, match="non-negative integer"):
             exact_energy(n)
@@ -68,6 +68,15 @@ class TestExactEnergy:
     def test_state_functions_refuse_infinite_n(self, function):
         with pytest.raises(ValueError, match="non-negative integer"):
             function(math.inf)
+
+    @pytest.mark.parametrize("function", [normalize, node_count,
+                                          lambda n: wavefunction(n, 1.0)],
+                             ids=["normalize", "node_count", "wavefunction"])
+    @pytest.mark.parametrize("n", [True, False, np.True_])
+    def test_state_functions_refuse_bools(self, function, n):
+        # a bool compares as 0 or 1, and is no quantum number
+        with pytest.raises(ValueError, match="non-negative integer"):
+            function(n)
 
 
 class TestWavefunction:

@@ -139,7 +139,7 @@ class TestQuantization:
         with pytest.raises(ValueError):
             wkb_energy(-1)
 
-    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, 10**400])
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, 10**400, True, False])
     def test_rejects_n_that_is_no_float_integer(self, n):
         with pytest.raises(ValueError):
             wkb_energy(n)
