@@ -36,7 +36,8 @@ half, or the solve raises ValueError.  The matrix is then persymmetric,
 and every eigenvector is exactly even or exactly odd.  The problem
 splits into two half-size tridiagonal problems on x > 0, the parity
 sectors, and only they are ever assembled, one after the other in one
-loop.  The cell of the first point x_0 starts at the centre x = 0.  The
+loop; a sector asked for no level, the odd one at k = 1, is skipped.
+The cell of the first point x_0 starts at the centre x = 0.  The
 even sector has no link across the centre; the odd sector vanishes
 there, which is a wall at 0 and adds 1/(2 x_0) to K[0].  The half-line
 model, -1/x with a wall at 0, is therefore the odd sector of -1/|x|
@@ -133,8 +134,12 @@ n = 270000.
 
 The energies are the Rayleigh quotients of the vectors, computed in the
 same difference form, so they are good to the discretization error,
-not to a bisection tolerance.  Each level keeps its residual: H has an
-eigenvalue within it of the level's energy.
+not to a bisection tolerance.  The form's kinetic and potential sums
+are each one fused pass over the support, summed in this thread into
+one scalar: against an exact sum of the same terms their rounding
+reaches 1.3e-14 |E| on the 50,000-node sectors of pure Coulomb on
+Grid(60, 1e5), far below the certificate's floor.  Each level keeps its
+residual: H has an eigenvalue within it of the level's energy.
 """
 
 from __future__ import annotations
@@ -265,6 +270,9 @@ def _require_integer(name, value):
 
 
 def _require_positive(name, value):
+    # a bool compares as 0 or 1, and is no length
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
     if value == math.inf:
@@ -571,15 +579,20 @@ def _work(n):
             block[3 * n:4 * n - 1], block[4 * n - 1:5 * n - 2])
 
 
-def _energy(mat, u, c, hy, t):
+def _energy(mat, u, c, t):
     """u.K.u in difference form, for the nodal vector u and c = u * scale:
     sum(link[1:-1] * (u_{j+1} - u_j)^2) + sum(v * c^2) + the wall terms
     link[0] u_0^2 and link[-1] u_{n-1}^2.  Over u.M.u = c.c it is the
-    Rayleigh quotient of c in H.  hy and t are scratch of the sizes of d
-    and e."""
+    Rayleigh quotient of c in H.  t is scratch of the size of e.
+
+    Each sum is one pass of numpy's three-operand einsum loop, which, as
+    `_dot`, never calls BLAS.  It adds into one scalar, so its rounding
+    grows with the support: against an exact sum of the same terms it is
+    1.3e-14 |E| on the second even level of pure Coulomb on
+    Grid(60, 1e5), far below the certificate's floor."""
     np.subtract(u[1:], u[:-1], out=t)
-    t *= t
-    return (_dot(mat.link[1:-1], t) + _dot(np.multiply(mat.v, c, out=hy), c)
+    return (np.einsum("i,i,i->", mat.link[1:-1], t, t)
+            + np.einsum("i,i,i->", mat.v, c, c)
             + mat.link[0] * u[0] ** 2 + mat.link[-1] * u[-1] ** 2)
 
 
@@ -591,7 +604,7 @@ def _certify(mat, c, u, hy, t):
     # c has unit 2-norm, so u = M^(-1/2) c has sum(width * u^2) = 1 and
     # the quotient u.K.u / u.M.u needs no denominator
     np.divide(c, mat.scale, out=u)
-    energy = _energy(mat, u, c, hy, t)
+    energy = _energy(mat, u, c, t)
     _apply(np.subtract(mat.d, energy, out=hy), mat.e, c, hy, t)
     return energy, math.sqrt(_dot(hy, hy))
 
@@ -670,7 +683,7 @@ def _polished(mat, k, start, floor):
         c, b, dd, dl, du = _work(m)
         np.multiply(s, block.scale, out=c)
         norm2 = _dot(c, c)
-        sigma = _energy(block, s, c, b, dl) / norm2
+        sigma = _energy(block, s, c, dl) / norm2
         # freed before the steps: kept, it would add m floats to the peak
         del s
         c /= math.sqrt(norm2)
@@ -718,8 +731,6 @@ def _lowest(mat, k, start):
     the largest of its ratios and the route, a polish with the steps of
     each level and its largest residual as a fraction of the floor.
     """
-    if k == 0:
-        return np.empty(0), np.empty((mat.d.size, 0)), np.empty(0), [], np.empty(0)
     floor = _RESIDUAL_FLOOR * np.finfo(float).eps * mat.norm
     route, levels = "bisection", None
     if start is not None:
@@ -855,6 +866,12 @@ def _eigenpairs(V, g, k, coarse=None):
     mat = _assemble(x, _potential(V, x), g.half_width)
     w, r, ratio, nodes, sectors = np.empty(k), np.empty(k), np.empty(k), [0] * k, []
     for s, wall in enumerate(walls):
+        levels = slice(s, k, n)
+        count = len(range(s, k, n))
+        # at k = 1 the odd sector is asked for nothing: no wall, norm or start
+        if count == 0:
+            sectors.append(np.empty((x.size, 0)))
+            continue
         if wall:
             # the sector before, if any, is spent, so this one may take
             # over its arrays
@@ -863,9 +880,7 @@ def _eigenpairs(V, g, k, coarse=None):
         if s == 0 and coarse is None:
             coarse = _coarse(V, g, k, half_line)
         start = None if coarse is None else _starts(mat, x, coarse.x, coarse.sectors[s])
-        levels = slice(s, k, n)
-        w[levels], u, r[levels], counts, ratio[levels] = _lowest(
-            mat, len(range(s, k, n)), start)
+        w[levels], u, r[levels], counts, ratio[levels] = _lowest(mat, count, start)
         nodes[levels] = [n * m + s for m in counts]
         sectors.append(u)
     return w, r, nodes, ratio, _Solution(x, tuple(sectors))

@@ -52,18 +52,21 @@ class PotentialSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown potential family {self.family!r}")
-        # the chained bounds refuse NaN and +-inf too
+        # the chained bounds refuse NaN and +-inf too; a bool compares as
+        # 0 or 1 but is no length, so it is read as NaN
+        a, b = (math.nan if isinstance(p, (bool, np.bool_)) else p
+                for p in (self.a, self.b))
         if self.family == "soft-core":
-            if self.a is None or not 0 < self.a < math.inf:
+            if a is None or not 0 < a < math.inf:
                 raise ValueError("soft-core requires a core radius a > 0")
-            if self.b is not None:
+            if b is not None:
                 raise ValueError("soft-core takes no offset b")
         elif self.family == "repulsive-core":
-            if self.a is None or not 0 < self.a < math.inf:
+            if a is None or not 0 < a < math.inf:
                 raise ValueError("repulsive-core requires a core radius a > 0")
-            if self.b is None or not 0 <= self.b < math.inf:
+            if b is None or not 0 <= b < math.inf:
                 raise ValueError("repulsive-core requires an offset b >= 0")
-        elif self.a is not None or self.b is not None:
+        elif a is not None or b is not None:
             raise ValueError(f"{self.family} takes no parameters")
 
 

@@ -210,9 +210,11 @@ class TestSectorForm:
     ], ids=["bisected", "one-level", "polished", "graded"])
     def test_whole_mesh_arrays_mirror_the_sectors(self, V, g, k, sector_vectors):
         res = solve(V, g, k)
-        # the last two matrices solved are the even and odd fine sectors
-        u_even, u_odd = sector_vectors[-2:]
         m = g.points // 2
+        # the last two matrices solved are the even and odd fine sectors;
+        # at k = 1 the odd sector is asked for no level, and not solved
+        u_even, u_odd = (sector_vectors[-2:] if k > 1
+                         else (sector_vectors[-1], res._solution.sectors[1]))
         assert u_even.shape == (m, (k + 1) // 2) and u_odd.shape == (m, k // 2)
         # neither whole-mesh array exists before it is asked for
         assert "positions" not in vars(res) and "vectors" not in vars(res)
@@ -352,8 +354,28 @@ class TestRayleighQuotient:
             hc = mat.d * c
             hc[:-1] += mat.e * c[1:]
             hc[1:] += mat.e * c[:-1]
-            form = gridsolver._energy(mat, u, c, np.empty(n), np.empty(n - 1))
+            form = gridsolver._energy(mat, u, c, np.empty(n - 1))
             assert abs(form / (c @ c) - (c @ hc) / (c @ c)) <= bound
+
+    def test_difference_form_rounding_is_bounded(self):
+        # each sum of the form adds into one scalar, so its rounding grows
+        # with the support; on the 50000-node sectors of this grid it stays
+        # within 3e-14 |E| of an exact sum of the same float64 terms
+        V, g = pure_coulomb(), Grid(60.0, 100000)
+        res = solve(V, g, 4)
+        x, sectors = res._solution
+        for lv in res.levels:
+            mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
+            if lv.index % 2:
+                gridsolver._wall_at_origin(mat, x)
+            u = sectors[lv.index % 2][:, lv.index // 2]
+            c, t = u * mat.scale, u[1:] - u[:-1]
+            form = gridsolver._energy(mat, u, c, np.empty(x.size - 1))
+            terms = np.concatenate((mat.link[1:-1] * t * t, mat.v * c * c,
+                                    [mat.link[0] * u[0] ** 2, mat.link[-1] * u[-1] ** 2]))
+            assert abs(form - math.fsum(terms)) <= 3e-14 * abs(form)
+            # the level's own vector: its energy is this form, up to rounding
+            assert abs(form - lv.energy) <= 1e-12 * abs(form)
 
 
 @pytest.fixture
@@ -904,9 +926,8 @@ class TestSupportCut:
         for name in ("d", "e", "link", "scale", "v"):
             assert getattr(block, name).base is getattr(mat, name), name
         assert block.link.size == m + 1 and block.link[0] == mat.link[0]
-        whole = gridsolver._energy(mat, u, u * mat.scale, np.empty(n), np.empty(n - 1))
-        cut = gridsolver._energy(block, u[:m], u[:m] * block.scale, np.empty(m),
-                                 np.empty(m - 1))
+        whole = gridsolver._energy(mat, u, u * mat.scale, np.empty(n - 1))
+        cut = gridsolver._energy(block, u[:m], u[:m] * block.scale, np.empty(m - 1))
         if m == n:
             assert cut == whole
         eps = np.finfo(float).eps
@@ -1138,6 +1159,9 @@ class TestGradedMesh:
         (-5.0, 1e-2, "half_width must be positive, got -5.0"),
         (math.inf, 1e-2, "half_width must be positive and finite, got inf"),
         (30.0, math.inf, "core must be positive and finite, got inf"),
+        # a bool compares as 0 or 1, and is no length
+        (True, 1e-2, "half_width must be a number, got True"),
+        (30.0, np.True_, f"core must be a number, got {np.True_!r}"),
     ])
     def test_graded_validation(self, half_width, core, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -1421,6 +1445,25 @@ class TestFiniteMatrix:
         no_lapack(monkeypatch)
         with pytest.raises(ValueError, match="potential is not finite on the mesh"):
             solve(V, Grid(half_width, 800), 2)
+
+    @pytest.mark.parametrize("run, per_grid", [
+        (lambda: solve(pure_coulomb(), Grid(60.0, 40000), 1), 1),
+        (lambda: refine(pure_coulomb(), Grid(60.0, 4000), 0, 2), 1),
+        (lambda: solve(pure_coulomb(), Grid(60.0, 40000), 2), 2),
+    ], ids=["solve-k1", "refine-level0", "solve-k2"])
+    def test_a_sector_asked_for_no_level_takes_no_norm(self, run, per_grid,
+                                                       monkeypatch):
+        # at one level the odd sector is asked for nothing: it takes no
+        # wall, no norm and no start, on the grid and on its coarse grids
+        real, grids = gridsolver._finite, []
+
+        def recording(mat, g):
+            grids.append(g)
+            return real(mat, g)
+        monkeypatch.setattr(gridsolver, "_finite", recording)
+        run()
+        assert len(set(grids)) >= 2
+        assert len(grids) == per_grid * len(set(grids))
 
     def test_refine_refuses_its_first_grid(self, monkeypatch):
         no_lapack(monkeypatch)

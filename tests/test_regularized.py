@@ -67,9 +67,10 @@ class TestEvaluate:
         (lambda v: soft_core(v), "a > 0"),
         (lambda v: repulsive_core(v, 0.1), "a > 0"),
         (lambda v: repulsive_core(0.1, v), "b >= 0")])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, False, np.True_])
     def test_core_parameters_must_be_finite(self, build, message, value):
-        # NaN and inf passed the bare comparisons a <= 0 and b < 0
+        # NaN and inf passed the bare comparisons a <= 0 and b < 0, and a
+        # bool, which compares as 0 or 1, is no length
         with pytest.raises(ValueError, match=message):
             build(value)
 

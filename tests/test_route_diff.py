@@ -1,6 +1,7 @@
 """tools/route_diff.py exits 1 on a route, support, step, level-count,
-parity or node change, or a different operation list, and 0 when only
-energies moved.  It runs on small written files, with no solve.  Its
+parity or node change, a different operation list, or a level that moved
+by more than the sum of its two residuals, and 0 when energies moved
+only within them.  It runs on small written files, with no solve.  Its
 parser also reads the DEBUG records of two real solves, so that the
 record's wording and the tool's patterns cannot drift apart."""
 
@@ -52,6 +53,17 @@ def test_moved_levels_exit_0(tmp_path, b):
     assert code == 0
     assert "operations with route, support or step changes: 0 of 2" in out
     assert "parity or node changes: 0" in out
+    assert "levels moved by more than r_A + r_B: 0" in out
+
+
+def test_move_beyond_the_residuals_exits_1(tmp_path):
+    # 1e-4 against residuals of 2e-10 each: another eigenvalue
+    code, out = run(tmp_path, BASE, BASE.replace("E = -1.5,", "E = -1.4999,"))
+    assert code == 1
+    assert "operations with route, support or step changes: 0 of 2" in out
+    assert "parity or node changes: 0" in out
+    assert ("beyond the residuals: solve pure-coulomb N=40000 k=2 #1 level 0, "
+            "|dE| / (r_A + r_B) = 2.5e+05") in out
 
 
 @pytest.mark.parametrize("old, new", [

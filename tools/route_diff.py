@@ -11,11 +11,13 @@ same operations in the same order.  The report names:
 - each level whose parity or node count differs;
 - how many levels moved, with the largest relative |E_B - E_A| and the
   largest |E_B - E_A| / (r_A + r_B), the move over the sum of the two
-  residuals, within which each energy has an eigenvalue of its matrix.
+  residuals, within which each energy has an eigenvalue of its matrix;
+- each level that moved by more than r_A + r_B.  Both runs solve the
+  same matrix, so such a level has changed eigenvalue.
 
 It exits 1 if the files list different operations, or differ in any of
-the first two respects, and 0 otherwise: moved levels are only reported.
-Only the standard library is used.
+these respects but the third, and 0 otherwise: levels that moved within
+their residuals are only reported.  Only the standard library is used.
 """
 
 import argparse
@@ -114,7 +116,11 @@ def main(argv=None):
         res = max(moved, key=lambda m: m[1])
         print(f"  largest relative |dE|: {rel[0]:.3g} ({rel[2]})")
         print(f"  largest |dE| / (r_A + r_B): {res[1]:.3g} ({res[2]})")
-    return int(ops_a.keys() != ops_b.keys() or bool(routes) or tags > 0)
+    beyond = [m for m in moved if m[1] > 1.0]
+    for m in beyond:
+        print(f"beyond the residuals: {m[2]}, |dE| / (r_A + r_B) = {m[1]:.3g}")
+    print(f"levels moved by more than r_A + r_B: {len(beyond)}")
+    return int(ops_a.keys() != ops_b.keys() or bool(routes) or tags > 0 or bool(beyond))
 
 
 if __name__ == "__main__":
