@@ -92,13 +92,11 @@ steps of a level stop on the residual that the solve itself yields:
 after (H - sigma) z = y with ||y|| = 1, the vector z/||z|| has the
 quotient sigma + delta, delta = z.y/z.z, and the residual
 sqrt(1/z.z - delta^2), so a step needs none either.  A polished level's one product
-with H is its certificate's.  The polish takes its vector, the gtsv
-arrays and the residual's work vectors from one scratch block per
-thread, 5n - 2 floats for the largest support of n points that the
-thread has polished, or matrix that it has bisected: it grows to that
-size and is kept, 10.8 MB once a 540000-point grid has been solved, so
-that the large solves do not fault their temporaries in again each
-time.  No result points into it.
+with H is its certificate's.  Each matrix of n nodes takes one work
+array of 5n floats for the solve of its levels: each level's vector,
+the gtsv arrays and the residual's work vectors are its rows, cut to
+the level's support.  It is freed once the matrix is solved, so nothing
+outlives a solve, and no result points into it.
 The certificate is explicit and taken for each level straight after its
 last step, and against the whole matrix: a polished level j stands only
 if the residual ||Hy - Ey|| of its vector padded with zeros, recomputed
@@ -536,7 +534,6 @@ _POLISH_STEPS = 5
 _FLOOR_RATIO = 4.0
 
 _log = logging.getLogger(__name__)
-_scratch = threading.local()
 
 
 def _norm(mat):
@@ -560,23 +557,6 @@ def _dot(a, b):
     long vectors to BLAS ddot, which splits the sum across its threads,
     and the energies' last bits would follow the BLAS thread count."""
     return np.einsum("i,i->", a, b)
-
-
-def _work(n):
-    """The vectors c, b, dd (size n) and dl, du (size n - 1) of this
-    thread's scratch block, grown to hold them if it is smaller.
-
-    c holds the unit vector of a level, and b, dd, dl, du are the
-    right-hand side, shifted diagonal and off-diagonals of `_step`,
-    which `_certify` then reuses.  The block is kept between solves, so
-    the large sectors do not fault their scratch in again every time;
-    nothing a solve returns points into it.
-    """
-    block = getattr(_scratch, "block", None)
-    if block is None or block.size < 5 * n - 2:
-        block = _scratch.block = np.empty(5 * n - 2)
-    return (block[:n], block[n:2 * n], block[2 * n:3 * n],
-            block[3 * n:4 * n - 1], block[4 * n - 1:5 * n - 2])
 
 
 def _energy(mat, u, c, t):
@@ -650,10 +630,12 @@ def _block(mat, m):
                         scale=mat.scale[:m], v=mat.v[:m])
 
 
-def _polished(mat, k, start, floor):
+def _polished(mat, k, start, floor, work):
     """Levels polished from start vectors, with the Rayleigh-quotient
     steps each took and its support, or None unless every level is
-    certified.
+    certified.  ``work``, a (5, n) array, holds each level's vector c and
+    the arrays b, dd, dl and du of `_step` in its rows, cut to the
+    support.
 
     The start of level j covers the leading m_j nodes, its support (see
     `_starts`), and the level is polished on the leading m_j x m_j block
@@ -680,7 +662,7 @@ def _polished(mat, k, start, floor):
         s = start(j)
         m = s.size
         block = _block(mat, m)
-        c, b, dd, dl, du = _work(m)
+        (c, b, dd), (dl, du) = work[:3, :m], work[3:, :m - 1]
         np.multiply(s, block.scale, out=c)
         norm2 = _dot(c, c)
         sigma = _energy(block, s, c, dl) / norm2
@@ -733,8 +715,11 @@ def _lowest(mat, k, start):
     """
     floor = _RESIDUAL_FLOOR * np.finfo(float).eps * mat.norm
     route, levels = "bisection", None
+    # one for all the levels of this matrix, freed once it is solved; no
+    # result points into it
+    work = np.empty((5, mat.d.size))
     if start is not None:
-        polished = _polished(mat, k, start, floor)
+        polished = _polished(mat, k, start, floor, work)
         if polished is None:
             route = "bisection after a failed polish"
         else:
@@ -748,11 +733,10 @@ def _lowest(mat, k, start):
             raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
                                    None, math.inf) from exc
         # each column is certified from a copy, and y takes its nodal vector
-        c, b, _, dl, _ = _work(mat.d.size)
         energy, r = np.empty(k), np.empty(k)
         for j, u in enumerate(y.T):
-            c[:] = u
-            energy[j], r[j] = _certify(mat, c, u, b, dl)
+            work[0] = u
+            energy[j], r[j] = _certify(mat, work[0], u, work[1], work[2, :-1])
         levels = energy, y, r, [sign_changes(u).size for u in y.T]
     ratio = _floor_ratios(levels[0], floor)
     _log.debug("%d-point matrix, %d levels, floor %.3g, at most %.3g of a "

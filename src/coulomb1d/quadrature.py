@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
@@ -34,9 +35,11 @@ class ConvergenceError(Exception):
 
 
 def _check_tolerance(rtol):
-    """rtol itself; ``ValueError`` unless it is positive and finite.  The
-    one check of a relative tolerance, U's and the command line's too."""
-    if not 0.0 < rtol < math.inf:
+    """rtol itself; ``ValueError`` unless it is positive and finite, and
+    no bool.  The one check of a relative tolerance, U's and the command
+    line's too."""
+    # a bool compares as 0 or 1, and is no tolerance
+    if isinstance(rtol, (bool, np.bool_)) or not 0.0 < rtol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {rtol}")
     return rtol
 

@@ -404,7 +404,9 @@ def _on_slice(a, b):
     7,001 z from 1e-6 to 1e6 at a = -171.5).  The bounds come first,
     so NaN and +-inf never reach ``round``.
     """
-    if not (b == 2.0 and -170.5 <= a <= 1.5 and 2.0 * a == round(2.0 * a)):
+    # a bool compares as 0 or 1, and is no parameter
+    if isinstance(a, (bool, np.bool_)) or not (
+            b == 2.0 and -170.5 <= a <= 1.5 and 2.0 * a == round(2.0 * a)):
         raise ValueError(
             f"U(a,b,z) covers b = 2 and half-integer a from -341/2 to 3/2; "
             f"below, it leaves the float range; got a={a}, b={b}")
@@ -495,7 +497,8 @@ def tricomi_u(a, b, z, rtol=1e-10, full_output=False):
     ConvergenceError
         If the requested accuracy cannot be reached.
     """
-    if not 0.0 < z < math.inf:
+    # a bool compares as 0 or 1, and is no argument
+    if isinstance(z, (bool, np.bool_)) or not 0.0 < z < math.inf:
         raise ValueError(f"argument must be positive and finite, got z={z}")
     (val,), (err,) = _u_array(a, b, np.array([z], dtype=float), rtol)
     return (float(val), float(err)) if full_output else float(val)

@@ -139,17 +139,17 @@ class TestTurningPointDoor:
 
 
 class TestToleranceDoor:
-    @pytest.mark.parametrize("rtol", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("rtol", [math.nan, -1.0, 0.0, math.inf, True, np.True_])
     def test_wavefunction(self, rtol):
         with pytest.raises(ValueError, match="positive and finite"):
             wavefunction(200, 0.3 * 201 / 4, rtol=rtol)
 
-    @pytest.mark.parametrize("rtol", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("rtol", [math.nan, -1.0, 0.0, math.inf, True, np.True_])
     def test_tricomi_u(self, rtol):
         with pytest.raises(ValueError, match="positive and finite"):
             tricomi_u(0.5, 2, 1.0, rtol=rtol)
 
-    @pytest.mark.parametrize("rtol", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("rtol", [math.nan, -1.0, 0.0, math.inf, True, np.True_])
     def test_gauss_legendre_and_action(self, rtol):
         with pytest.raises(ValueError, match="positive and finite"):
             gauss_legendre(np.sin, 0.0, 1.0, rtol=rtol)

@@ -273,12 +273,19 @@ class TestTricomiU:
         with pytest.raises(ValueError):
             tricomi_u(0.5, 2, -1.0)
 
+    @pytest.mark.parametrize("z", [True, np.True_])
+    def test_rejects_bool_z(self, z):
+        # a bool compares as 1, and is no argument
+        with pytest.raises(ValueError, match="positive and finite"):
+            tricomi_u(0.5, 2, z)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             tricomi_u(math.inf, 2, 1.0)
 
     @pytest.mark.parametrize("a, b, z", [(1.0, 1.5, 3.02e-4), (0.3, 2.0, 1.0),
-                                         (2.0, 2.0, 1.0), (0.5, 3.0, 1.0)])
+                                         (2.0, 2.0, 1.0), (0.5, 3.0, 1.0),
+                                         (True, 2.0, 1.0), (np.True_, 2.0, 1.0)])
     def test_rejects_parameters_off_the_slice(self, a, b, z):
         with pytest.raises(ValueError):
             tricomi_u(a, b, z)
