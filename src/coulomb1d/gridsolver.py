@@ -92,11 +92,17 @@ steps of a level stop on the residual that the solve itself yields:
 after (H - sigma) z = y with ||y|| = 1, the vector z/||z|| has the
 quotient sigma + delta, delta = z.y/z.z, and the residual
 sqrt(1/z.z - delta^2), so a step needs none either.  A polished level's one product
-with H is its certificate's.  Each matrix of n nodes takes one work
-array of 5n floats for the solve of its levels: each level's vector,
-the gtsv arrays and the residual's work vectors are its rows, cut to
-the level's support.  It is freed once the matrix is solved, so nothing
-outlives a solve, and no result points into it.
+with H is its certificate's.  The polish holds what one step needs and
+no more.  Each level's unit vector lives in its own result column from
+its start to its certificate; its interpolated start array is the
+right-hand side and solution of each gtsv solve, then takes the nodal
+vector for the certificate, and is dropped before the next level's
+start is built.  Each matrix of n nodes takes one work array of 3n
+floats for the solve of its levels, the rows that gtsv overwrites (the
+shifted diagonal and the two off-diagonals), cut to the level's
+support, which the residual also takes as its work vectors.  It is
+freed once the matrix is solved, so nothing outlives a solve, and no
+result points into it.
 The certificate is explicit and taken for each level straight after its
 last step, and against the whole matrix: a polished level j stands only
 if the residual ||Hy - Ey|| of its vector padded with zeros, recomputed
@@ -158,7 +164,7 @@ import numpy as np
 
 from .potentials import PotentialSpec, evaluate
 from .quadrature import ConvergenceError
-from .spectrum import sign_changes
+from .spectrum import _sign_change_count
 
 __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
 
@@ -633,13 +639,17 @@ def _block(mat, m):
 def _polished(mat, k, start, floor, work):
     """Levels polished from start vectors, with the Rayleigh-quotient
     steps each took and its support, or None unless every level is
-    certified.  ``work``, a (5, n) array, holds each level's vector c and
-    the arrays b, dd, dl and du of `_step` in its rows, cut to the
-    support.
+    certified.  ``work``, a (3, n) array, holds the arrays dd, dl and du
+    of `_step` in its rows, cut to the support.
 
     The start of level j covers the leading m_j nodes, its support (see
     `_starts`), and the level is polished on the leading m_j x m_j block
     of H alone (`_block`); its vector is exactly 0 past the support.
+    Its unit vector c lives in its own result column from its start to
+    its certificate.  The start array itself is kept for the level: it
+    is the right-hand side and solution of every step, then takes the
+    nodal vector c/scale of the certificate, which is copied into the
+    column once the level stands.
     Each level takes one to five steps.  The first is shifted by the
     start's quotient, which `_energy` takes in difference form from the
     nodal start, so that a level's one product with H is its
@@ -659,15 +669,13 @@ def _polished(mat, k, start, floor, work):
     u = np.zeros((n, k), order="F")
     energy, r, steps, support = np.empty(k), np.empty(k), [], []
     for j in range(k):
-        s = start(j)
-        m = s.size
+        b = start(j)
+        m = b.size
         block = _block(mat, m)
-        (c, b, dd), (dl, du) = work[:3, :m], work[3:, :m - 1]
-        np.multiply(s, block.scale, out=c)
+        c, dd, (dl, du) = u[:m, j], work[0, :m], work[1:, :m - 1]
+        np.multiply(b, block.scale, out=c)
         norm2 = _dot(c, c)
-        sigma = _energy(block, s, c, dl) / norm2
-        # freed before the steps: kept, it would add m floats to the peak
-        del s
+        sigma = _energy(block, b, c, dl) / norm2
         c /= math.sqrt(norm2)
         for step in range(1, _POLISH_STEPS + 1):
             stepped = _step(block.d, block.e, sigma, c, (b, dd, dl, du))
@@ -678,13 +686,17 @@ def _polished(mat, k, start, floor, work):
                 break
         else:
             return None
-        # the one product with H of a level
-        energy[j], r[j] = _certify(block, c, u[:m, j], b, dl)
+        # the one product with H of a level; b takes its nodal vector
+        energy[j], r[j] = _certify(block, c, b, dd, dl)
         # the first dropped row's one term of the padded vector's residual
         if m < n:
             r[j] = math.hypot(r[j], mat.e[m - 1] * c[m - 1])
-        if not r[j] <= floor or sign_changes(u[:m, j]).size != j:
+        if not r[j] <= floor or _sign_change_count(b) != j:
             return None
+        c[:] = b
+        # dropped before the next start is built: rebound by it, both
+        # would be alive at once
+        del b
         steps.append(step)
         support.append(m)
     return (energy, u, r, list(range(k))), steps, support
@@ -709,15 +721,17 @@ def _lowest(mat, k, start):
     ``start(j)``, if not None, gives a nodal start vector of level j;
     the levels polished from them stand if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
-    default tolerance gives them all.  Each call logs at DEBUG the floor,
+    default tolerance gives them all, and each of its columns is
+    certified from a copy in a row of the same (3, n) work array that
+    the polish takes.  Each call logs at DEBUG the floor,
     the largest of its ratios and the route, a polish with the steps of
     each level and its largest residual as a fraction of the floor.
     """
     floor = _RESIDUAL_FLOOR * np.finfo(float).eps * mat.norm
     route, levels = "bisection", None
-    # one for all the levels of this matrix, freed once it is solved; no
-    # result points into it
-    work = np.empty((5, mat.d.size))
+    # three rows, one array for all the levels of this matrix, freed once
+    # it is solved; no result points into it
+    work = np.empty((3, mat.d.size))
     if start is not None:
         polished = _polished(mat, k, start, floor, work)
         if polished is None:
@@ -737,7 +751,7 @@ def _lowest(mat, k, start):
         for j, u in enumerate(y.T):
             work[0] = u
             energy[j], r[j] = _certify(mat, work[0], u, work[1], work[2, :-1])
-        levels = energy, y, r, [sign_changes(u).size for u in y.T]
+        levels = energy, y, r, [_sign_change_count(u) for u in y.T]
     ratio = _floor_ratios(levels[0], floor)
     _log.debug("%d-point matrix, %d levels, floor %.3g, at most %.3g of a "
                "level's scale: %s", mat.d.size, k, floor, ratio.max(), route)

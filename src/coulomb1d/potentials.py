@@ -86,13 +86,23 @@ def half_line():
     return PotentialSpec("half-line")
 
 
+def _points(x):
+    """x as a float array; ``ValueError`` for a bool, a numpy.bool_ or a
+    boolean array.  The one check of evaluation points, psi's too."""
+    xs = np.asarray(x)
+    # a bool compares as 0 or 1, and is no position
+    if xs.dtype == bool:
+        raise ValueError("evaluation points must be numbers, got booleans")
+    return xs.astype(float, copy=False)
+
+
 def evaluate(spec, x):
     """Evaluate the potential at x (scalar or array).
 
     The half-line wall is reported as the +inf sentinel for x <= 0.
-    The pure Coulomb potential refuses x = 0.
+    The pure Coulomb potential refuses x = 0, and any x refuses bools.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _points(x)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
     if not np.all(np.isfinite(xs)):

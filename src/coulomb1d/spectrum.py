@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .potentials import _points
 from .specfun import _FLOAT_MAX, _on_slice, _rgamma, _u_array
 
 __all__ = [
@@ -134,7 +135,7 @@ def wavefunction(n, x, rtol=1e-11):
         n = 338), though its values there are within 4e-11 of the scale.
     """
     n = _check_state(n)
-    xs = np.asarray(x, dtype=float)
+    xs = _points(x)
     if not np.isfinite(xs).all():
         raise ValueError("non-finite evaluation point")
     z = np.abs(xs)
@@ -221,21 +222,39 @@ def node_count(n):
     return 2 * flips.size + n % 2
 
 
+def _flips(values):
+    """The rule of `sign_changes`: the mask of the samples that carry a
+    sign, and for each kept sample after the first whether its sign is
+    the opposite of the kept sample's before it.
+
+    A sample is kept if its magnitude is over t = 1e-8 max|values|,
+    tested as values > t or values < -t: the masks are booleans, and no
+    array of the magnitudes or of indices is built."""
+    values = np.asarray(values)
+    t = 1e-8 * max(values.max(), -values.min())
+    negative = values < -t
+    kept = values > t
+    kept |= negative
+    negative = negative[kept]
+    return kept, negative[1:] != negative[:-1]
+
+
 def sign_changes(values):
     """Indices i where values[i] has the opposite sign of the sample before it.
 
     Samples below 1e-8 of the largest magnitude carry no reliable sign
     (decaying tails, rounding noise) and are skipped, so a flip is
-    counted between the nearest kept neighbours.
+    counted between the nearest kept neighbours.  The rule is
+    `_flips`'s, which the grid solver's node count shares; it builds no
+    array of the magnitudes, and only this function builds indices.
     """
-    magnitude = np.abs(values)
-    kept = magnitude > 1e-8 * magnitude.max()
-    # freed before the index array, and signs taken as booleans, so that
-    # no two temporaries of the size of values are alive at once
-    del magnitude
-    keep = np.flatnonzero(kept)
-    negative = np.signbit(values)[kept]
-    return keep[1:][negative[1:] != negative[:-1]]
+    kept, flips = _flips(values)
+    return np.flatnonzero(kept)[1:][flips]
+
+
+def _sign_change_count(values):
+    """``sign_changes(values).size``, with no index array built."""
+    return int(np.count_nonzero(_flips(values)[1]))
 
 
 def ode_residual(n, x):
@@ -260,6 +279,8 @@ def ode_residual(n, x):
         Absolute residual value.
     """
     n = _check_n(n)
+    # refuses a bool, which abs() and the stencil would read as 0 or 1
+    _points(x)
     if abs(x) < 0.05:
         raise ValueError(f"residual check requires |x| >= 0.05, got {x}")
     # h <= |x|/5, so the stencil stays on the side of the origin x is on

@@ -1,7 +1,8 @@
 """Each domain is refused once, where its value enters, before any work.
 
 U's slice is refused by ``specfun._on_slice``, the turning point by
-``wkb.action`` and a tolerance by ``quadrature._check_tolerance``.
+``wkb.action``, a tolerance by ``quadrature._check_tolerance`` and a
+boolean position by ``potentials._points``.
 The ``bounded`` fixture turns the late discoveries those doors replace
 into immediate failures: k! past 170, an ``np.arange`` of more than 10^6
 elements, and more than 5 s of wall time all raise ``AssertionError``.
@@ -15,8 +16,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from coulomb1d import (action, node_count, normalize, specfun, tricomi_u,
-                       wavefunction, wkb)
+from coulomb1d import (action, evaluate, node_count, normalize, ode_residual,
+                       pure_coulomb, soft_core, specfun, tricomi_u, wavefunction, wkb)
 from coulomb1d.quadrature import gauss_legendre
 from coulomb1d.specfun import _u_array
 
@@ -155,3 +156,34 @@ class TestToleranceDoor:
             gauss_legendre(np.sin, 0.0, 1.0, rtol=rtol)
         with pytest.raises(ValueError, match="positive and finite"):
             action(-1.0, rtol=rtol)
+
+
+class TestPositionDoor:
+    # a bool compares as 0 or 1, and is no position: each of these was
+    # read as x = 1 or x = 0 (wavefunction(0, True) gave psi_0(1) = 0.2863)
+    BOOLS = [True, False, np.True_, np.array([True, False]), [True, False]]
+
+    @pytest.mark.parametrize("x", BOOLS)
+    def test_wavefunction(self, x):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="got booleans"):
+                wavefunction(n, x)
+
+    @pytest.mark.parametrize("x", [True, np.True_])
+    def test_ode_residual(self, x):
+        with pytest.raises(ValueError, match="got booleans"):
+            ode_residual(2, x)
+
+    @pytest.mark.parametrize("x", BOOLS)
+    def test_evaluate(self, x):
+        for spec in (pure_coulomb(), soft_core(0.1)):
+            with pytest.raises(ValueError, match="got booleans"):
+                evaluate(spec, x)
+
+    def test_numbers_still_pass(self):
+        # integers and floats of every kind are positions
+        assert wavefunction(0, 1) == wavefunction(0, 1.0) == wavefunction(0, np.float32(1))
+        np.testing.assert_array_equal(wavefunction(1, np.array([1, 2])),
+                                      wavefunction(1, [1.0, 2.0]))
+        assert ode_residual(2, 1) == ode_residual(2, 1.0)
+        assert evaluate(pure_coulomb(), 2) == -0.5

@@ -14,9 +14,9 @@ import pytest
 from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 
-from coulomb1d import (ConvergenceError, Grid, cli, evaluate, exact_energy, gridsolver,
-                       half_line, normalize, pure_coulomb, refine, repulsive_core,
-                       soft_core, solve, wavefunction)
+from coulomb1d import (ConvergenceError, Grid, care_interleaving, cli, evaluate,
+                       exact_energy, gridsolver, half_line, normalize, pure_coulomb,
+                       refine, repulsive_core, soft_core, solve, wavefunction)
 
 
 def harmonic(x):
@@ -237,21 +237,20 @@ class TestSectorForm:
     def test_largest_grid_core_solve_peak_memory(self):
         # the largest solve of the grid-core benchmark workload: whole-mesh
         # vectors and positions, 30 MB, are no longer built for it.  Each
-        # matrix allocates its own work array of 5n floats and frees it
-        # once solved, so a repeat peaks as high as the first solve
-        peaks = []
+        # matrix allocates its own work array of three rows, dd, dl and
+        # du, and frees it once solved; each level's vector lives in its
+        # own result column, and its start array is the steps'
+        # right-hand side, so a repeat peaks as high as the first solve.
+        # It peaked at 38.07 MiB with five work rows
+        assert max(repeated_peaks(
+            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 35 * 2 ** 20
 
-        def solves():
-            solve(pure_coulomb(), Grid(60.0, 8000), 2)
-            for _ in range(2):
-                tracemalloc.start()
-                try:
-                    solve(pure_coulomb(), Grid(60.0, 540000), 6)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-        in_new_thread(solves)
-        assert max(peaks) <= 40 * 2 ** 20
+    def test_default_care_scan_peak_memory(self):
+        # the other 540,000-point solve of the workload, the default care
+        # scan: 38.10 MiB with five work rows
+        assert max(repeated_peaks(
+            lambda: care_interleaving(1e-3, 5e-3, Grid.uniform(54.0, 1e-3), 6))) \
+            <= 35 * 2 ** 20
 
     def test_nothing_outlives_a_solve(self):
         # a solve keeps no memory once its result is dropped: no work
@@ -270,6 +269,24 @@ class TestSectorForm:
                 tracemalloc.stop()
         in_new_thread(solves)
         assert held[0] <= 0.1 * 2 ** 20
+
+
+def repeated_peaks(call):
+    """The traced peaks of two calls in a fresh thread, after a small
+    solve there has loaded LAPACK."""
+    peaks = []
+
+    def calls():
+        solve(pure_coulomb(), Grid(60.0, 8000), 2)
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    in_new_thread(calls)
+    return peaks
 
 
 def in_new_thread(target):
@@ -1263,6 +1280,30 @@ class TestExactStates:
         assert offsets == sorted(offsets, reverse=True)
         assert max(gaps) <= 2e-4
         assert gaps == sorted(gaps, reverse=True)
+
+    def test_graded_offset_is_first_order_in_the_map_step(self):
+        # on a graded mesh the first cell is h0 = 2 x0 wide, and the
+        # lambda of E0 is 2 ln h0 + c plus an offset that the grading
+        # leaves: it halves with the map step D, that is with each
+        # doubling of the points (-0.0995, -0.0482, -0.0237 at a = 1e-2),
+        # and hardly depends on the core, 1e-2 to 1e-4 (-0.0995 to
+        # -0.1205 at the graded count of each map)
+        limit = 2 + 2 * mp.digamma(mp.mpf(1) / 2)
+        offsets = []
+        for a in (1e-2, 1e-3, 1e-4):
+            points = Grid.graded(60.0, a).points
+            row = []
+            for f in (1, 2, 4):
+                g = Grid(60.0, f * points, core=a)
+                e0 = solve(pure_coulomb(), g, 1).levels[0].energy
+                x0 = gridsolver._half_mesh(g, g.points // 2)[0]
+                lam = even_lambda(1 / mp.sqrt(-2 * mp.mpf(e0)))
+                row.append(float(lam - 2 * mp.log(2 * x0) - limit))
+            assert all(1.9 <= coarse / fine <= 2.3 for coarse, fine in zip(row, row[1:]))
+            offsets.append(row)
+        for column in zip(*offsets):
+            assert max(column) < 0.0
+            assert min(column) / max(column) <= 1.25
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_odd_vectors_match_exact_states(self, n):

@@ -493,6 +493,26 @@ SAMPLES = st.one_of(
 )
 
 
+# SAMPLES with subnormals of both signs, and magnitudes just below and
+# above the 1e-8 cut of a unit peak
+SAMPLES_AND_SUBNORMALS = st.one_of(
+    SAMPLES,
+    st.floats(-2.2e-308, 2.2e-308),
+    st.builds(lambda sign, k: sign * 1e-8 * (1.0 + k * 2.0 ** -52),
+              st.sampled_from([-1.0, 1.0]), st.integers(-2, 2)),
+)
+
+
+def magnitude_rule(values):
+    """The former rule of `spectrum.sign_changes`, on a copy of |values|:
+    the kept samples, and for each kept sample after the first whether
+    its sign bit differs from the kept sample's before it."""
+    magnitude = np.abs(values)
+    kept = magnitude > 1e-8 * magnitude.max()
+    negative = np.signbit(values)[kept]
+    return kept, negative[1:] != negative[:-1]
+
+
 class TestSignChanges:
     @given(st.lists(SAMPLES, min_size=1, max_size=80),
            st.sampled_from([None, math.nan, math.inf, -math.inf]), st.integers(0, 79))
@@ -508,6 +528,28 @@ class TestSignChanges:
         got, want = spectrum.sign_changes(x), sign_product_changes(x)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    @given(st.lists(SAMPLES_AND_SUBNORMALS, min_size=1, max_size=80),
+           st.sampled_from([1.0, 1e-300, 1e-310, 5e-324]),
+           st.sampled_from([None, math.nan, math.inf, -math.inf]), st.integers(0, 79))
+    @example([0.0, -0.0, 0.0], 1.0, None, 0)
+    @example([1.0, -1e-9, 1e-8, -1.0000001e-8, 1.0], 1.0, None, 0)
+    @example([1.0, -1.0, 5e-324, -1.0], 5e-324, None, 0)
+    @example([1.0, -1.0, 1.0], 1.0, math.nan, 1)
+    @example([1.0, -1.0, 1.0], 1.0, math.inf, 0)
+    @settings(max_examples=400, deadline=None)
+    def test_copy_free_rule_is_the_magnitude_rule(self, values, scale, special, at):
+        # the rule tested as values > t or values < -t flags exactly the
+        # samples and flips of the rule on |values| it replaced, and the
+        # count needs no index array
+        x = np.array(values) * scale
+        if special is not None:
+            x[at % x.size] = special
+        kept, flips = spectrum._flips(x)
+        want_kept, want_flips = magnitude_rule(x)
+        np.testing.assert_array_equal(kept, want_kept)
+        np.testing.assert_array_equal(flips, want_flips)
+        assert spectrum._sign_change_count(x) == spectrum.sign_changes(x).size
 
     def test_skipped_samples_and_non_finite_arrays(self):
         x = np.array([1.0, 1e-9, -0.5, 0.0, -1e-12, 2.0, -3.0])

@@ -1,0 +1,56 @@
+"""Traced memory peak of each operation of one round of the grid-core workload.
+
+    python3 tools/grid_memory.py CHECKOUT --seed 5
+
+Loads ``perfbench/workloads.py`` and the package of CHECKOUT as
+``tools/grid_routes.py`` does, with its ``src`` first on ``sys.path``
+and no bytecode written there, runs the workload's warm-up, then each of
+its operations once, in the workload's order, under tracemalloc.  For
+each operation it prints the label and the traced peak in MiB, then the
+largest.  Run it on two checkouts to compare their peaks.
+"""
+
+import argparse
+import sys
+import tracemalloc
+from pathlib import Path
+
+MIB = 2 ** 20
+
+
+def peaks(ops):
+    """(label, traced peak in bytes) of each operation, each called once
+    with tracing started afresh."""
+    for op in ops:
+        tracemalloc.start()
+        try:
+            op.call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        yield op.label, peak
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    root = args.checkout.resolve()
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    wl = workloads.make("grid-core", args.seed)
+    wl.warm_up()
+    largest = None
+    for label, peak in peaks(wl.ops):
+        print(f"{label}: {peak / MIB:.2f} MiB")
+        if largest is None or peak > largest[1]:
+            largest = label, peak
+    print(f"largest: {largest[0]}: {largest[1] / MIB:.2f} MiB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
