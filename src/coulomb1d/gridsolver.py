@@ -47,11 +47,14 @@ eigenvector j of a Jacobi matrix has j sign changes, so with S sectors
 (two, or the half line's one) level j of sector s is level s + jS of
 the grid, with S m + s nodes if its sector vector has m.  Parity
 labels are exact by construction; the half line's levels carry none.
-The solve keeps the vectors in that form, each sector's on the positive
-half mesh; the whole-mesh ``positions`` and ``vectors`` of a
-`SpectrumResult` are their mirror image, built on first access and then
-kept (30 MB at N = 540000, k = 6, which no command reads), and on the
-half line the one sector itself.
+A solve keeps only its levels: each sector's vectors, on the positive
+half mesh, are dropped once certified and counted, unless they start a
+finer grid.  The whole-mesh ``positions`` of a `SpectrumResult` are
+built from the grid on first access; its ``vectors`` solve the grid
+again on first access, keeping the vectors this time, and are their
+mirror image, or on the half line the one sector itself.  No command
+reads them, and a solve at N = 540000, k = 6 would hold 13 MB of sector
+columns for them.
 
 Eigenvectors.  A grid first solves the same problem on
 ``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
@@ -91,18 +94,19 @@ from the interpolated nodal vector u, so it needs no product with H.  The
 steps of a level stop on the residual that the solve itself yields:
 after (H - sigma) z = y with ||y|| = 1, the vector z/||z|| has the
 quotient sigma + delta, delta = z.y/z.z, and the residual
-sqrt(1/z.z - delta^2), so a step needs none either.  A polished level's one product
-with H is its certificate's.  The polish holds what one step needs and
-no more.  Each level's unit vector lives in its own result column from
-its start to its certificate; its interpolated start array is the
-right-hand side and solution of each gtsv solve, then takes the nodal
-vector for the certificate, and is dropped before the next level's
-start is built.  Each matrix of n nodes takes one work array of 3n
-floats for the solve of its levels, the rows that gtsv overwrites (the
-shifted diagonal and the two off-diagonals), cut to the level's
-support, which the residual also takes as its work vectors.  It is
-freed once the matrix is solved, so nothing outlives a solve, and no
-result points into it.
+sqrt(1/z.z - delta^2), so a step needs none either.  A polished level's
+one product with H is its certificate's.  The polish holds what one step
+needs and no more.  Each matrix of n nodes takes one work array of 4n
+floats for the solve of its levels, cut to the level's support: the
+rows that gtsv overwrites (the shifted diagonal and the two
+off-diagonals), which the residual also takes as its work vectors, and
+the level's unit vector from its start to its certificate.  Its
+interpolated start array is the right-hand side and solution of each
+gtsv solve, then takes the nodal vector for the certificate, is copied
+into the level's result column if the vectors are kept, and is dropped
+before the next level's start is built.  The work array is freed once
+the matrix is solved, so nothing outlives a solve, and no result points
+into it.
 The certificate is explicit and taken for each level straight after its
 last step, and against the whole matrix: a polished level j stands only
 if the residual ||Hy - Ey|| of its vector padded with zeros, recomputed
@@ -156,7 +160,7 @@ import numbers
 import os
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -362,13 +366,6 @@ class _Solution(NamedTuple):
     sectors: tuple
 
 
-def _positions(sol):
-    """The whole mesh of a solution."""
-    if len(sol.sectors) == 1:
-        return sol.x
-    return np.concatenate((-sol.x[::-1], sol.x))
-
-
 def _vectors(sol):
     """The vectors of a solution on its whole mesh, level k in column k.
 
@@ -393,29 +390,45 @@ def _vectors(sol):
     return vecs
 
 
+def _half_line(V):
+    """Whether V is the half-line model, the odd sector alone on [0, L]."""
+    return isinstance(V, PotentialSpec) and V.family == "half-line"
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigensolve output: levels plus the mesh and eigenvectors behind them.
+    """Eigensolve output: levels, and the mesh and eigenvectors behind them.
 
     ``vectors[:, k]`` is level k on ``positions``, normalized so that
     sum(width * v^2) = 1 over the cells (h * sum(v^2) = 1 on a uniform
-    grid).  A solve keeps its vectors as its parity sectors on the
-    positive half mesh; on the full line ``positions`` and ``vectors``
-    build the whole-mesh arrays on first access and keep them.
+    grid).  A solve keeps only its levels.  ``positions`` is built from
+    the grid on first access; ``vectors`` solves the grid again on first
+    access, which takes as long as the solve itself, and both are then
+    kept.  The vectors are those of the levels only if V is a pure
+    function of x: ``vectors`` raises ValueError unless the energies of
+    the second solve equal the levels bit for bit.
     """
 
     levels: list
     grid: Grid
     potential: object
-    _solution: _Solution = field(repr=False, compare=False)
 
     @cached_property
     def positions(self):
-        return _positions(self._solution)
+        # the half line is its half mesh; a full-line mesh is mirrored
+        if _half_line(self.potential):
+            return _half_mesh(self.grid, self.grid.points)
+        x = _half_mesh(self.grid, self.grid.points // 2)
+        return np.concatenate((-x[::-1], x))
 
     @cached_property
     def vectors(self):
-        return _vectors(self._solution)
+        w, _, _, _, solution = _eigenpairs(self.potential, self.grid, len(self.levels))
+        if w.tobytes() != np.array([lv.energy for lv in self.levels]).tobytes():
+            raise ValueError("the grid solved again for its vectors gives other "
+                             "levels: the potential callable is not a pure function "
+                             "of x")
+        return _vectors(solution)
 
 
 def _half_mesh(g, m):
@@ -636,20 +649,21 @@ def _block(mat, m):
                         scale=mat.scale[:m], v=mat.v[:m])
 
 
-def _polished(mat, k, start, floor, work):
+def _polished(mat, k, start, floor, work, vectors=True):
     """Levels polished from start vectors, with the Rayleigh-quotient
     steps each took and its support, or None unless every level is
-    certified.  ``work``, a (3, n) array, holds the arrays dd, dl and du
-    of `_step` in its rows, cut to the support.
+    certified.  ``work``, a (4, n) array, holds the arrays dd, dl and du
+    of `_step` and the level's unit vector c in its rows, cut to the
+    support.  The nodal vectors are kept, as the columns of an (n, k)
+    array, only if ``vectors``; otherwise its place is None.
 
     The start of level j covers the leading m_j nodes, its support (see
     `_starts`), and the level is polished on the leading m_j x m_j block
     of H alone (`_block`); its vector is exactly 0 past the support.
-    Its unit vector c lives in its own result column from its start to
-    its certificate.  The start array itself is kept for the level: it
-    is the right-hand side and solution of every step, then takes the
-    nodal vector c/scale of the certificate, which is copied into the
-    column once the level stands.
+    The start array itself is kept for the level: it is the right-hand
+    side and solution of every step, then takes the nodal vector c/scale
+    of the certificate, which is copied into the level's column once it
+    stands, if the vectors are kept.
     Each level takes one to five steps.  The first is shifted by the
     start's quotient, which `_energy` takes in difference form from the
     nodal start, so that a level's one product with H is its
@@ -666,13 +680,13 @@ def _polished(mat, k, start, floor, work):
     """
     n = mat.d.size
     # zeros, so that the pages past every support are never touched
-    u = np.zeros((n, k), order="F")
+    u = np.zeros((n, k), order="F") if vectors else None
     energy, r, steps, support = np.empty(k), np.empty(k), [], []
     for j in range(k):
         b = start(j)
         m = b.size
         block = _block(mat, m)
-        c, dd, (dl, du) = u[:m, j], work[0, :m], work[1:, :m - 1]
+        dd, (dl, du), c = work[0, :m], work[1:3, :m - 1], work[3, :m]
         np.multiply(b, block.scale, out=c)
         norm2 = _dot(c, c)
         sigma = _energy(block, b, c, dl) / norm2
@@ -693,7 +707,8 @@ def _polished(mat, k, start, floor, work):
             r[j] = math.hypot(r[j], mat.e[m - 1] * c[m - 1])
         if not r[j] <= floor or _sign_change_count(b) != j:
             return None
-        c[:] = b
+        if vectors:
+            u[:m, j] = b
         # dropped before the next start is built: rebound by it, both
         # would be alive at once
         del b
@@ -714,26 +729,29 @@ def _floor_ratios(energy, floor):
         return floor / scale
 
 
-def _lowest(mat, k, start):
-    """Lowest k eigenpairs as energies, nodal vectors, residuals, node
-    counts and the `_floor_ratios` that the floor guard reads.
+def _lowest(mat, k, start, vectors=True):
+    """Lowest k eigenpairs as energies, nodal vectors (None unless
+    ``vectors``), residuals, node counts and the `_floor_ratios` that the
+    floor guard reads.
 
     ``start(j)``, if not None, gives a nodal start vector of level j;
     the levels polished from them stand if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
     default tolerance gives them all, and each of its columns is
-    certified from a copy in a row of the same (3, n) work array that
-    the polish takes.  Each call logs at DEBUG the floor,
-    the largest of its ratios and the route, a polish with the steps of
-    each level and its largest residual as a fraction of the floor.
+    certified from a copy in a row of the same (4, n) work array that
+    the polish takes; the node counts are those of the certified
+    columns, which are then dropped unless ``vectors``.  Each call logs
+    at DEBUG the floor, the largest of its ratios and the route, a
+    polish with the steps of each level and its largest residual as a
+    fraction of the floor.
     """
     floor = _RESIDUAL_FLOOR * np.finfo(float).eps * mat.norm
     route, levels = "bisection", None
-    # three rows, one array for all the levels of this matrix, freed once
+    # four rows, one array for all the levels of this matrix, freed once
     # it is solved; no result points into it
-    work = np.empty((3, mat.d.size))
+    work = np.empty((4, mat.d.size))
     if start is not None:
-        polished = _polished(mat, k, start, floor, work)
+        polished = _polished(mat, k, start, floor, work, vectors)
         if polished is None:
             route = "bisection after a failed polish"
         else:
@@ -751,7 +769,7 @@ def _lowest(mat, k, start):
         for j, u in enumerate(y.T):
             work[0] = u
             energy[j], r[j] = _certify(mat, work[0], u, work[1], work[2, :-1])
-        levels = energy, y, r, [_sign_change_count(u) for u in y.T]
+        levels = energy, y if vectors else None, r, [_sign_change_count(u) for u in y.T]
     ratio = _floor_ratios(levels[0], floor)
     _log.debug("%d-point matrix, %d levels, floor %.3g, at most %.3g of a "
                "level's scale: %s", mat.d.size, k, floor, ratio.max(), route)
@@ -839,9 +857,11 @@ def _starts(mat, x, xc, columns):
     return start
 
 
-def _eigenpairs(V, g, k, coarse=None):
+def _eigenpairs(V, g, k, coarse=None, vectors=True):
     """Energies, residuals, node counts, `_floor_ratios` and the
     `_Solution` of a grid, with vectors scaled to sum(width * v^2) = 1.
+    Unless ``vectors``, the solution holds None in place of the vectors
+    of each sector solved: they are dropped once certified and counted.
 
     The sectors are solved in turn on one half mesh, from the matrix of
     the even sector, which has no link across the centre: the odd
@@ -853,7 +873,7 @@ def _eigenpairs(V, g, k, coarse=None):
     ``coarse``, the solution of a coarser grid, is the start of the
     polish; by default it comes from `_coarse`, which is solved only
     once the grid's first matrix has been built and found finite."""
-    half_line = isinstance(V, PotentialSpec) and V.family == "half-line"
+    half_line = _half_line(V)
     if not half_line and g.points % 2:
         raise ValueError("full-line grids need an even point count to "
                          "stay mirror-symmetric")
@@ -878,7 +898,8 @@ def _eigenpairs(V, g, k, coarse=None):
         if s == 0 and coarse is None:
             coarse = _coarse(V, g, k, half_line)
         start = None if coarse is None else _starts(mat, x, coarse.x, coarse.sectors[s])
-        w[levels], u, r[levels], counts, ratio[levels] = _lowest(mat, count, start)
+        w[levels], u, r[levels], counts, ratio[levels] = _lowest(mat, count, start,
+                                                                 vectors)
         nodes[levels] = [n * m + s for m in counts]
         sectors.append(u)
     return w, r, nodes, ratio, _Solution(x, tuple(sectors))
@@ -899,7 +920,8 @@ def solve(V, g, k_max):
         Potential family, or a plain vectorized function V(x) for
         benchmark potentials (harmonic, box, ...).  A callable must
         return one value per node and be even on the mesh, V(-x) == V(x)
-        bit for bit at every node, as every family is.
+        bit for bit at every node, as every family is.  It should be a
+        pure function of x: the result's ``vectors`` call it again.
     g : Grid
     k_max : int
         Number of levels, 1 <= k_max <= N/4.
@@ -909,10 +931,12 @@ def solve(V, g, k_max):
     SpectrumResult
         Levels carry eigenvector node counts and, on the full line, their
         exact parity; the half line, the odd sector alone, is the only
-        solve whose levels have parity None.  A
-        polished level's vector is exactly 0 on the nodes toward x = L
-        past its support, where its coarse start fell below eps of its
-        peak; the residual is that of the whole vector.  Energies
+        solve whose levels have parity None.  The result keeps no
+        eigenvector: its ``vectors`` solve the grid again on first read,
+        and raise ValueError unless that solve gives the same levels bit
+        for bit.  A polished level's vector is exactly 0 on the nodes
+        toward x = L past its support, where its coarse start fell below
+        eps of its peak; the residual is that of the whole vector.  Energies
         are the Rayleigh quotients of the eigenvectors and increase with
         the index; each level's residual bounds the distance from its
         energy to an eigenvalue of the discrete H.
@@ -933,14 +957,14 @@ def solve(V, g, k_max):
         the potential sits.
     """
     _check(g, k_max)
-    w, res, nodes, ratio, solution = _eigenpairs(V, g, k_max)
+    w, res, nodes, ratio, _ = _eigenpairs(V, g, k_max, vectors=False)
     _guard(w, ratio, range(k_max))
     # the half line, the odd sector alone, carries no parity label
-    parities = ("even", "odd") if len(solution.sectors) == 2 else (None,)
+    parities = (None,) if _half_line(V) else ("even", "odd")
     levels = [Level(index=k, energy=float(w[k]), parity=parities[k % len(parities)],
                     nodes=nodes[k], residual=float(res[k]))
               for k in range(k_max)]
-    return SpectrumResult(levels=levels, grid=g, potential=V, _solution=solution)
+    return SpectrumResult(levels=levels, grid=g, potential=V)
 
 
 def refine(V, g, level, refinements):
@@ -985,7 +1009,9 @@ def refine(V, g, level, refinements):
     energies, coarse = [], None
     for j in range(refinements + 1):
         gj = replace(g, points=g.points * 2 ** j)
-        w, _, _, ratio, coarse = _eigenpairs(V, gj, level + 1, coarse)
+        # the vectors of every grid but the last start the next one
+        w, _, _, ratio, coarse = _eigenpairs(V, gj, level + 1, coarse,
+                                             vectors=j < refinements)
         _guard(w, ratio, [level])
         energies.append(float(w[level]))
     return energies

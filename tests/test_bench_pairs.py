@@ -1,8 +1,8 @@
 """tools/bench_pairs.py's verdict per metric, on synthetic runs: a move
 past the bound regresses, a parent spread wider than the bound leaves a
 metric unresolved unless every change run beats every parent run, and a
-gain needs nine tenths of the pairs and a median move past the parent's
-quartile spread.  No benchmark runs."""
+gain needs at least ten pairs, nine tenths of them won and a median move
+past the parent's quartile spread.  No benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -76,6 +76,12 @@ def test_gain(bench_pairs):
         assert got[name]["move"] == pytest.approx(-0.1, abs=1e-3)
         assert got[name]["gain"]
         assert not got[name]["regressed"] and not got[name]["unresolved"]
+    # 3 of 3 pairs won by the same margin: too few pairs for a gain
+    few = verdicts(bench_pairs, (STEADY[:3], STEADY[:3]), (ops[:3], p50[:3]))
+    for name in METRICS:
+        assert few[name]["wins"] == 3
+        assert few[name]["move"] == pytest.approx(-0.1, abs=1e-3)
+        assert not few[name]["gain"]
     # 8 of 10 is short of nine tenths
     ops[0] = STEADY[0]
     assert not verdicts(bench_pairs, (STEADY, STEADY), (ops, p50))["ops_per_s"]["gain"]

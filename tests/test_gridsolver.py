@@ -149,13 +149,16 @@ class TestParitySectors:
     def test_one_matrix_paths_return_their_vectors_as_solved(self, V, g, monkeypatch):
         real, solved = gridsolver._lowest, []
 
-        def recording(mat, k, start):
-            solved.append(real(mat, k, start))
+        def recording(mat, k, start, vectors=True):
+            solved.append(real(mat, k, start, vectors))
             return solved[-1]
         monkeypatch.setattr(gridsolver, "_lowest", recording)
         res = solve(V, g, 3)
-        # no mirror, no copy: the array the one matrix's solve returned
-        assert res.vectors is solved[-1][1]
+        # the solve keeps no vector; reading them solves the grid again
+        assert solved[-1][1] is None
+        vectors = res.vectors
+        # no mirror, no copy: the array the one matrix's second solve returned
+        assert vectors is solved[-1][1]
         widths = cell_widths(res.positions, g.half_width, 0.0)
         for v in res.vectors.T:
             assert math.isclose(widths @ v ** 2, 1.0, rel_tol=1e-12)
@@ -184,8 +187,9 @@ def assert_odd_sector(half, full):
     odd = [lv for lv in full.levels if lv.parity == "odd"]
     assert [lv.energy for lv in half.levels] == [lv.energy for lv in odd]
     assert [lv.residual for lv in half.levels] == [lv.residual for lv in odd]
-    np.testing.assert_array_equal(half.positions, full._solution.x)
-    np.testing.assert_array_equal(half.vectors, full._solution.sectors[1])
+    sol = gridsolver._eigenpairs(full.potential, full.grid, len(full.levels))[-1]
+    np.testing.assert_array_equal(half.positions, sol.x)
+    np.testing.assert_array_equal(half.vectors, sol.sectors[1])
 
 
 @pytest.fixture
@@ -193,8 +197,8 @@ def sector_vectors(monkeypatch):
     """The nodal vectors of every matrix that _lowest solves, in order."""
     real, solved = gridsolver._lowest, []
 
-    def recording(mat, k, start):
-        levels = real(mat, k, start)
+    def recording(mat, k, start, vectors=True):
+        levels = real(mat, k, start, vectors)
         solved.append(levels[1])
         return levels
     monkeypatch.setattr(gridsolver, "_lowest", recording)
@@ -211,20 +215,23 @@ class TestSectorForm:
     def test_whole_mesh_arrays_mirror_the_sectors(self, V, g, k, sector_vectors):
         res = solve(V, g, k)
         m = g.points // 2
-        # the last two matrices solved are the even and odd fine sectors;
-        # at k = 1 the odd sector is asked for no level, and not solved
-        u_even, u_odd = (sector_vectors[-2:] if k > 1
-                         else (sector_vectors[-1], res._solution.sectors[1]))
-        assert u_even.shape == (m, (k + 1) // 2) and u_odd.shape == (m, k // 2)
-        # neither whole-mesh array exists before it is asked for
+        # neither whole-mesh array exists before it is asked for, and the
+        # solve kept the vectors of no fine sector
         assert "positions" not in vars(res) and "vectors" not in vars(res)
+        assert sector_vectors[-1] is None
         xp = gridsolver._half_mesh(g, m)
         np.testing.assert_array_equal(res.positions, np.concatenate((-xp[::-1], xp)))
+        vectors = res.vectors
+        # the last two matrices solved are the even and odd fine sectors of
+        # the solve that reading the vectors runs; at k = 1 the odd sector
+        # is asked for no level, and not solved
+        u_even, u_odd = (sector_vectors[-2:] if k > 1
+                         else (sector_vectors[-1], np.empty((m, 0))))
+        assert u_even.shape == (m, (k + 1) // 2) and u_odd.shape == (m, k // 2)
         want = np.empty((g.points, k))
         for j in range(k):
             u = (u_odd if j % 2 else u_even)[:, j // 2] / math.sqrt(2.0)
             want[:, j] = np.concatenate(((-u if j % 2 else u)[::-1], u))
-        vectors = res.vectors
         np.testing.assert_array_equal(vectors, want)
         assert vectors.flags.f_contiguous
         widths = cell_widths(res.positions, g.half_width)
@@ -235,22 +242,76 @@ class TestSectorForm:
         assert res.positions is res.positions
 
     def test_largest_grid_core_solve_peak_memory(self):
-        # the largest solve of the grid-core benchmark workload: whole-mesh
-        # vectors and positions, 30 MB, are no longer built for it.  Each
-        # matrix allocates its own work array of three rows, dd, dl and
-        # du, and frees it once solved; each level's vector lives in its
-        # own result column, and its start array is the steps'
-        # right-hand side, so a repeat peaks as high as the first solve.
-        # It peaked at 38.07 MiB with five work rows
+        # the largest solve of the grid-core benchmark workload: it keeps
+        # no eigenvector, so no sector holds a result column.  Each matrix
+        # allocates its own work array of four rows, dd, dl, du and the
+        # level's unit vector, and frees it once solved; each level's start
+        # array is the steps' right-hand side, so a repeat peaks as high as
+        # the first solve.  It peaked at 38.07 MiB with five work rows, and
+        # at 33.95 MiB with a result column for each level
         assert max(repeated_peaks(
-            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 35 * 2 ** 20
+            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 26 * 2 ** 20
 
     def test_default_care_scan_peak_memory(self):
         # the other 540,000-point solve of the workload, the default care
-        # scan: 38.10 MiB with five work rows
+        # scan: 38.10 MiB with five work rows, 33.98 MiB with result columns
         assert max(repeated_peaks(
             lambda: care_interleaving(1e-3, 5e-3, Grid.uniform(54.0, 1e-3), 6))) \
-            <= 35 * 2 ** 20
+            <= 26 * 2 ** 20
+
+    def test_held_result_keeps_only_its_levels(self):
+        # a held result of the largest solve traces under 1 MiB, its level
+        # list; reading its vectors solves the grid again and keeps them,
+        # 8 * 540000 * 6 bytes
+        held = []
+
+        def calls():
+            solve(pure_coulomb(), Grid(60.0, 8000), 2)
+            tracemalloc.start()
+            try:
+                res = solve(pure_coulomb(), Grid(60.0, 540000), 6)
+                held.append(tracemalloc.get_traced_memory()[0])
+                res.vectors
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        in_new_thread(calls)
+        assert held[0] <= 2 ** 20
+        assert held[1] >= 8 * 540000 * 6
+
+    @pytest.mark.parametrize("V, g, k", [
+        (pure_coulomb(), Grid(60.0, 40000), 4),
+        (soft_core(1e-2), Grid(30.0, 4000, core=1e-2), 5),
+        (repulsive_core(1e-3, 5e-3), Grid(30.0, 40000), 4),
+        (half_line(), Grid(60.0, 12000), 3),
+        (harmonic, Grid(10.0, 400), 3),
+        (harmonic, Grid(10.0, 400), 1),
+    ], ids=["pure-coulomb", "soft-core", "repulsive-core", "half-line", "harmonic",
+            "one-level"])
+    def test_vectors_on_demand_are_those_of_the_solve(self, V, g, k):
+        # the arrays built on first read, against those of the same solve
+        # with its vectors kept, bit for bit
+        res = solve(V, g, k)
+        w, _, _, _, sol = gridsolver._eigenpairs(V, g, k)
+        assert [lv.energy for lv in res.levels] == w.tolist()
+        half = len(sol.sectors) == 1
+        np.testing.assert_array_equal(
+            res.positions, sol.x if half else np.concatenate((-sol.x[::-1], sol.x)))
+        np.testing.assert_array_equal(res.vectors, gridsolver._vectors(sol))
+
+    def test_vectors_of_an_impure_callable_raise(self):
+        # even on the mesh at every call, but each call pair is shifted by
+        # one more step: the grid solved again has other levels
+        calls = []
+
+        def drifting(x):
+            calls.append(None)
+            return 0.5 * x * x + 1e-3 * ((len(calls) - 1) // 2)
+        res = solve(drifting, Grid(10.0, 400), 3)
+        assert [lv.nodes for lv in res.levels] == [0, 1, 2]
+        assert res.positions.size == 400
+        with pytest.raises(ValueError, match="not a pure function of x"):
+            res.vectors
 
     def test_nothing_outlives_a_solve(self):
         # a solve keeps no memory once its result is dropped: no work
@@ -296,9 +357,8 @@ def in_new_thread(target):
     assert not thread.is_alive()
 
 
-def sector_copy(res):
-    sol = res._solution
-    return sol.x.copy(), *(u.copy() for u in sol.sectors)
+def whole_copy(res):
+    return res.positions.copy(), res.vectors.copy()
 
 
 class TestIndependentSolves:
@@ -311,15 +371,15 @@ class TestIndependentSolves:
         # they were
         results = [solve(V, g, k) for V, g, k in self.CASES]
         levels = [list(res.levels) for res in results]
-        sectors = [sector_copy(res) for res in results]
-        vectors = results[0].vectors.copy()
+        arrays = [whole_copy(res) for res in results]
+        vectors = arrays[0][1]
         twin = solve(*self.CASES[0])
         solve(pure_coulomb(), Grid(60.0, 200000), 6)
         solve(harmonic, Grid(10.0, 400), 3)
         solve(soft_core(1e-2), Grid(30.0, 4000, core=1e-2), 5)
-        for res, lv, arrays in zip(results, levels, sectors):
+        for res, lv, kept in zip(results, levels, arrays):
             assert res.levels == lv
-            for got, want in zip(sector_copy(res), arrays):
+            for got, want in zip(whole_copy(res), kept):
                 np.testing.assert_array_equal(got, want)
         # whole-mesh vectors built before and after the later solves
         np.testing.assert_array_equal(results[0].vectors, vectors)
@@ -395,7 +455,7 @@ class TestRayleighQuotient:
         # within 3e-14 |E| of an exact sum of the same float64 terms
         V, g = pure_coulomb(), Grid(60.0, 100000)
         res = solve(V, g, 4)
-        x, sectors = res._solution
+        x, sectors = gridsolver._eigenpairs(V, g, 4)[-1]
         for lv in res.levels:
             mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
             if lv.index % 2:
@@ -499,9 +559,9 @@ def sector_norms(monkeypatch):
     """max|d| + 2 max|e| of every matrix that _lowest solves, by size."""
     real, norms = gridsolver._lowest, {}
 
-    def recording(mat, k, start):
+    def recording(mat, k, start, vectors=True):
         norms[mat.d.size] = np.abs(mat.d).max() + 2.0 * np.abs(mat.e).max()
-        return real(mat, k, start)
+        return real(mat, k, start, vectors)
     monkeypatch.setattr(gridsolver, "_lowest", recording)
     return norms
 
@@ -745,8 +805,8 @@ class TestRouteLog:
         # the largest explicit residual of a sector over its floor, at most 1
         real, margins = gridsolver._polished, []
 
-        def recording(mat, k, start, floor, work):
-            polished = real(mat, k, start, floor, work)
+        def recording(mat, k, start, floor, work, vectors=True):
+            polished = real(mat, k, start, floor, work, vectors)
             margins.append(f"{polished[0][2].max() / floor:.3g}")
             return polished
         monkeypatch.setattr(gridsolver, "_polished", recording)
@@ -907,20 +967,21 @@ def fine_levels(monkeypatch, routes):
     solved, its nodal vector, its Level and its logged support."""
     real, mats = gridsolver._lowest, []
 
-    def recording(mat, k, start):
+    def recording(mat, k, start, vectors=True):
         mats.append((mat.d.copy(), mat.e.copy(), mat.scale.copy()))
-        return real(mat, k, start)
+        return real(mat, k, start, vectors)
     monkeypatch.setattr(gridsolver, "_lowest", recording)
 
     def run(V, g, k):
         first = len(routes())
         res = solve(V, g, k)
-        records = routes()[first:]
-        sectors = res._solution.sectors
+        records, solved = routes()[first:], mats[:]
+        # the solve keeps no vector: the same solve with its vectors kept
+        sectors = gridsolver._eigenpairs(V, g, k)[-1].sectors
         out = []
         for level in res.levels:
             s = level.index % len(sectors)
-            (_, msg), mat = records[s - len(sectors)], mats[s - len(sectors)]
+            (_, msg), mat = records[s - len(sectors)], solved[s - len(sectors)]
             j = level.index // len(sectors)
             out.append((*mat, sectors[s][:, j], level, supports(msg)[j]))
         return out
@@ -1009,9 +1070,9 @@ class TestFloorGuard:
     def test_record_carries_the_floor_and_its_ratio(self, routes, monkeypatch):
         real, norms = gridsolver._lowest, []
 
-        def recording(mat, k, start):
+        def recording(mat, k, start, vectors=True):
             norms.append(np.abs(mat.d).max() + 2.0 * np.abs(mat.e).max())
-            return real(mat, k, start)
+            return real(mat, k, start, vectors)
         monkeypatch.setattr(gridsolver, "_lowest", recording)
         res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
         records = routes()
@@ -1376,8 +1437,8 @@ class TestRefine:
         # of their residuals
         real, residuals = gridsolver._lowest, []
 
-        def recording(mat, k, start):
-            levels = real(mat, k, start)
+        def recording(mat, k, start, vectors=True):
+            levels = real(mat, k, start, vectors)
             residuals.append((mat.d.size, levels[2]))
             return levels
         monkeypatch.setattr(gridsolver, "_lowest", recording)

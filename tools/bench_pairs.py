@@ -19,9 +19,11 @@ Each metric also gets a verdict, printed one line per metric:
   the parent's median;
 - ``unresolved``: the parent's quartile spread over its median exceeds
   the bound, and not every change run beats every parent run;
-- ``gain``: the change wins at least nine tenths of the pairs, ties
-  counting for neither, and its median is better than the parent's by
-  more than the parent's quartile spread.
+- ``gain``: there are at least ten pairs, the change wins at least
+  nine tenths of them, ties counting for neither, and its median is
+  better than the parent's by more than the parent's quartile spread.
+  Fewer pairs give no gain, however clear their move: the quartiles of
+  three runs say little of a side's spread.
 """
 
 import argparse
@@ -32,6 +34,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# the fewest pairs that a gain verdict is taken from
+GAIN_PAIRS = 10
 
 
 def run(root, workload, seed):
@@ -63,7 +67,8 @@ def verdict(values, sense, bound):
     wins = sum(sign * c < sign * p for p, c in values)
     return {"wins": wins, "move": round(move, 4), "regressed": move > bound,
             "unresolved": (q3 - q1) / parent > bound and not beats_all,
-            "gain": wins >= 0.9 * len(values) and -move * parent > q3 - q1}
+            "gain": (len(values) >= GAIN_PAIRS and wins >= 0.9 * len(values)
+                     and -move * parent > q3 - q1)}
 
 
 def summary(runs, seed, metrics):

@@ -2,6 +2,8 @@
 token other than a comment, not blank and not inside a docstring.
 
 Run from the repository root: ``python tools/code_lines.py [SRC_DIR]``.
+A folder that holds no ``*.py`` files, a checkout root say, is refused
+with exit status 1, so that two counts are never 0 against 0.
 """
 
 import ast
@@ -12,8 +14,13 @@ from pathlib import Path
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
+folder = Path(sys.argv[1] if len(sys.argv) > 1 else "src/coulomb1d")
+paths = sorted(folder.glob("*.py"))
+if not paths:
+    sys.exit(f"{folder} holds no *.py files: give a package folder, such as "
+             "CHECKOUT/src/coulomb1d")
 total = 0
-for path in sorted(Path(sys.argv[1] if len(sys.argv) > 1 else "src/coulomb1d").glob("*.py")):
+for path in paths:
     source = path.read_text()
     docs = set()
     for node in ast.walk(ast.parse(source)):
