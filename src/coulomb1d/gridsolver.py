@@ -132,10 +132,14 @@ asked for one level has no such distance, and its level is measured
 against |E|.  Close levels of the two sectors, a tunnelling doublet,
 are no fault: each is the quotient of its own matrix.  The solves of
 coarse grids, which only start a polish, are not guarded.  The logger
-``coulomb1d.gridsolver`` records every matrix at DEBUG: its floor, the
-largest ratio of the floor to a level's scale, which the guard reads,
-and its route, with the steps and support of each polished level and
-the largest polished residual as a fraction of the floor.
+``coulomb1d.gridsolver`` records every matrix at DEBUG, coarse ones
+too, as one `_Route`, the message object itself: its ``points``, its
+``floor``, the largest ratio of the floor to a level's scale, which
+the guard reads (``ratio``), its ``route`` ("polished", "bisection" or
+"bisection after a failed polish"), the ``energies``, ``residuals``
+and sector ``nodes`` of its levels, and the ``steps`` and
+``supports`` of each polished level, None if it was bisected.  The
+record is built only when DEBUG is on.
 LAPACK's MRRR (``eigh_tridiagonal(..., lapack_driver='stemr')``) is no
 option: scipy's wrapper asks for an n x n workspace, 543 GiB at
 n = 270000.
@@ -714,7 +718,7 @@ def _polished(mat, k, start, floor, work, vectors=True):
         del b
         steps.append(step)
         support.append(m)
-    return (energy, u, r, list(range(k))), steps, support
+    return (energy, u, r, list(range(k))), tuple(steps), tuple(support)
 
 
 def _floor_ratios(energy, floor):
@@ -729,6 +733,22 @@ def _floor_ratios(energy, floor):
         return floor / scale
 
 
+class _Route(NamedTuple):
+    """How `_lowest` solved one matrix, logged at DEBUG as the message
+    object itself.  The levels are the matrix's own, lowest first: their
+    node counts are those of the sector vectors."""
+
+    points: int
+    floor: float
+    ratio: float        # the largest of the `_floor_ratios`
+    route: str          # "polished", "bisection" or "bisection after a failed polish"
+    energies: tuple
+    residuals: tuple
+    nodes: tuple
+    steps: tuple | None     # of each polished level, else None
+    supports: tuple | None  # of each polished level, else None
+
+
 def _lowest(mat, k, start, vectors=True):
     """Lowest k eigenpairs as energies, nodal vectors (None unless
     ``vectors``), residuals, node counts and the `_floor_ratios` that the
@@ -740,13 +760,13 @@ def _lowest(mat, k, start, vectors=True):
     default tolerance gives them all, and each of its columns is
     certified from a copy in a row of the same (4, n) work array that
     the polish takes; the node counts are those of the certified
-    columns, which are then dropped unless ``vectors``.  Each call logs
-    at DEBUG the floor, the largest of its ratios and the route, a
-    polish with the steps of each level and its largest residual as a
-    fraction of the floor.
+    columns, which are then dropped unless ``vectors``.  If DEBUG is on
+    for the logger, each call logs one `_Route`: the matrix size, floor,
+    largest ratio and route, each level's energy, residual and node
+    count, and the steps and support of each polished level.
     """
     floor = _RESIDUAL_FLOOR * np.finfo(float).eps * mat.norm
-    route, levels = "bisection", None
+    route, levels, steps, support = "bisection", None, None, None
     # four rows, one array for all the levels of this matrix, freed once
     # it is solved; no result points into it
     work = np.empty((4, mat.d.size))
@@ -755,9 +775,7 @@ def _lowest(mat, k, start, vectors=True):
         if polished is None:
             route = "bisection after a failed polish"
         else:
-            levels, steps, support = polished
-            route = (f"polished in {steps} steps on {support} nodes, max residual "
-                     f"{levels[2].max() / floor:.3g} of the floor")
+            (levels, steps, support), route = polished, "polished"
     if levels is None:
         try:
             _, y = eigh_tridiagonal(mat.d, mat.e, select_range=(0, k - 1))
@@ -771,8 +789,10 @@ def _lowest(mat, k, start, vectors=True):
             energy[j], r[j] = _certify(mat, work[0], u, work[1], work[2, :-1])
         levels = energy, y if vectors else None, r, [_sign_change_count(u) for u in y.T]
     ratio = _floor_ratios(levels[0], floor)
-    _log.debug("%d-point matrix, %d levels, floor %.3g, at most %.3g of a "
-               "level's scale: %s", mat.d.size, k, floor, ratio.max(), route)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(_Route(mat.d.size, float(floor), float(ratio.max()), route,
+                          tuple(levels[0].tolist()), tuple(levels[2].tolist()),
+                          tuple(levels[3]), steps, support))
     return (*levels, ratio)
 
 

@@ -516,40 +516,32 @@ class TestLooseBisection:
             assert abs(lv.energy - e) <= lv.residual + 4.0 * eps * norm
 
 
-POLISHED_RECORD = re.compile(r"polished in \[([0-9, ]+)\] steps on \[([0-9, ]+)\] "
-                             r"nodes, max residual (\S+) of the floor")
-
-
-def supports(message):
-    """The support of each level of a polished route record."""
-    return [int(m) for m in POLISHED_RECORD.search(message).group(2).split(", ")]
+# the route of a matrix whose polish failed a certificate or broke down
+FAILED = "bisection after a failed polish"
 
 
 @pytest.fixture
 def routes(caplog):
-    """The route record of every matrix solved, as (points, message)."""
+    """The route record, a `gridsolver._Route`, of every matrix solved."""
     caplog.set_level(logging.DEBUG, logger="coulomb1d.gridsolver")
 
     def records():
-        return [(int(r.getMessage().split("-")[0]), r.getMessage())
-                for r in caplog.records if r.name == "coulomb1d.gridsolver"]
+        return [r.msg for r in caplog.records if r.name == "coulomb1d.gridsolver"]
     return records
 
 
 @pytest.fixture
-def bisection_only(monkeypatch, caplog):
+def bisection_only(monkeypatch, routes):
     """solve with the coarse start switched off, so that every matrix is
     bisected, as on grids with no coarse grid."""
     def solve_bisecting(V, g, k):
-        caplog.set_level(logging.DEBUG, logger="coulomb1d.gridsolver")
-        first = len(caplog.records)
+        first = len(routes())
         with monkeypatch.context() as m:
             m.setattr(gridsolver, "_coarse", lambda *args: None)
             res = solve(V, g, k)
-        messages = [r.getMessage() for r in caplog.records[first:]
-                    if r.name == "coulomb1d.gridsolver"]
-        assert messages
-        assert not any("polished" in msg for msg in messages)
+        records = routes()[first:]
+        assert records
+        assert all(rec.route == "bisection" for rec in records)
         return res
     return solve_bisecting
 
@@ -633,7 +625,7 @@ class TestCoarseStart:
         # the half line is one matrix, the others two parity sectors
         sectors = 1 if getattr(V, "family", None) == "half-line" else 2
         fine = g.points // sectors
-        assert [size for size, msg in routes() if "polished" in msg].count(fine) \
+        assert [rec.points for rec in routes() if rec.route == "polished"].count(fine) \
             == sectors
         eps = np.finfo(float).eps
         for lv in polished.levels:
@@ -649,14 +641,14 @@ class TestCoarseStart:
     def check_both_sectors_polish(V, g, k, routes, bisection_only, sector_norms):
         polished = solve(V, g, k)
         records = routes()
-        assert not any("failed polish" in msg for _, msg in records)
+        assert not any(rec.route == FAILED for rec in records)
         # the aligned coarse grid is polished from its eighth grid, which
         # alone is bisected
         coarse = aligned_coarse(g).points
-        assert [size for size, msg in records if "polished" in msg] == \
+        assert [rec.points for rec in records if rec.route == "polished"] == \
             [coarse // 2] * 2 + [g.points // 2] * 2
-        assert [(size, msg.split(": ")[1]) for size, msg in records
-                if "polished" not in msg] == [(eighth(coarse) // 2, "bisection")] * 2
+        assert [(rec.points, rec.route) for rec in records
+                if rec.route != "polished"] == [(eighth(coarse) // 2, "bisection")] * 2
         eps = np.finfo(float).eps
         for lv in polished.levels:
             assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[g.points // 2]
@@ -692,9 +684,8 @@ class TestCoarseStart:
         monkeypatch.setattr(gridsolver, "_starts", shifted)
         V, g = repulsive_core(1e-3, 5e-3), Grid(30.0, 40000)
         res = solve(V, g, 4)
-        fine = [msg for size, msg in routes() if size == g.points // 2]
-        assert fine[0].endswith(": bisection after a failed polish")
-        assert "polished" in fine[1]
+        fine = [rec.route for rec in routes() if rec.points == g.points // 2]
+        assert fine == [FAILED, "polished"]
         assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
         # the even sector is exactly the bisection solve
         full = bisection_only(V, g, 4)
@@ -727,12 +718,10 @@ class TestCoarseStart:
         monkeypatch.setattr(gridsolver, "dgtsv", failing)
         monkeypatch.setattr(gridsolver, "_coarse", marking)
         res = solve(pure_coulomb(), g, 4)
-        records = [(size, msg.split(": ")[1]) for size, msg in routes()]
-        assert [msg for size, msg in records[-4:-2]] == \
-            ["bisection after a failed polish"] * 2
-        assert [size for size, _ in records[-4:]] == [coarse] * 2 + [20000] * 2
-        assert all(POLISHED_RECORD.fullmatch(msg) for _, msg in records[-2:])
-        assert min(supports(records[-2][1])) < coarse
+        records = routes()
+        assert [rec.route for rec in records[-4:]] == [FAILED] * 2 + ["polished"] * 2
+        assert [rec.points for rec in records[-4:]] == [coarse] * 2 + [20000] * 2
+        assert min(records[-2].supports) < coarse
         eps = np.finfo(float).eps
         assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
         for got, lv in zip(res.levels, want.levels):
@@ -750,8 +739,7 @@ class TestCoarseStart:
             return None if stepped is None else (stepped[0], 0.0)
         monkeypatch.setattr(gridsolver, "_step", stopping)
         res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
-        assert any(msg.endswith(": bisection after a failed polish")
-                   for size, msg in routes() if size == 20000)
+        assert any(rec.route == FAILED for rec in routes() if rec.points == 20000)
         eps = np.finfo(float).eps
         for lv in res.levels:
             assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[20000]
@@ -770,8 +758,7 @@ class TestCoarseStart:
         monkeypatch.setattr(gridsolver, "dgtsv", failing)
         g = Grid(60.0, 40000)
         res = solve(pure_coulomb(), g, 4)
-        assert [msg.split(": ")[1] for size, msg in routes() if size == 20000] == \
-            ["bisection after a failed polish"] * 2
+        assert [rec.route for rec in routes() if rec.points == 20000] == [FAILED] * 2
         eps = np.finfo(float).eps
         assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
         for lv in res.levels:
@@ -792,14 +779,13 @@ class TestRouteLog:
         g = Grid(10.0, 40000)
         solve(harmonic, g, 4)
         solve(half_line(), Grid(60.0, 800), 4)
-        sizes = [size for size, _ in routes()]
+        sizes = [rec.points for rec in routes()]
         # the sectors of the coarse grid's eighth grid, of the coarse grid
         # and of the fine grid, then the one half-line matrix
         coarse = aligned_coarse(g).points
         assert sizes == [eighth(coarse) // 2] * 2 + [coarse // 2] * 2 + [20000] * 2 + [800]
-        messages = [msg.split(": ")[1] for _, msg in routes()]
-        assert all(POLISHED_RECORD.fullmatch(msg) for msg in messages[2:6])
-        assert [messages[j] for j in (0, 1, 6)] == ["bisection"] * 3
+        assert [rec.route for rec in routes()] == \
+            ["bisection"] * 2 + ["polished"] * 4 + ["bisection"]
 
     def test_polished_record_carries_the_certificate_margin(self, routes, monkeypatch):
         # the largest explicit residual of a sector over its floor, at most 1
@@ -807,15 +793,47 @@ class TestRouteLog:
 
         def recording(mat, k, start, floor, work, vectors=True):
             polished = real(mat, k, start, floor, work, vectors)
-            margins.append(f"{polished[0][2].max() / floor:.3g}")
+            margins.append(polished[0][2].max() / floor)
             return polished
         monkeypatch.setattr(gridsolver, "_polished", recording)
         solve(pure_coulomb(), Grid(60.0, 40000), 4)
-        records = [POLISHED_RECORD.fullmatch(msg.split(": ")[1]) for _, msg in routes()]
-        logged = [match.group(3) for match in records if match]
+        logged = [max(rec.residuals) / rec.floor for rec in routes()
+                  if rec.route == "polished"]
         # the coarse sectors and the fine sectors
         assert logged == margins and len(logged) == 4
-        assert all(0.0 < float(margin) <= 1.0 for margin in logged)
+        assert all(0.0 < margin <= 1.0 for margin in logged)
+
+    @pytest.mark.parametrize("V, g, k, route", [
+        (pure_coulomb(), Grid(60.0, 40000), 4, "polished"),
+        (harmonic, Grid(10.0, 400), 3, "bisection"),
+        (half_line(), Grid(60.0, 12000), 3, "polished"),
+    ], ids=["polished", "bisected", "half-line"])
+    def test_record_is_the_returned_levels(self, V, g, k, route, routes):
+        # the records of the final grid's sectors hold the returned levels
+        # bit for bit: column j of sector s is level s + j S of the grid
+        res = solve(V, g, k)
+        sectors = 1 if getattr(V, "family", None) == "half-line" else 2
+        records = routes()[-sectors:]
+        for s, rec in enumerate(records):
+            levels = res.levels[s::sectors]
+            assert (rec.points, rec.route) == (g.points // sectors, route)
+            assert rec.energies == tuple(lv.energy for lv in levels)
+            assert rec.residuals == tuple(lv.residual for lv in levels)
+            assert [sectors * m + s for m in rec.nodes] == [lv.nodes for lv in levels]
+        # every record of the solve, coarse grids too
+        for rec in routes():
+            assert (rec.steps is None) == (rec.supports is None) == (rec.route != "polished")
+            if rec.route == "polished":
+                assert max(rec.residuals) <= rec.floor
+                assert len(rec.steps) == len(rec.supports) == len(rec.energies)
+
+    def test_no_record_is_built_unless_debug_is_on(self, caplog, monkeypatch):
+        def refused(*fields):
+            raise AssertionError("a route record was built with DEBUG off")
+        monkeypatch.setattr(gridsolver, "_Route", refused)
+        caplog.set_level(logging.INFO, logger="coulomb1d.gridsolver")
+        solve(pure_coulomb(), Grid(60.0, 40000), 4)
+        refine(soft_core(1e-2), Grid.graded(30.0, 1e-2), 0, 1)
 
     def test_half_line_scan_grid_polishes(self, routes):
         # the default half-line scan: the coarse grid has half of its
@@ -824,17 +842,15 @@ class TestRouteLog:
         g = Grid(60.0, 12000)
         solve(half_line(), g, 3)
         coarse = aligned_coarse(g, half_line=True).points
-        assert [size for size, _ in routes()] == [eighth(coarse), coarse, 12000]
-        messages = [msg.split(": ")[1] for _, msg in routes()]
-        assert messages[0] == "bisection"
-        assert all(msg.startswith("polished in [") for msg in messages[1:])
+        assert [rec.points for rec in routes()] == [eighth(coarse), coarse, 12000]
+        assert [rec.route for rec in routes()] == ["bisection"] + ["polished"] * 2
 
     @pytest.mark.parametrize("V, g", [(soft_core(0.5), Grid(0.05, 400, core=10.0)),
                                       (half_line(), Grid(0.1, 400, core=10.0))])
     def test_box_too_small_for_a_coarse_grid(self, V, g, routes):
         # the graded grid of this box has fewer than 8 points: no coarse start
         res = solve(V, g, 1)
-        assert [msg.split(": ")[1] for _, msg in routes()] == ["bisection"]
+        assert [rec.route for rec in routes()] == ["bisection"]
         assert res.levels[0].nodes == 0
 
     def test_refine_starts_each_rung_from_the_one_before(self, routes):
@@ -843,11 +859,9 @@ class TestRouteLog:
         # grid itself, starts from its eighth grid
         g = Grid.graded(30.0, 1e-2)
         refine(soft_core(1e-2), g, 0, 2)
-        assert [size for size, _ in routes()] == \
+        assert [rec.points for rec in routes()] == \
             [eighth(g.points) // 2, g.points // 2, g.points, 2 * g.points]
-        messages = [msg.split(": ")[1] for _, msg in routes()]
-        assert messages[0] == "bisection"
-        assert all(msg.startswith("polished in [") for msg in messages[1:])
+        assert [rec.route for rec in routes()] == ["bisection"] + ["polished"] * 3
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--family", "pure-coulomb", "--half-width", "60", "--points",
@@ -901,15 +915,15 @@ class TestAlignedStart:
                 assert len(first) == 3 or (len(first) == 1 and points < 40_000)
                 if len(first) == 3:
                     assert abs(first[1] - 0.5 * h) <= 0.05 * 0.5 * h
-        assert not any("failed polish" in msg for _, msg in routes())
+        assert not any(rec.route == FAILED for rec in routes())
 
     def test_pure_coulomb_even_sector_polishes_in_two_steps(self, routes):
         # the even ground level is set by the innermost cell, which the
         # coarse grid now shares with the fine one
         solve(pure_coulomb(), Grid(60.0, 100_000), 2)
-        (_, even), (_, odd) = [(size, msg) for size, msg in routes() if size == 50_000]
-        assert even.split(": ")[1].startswith("polished in [2] steps")
-        assert odd.split(": ")[1].startswith("polished in [1] steps")
+        even, odd = [rec for rec in routes() if rec.points == 50_000]
+        assert (even.route, even.steps) == ("polished", (2,))
+        assert (odd.route, odd.steps) == ("polished", (1,))
 
 
 class TestOneProductPerLevel:
@@ -930,15 +944,13 @@ class TestOneProductPerLevel:
             return real(d, e, c, out, t)
         monkeypatch.setattr(gridsolver, "_apply", counting)
         solve(V, g, k)
-        records = [(size, int(msg.split(", ")[1].split()[0]), msg.split(": ")[1])
-                   for size, msg in routes()]
+        records = routes()
         # the matrices in the order solved, one product per level of each
-        assert products == [m for size, levels, msg in records
-                            for m in (supports(msg) if msg.startswith("polished in [")
-                                      else [size] * levels)]
-        assert [size for size, _, msg in records if msg.startswith("polished in [")][-1] \
-            == fine
-        assert not any("failed polish" in msg for _, _, msg in records)
+        assert products == [m for rec in records
+                            for m in (rec.supports if rec.route == "polished"
+                                      else [rec.points] * len(rec.energies))]
+        assert [rec.points for rec in records if rec.route == "polished"][-1] == fine
+        assert not any(rec.route == FAILED for rec in records)
 
     @pytest.mark.parametrize("V, half_width", [(pure_coulomb(), 60.0),
                                                (repulsive_core(1e-3, 5e-3), 54.0)],
@@ -947,9 +959,9 @@ class TestOneProductPerLevel:
         # the two N = 540000, k = 6 solves of the grid-core benchmark: every
         # level takes at least one step, and only the even ground level two
         solve(V, Grid(half_width, 540000), 6)
-        (_, even), (_, odd) = [(size, msg) for size, msg in routes() if size == 270000]
-        assert even.split(": ")[1].startswith("polished in [2, 1, 1] steps")
-        assert odd.split(": ")[1].startswith("polished in [1, 1, 1] steps")
+        even, odd = [rec for rec in routes() if rec.points == 270000]
+        assert (even.route, even.steps) == ("polished", (2, 1, 1))
+        assert (odd.route, odd.steps) == ("polished", (1, 1, 1))
 
 
 # the grids whose cut levels are checked against the whole matrix
@@ -981,9 +993,9 @@ def fine_levels(monkeypatch, routes):
         out = []
         for level in res.levels:
             s = level.index % len(sectors)
-            (_, msg), mat = records[s - len(sectors)], solved[s - len(sectors)]
+            rec, mat = records[s - len(sectors)], solved[s - len(sectors)]
             j = level.index // len(sectors)
-            out.append((*mat, sectors[s][:, j], level, supports(msg)[j]))
+            out.append((*mat, sectors[s][:, j], level, rec.supports[j]))
         return out
     return run
 
@@ -1061,8 +1073,8 @@ class TestSupportCut:
                             lambda x, xc, column: real(x, xc, column) // 2)
         V, g = pure_coulomb(), Grid(60.0, 40000)
         res = solve(V, g, 4)
-        fine = [msg.split(": ")[1] for size, msg in routes() if size == g.points // 2]
-        assert fine == ["bisection after a failed polish"] * 2
+        fine = [rec.route for rec in routes() if rec.points == g.points // 2]
+        assert fine == [FAILED] * 2
         assert res.levels == bisection_only(V, g, 4).levels
 
 
@@ -1081,14 +1093,12 @@ class TestFloorGuard:
         eps = np.finfo(float).eps
         # the fine even and odd sectors, solved last; the scale of both
         # levels of a sector is the gap between them
-        for (_, msg), norm, levels in zip(records[4:], norms[4:],
-                                          (res.levels[0::2], res.levels[1::2])):
+        for rec, norm, levels in zip(records[4:], norms[4:],
+                                     (res.levels[0::2], res.levels[1::2])):
             floor = 16.0 * eps * norm
             ratio = floor / (levels[1].energy - levels[0].energy)
-            head = f"20000-point matrix, 2 levels, floor {floor:.3g}, " \
-                   f"at most {ratio:.3g} of a level's scale: "
-            assert msg.startswith(head)
-            assert POLISHED_RECORD.fullmatch(msg[len(head):])
+            assert (rec.points, len(rec.energies), rec.route) == (20000, 2, "polished")
+            assert rec.floor == floor and rec.ratio == ratio
 
     def test_bisected_level_over_the_floor_raises(self, routes, monkeypatch):
         # the floor of the graded grid of a = 1e-8 is 14 |E0|, and a = 1e-8
@@ -1098,16 +1108,15 @@ class TestFloorGuard:
             m.setattr(gridsolver, "_coarse", lambda *args: None)
             with pytest.raises(ConvergenceError, match="the level carries no digits"):
                 solve(soft_core(1e-8), g, 1)
-        (size, msg), = routes()
-        assert size == g.points // 2 and msg.endswith(": bisection")
+        rec, = routes()
+        assert (rec.points, rec.route) == (g.points // 2, "bisection")
         # by default it is polished from its eighth grid, which is bisected
         # and not guarded, and it raises all the same
         with pytest.raises(ConvergenceError, match="the level carries no digits"):
             solve(soft_core(1e-8), g, 1)
-        (start, first), (fine, last) = routes()[1:]
-        assert (start, fine) == (eighth(g.points) // 2, g.points // 2)
-        assert first.endswith(": bisection")
-        assert "polished in [" in last
+        first, last = routes()[1:]
+        assert (first.points, last.points) == (eighth(g.points) // 2, g.points // 2)
+        assert (first.route, last.route) == ("bisection", "polished")
 
     def test_polished_level_over_the_floor_raises(self, routes):
         # the third rung of the scan at a = 8e-8 polishes its ground level,
@@ -1115,12 +1124,12 @@ class TestFloorGuard:
         # the one step that every level takes, at a floor of 5.8 |E0|
         with pytest.raises(ConvergenceError, match="the level carries no digits"):
             refine(soft_core(8e-8), Grid.graded(30.0, 8e-8), 0, 2)
-        assert "polished in [1] steps" in routes()[-1][1]
+        assert routes()[-1].steps == (1,)
 
     def test_guard_reads_the_logged_ratio(self, routes, monkeypatch):
         # two bisected sectors; the guard reads the larger of their ratios
         solve(harmonic, Grid(10.0, 400), 3)
-        ratio = max(float(msg.split(", ")[3].split()[2]) for _, msg in routes())
+        ratio = max(rec.ratio for rec in routes())
         monkeypatch.setattr(gridsolver, "_FLOOR_RATIO", 1.01 * ratio)
         solve(harmonic, Grid(10.0, 400), 3)
         monkeypatch.setattr(gridsolver, "_FLOOR_RATIO", 0.99 * ratio)
@@ -1153,10 +1162,10 @@ class TestFloorGuard:
         def shifted(x):
             return harmonic(x) - e_coarse
         res = solve(shifted, g, 1)
-        (size, coarse_msg), (_, fine_msg) = routes()[-2:]
-        assert size == coarse.points // 2
-        assert float(coarse_msg.split(", ")[3].split()[2]) > 1e5
-        assert fine_msg.split(": ")[1].startswith("polished in [")
+        coarse_rec, fine_rec = routes()[-2:]
+        assert coarse_rec.points == coarse.points // 2
+        assert coarse_rec.ratio > 1e5
+        assert fine_rec.route == "polished"
         assert 1e-5 < res.levels[0].energy < 1e-4
 
     def test_doublet_under_the_floor_is_no_fault(self):

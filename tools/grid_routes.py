@@ -1,17 +1,22 @@
-"""Route records and levels of one round of the grid-core workload.
+"""Route records of one round of the grid-core workload, as JSON lines.
 
-    python3 tools/grid_routes.py CHECKOUT --seed 5 > routes.txt
+    python3 tools/grid_routes.py CHECKOUT --seed 5 > routes.jsonl
 
 Imports ``perfbench/workloads.py`` and the package of CHECKOUT, with its
 ``src`` first on ``sys.path`` and no bytecode written there, runs the
 workload's warm-up, then each of its operations once, in the workload's
-order.  For each operation it prints the label, the DEBUG records of
-``coulomb1d.gridsolver`` (one per matrix solved) and the energy, parity,
-node count and residual of every level that each ``solve`` returned.
-Diff the output of two checkouts to compare their routes and levels.
+order.  For each operation it prints one JSON object: ``label``, the
+operation's label, and ``matrices``, the ``_asdict()`` of each
+``gridsolver._Route`` that the logger ``coulomb1d.gridsolver`` records
+at DEBUG, one per matrix solved, coarse grids and `refine` rungs
+included: its points, floor, largest floor ratio, route, the energies,
+residuals and node counts of its levels, and the steps and supports of
+its polished levels (None if bisected).  Compare the output of two
+checkouts with ``tools/route_diff.py``.
 """
 
 import argparse
+import json
 import logging
 import sys
 from pathlib import Path
@@ -20,10 +25,16 @@ from pathlib import Path
 class Records(logging.Handler):
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.messages = []
+        self.routes = []
 
     def emit(self, record):
-        self.messages.append(record.getMessage())
+        # the message object of a route record is the record itself
+        self.routes.append(record.msg)
+
+
+def line(label, routes):
+    """The JSON line of one operation and the route records it logged."""
+    return json.dumps({"label": label, "matrices": [r._asdict() for r in routes]})
 
 
 def main(argv=None):
@@ -35,34 +46,17 @@ def main(argv=None):
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from coulomb1d import cli, gridsolver, regularized
 
     wl = workloads.make("grid-core", args.seed)
     wl.warm_up()
-    records, solved = Records(), []
+    records = Records()
     log = logging.getLogger("coulomb1d.gridsolver")
     log.addHandler(records)
     log.setLevel(logging.DEBUG)
-    real = gridsolver.solve
-
-    def recording(*call):
-        res = real(*call)
-        solved.append(res)
-        return res
-    # the workload calls gridsolver.solve, the scans their modules' own name
-    for module in (gridsolver, cli, regularized):
-        module.solve = recording
     for op in wl.ops:
-        records.messages.clear()
-        solved.clear()
+        records.routes.clear()
         op.call()
-        print(f"## {op.label}")
-        for message in records.messages:
-            print(message)
-        for res in solved:
-            for lv in res.levels:
-                print(f"level {lv.index}: E = {lv.energy!r}, {lv.parity}, "
-                      f"{lv.nodes} nodes, residual {lv.residual:.3g}")
+        print(line(op.label, records.routes))
     return 0
 
 

@@ -1,17 +1,20 @@
 """Compare two outputs of ``tools/grid_routes.py``.
 
-    python3 tools/route_diff.py A.txt B.txt
+    python3 tools/route_diff.py A.jsonl B.jsonl
 
 Both files must come from the same workload seed, so that they list the
-same operations in the same order.  The report names:
+same operations in the same order.  Each matrix of an operation, a
+``gridsolver._Route`` record, is compared with the matrix in the same
+place of the other file.  The report names:
 
 - each operation whose matrices differ in size, level count, route,
-  polish steps or supports (floors and residual margins are not
-  compared: they move with the last bits of the levels);
-- each level whose parity or node count differs;
-- how many levels moved, with the largest relative |E_B - E_A| and the
-  largest |E_B - E_A| / (r_A + r_B), the move over the sum of the two
-  residuals, within which each energy has an eigenvalue of its matrix;
+  polish steps or supports (floors and ratios are not compared: they
+  move with the last bits of the levels);
+- each level whose node count differs;
+- how many levels moved, of every level of every matrix, with the
+  largest relative |E_B - E_A| and the largest |E_B - E_A| / (r_A + r_B),
+  the move over the sum of the two residuals, within which each energy
+  has an eigenvalue of its matrix;
 - each level that moved by more than r_A + r_B.  Both runs solve the
   same matrix, so such a level has changed eigenvalue.
 
@@ -21,49 +24,36 @@ their residuals are only reported.  Only the standard library is used.
 """
 
 import argparse
-import re
+import json
 import sys
 
-RECORD = re.compile(r"(\d+)-point matrix, (\d+) levels, floor \S+, "
-                    r"at most \S+ of a level's scale: (.*)")
-POLISHED = re.compile(r"polished in \[([0-9, ]+)\] steps on \[([0-9, ]+)\] nodes")
-LEVEL = re.compile(r"level (\d+): E = (\S+), (\w+), (\d+) nodes, residual (\S+)")
+SHAPE = ("points", "route", "steps", "supports")
 
 
 def parse(path):
-    """label -> (matrices, levels), in file order.  A matrix is (points,
-    levels, route, steps, supports); a level is (index, energy, parity,
-    nodes, residual)."""
-    ops, current = {}, None
+    """label -> the matrices of its operation, each the dict of one
+    route record, in file order."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("## "):
-                current = ops.setdefault(line[3:], ([], []))
-            elif (match := RECORD.fullmatch(line)):
-                points, count, route = match.groups()
-                polished = POLISHED.match(route)
-                steps = supports = None
-                if polished:
-                    route = "polished"
-                    steps, supports = ([int(v) for v in group.split(", ")]
-                                       for group in polished.groups())
-                current[0].append((int(points), int(count), route, steps, supports))
-            elif (match := LEVEL.fullmatch(line)):
-                index, energy, parity, nodes, residual = match.groups()
-                current[1].append((int(index), float(energy), parity, int(nodes),
-                                   float(residual)))
-            elif line:
-                raise ValueError(f"{path}: unrecognized line {line!r}")
-    return ops
+        ops = [json.loads(text) for text in fh if text.strip()]
+    return {op["label"]: op["matrices"] for op in ops}
 
 
 def ratio(num, den):
     return num / den if den else float("inf")
 
 
+def shape(matrix):
+    return (len(matrix["energies"]), *(matrix[key] for key in SHAPE))
+
+
+def levels(matrix):
+    return zip(matrix["energies"], matrix["residuals"], matrix["nodes"])
+
+
 def describe(matrix):
-    points, count, route, steps, supports = matrix
+    if matrix is None:
+        return "none"
+    count, points, route, steps, supports = shape(matrix)
     if steps is None:
         return f"{points} points, {count} levels, {route}"
     return f"{points} points, {count} levels, {steps} steps on {supports} nodes"
@@ -82,34 +72,31 @@ def main(argv=None):
 
     routes = []
     for label in common:
-        mats_a, mats_b = ops_a[label][0], ops_b[label][0]
-        if mats_a != mats_b:
+        mats_a, mats_b = ops_a[label], ops_b[label]
+        if list(map(shape, mats_a)) != list(map(shape, mats_b)):
             routes.append(label)
             print(f"route: {label}")
             for j in range(max(len(mats_a), len(mats_b))):
-                a = describe(mats_a[j]) if j < len(mats_a) else "none"
-                b = describe(mats_b[j]) if j < len(mats_b) else "none"
+                a = describe(mats_a[j] if j < len(mats_a) else None)
+                b = describe(mats_b[j] if j < len(mats_b) else None)
                 if a != b:
                     print(f"  matrix {j}: {a} -> {b}")
     print(f"operations with route, support or step changes: {len(routes)} of {len(common)}")
 
     tags, moved, total = 0, [], 0
     for label in common:
-        levels_a, levels_b = ops_a[label][1], ops_b[label][1]
-        if len(levels_a) != len(levels_b):
-            tags += 1
-            print(f"levels: {label}: {len(levels_a)} -> {len(levels_b)}")
-        for a, b in zip(levels_a, levels_b):
-            total += 1
-            if (a[0], a[2], a[3]) != (b[0], b[2], b[3]):
-                tags += 1
-                print(f"parity/nodes: {label} level {a[0]}: {a[2]}, {a[3]} nodes -> "
-                      f"level {b[0]}: {b[2]}, {b[3]} nodes")
-            if a[1] != b[1]:
-                change = abs(b[1] - a[1])
-                moved.append((ratio(change, abs(a[1])), ratio(change, a[4] + b[4]),
-                              f"{label} level {a[0]}"))
-    print(f"parity or node changes: {tags}")
+        for j, (a, b) in enumerate(zip(ops_a[label], ops_b[label])):
+            for i, ((e_a, r_a, nodes_a), (e_b, r_b, nodes_b)) in enumerate(
+                    zip(levels(a), levels(b))):
+                name = f"{label} matrix {j} level {i}"
+                total += 1
+                if nodes_a != nodes_b:
+                    tags += 1
+                    print(f"nodes: {name}: {nodes_a} -> {nodes_b}")
+                if e_a != e_b:
+                    change = abs(e_b - e_a)
+                    moved.append((ratio(change, abs(e_a)), ratio(change, r_a + r_b), name))
+    print(f"node changes: {tags}")
     print(f"levels moved: {len(moved)} of {total}")
     if moved:
         rel = max(moved, key=lambda m: m[0])
