@@ -90,37 +90,36 @@ The polish is one to five shift-invert Rayleigh-quotient steps,
 one LAPACK gtsv solve each, which converge cubically near an eigenvector
 (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The first step is
 shifted by the start's quotient u.K.u / u.M.u, taken in difference form
-from the interpolated nodal vector u, so it needs no product with H.  The
-steps of a level stop on the residual that the solve itself yields:
-after (H - sigma) z = y with ||y|| = 1, the vector z/||z|| has the
-quotient sigma + delta, delta = z.y/z.z, and the residual
-sqrt(1/z.z - delta^2), so a step needs none either.  A polished level's
-one product with H is its certificate's.  The polish holds what one step
-needs and no more.  Each matrix of n nodes takes one work array of 4n
-floats for the solve of its levels, cut to the level's support: the
-rows that gtsv overwrites (the shifted diagonal and the two
-off-diagonals), which the residual also takes as its work vectors, and
-the level's unit vector from its start to its certificate.  Its
-interpolated start array is the right-hand side and solution of each
-gtsv solve, then takes the nodal vector for the certificate, is copied
-into the level's result column if the vectors are kept, and is dropped
-before the next level's start is built.  The work array is freed once
-the matrix is solved, so nothing outlives a solve, and no result points
-into it.
-The certificate is explicit and taken for each level straight after its
-last step, and against the whole matrix: a polished level j stands only
-if the residual ||Hy - Ey|| of its vector padded with zeros, recomputed
-from H, is at most 16 eps ||H||, the rounding floor of a full-precision
-solve, and the vector has exactly j sign changes, as eigenvector j of a
-sector, a Jacobi matrix, must.  The padded vector's
-energy is the block's, with the link to the first dropped node as its
-wall, and its residual is that of the block and the one term that the
-first dropped row sees, so a support cut too short fails the
-certificate.  The first level that fails it, or a solve that breaks down,
+from the interpolated nodal vector u, so it needs no product with H.
+Every step is certified at once, explicitly and against the whole
+matrix: the quotient of its vector padded with zeros, in the same
+difference form, shifts the next step, and the residual ||Hy - Ey|| of
+that vector, recomputed from H, is the stop test, so a polished level
+takes one product with H per step, its certificate's.  The padded
+vector's energy is the block's, with the link to the first dropped node
+as its wall, and its residual is that of the block and the one term
+that the first dropped row sees, so a support cut too short never
+reaches the floor.  A polished level j stands once its residual is at
+most 16 eps ||H||, the rounding floor of a full-precision solve, if its
+vector has exactly j sign changes, as eigenvector j of a sector, a
+Jacobi matrix, must.  The first level that does not reach the floor in
+five steps, or has another node count, or a solve that breaks down,
 ends the polish: all levels of the matrix are then solved once by
 bisection and inverse iteration (LAPACK stebz/stein, scipy's wrappers)
 at LAPACK's default tolerance, as those of grids with no coarse start
 are at once.
+The polish holds what one step needs and no more.  Each matrix of n
+nodes takes one work array of 4n floats for the solve of its levels,
+cut to the level's support, and nothing beside it.  One row holds the
+level's vector: its start is interpolated into it a fixed chunk of
+nodes at a time, and it is the right-hand side and solution of each
+gtsv solve.  The other three are the rows that gtsv overwrites (the
+shifted diagonal and the two off-diagonals) during a step, and the
+certificate's nodal vector and work vectors after it.  The nodal vector
+is node-counted a chunk at a time and copied into the level's result
+column if the vectors are kept.  The work array is freed once the
+matrix is solved, so nothing outlives a solve, and no result points
+into it.
 Both routes take the energy and residual of each column from one
 routine.  On either route a returned level whose floor is over 4 times
 its scale raises ConvergenceError: there LAPACK's bisection tolerance
@@ -172,7 +171,7 @@ import numpy as np
 
 from .potentials import PotentialSpec, evaluate
 from .quadrature import ConvergenceError
-from .spectrum import _sign_change_count
+from .spectrum import _CHUNK, _sign_change_count
 
 __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
 
@@ -615,29 +614,24 @@ def _certify(mat, c, u, hy, t):
 def _step(d, e, sigma, c, work):
     """One shift-invert Rayleigh-quotient step on the unit vector c, in
     place: solve (H - sigma) z = c by LU with partial pivoting (LAPACK
-    gtsv) for the tridiagonal H with diagonal d and off-diagonal e, and
-    take c = z / ||z||.
+    gtsv) for the tridiagonal H with diagonal d and off-diagonal e, with
+    c as the right-hand side and solution, and take c = z / ||z||.
 
-    Returns the new quotient sigma + delta, delta = z.c / z.z, and the
-    residual sqrt(1/z.z - delta^2) of the new c, or None if the solve
-    breaks down.  That residual needs no product with H: (H - sigma) z
-    = c gives ||(H - sigma - delta) z|| / ||z|| = sqrt(1/z.z - delta^2)
-    in exact arithmetic.  ``work`` holds the right-hand side and
-    solution, the shifted diagonal and the off-diagonals that gtsv
+    Returns False if the solve breaks down, True otherwise.  ``work``
+    holds the shifted diagonal and the two off-diagonals, which gtsv
     overwrites, so that a step allocates nothing.
     """
-    b, dd, dl, du = work
-    b[:], dl[:], du[:] = c, e, e
+    dd, dl, du = work
+    dl[:], du[:] = e, e
     np.subtract(d, sigma, out=dd)
-    info = dgtsv(dl, dd, du, b, overwrite_dl=1, overwrite_d=1,
+    info = dgtsv(dl, dd, du, c, overwrite_dl=1, overwrite_d=1,
                  overwrite_du=1, overwrite_b=1)[-1]
-    size = math.sqrt(_dot(b, b)) if info == 0 else math.nan
+    size = math.sqrt(_dot(c, c)) if info == 0 else math.nan
     # written so that a NaN or infinite solution fails too
     if not 0.0 < size < math.inf:
-        return None
-    delta = _dot(b, c) / size / size
-    np.divide(b, size, out=c)
-    return sigma + delta, math.sqrt(max(1.0 / size / size - delta * delta, 0.0))
+        return False
+    c /= size
+    return True
 
 
 def _block(mat, m):
@@ -656,66 +650,62 @@ def _block(mat, m):
 def _polished(mat, k, start, floor, work, vectors=True):
     """Levels polished from start vectors, with the Rayleigh-quotient
     steps each took and its support, or None unless every level is
-    certified.  ``work``, a (4, n) array, holds the arrays dd, dl and du
-    of `_step` and the level's unit vector c in its rows, cut to the
-    support.  The nodal vectors are kept, as the columns of an (n, k)
-    array, only if ``vectors``; otherwise its place is None.
+    certified.  ``work``, a (4, n) array, holds everything a level
+    needs, cut to its support: row 3 its vector, rows 0 to 2 the arrays
+    dd, dl and du of `_step` during a step and the work vectors of
+    `_certify` after it.  The nodal vectors are kept, as the columns of
+    an (n, k) array, only if ``vectors``; otherwise its place is None.
 
-    The start of level j covers the leading m_j nodes, its support (see
-    `_starts`), and the level is polished on the leading m_j x m_j block
-    of H alone (`_block`); its vector is exactly 0 past the support.
-    The start array itself is kept for the level: it is the right-hand
-    side and solution of every step, then takes the nodal vector c/scale
-    of the certificate, which is copied into the level's column once it
-    stands, if the vectors are kept.
-    Each level takes one to five steps.  The first is shifted by the
-    start's quotient, which `_energy` takes in difference form from the
-    nodal start, so that a level's one product with H is its
-    certificate's.  The steps stop once the residual that `_step`
-    reports is at most ``floor``.  The level is then certified at once,
-    explicitly and against the whole matrix: its energy is the block's
-    quotient, which is the padded vector's, and its residual that of the
-    padded vector, whose only row past the block is
-    e[m_j - 1] c[m_j - 1], so ||Hy - Ey|| = hypot(block residual, that
-    term).  It stands if that residual is at most ``floor`` and if level
-    j has j sign changes, the node count of eigenvector j of a Jacobi
-    matrix.  A support cut too short fails it.  The first level to fail
-    ends the attempt.
+    ``start(j, work[3])`` writes the nodal start of level j into the
+    leading m_j entries of row 3 and returns m_j, its support (see
+    `_starts`); the level is polished on the leading m_j x m_j block of
+    H alone (`_block`), and its vector is exactly 0 past the support.
+    The first step is shifted by the start's quotient, which `_energy`
+    takes in difference form from the nodal start, with its unit column
+    c = u * scale / ||u * scale|| written over it.  Each step solves in
+    place on c and is certified at once, explicitly and against the
+    whole matrix, by `_certify`: its energy, the block's difference-form
+    quotient, which is the padded vector's, shifts the next step, and
+    its residual is that of the padded vector, whose only row past the
+    block is e[m_j - 1] c[m_j - 1], so ||Hy - Ey|| = hypot(block
+    residual, that term).  The steps stop once that residual is at most
+    ``floor``; a level that does not get there in five steps, or whose
+    solve breaks down, fails.  So does a level j whose nodal vector,
+    left in row 0 by its last certificate, has other than j sign
+    changes, the node count of eigenvector j of a Jacobi matrix.  A
+    support cut too short fails too.  The first level to fail ends the
+    attempt.
     """
     n = mat.d.size
     # zeros, so that the pages past every support are never touched
     u = np.zeros((n, k), order="F") if vectors else None
     energy, r, steps, support = np.empty(k), np.empty(k), [], []
     for j in range(k):
-        b = start(j)
-        m = b.size
+        m = start(j, work[3])
         block = _block(mat, m)
-        dd, (dl, du), c = work[0, :m], work[1:3, :m - 1], work[3, :m]
-        np.multiply(b, block.scale, out=c)
-        norm2 = _dot(c, c)
-        sigma = _energy(block, b, c, dl) / norm2
-        c /= math.sqrt(norm2)
+        c, (y, hy), t = work[3, :m], work[:2, :m], work[2, :m - 1]
+        # c holds the nodal start, y its column u * scale
+        np.multiply(c, block.scale, out=y)
+        norm2 = _dot(y, y)
+        sigma = _energy(block, c, y, t) / norm2
+        np.divide(y, math.sqrt(norm2), out=c)
         for step in range(1, _POLISH_STEPS + 1):
-            stepped = _step(block.d, block.e, sigma, c, (b, dd, dl, du))
-            if stepped is None:
+            if not _step(block.d, block.e, sigma, c, (y, hy[:-1], t)):
                 return None
-            sigma, residual = stepped
+            # y takes the nodal vector
+            sigma, residual = _certify(block, c, y, hy, t)
+            # the first dropped row's one term of the padded vector's residual
+            if m < n:
+                residual = math.hypot(residual, mat.e[m - 1] * c[m - 1])
             if residual <= floor:
                 break
         else:
             return None
-        # the one product with H of a level; b takes its nodal vector
-        energy[j], r[j] = _certify(block, c, b, dd, dl)
-        # the first dropped row's one term of the padded vector's residual
-        if m < n:
-            r[j] = math.hypot(r[j], mat.e[m - 1] * c[m - 1])
-        if not r[j] <= floor or _sign_change_count(b) != j:
+        if _sign_change_count(y) != j:
             return None
+        energy[j], r[j] = sigma, residual
         if vectors:
-            u[:m, j] = b
-        # dropped before the next start is built: rebound by it, both
-        # would be alive at once
-        del b
+            u[:m, j] = y
         steps.append(step)
         support.append(m)
     return (energy, u, r, list(range(k))), tuple(steps), tuple(support)
@@ -754,8 +744,9 @@ def _lowest(mat, k, start, vectors=True):
     ``vectors``), residuals, node counts and the `_floor_ratios` that the
     floor guard reads.
 
-    ``start(j)``, if not None, gives a nodal start vector of level j;
-    the levels polished from them stand if every one is certified.
+    ``start``, if not None, writes the nodal start vector of each level
+    into the work array (`_starts`); the levels polished from them stand
+    if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
     default tolerance gives them all, and each of its columns is
     certified from a copy in a row of the same (4, n) work array that
@@ -858,10 +849,13 @@ def _support(x, xc, column):
 
 
 def _starts(mat, x, xc, columns):
-    """start(j) for `_lowest` on the matrix mat over the nodes x: column j
-    of ``columns``, the same sector of a coarse solution on its half mesh
-    xc, interpolated onto the nodes of x before its cut (`_support`),
-    built only when it is asked for.
+    """start(j, out) for `_lowest` on the matrix mat over the nodes x: it
+    writes column j of ``columns``, the same sector of a coarse solution
+    on its half mesh xc, interpolated onto the nodes of x before its cut
+    (`_support`), into the leading entries of out, and returns their
+    number.  It interpolates _CHUNK nodes at a time, so that it
+    allocates no array of the size of x; np.interp gives each node the
+    value it would give it in one call over all of them.
 
     Below xc[0] the start stays flat, as the mirror image of an even
     level would have it, unless mat has a wall at the centre: then it
@@ -871,9 +865,13 @@ def _starts(mat, x, xc, columns):
         xc = np.append(0.0, xc)
         columns = np.concatenate((np.zeros((1, columns.shape[1])), columns))
 
-    def start(j):
+    def start(j, out):
         column = columns[:, j]
-        return np.interp(x[:_support(x, xc, column)], xc, column)
+        m = _support(x, xc, column)
+        for i in range(0, m, _CHUNK):
+            nodes = x[i:min(i + _CHUNK, m)]
+            out[i:i + nodes.size] = np.interp(nodes, xc, column)
+        return m
     return start
 
 

@@ -222,20 +222,35 @@ def node_count(n):
     return 2 * flips.size + n % 2
 
 
-def _flips(values):
-    """The rule of `sign_changes`: the mask of the samples that carry a
-    sign, and for each kept sample after the first whether its sign is
-    the opposite of the kept sample's before it.
+# `_sign_change_count` tests this many samples at a time, so that its
+# masks take a few kilobytes whatever the length of the vector; the grid
+# solver interpolates its starts in chunks of the same size.
+_CHUNK = 8192
 
-    A sample is kept if its magnitude is over t = 1e-8 max|values|,
-    tested as values > t or values < -t: the masks are booleans, and no
-    array of the magnitudes or of indices is built."""
-    values = np.asarray(values)
-    t = 1e-8 * max(values.max(), -values.min())
+
+def _kept_signs(values, t):
+    """The rule of `sign_changes` at the threshold t: the mask of the
+    samples that carry a sign, tested as values > t or values < -t, and
+    for each kept sample whether it is negative.  The masks are
+    booleans, and no array of the magnitudes or of indices is built."""
     negative = values < -t
     kept = values > t
     kept |= negative
-    negative = negative[kept]
+    return kept, negative[kept]
+
+
+def _threshold(values):
+    """1e-8 of the largest magnitude of values: the samples at or below
+    it carry no sign."""
+    return 1e-8 * max(values.max(), -values.min())
+
+
+def _flips(values):
+    """The mask of the samples that carry a sign (`_kept_signs`), and for
+    each kept sample after the first whether its sign is the opposite of
+    the kept sample's before it."""
+    values = np.asarray(values)
+    kept, negative = _kept_signs(values, _threshold(values))
     return kept, negative[1:] != negative[:-1]
 
 
@@ -253,8 +268,21 @@ def sign_changes(values):
 
 
 def _sign_change_count(values):
-    """``sign_changes(values).size``, with no index array built."""
-    return int(np.count_nonzero(_flips(values)[1]))
+    """``sign_changes(values).size``, by the same rule applied to _CHUNK
+    samples at a time: the first kept sign of a chunk is compared with
+    the last kept sign before it, and no mask of the size of values is
+    built."""
+    values = np.asarray(values)
+    t = _threshold(values)
+    count, last = 0, None
+    for i in range(0, values.size, _CHUNK):
+        negative = _kept_signs(values[i:i + _CHUNK], t)[1]
+        if negative.size:
+            count += np.count_nonzero(negative[1:] != negative[:-1])
+            if last is not None:
+                count += negative[0] != last
+            last = negative[-1]
+    return int(count)
 
 
 def ode_residual(n, x):

@@ -1,8 +1,10 @@
-"""tools/grid_memory.py's per-operation loop, on two small operations:
-each is called once, in order, under its own tracemalloc run, and its
-peak counts what it allocated and nothing that an earlier one held."""
+"""tools/grid_memory.py's per-operation loop, on small operations: each
+is called once, in order, under its own tracemalloc run, and its peak
+counts what it allocated and nothing that an earlier one held; its minor
+page faults are those taken during its call."""
 
 import importlib.util
+import mmap
 import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
@@ -41,11 +43,28 @@ def test_each_operation_is_traced_alone():
         calls.append("solve")
         solve(pure_coulomb(), Grid(60.0, 8000), 2)
 
-    got = list(grid_memory.peaks([Op("block", block), Op("solve", small_solve)]))
-    assert calls == ["block", "solve"]
-    assert [label for label, _ in got] == ["block", "solve"]
-    peaks = dict(got)
+    def touch():
+        calls.append("touch")
+        # a fresh anonymous 8 MiB mapping, written once on every page: each
+        # write faults its page in, and tracemalloc sees no allocation.
+        # Huge pages would fault in 2 MiB at a time, so they are declined
+        with mmap.mmap(-1, 8 * MIB) as pages:
+            pages.madvise(mmap.MADV_NOHUGEPAGE)
+            for i in range(0, 8 * MIB, mmap.PAGESIZE):
+                pages[i] = 1
+
+    got = list(grid_memory.peaks([Op("block", block), Op("touch", touch),
+                                  Op("solve", small_solve)]))
+    assert calls == ["block", "touch", "solve"]
+    assert [label for label, _, _ in got] == ["block", "touch", "solve"]
+    peaks = {label: peak for label, peak, _ in got}
+    faults = {label: count for label, _, count in got}
     assert 4 * MIB <= peaks["block"] <= 4.1 * MIB
+    assert peaks["touch"] <= 0.1 * MIB
     # an 8000-point solve: a few arrays of 4000 floats, well under 1 MiB
     assert 0.05 * MIB <= peaks["solve"] <= 1 * MIB
+    pages = 8 * MIB // mmap.PAGESIZE
+    assert pages <= faults["touch"] <= pages + 200
+    assert all(isinstance(count, int) and count >= 0 for count in faults.values())
+    assert faults["solve"] < pages
     assert not tracemalloc.is_tracing()

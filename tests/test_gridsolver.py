@@ -244,20 +244,23 @@ class TestSectorForm:
     def test_largest_grid_core_solve_peak_memory(self):
         # the largest solve of the grid-core benchmark workload: it keeps
         # no eigenvector, so no sector holds a result column.  Each matrix
-        # allocates its own work array of four rows, dd, dl, du and the
-        # level's unit vector, and frees it once solved; each level's start
-        # array is the steps' right-hand side, so a repeat peaks as high as
-        # the first solve.  It peaked at 38.07 MiB with five work rows, and
-        # at 33.95 MiB with a result column for each level
+        # allocates its own work array of four rows and frees it once
+        # solved; a level's start is interpolated into the row of its
+        # vector, and its node count takes no mask of the sector's size, so
+        # a repeat peaks as high as the first solve, at 20.90 MiB.  It
+        # peaked at 38.07 MiB with five work rows, at 33.95 MiB with a
+        # result column for each level, and at 23.65 MiB with a start
+        # array beside the work rows
         assert max(repeated_peaks(
-            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 26 * 2 ** 20
+            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 22 * 2 ** 20
 
     def test_default_care_scan_peak_memory(self):
         # the other 540,000-point solve of the workload, the default care
-        # scan: 38.10 MiB with five work rows, 33.98 MiB with result columns
+        # scan: 20.88 MiB; 38.10 MiB with five work rows, 33.98 MiB with
+        # result columns, 23.63 MiB with a start array
         assert max(repeated_peaks(
             lambda: care_interleaving(1e-3, 5e-3, Grid.uniform(54.0, 1e-3), 6))) \
-            <= 26 * 2 ** 20
+            <= 22 * 2 ** 20
 
     def test_held_result_keeps_only_its_levels(self):
         # a held result of the largest solve traces under 1 MiB, its level
@@ -558,34 +561,50 @@ def sector_norms(monkeypatch):
     return norms
 
 
+def jacobi_matrix(seed, n=300):
+    """A finite-volume matrix on n nodes with random gaps in [0.05, 0.15]
+    and the potential x^2/2 plus unit noise, and its dense form T."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.05, 0.15, n))
+    mat = gridsolver._assemble(x, 0.5 * x * x + rng.normal(size=n), x[-1] + 0.1)
+    mat = mat._replace(norm=gridsolver._norm(mat))
+    return mat, np.diag(mat.d) + np.diag(mat.e, 1) + np.diag(mat.e, -1), rng
+
+
 class TestPolishStep:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("noise", [1e-1, 1e-3, 1e-5])
     def test_reported_residual_is_the_explicit_one(self, seed, noise):
-        # a random symmetric tridiagonal and a start near its eigenvector 3;
-        # the steps go on past convergence, into the rounding floor
-        rng = np.random.default_rng(seed)
-        n = 300
-        d, e = rng.normal(size=n), rng.normal(size=n - 1)
-        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        norm = np.abs(d).max() + 2.0 * np.abs(e).max()
-        c = np.linalg.eigh(T)[1][:, 3] + noise * rng.normal(size=n)
-        c /= np.linalg.norm(c)
-        sigma = c @ T @ c
-        work = np.empty(n), np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        # starts near the four lowest eigenvectors of a random Jacobi
+        # matrix, each off by ``noise`` along its 20 lowest: every level
+        # stops on a residual under the floor that is ||Tc - Ec|| of its
+        # unit column c, and on an energy that is its quotient c.Tc
+        mat, T, rng = jacobi_matrix(seed)
+        n, k = mat.d.size, 4
         eps = np.finfo(float).eps
-        for _ in range(3):
-            sigma, residual = gridsolver._step(d, e, sigma, c, work)
+        floor = gridsolver._RESIDUAL_FLOOR * eps * mat.norm
+        exact = np.linalg.eigh(T)[1]
+
+        def start(j, out):
+            c = exact[:, j] + noise * (exact[:, :20] @ rng.normal(size=20)) / math.sqrt(20)
+            np.divide(c, mat.scale, out=out)
+            return n
+        (energy, u, r, nodes), steps, supports = gridsolver._polished(
+            mat, k, start, floor, np.empty((4, n)))
+        assert nodes == list(range(k)) and supports == (n,) * k
+        assert all(1 <= s <= gridsolver._POLISH_STEPS for s in steps)
+        for j in range(k):
+            c = u[:, j] * mat.scale
             assert math.isclose(np.linalg.norm(c), 1.0, rel_tol=4.0 * eps * math.sqrt(n))
-            # sigma is the quotient of the new vector and residual its residual
-            assert abs(sigma - c @ T @ c) <= 4.0 * eps * norm
-            assert abs(residual - np.linalg.norm(T @ c - sigma * c)) <= 4.0 * eps * norm
+            assert abs(energy[j] - c @ T @ c) <= 8.0 * eps * mat.norm
+            assert r[j] <= floor
+            assert abs(r[j] - np.linalg.norm(T @ c - energy[j] * c)) <= 4.0 * eps * mat.norm
 
     def test_singular_shift_breaks_down(self):
         # sigma on an eigenvalue of the 2x2 block [[1, 1], [1, 1]]: a zero pivot
         d, e, c = np.ones(2), np.ones(1), np.array([1.0, 0.0])
-        work = np.empty(2), np.empty(2), np.empty(1), np.empty(1)
-        assert gridsolver._step(d, e, 0.0, c, work) is None
+        work = np.empty(2), np.empty(1), np.empty(1)
+        assert gridsolver._step(d, e, 0.0, c, work) is False
 
 
 # each grid has at least four times the points of its coarse graded grid
@@ -670,6 +689,30 @@ class TestCoarseStart:
         self.check_both_sectors_polish(pure_coulomb(), Grid(60.0, 540000), 6,
                                        routes, bisection_only, sector_norms)
 
+    @pytest.mark.parametrize("wall", [False, True], ids=["even", "odd"])
+    def test_chunked_start_is_one_interpolation(self, wall):
+        # a start written into a row a chunk at a time is np.interp over its
+        # whole support, bit for bit; the odd sector's falls to 0 at the
+        # centre, and some supports span several chunks
+        V, g = pure_coulomb(), Grid(60.0, 100000)
+        coarse = gridsolver._coarse(V, g, 4, False)
+        x = gridsolver._half_mesh(g, g.points // 2)
+        mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
+        columns = coarse.sectors[int(wall)]
+        xc = coarse.x
+        if wall:
+            gridsolver._wall_at_origin(mat, x)
+            xc = np.append(0.0, xc)
+            columns = np.vstack((np.zeros(columns.shape[1]), columns))
+        start = gridsolver._starts(mat, x, coarse.x, coarse.sectors[int(wall)])
+        row, supports = np.full(x.size, np.nan), []
+        for j in range(columns.shape[1]):
+            m = start(j, row)
+            assert m == gridsolver._support(x, xc, columns[:, j])
+            assert row[:m].tobytes() == np.interp(x[:m], xc, columns[:, j]).tobytes()
+            supports.append(m)
+        assert max(supports) > 2 * gridsolver._CHUNK
+
     def test_wrong_index_start_falls_back(self, monkeypatch, routes, bisection_only):
         # the even sector's level j starts from its level j + 1, so the
         # polish of its ground level converges on a vector with a node
@@ -678,9 +721,9 @@ class TestCoarseStart:
         def shifted(mat, x, xc, columns):
             start = real(mat, x, xc, columns)
             # the odd sector, with a wall at the centre, keeps its starts
-            if start is None or mat.link[0] > 0.0:
+            if mat.link[0] > 0.0:
                 return start
-            return lambda j: start((j + 1) % columns.shape[1])
+            return lambda j, out: start((j + 1) % columns.shape[1], out)
         monkeypatch.setattr(gridsolver, "_starts", shifted)
         V, g = repulsive_core(1e-3, 5e-3), Grid(30.0, 40000)
         res = solve(V, g, 4)
@@ -728,21 +771,81 @@ class TestCoarseStart:
             assert 0.0 < got.residual <= 16.0 * eps * sector_norms[20000]
             assert abs(got.energy - lv.energy) <= got.residual + lv.residual
 
-    def test_step_that_stops_too_soon_fails_the_certificate(self, monkeypatch, routes,
-                                                            sector_norms):
-        # every step reports a zero residual, so each level stops after one
-        # step; the levels that need more fail the explicit residual check
-        real = gridsolver._step
+    @staticmethod
+    def polish_with_residuals(monkeypatch, residual):
+        """Make every certificate of a polished level report
+        ``residual(first, got)`` in place of its residual got, where first
+        says whether it is the level's first; a bisected column's stays."""
+        real_polished, real_starts = gridsolver._polished, gridsolver._starts
+        real_certify, state = gridsolver._certify, {"polishing": False, "first": False}
 
-        def stopping(*args):
-            stepped = real(*args)
-            return None if stepped is None else (stepped[0], 0.0)
-        monkeypatch.setattr(gridsolver, "_step", stopping)
-        res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
-        assert any(rec.route == FAILED for rec in routes() if rec.points == 20000)
+        def polished(*args):
+            state["polishing"] = True
+            try:
+                return real_polished(*args)
+            finally:
+                state["polishing"] = False
+
+        def starts(*args):
+            start = real_starts(*args)
+
+            def marked(j, out):
+                state["first"] = True
+                return start(j, out)
+            return marked
+
+        def certify(*args):
+            energy, got = real_certify(*args)
+            if not state["polishing"]:
+                return energy, got
+            first, state["first"] = state["first"], False
+            return energy, residual(first, got)
+        monkeypatch.setattr(gridsolver, "_polished", polished)
+        monkeypatch.setattr(gridsolver, "_starts", starts)
+        monkeypatch.setattr(gridsolver, "_certify", certify)
+
+    def test_level_over_the_floor_steps_again(self, monkeypatch, routes, sector_norms):
+        # the first certificate of every polished level reads over the
+        # floor, so none stops after one step: a level that did takes two,
+        # and the others keep their steps
+        g = Grid(60.0, 40000)
+        want = solve(pure_coulomb(), g, 4)
+        before = routes()
+        self.polish_with_residuals(monkeypatch,
+                                   lambda first, got: math.inf if first else got)
+        res = solve(pure_coulomb(), g, 4)
+        after = routes()[len(before):]
+        assert [rec.route for rec in after] == [rec.route for rec in before]
+        polished = [(rec, was) for rec, was in zip(after, before) if rec.route == "polished"]
+        assert polished and any(1 in was.steps for _, was in polished)
+        for rec, was in polished:
+            assert rec.supports == was.supports
+            assert rec.steps == tuple(max(s, 2) for s in was.steps)
         eps = np.finfo(float).eps
-        for lv in res.levels:
-            assert 0.0 < lv.residual <= 16.0 * eps * sector_norms[20000]
+        assert [lv.nodes for lv in res.levels] == [0, 1, 2, 3]
+        for got, lv in zip(res.levels, want.levels):
+            assert 0.0 < got.residual <= 16.0 * eps * sector_norms[20000]
+            assert abs(got.energy - lv.energy) <= got.residual + lv.residual
+
+    def test_level_that_never_reaches_the_floor_bisects(self, monkeypatch, routes,
+                                                        bisection_only):
+        # every certificate of a polished level reads over the floor: the
+        # first level of each polished matrix takes its five steps and
+        # fails, and the matrix is bisected
+        steps, real_step = [], gridsolver._step
+
+        def counting(*args):
+            steps.append(True)
+            return real_step(*args)
+        monkeypatch.setattr(gridsolver, "_step", counting)
+        self.polish_with_residuals(monkeypatch, lambda first, got: math.inf)
+        V, g = pure_coulomb(), Grid(60.0, 40000)
+        res = solve(V, g, 4)
+        records = routes()
+        failed = [rec for rec in records if rec.route == FAILED]
+        assert [rec.route for rec in records] == ["bisection"] * 2 + [FAILED] * 4
+        assert len(steps) == gridsolver._POLISH_STEPS * len(failed)
+        assert res.levels == bisection_only(V, g, 4).levels
 
     @pytest.mark.parametrize("fault", ["info", "nan"])
     def test_failed_tridiagonal_solve_falls_back(self, fault, monkeypatch, routes,
@@ -932,11 +1035,11 @@ class TestOneProductPerLevel:
         (pure_coulomb(), Grid(60.0, 40000), 4, 20000),
         (half_line(), Grid(60.0, 12000), 3, 12000),
     ], ids=["mirrored", "half-line"])
-    def test_each_level_multiplies_by_h_once(self, V, g, k, fine, routes, monkeypatch):
+    def test_each_step_multiplies_by_h_once(self, V, g, k, fine, routes, monkeypatch):
         # the certificate's product: a polished start takes its quotient in
-        # difference form, and a bisected level is only certified.  A
-        # polished level's product is on its support, a bisected one's on
-        # the whole matrix
+        # difference form, each step of a polished level is certified on
+        # its support, and a bisected level is only certified, on the
+        # whole matrix
         real, products = gridsolver._apply, []
 
         def counting(d, e, c, out, t):
@@ -945,10 +1048,14 @@ class TestOneProductPerLevel:
         monkeypatch.setattr(gridsolver, "_apply", counting)
         solve(V, g, k)
         records = routes()
-        # the matrices in the order solved, one product per level of each
+        # the matrices in the order solved: one product per step of each
+        # polished level, one per level of each bisected matrix
         assert products == [m for rec in records
-                            for m in (rec.supports if rec.route == "polished"
+                            for m in ([m for m, s in zip(rec.supports, rec.steps)
+                                       for _ in range(s)]
+                                      if rec.route == "polished"
                                       else [rec.points] * len(rec.energies))]
+        assert any(s > 1 for rec in records if rec.route == "polished" for s in rec.steps)
         assert [rec.points for rec in records if rec.route == "polished"][-1] == fine
         assert not any(rec.route == FAILED for rec in records)
 

@@ -551,6 +551,30 @@ class TestSignChanges:
         np.testing.assert_array_equal(flips, want_flips)
         assert spectrum._sign_change_count(x) == spectrum.sign_changes(x).size
 
+    @given(st.integers(2, 4), st.sampled_from([3, 7, 4096, 8191, 8193, 10 ** 6]),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(-6, 6),
+                              st.lists(SAMPLES, min_size=1, max_size=8)), max_size=6),
+           st.integers(-1, 4), st.sampled_from([None, math.nan, math.inf, -math.inf]),
+           st.integers(0, 2 ** 20))
+    @example(2, 10 ** 6, [(1, -2, [1e-9, 0.0, -1e-9, 1e-12])], -1, None, 0)
+    @example(3, 10 ** 6, [(1, -1, [-1.0])], 1, None, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_chunked_count_is_the_whole_count(self, chunks, period, runs, blank,
+                                              special, at):
+        # vectors several chunks long: flips every ``period`` samples, runs
+        # of SAMPLES (sub-threshold ones among them) written across chunk
+        # boundaries, and maybe a whole chunk below the threshold
+        size = spectrum._CHUNK
+        x = np.where((np.arange(chunks * size + size // 3) // period) % 2, -1.0, 1.0)
+        for boundary, offset, values in runs:
+            i = min(boundary, chunks) * size + offset
+            x[i:i + len(values)] = values
+        if 0 <= blank <= chunks:
+            x[blank * size:(blank + 1) * size] = 1e-9
+        if special is not None:
+            x[at % x.size] = special
+        assert spectrum._sign_change_count(x) == spectrum.sign_changes(x).size
+
     def test_skipped_samples_and_non_finite_arrays(self):
         x = np.array([1.0, 1e-9, -0.5, 0.0, -1e-12, 2.0, -3.0])
         np.testing.assert_array_equal(spectrum.sign_changes(x), [2, 5, 6])

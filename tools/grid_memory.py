@@ -6,11 +6,14 @@ Loads ``perfbench/workloads.py`` and the package of CHECKOUT as
 ``tools/grid_routes.py`` does, with its ``src`` first on ``sys.path``
 and no bytecode written there, runs the workload's warm-up, then each of
 its operations once, in the workload's order, under tracemalloc.  For
-each operation it prints the label and the traced peak in MiB, then the
-largest.  Run it on two checkouts to compare their peaks.
+each operation it prints the label, the traced peak in MiB and the minor
+page faults the process took during the call (``ru_minflt`` of
+``resource.getrusage``), then the largest peak.  Run it on two checkouts
+to compare their peaks and faults.
 """
 
 import argparse
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -18,17 +21,23 @@ from pathlib import Path
 MIB = 2 ** 20
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def peaks(ops):
-    """(label, traced peak in bytes) of each operation, each called once
-    with tracing started afresh."""
+    """(label, traced peak in bytes, minor page faults) of each
+    operation, each called once with tracing started afresh."""
     for op in ops:
         tracemalloc.start()
         try:
+            faults = minor_faults()
             op.call()
+            faults = minor_faults() - faults
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        yield op.label, peak
+        yield op.label, peak, faults
 
 
 def main(argv=None):
@@ -44,8 +53,8 @@ def main(argv=None):
     wl = workloads.make("grid-core", args.seed)
     wl.warm_up()
     largest = None
-    for label, peak in peaks(wl.ops):
-        print(f"{label}: {peak / MIB:.2f} MiB")
+    for label, peak, faults in peaks(wl.ops):
+        print(f"{label}: {peak / MIB:.2f} MiB, {faults} minor faults")
         if largest is None or peak > largest[1]:
             largest = label, peak
     print(f"largest: {largest[0]}: {largest[1] / MIB:.2f} MiB")
