@@ -116,10 +116,10 @@ nodes at a time, and it is the right-hand side and solution of each
 gtsv solve.  The other three are the rows that gtsv overwrites (the
 shifted diagonal and the two off-diagonals) during a step, and the
 certificate's nodal vector and work vectors after it.  The nodal vector
-is node-counted a chunk at a time and copied into the level's result
-column if the vectors are kept.  The work array is freed once the
-matrix is solved, so nothing outlives a solve, and no result points
-into it.
+is node-counted by `spectrum.sign_changes`, the package's one sign
+rule, a chunk at a time, and copied into the level's result column if
+the vectors are kept.  The work array is freed once the matrix is
+solved, so nothing outlives a solve, and no result points into it.
 Both routes take the energy and residual of each column from one
 routine.  On either route a returned level whose floor is over 4 times
 its scale raises ConvergenceError: there LAPACK's bisection tolerance
@@ -171,7 +171,7 @@ import numpy as np
 
 from .potentials import PotentialSpec, evaluate
 from .quadrature import ConvergenceError
-from .spectrum import _CHUNK, _sign_change_count
+from .spectrum import _CHUNK, sign_changes
 
 __all__ = ["Grid", "Level", "SpectrumResult", "solve", "refine"]
 
@@ -269,9 +269,20 @@ def _stretch(x, core):
     return x / _FAR_STEP + _CORE_CELLS * math.log1p(x / core)
 
 
+def _even_ceil(y, half_width, core):
+    """The smallest even integer >= y, the point count of a grid of box
+    L = half_width that resolves a core of this radius; ``ValueError``
+    where y is not finite, as that count is past the float range."""
+    if not math.isfinite(y):
+        raise ValueError(f"a grid of half-width {half_width:g} that resolves core "
+                         f"radius {core:g} needs more points than the float range holds")
+    n = math.ceil(y)
+    return n + n % 2
+
+
 def _graded_points(half_width, core):
     """Point count of ``Grid.graded``: N/2 = ceil(2 s(L)), so D <= 1/2."""
-    return 2 * math.ceil(2.0 * _stretch(half_width, core))
+    return _even_ceil(4.0 * _stretch(half_width, core), half_width, core)
 
 
 def _require_integer(name, value):
@@ -339,8 +350,8 @@ class Grid:
         the smallest even N, and at least 8, with h = 2L/N <= core/5."""
         _require_positive("half_width", half_width)
         _require_positive("core", core)
-        n = math.ceil(2.0 * half_width * _CORE_CELLS / core)
-        return cls(half_width, max(n + n % 2, 8))
+        n = _even_ceil(2.0 * half_width * _CORE_CELLS / core, half_width, core)
+        return cls(half_width, max(n, 8))
 
 
 @dataclass(frozen=True)
@@ -699,9 +710,9 @@ def _polished(mat, k, start, floor, work, vectors=True):
                 residual = math.hypot(residual, mat.e[m - 1] * c[m - 1])
             if residual <= floor:
                 break
-        else:
-            return None
-        if _sign_change_count(y) != j:
+        # a level over the floor after its last step fails, as does one
+        # whose nodal vector has other than j sign changes
+        if not residual <= floor or sign_changes(y).size != j:
             return None
         energy[j], r[j] = sigma, residual
         if vectors:
@@ -778,7 +789,7 @@ def _lowest(mat, k, start, vectors=True):
         for j, u in enumerate(y.T):
             work[0] = u
             energy[j], r[j] = _certify(mat, work[0], u, work[1], work[2, :-1])
-        levels = energy, y if vectors else None, r, [_sign_change_count(u) for u in y.T]
+        levels = energy, y if vectors else None, r, [sign_changes(u).size for u in y.T]
     ratio = _floor_ratios(levels[0], floor)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(_Route(mat.d.size, float(floor), float(ratio.max()), route,

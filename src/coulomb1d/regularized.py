@@ -3,9 +3,11 @@
 Three studies back the qualitative statements about what regularization
 does to the spectrum: the soft-core ground level diverging as the core
 shrinks (tracked against the logarithmic Loudon estimate), the
-repulsive-core family interleaving even and odd levels in its stated
-parameter regime, and the half-line well reproducing the odd-state
-energies.
+parity-labeled low spectrum of the repulsive-core family, whose even and
+odd levels alternate on every grid (the parity sectors make them so,
+inside the stated regime 1 < b/a < ln(1/a) and outside it, so only the
+energies tell the regime apart), and the half-line well reproducing the
+odd-state energies.
 
 The soft-core scan solves each radius on its own grid graded toward
 that radius, at three levels of the mesh, h, h/2 and h/4 of one fixed

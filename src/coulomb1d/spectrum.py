@@ -222,67 +222,46 @@ def node_count(n):
     return 2 * flips.size + n % 2
 
 
-# `_sign_change_count` tests this many samples at a time, so that its
-# masks take a few kilobytes whatever the length of the vector; the grid
-# solver interpolates its starts in chunks of the same size.
+# `sign_changes`, the package's one sign-change pass, tests this many
+# samples at a time, so that its masks take a few kilobytes whatever the
+# length of the vector; the grid solver interpolates its starts in chunks
+# of the same size.
 _CHUNK = 8192
-
-
-def _kept_signs(values, t):
-    """The rule of `sign_changes` at the threshold t: the mask of the
-    samples that carry a sign, tested as values > t or values < -t, and
-    for each kept sample whether it is negative.  The masks are
-    booleans, and no array of the magnitudes or of indices is built."""
-    negative = values < -t
-    kept = values > t
-    kept |= negative
-    return kept, negative[kept]
-
-
-def _threshold(values):
-    """1e-8 of the largest magnitude of values: the samples at or below
-    it carry no sign."""
-    return 1e-8 * max(values.max(), -values.min())
-
-
-def _flips(values):
-    """The mask of the samples that carry a sign (`_kept_signs`), and for
-    each kept sample after the first whether its sign is the opposite of
-    the kept sample's before it."""
-    values = np.asarray(values)
-    kept, negative = _kept_signs(values, _threshold(values))
-    return kept, negative[1:] != negative[:-1]
 
 
 def sign_changes(values):
     """Indices i where values[i] has the opposite sign of the sample before it.
 
-    Samples below 1e-8 of the largest magnitude carry no reliable sign
-    (decaying tails, rounding noise) and are skipped, so a flip is
-    counted between the nearest kept neighbours.  The rule is
-    `_flips`'s, which the grid solver's node count shares; it builds no
-    array of the magnitudes, and only this function builds indices.
+    Samples at or below t, 1e-8 of the largest magnitude, carry no
+    reliable sign (decaying tails, rounding noise) and are skipped, so a
+    flip is counted between the nearest kept neighbours.  A sample is
+    kept where values > t or values < -t, so no array of the magnitudes
+    is built.  This is the package's one sign rule: ``node_count`` and
+    both grid routes count with it.  It is one pass over _CHUNK samples
+    at a time: the first kept sign of a slice is compared with the last
+    kept sign before it, and indices are built only for a slice that
+    holds a change.
     """
-    kept, flips = _flips(values)
-    return np.flatnonzero(kept)[1:][flips]
-
-
-def _sign_change_count(values):
-    """``sign_changes(values).size``, by the same rule applied to _CHUNK
-    samples at a time: the first kept sign of a chunk is compared with
-    the last kept sign before it, and no mask of the size of values is
-    built."""
     values = np.asarray(values)
-    t = _threshold(values)
-    count, last = 0, None
+    t = 1e-8 * max(values.max(), -values.min())
+    found, last = [], None
     for i in range(0, values.size, _CHUNK):
-        negative = _kept_signs(values[i:i + _CHUNK], t)[1]
-        if negative.size:
-            count += np.count_nonzero(negative[1:] != negative[:-1])
-            if last is not None:
-                count += negative[0] != last
-            last = negative[-1]
-    return int(count)
+        part = values[i:i + _CHUNK]
+        negative = part < -t
+        kept = part > t
+        kept |= negative
+        negative = negative[kept]
+        if not negative.size:
+            continue
+        changed = np.empty(negative.size, dtype=bool)
+        changed[0] = last is not None and negative[0] != last
+        np.not_equal(negative[1:], negative[:-1], out=changed[1:])
+        last = negative[-1]
+        if np.count_nonzero(changed):
+            found.append(np.flatnonzero(kept)[changed] + i)
+    if len(found) == 1:
+        return found[0]
+    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
 def ode_residual(n, x):

@@ -444,6 +444,20 @@ class TestScanCommand:
         assert out == ""
         assert err == "error: half_width must be positive and finite, got inf\n"
 
+    @pytest.mark.parametrize("family, flags, half_width, core", [
+        ("soft-core", ["--a", "5e-324"], 30.0, 5e-324),
+        ("soft-core", ["--a", "1e-2", "--half-width", "1e308"], 1e308, 1e-2),
+        ("care", ["--a", "1e-3", "--b", "5e-3", "--half-width", "1e308"], 1e308, 1e-3),
+    ])
+    def test_count_past_the_float_range_is_a_flag_error(self, family, flags,
+                                                        half_width, core, capsys):
+        # a traceback and exit 1 before, from an OverflowError
+        code, out, err = run_cli(["scan", "--family", family, *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a grid of half-width {half_width:g} that resolves "
+                       f"core radius {core:g} needs more points than the float "
+                       "range holds\n")
+
 
 class TestSolveCommand:
     def test_repulsive_core_records_its_parameters(self, capsys):

@@ -1379,6 +1379,37 @@ class TestGradedMesh:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Grid(half_width, 400, core=core)
 
+    @pytest.mark.parametrize("build, half_width, core", [
+        (Grid.graded, 30.0, 5e-324), (Grid.graded, 1e308, 1.0),
+        (Grid.uniform, 30.0, 5e-324), (Grid.uniform, 1e308, 1e-3)])
+    def test_count_past_the_float_range_is_refused(self, build, half_width, core):
+        # an OverflowError from the ceiling of an infinite count before
+        message = (f"a grid of half-width {half_width:g} that resolves core radius "
+                   f"{core:g} needs more points than the float range holds")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(half_width, core)
+
+    def test_finite_counts_are_even_ceilings(self):
+        # widths and radii across the float range: N/2 = ceil(2 s(L)) on a
+        # graded grid and the smallest even N >= 10 L/a, at least 8, on a
+        # uniform one, wherever that count is finite
+        values = [float(v) for v in np.geomspace(1e-300, 1e300, 31)] + [5e-324, 1.7e308]
+        for L in values:
+            for c in values:
+                half = 2.0 * (L / 0.05 + 5.0 * math.log1p(L / c))
+                if math.isfinite(2.0 * half):
+                    assert gridsolver._graded_points(L, c) == 2 * math.ceil(half)
+                else:
+                    with pytest.raises(ValueError, match="float range"):
+                        gridsolver._graded_points(L, c)
+                y = 2.0 * L * 5.0 / c
+                if math.isfinite(y):
+                    n = math.ceil(y)
+                    assert Grid.uniform(L, c).points == max(n + n % 2, 8)
+                else:
+                    with pytest.raises(ValueError, match="float range"):
+                        Grid.uniform(L, c)
+
 
 class TestVariationalBound:
     def test_wall_move_never_raises_converged_levels(self):

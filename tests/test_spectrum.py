@@ -505,12 +505,20 @@ SAMPLES_AND_SUBNORMALS = st.one_of(
 
 def magnitude_rule(values):
     """The former rule of `spectrum.sign_changes`, on a copy of |values|:
-    the kept samples, and for each kept sample after the first whether
-    its sign bit differs from the kept sample's before it."""
+    the index of each kept sample after the first whose sign bit differs
+    from the kept sample's before it."""
     magnitude = np.abs(values)
     kept = magnitude > 1e-8 * magnitude.max()
     negative = np.signbit(values)[kept]
-    return kept, negative[1:] != negative[:-1]
+    return np.flatnonzero(kept)[1:][negative[1:] != negative[:-1]]
+
+
+def assert_both_references(x):
+    """sign_changes(x) equals the indices of both former rules, dtype too."""
+    got = spectrum.sign_changes(x)
+    for want in (sign_product_changes(x), magnitude_rule(x)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSignChanges:
@@ -525,9 +533,7 @@ class TestSignChanges:
         x = np.array(values)
         if special is not None:
             x[at % x.size] = special
-        got, want = spectrum.sign_changes(x), sign_product_changes(x)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+        assert_both_references(x)
 
     @given(st.lists(SAMPLES_AND_SUBNORMALS, min_size=1, max_size=80),
            st.sampled_from([1.0, 1e-300, 1e-310, 5e-324]),
@@ -540,16 +546,12 @@ class TestSignChanges:
     @settings(max_examples=400, deadline=None)
     def test_copy_free_rule_is_the_magnitude_rule(self, values, scale, special, at):
         # the rule tested as values > t or values < -t flags exactly the
-        # samples and flips of the rule on |values| it replaced, and the
-        # count needs no index array
+        # flips of the rule on |values| it replaced, at every scale down
+        # to the subnormals, where the threshold itself may round to 0
         x = np.array(values) * scale
         if special is not None:
             x[at % x.size] = special
-        kept, flips = spectrum._flips(x)
-        want_kept, want_flips = magnitude_rule(x)
-        np.testing.assert_array_equal(kept, want_kept)
-        np.testing.assert_array_equal(flips, want_flips)
-        assert spectrum._sign_change_count(x) == spectrum.sign_changes(x).size
+        assert_both_references(x)
 
     @given(st.integers(2, 4), st.sampled_from([3, 7, 4096, 8191, 8193, 10 ** 6]),
            st.lists(st.tuples(st.integers(1, 4), st.integers(-6, 6),
@@ -558,12 +560,19 @@ class TestSignChanges:
            st.integers(0, 2 ** 20))
     @example(2, 10 ** 6, [(1, -2, [1e-9, 0.0, -1e-9, 1e-12])], -1, None, 0)
     @example(3, 10 ** 6, [(1, -1, [-1.0])], 1, None, 0)
+    # a change at index _CHUNK exactly, the first sample of the second slice
+    @example(2, 10 ** 6, [(1, 0, [-1.0])], -1, None, 0)
+    # two slices, the first wholly under the threshold: every kept sample
+    # lies in the last slice, and its first has no sign before it
+    @example(1, 3, [], 0, None, 0)
     @settings(max_examples=150, deadline=None)
     def test_chunked_count_is_the_whole_count(self, chunks, period, runs, blank,
                                               special, at):
-        # vectors several chunks long: flips every ``period`` samples, runs
-        # of SAMPLES (sub-threshold ones among them) written across chunk
-        # boundaries, and maybe a whole chunk below the threshold
+        # vectors several slices long, tested a slice at a time against
+        # rules applied to the whole vector: flips every ``period``
+        # samples, runs of SAMPLES (sub-threshold ones among them) written
+        # across slice boundaries, and maybe a whole slice below the
+        # threshold
         size = spectrum._CHUNK
         x = np.where((np.arange(chunks * size + size // 3) // period) % 2, -1.0, 1.0)
         for boundary, offset, values in runs:
@@ -573,7 +582,7 @@ class TestSignChanges:
             x[blank * size:(blank + 1) * size] = 1e-9
         if special is not None:
             x[at % x.size] = special
-        assert spectrum._sign_change_count(x) == spectrum.sign_changes(x).size
+        assert_both_references(x)
 
     def test_skipped_samples_and_non_finite_arrays(self):
         x = np.array([1.0, 1e-9, -0.5, 0.0, -1e-12, 2.0, -3.0])

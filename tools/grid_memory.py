@@ -2,14 +2,14 @@
 
     python3 tools/grid_memory.py CHECKOUT --seed 5
 
-Loads ``perfbench/workloads.py`` and the package of CHECKOUT as
-``tools/grid_routes.py`` does, with its ``src`` first on ``sys.path``
-and no bytecode written there, runs the workload's warm-up, then each of
-its operations once, in the workload's order, under tracemalloc.  For
-each operation it prints the label, the traced peak in MiB and the minor
-page faults the process took during the call (``ru_minflt`` of
-``resource.getrusage``), then the largest peak.  Run it on two checkouts
-to compare their peaks and faults.
+Loads the warmed-up workload of CHECKOUT with ``tools/grid_routes.py``'s
+``workload``, which imports ``perfbench/workloads.py`` and the package
+with its ``src`` first on ``sys.path`` and no bytecode written there,
+then runs each of its operations once, in the workload's order, under
+tracemalloc.  For each operation it prints the label, the traced peak
+in MiB and the minor page faults the process took during the call
+(``ru_minflt`` of ``resource.getrusage``), then the largest peak.  Run
+it on two checkouts to compare their peaks and faults.
 """
 
 import argparse
@@ -45,13 +45,10 @@ def main(argv=None):
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    root = args.checkout.resolve()
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import workloads
+    # imported here, so that ``peaks`` loads without grid_routes.py beside it
+    from grid_routes import workload
 
-    wl = workloads.make("grid-core", args.seed)
-    wl.warm_up()
+    wl = workload(args.checkout, args.seed)
     largest = None
     for label, peak, faults in peaks(wl.ops):
         print(f"{label}: {peak / MIB:.2f} MiB, {faults} minor faults")

@@ -37,18 +37,26 @@ def line(label, routes):
     return json.dumps({"label": label, "matrices": [r._asdict() for r in routes]})
 
 
+def workload(checkout, seed):
+    """The grid-core workload of CHECKOUT at this seed, warmed up: its
+    ``perfbench/workloads.py`` and package are imported with its ``src``
+    first on ``sys.path`` and no bytecode written there."""
+    root = checkout.resolve()
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    wl = workloads.make("grid-core", seed)
+    wl.warm_up()
+    return wl
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    root = args.checkout.resolve()
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import workloads
-
-    wl = workloads.make("grid-core", args.seed)
-    wl.warm_up()
+    wl = workload(args.checkout, args.seed)
     records = Records()
     log = logging.getLogger("coulomb1d.gridsolver")
     log.addHandler(records)
