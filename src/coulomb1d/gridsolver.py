@@ -54,7 +54,7 @@ built from the grid on first access; its ``vectors`` solve the grid
 again on first access, keeping the vectors this time, and are their
 mirror image, or on the half line the one sector itself.  No command
 reads them, and a solve at N = 540000, k = 6 would hold 13 MB of sector
-columns for them.
+columns for them, as much as the eight sector-size arrays of its polish.
 
 Eigenvectors.  A grid first solves the same problem on
 ``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
@@ -94,8 +94,9 @@ from the interpolated nodal vector u, so it needs no product with H.
 Every step is certified at once, explicitly and against the whole
 matrix: the quotient of its vector padded with zeros, in the same
 difference form, shifts the next step, and the residual ||Hy - Ey|| of
-that vector, recomputed from H, is the stop test, so a polished level
-takes one product with H per step, its certificate's.  The padded
+that vector, taken in that form too from the fluxes link (u_{j+1} - u_j)
+and the terms (v - E) y, is the stop test, so a polished level takes
+one product with H per step, its certificate's.  The padded
 vector's energy is the block's, with the link to the first dropped node
 as its wall, and its residual is that of the block and the one term
 that the first dropped row sees, so a support cut too short never
@@ -108,9 +109,17 @@ ends the polish: all levels of the matrix are then solved once by
 bisection and inverse iteration (LAPACK stebz/stein, scipy's wrappers)
 at LAPACK's default tolerance, as those of grids with no coarse start
 are at once.
-The polish holds what one step needs and no more.  Each matrix of n
-nodes takes one work array of 4n floats for the solve of its levels,
-cut to the level's support, and nothing beside it.  One row holds the
+The polish holds what one step needs and no more.  A grid of n nodes
+a sector takes one work block of 4n floats before its assembly: it is
+the assembly's scratch (the nodes of a uniform mesh and the
+off-diagonal), then the solve of every level of both sectors, cut to
+the level's support.  Beside it the matrix holds its diagonal d, its
+n + 1 links, the square roots of the cell widths and the potential,
+eight sector-size arrays in all: the off-diagonal e is held only as
+its largest magnitude and rebuilt from the links and widths, bit for
+bit, where gtsv, bisection or the cut term reads it, and a uniform
+mesh is held as its step, its nodes rebuilt a chunk at a time where
+the starts read them.  A graded mesh is held.  One row holds the
 level's vector: its start is interpolated into it a fixed chunk of
 nodes at a time, and it is the right-hand side and solution of each
 gtsv solve.  The other three are the rows that gtsv overwrites (the
@@ -118,7 +127,7 @@ shifted diagonal and the two off-diagonals) during a step, and the
 certificate's nodal vector and work vectors after it.  The nodal vector
 is node-counted by `spectrum.sign_changes`, the package's one sign
 rule, a chunk at a time, and copied into the level's result column if
-the vectors are kept.  The work array is freed once the matrix is
+the vectors are kept.  The work block is freed once the grid is
 solved, so nothing outlives a solve, and no result points into it.
 Both routes take the energy and residual of each column from one
 routine.  On either route a returned level whose floor is over 4 times
@@ -269,13 +278,17 @@ def _stretch(x, core):
     return x / _FAR_STEP + _CORE_CELLS * math.log1p(x / core)
 
 
+def _past_the_float_range(half_width, core):
+    return ValueError(f"a grid of half-width {half_width:g} that resolves core "
+                      f"radius {core:g} needs more points than the float range holds")
+
+
 def _even_ceil(y, half_width, core):
     """The smallest even integer >= y, the point count of a grid of box
     L = half_width that resolves a core of this radius; ``ValueError``
     where y is not finite, as that count is past the float range."""
     if not math.isfinite(y):
-        raise ValueError(f"a grid of half-width {half_width:g} that resolves core "
-                         f"radius {core:g} needs more points than the float range holds")
+        raise _past_the_float_range(half_width, core)
     n = math.ceil(y)
     return n + n % 2
 
@@ -368,8 +381,9 @@ class Level:
 
 
 class _Solution(NamedTuple):
-    """The half mesh x of a solve and the nodal vectors of its parity
-    sectors on it, scaled so that sum(width * u^2) = 1 over x.
+    """The half mesh x of a solve, an array or a `_UniformMesh`, and the
+    nodal vectors of its parity sectors on it, scaled so that
+    sum(width * u^2) = 1 over x.
 
     ``sectors`` holds one array per sector: the even and the odd one of
     a full-line grid, or the half line's odd sector alone.  Column j of
@@ -446,11 +460,15 @@ class SpectrumResult:
 
 
 def _half_mesh(g, m):
-    """m staggered nodes on (0, L): uniform, or graded by s."""
+    """m staggered nodes on (0, L): uniform, or graded by s.  A graded
+    mesh whose map s(L) is past the float range is refused by name."""
     if g.core is None:
         return (np.arange(m) + 0.5) * (g.half_width / m)
     c = g.core
-    t = (np.arange(m) + 0.5) * (_stretch(g.half_width, c) / m)
+    top = _stretch(g.half_width, c)
+    if not math.isfinite(top):
+        raise _past_the_float_range(g.half_width, c)
+    t = (np.arange(m) + 0.5) * (top / m)
     # Newton in y = ln(1 + x/c), where s is convex and increasing: from
     # an upper bound of the root the iterates fall monotonically to it
     y = np.minimum(t / _CORE_CELLS, np.log1p(_FAR_STEP * t / c))
@@ -461,6 +479,74 @@ def _half_mesh(g, m):
         if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * y):
             break
     return c * np.expm1(y)
+
+
+class _UniformMesh:
+    """The uniform half mesh of ``size`` nodes (j + 1/2) ``step``, held
+    as its step alone.  It reads as the array `_half_mesh` gives, bit for
+    bit, by index, by slice (of stride 1, built on each read) and by
+    ``searchsorted``, and so serves `_starts` and `_support` in its
+    place, a slice at a time."""
+
+    __slots__ = ("size", "step")
+
+    def __init__(self, size, step):
+        self.size, self.step = size, step
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return (range(self.size)[key] + 0.5) * self.step
+        lo, hi, stride = key.indices(self.size)
+        if stride != 1:
+            raise IndexError("a uniform mesh is read in slices of stride 1")
+        return self._write(lo, np.empty(max(hi - lo, 0)))
+
+    def searchsorted(self, value):
+        """The number of nodes below the finite ``value``, as
+        np.searchsorted(x, value) on the array x: the closed form's guess,
+        moved to the rounded nodes."""
+        guess = value / self.step - 0.5
+        j = 0 if not guess > 0.0 else self.size if guess >= self.size else math.ceil(guess)
+        while j > 0 and (j - 0.5) * self.step >= value:
+            j -= 1
+        while j < self.size and (j + 0.5) * self.step < value:
+            j += 1
+        return j
+
+    def fill(self, out):
+        """All the nodes, written into out; returns out."""
+        return self._write(0, out)
+
+    def _write(self, lo, out):
+        """Nodes lo to lo + out.size written into out, _CHUNK at a time:
+        j + 1/2 is exact in floats, as (np.arange(m) + 0.5) has it."""
+        halves = _half_offsets()
+        for i in range(0, out.size, _CHUNK):
+            part = out[i:i + _CHUNK]
+            np.add(halves[:part.size], lo + i, out=part)
+            part *= self.step
+        return out
+
+
+@cache
+def _half_offsets():
+    """0.5, 1.5, ..., the first _CHUNK half offsets of a uniform mesh."""
+    return np.arange(_CHUNK) + 0.5
+
+
+def _mesh(g, m):
+    """The half mesh of m nodes, the (4, m) work block of its matrices,
+    and its nodes as an array for the assembly.  A graded mesh is held,
+    and solved before the block is taken: it comes from a Newton solve
+    that costs about 100 ns a node, whose bits a solve slice by slice
+    would not keep.  A uniform one is its step (`_UniformMesh`), and its
+    nodes are written into row 0 of the block."""
+    if g.core is not None:
+        x = _half_mesh(g, m)
+        return x, np.empty((4, m)), x
+    mesh = _UniformMesh(m, g.half_width / m)
+    work = np.empty((4, m))
+    return mesh, work, mesh.fill(work[0])
 
 
 def _potential(V, x):
@@ -488,17 +574,34 @@ def _potential(V, x):
 # mmap threshold is also faulted in page by page.
 
 class _Matrix(NamedTuple):
-    """H = M^(-1/2) K M^(-1/2) on a mesh, and what its energy form needs."""
+    """H = M^(-1/2) K M^(-1/2) on a mesh, and what its energy form needs.
+    Its off-diagonal e is held only as its largest magnitude, which `_norm`
+    reads; `_offdiag` and `_coupling` rebuild it where a routine needs it,
+    bit for bit."""
 
     d: np.ndarray       # diagonal of H
-    e: np.ndarray       # off-diagonal of H
     # the n + 1 links of the n nodes: link[0] to a wall at the centre (0
     # for none), link[n] to the wall past the last node, and 1/(2 dx)
     # between neighbours in between
     link: np.ndarray
     scale: np.ndarray   # square roots of the cell widths
     v: np.ndarray       # potential at the nodes
+    offdiag: float = math.nan  # max |e|
     norm: float = math.nan  # `_norm`, once `_finite` has taken it
+
+
+def _coupling(mat, out):
+    """-e, the off-diagonal of H negated, written to out (n - 1 entries):
+    link[1:-1] / (scale[:-1] * scale[1:]), the two operations of the
+    assembly before its negation."""
+    np.multiply(mat.scale[:-1], mat.scale[1:], out=out)
+    return np.divide(mat.link[1:-1], out, out=out)
+
+
+def _offdiag(mat, out):
+    """The off-diagonal e of H, written to out (n - 1 entries), bit for
+    bit the one whose largest magnitude the assembly keeps."""
+    return np.negative(_coupling(mat, out), out=out)
 
 
 # A mesh too fine for float64 overflows the matrix (its entries grow like
@@ -506,10 +609,12 @@ class _Matrix(NamedTuple):
 # zero: the assembly runs without floating-point warnings, and `_finite`
 # refuses such a matrix before any solve.
 
-def _assemble(x, v, L):
+def _assemble(x, v, L, scratch):
     """Matrix on the half-mesh nodes x: the first cell starts at the
     centre, with no link across it, and the last ends at a Dirichlet wall
-    at L, which adds the link 1/(2d) at distance d from the last node."""
+    at L, which adds the link 1/(2d) at distance d from the last node.
+    The off-diagonal is built in ``scratch``, of at least n - 1 entries,
+    for its largest magnitude alone."""
     with np.errstate(all="ignore"):
         # node gaps, with twice the distance from each end node to its face
         gap = np.empty(x.size + 1)
@@ -523,10 +628,9 @@ def _assemble(x, v, L):
         d /= scale
         d += v
         np.sqrt(scale, out=scale)
-        e = scale[:-1] * scale[1:]
-        np.divide(link[1:-1], e, out=e)
-        np.negative(e, out=e)
-    return _Matrix(d, e, link, scale, v)
+        mat = _Matrix(d, link, scale, v)
+        e = _offdiag(mat, scratch[:x.size - 1])
+        return mat._replace(offdiag=max(e.max(), -e.min()))
 
 
 def _wall_at_origin(mat, x):
@@ -572,17 +676,7 @@ _log = logging.getLogger(__name__)
 def _norm(mat):
     """max|d| + 2 max|e|, a bound on the 1-norm of H that LAPACK scales
     its default bisection tolerance by."""
-    return (max(mat.d.max(), -mat.d.min())
-            + 2.0 * max(mat.e.max(), -mat.e.min()))
-
-
-def _apply(d, e, c, out, t):
-    """out = T c for the tridiagonal T with diagonal d (which may be out)
-    and off-diagonal e; t is scratch of the size of e."""
-    np.multiply(d, c, out=out)
-    out[:-1] += np.multiply(e, c[1:], out=t)
-    out[1:] += np.multiply(e, c[:-1], out=t)
-    return out
+    return max(mat.d.max(), -mat.d.min()) + 2.0 * mat.offdiag
 
 
 def _dot(a, b):
@@ -596,7 +690,8 @@ def _energy(mat, u, c, t):
     """u.K.u in difference form, for the nodal vector u and c = u * scale:
     sum(link[1:-1] * (u_{j+1} - u_j)^2) + sum(v * c^2) + the wall terms
     link[0] u_0^2 and link[-1] u_{n-1}^2.  Over u.M.u = c.c it is the
-    Rayleigh quotient of c in H.  t is scratch of the size of e.
+    Rayleigh quotient of c in H.  t is scratch of n - 1 entries, left
+    holding the differences u_{j+1} - u_j.
 
     Each sum is one pass of numpy's three-operand einsum loop, which, as
     `_dot`, never calls BLAS.  It adds into one scalar, so its rounding
@@ -609,39 +704,60 @@ def _energy(mat, u, c, t):
             + mat.link[0] * u[0] ** 2 + mat.link[-1] * u[-1] ** 2)
 
 
-def _certify(mat, c, u, hy, t):
+def _certify(mat, c, u, r, t):
     """Rayleigh-quotient energy E in difference form and residual
     ||Hc - Ec|| of the unit column c, whose nodal vector c/scale, with
-    sum(width * u^2) = 1, is written to u.  hy and t are scratch of the
-    sizes of d and e."""
+    sum(width * u^2) = 1, is written to u.  r and t are scratch of the
+    size of d.
+
+    The residual is taken in the same form as the energy, from the
+    fluxes f_j = link[j] (u_j - u_{j-1}) through the n + 1 faces, with
+    u = 0 past each wall: row j of Hc - Ec is
+    (f_j - f_{j+1}) / scale_j + (v_j - E) c_j, so it reads neither the
+    diagonal nor the off-diagonal of H."""
     # c has unit 2-norm, so u = M^(-1/2) c has sum(width * u^2) = 1 and
     # the quotient u.K.u / u.M.u needs no denominator
     np.divide(c, mat.scale, out=u)
-    energy = _energy(mat, u, c, t)
-    _apply(np.subtract(mat.d, energy, out=hy), mat.e, c, hy, t)
-    return energy, math.sqrt(_dot(hy, hy))
+    energy = _energy(mat, u, c, t[:-1])
+    # the inner fluxes, from the differences that the energy left in t
+    flux = np.multiply(t[:-1], mat.link[1:-1], out=t[:-1])
+    np.subtract(flux[:-1], flux[1:], out=r[1:-1])
+    # the faces to the walls: f_0 = link[0] u_0, f_n = -link[n] u_{n-1}
+    first, last = mat.link[0] * u[0], mat.link[-1] * u[-1]
+    if u.size > 1:
+        r[0], r[-1] = first - flux[0], flux[-1] + last
+    else:
+        r[0] = first + last
+    r /= mat.scale
+    r += np.multiply(np.subtract(mat.v, energy, out=t), c, out=t)
+    return energy, math.sqrt(_dot(r, r))
 
 
-def _step(d, e, sigma, c, work):
+def _step(mat, sigma, c, work):
     """One shift-invert Rayleigh-quotient step on the unit vector c, in
-    place: solve (H - sigma) z = c by LU with partial pivoting (LAPACK
-    gtsv) for the tridiagonal H with diagonal d and off-diagonal e, with
-    c as the right-hand side and solution, and take c = z / ||z||.
+    place: solve (sigma - H) z = c by LU with partial pivoting (LAPACK
+    gtsv), with c as the right-hand side and solution, and take
+    c = -z / ||z||, the step's vector for (H - sigma).
+
+    (sigma - H) is H negated and shifted: its off-diagonal is the
+    coupling -e (`_coupling`), rebuilt from mat's links and scales, and
+    its diagonal sigma - d.  LU with partial pivoting is odd in its
+    matrix, so z is the solution of (H - sigma) negated, bit for bit.
 
     Returns False if the solve breaks down, True otherwise.  ``work``
     holds the shifted diagonal and the two off-diagonals, which gtsv
     overwrites, so that a step allocates nothing.
     """
     dd, dl, du = work
-    dl[:], du[:] = e, e
-    np.subtract(d, sigma, out=dd)
+    du[:] = _coupling(mat, dl)
+    np.subtract(sigma, mat.d, out=dd)
     info = dgtsv(dl, dd, du, c, overwrite_dl=1, overwrite_d=1,
                  overwrite_du=1, overwrite_b=1)[-1]
     size = math.sqrt(_dot(c, c)) if info == 0 else math.nan
     # written so that a NaN or infinite solution fails too
     if not 0.0 < size < math.inf:
         return False
-    c /= size
+    c /= -size
     return True
 
 
@@ -654,8 +770,8 @@ def _block(mat, m):
     matrix's energy: the link's term of the whole form,
     link[m] (0 - u[m - 1])^2, is the block's wall term.
     """
-    return mat._replace(d=mat.d[:m], e=mat.e[:m - 1], link=mat.link[:m + 1],
-                        scale=mat.scale[:m], v=mat.v[:m])
+    return mat._replace(d=mat.d[:m], link=mat.link[:m + 1], scale=mat.scale[:m],
+                        v=mat.v[:m])
 
 
 def _polished(mat, k, start, floor, work, vectors=True):
@@ -694,20 +810,22 @@ def _polished(mat, k, start, floor, work, vectors=True):
     for j in range(k):
         m = start(j, work[3])
         block = _block(mat, m)
-        c, (y, hy), t = work[3, :m], work[:2, :m], work[2, :m - 1]
+        c, (y, hy, t) = work[3, :m], work[:3, :m]
         # c holds the nodal start, y its column u * scale
         np.multiply(c, block.scale, out=y)
         norm2 = _dot(y, y)
-        sigma = _energy(block, c, y, t) / norm2
+        sigma = _energy(block, c, y, t[:-1]) / norm2
         np.divide(y, math.sqrt(norm2), out=c)
         for step in range(1, _POLISH_STEPS + 1):
-            if not _step(block.d, block.e, sigma, c, (y, hy[:-1], t)):
+            if not _step(block, sigma, c, (y, hy[:-1], t[:-1])):
                 return None
             # y takes the nodal vector
             sigma, residual = _certify(block, c, y, hy, t)
-            # the first dropped row's one term of the padded vector's residual
+            # the first dropped row's one term of the padded vector's
+            # residual, e[m - 1] c[m - 1], whose sign hypot ignores
             if m < n:
-                residual = math.hypot(residual, mat.e[m - 1] * c[m - 1])
+                cut = mat.link[m] / (mat.scale[m - 1] * mat.scale[m])
+                residual = math.hypot(residual, cut * c[m - 1])
             if residual <= floor:
                 break
         # a level over the floor after its last step fails, as does one
@@ -750,18 +868,19 @@ class _Route(NamedTuple):
     supports: tuple | None  # of each polished level, else None
 
 
-def _lowest(mat, k, start, vectors=True):
+def _lowest(mat, k, start, work, vectors=True):
     """Lowest k eigenpairs as energies, nodal vectors (None unless
     ``vectors``), residuals, node counts and the `_floor_ratios` that the
     floor guard reads.
 
-    ``start``, if not None, writes the nodal start vector of each level
-    into the work array (`_starts`); the levels polished from them stand
-    if every one is certified.
+    ``work`` is the (4, n) block of the grid, which every matrix of its
+    mesh takes in turn.  ``start``, if not None, writes the nodal start
+    vector of each level into it (`_starts`); the levels polished from
+    them stand if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
-    default tolerance gives them all, and each of its columns is
-    certified from a copy in a row of the same (4, n) work array that
-    the polish takes; the node counts are those of the certified
+    default tolerance, of the off-diagonal rebuilt in a row of the
+    block, gives them all, and each of its columns is certified from a
+    copy in another; the node counts are those of the certified
     columns, which are then dropped unless ``vectors``.  If DEBUG is on
     for the logger, each call logs one `_Route`: the matrix size, floor,
     largest ratio and route, each level's energy, residual and node
@@ -769,9 +888,6 @@ def _lowest(mat, k, start, vectors=True):
     """
     floor = _RESIDUAL_FLOOR * np.finfo(float).eps * mat.norm
     route, levels, steps, support = "bisection", None, None, None
-    # four rows, one array for all the levels of this matrix, freed once
-    # it is solved; no result points into it
-    work = np.empty((4, mat.d.size))
     if start is not None:
         polished = _polished(mat, k, start, floor, work, vectors)
         if polished is None:
@@ -780,7 +896,8 @@ def _lowest(mat, k, start, vectors=True):
             (levels, steps, support), route = polished, "polished"
     if levels is None:
         try:
-            _, y = eigh_tridiagonal(mat.d, mat.e, select_range=(0, k - 1))
+            _, y = eigh_tridiagonal(mat.d, _offdiag(mat, work[3, :-1]),
+                                    select_range=(0, k - 1))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
                                    None, math.inf) from exc
@@ -788,7 +905,7 @@ def _lowest(mat, k, start, vectors=True):
         energy, r = np.empty(k), np.empty(k)
         for j, u in enumerate(y.T):
             work[0] = u
-            energy[j], r[j] = _certify(mat, work[0], u, work[1], work[2, :-1])
+            energy[j], r[j] = _certify(mat, work[0], u, work[1], work[2])
         levels = energy, y if vectors else None, r, [sign_changes(u).size for u in y.T]
     ratio = _floor_ratios(levels[0], floor)
     if _log.isEnabledFor(logging.DEBUG):
@@ -845,33 +962,38 @@ def _coarse(V, g, k, half_line):
 
 
 def _support(x, xc, column):
-    """The support of a coarse vector on the nodes x: the number of them
-    before its cut, the coarse node after the last one where its
-    magnitude is over eps times its largest, or all of them if that is
-    the coarse mesh's last node.  Only the right end, the one toward
-    x = L, is cut: every level decays there."""
+    """The support of a coarse vector on the half mesh x, an array or a
+    `_UniformMesh`: the number of its nodes before its cut, the coarse
+    node after the last one where its magnitude is over eps times its
+    largest, or all of them if that is the coarse mesh's last node.  Only
+    the right end, the one toward x = L, is cut: every level decays
+    there.  A uniform mesh counts the nodes below the cut from its step."""
     magnitude = np.abs(column)
     last = np.flatnonzero(magnitude > np.finfo(float).eps * magnitude.max())[-1]
     if last + 1 == xc.size:
         return x.size
     # a cut at or before the first node keeps it, and the start fails
     # its certificate
-    return max(int(np.searchsorted(x, xc[last + 1])), 1)
+    return max(int(x.searchsorted(xc[last + 1])), 1)
 
 
 def _starts(mat, x, xc, columns):
-    """start(j, out) for `_lowest` on the matrix mat over the nodes x: it
-    writes column j of ``columns``, the same sector of a coarse solution
-    on its half mesh xc, interpolated onto the nodes of x before its cut
-    (`_support`), into the leading entries of out, and returns their
-    number.  It interpolates _CHUNK nodes at a time, so that it
-    allocates no array of the size of x; np.interp gives each node the
-    value it would give it in one call over all of them.
+    """start(j, out) for `_lowest` on the matrix mat over the half mesh
+    x: it writes column j of ``columns``, the same sector of a coarse
+    solution on its half mesh xc, interpolated onto the nodes of x before
+    its cut (`_support`), into the leading entries of out, and returns
+    their number.  It reads x _CHUNK nodes at a time, so that it
+    allocates no array of the size of x, and a uniform x (`_UniformMesh`)
+    builds each slice of nodes from its step; np.interp gives each node
+    the value it would give it in one call over all of them.  A uniform
+    xc, the mesh of a `refine` rung, is built whole, as np.interp reads
+    all of it.
 
     Below xc[0] the start stays flat, as the mirror image of an even
     level would have it, unless mat has a wall at the centre: then it
     falls linearly to 0 there, as an odd level does.
     """
+    xc = xc[:]
     if mat.link[0] > 0.0:
         xc = np.append(0.0, xc)
         columns = np.concatenate((np.zeros((1, columns.shape[1])), columns))
@@ -909,8 +1031,13 @@ def _eigenpairs(V, g, k, coarse=None, vectors=True):
     # whether each sector has a wall at the centre
     walls = (True,) if half_line else (False, True)
     n = len(walls)
-    x = _half_mesh(g, g.points // n)
-    mat = _assemble(x, _potential(V, x), g.half_width)
+    # one work block for the assembly and then for each sector's polish
+    x, work, xs = _mesh(g, g.points // n)
+    v = _potential(V, xs)
+    # a callable may return its argument, a row of the block
+    if np.may_share_memory(v, work):
+        v = v.copy()
+    mat = _assemble(xs, v, g.half_width, work[1])
     w, r, ratio, nodes, sectors = np.empty(k), np.empty(k), np.empty(k), [0] * k, []
     for s, wall in enumerate(walls):
         levels = slice(s, k, n)
@@ -928,7 +1055,7 @@ def _eigenpairs(V, g, k, coarse=None, vectors=True):
             coarse = _coarse(V, g, k, half_line)
         start = None if coarse is None else _starts(mat, x, coarse.x, coarse.sectors[s])
         w[levels], u, r[levels], counts, ratio[levels] = _lowest(mat, count, start,
-                                                                 vectors)
+                                                                 work, vectors)
         nodes[levels] = [n * m + s for m in counts]
         sectors.append(u)
     return w, r, nodes, ratio, _Solution(x, tuple(sectors))

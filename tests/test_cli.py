@@ -458,6 +458,15 @@ class TestScanCommand:
                        f"core radius {core:g} needs more points than the float "
                        "range holds\n")
 
+    def test_explicit_points_past_the_float_range_is_a_flag_error(self, capsys):
+        # a graded map whose s(L) overflows, with the count given: a
+        # RuntimeWarning and "non-finite evaluation point" before
+        code, out, err = run_cli(["scan", "--family", "soft-core", "--a", "5e-324",
+                                  "--points", "100"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: a grid of half-width 30 that resolves core radius "
+                       "4.94066e-324 needs more points than the float range holds\n")
+
 
 class TestSolveCommand:
     def test_repulsive_core_records_its_parameters(self, capsys):

@@ -1,7 +1,8 @@
 """tools/grid_memory.py's per-operation loop, on small operations: each
 is called once, in order, under its own tracemalloc run, and its peak
 counts what it allocated and nothing that an earlier one held; its minor
-page faults are those taken during its call."""
+page faults are those taken during its call, and its resident high-water
+mark is the process's after it."""
 
 import importlib.util
 import mmap
@@ -45,6 +46,7 @@ def test_each_operation_is_traced_alone():
 
     def touch():
         calls.append("touch")
+        resident = []
         # a fresh anonymous 8 MiB mapping, written once on every page: each
         # write faults its page in, and tracemalloc sees no allocation.
         # Huge pages would fault in 2 MiB at a time, so they are declined
@@ -52,13 +54,20 @@ def test_each_operation_is_traced_alone():
             pages.madvise(mmap.MADV_NOHUGEPAGE)
             for i in range(0, 8 * MIB, mmap.PAGESIZE):
                 pages[i] = 1
+            # the resident size while every page is mapped
+            with open("/proc/self/statm") as fh:
+                resident.append(int(fh.read().split()[1]) * mmap.PAGESIZE)
+        touched.append(resident[0])
+
+    touched = []
 
     got = list(grid_memory.peaks([Op("block", block), Op("touch", touch),
                                   Op("solve", small_solve)]))
     assert calls == ["block", "touch", "solve"]
-    assert [label for label, _, _ in got] == ["block", "touch", "solve"]
-    peaks = {label: peak for label, peak, _ in got}
-    faults = {label: count for label, _, count in got}
+    assert [label for label, *_ in got] == ["block", "touch", "solve"]
+    peaks = {label: peak for label, peak, _, _ in got}
+    faults = {label: count for label, _, count, _ in got}
+    resident = [high for *_, high in got]
     assert 4 * MIB <= peaks["block"] <= 4.1 * MIB
     assert peaks["touch"] <= 0.1 * MIB
     # an 8000-point solve: a few arrays of 4000 floats, well under 1 MiB
@@ -67,4 +76,8 @@ def test_each_operation_is_traced_alone():
     assert pages <= faults["touch"] <= pages + 200
     assert all(isinstance(count, int) and count >= 0 for count in faults.values())
     assert faults["solve"] < pages
+    # a high-water mark never falls, and covers what was resident during
+    # the call, up to the kernel's lazy update of its counters
+    assert resident == sorted(resident) and resident[0] > 0
+    assert resident[1] >= touched[0] - MIB
     assert not tracemalloc.is_tracing()

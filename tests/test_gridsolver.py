@@ -11,6 +11,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 
@@ -25,6 +27,16 @@ def harmonic(x):
 
 def box(x):
     return np.zeros_like(x)
+
+
+def assemble(x, v, L):
+    """gridsolver._assemble with a scratch row of its own."""
+    return gridsolver._assemble(x, v, L, np.empty(x.size))
+
+
+def offdiag(mat):
+    """The off-diagonal e of a matrix, rebuilt from its links and scales."""
+    return gridsolver._offdiag(mat, np.empty(mat.d.size - 1))
 
 
 class TestBenchmarkSpectra:
@@ -149,8 +161,8 @@ class TestParitySectors:
     def test_one_matrix_paths_return_their_vectors_as_solved(self, V, g, monkeypatch):
         real, solved = gridsolver._lowest, []
 
-        def recording(mat, k, start, vectors=True):
-            solved.append(real(mat, k, start, vectors))
+        def recording(mat, *args):
+            solved.append(real(mat, *args))
             return solved[-1]
         monkeypatch.setattr(gridsolver, "_lowest", recording)
         res = solve(V, g, 3)
@@ -188,7 +200,7 @@ def assert_odd_sector(half, full):
     assert [lv.energy for lv in half.levels] == [lv.energy for lv in odd]
     assert [lv.residual for lv in half.levels] == [lv.residual for lv in odd]
     sol = gridsolver._eigenpairs(full.potential, full.grid, len(full.levels))[-1]
-    np.testing.assert_array_equal(half.positions, sol.x)
+    np.testing.assert_array_equal(half.positions, sol.x[:])
     np.testing.assert_array_equal(half.vectors, sol.sectors[1])
 
 
@@ -197,8 +209,8 @@ def sector_vectors(monkeypatch):
     """The nodal vectors of every matrix that _lowest solves, in order."""
     real, solved = gridsolver._lowest, []
 
-    def recording(mat, k, start, vectors=True):
-        levels = real(mat, k, start, vectors)
+    def recording(mat, *args):
+        levels = real(mat, *args)
         solved.append(levels[1])
         return levels
     monkeypatch.setattr(gridsolver, "_lowest", recording)
@@ -247,20 +259,23 @@ class TestSectorForm:
         # allocates its own work array of four rows and frees it once
         # solved; a level's start is interpolated into the row of its
         # vector, and its node count takes no mask of the sector's size, so
-        # a repeat peaks as high as the first solve, at 20.90 MiB.  It
-        # peaked at 38.07 MiB with five work rows, at 33.95 MiB with a
-        # result column for each level, and at 23.65 MiB with a start
-        # array beside the work rows
+        # a repeat peaks as high as the first solve, at 16.84 MiB: eight
+        # sector-size arrays, as the matrix holds no off-diagonal and the
+        # uniform mesh is its step.  It peaked at 38.07 MiB with five work
+        # rows, at 33.95 MiB with a result column for each level, at 23.65
+        # MiB with a start array beside the work rows, and at 20.90 MiB with
+        # the off-diagonal and the mesh held
         assert max(repeated_peaks(
-            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 22 * 2 ** 20
+            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 18 * 2 ** 20
 
     def test_default_care_scan_peak_memory(self):
         # the other 540,000-point solve of the workload, the default care
-        # scan: 20.88 MiB; 38.10 MiB with five work rows, 33.98 MiB with
-        # result columns, 23.63 MiB with a start array
+        # scan: 16.87 MiB; 38.10 MiB with five work rows, 33.98 MiB with
+        # result columns, 23.63 MiB with a start array, 20.93 MiB with the
+        # off-diagonal and the mesh held
         assert max(repeated_peaks(
             lambda: care_interleaving(1e-3, 5e-3, Grid.uniform(54.0, 1e-3), 6))) \
-            <= 22 * 2 ** 20
+            <= 18 * 2 ** 20
 
     def test_held_result_keeps_only_its_levels(self):
         # a held result of the largest solve traces under 1 MiB, its level
@@ -298,8 +313,9 @@ class TestSectorForm:
         w, _, _, _, sol = gridsolver._eigenpairs(V, g, k)
         assert [lv.energy for lv in res.levels] == w.tolist()
         half = len(sol.sectors) == 1
+        x = sol.x[:]
         np.testing.assert_array_equal(
-            res.positions, sol.x if half else np.concatenate((-sol.x[::-1], sol.x)))
+            res.positions, x if half else np.concatenate((-x[::-1], x)))
         np.testing.assert_array_equal(res.vectors, gridsolver._vectors(sol))
 
     def test_vectors_of_an_impure_callable_raise(self):
@@ -437,7 +453,7 @@ class TestRayleighQuotient:
         V, g = ((soft_core(1e-3), Grid.graded(30.0, 1e-3)) if case == "graded"
                 else (pure_coulomb(), Grid(20.0, 4000)))
         x = gridsolver._half_mesh(g, g.points // 2)
-        mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
+        mat = assemble(x, evaluate(V, x), g.half_width)
         if case == "wall":
             gridsolver._wall_at_origin(mat, x)
         n, eps = x.size, np.finfo(float).eps
@@ -445,10 +461,10 @@ class TestRayleighQuotient:
         noise = np.random.default_rng(0).normal(size=n)
         for u in (np.exp(-np.abs(x)) * (1.0 + x), np.cos(3.0 * x) * np.exp(-x * x / 20.0),
                   np.exp(-np.abs(x)) * (1.0 + 1e-3 * noise)):
-            c = u * mat.scale
+            c, e = u * mat.scale, offdiag(mat)
             hc = mat.d * c
-            hc[:-1] += mat.e * c[1:]
-            hc[1:] += mat.e * c[:-1]
+            hc[:-1] += e * c[1:]
+            hc[1:] += e * c[:-1]
             form = gridsolver._energy(mat, u, c, np.empty(n - 1))
             assert abs(form / (c @ c) - (c @ hc) / (c @ c)) <= bound
 
@@ -459,8 +475,9 @@ class TestRayleighQuotient:
         V, g = pure_coulomb(), Grid(60.0, 100000)
         res = solve(V, g, 4)
         x, sectors = gridsolver._eigenpairs(V, g, 4)[-1]
+        x = x[:]
         for lv in res.levels:
-            mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
+            mat = assemble(x, evaluate(V, x), g.half_width)
             if lv.index % 2:
                 gridsolver._wall_at_origin(mat, x)
             u = sectors[lv.index % 2][:, lv.index // 2]
@@ -554,9 +571,9 @@ def sector_norms(monkeypatch):
     """max|d| + 2 max|e| of every matrix that _lowest solves, by size."""
     real, norms = gridsolver._lowest, {}
 
-    def recording(mat, k, start, vectors=True):
-        norms[mat.d.size] = np.abs(mat.d).max() + 2.0 * np.abs(mat.e).max()
-        return real(mat, k, start, vectors)
+    def recording(mat, *args):
+        norms[mat.d.size] = np.abs(mat.d).max() + 2.0 * np.abs(offdiag(mat)).max()
+        return real(mat, *args)
     monkeypatch.setattr(gridsolver, "_lowest", recording)
     return norms
 
@@ -566,9 +583,10 @@ def jacobi_matrix(seed, n=300):
     and the potential x^2/2 plus unit noise, and its dense form T."""
     rng = np.random.default_rng(seed)
     x = np.cumsum(rng.uniform(0.05, 0.15, n))
-    mat = gridsolver._assemble(x, 0.5 * x * x + rng.normal(size=n), x[-1] + 0.1)
+    mat = assemble(x, 0.5 * x * x + rng.normal(size=n), x[-1] + 0.1)
     mat = mat._replace(norm=gridsolver._norm(mat))
-    return mat, np.diag(mat.d) + np.diag(mat.e, 1) + np.diag(mat.e, -1), rng
+    e = offdiag(mat)
+    return mat, np.diag(mat.d) + np.diag(e, 1) + np.diag(e, -1), rng
 
 
 class TestPolishStep:
@@ -601,10 +619,13 @@ class TestPolishStep:
             assert abs(r[j] - np.linalg.norm(T @ c - energy[j] * c)) <= 4.0 * eps * mat.norm
 
     def test_singular_shift_breaks_down(self):
-        # sigma on an eigenvalue of the 2x2 block [[1, 1], [1, 1]]: a zero pivot
-        d, e, c = np.ones(2), np.ones(1), np.array([1.0, 0.0])
-        work = np.empty(2), np.empty(1), np.empty(1)
-        assert gridsolver._step(d, e, 0.0, c, work) is False
+        # sigma on an eigenvalue of the 2x2 block [[1, 1], [1, 1]]: a zero
+        # pivot.  Unit scales and the link -1 between the nodes give e = 1
+        mat = gridsolver._Matrix(d=np.ones(2), link=np.array([0.0, -1.0, 0.0]),
+                                 scale=np.ones(2), v=np.zeros(2))
+        np.testing.assert_array_equal(offdiag(mat), [1.0])
+        c, work = np.array([1.0, 0.0]), (np.empty(2), np.empty(1), np.empty(1))
+        assert gridsolver._step(mat, 0.0, c, work) is False
 
 
 # each grid has at least four times the points of its coarse graded grid
@@ -697,7 +718,7 @@ class TestCoarseStart:
         V, g = pure_coulomb(), Grid(60.0, 100000)
         coarse = gridsolver._coarse(V, g, 4, False)
         x = gridsolver._half_mesh(g, g.points // 2)
-        mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
+        mat = assemble(x, evaluate(V, x), g.half_width)
         columns = coarse.sectors[int(wall)]
         xc = coarse.x
         if wall:
@@ -1000,13 +1021,14 @@ class TestAlignedStart:
         # the first node of every mesh built, in the order built: the fine
         # grid's own, which is checked before any solve, the coarse grid's,
         # then the eighth grid's
-        real, first = gridsolver._half_mesh, []
+        real, first = gridsolver._mesh, []
 
         def recording(g, m):
-            x = real(g, m)
-            first.append(x[0])
-            return x
-        monkeypatch.setattr(gridsolver, "_half_mesh", recording)
+            mesh = real(g, m)
+            # the nodes the assembly reads
+            first.append(mesh[2][0])
+            return mesh
+        monkeypatch.setattr(gridsolver, "_mesh", recording)
         half = getattr(V, "family", None) == "half-line"
         for points in (800, 1600, 10_000, 40_000, 100_000):
             for k in (1, 2, 4):
@@ -1036,21 +1058,21 @@ class TestOneProductPerLevel:
         (half_line(), Grid(60.0, 12000), 3, 12000),
     ], ids=["mirrored", "half-line"])
     def test_each_step_multiplies_by_h_once(self, V, g, k, fine, routes, monkeypatch):
-        # the certificate's product: a polished start takes its quotient in
-        # difference form, each step of a polished level is certified on
-        # its support, and a bisected level is only certified, on the
-        # whole matrix
-        real, products = gridsolver._apply, []
+        # the certificate's product, Hc - Ec in difference form: a polished
+        # start takes its quotient in difference form, each step of a
+        # polished level is certified on its support, and a bisected level
+        # is only certified, on the whole matrix
+        real, certificates = gridsolver._certify, []
 
-        def counting(d, e, c, out, t):
-            products.append(c.size)
-            return real(d, e, c, out, t)
-        monkeypatch.setattr(gridsolver, "_apply", counting)
+        def counting(mat, c, *args):
+            certificates.append(c.size)
+            return real(mat, c, *args)
+        monkeypatch.setattr(gridsolver, "_certify", counting)
         solve(V, g, k)
         records = routes()
-        # the matrices in the order solved: one product per step of each
-        # polished level, one per level of each bisected matrix
-        assert products == [m for rec in records
+        # the matrices in the order solved: one certificate per step of
+        # each polished level, one per level of each bisected matrix
+        assert certificates == [m for rec in records
                             for m in ([m for m, s in zip(rec.supports, rec.steps)
                                        for _ in range(s)]
                                       if rec.route == "polished"
@@ -1086,9 +1108,9 @@ def fine_levels(monkeypatch, routes):
     solved, its nodal vector, its Level and its logged support."""
     real, mats = gridsolver._lowest, []
 
-    def recording(mat, k, start, vectors=True):
-        mats.append((mat.d.copy(), mat.e.copy(), mat.scale.copy()))
-        return real(mat, k, start, vectors)
+    def recording(mat, *args):
+        mats.append((mat.d.copy(), offdiag(mat), mat.scale.copy()))
+        return real(mat, *args)
     monkeypatch.setattr(gridsolver, "_lowest", recording)
 
     def run(V, g, k):
@@ -1126,7 +1148,7 @@ class TestSupportCut:
         # n = 2000 nodes is the whole matrix, with its own wall at L
         g = Grid(20.0, 4000)
         x = gridsolver._half_mesh(g, g.points // 2)
-        mat = gridsolver._assemble(x, evaluate(pure_coulomb(), x), 20.0)
+        mat = assemble(x, evaluate(pure_coulomb(), x), 20.0)
         if case == "wall":
             gridsolver._wall_at_origin(mat, x)
         n = x.size
@@ -1135,7 +1157,7 @@ class TestSupportCut:
         if m < n:
             assert u[m - 1] > 1e-3 * u.max()
         block = gridsolver._block(mat, m)
-        for name in ("d", "e", "link", "scale", "v"):
+        for name in ("d", "link", "scale", "v"):
             assert getattr(block, name).base is getattr(mat, name), name
         assert block.link.size == m + 1 and block.link[0] == mat.link[0]
         whole = gridsolver._energy(mat, u, u * mat.scale, np.empty(n - 1))
@@ -1189,9 +1211,9 @@ class TestFloorGuard:
     def test_record_carries_the_floor_and_its_ratio(self, routes, monkeypatch):
         real, norms = gridsolver._lowest, []
 
-        def recording(mat, k, start, vectors=True):
-            norms.append(np.abs(mat.d).max() + 2.0 * np.abs(mat.e).max())
-            return real(mat, k, start, vectors)
+        def recording(mat, *args):
+            norms.append(np.abs(mat.d).max() + 2.0 * np.abs(offdiag(mat)).max())
+            return real(mat, *args)
         monkeypatch.setattr(gridsolver, "_lowest", recording)
         res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
         records = routes()
@@ -1389,6 +1411,16 @@ class TestGradedMesh:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(half_width, core)
 
+    @pytest.mark.parametrize("half_width, core", [(30.0, 5e-324), (1e308, 1.0)])
+    def test_explicit_count_on_a_map_past_the_float_range_is_refused(self, half_width,
+                                                                     core):
+        # refused before any Newton step, with no RuntimeWarning (the
+        # suite turns warnings into errors)
+        message = (f"a grid of half-width {half_width:g} that resolves core radius "
+                   f"{core:g} needs more points than the float range holds")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve(pure_coulomb(), Grid(half_width, 100, core=core), 1)
+
     def test_finite_counts_are_even_ceilings(self):
         # widths and radii across the float range: N/2 = ceil(2 s(L)) on a
         # graded grid and the smallest even N >= 10 L/a, at least 8, on a
@@ -1584,8 +1616,8 @@ class TestRefine:
         # of their residuals
         real, residuals = gridsolver._lowest, []
 
-        def recording(mat, k, start, vectors=True):
-            levels = real(mat, k, start, vectors)
+        def recording(mat, *args):
+            levels = real(mat, *args)
             residuals.append((mat.d.size, levels[2]))
             return levels
         monkeypatch.setattr(gridsolver, "_lowest", recording)
@@ -1769,10 +1801,10 @@ def sector_matrix(kind, n):
     else:
         g, V = Grid(60.0, n), half_line()
     x = gridsolver._half_mesh(g, n)
-    mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
+    mat = assemble(x, evaluate(V, x), g.half_width)
     if kind == "half-line":
         gridsolver._wall_at_origin(mat, x)
-    return mat.d, mat.e
+    return mat.d, offdiag(mat)
 
 
 class TestLapackRoute:
@@ -1857,3 +1889,103 @@ print(json.dumps({{"message": message,
         assert str(tmp_path) in out["message"]
         assert "_flapack" in out["message"]
         assert out["scipy"] == []
+
+
+def old_offdiag(mat):
+    """The off-diagonal e as the assembly built it while the matrix held
+    it: three operations on the square roots of the cell widths."""
+    e = mat.scale[:-1] * mat.scale[1:]
+    np.divide(mat.link[1:-1], e, out=e)
+    np.negative(e, out=e)
+    return e
+
+
+class TestHeldArrays:
+    """What the matrix and the uniform mesh no longer hold is rebuilt bit
+    for bit where it is read."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded", "half-line"])
+    def test_rebuilt_offdiag_is_the_assembled_one(self, kind):
+        if kind == "uniform":
+            g, V, n = Grid(20.0, 4000), pure_coulomb(), 2000
+        elif kind == "graded":
+            g, V, n = Grid(30.0, 4000, core=1e-3), soft_core(1e-3), 2000
+        else:
+            g, V, n = Grid(60.0, 3000), half_line(), 3000
+        x = gridsolver._half_mesh(g, n)
+        mat = assemble(x, evaluate(V, x), g.half_width)
+        for wall in (False, True):
+            if wall:
+                gridsolver._wall_at_origin(mat, x)
+            e = old_offdiag(mat)
+            assert offdiag(mat).tobytes() == e.tobytes()
+            coupling = gridsolver._coupling(mat, np.empty(n - 1))
+            assert coupling.tobytes() == (-e).tobytes()
+            assert mat.offdiag == max(e.max(), -e.min())
+            block = gridsolver._block(mat, n // 3)
+            assert offdiag(block).tobytes() == e[:n // 3 - 1].tobytes()
+
+    @pytest.mark.parametrize("half_width, m", [(60.0, 270000), (10.0, 150000),
+                                               (54.0, 9), (1e-3, 5000)])
+    def test_uniform_slices_are_the_mesh(self, half_width, m):
+        g = Grid(half_width, 2 * m)
+        x = gridsolver._half_mesh(g, m)
+        mesh = gridsolver._UniformMesh(m, g.half_width / m)
+        chunk = gridsolver._CHUNK
+        for lo, hi in ((0, m), (0, 1), (chunk - 3, chunk + 5), (2 * chunk - 1, 3 * chunk),
+                       (m - 7, m), (m - 1, m + 10), (max(m - chunk - 2, 0), m)):
+            assert mesh[lo:hi].tobytes() == x[lo:hi].tobytes(), (lo, hi)
+        assert mesh[0] == x[0] and mesh[m - 1] == x[-1] and mesh[-1] == x[-1]
+        assert mesh.fill(np.empty(m)).tobytes() == x.tobytes()
+
+    @given(st.integers(8, 300000), st.floats(1e-6, 1e6),
+           st.floats(-0.1, 1.1), st.sampled_from(["on", "between", "beyond"]))
+    def test_uniform_search_is_searchsorted(self, m, half_width, t, where):
+        mesh = gridsolver._UniformMesh(m, half_width / m)
+        x = (np.arange(m) + 0.5) * (half_width / m)
+        j = min(max(int(t * m), 0), m - 1)
+        value = {"on": x[j], "between": 0.5 * (x[j] + x[min(j + 1, m - 1)]),
+                 "beyond": t * half_width * 3.0 - half_width}[where]
+        assert mesh.searchsorted(value) == np.searchsorted(x, value)
+        for v in (np.nextafter(x[j], -np.inf), np.nextafter(x[j], np.inf)):
+            assert mesh.searchsorted(v) == np.searchsorted(x, v)
+
+    def test_uniform_start_is_the_array_start(self):
+        # a start read from the uniform mesh slice by slice is the one read
+        # from its array, bit for bit, supports included
+        V, g = pure_coulomb(), Grid(60.0, 100000)
+        coarse = gridsolver._coarse(V, g, 4, False)
+        m = g.points // 2
+        x = gridsolver._half_mesh(g, m)
+        mesh = gridsolver._UniformMesh(m, g.half_width / m)
+        mat = assemble(x, evaluate(V, x), g.half_width)
+        for wall in (False, True):
+            if wall:
+                gridsolver._wall_at_origin(mat, mesh)
+            columns = coarse.sectors[int(wall)]
+            held = gridsolver._starts(mat, x, coarse.x, columns)
+            built = gridsolver._starts(mat, mesh, coarse.x, columns)
+            a, b = np.full(m, np.nan), np.full(m, np.nan)
+            for j in range(columns.shape[1]):
+                assert held(j, a) == built(j, b)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cut_residual_is_the_explicit_one(self, seed):
+        # a support cut short of the matrix: the padded vector's residual,
+        # the block's in difference form and the cut row's term, is
+        # ||Tc - Ec|| of the dense T within 4 eps ||T||
+        mat, T, rng = jacobi_matrix(seed)
+        n, eps = mat.d.size, np.finfo(float).eps
+        exact = np.linalg.eigh(T)[1]
+        for m in (n // 3, n - 1):
+            c = np.zeros(n)
+            c[:m] = exact[:m, 0] + 1e-6 * rng.normal(size=m)
+            c /= np.linalg.norm(c)
+            block = gridsolver._block(mat, m)
+            work = np.empty((3, m))
+            energy, residual = gridsolver._certify(block, c[:m], *work)
+            cut = mat.link[m] / (mat.scale[m - 1] * mat.scale[m])
+            residual = math.hypot(residual, cut * c[m - 1])
+            assert abs(energy - c @ T @ c) <= 8.0 * eps * mat.norm
+            assert abs(residual - np.linalg.norm(T @ c - energy * c)) <= 4.0 * eps * mat.norm

@@ -7,9 +7,11 @@ Loads the warmed-up workload of CHECKOUT with ``tools/grid_routes.py``'s
 with its ``src`` first on ``sys.path`` and no bytecode written there,
 then runs each of its operations once, in the workload's order, under
 tracemalloc.  For each operation it prints the label, the traced peak
-in MiB and the minor page faults the process took during the call
-(``ru_minflt`` of ``resource.getrusage``), then the largest peak.  Run
-it on two checkouts to compare their peaks and faults.
+in MiB, the minor page faults the process took during the call
+(``ru_minflt`` of ``resource.getrusage``) and the process's resident
+high-water mark after it (``ru_maxrss``, in MiB), then the largest
+peak.  tracemalloc does not see a freed block that stays resident; the
+high-water mark does.  Run it on two checkouts to compare them.
 """
 
 import argparse
@@ -25,9 +27,16 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def resident_peak():
+    """The process's resident high-water mark in bytes (Linux reports
+    ru_maxrss in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
 def peaks(ops):
-    """(label, traced peak in bytes, minor page faults) of each
-    operation, each called once with tracing started afresh."""
+    """(label, traced peak in bytes, minor page faults, resident
+    high-water mark in bytes after the call) of each operation, each
+    called once with tracing started afresh."""
     for op in ops:
         tracemalloc.start()
         try:
@@ -37,7 +46,7 @@ def peaks(ops):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        yield op.label, peak, faults
+        yield op.label, peak, faults, resident_peak()
 
 
 def main(argv=None):
@@ -50,8 +59,9 @@ def main(argv=None):
 
     wl = workload(args.checkout, args.seed)
     largest = None
-    for label, peak, faults in peaks(wl.ops):
-        print(f"{label}: {peak / MIB:.2f} MiB, {faults} minor faults")
+    for label, peak, faults, resident in peaks(wl.ops):
+        print(f"{label}: {peak / MIB:.2f} MiB, {faults} minor faults, "
+              f"{resident / MIB:.1f} MiB resident peak")
         if largest is None or peak > largest[1]:
             largest = label, peak
     print(f"largest: {largest[0]}: {largest[1] / MIB:.2f} MiB")
