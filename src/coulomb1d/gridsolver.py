@@ -15,12 +15,15 @@ symmetric finite-volume form H = M^(-1/2) K M^(-1/2):
   1/(2d) to that end of K.  The wall lies exactly on the box edge,
   half a step outside the end point, and the end cell stops there.
 
-On a uniform mesh this is the standard 3-point Laplacian,
+On a uniform mesh of step h this is the standard 3-point Laplacian,
 1/h^2 + v on the diagonal and -1/(2h^2) off it, with 1/(2h^2) added at
-each wall.  H stays symmetric tridiagonal on any mesh.  A matrix of n
-nodes keeps all n + 1 links of K in one array, its walls among them:
-link[0] to a wall at the centre, 0 for none, link[n] to the wall at L,
-and the links between neighbours in between.
+each wall, and a uniform sector is assembled as exactly that, from v
+and h alone: links 1/(2h), widths h, the wall link 1/h at L and, in
+the odd sector, at the centre.  Its diagonal is 1/(2h^2) + v_0 (even)
+or 3/(2h^2) + v_0 (odd) at the centre, 3/(2h^2) + v_{n-1} at L.  H
+stays symmetric tridiagonal on any mesh.  A matrix of n nodes keeps
+the n - 1 links between neighbours and its two walls' links: to a
+wall at the centre, 0 for none, and to the wall at L.
 
 Graded meshes.  A grid with ``core`` set places its half-line nodes at
 s^(-1)((j + 1/2) D), with s(x) = x/H + beta ln(1 + x/core): the step is
@@ -54,7 +57,7 @@ built from the grid on first access; its ``vectors`` solve the grid
 again on first access, keeping the vectors this time, and are their
 mirror image, or on the half line the one sector itself.  No command
 reads them, and a solve at N = 540000, k = 6 would hold 13 MB of sector
-columns for them, as much as the eight sector-size arrays of its polish.
+columns for them, more than the five sector-size arrays of its polish.
 
 Eigenvectors.  A grid first solves the same problem on
 ``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
@@ -111,15 +114,18 @@ at LAPACK's default tolerance, as those of grids with no coarse start
 are at once.
 The polish holds what one step needs and no more.  A grid of n nodes
 a sector takes one work block of 4n floats before its assembly: it is
-the assembly's scratch (the nodes of a uniform mesh and the
-off-diagonal), then the solve of every level of both sectors, cut to
-the level's support.  Beside it the matrix holds its diagonal d, its
-n + 1 links, the square roots of the cell widths and the potential,
-eight sector-size arrays in all: the off-diagonal e is held only as
-its largest magnitude and rebuilt from the links and widths, bit for
-bit, where gtsv, bisection or the cut term reads it, and a uniform
-mesh is held as its step, its nodes rebuilt a chunk at a time where
-the starts read them.  A graded mesh is held.  One row holds the
+the assembly's scratch (the off-diagonal, and the nodes of a uniform
+mesh for a potential callable), then the solve of every level of both
+sectors, cut to the level's support.  Beside it a uniform sector holds
+the potential alone, five sector-size arrays in all: its links, widths
+and diagonal less v are the floats of the 3-point Laplacian, read by
+broadcasting, its diagonal is written into a work row where gtsv,
+bisection or the norm reads it, and its mesh is held as its step, its
+nodes rebuilt a chunk at a time where the potential and the starts
+read them.  A graded sector holds its mesh, its diagonal d, its links,
+the square roots of its cell widths and the potential; its
+off-diagonal e is held only as its largest magnitude and rebuilt from
+the links and widths, bit for bit, where it is read.  One row holds the
 level's vector: its start is interpolated into it a fixed chunk of
 nodes at a time, and it is the right-hand side and solution of each
 gtsv solve.  The other three are the rows that gtsv overwrites (the
@@ -485,8 +491,9 @@ class _UniformMesh:
     """The uniform half mesh of ``size`` nodes (j + 1/2) ``step``, held
     as its step alone.  It reads as the array `_half_mesh` gives, bit for
     bit, by index, by slice (of stride 1, built on each read) and by
-    ``searchsorted``, and so serves `_starts` and `_support` in its
-    place, a slice at a time."""
+    ``searchsorted``, and so serves `_potential`, `_starts` and
+    `_support` in its place, a slice at a time; `_assemble` reads its
+    step."""
 
     __slots__ = ("size", "step")
 
@@ -535,30 +542,34 @@ def _half_offsets():
 
 
 def _mesh(g, m):
-    """The half mesh of m nodes, the (4, m) work block of its matrices,
-    and its nodes as an array for the assembly.  A graded mesh is held,
-    and solved before the block is taken: it comes from a Newton solve
-    that costs about 100 ns a node, whose bits a solve slice by slice
-    would not keep.  A uniform one is its step (`_UniformMesh`), and its
-    nodes are written into row 0 of the block."""
-    if g.core is not None:
-        x = _half_mesh(g, m)
-        return x, np.empty((4, m)), x
-    mesh = _UniformMesh(m, g.half_width / m)
-    work = np.empty((4, m))
-    return mesh, work, mesh.fill(work[0])
+    """The half mesh of m nodes and the (4, m) work block of its
+    matrices.  A graded mesh is held, and solved before the block is
+    taken: it comes from a Newton solve that costs about 100 ns a node,
+    whose bits a solve slice by slice would not keep.  A uniform one is
+    its step (`_UniformMesh`)."""
+    x = _half_mesh(g, m) if g.core is not None else _UniformMesh(m, g.half_width / m)
+    return x, np.empty((4, m))
 
 
-def _potential(V, x):
-    """V on the half-mesh nodes x.  A callable must give one finite value
-    per node, the same at -x bit for bit; every family is even in x."""
+def _potential(V, x, row):
+    """V on the half-mesh nodes x, an array or a `_UniformMesh`.  A family
+    is evaluated a _CHUNK of nodes at a time, so that its temporaries
+    stay small; every family is even in x.  A callable takes all the
+    nodes in one call, a uniform mesh's written into ``row``, and must
+    give one finite value per node, the same at -x bit for bit."""
     # a mesh in the subnormal range overflows 1/|x|: refused below, with
     # no floating-point warning
     with np.errstate(all="ignore"):
-        spec = isinstance(V, PotentialSpec)
-        v = evaluate(V, x) if spec else np.asarray(V(x), float)
-        even = spec or np.array_equal(v, np.asarray(V(-x), float))
-    if v.shape != x.shape:
+        if isinstance(V, PotentialSpec):
+            v = np.empty(x.size)
+            for i in range(0, x.size, _CHUNK):
+                v[i:i + _CHUNK] = evaluate(V, x[i:i + _CHUNK])
+            even = True
+        else:
+            nodes = x.fill(row) if isinstance(x, _UniformMesh) else x
+            v = np.asarray(V(nodes), float)
+            even = np.array_equal(v, np.asarray(V(-nodes), float))
+    if v.shape != (x.size,):
         raise ValueError("a potential callable must return one value per node, "
                          f"got an array of shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -577,25 +588,46 @@ class _Matrix(NamedTuple):
     """H = M^(-1/2) K M^(-1/2) on a mesh, and what its energy form needs.
     Its off-diagonal e is held only as its largest magnitude, which `_norm`
     reads; `_offdiag` and `_coupling` rebuild it where a routine needs it,
-    bit for bit."""
+    bit for bit.
 
-    d: np.ndarray       # diagonal of H
-    # the n + 1 links of the n nodes: link[0] to a wall at the centre (0
-    # for none), link[n] to the wall past the last node, and 1/(2 dx)
-    # between neighbours in between
-    link: np.ndarray
+    A graded mesh holds d, its links and its scales as arrays.  A uniform
+    mesh of step h holds v alone: its links 1/(2h) and scales sqrt(h)
+    are one float each, broadcast to their sizes by read-only views of
+    no memory, so that every reader takes them in the path of a graded
+    mesh, and its ``d`` is the float 1/h^2, the diagonal less v of every
+    row but the end ones; `_diagonal` writes its d where it is read."""
+
+    d: np.ndarray | float  # diagonal of H, or 1/h^2 on a uniform mesh
+    link: np.ndarray    # the n - 1 links 1/(2 dx) between neighbours
+    # the links to a wall at the centre (0 for none) and to the wall
+    # past the last node
+    walls: np.ndarray
     scale: np.ndarray   # square roots of the cell widths
     v: np.ndarray       # potential at the nodes
     offdiag: float = math.nan  # max |e|
     norm: float = math.nan  # `_norm`, once `_finite` has taken it
 
 
+def _diagonal(mat, out):
+    """The diagonal d of H.  A graded mesh holds it.  On a uniform one it
+    is written to out (n entries) as 1/h^2 + v, with each end row's
+    kinetic term taken from the link w to its wall as (w + 1/(2h))/h:
+    1/(2h^2) at a centre with no wall, 3/(2h^2) at a wall 1/h, and
+    1/h^2 at a block's cut, whose wall is the link 1/(2h)."""
+    if np.ndim(mat.d):
+        return mat.d
+    np.add(mat.d, mat.v, out=out)
+    out[0] += mat.walls[0] / mat.scale[0] ** 2 - 0.5 * mat.d
+    out[-1] += mat.walls[1] / mat.scale[0] ** 2 - 0.5 * mat.d
+    return out
+
+
 def _coupling(mat, out):
     """-e, the off-diagonal of H negated, written to out (n - 1 entries):
-    link[1:-1] / (scale[:-1] * scale[1:]), the two operations of the
-    assembly before its negation."""
+    link / (scale[:-1] * scale[1:]), the two operations of the assembly
+    before its negation."""
     np.multiply(mat.scale[:-1], mat.scale[1:], out=out)
-    return np.divide(mat.link[1:-1], out, out=out)
+    return np.divide(mat.link, out, out=out)
 
 
 def _offdiag(mat, out):
@@ -610,44 +642,53 @@ def _offdiag(mat, out):
 # refuses such a matrix before any solve.
 
 def _assemble(x, v, L, scratch):
-    """Matrix on the half-mesh nodes x: the first cell starts at the
-    centre, with no link across it, and the last ends at a Dirichlet wall
-    at L, which adds the link 1/(2d) at distance d from the last node.
-    The off-diagonal is built in ``scratch``, of at least n - 1 entries,
-    for its largest magnitude alone."""
+    """Matrix on the half-mesh nodes x, an array or a `_UniformMesh`: the
+    first cell starts at the centre, with no link across it, and the last
+    ends at a Dirichlet wall at L, which adds the link 1/(2d) at distance
+    d from the last node, 1/h on a uniform mesh.  The off-diagonal is
+    built in ``scratch``, of at least n - 1 entries, for its largest
+    magnitude alone."""
     with np.errstate(all="ignore"):
-        # node gaps, with twice the distance from each end node to its face
-        gap = np.empty(x.size + 1)
-        np.subtract(x[1:], x[:-1], out=gap[1:-1])
-        gap[0], gap[-1] = 2.0 * x[0], 2.0 * (L - x[-1])
-        scale = gap[:-1] + gap[1:]
-        scale *= 0.5
-        link = np.divide(0.5, gap, out=gap)
-        link[0], link[-1] = 0.0, 0.5 / (L - x[-1])
-        d = link[:-1] + link[1:]
-        d /= scale
-        d += v
-        np.sqrt(scale, out=scale)
-        mat = _Matrix(d, link, scale, v)
+        if isinstance(x, _UniformMesh):
+            # the 3-point Laplacian of step h, as numpy floats, which
+            # overflow quietly
+            h = np.float64(x.step)
+            mat = _Matrix(1.0 / h ** 2, np.broadcast_to(0.5 / h, x.size - 1),
+                          np.array([0.0, 1.0 / h]), np.broadcast_to(np.sqrt(h), x.size), v)
+        else:
+            # node gaps, with twice the distance from each end node to its
+            # face
+            gap = np.empty(x.size + 1)
+            np.subtract(x[1:], x[:-1], out=gap[1:-1])
+            gap[0], gap[-1] = 2.0 * x[0], 2.0 * (L - x[-1])
+            scale = gap[:-1] + gap[1:]
+            scale *= 0.5
+            link = np.divide(0.5, gap, out=gap)
+            link[0], link[-1] = 0.0, 0.5 / (L - x[-1])
+            d = link[:-1] + link[1:]
+            d /= scale
+            d += v
+            np.sqrt(scale, out=scale)
+            mat = _Matrix(d, link[1:-1], link[[0, -1]], scale, v)
         e = _offdiag(mat, scratch[:x.size - 1])
         return mat._replace(offdiag=max(e.max(), -e.min()))
 
 
 def _wall_at_origin(mat, x):
-    """Add a wall at x = 0, the link 1/(2 x[0]) in link[0], to a matrix
-    with none before the node x[0], in place: the odd sector from the
-    even one."""
+    """Add a wall at x = 0, the link 1/(2 x[0]), to a matrix with none
+    before the node x[0], in place: the odd sector from the even one."""
     with np.errstate(all="ignore"):
-        mat.link[0] = 0.5 / x[0]
-        mat.d[0] += mat.link[0] / mat.scale[0] ** 2
+        mat.walls[0] = 0.5 / x[0]
+        if np.ndim(mat.d):
+            mat.d[0] += mat.walls[0] / mat.scale[0] ** 2
 
 
-def _finite(mat, g):
+def _finite(mat, g, out):
     """The matrix with its `_norm` set, or ValueError naming the grid g if
     that bound overflows: then d or e is not finite, or the rounding
-    floor of its levels would not be."""
+    floor of its levels would not be.  out is scratch of n entries."""
     with np.errstate(all="ignore"):
-        norm = _norm(mat)
+        norm = _norm(mat, out)
     if not math.isfinite(norm):
         raise ValueError(f"the matrix of {g} leaves the float range: its "
                          "entries grow like 1/h^2 in the mesh step h")
@@ -673,10 +714,11 @@ _FLOOR_RATIO = 4.0
 _log = logging.getLogger(__name__)
 
 
-def _norm(mat):
+def _norm(mat, out):
     """max|d| + 2 max|e|, a bound on the 1-norm of H that LAPACK scales
-    its default bisection tolerance by."""
-    return max(mat.d.max(), -mat.d.min()) + 2.0 * mat.offdiag
+    its default bisection tolerance by; out is scratch of n entries."""
+    d = _diagonal(mat, out)
+    return max(d.max(), -d.min()) + 2.0 * mat.offdiag
 
 
 def _dot(a, b):
@@ -688,8 +730,8 @@ def _dot(a, b):
 
 def _energy(mat, u, c, t):
     """u.K.u in difference form, for the nodal vector u and c = u * scale:
-    sum(link[1:-1] * (u_{j+1} - u_j)^2) + sum(v * c^2) + the wall terms
-    link[0] u_0^2 and link[-1] u_{n-1}^2.  Over u.M.u = c.c it is the
+    sum(link * (u_{j+1} - u_j)^2) + sum(v * c^2) + the wall terms
+    walls[0] u_0^2 and walls[1] u_{n-1}^2.  Over u.M.u = c.c it is the
     Rayleigh quotient of c in H.  t is scratch of n - 1 entries, left
     holding the differences u_{j+1} - u_j.
 
@@ -699,9 +741,9 @@ def _energy(mat, u, c, t):
     1.3e-14 |E| on the second even level of pure Coulomb on
     Grid(60, 1e5), far below the certificate's floor."""
     np.subtract(u[1:], u[:-1], out=t)
-    return (np.einsum("i,i,i->", mat.link[1:-1], t, t)
+    return (np.einsum("i,i,i->", mat.link, t, t)
             + np.einsum("i,i,i->", mat.v, c, c)
-            + mat.link[0] * u[0] ** 2 + mat.link[-1] * u[-1] ** 2)
+            + mat.walls[0] * u[0] ** 2 + mat.walls[1] * u[-1] ** 2)
 
 
 def _certify(mat, c, u, r, t):
@@ -711,19 +753,19 @@ def _certify(mat, c, u, r, t):
     size of d.
 
     The residual is taken in the same form as the energy, from the
-    fluxes f_j = link[j] (u_j - u_{j-1}) through the n + 1 faces, with
-    u = 0 past each wall: row j of Hc - Ec is
-    (f_j - f_{j+1}) / scale_j + (v_j - E) c_j, so it reads neither the
-    diagonal nor the off-diagonal of H."""
+    fluxes f_j through the n + 1 faces, link[j - 1] (u_j - u_{j-1})
+    between nodes and walls[0] u_0, -walls[1] u_{n-1} at the ends: row j
+    of Hc - Ec is (f_j - f_{j+1}) / scale_j + (v_j - E) c_j, so it reads
+    neither the diagonal nor the off-diagonal of H."""
     # c has unit 2-norm, so u = M^(-1/2) c has sum(width * u^2) = 1 and
     # the quotient u.K.u / u.M.u needs no denominator
     np.divide(c, mat.scale, out=u)
     energy = _energy(mat, u, c, t[:-1])
     # the inner fluxes, from the differences that the energy left in t
-    flux = np.multiply(t[:-1], mat.link[1:-1], out=t[:-1])
+    flux = np.multiply(t[:-1], mat.link, out=t[:-1])
     np.subtract(flux[:-1], flux[1:], out=r[1:-1])
-    # the faces to the walls: f_0 = link[0] u_0, f_n = -link[n] u_{n-1}
-    first, last = mat.link[0] * u[0], mat.link[-1] * u[-1]
+    # the faces to the walls
+    first, last = mat.walls[0] * u[0], mat.walls[1] * u[-1]
     if u.size > 1:
         r[0], r[-1] = first - flux[0], flux[-1] + last
     else:
@@ -741,7 +783,8 @@ def _step(mat, sigma, c, work):
 
     (sigma - H) is H negated and shifted: its off-diagonal is the
     coupling -e (`_coupling`), rebuilt from mat's links and scales, and
-    its diagonal sigma - d.  LU with partial pivoting is odd in its
+    its diagonal sigma - d, d held or written into that row
+    (`_diagonal`).  LU with partial pivoting is odd in its
     matrix, so z is the solution of (H - sigma) negated, bit for bit.
 
     Returns False if the solve breaks down, True otherwise.  ``work``
@@ -750,7 +793,7 @@ def _step(mat, sigma, c, work):
     """
     dd, dl, du = work
     du[:] = _coupling(mat, dl)
-    np.subtract(sigma, mat.d, out=dd)
+    np.subtract(sigma, _diagonal(mat, dd), out=dd)
     info = dgtsv(dl, dd, du, c, overwrite_dl=1, overwrite_d=1,
                  overwrite_du=1, overwrite_b=1)[-1]
     size = math.sqrt(_dot(c, c)) if info == 0 else math.nan
@@ -763,15 +806,16 @@ def _step(mat, sigma, c, work):
 
 def _block(mat, m):
     """The leading m x m block of H, as views of its arrays: its links
-    are the first m + 1, so link[m], from node m - 1 to node m, is its
-    right wall, and at m = n the block is the whole matrix.
+    are the first m - 1, and link[m - 1], from node m - 1 to node m, is
+    its right wall; at m = n the block is the whole matrix.
 
     Padded with zeros to all n nodes, a block vector has the whole
     matrix's energy: the link's term of the whole form,
-    link[m] (0 - u[m - 1])^2, is the block's wall term.
+    link[m - 1] (0 - u[m - 1])^2, is the block's wall term.
     """
-    return mat._replace(d=mat.d[:m], link=mat.link[:m + 1], scale=mat.scale[:m],
-                        v=mat.v[:m])
+    walls = mat.walls if m == mat.v.size else np.array([mat.walls[0], mat.link[m - 1]])
+    return mat._replace(d=mat.d[:m] if np.ndim(mat.d) else mat.d, link=mat.link[:m - 1],
+                        walls=walls, scale=mat.scale[:m], v=mat.v[:m])
 
 
 def _polished(mat, k, start, floor, work, vectors=True):
@@ -803,7 +847,7 @@ def _polished(mat, k, start, floor, work, vectors=True):
     support cut too short fails too.  The first level to fail ends the
     attempt.
     """
-    n = mat.d.size
+    n = mat.v.size
     # zeros, so that the pages past every support are never touched
     u = np.zeros((n, k), order="F") if vectors else None
     energy, r, steps, support = np.empty(k), np.empty(k), [], []
@@ -824,7 +868,7 @@ def _polished(mat, k, start, floor, work, vectors=True):
             # the first dropped row's one term of the padded vector's
             # residual, e[m - 1] c[m - 1], whose sign hypot ignores
             if m < n:
-                cut = mat.link[m] / (mat.scale[m - 1] * mat.scale[m])
+                cut = mat.link[m - 1] / (mat.scale[m - 1] * mat.scale[m])
                 residual = math.hypot(residual, cut * c[m - 1])
             if residual <= floor:
                 break
@@ -879,9 +923,10 @@ def _lowest(mat, k, start, work, vectors=True):
     them stand if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
     default tolerance, of the off-diagonal rebuilt in a row of the
-    block, gives them all, and each of its columns is certified from a
-    copy in another; the node counts are those of the certified
-    columns, which are then dropped unless ``vectors``.  If DEBUG is on
+    block and the diagonal held or written in another, gives them all,
+    and each of its columns is certified from a copy in another; the
+    node counts are those of the certified columns, which are then
+    dropped unless ``vectors``.  If DEBUG is on
     for the logger, each call logs one `_Route`: the matrix size, floor,
     largest ratio and route, each level's energy, residual and node
     count, and the steps and support of each polished level.
@@ -896,7 +941,7 @@ def _lowest(mat, k, start, work, vectors=True):
             (levels, steps, support), route = polished, "polished"
     if levels is None:
         try:
-            _, y = eigh_tridiagonal(mat.d, _offdiag(mat, work[3, :-1]),
+            _, y = eigh_tridiagonal(_diagonal(mat, work[2]), _offdiag(mat, work[3, :-1]),
                                     select_range=(0, k - 1))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
@@ -909,7 +954,7 @@ def _lowest(mat, k, start, work, vectors=True):
         levels = energy, y if vectors else None, r, [sign_changes(u).size for u in y.T]
     ratio = _floor_ratios(levels[0], floor)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug(_Route(mat.d.size, float(floor), float(ratio.max()), route,
+        _log.debug(_Route(mat.v.size, float(floor), float(ratio.max()), route,
                           tuple(levels[0].tolist()), tuple(levels[2].tolist()),
                           tuple(levels[3]), steps, support))
     return (*levels, ratio)
@@ -994,7 +1039,7 @@ def _starts(mat, x, xc, columns):
     falls linearly to 0 there, as an odd level does.
     """
     xc = xc[:]
-    if mat.link[0] > 0.0:
+    if mat.walls[0] > 0.0:
         xc = np.append(0.0, xc)
         columns = np.concatenate((np.zeros((1, columns.shape[1])), columns))
 
@@ -1032,12 +1077,12 @@ def _eigenpairs(V, g, k, coarse=None, vectors=True):
     walls = (True,) if half_line else (False, True)
     n = len(walls)
     # one work block for the assembly and then for each sector's polish
-    x, work, xs = _mesh(g, g.points // n)
-    v = _potential(V, xs)
+    x, work = _mesh(g, g.points // n)
+    v = _potential(V, x, work[0])
     # a callable may return its argument, a row of the block
     if np.may_share_memory(v, work):
         v = v.copy()
-    mat = _assemble(xs, v, g.half_width, work[1])
+    mat = _assemble(x, v, g.half_width, work[1])
     w, r, ratio, nodes, sectors = np.empty(k), np.empty(k), np.empty(k), [0] * k, []
     for s, wall in enumerate(walls):
         levels = slice(s, k, n)
@@ -1050,7 +1095,7 @@ def _eigenpairs(V, g, k, coarse=None, vectors=True):
             # the sector before, if any, is spent, so this one may take
             # over its arrays
             _wall_at_origin(mat, x)
-        mat = _finite(mat, g)
+        mat = _finite(mat, g, work[0])
         if s == 0 and coarse is None:
             coarse = _coarse(V, g, k, half_line)
         start = None if coarse is None else _starts(mat, x, coarse.x, coarse.sectors[s])

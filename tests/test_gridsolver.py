@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 
-from coulomb1d import (ConvergenceError, Grid, care_interleaving, cli, evaluate,
-                       exact_energy, gridsolver, half_line, normalize, pure_coulomb,
-                       refine, repulsive_core, soft_core, solve, wavefunction)
+from scipy.linalg import eigvalsh_tridiagonal
+
+from coulomb1d import (ConvergenceError, Grid, PotentialSpec, care_interleaving, cli,
+                       evaluate, exact_energy, gridsolver, half_line, normalize,
+                       pure_coulomb, refine, repulsive_core, soft_core,
+                       soft_core_ground_scan, solve, wavefunction)
 
 
 def harmonic(x):
@@ -36,7 +39,17 @@ def assemble(x, v, L):
 
 def offdiag(mat):
     """The off-diagonal e of a matrix, rebuilt from its links and scales."""
-    return gridsolver._offdiag(mat, np.empty(mat.d.size - 1))
+    return gridsolver._offdiag(mat, np.empty(mat.v.size - 1))
+
+
+def diagonal(mat):
+    """The diagonal d of a matrix, held or written into a row of its own."""
+    return gridsolver._diagonal(mat, np.empty(mat.v.size))
+
+
+def norm(mat):
+    """gridsolver._norm with a scratch row of its own."""
+    return gridsolver._norm(mat, np.empty(mat.v.size))
 
 
 class TestBenchmarkSpectra:
@@ -259,23 +272,27 @@ class TestSectorForm:
         # allocates its own work array of four rows and frees it once
         # solved; a level's start is interpolated into the row of its
         # vector, and its node count takes no mask of the sector's size, so
-        # a repeat peaks as high as the first solve, at 16.84 MiB: eight
-        # sector-size arrays, as the matrix holds no off-diagonal and the
-        # uniform mesh is its step.  It peaked at 38.07 MiB with five work
-        # rows, at 33.95 MiB with a result column for each level, at 23.65
-        # MiB with a start array beside the work rows, and at 20.90 MiB with
-        # the off-diagonal and the mesh held
+        # a repeat peaks as high as the first solve, at 10.66 MiB: five
+        # sector-size arrays, the potential and the work rows, as a uniform
+        # sector is the 3-point Laplacian of v and the step, its potential
+        # is evaluated a chunk at a time, and its mesh is its step.  It
+        # peaked at 38.07 MiB with five work rows, at 33.95 MiB with a
+        # result column for each level, at 23.65 MiB with a start array
+        # beside the work rows, at 20.90 MiB with the off-diagonal and the
+        # mesh held, and at 16.84 MiB with d, the links and the widths held
         assert max(repeated_peaks(
-            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 18 * 2 ** 20
+            lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 12 * 2 ** 20
 
     def test_default_care_scan_peak_memory(self):
         # the other 540,000-point solve of the workload, the default care
-        # scan: 16.87 MiB; 38.10 MiB with five work rows, 33.98 MiB with
+        # scan: 10.69 MiB; 38.10 MiB with five work rows, 33.98 MiB with
         # result columns, 23.63 MiB with a start array, 20.93 MiB with the
-        # off-diagonal and the mesh held
+        # off-diagonal and the mesh held, 16.87 MiB with d, the links and
+        # the widths held, and 14.42 MiB in its assembly while the
+        # repulsive core was evaluated over the whole sector at once
         assert max(repeated_peaks(
             lambda: care_interleaving(1e-3, 5e-3, Grid.uniform(54.0, 1e-3), 6))) \
-            <= 18 * 2 ** 20
+            <= 12 * 2 ** 20
 
     def test_held_result_keeps_only_its_levels(self):
         # a held result of the largest solve traces under 1 MiB, its level
@@ -457,12 +474,12 @@ class TestRayleighQuotient:
         if case == "wall":
             gridsolver._wall_at_origin(mat, x)
         n, eps = x.size, np.finfo(float).eps
-        bound = 8.0 * eps * gridsolver._norm(mat)
+        bound = 8.0 * eps * norm(mat)
         noise = np.random.default_rng(0).normal(size=n)
         for u in (np.exp(-np.abs(x)) * (1.0 + x), np.cos(3.0 * x) * np.exp(-x * x / 20.0),
                   np.exp(-np.abs(x)) * (1.0 + 1e-3 * noise)):
             c, e = u * mat.scale, offdiag(mat)
-            hc = mat.d * c
+            hc = diagonal(mat) * c
             hc[:-1] += e * c[1:]
             hc[1:] += e * c[:-1]
             form = gridsolver._energy(mat, u, c, np.empty(n - 1))
@@ -483,8 +500,8 @@ class TestRayleighQuotient:
             u = sectors[lv.index % 2][:, lv.index // 2]
             c, t = u * mat.scale, u[1:] - u[:-1]
             form = gridsolver._energy(mat, u, c, np.empty(x.size - 1))
-            terms = np.concatenate((mat.link[1:-1] * t * t, mat.v * c * c,
-                                    [mat.link[0] * u[0] ** 2, mat.link[-1] * u[-1] ** 2]))
+            terms = np.concatenate((mat.link * t * t, mat.v * c * c,
+                                    [mat.walls[0] * u[0] ** 2, mat.walls[1] * u[-1] ** 2]))
             assert abs(form - math.fsum(terms)) <= 3e-14 * abs(form)
             # the level's own vector: its energy is this form, up to rounding
             assert abs(form - lv.energy) <= 1e-12 * abs(form)
@@ -572,21 +589,27 @@ def sector_norms(monkeypatch):
     real, norms = gridsolver._lowest, {}
 
     def recording(mat, *args):
-        norms[mat.d.size] = np.abs(mat.d).max() + 2.0 * np.abs(offdiag(mat)).max()
+        norms[mat.v.size] = np.abs(diagonal(mat)).max() + 2.0 * np.abs(offdiag(mat)).max()
         return real(mat, *args)
     monkeypatch.setattr(gridsolver, "_lowest", recording)
     return norms
 
 
-def jacobi_matrix(seed, n=300):
+def jacobi_matrix(seed, n=300, uniform=False):
     """A finite-volume matrix on n nodes with random gaps in [0.05, 0.15]
-    and the potential x^2/2 plus unit noise, and its dense form T."""
+    and the potential x^2/2 plus unit noise, and its dense form T; with
+    ``uniform``, the uniform form of a mesh of step 0.1."""
     rng = np.random.default_rng(seed)
-    x = np.cumsum(rng.uniform(0.05, 0.15, n))
-    mat = assemble(x, 0.5 * x * x + rng.normal(size=n), x[-1] + 0.1)
-    mat = mat._replace(norm=gridsolver._norm(mat))
+    if uniform:
+        x = gridsolver._UniformMesh(n, 0.1)
+        nodes, L = x[:], n * 0.1
+    else:
+        x = nodes = np.cumsum(rng.uniform(0.05, 0.15, n))
+        L = x[-1] + 0.1
+    mat = assemble(x, 0.5 * nodes * nodes + rng.normal(size=n), L)
+    mat = mat._replace(norm=norm(mat))
     e = offdiag(mat)
-    return mat, np.diag(mat.d) + np.diag(e, 1) + np.diag(e, -1), rng
+    return mat, np.diag(diagonal(mat)) + np.diag(e, 1) + np.diag(e, -1), rng
 
 
 class TestPolishStep:
@@ -596,32 +619,36 @@ class TestPolishStep:
         # starts near the four lowest eigenvectors of a random Jacobi
         # matrix, each off by ``noise`` along its 20 lowest: every level
         # stops on a residual under the floor that is ||Tc - Ec|| of its
-        # unit column c, and on an energy that is its quotient c.Tc
-        mat, T, rng = jacobi_matrix(seed)
-        n, k = mat.d.size, 4
-        eps = np.finfo(float).eps
-        floor = gridsolver._RESIDUAL_FLOOR * eps * mat.norm
-        exact = np.linalg.eigh(T)[1]
+        # unit column c, and on an energy that is its quotient c.Tc; the
+        # matrix holds its arrays, or is the uniform form
+        for uniform in (False, True):
+            mat, T, rng = jacobi_matrix(seed, uniform=uniform)
+            n, k = mat.v.size, 4
+            eps = np.finfo(float).eps
+            floor = gridsolver._RESIDUAL_FLOOR * eps * mat.norm
+            exact = np.linalg.eigh(T)[1]
 
-        def start(j, out):
-            c = exact[:, j] + noise * (exact[:, :20] @ rng.normal(size=20)) / math.sqrt(20)
-            np.divide(c, mat.scale, out=out)
-            return n
-        (energy, u, r, nodes), steps, supports = gridsolver._polished(
-            mat, k, start, floor, np.empty((4, n)))
-        assert nodes == list(range(k)) and supports == (n,) * k
-        assert all(1 <= s <= gridsolver._POLISH_STEPS for s in steps)
-        for j in range(k):
-            c = u[:, j] * mat.scale
-            assert math.isclose(np.linalg.norm(c), 1.0, rel_tol=4.0 * eps * math.sqrt(n))
-            assert abs(energy[j] - c @ T @ c) <= 8.0 * eps * mat.norm
-            assert r[j] <= floor
-            assert abs(r[j] - np.linalg.norm(T @ c - energy[j] * c)) <= 4.0 * eps * mat.norm
+            def start(j, out):
+                c = (exact[:, j]
+                     + noise * (exact[:, :20] @ rng.normal(size=20)) / math.sqrt(20))
+                np.divide(c, mat.scale, out=out)
+                return n
+            (energy, u, r, nodes), steps, supports = gridsolver._polished(
+                mat, k, start, floor, np.empty((4, n)))
+            assert nodes == list(range(k)) and supports == (n,) * k
+            assert all(1 <= s <= gridsolver._POLISH_STEPS for s in steps)
+            for j in range(k):
+                c = u[:, j] * mat.scale
+                assert math.isclose(np.linalg.norm(c), 1.0, rel_tol=4.0 * eps * math.sqrt(n))
+                assert abs(energy[j] - c @ T @ c) <= 8.0 * eps * mat.norm
+                assert r[j] <= floor
+                assert (abs(r[j] - np.linalg.norm(T @ c - energy[j] * c))
+                        <= 4.0 * eps * mat.norm)
 
     def test_singular_shift_breaks_down(self):
         # sigma on an eigenvalue of the 2x2 block [[1, 1], [1, 1]]: a zero
         # pivot.  Unit scales and the link -1 between the nodes give e = 1
-        mat = gridsolver._Matrix(d=np.ones(2), link=np.array([0.0, -1.0, 0.0]),
+        mat = gridsolver._Matrix(d=np.ones(2), link=np.array([-1.0]), walls=np.zeros(2),
                                  scale=np.ones(2), v=np.zeros(2))
         np.testing.assert_array_equal(offdiag(mat), [1.0])
         c, work = np.array([1.0, 0.0]), (np.empty(2), np.empty(1), np.empty(1))
@@ -742,7 +769,7 @@ class TestCoarseStart:
         def shifted(mat, x, xc, columns):
             start = real(mat, x, xc, columns)
             # the odd sector, with a wall at the centre, keeps its starts
-            if mat.link[0] > 0.0:
+            if mat.walls[0] > 0.0:
                 return start
             return lambda j, out: start((j + 1) % columns.shape[1], out)
         monkeypatch.setattr(gridsolver, "_starts", shifted)
@@ -1026,7 +1053,7 @@ class TestAlignedStart:
         def recording(g, m):
             mesh = real(g, m)
             # the nodes the assembly reads
-            first.append(mesh[2][0])
+            first.append(mesh[0][0])
             return mesh
         monkeypatch.setattr(gridsolver, "_mesh", recording)
         half = getattr(V, "family", None) == "half-line"
@@ -1109,7 +1136,7 @@ def fine_levels(monkeypatch, routes):
     real, mats = gridsolver._lowest, []
 
     def recording(mat, *args):
-        mats.append((mat.d.copy(), offdiag(mat), mat.scale.copy()))
+        mats.append((diagonal(mat).copy(), offdiag(mat), mat.scale.copy()))
         return real(mat, *args)
     monkeypatch.setattr(gridsolver, "_lowest", recording)
 
@@ -1145,27 +1172,30 @@ class TestSupportCut:
         # a vector cut where it is far from negligible: the block's form,
         # with the link to the first dropped node as its wall, is the
         # whole form of the vector padded with zeros; the block of all
-        # n = 2000 nodes is the whole matrix, with its own wall at L
+        # n = 2000 nodes is the whole matrix, with its own wall at L.  The
+        # matrix holds its arrays, or is the uniform form of the same mesh
         g = Grid(20.0, 4000)
         x = gridsolver._half_mesh(g, g.points // 2)
-        mat = assemble(x, evaluate(pure_coulomb(), x), 20.0)
-        if case == "wall":
-            gridsolver._wall_at_origin(mat, x)
-        n = x.size
+        n, eps = x.size, np.finfo(float).eps
         u = np.zeros(n)
         u[:m] = np.exp(-x[:m]) * (1.0 + x[:m])
         if m < n:
             assert u[m - 1] > 1e-3 * u.max()
-        block = gridsolver._block(mat, m)
-        for name in ("d", "link", "scale", "v"):
-            assert getattr(block, name).base is getattr(mat, name), name
-        assert block.link.size == m + 1 and block.link[0] == mat.link[0]
-        whole = gridsolver._energy(mat, u, u * mat.scale, np.empty(n - 1))
-        cut = gridsolver._energy(block, u[:m], u[:m] * block.scale, np.empty(m - 1))
-        if m == n:
-            assert cut == whole
-        eps = np.finfo(float).eps
-        assert abs(cut - whole) <= 8.0 * eps * abs(whole)
+        for mesh in (x, gridsolver._UniformMesh(n, g.half_width / n)):
+            mat = assemble(mesh, evaluate(pure_coulomb(), x), 20.0)
+            if case == "wall":
+                gridsolver._wall_at_origin(mat, mesh)
+            block = gridsolver._block(mat, m)
+            for name in ("link", "scale", "v"):
+                assert np.shares_memory(getattr(block, name), getattr(mat, name)), name
+            assert block.d is mat.d if mesh is not x else block.d.base is mat.d
+            assert block.link.size == m - 1 and block.walls[0] == mat.walls[0]
+            assert block.walls[1] == (mat.link[m - 1] if m < n else mat.walls[1])
+            whole = gridsolver._energy(mat, u, u * mat.scale, np.empty(n - 1))
+            cut = gridsolver._energy(block, u[:m], u[:m] * block.scale, np.empty(m - 1))
+            if m == n:
+                assert cut == whole
+            assert abs(cut - whole) <= 8.0 * eps * abs(whole)
 
     @pytest.mark.parametrize("V, g, k", [case[1:] for case in CUT],
                              ids=[case[0] for case in CUT])
@@ -1212,7 +1242,7 @@ class TestFloorGuard:
         real, norms = gridsolver._lowest, []
 
         def recording(mat, *args):
-            norms.append(np.abs(mat.d).max() + 2.0 * np.abs(offdiag(mat)).max())
+            norms.append(np.abs(diagonal(mat)).max() + 2.0 * np.abs(offdiag(mat)).max())
             return real(mat, *args)
         monkeypatch.setattr(gridsolver, "_lowest", recording)
         res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
@@ -1618,7 +1648,7 @@ class TestRefine:
 
         def recording(mat, *args):
             levels = real(mat, *args)
-            residuals.append((mat.d.size, levels[2]))
+            residuals.append((mat.v.size, levels[2]))
             return levels
         monkeypatch.setattr(gridsolver, "_lowest", recording)
         seq = refine(V, g, level, 3)
@@ -1765,9 +1795,9 @@ class TestFiniteMatrix:
         # wall, no norm and no start, on the grid and on its coarse grids
         real, grids = gridsolver._finite, []
 
-        def recording(mat, g):
+        def recording(mat, g, out):
             grids.append(g)
-            return real(mat, g)
+            return real(mat, g, out)
         monkeypatch.setattr(gridsolver, "_finite", recording)
         run()
         assert len(set(grids)) >= 2
@@ -1895,14 +1925,15 @@ def old_offdiag(mat):
     """The off-diagonal e as the assembly built it while the matrix held
     it: three operations on the square roots of the cell widths."""
     e = mat.scale[:-1] * mat.scale[1:]
-    np.divide(mat.link[1:-1], e, out=e)
+    np.divide(mat.link, e, out=e)
     np.negative(e, out=e)
     return e
 
 
 class TestHeldArrays:
-    """What the matrix and the uniform mesh no longer hold is rebuilt bit
-    for bit where it is read."""
+    """What the matrix and the uniform mesh do not hold is rebuilt where it
+    is read: bit for bit on a graded mesh, and on a uniform one as the
+    3-point Laplacian of its step."""
 
     @pytest.mark.parametrize("kind", ["uniform", "graded", "half-line"])
     def test_rebuilt_offdiag_is_the_assembled_one(self, kind):
@@ -1913,17 +1944,51 @@ class TestHeldArrays:
         else:
             g, V, n = Grid(60.0, 3000), half_line(), 3000
         x = gridsolver._half_mesh(g, n)
-        mat = assemble(x, evaluate(V, x), g.half_width)
+        # the mesh the solver assembles on: held if graded, else its step
+        mesh = gridsolver._mesh(g, n)[0]
+        assert isinstance(mesh, np.ndarray) == (kind == "graded")
+        v = evaluate(V, x)
+        mat, held = assemble(mesh, v, g.half_width), assemble(x, v, g.half_width)
+        h, eps = g.half_width / n, np.finfo(float).eps
+        if kind != "graded":
+            # v alone is held: the links and scales are floats broadcast
+            # with no memory, d is 1/h^2, and the wall at L is 1/h
+            assert mat.v is v and mat.d == 1.0 / h ** 2
+            assert mat.link.strides == (0,) and mat.scale.strides == (0,)
+            assert mat.walls.tolist() == [0.0, 1.0 / h]
         for wall in (False, True):
             if wall:
-                gridsolver._wall_at_origin(mat, x)
+                gridsolver._wall_at_origin(mat, mesh)
+                gridsolver._wall_at_origin(held, x)
             e = old_offdiag(mat)
+            if kind != "graded":
+                # -1/(2h^2), as link / (scale * scale) rounds it
+                r = math.sqrt(h)
+                assert e.tobytes() == np.full(n - 1, -(0.5 / h) / (r * r)).tobytes()
+                assert mat.walls[0] == (1.0 / h if wall else 0.0)
             assert offdiag(mat).tobytes() == e.tobytes()
             coupling = gridsolver._coupling(mat, np.empty(n - 1))
             assert coupling.tobytes() == (-e).tobytes()
             assert mat.offdiag == max(e.max(), -e.min())
             block = gridsolver._block(mat, n // 3)
             assert offdiag(block).tobytes() == e[:n // 3 - 1].tobytes()
+            d = diagonal(mat)
+            if kind == "graded":
+                assert d is mat.d
+                continue
+            # 1/h^2 + v inside; at the centre 1/(2h^2) + v, or 3/(2h^2) + v
+            # with the wall; at L 3/(2h^2) + v; a block's last row is inner
+            assert d[1:-1].tobytes() == (1.0 / h ** 2 + v[1:-1]).tobytes()
+            for row, kinetic in ((0, 1.5 if wall else 0.5), (-1, 1.5)):
+                assert abs(d[row] - v[row] - kinetic / h ** 2) <= 8.0 * eps / h ** 2
+            inner = diagonal(block)[-1] - v[n // 3 - 1]
+            assert abs(inner - 1.0 / h ** 2) <= 8.0 * eps / h ** 2
+            # the held assembly of the same nodes differs from it in the
+            # rounding of the node differences alone
+            bound = 1e-12 * norm(held)
+            assert np.abs(d - diagonal(held)).max() <= bound
+            assert np.abs(e - old_offdiag(held)).max() <= bound
+            assert abs(norm(mat) - norm(held)) <= bound
 
     @pytest.mark.parametrize("half_width, m", [(60.0, 270000), (10.0, 150000),
                                                (54.0, 9), (1e-3, 5000)])
@@ -1958,7 +2023,7 @@ class TestHeldArrays:
         m = g.points // 2
         x = gridsolver._half_mesh(g, m)
         mesh = gridsolver._UniformMesh(m, g.half_width / m)
-        mat = assemble(x, evaluate(V, x), g.half_width)
+        mat = assemble(mesh, evaluate(V, x), g.half_width)
         for wall in (False, True):
             if wall:
                 gridsolver._wall_at_origin(mat, mesh)
@@ -1974,18 +2039,92 @@ class TestHeldArrays:
     def test_cut_residual_is_the_explicit_one(self, seed):
         # a support cut short of the matrix: the padded vector's residual,
         # the block's in difference form and the cut row's term, is
-        # ||Tc - Ec|| of the dense T within 4 eps ||T||
-        mat, T, rng = jacobi_matrix(seed)
-        n, eps = mat.d.size, np.finfo(float).eps
-        exact = np.linalg.eigh(T)[1]
-        for m in (n // 3, n - 1):
-            c = np.zeros(n)
-            c[:m] = exact[:m, 0] + 1e-6 * rng.normal(size=m)
-            c /= np.linalg.norm(c)
-            block = gridsolver._block(mat, m)
-            work = np.empty((3, m))
-            energy, residual = gridsolver._certify(block, c[:m], *work)
-            cut = mat.link[m] / (mat.scale[m - 1] * mat.scale[m])
-            residual = math.hypot(residual, cut * c[m - 1])
-            assert abs(energy - c @ T @ c) <= 8.0 * eps * mat.norm
-            assert abs(residual - np.linalg.norm(T @ c - energy * c)) <= 4.0 * eps * mat.norm
+        # ||Tc - Ec|| of the dense T within 4 eps ||T||, on a matrix that
+        # holds its arrays and on the uniform form
+        for uniform in (False, True):
+            mat, T, rng = jacobi_matrix(seed, uniform=uniform)
+            n, eps = mat.v.size, np.finfo(float).eps
+            exact = np.linalg.eigh(T)[1]
+            for m in (n // 3, n - 1):
+                c = np.zeros(n)
+                c[:m] = exact[:m, 0] + 1e-6 * rng.normal(size=m)
+                c /= np.linalg.norm(c)
+                block = gridsolver._block(mat, m)
+                work = np.empty((3, m))
+                energy, residual = gridsolver._certify(block, c[:m], *work)
+                cut = mat.link[m - 1] / (mat.scale[m - 1] * mat.scale[m])
+                residual = math.hypot(residual, cut * c[m - 1])
+                assert abs(energy - c @ T @ c) <= 8.0 * eps * mat.norm
+                assert (abs(residual - np.linalg.norm(T @ c - energy * c))
+                        <= 4.0 * eps * mat.norm)
+
+
+def uniform_sector(v, h, wall):
+    """Diagonal and off-diagonal of the uniform sector matrix as the
+    gridsolver docstring and perfbench/oracle.py define it, built here
+    from v and h alone: 1/h^2 + v on the diagonal and -1/(2h^2) off it,
+    1/(2h^2) + v_0 at the centre, or 3/(2h^2) + v_0 with a wall there,
+    and 3/(2h^2) + v_{n-1} at L."""
+    d = 1.0 / h ** 2 + v
+    d[0] += (0.5 if wall else -0.5) / h ** 2
+    d[-1] += 0.5 / h ** 2
+    return d, np.full(v.size - 1, -0.5 / h ** 2)
+
+
+def sector_levels(V, g, k):
+    """The levels of solve(V, g, k), and for each sector of g the diagonal
+    and off-diagonal of `uniform_sector`, with the levels it holds."""
+    res = solve(V, g, k)
+    walls = (True,) if getattr(V, "family", None) == "half-line" else (False, True)
+    m = g.points // len(walls)
+    h = g.half_width / m
+    x = (np.arange(m) + 0.5) * h
+    v = evaluate(V, x) if isinstance(V, PotentialSpec) else V(x)
+    energies = np.array([lv.energy for lv in res.levels])
+    return [(*uniform_sector(v, h, wall), energies[s::len(walls)])
+            for s, wall in enumerate(walls)]
+
+
+# boxes small enough that the highest of four levels meets the far wall
+UNIFORM_CASES = [
+    ("pure-coulomb", pure_coulomb(), 20.0),
+    ("soft-core", soft_core(1e-2), 20.0),
+    ("repulsive-core", repulsive_core(1e-2, 3e-2), 20.0),
+    ("half-line", half_line(), 40.0),
+    ("harmonic", harmonic, 4.0),
+]
+
+
+class TestUniformSector:
+    """A uniform grid solves the documented 3-point Laplacian; graded
+    grids keep their bits."""
+
+    @pytest.mark.parametrize("points", [800, 1600])
+    @pytest.mark.parametrize("V, half_width", [case[1:] for case in UNIFORM_CASES],
+                             ids=[case[0] for case in UNIFORM_CASES])
+    def test_bisected_levels_are_the_documented_matrix(self, V, half_width, points,
+                                                       routes):
+        # every matrix of these grids is bisected: no coarse grid starts them
+        for d, e, energies in sector_levels(V, Grid(half_width, points), 4):
+            want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            bound = 1e-12 * (np.abs(d).max() + 2.0 * np.abs(e).max())
+            assert np.abs(energies - want[:energies.size]).max() <= bound
+        assert {rec.route for rec in routes()} == {"bisection"}
+
+    def test_polished_levels_are_the_documented_matrix(self, routes):
+        g = Grid(20.0, 8000)
+        for d, e, energies in sector_levels(pure_coulomb(), g, 6):
+            want = eigvalsh_tridiagonal(d, e, select="i",
+                                        select_range=(0, energies.size - 1))
+            bound = 1e-12 * (np.abs(d).max() + 2.0 * np.abs(e).max())
+            assert np.abs(energies - want).max() <= bound
+        fine = [rec.route for rec in routes() if rec.points == g.points // 2]
+        assert fine == ["polished"] * 2
+
+    def test_graded_scan_keeps_its_bits(self):
+        # the default soft-core scan, whose grids are all graded, gives
+        # the ground energies that it gave while uniform grids held their
+        # arrays, bit for bit
+        rows = soft_core_ground_scan((1e-2, 1e-3, 1e-4), 30.0)
+        assert [row.e0 for row in rows] == [-10.613443085180323, -29.74499224968888,
+                                            -64.35224997223386]

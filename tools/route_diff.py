@@ -15,8 +15,13 @@ place of the other file.  The report names:
   largest relative |E_B - E_A| and the largest |E_B - E_A| / (r_A + r_B),
   the move over the sum of the two residuals, within which each energy
   has an eigenvalue of its matrix;
-- each level that moved by more than r_A + r_B.  Both runs solve the
-  same matrix, so such a level has changed eigenvalue.
+- each level that moved by more than r_A + r_B.  If both runs solve the
+  same matrix, such a level has changed eigenvalue.  A change to the
+  matrix itself also moves its levels, by up to r_A + r_B plus the norm
+  of the change to its entries: a change in their last bits (a uniform
+  sector assembled from v and the step h, where it was built from node
+  differences, say) keeps them about within their residuals, and a
+  larger one may move them beyond r_A + r_B with no solve at fault.
 
 It exits 1 if the files list different operations, or differ in any of
 these respects but the third, and 0 otherwise: levels that moved within
