@@ -56,8 +56,7 @@ finer grid.  The whole-mesh ``positions`` of a `SpectrumResult` are
 built from the grid on first access; its ``vectors`` solve the grid
 again on first access, keeping the vectors this time, and are their
 mirror image, or on the half line the one sector itself.  No command
-reads them, and a solve at N = 540000, k = 6 would hold 13 MB of sector
-columns for them, more than the five sector-size arrays of its polish.
+reads them.
 
 Eigenvectors.  A grid first solves the same problem on
 ``Grid.graded(L, c)``, the coarsest grid of the map s for a core c.  On
@@ -112,29 +111,28 @@ ends the polish: all levels of the matrix are then solved once by
 bisection and inverse iteration (LAPACK stebz/stein, scipy's wrappers)
 at LAPACK's default tolerance, as those of grids with no coarse start
 are at once.
-The polish holds what one step needs and no more.  A grid of n nodes
-a sector takes one work block of 4n floats before its assembly: it is
-the assembly's scratch (the off-diagonal, and the nodes of a uniform
-mesh for a potential callable), then the solve of every level of both
-sectors, cut to the level's support.  Beside it a uniform sector holds
-the potential alone, five sector-size arrays in all: its links, widths
-and diagonal less v are the floats of the 3-point Laplacian, read by
+The polish holds what one step needs and no more.  A grid of n nodes a
+sector takes one work block of 4n floats once its matrix is assembled,
+so that no temporary of the assembly or of a potential callable lies
+beside it: it holds the solve of every level of both sectors, cut to the
+level's support.  Beside it a uniform sector holds the potential alone,
+five sector-size arrays in all: its off-diagonal, links, widths and
+diagonal less v are the floats of the 3-point Laplacian, read by
 broadcasting, its diagonal is written into a work row where gtsv,
 bisection or the norm reads it, and its mesh is held as its step, its
-nodes rebuilt a chunk at a time where the potential and the starts
-read them.  A graded sector holds its mesh, its diagonal d, its links,
-the square roots of its cell widths and the potential; its
-off-diagonal e is held only as its largest magnitude and rebuilt from
-the links and widths, bit for bit, where it is read.  One row holds the
-level's vector: its start is interpolated into it a fixed chunk of
-nodes at a time, and it is the right-hand side and solution of each
-gtsv solve.  The other three are the rows that gtsv overwrites (the
-shifted diagonal and the two off-diagonals) during a step, and the
-certificate's nodal vector and work vectors after it.  The nodal vector
-is node-counted by `spectrum.sign_changes`, the package's one sign
-rule, a chunk at a time, and copied into the level's result column if
-the vectors are kept.  The work block is freed once the grid is
-solved, so nothing outlives a solve, and no result points into it.
+nodes rebuilt a chunk at a time where the potential and the starts read
+them.  A graded sector holds its mesh, its diagonal d, its off-diagonal
+e, its links, the square roots of its cell widths and the potential.
+One row holds the level's vector: its start is interpolated into it a
+fixed chunk of nodes at a time, and it is the right-hand side and
+solution of each gtsv solve.  The other three are the rows that gtsv
+overwrites (the shifted diagonal and the two off-diagonals) during a
+step, and the certificate's nodal vector and work vectors after it; the
+bisection route copies e into one of them.  The nodal vector is
+node-counted by `spectrum.sign_changes`, the package's one sign rule, a
+chunk at a time, and copied into the level's result column if the
+vectors are kept.  The work block is freed once the grid is solved, so
+nothing outlives a solve, and no result points into it.
 Both routes take the energy and residual of each column from one
 routine.  On either route a returned level whose floor is over 4 times
 its scale raises ConvergenceError: there LAPACK's bisection tolerance
@@ -506,7 +504,14 @@ class _UniformMesh:
         lo, hi, stride = key.indices(self.size)
         if stride != 1:
             raise IndexError("a uniform mesh is read in slices of stride 1")
-        return self._write(lo, np.empty(max(hi - lo, 0)))
+        # written _CHUNK nodes at a time: j + 1/2 is exact in floats, as
+        # (np.arange(m) + 0.5) has it
+        out, halves = np.empty(max(hi - lo, 0)), _half_offsets()
+        for i in range(0, out.size, _CHUNK):
+            part = out[i:i + _CHUNK]
+            np.add(halves[:part.size], lo + i, out=part)
+            part *= self.step
+        return out
 
     def searchsorted(self, value):
         """The number of nodes below the finite ``value``, as
@@ -520,20 +525,6 @@ class _UniformMesh:
             j += 1
         return j
 
-    def fill(self, out):
-        """All the nodes, written into out; returns out."""
-        return self._write(0, out)
-
-    def _write(self, lo, out):
-        """Nodes lo to lo + out.size written into out, _CHUNK at a time:
-        j + 1/2 is exact in floats, as (np.arange(m) + 0.5) has it."""
-        halves = _half_offsets()
-        for i in range(0, out.size, _CHUNK):
-            part = out[i:i + _CHUNK]
-            np.add(halves[:part.size], lo + i, out=part)
-            part *= self.step
-        return out
-
 
 @cache
 def _half_offsets():
@@ -541,22 +532,12 @@ def _half_offsets():
     return np.arange(_CHUNK) + 0.5
 
 
-def _mesh(g, m):
-    """The half mesh of m nodes and the (4, m) work block of its
-    matrices.  A graded mesh is held, and solved before the block is
-    taken: it comes from a Newton solve that costs about 100 ns a node,
-    whose bits a solve slice by slice would not keep.  A uniform one is
-    its step (`_UniformMesh`)."""
-    x = _half_mesh(g, m) if g.core is not None else _UniformMesh(m, g.half_width / m)
-    return x, np.empty((4, m))
-
-
-def _potential(V, x, row):
+def _potential(V, x):
     """V on the half-mesh nodes x, an array or a `_UniformMesh`.  A family
     is evaluated a _CHUNK of nodes at a time, so that its temporaries
     stay small; every family is even in x.  A callable takes all the
-    nodes in one call, a uniform mesh's written into ``row``, and must
-    give one finite value per node, the same at -x bit for bit."""
+    nodes in one call, a uniform mesh's built whole, and must give one
+    finite value per node, the same at -x bit for bit."""
     # a mesh in the subnormal range overflows 1/|x|: refused below, with
     # no floating-point warning
     with np.errstate(all="ignore"):
@@ -566,7 +547,7 @@ def _potential(V, x, row):
                 v[i:i + _CHUNK] = evaluate(V, x[i:i + _CHUNK])
             even = True
         else:
-            nodes = x.fill(row) if isinstance(x, _UniformMesh) else x
+            nodes = x[:]
             v = np.asarray(V(nodes), float)
             even = np.array_equal(v, np.asarray(V(-nodes), float))
     if v.shape != (x.size,):
@@ -586,25 +567,23 @@ def _potential(V, x, row):
 
 class _Matrix(NamedTuple):
     """H = M^(-1/2) K M^(-1/2) on a mesh, and what its energy form needs.
-    Its off-diagonal e is held only as its largest magnitude, which `_norm`
-    reads; `_offdiag` and `_coupling` rebuild it where a routine needs it,
-    bit for bit.
 
-    A graded mesh holds d, its links and its scales as arrays.  A uniform
-    mesh of step h holds v alone: its links 1/(2h) and scales sqrt(h)
-    are one float each, broadcast to their sizes by read-only views of
-    no memory, so that every reader takes them in the path of a graded
+    A graded mesh holds d, e, its links and its scales as arrays.  A
+    uniform mesh of step h holds v alone: its off-diagonal
+    -(1/(2h)) / (sqrt(h) sqrt(h)), links 1/(2h) and scales sqrt(h) are
+    one float each, broadcast to their sizes by read-only views of no
+    memory, so that every reader takes them in the path of a graded
     mesh, and its ``d`` is the float 1/h^2, the diagonal less v of every
     row but the end ones; `_diagonal` writes its d where it is read."""
 
     d: np.ndarray | float  # diagonal of H, or 1/h^2 on a uniform mesh
+    e: np.ndarray       # the n - 1 off-diagonal entries of H
     link: np.ndarray    # the n - 1 links 1/(2 dx) between neighbours
     # the links to a wall at the centre (0 for none) and to the wall
     # past the last node
     walls: np.ndarray
     scale: np.ndarray   # square roots of the cell widths
     v: np.ndarray       # potential at the nodes
-    offdiag: float = math.nan  # max |e|
     norm: float = math.nan  # `_norm`, once `_finite` has taken it
 
 
@@ -622,56 +601,43 @@ def _diagonal(mat, out):
     return out
 
 
-def _coupling(mat, out):
-    """-e, the off-diagonal of H negated, written to out (n - 1 entries):
-    link / (scale[:-1] * scale[1:]), the two operations of the assembly
-    before its negation."""
-    np.multiply(mat.scale[:-1], mat.scale[1:], out=out)
-    return np.divide(mat.link, out, out=out)
-
-
-def _offdiag(mat, out):
-    """The off-diagonal e of H, written to out (n - 1 entries), bit for
-    bit the one whose largest magnitude the assembly keeps."""
-    return np.negative(_coupling(mat, out), out=out)
-
-
 # A mesh too fine for float64 overflows the matrix (its entries grow like
 # 1/h^2 in the step h), and a wall at a subnormal distance divides by
 # zero: the assembly runs without floating-point warnings, and `_finite`
 # refuses such a matrix before any solve.
 
-def _assemble(x, v, L, scratch):
+def _assemble(x, v, L):
     """Matrix on the half-mesh nodes x, an array or a `_UniformMesh`: the
     first cell starts at the centre, with no link across it, and the last
     ends at a Dirichlet wall at L, which adds the link 1/(2d) at distance
-    d from the last node, 1/h on a uniform mesh.  The off-diagonal is
-    built in ``scratch``, of at least n - 1 entries, for its largest
-    magnitude alone."""
+    d from the last node, 1/h on a uniform mesh.  Its off-diagonal is
+    e = -link / (scale[:-1] scale[1:]), one float on a uniform mesh."""
     with np.errstate(all="ignore"):
         if isinstance(x, _UniformMesh):
             # the 3-point Laplacian of step h, as numpy floats, which
             # overflow quietly
             h = np.float64(x.step)
-            mat = _Matrix(1.0 / h ** 2, np.broadcast_to(0.5 / h, x.size - 1),
-                          np.array([0.0, 1.0 / h]), np.broadcast_to(np.sqrt(h), x.size), v)
-        else:
-            # node gaps, with twice the distance from each end node to its
-            # face
-            gap = np.empty(x.size + 1)
-            np.subtract(x[1:], x[:-1], out=gap[1:-1])
-            gap[0], gap[-1] = 2.0 * x[0], 2.0 * (L - x[-1])
-            scale = gap[:-1] + gap[1:]
-            scale *= 0.5
-            link = np.divide(0.5, gap, out=gap)
-            link[0], link[-1] = 0.0, 0.5 / (L - x[-1])
-            d = link[:-1] + link[1:]
-            d /= scale
-            d += v
-            np.sqrt(scale, out=scale)
-            mat = _Matrix(d, link[1:-1], link[[0, -1]], scale, v)
-        e = _offdiag(mat, scratch[:x.size - 1])
-        return mat._replace(offdiag=max(e.max(), -e.min()))
+            link, scale = 0.5 / h, np.sqrt(h)
+            return _Matrix(1.0 / h ** 2, np.broadcast_to(-(link / (scale * scale)), x.size - 1),
+                           np.broadcast_to(link, x.size - 1), np.array([0.0, 1.0 / h]),
+                           np.broadcast_to(scale, x.size), v)
+        # node gaps, with twice the distance from each end node to its
+        # face
+        gap = np.empty(x.size + 1)
+        np.subtract(x[1:], x[:-1], out=gap[1:-1])
+        gap[0], gap[-1] = 2.0 * x[0], 2.0 * (L - x[-1])
+        scale = gap[:-1] + gap[1:]
+        scale *= 0.5
+        link = np.divide(0.5, gap, out=gap)
+        link[0], link[-1] = 0.0, 0.5 / (L - x[-1])
+        d = link[:-1] + link[1:]
+        d /= scale
+        d += v
+        np.sqrt(scale, out=scale)
+        e = np.multiply(scale[:-1], scale[1:])
+        np.divide(link[1:-1], e, out=e)
+        np.negative(e, out=e)
+        return _Matrix(d, e, link[1:-1], link[[0, -1]], scale, v)
 
 
 def _wall_at_origin(mat, x):
@@ -718,7 +684,7 @@ def _norm(mat, out):
     """max|d| + 2 max|e|, a bound on the 1-norm of H that LAPACK scales
     its default bisection tolerance by; out is scratch of n entries."""
     d = _diagonal(mat, out)
-    return max(d.max(), -d.min()) + 2.0 * mat.offdiag
+    return max(d.max(), -d.min()) + 2.0 * max(mat.e.max(), -mat.e.min())
 
 
 def _dot(a, b):
@@ -781,8 +747,7 @@ def _step(mat, sigma, c, work):
     gtsv), with c as the right-hand side and solution, and take
     c = -z / ||z||, the step's vector for (H - sigma).
 
-    (sigma - H) is H negated and shifted: its off-diagonal is the
-    coupling -e (`_coupling`), rebuilt from mat's links and scales, and
+    (sigma - H) is H negated and shifted: its off-diagonal is -e, and
     its diagonal sigma - d, d held or written into that row
     (`_diagonal`).  LU with partial pivoting is odd in its
     matrix, so z is the solution of (H - sigma) negated, bit for bit.
@@ -792,7 +757,8 @@ def _step(mat, sigma, c, work):
     overwrites, so that a step allocates nothing.
     """
     dd, dl, du = work
-    du[:] = _coupling(mat, dl)
+    np.negative(mat.e, out=dl)
+    np.negative(mat.e, out=du)
     np.subtract(sigma, _diagonal(mat, dd), out=dd)
     info = dgtsv(dl, dd, du, c, overwrite_dl=1, overwrite_d=1,
                  overwrite_du=1, overwrite_b=1)[-1]
@@ -814,8 +780,8 @@ def _block(mat, m):
     link[m - 1] (0 - u[m - 1])^2, is the block's wall term.
     """
     walls = mat.walls if m == mat.v.size else np.array([mat.walls[0], mat.link[m - 1]])
-    return mat._replace(d=mat.d[:m] if np.ndim(mat.d) else mat.d, link=mat.link[:m - 1],
-                        walls=walls, scale=mat.scale[:m], v=mat.v[:m])
+    return mat._replace(d=mat.d[:m] if np.ndim(mat.d) else mat.d, e=mat.e[:m - 1],
+                        link=mat.link[:m - 1], walls=walls, scale=mat.scale[:m], v=mat.v[:m])
 
 
 def _polished(mat, k, start, floor, work, vectors=True):
@@ -866,10 +832,9 @@ def _polished(mat, k, start, floor, work, vectors=True):
             # y takes the nodal vector
             sigma, residual = _certify(block, c, y, hy, t)
             # the first dropped row's one term of the padded vector's
-            # residual, e[m - 1] c[m - 1], whose sign hypot ignores
+            # residual
             if m < n:
-                cut = mat.link[m - 1] / (mat.scale[m - 1] * mat.scale[m])
-                residual = math.hypot(residual, cut * c[m - 1])
+                residual = math.hypot(residual, mat.e[m - 1] * c[m - 1])
             if residual <= floor:
                 break
         # a level over the floor after its last step fails, as does one
@@ -922,7 +887,7 @@ def _lowest(mat, k, start, work, vectors=True):
     vector of each level into it (`_starts`); the levels polished from
     them stand if every one is certified.
     Otherwise one bisection and inverse-iteration solve at LAPACK's
-    default tolerance, of the off-diagonal rebuilt in a row of the
+    default tolerance, of the off-diagonal copied into a row of the
     block and the diagonal held or written in another, gives them all,
     and each of its columns is certified from a copy in another; the
     node counts are those of the certified columns, which are then
@@ -940,8 +905,9 @@ def _lowest(mat, k, start, work, vectors=True):
         else:
             (levels, steps, support), route = polished, "polished"
     if levels is None:
+        work[3, :-1] = mat.e
         try:
-            _, y = eigh_tridiagonal(_diagonal(mat, work[2]), _offdiag(mat, work[3, :-1]),
+            _, y = eigh_tridiagonal(_diagonal(mat, work[2]), work[3, :-1],
                                     select_range=(0, k - 1))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}",
@@ -1076,13 +1042,12 @@ def _eigenpairs(V, g, k, coarse=None, vectors=True):
     # whether each sector has a wall at the centre
     walls = (True,) if half_line else (False, True)
     n = len(walls)
-    # one work block for the assembly and then for each sector's polish
-    x, work = _mesh(g, g.points // n)
-    v = _potential(V, x, work[0])
-    # a callable may return its argument, a row of the block
-    if np.may_share_memory(v, work):
-        v = v.copy()
-    mat = _assemble(x, v, g.half_width, work[1])
+    m = g.points // n
+    x = _half_mesh(g, m) if g.core is not None else _UniformMesh(m, g.half_width / m)
+    mat = _assemble(x, _potential(V, x), g.half_width)
+    # one work block for the polish of each sector, taken once the
+    # temporaries of the potential and the assembly are freed
+    work = np.empty((4, m))
     w, r, ratio, nodes, sectors = np.empty(k), np.empty(k), np.empty(k), [0] * k, []
     for s, wall in enumerate(walls):
         levels = slice(s, k, n)

@@ -32,16 +32,6 @@ def box(x):
     return np.zeros_like(x)
 
 
-def assemble(x, v, L):
-    """gridsolver._assemble with a scratch row of its own."""
-    return gridsolver._assemble(x, v, L, np.empty(x.size))
-
-
-def offdiag(mat):
-    """The off-diagonal e of a matrix, rebuilt from its links and scales."""
-    return gridsolver._offdiag(mat, np.empty(mat.v.size - 1))
-
-
 def diagonal(mat):
     """The diagonal d of a matrix, held or written into a row of its own."""
     return gridsolver._diagonal(mat, np.empty(mat.v.size))
@@ -268,18 +258,19 @@ class TestSectorForm:
 
     def test_largest_grid_core_solve_peak_memory(self):
         # the largest solve of the grid-core benchmark workload: it keeps
-        # no eigenvector, so no sector holds a result column.  Each matrix
-        # allocates its own work array of four rows and frees it once
-        # solved; a level's start is interpolated into the row of its
-        # vector, and its node count takes no mask of the sector's size, so
-        # a repeat peaks as high as the first solve, at 10.66 MiB: five
-        # sector-size arrays, the potential and the work rows, as a uniform
-        # sector is the 3-point Laplacian of v and the step, its potential
-        # is evaluated a chunk at a time, and its mesh is its step.  It
-        # peaked at 38.07 MiB with five work rows, at 33.95 MiB with a
-        # result column for each level, at 23.65 MiB with a start array
-        # beside the work rows, at 20.90 MiB with the off-diagonal and the
-        # mesh held, and at 16.84 MiB with d, the links and the widths held
+        # no eigenvector, so no sector holds a result column.  Each grid
+        # takes one work block of four rows once its matrix is assembled
+        # and frees it once solved; a level's start is interpolated into
+        # the row of its vector, and its node count takes no mask of the
+        # sector's size, so a repeat peaks as high as the first solve, at
+        # 10.66 MiB: five sector-size arrays, the potential and the work
+        # rows, as a uniform sector is the 3-point Laplacian of v and the
+        # step, its potential is evaluated a chunk at a time, and its mesh
+        # is its step.  It peaked at 38.07 MiB with five work rows, at
+        # 33.95 MiB with a result column for each level, at 23.65 MiB with
+        # a start array beside the work rows, at 20.90 MiB with the
+        # off-diagonal and the mesh held, and at 16.84 MiB with d, the
+        # links and the widths held
         assert max(repeated_peaks(
             lambda: solve(pure_coulomb(), Grid(60.0, 540000), 6))) <= 12 * 2 ** 20
 
@@ -293,6 +284,17 @@ class TestSectorForm:
         assert max(repeated_peaks(
             lambda: care_interleaving(1e-3, 5e-3, Grid.uniform(54.0, 1e-3), 6))) \
             <= 12 * 2 ** 20
+
+    def test_callable_solve_peak_memory(self):
+        # the largest callable solve of the workload, the harmonic well:
+        # 5.90 MiB, the potential and the work rows, as the work block is
+        # taken once the callable's whole-mesh temporaries are freed.  It
+        # peaked at 8.01 MiB with the block taken before the potential, as
+        # the assembly's scratch, at 9.33 MiB with d, the links and the
+        # widths held, and at 11.58 MiB with the off-diagonal and the mesh
+        # held
+        assert max(repeated_peaks(
+            lambda: solve(harmonic, Grid(10.0, 300000), 6))) <= 6.5 * 2 ** 20
 
     def test_held_result_keeps_only_its_levels(self):
         # a held result of the largest solve traces under 1 MiB, its level
@@ -470,7 +472,7 @@ class TestRayleighQuotient:
         V, g = ((soft_core(1e-3), Grid.graded(30.0, 1e-3)) if case == "graded"
                 else (pure_coulomb(), Grid(20.0, 4000)))
         x = gridsolver._half_mesh(g, g.points // 2)
-        mat = assemble(x, evaluate(V, x), g.half_width)
+        mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
         if case == "wall":
             gridsolver._wall_at_origin(mat, x)
         n, eps = x.size, np.finfo(float).eps
@@ -478,7 +480,7 @@ class TestRayleighQuotient:
         noise = np.random.default_rng(0).normal(size=n)
         for u in (np.exp(-np.abs(x)) * (1.0 + x), np.cos(3.0 * x) * np.exp(-x * x / 20.0),
                   np.exp(-np.abs(x)) * (1.0 + 1e-3 * noise)):
-            c, e = u * mat.scale, offdiag(mat)
+            c, e = u * mat.scale, mat.e
             hc = diagonal(mat) * c
             hc[:-1] += e * c[1:]
             hc[1:] += e * c[:-1]
@@ -494,7 +496,7 @@ class TestRayleighQuotient:
         x, sectors = gridsolver._eigenpairs(V, g, 4)[-1]
         x = x[:]
         for lv in res.levels:
-            mat = assemble(x, evaluate(V, x), g.half_width)
+            mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
             if lv.index % 2:
                 gridsolver._wall_at_origin(mat, x)
             u = sectors[lv.index % 2][:, lv.index // 2]
@@ -589,7 +591,7 @@ def sector_norms(monkeypatch):
     real, norms = gridsolver._lowest, {}
 
     def recording(mat, *args):
-        norms[mat.v.size] = np.abs(diagonal(mat)).max() + 2.0 * np.abs(offdiag(mat)).max()
+        norms[mat.v.size] = np.abs(diagonal(mat)).max() + 2.0 * np.abs(mat.e).max()
         return real(mat, *args)
     monkeypatch.setattr(gridsolver, "_lowest", recording)
     return norms
@@ -606,9 +608,9 @@ def jacobi_matrix(seed, n=300, uniform=False):
     else:
         x = nodes = np.cumsum(rng.uniform(0.05, 0.15, n))
         L = x[-1] + 0.1
-    mat = assemble(x, 0.5 * nodes * nodes + rng.normal(size=n), L)
+    mat = gridsolver._assemble(x, 0.5 * nodes * nodes + rng.normal(size=n), L)
     mat = mat._replace(norm=norm(mat))
-    e = offdiag(mat)
+    e = mat.e
     return mat, np.diag(diagonal(mat)) + np.diag(e, 1) + np.diag(e, -1), rng
 
 
@@ -648,9 +650,8 @@ class TestPolishStep:
     def test_singular_shift_breaks_down(self):
         # sigma on an eigenvalue of the 2x2 block [[1, 1], [1, 1]]: a zero
         # pivot.  Unit scales and the link -1 between the nodes give e = 1
-        mat = gridsolver._Matrix(d=np.ones(2), link=np.array([-1.0]), walls=np.zeros(2),
-                                 scale=np.ones(2), v=np.zeros(2))
-        np.testing.assert_array_equal(offdiag(mat), [1.0])
+        mat = gridsolver._Matrix(d=np.ones(2), e=np.ones(1), link=np.array([-1.0]),
+                                 walls=np.zeros(2), scale=np.ones(2), v=np.zeros(2))
         c, work = np.array([1.0, 0.0]), (np.empty(2), np.empty(1), np.empty(1))
         assert gridsolver._step(mat, 0.0, c, work) is False
 
@@ -745,7 +746,7 @@ class TestCoarseStart:
         V, g = pure_coulomb(), Grid(60.0, 100000)
         coarse = gridsolver._coarse(V, g, 4, False)
         x = gridsolver._half_mesh(g, g.points // 2)
-        mat = assemble(x, evaluate(V, x), g.half_width)
+        mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
         columns = coarse.sectors[int(wall)]
         xc = coarse.x
         if wall:
@@ -1045,17 +1046,16 @@ class TestAlignedStart:
                              ids=[case[0] for case in ALIGNED_SWEEP])
     def test_coarse_first_node_meets_the_fine_one_and_polishes(self, V, half_width,
                                                                routes, monkeypatch):
-        # the first node of every mesh built, in the order built: the fine
+        # the first node of every mesh assembled, in that order: the fine
         # grid's own, which is checked before any solve, the coarse grid's,
         # then the eighth grid's
-        real, first = gridsolver._mesh, []
+        real, first = gridsolver._assemble, []
 
-        def recording(g, m):
-            mesh = real(g, m)
+        def recording(x, v, L):
             # the nodes the assembly reads
-            first.append(mesh[0][0])
-            return mesh
-        monkeypatch.setattr(gridsolver, "_mesh", recording)
+            first.append(x[0])
+            return real(x, v, L)
+        monkeypatch.setattr(gridsolver, "_assemble", recording)
         half = getattr(V, "family", None) == "half-line"
         for points in (800, 1600, 10_000, 40_000, 100_000):
             for k in (1, 2, 4):
@@ -1136,7 +1136,7 @@ def fine_levels(monkeypatch, routes):
     real, mats = gridsolver._lowest, []
 
     def recording(mat, *args):
-        mats.append((diagonal(mat).copy(), offdiag(mat), mat.scale.copy()))
+        mats.append((diagonal(mat).copy(), mat.e.copy(), mat.scale.copy()))
         return real(mat, *args)
     monkeypatch.setattr(gridsolver, "_lowest", recording)
 
@@ -1182,7 +1182,7 @@ class TestSupportCut:
         if m < n:
             assert u[m - 1] > 1e-3 * u.max()
         for mesh in (x, gridsolver._UniformMesh(n, g.half_width / n)):
-            mat = assemble(mesh, evaluate(pure_coulomb(), x), 20.0)
+            mat = gridsolver._assemble(mesh, evaluate(pure_coulomb(), x), 20.0)
             if case == "wall":
                 gridsolver._wall_at_origin(mat, mesh)
             block = gridsolver._block(mat, m)
@@ -1242,7 +1242,7 @@ class TestFloorGuard:
         real, norms = gridsolver._lowest, []
 
         def recording(mat, *args):
-            norms.append(np.abs(diagonal(mat)).max() + 2.0 * np.abs(offdiag(mat)).max())
+            norms.append(np.abs(diagonal(mat)).max() + 2.0 * np.abs(mat.e).max())
             return real(mat, *args)
         monkeypatch.setattr(gridsolver, "_lowest", recording)
         res = solve(pure_coulomb(), Grid(60.0, 40000), 4)
@@ -1831,10 +1831,10 @@ def sector_matrix(kind, n):
     else:
         g, V = Grid(60.0, n), half_line()
     x = gridsolver._half_mesh(g, n)
-    mat = assemble(x, evaluate(V, x), g.half_width)
+    mat = gridsolver._assemble(x, evaluate(V, x), g.half_width)
     if kind == "half-line":
         gridsolver._wall_at_origin(mat, x)
-    return mat.d, offdiag(mat)
+    return mat.d, mat.e
 
 
 class TestLapackRoute:
@@ -1922,8 +1922,8 @@ print(json.dumps({{"message": message,
 
 
 def old_offdiag(mat):
-    """The off-diagonal e as the assembly built it while the matrix held
-    it: three operations on the square roots of the cell widths."""
+    """The off-diagonal e as the assembly built it before the uniform
+    form: three operations on the square roots of the cell widths."""
     e = mat.scale[:-1] * mat.scale[1:]
     np.divide(mat.link, e, out=e)
     np.negative(e, out=e)
@@ -1931,12 +1931,12 @@ def old_offdiag(mat):
 
 
 class TestHeldArrays:
-    """What the matrix and the uniform mesh do not hold is rebuilt where it
-    is read: bit for bit on a graded mesh, and on a uniform one as the
-    3-point Laplacian of its step."""
+    """What the matrix holds as one float and the uniform mesh as its
+    step reads as the arrays of the assembly: bit for bit on a graded
+    mesh, and on a uniform one as the 3-point Laplacian of its step."""
 
     @pytest.mark.parametrize("kind", ["uniform", "graded", "half-line"])
-    def test_rebuilt_offdiag_is_the_assembled_one(self, kind):
+    def test_held_offdiag_is_the_assembled_one(self, kind):
         if kind == "uniform":
             g, V, n = Grid(20.0, 4000), pure_coulomb(), 2000
         elif kind == "graded":
@@ -1945,16 +1945,16 @@ class TestHeldArrays:
             g, V, n = Grid(60.0, 3000), half_line(), 3000
         x = gridsolver._half_mesh(g, n)
         # the mesh the solver assembles on: held if graded, else its step
-        mesh = gridsolver._mesh(g, n)[0]
-        assert isinstance(mesh, np.ndarray) == (kind == "graded")
+        mesh = x if kind == "graded" else gridsolver._UniformMesh(n, g.half_width / n)
         v = evaluate(V, x)
-        mat, held = assemble(mesh, v, g.half_width), assemble(x, v, g.half_width)
+        mat = gridsolver._assemble(mesh, v, g.half_width)
+        held = gridsolver._assemble(x, v, g.half_width)
         h, eps = g.half_width / n, np.finfo(float).eps
         if kind != "graded":
-            # v alone is held: the links and scales are floats broadcast
-            # with no memory, d is 1/h^2, and the wall at L is 1/h
+            # v alone is held: e, the links and the scales are floats
+            # broadcast with no memory, d is 1/h^2, and the wall at L is 1/h
             assert mat.v is v and mat.d == 1.0 / h ** 2
-            assert mat.link.strides == (0,) and mat.scale.strides == (0,)
+            assert mat.e.strides == mat.link.strides == mat.scale.strides == (0,)
             assert mat.walls.tolist() == [0.0, 1.0 / h]
         for wall in (False, True):
             if wall:
@@ -1966,12 +1966,11 @@ class TestHeldArrays:
                 r = math.sqrt(h)
                 assert e.tobytes() == np.full(n - 1, -(0.5 / h) / (r * r)).tobytes()
                 assert mat.walls[0] == (1.0 / h if wall else 0.0)
-            assert offdiag(mat).tobytes() == e.tobytes()
-            coupling = gridsolver._coupling(mat, np.empty(n - 1))
-            assert coupling.tobytes() == (-e).tobytes()
-            assert mat.offdiag == max(e.max(), -e.min())
+            assert mat.e.tobytes() == e.tobytes()
+            # a block's e is the prefix of the matrix's
             block = gridsolver._block(mat, n // 3)
-            assert offdiag(block).tobytes() == e[:n // 3 - 1].tobytes()
+            assert np.shares_memory(block.e, mat.e)
+            assert block.e.tobytes() == e[:n // 3 - 1].tobytes()
             d = diagonal(mat)
             if kind == "graded":
                 assert d is mat.d
@@ -1983,11 +1982,11 @@ class TestHeldArrays:
                 assert abs(d[row] - v[row] - kinetic / h ** 2) <= 8.0 * eps / h ** 2
             inner = diagonal(block)[-1] - v[n // 3 - 1]
             assert abs(inner - 1.0 / h ** 2) <= 8.0 * eps / h ** 2
-            # the held assembly of the same nodes differs from it in the
-            # rounding of the node differences alone
+            # the assembly of the same nodes held as an array differs from
+            # it in the rounding of the node differences alone
             bound = 1e-12 * norm(held)
             assert np.abs(d - diagonal(held)).max() <= bound
-            assert np.abs(e - old_offdiag(held)).max() <= bound
+            assert np.abs(e - held.e).max() <= bound
             assert abs(norm(mat) - norm(held)) <= bound
 
     @pytest.mark.parametrize("half_width, m", [(60.0, 270000), (10.0, 150000),
@@ -2001,7 +2000,7 @@ class TestHeldArrays:
                        (m - 7, m), (m - 1, m + 10), (max(m - chunk - 2, 0), m)):
             assert mesh[lo:hi].tobytes() == x[lo:hi].tobytes(), (lo, hi)
         assert mesh[0] == x[0] and mesh[m - 1] == x[-1] and mesh[-1] == x[-1]
-        assert mesh.fill(np.empty(m)).tobytes() == x.tobytes()
+        assert mesh[:].tobytes() == x.tobytes()
 
     @given(st.integers(8, 300000), st.floats(1e-6, 1e6),
            st.floats(-0.1, 1.1), st.sampled_from(["on", "between", "beyond"]))
@@ -2023,7 +2022,7 @@ class TestHeldArrays:
         m = g.points // 2
         x = gridsolver._half_mesh(g, m)
         mesh = gridsolver._UniformMesh(m, g.half_width / m)
-        mat = assemble(mesh, evaluate(V, x), g.half_width)
+        mat = gridsolver._assemble(mesh, evaluate(V, x), g.half_width)
         for wall in (False, True):
             if wall:
                 gridsolver._wall_at_origin(mat, mesh)

@@ -1,7 +1,8 @@
 """tools/route_diff.py exits 1 on a route, support, step, level-count or
 node change, a different operation list, or a level of any matrix that
 moved by more than the sum of its two residuals, and 0 when energies
-moved only within them.  It runs on small written JSON-lines files, with
+moved only within them; it counts the matrices whose records are
+identical in every field.  It runs on small written JSON-lines files, with
 no solve.  The records of real solves also go through
 tools/grid_routes.py's JSON and back, so that the record's fields and
 the tools cannot drift apart."""
@@ -77,6 +78,20 @@ def test_moved_levels_exit_0(tmp_path, change):
     assert "node changes: 0" in out
     assert "levels moved by more than r_A + r_B: 0" in out
     assert f"levels moved: {int(change is moved)} of 8" in out
+    # the moved energy, floor and ratio each leave one record unequal
+    assert f"matrix records identical in every field: {5 if change is moved else 8} of 8" \
+        in out
+
+
+def test_record_that_moved_in_its_residual_alone_is_counted(tmp_path):
+    # a residual that moved alone leaves every level, route and node
+    # count in place, and only the count of identical records shows it
+    b = base()
+    b[0]["matrices"][3]["residuals"] = [1.1e-10]
+    code, out = run(tmp_path, base(), b)
+    assert code == 0
+    assert "levels moved: 0 of 8" in out
+    assert "matrix records identical in every field: 7 of 8" in out
 
 
 def test_move_beyond_the_residuals_exits_1(tmp_path):
@@ -183,3 +198,6 @@ def test_parse_reads_the_solver_records(tmp_path, caplog):
                            str(path)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert f"levels moved: 0 of {levels}" in done.stdout
+    matrices = sum(len(routes) for routes in parsed.values())
+    assert f"matrix records identical in every field: {matrices} of {matrices}" \
+        in done.stdout

@@ -15,6 +15,9 @@ place of the other file.  The report names:
   largest relative |E_B - E_A| and the largest |E_B - E_A| / (r_A + r_B),
   the move over the sum of the two residuals, within which each energy
   has an eigenvalue of its matrix;
+- how many matrices have records identical field for field, residuals,
+  floors and ratios included: a change that keeps every bit keeps all
+  of them;
 - each level that moved by more than r_A + r_B.  If both runs solve the
   same matrix, such a level has changed eigenvalue.  A change to the
   matrix itself also moves its levels, by up to r_A + r_B plus the norm
@@ -24,8 +27,10 @@ place of the other file.  The report names:
   larger one may move them beyond r_A + r_B with no solve at fault.
 
 It exits 1 if the files list different operations, or differ in any of
-these respects but the third, and 0 otherwise: levels that moved within
-their residuals are only reported.  Only the standard library is used.
+these respects but the third and the fourth, and 0 otherwise: levels
+that moved within their residuals, and records that differ in their
+residuals, floors or ratios alone, are only reported.  Only the
+standard library is used.
 """
 
 import argparse
@@ -88,9 +93,11 @@ def main(argv=None):
                     print(f"  matrix {j}: {a} -> {b}")
     print(f"operations with route, support or step changes: {len(routes)} of {len(common)}")
 
-    tags, moved, total = 0, [], 0
+    tags, moved, total, same, matrices = 0, [], 0, 0, 0
     for label in common:
         for j, (a, b) in enumerate(zip(ops_a[label], ops_b[label])):
+            matrices += 1
+            same += a == b
             for i, ((e_a, r_a, nodes_a), (e_b, r_b, nodes_b)) in enumerate(
                     zip(levels(a), levels(b))):
                 name = f"{label} matrix {j} level {i}"
@@ -108,6 +115,7 @@ def main(argv=None):
         res = max(moved, key=lambda m: m[1])
         print(f"  largest relative |dE|: {rel[0]:.3g} ({rel[2]})")
         print(f"  largest |dE| / (r_A + r_B): {res[1]:.3g} ({res[2]})")
+    print(f"matrix records identical in every field: {same} of {matrices}")
     beyond = [m for m in moved if m[1] > 1.0]
     for m in beyond:
         print(f"beyond the residuals: {m[2]}, |dE| / (r_A + r_B) = {m[1]:.3g}")
